@@ -10,10 +10,8 @@ Hit-and-Run chain for multivariate targets.
 from .envelope import (
     Envelope,
     build_envelope,
-    envelope_value,
     find_threshold_index,
     prepare_envelope,
-    sample_envelope,
     threshold_search_range,
 )
 from .errors import ClassViolationError, QuadratureError, UsageError
@@ -30,7 +28,6 @@ from .hitandrun import (
     ChainResult,
     ChainState,
     LineOracle,
-    LineRestriction,
     MultivariateOracle,
     bracket_minimizer,
     build_line_envelope,
@@ -48,13 +45,9 @@ from .numerics import (
 )
 from .oracles import (
     OracleResponse,
-    OracleTranscript,
     PiecewiseQuadraticPotential,
     PotentialOracle,
-    evaluate_piecewise,
     normalize_at_zero,
-    oracle_from_json,
-    rescale_to_unit,
 )
 from .rejection import (
     FAILURE,
@@ -75,10 +68,8 @@ __all__ = [
     "FAILURE",
     "HardFamily",
     "LineOracle",
-    "LineRestriction",
     "MultivariateOracle",
     "OracleResponse",
-    "OracleTranscript",
     "PiecewiseQuadraticPotential",
     "PotentialOracle",
     "QuadratureError",
@@ -93,8 +84,6 @@ __all__ = [
     "build_member",
     "capped_trials",
     "distinct_response_count",
-    "envelope_value",
-    "evaluate_piecewise",
     "find_threshold_index",
     "gaussian_tail_integral",
     "identify",
@@ -102,15 +91,12 @@ __all__ = [
     "largest_m",
     "member_mass_in_window",
     "normalize_at_zero",
-    "oracle_from_json",
     "prepare_envelope",
     "quadratic_oracle",
-    "rescale_to_unit",
     "restrict",
     "run_chain",
     "run_identification_experiment",
     "sample_capped",
-    "sample_envelope",
     "sample_exact",
     "step",
     "threshold_search_range",

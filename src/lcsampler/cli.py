@@ -6,6 +6,13 @@ kappa and tabulate construction queries / acceptance), ``hardfamily-verify``
 (check the worst-case family bounds), ``hitandrun`` (run a chain and emit
 per-step query statistics).
 
+Kappa comes from the target's oracle and nowhere else.  ``--kappa`` sets it
+for builtin targets (default 1) and, for a JSON target, replaces the
+document's ``beta``; without ``--kappa`` a JSON target's ``beta`` is used as
+written (``alpha`` must be 1).  A ``diagonal`` Hit-and-Run document takes
+kappa from its curvatures.  ``bench-queries`` sweeps 1e3, 1e6, 1e9 and 1e12
+when no ``--kappa`` is given.  The JSON outputs report the oracle's kappa.
+
 Every command is deterministic given (configuration, seed): per-cell random
 streams are derived from the master seed with ``numpy.random.SeedSequence``
 spawned in row order.  The one exception is the wall-clock ``throughput``
@@ -50,18 +57,18 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _single_kappa(args) -> float:
+def _single_kappa(args) -> float | None:
+    """The one --kappa value, or None when the flag is absent."""
     if not args.kappa:
-        return 1.0
+        return None
     if len(args.kappa) > 1:
         raise UsageError("this command takes a single --kappa")
     return float(args.kappa[0])
 
 
 def cmd_sample(args) -> int:
-    kappa = _single_kappa(args)
-    potential, oracle = resolve_target(args.target, kappa)
-    normalized, env = prepare_envelope(oracle, kappa)
+    potential, oracle = resolve_target(args.target, _single_kappa(args))
+    normalized, env = prepare_envelope(oracle)
     rng = np.random.default_rng(args.seed)
 
     lines = []
@@ -81,7 +88,7 @@ def cmd_sample(args) -> int:
 
     sidecar = {
         "target": args.target,
-        "kappa": kappa,
+        "kappa": oracle.kappa,
         "seed": args.seed,
         "samples": args.trials,
         "failures": failures,
@@ -101,9 +108,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_envelope_inspect(args) -> int:
-    kappa = _single_kappa(args)
-    _, oracle = resolve_target(args.target, kappa)
-    _, env = prepare_envelope(oracle, kappa)
+    _, oracle = resolve_target(args.target, _single_kappa(args))
+    _, env = prepare_envelope(oracle)
     doc = env.to_json_dict()
     doc["construction_queries"] = oracle.query_count
     _write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -116,7 +122,7 @@ def cmd_bench_queries(args) -> int:
     rows = []
     for kappa, stream in zip(kappas, streams):
         potential, oracle = resolve_target(args.target, kappa)
-        normalized, env = prepare_envelope(oracle, kappa)
+        normalized, env = prepare_envelope(oracle)
         envelope_queries = oracle.query_count
         rng = np.random.default_rng(stream)
         trials = args.trials or 1000
@@ -125,7 +131,7 @@ def cmd_bench_queries(args) -> int:
         elapsed = time.perf_counter() - t0
         rows.append(
             {
-                "kappa": kappa,
+                "kappa": oracle.kappa,
                 "envelope_queries": envelope_queries,
                 "mean_trials": total / trials,
                 "acceptance_rate": acceptance_probability(potential, env),
@@ -148,6 +154,8 @@ def cmd_bench_queries(args) -> int:
 
 def cmd_hardfamily_verify(args) -> int:
     kappa = _single_kappa(args)
+    if kappa is None:
+        raise UsageError("hardfamily-verify needs --kappa (at least 2)")
     family = hardfamily.HardFamily.build(kappa)
     rng = np.random.default_rng(args.seed)
     grid_points = 10_000
@@ -202,8 +210,7 @@ def cmd_hardfamily_verify(args) -> int:
 
 
 def cmd_hitandrun(args) -> int:
-    kappa = _single_kappa(args)
-    oracle = resolve_multivariate_target(args.target, kappa, dimension=args.dimension)
+    oracle = resolve_multivariate_target(args.target, _single_kappa(args), args.dimension)
     rng = np.random.default_rng(args.seed)
     steps = args.trials or 1000
     from .hitandrun import run_chain
@@ -224,7 +231,7 @@ def cmd_hitandrun(args) -> int:
         _write_text(args.out, "step,queries,x_norm\n" + body)
     summary = {
         "dimension": oracle.dimension,
-        "kappa": kappa,
+        "kappa": oracle.kappa,
         "steps": steps,
         "mean_queries_per_step": result.mean_queries_per_step,
         "total_queries": int(result.step_queries.sum()),
@@ -241,8 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--target", default="gaussian", help="builtin name, 'hard:i', or JSON path")
-        p.add_argument("--kappa", action="append", type=float, help="condition number (repeatable)")
+        p.add_argument("--target", default="gaussian", help="builtin name, 'hard:i', inline JSON or a JSON path")
+        p.add_argument(
+            "--kappa",
+            action="append",
+            type=float,
+            help="condition number beta/alpha (repeatable for bench-queries); builtin targets "
+            "default to 1, a JSON target's beta is replaced by it or else used as written",
+        )
         p.add_argument("--epsilon", type=float, default=None, help="TV budget for capped sampling")
         p.add_argument("--trials", type=int, default=None, help="samples / steps / experiment size")
         p.add_argument("--seed", type=int, default=0, help="master seed; fixes all randomness")

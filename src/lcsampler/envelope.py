@@ -24,20 +24,19 @@ from . import numerics
 from .errors import ClassViolationError, UsageError
 
 
-def _first_true_index(predicate, lo: int, hi: int, describe: str = "", verify=None) -> int:
-    """Smallest index in [lo, hi] at which a monotone predicate holds.
+def _first_true_index(value_at, level: float, lo: int, hi: int, describe: str = "") -> int:
+    """Smallest index i in [lo, hi] with ``value_at(i) >= level``, for monotone values.
 
-    ``predicate(i)`` costs one oracle query per distinct index (results are
-    cached).  The caller must guarantee the predicate holds at ``hi`` for
+    ``value_at(i)`` costs one oracle query per distinct index (results are
+    cached).  The caller must guarantee the level is reached at ``hi`` for
     any in-class target; the found index is verified with one extra query
     only when the search never evaluated it, which is how out-of-class
     targets surface.  Worst case ceil(log2(hi - lo + 1)) + 1 queries.
 
-    ``verify`` replaces the predicate for that final check: class members
-    can sit exactly on the threshold, where an ulp of float noise must not
-    masquerade as a violation, so callers pass a slightly slackened
-    comparison there.  Mid-search noise is harmless (it can only widen the
-    plateau, which keeps domination).
+    That final check compares against ``level - 1e-9``: class members can
+    sit exactly on the threshold, where an ulp of float noise must not
+    masquerade as a violation.  Mid-search noise is harmless (it can only
+    widen the plateau, which keeps domination).
 
     Probe order is tuned for stability of the measured count as the range
     grows: the top candidate ``hi - 1`` is probed first (near-quadratic
@@ -52,7 +51,7 @@ def _first_true_index(predicate, lo: int, hi: int, describe: str = "", verify=No
 
     def pred(i: int) -> bool:
         if i not in cache:
-            cache[i] = bool(predicate(i))
+            cache[i] = value_at(i) >= level
         return cache[i]
 
     if lo == hi:
@@ -77,7 +76,7 @@ def _first_true_index(predicate, lo: int, hi: int, describe: str = "", verify=No
             else:
                 left = mid + 1
         ans = left
-    if ans not in cache and not (verify or predicate)(ans):
+    if ans not in cache and not value_at(ans) >= level - 1e-9:
         raise ClassViolationError(
             f"no threshold index in [{lo}, {hi}] {describe}".rstrip()
             + "; target violates the curvature sandwich"
@@ -200,16 +199,6 @@ class Envelope:
         }
 
 
-def envelope_value(env: Envelope, x):
-    """Pointwise envelope evaluation (piecewise closed form)."""
-    return env.value(x)
-
-
-def sample_envelope(env: Envelope, rng: np.random.Generator, size=None):
-    """Draw from the normalized envelope distribution."""
-    return env.sample(rng, size=size)
-
-
 def threshold_search_range(kappa: float) -> int:
     """Top index of the dyadic search grid, ceil(log2(kappa) / 2)."""
     if kappa < 1.0:
@@ -217,49 +206,43 @@ def threshold_search_range(kappa: float) -> int:
     return max(0, math.ceil(0.5 * math.log2(kappa)))
 
 
-def find_threshold_index(oracle, side: int, kappa: float | None = None) -> int:
+def find_threshold_index(oracle, side: int) -> int:
     """First i in {0..ceil(log2(kappa)/2)} with V(side * 2^i / sqrt(kappa)) >= 1/2.
 
-    Requires a normalized (V(0) = 0), unit-strongly-convex oracle.  The top
-    index always satisfies the predicate for class members because V(x) >=
-    x^2/2 there, so a missing threshold is reported as a class violation.
+    Requires a normalized (V(0) = 0), unit-strongly-convex oracle; kappa is
+    ``oracle.kappa``.  The top index always satisfies the predicate for
+    class members because V(x) >= x^2/2 there, so a missing threshold is
+    reported as a class violation.
     """
     if side not in (+1, -1):
         raise UsageError(f"side must be +1 or -1, got {side}")
     if not getattr(oracle, "is_normalized", False):
         raise UsageError("threshold search needs a normalized oracle (V(0) = 0)")
-    kappa = oracle.kappa if kappa is None else float(kappa)
-    top = threshold_search_range(kappa)
-    root_kappa = math.sqrt(kappa)
-
-    def predicate(i: int) -> bool:
-        return oracle.value(side * (2.0**i) / root_kappa) >= 0.5
-
-    def verify(i: int) -> bool:
-        return oracle.value(side * (2.0**i) / root_kappa) >= 0.5 - 1e-9
-
-    return _first_true_index(predicate, 0, top, describe=f"(side {side:+d})", verify=verify)
+    top = threshold_search_range(oracle.kappa)
+    root_kappa = math.sqrt(oracle.kappa)
+    return _first_true_index(
+        lambda i: oracle.value(side * (2.0**i) / root_kappa), 0.5, 0, top, f"(side {side:+d})"
+    )
 
 
-def build_envelope(oracle, kappa: float | None = None) -> Envelope:
+def build_envelope(oracle) -> Envelope:
     """Run both threshold searches and assemble the dominating function.
 
     The oracle must already answer V(x) - V(0) (see
-    :func:`lcsampler.oracles.normalize_at_zero`) and be rescaled to unit
-    strong convexity.  Total queries are at most
-    ``2 * (ceil(log2(ceil(log2(kappa)/2) + 1)) + 1)``; the mass comes from
-    the closed form, not from extra queries.
+    :func:`lcsampler.oracles.normalize_at_zero`) and declare unit strong
+    convexity (``alpha = 1``); kappa is ``oracle.kappa``.  Total queries are
+    at most ``2 * (ceil(log2(ceil(log2(kappa)/2) + 1)) + 1)``; the mass
+    comes from the closed form, not from extra queries.
     """
     if not getattr(oracle, "is_normalized", False):
         raise UsageError(
             "build_envelope needs a normalized oracle; wrap it with normalize_at_zero()"
         )
     if abs(getattr(oracle, "alpha", 1.0) - 1.0) > 1e-12:
-        raise UsageError("build_envelope needs a unit-strongly-convex oracle; rescale first")
-    kappa = oracle.kappa if kappa is None else float(kappa)
-    root_kappa = math.sqrt(kappa)
-    i_plus = find_threshold_index(oracle, +1, kappa)
-    i_minus = find_threshold_index(oracle, -1, kappa)
+        raise UsageError("build_envelope needs a unit-strongly-convex oracle (alpha = 1)")
+    root_kappa = math.sqrt(oracle.kappa)
+    i_plus = find_threshold_index(oracle, +1)
+    i_minus = find_threshold_index(oracle, -1)
     x_plus = (2.0**i_plus) / root_kappa
     x_minus = -((2.0**i_minus) / root_kappa)
     return Envelope.from_geometry(
@@ -272,14 +255,14 @@ def build_envelope(oracle, kappa: float | None = None) -> Envelope:
     )
 
 
-def prepare_envelope(oracle, kappa: float | None = None):
-    """Normalize at the origin, then build the envelope.
+def prepare_envelope(oracle):
+    """Normalize at the origin, then build the envelope at ``oracle.kappa``.
 
     Returns ``(normalized_oracle, envelope)``.  This is the whole
     query-metered construction pipeline: one normalization query plus the
-    two threshold searches.
+    two threshold searches.  The oracle must declare ``alpha = 1``.
     """
     from .oracles import normalize_at_zero
 
     normalized = oracle if getattr(oracle, "is_normalized", False) else normalize_at_zero(oracle)
-    return normalized, build_envelope(normalized, kappa)
+    return normalized, build_envelope(normalized)

@@ -21,7 +21,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import numerics
 from .envelope import prepare_envelope
 from .errors import UsageError
 from .oracles import PiecewiseQuadraticPotential, PotentialOracle
@@ -195,20 +194,12 @@ def member_window(kappa: float, i: int) -> tuple[float, float]:
 
 
 def member_mass_in_window(
-    kappa: float, i: int, member: PiecewiseQuadraticPotential | None = None, tol: float = 1e-10
+    kappa: float, i: int, member: PiecewiseQuadraticPotential | None = None
 ) -> float:
-    """Normalized mass of member i's density on its own window (quadrature)."""
+    """Normalized mass of member i's density on its own window (closed form)."""
     member = build_member(kappa, i) if member is None else member
     lo, hi = member_window(kappa, i)
-    bps = member.breakpoints
-    span = float(bps[-1]) + 12.0
-    win = numerics.adaptive_quadrature(
-        lambda x: math.exp(-member.evaluate(x)[0]), lo, hi, tol=tol, breakpoints=bps
-    )
-    total = numerics.adaptive_quadrature(
-        lambda x: math.exp(-member.evaluate(x)[0]), -span, span, tol=tol, breakpoints=bps
-    )
-    return win.value / total.value
+    return member.density_cdf(hi) - member.density_cdf(lo)
 
 
 def identify(y: float, kappa: float) -> int | None:
@@ -242,7 +233,7 @@ def make_exact_member_sampler(kappa: float, family: HardFamily | None = None):
     prepared = {}
     for i in range(1, family.m + 1):
         oracle = PotentialOracle(family.member(i), alpha=1.0, beta=kappa)
-        prepared[i] = prepare_envelope(oracle, kappa)
+        prepared[i] = prepare_envelope(oracle)
 
     def sampler(index: int, rng: np.random.Generator) -> float:
         normalized, env = prepared[index]

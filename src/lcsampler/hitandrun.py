@@ -70,6 +70,8 @@ class MultivariateOracle:
 def quadratic_oracle(diagonal, kappa: float | None = None) -> MultivariateOracle:
     """Oracle for ``V(x) = x' diag(d) x / 2``; kappa defaults to max(d)/min(d)."""
     diag = np.asarray(diagonal, dtype=float)
+    if diag.size == 0:
+        raise UsageError("need at least one diagonal curvature")
     if diag.min() <= 0:
         raise UsageError("diagonal curvatures must be positive")
     kappa = float(diag.max() / diag.min()) if kappa is None else float(kappa)
@@ -81,22 +83,13 @@ def quadratic_oracle(diagonal, kappa: float | None = None) -> MultivariateOracle
     )
 
 
-@dataclass(frozen=True)
-class LineRestriction:
-    """A line through the current point: base is its closest point to the origin."""
-
-    base: np.ndarray
-    direction: np.ndarray
-    lambda_of_origin_point: float  # the lambda with x_t = base + lambda * direction
-
-
 class LineOracle:
     """1D view W(lam) = V(base + lam * u) - shift; one multivariate query per call."""
 
     def __init__(self, oracle: MultivariateOracle, base, direction, shift: float = 0.0):
         self._oracle = oracle
-        self._base = np.asarray(base, dtype=float)
-        self._direction = np.asarray(direction, dtype=float)
+        self.base = np.asarray(base, dtype=float)
+        self.direction = np.asarray(direction, dtype=float)
         self.shift = float(shift)
 
     @property
@@ -108,16 +101,16 @@ class LineOracle:
         return self._oracle.query_count
 
     def with_shift(self, shift: float) -> "LineOracle":
-        return LineOracle(self._oracle, self._base, self._direction, shift=shift)
+        return LineOracle(self._oracle, self.base, self.direction, shift=shift)
 
     def point(self, lam: float) -> np.ndarray:
-        return self._base + lam * self._direction
+        return self.base + lam * self.direction
 
     def query(self, lam: float):
         resp = self._oracle.query(self.point(float(lam)))
         deriv = None
         if resp.gradient is not None:
-            deriv = float(self._direction @ resp.gradient)
+            deriv = float(self.direction @ resp.gradient)
         return resp.value - self.shift, deriv
 
     def value(self, lam: float) -> float:
@@ -130,8 +123,12 @@ class LineOracle:
         return d
 
 
-def restrict(oracle: MultivariateOracle, x_t, u) -> tuple[LineRestriction, LineOracle]:
-    """Restrict the potential to the line through x_t with unit direction u."""
+def restrict(oracle: MultivariateOracle, x_t, u) -> LineOracle:
+    """Restrict the potential to the line through x_t with unit direction u.
+
+    The line's ``base`` is its closest point to the origin, so x_t sits at
+    ``lam = u @ x_t``.
+    """
     x_t = np.asarray(x_t, dtype=float)
     u = np.asarray(u, dtype=float)
     norm = float(np.linalg.norm(u))
@@ -139,10 +136,7 @@ def restrict(oracle: MultivariateOracle, x_t, u) -> tuple[LineRestriction, LineO
         raise UsageError("direction must be nonzero")
     if abs(norm - 1.0) > 1e-12:
         raise UsageError(f"direction must be a unit vector, |u| = {norm}")
-    lam_t = float(u @ x_t)
-    base = x_t - lam_t * u
-    restriction = LineRestriction(base=base, direction=u, lambda_of_origin_point=lam_t)
-    return restriction, LineOracle(oracle, base, u)
+    return LineOracle(oracle, x_t - float(u @ x_t) * u, u)
 
 
 def bracket_minimizer(line: LineOracle, kappa: float, x_star_norm: float) -> tuple[float, float]:
@@ -215,18 +209,10 @@ def build_line_envelope(
     top = max(1, math.ceil(0.5 * (math.log2(kappa) + 3.0)))
 
     i_b = _first_true_index(
-        lambda i: shifted.value(b + 2.0**i / root) >= _PLATEAU_LEVEL,
-        1,
-        top,
-        "(right of bracket)",
-        verify=lambda i: shifted.value(b + 2.0**i / root) >= _PLATEAU_LEVEL - 1e-9,
+        lambda i: shifted.value(b + 2.0**i / root), _PLATEAU_LEVEL, 1, top, "(right of bracket)"
     )
     i_a = _first_true_index(
-        lambda i: shifted.value(a - 2.0**i / root) >= _PLATEAU_LEVEL,
-        1,
-        top,
-        "(left of bracket)",
-        verify=lambda i: shifted.value(a - 2.0**i / root) >= _PLATEAU_LEVEL - 1e-9,
+        lambda i: shifted.value(a - 2.0**i / root), _PLATEAU_LEVEL, 1, top, "(left of bracket)"
     )
     x_b = b + 2.0**i_b / root
     x_a = a - 2.0**i_a / root
@@ -279,13 +265,12 @@ def step(
     else:
         u = np.asarray(direction, dtype=float)
     before = oracle.query_count
-    restriction, line = restrict(oracle, state.position, u)
-    x_star_norm = float(np.linalg.norm(restriction.base))
-    a, b = bracket_minimizer(line, oracle.kappa, x_star_norm)
+    line = restrict(oracle, state.position, u)
+    a, b = bracket_minimizer(line, oracle.kappa, float(np.linalg.norm(line.base)))
     env, shifted = build_line_envelope(line, a, b, oracle.kappa)
     lam = sample_exact(shifted, env, rng).result
     return ChainState(
-        position=restriction.base + lam * restriction.direction,
+        position=line.point(lam),
         step_index=state.step_index + 1,
         cumulative_queries=state.cumulative_queries + (oracle.query_count - before),
     )

@@ -8,10 +8,9 @@ by a hidden constant, and that counts every call.
 """
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -30,21 +29,6 @@ class OracleResponse:
     value: float | None = None
     derivative: float | None = None
     second_derivative: float | None = None
-
-
-@dataclass
-class OracleTranscript:
-    """Record of (query point, returned triple) pairs, in query order."""
-
-    entries: list = field(default_factory=list)
-
-    def append(self, x: float, response: OracleResponse) -> None:
-        self.entries.append(
-            (x, (response.value, response.derivative, response.second_derivative))
-        )
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 class PiecewiseQuadraticPotential:
@@ -172,18 +156,10 @@ class PiecewiseQuadraticPotential:
             return float(v[0]), float(d[0]), float(s[0])
         return v, d, s
 
-    def value(self, x):
-        return self.evaluate(x)[0]
-
     # -- density helpers (test-harness path; never query-metered) ----------
 
     def _segment_table(self):
-        """Per-segment (lo, hi, mu, vmin, c) for exp(-V) in completed-square form."""
-        if len(self._bp) == 0:
-            c = self._curv[0]
-            mu = -self.slope_at_zero / c
-            vmin = self.value_at_zero - self.slope_at_zero**2 / (2 * c)
-            return [(-math.inf, math.inf, mu, vmin, c)]
+        """Per-segment arrays (lo, hi, mu, vmin, c): exp(-V) in completed-square form."""
         rows = []
         edges = [-math.inf, *self._bp.tolist(), math.inf]
         j0 = bisect_right(self._bp.tolist(), 0.0)
@@ -196,79 +172,65 @@ class PiecewiseQuadraticPotential:
             c = self._curv[j]
             if c <= 0:
                 raise UsageError("density helpers require strictly convex segments")
-            mu = x0 - d0 / c
-            vmin = v0 - d0 * d0 / (2 * c)
-            rows.append((edges[j], edges[j + 1], mu, vmin, c))
-        return rows
+            rows.append((edges[j], edges[j + 1], x0 - d0 / c, v0 - d0 * d0 / (2 * c), c))
+        return tuple(np.asarray(col, dtype=float) for col in zip(*rows))
 
     @staticmethod
-    def _gauss_mass(lo, hi, mu, vmin, c):
-        """``int_lo^hi exp(-vmin - c*(x-mu)^2/2) dx`` without cancellation.
+    def _segment_mass(lo, hi, mu, vmin, c):
+        """``int_lo^hi exp(-vmin - c*(x-mu)^2/2) dx`` elementwise, without cancellation.
 
-        Segments entirely on one side of the summit are evaluated through
-        the scaled complementary error function with the potential value at
-        the near edge in the exponent, so deep-tail segments underflow to
-        zero instead of overflowing.
+        Segments entirely on one side of their summit are mirrored to its
+        right and evaluated through the scaled complementary error function
+        with the potential value at the near edge in the exponent, so
+        deep-tail segments underflow to zero instead of overflowing.
         """
-        r = math.sqrt(c)
-        pref = math.sqrt(2.0 * math.pi / c)
-        z1 = (lo - mu) * r if math.isfinite(lo) else -math.inf
-        z2 = (hi - mu) * r if math.isfinite(hi) else math.inf
+        r = np.sqrt(c)
+        pref = np.sqrt(2.0 * math.pi / c)
+        z1 = (lo - mu) * r
+        z2 = (hi - mu) * r
+        left = z2 <= 0
+        near = np.where(left, -z2, z1)
+        far = np.where(left, -z1, z2)
 
-        def tail_term(z):
-            # erfcx(z/sqrt(2)) * exp(-vmin - z^2/2); exponent is -V(edge)
-            if math.isinf(z):
-                return 0.0
+        def tail_term(z, vmin):
+            # erfcx(z/sqrt(2)) * exp(-vmin - z^2/2); the exponent is -V(edge)
             expo = -vmin - 0.5 * z * z
-            if expo < -745.0:
-                return 0.0
-            return float(erfcx(z / _SQRT2)) * math.exp(expo)
+            return np.where(expo < -745.0, 0.0, erfcx(z / _SQRT2) * np.exp(expo))
 
-        if z1 >= 0:
-            return 0.5 * pref * (tail_term(z1) - tail_term(z2))
-        if z2 <= 0:
-            return 0.5 * pref * (tail_term(-z2) - tail_term(-z1))
-        phi_diff = 0.5 * (erfc(z1 / _SQRT2) - erfc(z2 / _SQRT2))
-        return math.exp(-vmin) * pref * float(phi_diff)
+        out = np.empty(z1.shape)
+        side = near >= 0
+        v = vmin[side]
+        out[side] = 0.5 * pref[side] * (tail_term(near[side], v) - tail_term(far[side], v))
+        mid = ~side
+        phi_diff = 0.5 * (erfc(z1[mid] / _SQRT2) - erfc(z2[mid] / _SQRT2))
+        out[mid] = np.exp(-vmin[mid]) * pref[mid] * phi_diff
+        return out
 
     def density_mass(self) -> float:
         """``int exp(-V)`` in closed form (per-segment Gaussian integrals)."""
         if self._mass_cache is None:
-            rows = self._segment_table()
-            masses = [self._gauss_mass(*((lo, hi, mu, vmin, c))) for lo, hi, mu, vmin, c in rows]
-            self._mass_cache = (np.asarray(masses), float(np.sum(masses)))
-        return self._mass_cache[1]
+            table = self._segment_table()
+            masses = self._segment_mass(*table)
+            cum = np.concatenate([[0.0], np.cumsum(masses)])
+            self._mass_cache = (table, cum, float(np.sum(masses)))
+        return self._mass_cache[2]
 
     def density_cdf(self, x):
         """CDF of the normalized density exp(-V)/Z, exact per segment."""
         self.density_mass()
-        seg_masses, total = self._mass_cache
-        cum = np.concatenate([[0.0], np.cumsum(seg_masses)])
-        rows = self._segment_table()
+        (lo, hi, mu, vmin, c), cum, total = self._mass_cache
         arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
         xs = np.atleast_1d(arr)
-        out = np.empty_like(xs)
-        j = (
-            np.searchsorted(self._bp, xs, side="right")
-            if len(self._bp)
-            else np.zeros(xs.shape, dtype=int)
-        )
-        for k, xv in enumerate(xs):
-            lo, hi, mu, vmin, c = rows[j[k]]
-            out[k] = (cum[j[k]] + self._gauss_mass(lo, min(xv, hi), mu, vmin, c)) / total
-        return float(out[0]) if scalar else out
+        j = np.searchsorted(self._bp, xs, side="right")
+        part = self._segment_mass(lo[j], np.minimum(xs, hi[j]), mu[j], vmin[j], c[j])
+        out = (cum[j] + part) / total
+        return float(out[0]) if arr.ndim == 0 else out
 
     def __repr__(self):
         return (
             f"PiecewiseQuadraticPotential({len(self._bp)} breakpoints, "
             f"curvatures in [{self._curv.min():g}, {self._curv.max():g}])"
         )
-
-
-def evaluate_piecewise(potential: PiecewiseQuadraticPotential, x):
-    """Exact (value, derivative, second derivative) of a piecewise quadratic."""
-    return potential.evaluate(x)
 
 
 def check_class_member(potential, alpha: float, beta: float, grid=None) -> None:
@@ -313,7 +275,6 @@ class PotentialOracle:
         beta: float = 1.0,
         orders: Sequence[int] = (0, 1, 2),
         hidden_offset: float = 0.0,
-        record_transcript: bool = False,
     ):
         if alpha <= 0 or beta < alpha:
             raise UsageError(f"need 0 < alpha <= beta, got alpha={alpha}, beta={beta}")
@@ -325,7 +286,6 @@ class PotentialOracle:
             raise UsageError(f"orders must be a subset of {{0,1,2}}, got {orders}")
         self.hidden_offset = float(hidden_offset)
         self._count = 0
-        self.transcript = OracleTranscript() if record_transcript else None
 
     @property
     def kappa(self) -> float:
@@ -346,27 +306,28 @@ class PotentialOracle:
             )
         self._count += 1
         v, d, s = self.potential.evaluate(float(x))
-        resp = OracleResponse(
+        return OracleResponse(
             value=v + self.hidden_offset if 0 in requested else None,
             derivative=d if 1 in requested else None,
             second_derivative=s if 2 in requested else None,
         )
-        if self.transcript is not None:
-            self.transcript.append(float(x), resp)
-        return resp
 
     def value(self, x: float) -> float:
         """0th-order query shorthand (one counter increment)."""
         return self.query(x, orders={0}).value
 
 
-class _WrappedOracle:
-    """Base for oracle views; delegates the counter to the root oracle."""
+class _NormalizedOracle:
+    """View answering V(x) - V(0); the counter stays on the root oracle."""
 
-    is_normalized = False
+    is_normalized = True
 
-    def __init__(self, inner):
+    def __init__(self, inner, value_at_origin: float):
         self._inner = inner
+        self.alpha = inner.alpha
+        self.beta = inner.beta
+        self.orders_available = inner.orders_available
+        self._v0 = value_at_origin
 
     @property
     def query_count(self) -> int:
@@ -376,51 +337,14 @@ class _WrappedOracle:
     def kappa(self) -> float:
         return self.beta / self.alpha
 
-    def value(self, x: float) -> float:
-        return self.query(x, orders={0}).value
-
-
-class _NormalizedOracle(_WrappedOracle):
-    is_normalized = True
-
-    def __init__(self, inner, value_at_origin: float):
-        super().__init__(inner)
-        self.alpha = inner.alpha
-        self.beta = inner.beta
-        self.orders_available = inner.orders_available
-        self._v0 = value_at_origin
-
     def query(self, x, orders=None):
         resp = self._inner.query(x, orders)
         if resp.value is None:
             return resp
         return OracleResponse(resp.value - self._v0, resp.derivative, resp.second_derivative)
 
-
-class _RescaledOracle(_WrappedOracle):
-    """View answering V(x / sqrt(alpha)); unit strong convexity by design."""
-
-    def __init__(self, inner):
-        super().__init__(inner)
-        self.scale = math.sqrt(inner.alpha)
-        self.alpha = 1.0
-        self.beta = inner.beta / inner.alpha
-        self.orders_available = inner.orders_available
-        self.is_normalized = inner.is_normalized
-
-    def query(self, x, orders=None):
-        resp = self._inner.query(float(x) / self.scale, orders)
-        return OracleResponse(
-            resp.value,
-            None if resp.derivative is None else resp.derivative / self.scale,
-            None
-            if resp.second_derivative is None
-            else resp.second_derivative / self._inner.alpha,
-        )
-
-    def map_sample_back(self, x_bar: float) -> float:
-        """Convert a draw from the rescaled target into one from the original."""
-        return x_bar / self.scale
+    def value(self, x: float) -> float:
+        return self.query(x, orders={0}).value
 
 
 def normalize_at_zero(oracle):
@@ -433,53 +357,3 @@ def normalize_at_zero(oracle):
         raise UsageError("normalization needs 0th-order access")
     v0 = oracle.query(0.0, orders={0}).value
     return _NormalizedOracle(oracle, v0)
-
-
-def rescale_to_unit(oracle):
-    """Oracle view with alpha = 1, beta = kappa; samples map back via x / sqrt(alpha)."""
-    return _RescaledOracle(oracle)
-
-
-# -- JSON target documents ------------------------------------------------
-
-
-def potential_from_json(doc: dict):
-    """Build (potential, alpha, beta, offset) from a JSON document.
-
-    Schema: ``{"type": "gaussian"|"piecewise", "alpha": float, "beta": float,
-    "breakpoints": [...], "curvatures": [...], "offset": float}``.
-    """
-    kind = doc.get("type")
-    alpha = float(doc.get("alpha", 1.0))
-    beta = float(doc.get("beta", alpha))
-    offset = float(doc.get("offset", 0.0))
-    if kind == "gaussian":
-        potential = PiecewiseQuadraticPotential.gaussian(alpha)
-    elif kind == "piecewise":
-        potential = PiecewiseQuadraticPotential(
-            doc.get("breakpoints", []), doc["curvatures"]
-        )
-    else:
-        raise UsageError(f"unknown potential type {kind!r}")
-    return potential, alpha, beta, offset
-
-
-def oracle_from_json(source, record_transcript: bool = False) -> PotentialOracle:
-    """Load a potential document (dict, JSON string, or path) into an oracle."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = str(source)
-        if text.lstrip().startswith("{"):
-            doc = json.loads(text)
-        else:
-            with open(text, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-    potential, alpha, beta, offset = potential_from_json(doc)
-    return PotentialOracle(
-        potential,
-        alpha=alpha,
-        beta=beta,
-        hidden_offset=offset,
-        record_transcript=record_transcript,
-    )

@@ -12,6 +12,7 @@ Three families, chosen to cover both extremes of the class:
 """
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import hardfamily
 from .errors import UsageError
 from .hitandrun import MultivariateOracle, quadratic_oracle
-from .oracles import PiecewiseQuadraticPotential, PotentialOracle, potential_from_json
+from .oracles import PiecewiseQuadraticPotential, PotentialOracle, check_class_member
 
 BUILTIN_NAMES = ("gaussian", "skewed")
 
@@ -66,51 +67,82 @@ def builtin_potential(name: str, kappa: float) -> PiecewiseQuadraticPotential:
     )
 
 
+def _read_document(spec: str) -> dict:
+    """Parse a target document given inline (starting with '{') or as a file path."""
+    text = spec
+    if not text.lstrip().startswith("{"):
+        with open(text, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise UsageError("a target document must be a JSON object")
+    return doc
+
+
+def _declared_bounds(doc: dict, kappa: float | None) -> tuple[float, float]:
+    """(alpha, beta) of a document; a given kappa replaces the document's beta."""
+    alpha = float(doc.get("alpha", 1.0))
+    beta = float(doc.get("beta", alpha)) if kappa is None else float(kappa)
+    return alpha, beta
+
+
 def resolve_target(
     spec: str,
-    kappa: float,
+    kappa: float | None,
     hidden_offset: float = 0.0,
 ) -> tuple[PiecewiseQuadraticPotential, PotentialOracle]:
     """Map a target name or JSON document/path to (potential, oracle).
 
-    Builtin names are declared with alpha = 1 and beta = kappa; JSON
-    documents carry their own alpha/beta/offset fields.
+    Builtin names are declared with alpha = 1 and beta = kappa (1 when kappa
+    is None).  A JSON document ``{"type": "gaussian"|"piecewise", "alpha",
+    "beta", "breakpoints", "curvatures", "offset"}`` declares its own
+    alpha, beta and hidden offset; a kappa that is not None replaces its
+    beta.  Its curvatures must lie in [alpha, beta] with the mode at the
+    origin, or ClassViolationError is raised.
     """
     if spec in BUILTIN_NAMES or spec.startswith("hard:"):
+        kappa = 1.0 if kappa is None else kappa
         potential = builtin_potential(spec, kappa)
         oracle = PotentialOracle(
             potential, alpha=1.0, beta=kappa, hidden_offset=hidden_offset
         )
         return potential, oracle
-    import json
-
-    text = spec
-    if not text.lstrip().startswith("{"):
-        with open(text, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    doc = json.loads(text)
-    potential, alpha, beta, offset = potential_from_json(doc)
-    oracle = PotentialOracle(potential, alpha=alpha, beta=beta, hidden_offset=offset)
+    doc = _read_document(spec)
+    alpha, beta = _declared_bounds(doc, kappa)
+    kind = doc.get("type")
+    if kind == "gaussian":
+        potential = PiecewiseQuadraticPotential.gaussian(alpha)
+    elif kind == "piecewise":
+        potential = PiecewiseQuadraticPotential(doc.get("breakpoints", []), doc["curvatures"])
+    else:
+        raise UsageError(f"unknown potential type {kind!r}")
+    check_class_member(potential, alpha, beta)
+    oracle = PotentialOracle(
+        potential, alpha=alpha, beta=beta, hidden_offset=float(doc.get("offset", 0.0))
+    )
     return potential, oracle
 
 
-def resolve_multivariate_target(spec: str, kappa: float, dimension: int = 10) -> MultivariateOracle:
-    """Builtin 'gaussian' (isotropic quadratic) or a JSON document with 'dimension'."""
-    if spec == "gaussian":
-        return quadratic_oracle(np.ones(dimension), kappa=kappa)
-    import json
+def resolve_multivariate_target(
+    spec: str, kappa: float | None, dimension: int = 10
+) -> MultivariateOracle:
+    """Builtin 'gaussian' (isotropic quadratic) or a JSON document.
 
-    text = spec
-    if not text.lstrip().startswith("{"):
-        with open(text, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    doc = json.loads(text)
-    d = int(doc.get("dimension", dimension))
-    if doc.get("type") == "gaussian":
-        alpha = float(doc.get("alpha", 1.0))
-        beta = float(doc.get("beta", kappa))
-        return quadratic_oracle(alpha * np.ones(d), kappa=beta / alpha)
-    if doc.get("type") == "diagonal":
-        diag = np.asarray(doc["curvatures"], dtype=float)
-        return quadratic_oracle(diag)
-    raise UsageError(f"unsupported multivariate target type {doc.get('type')!r}")
+    The builtin is declared like the 1D builtins.  A ``gaussian`` document
+    (optional ``dimension``) follows the 1D rule for alpha, beta and kappa;
+    a ``diagonal`` document takes kappa from its curvatures.
+    """
+    if spec == "gaussian":
+        alpha, beta = 1.0, (1.0 if kappa is None else kappa)
+    else:
+        doc = _read_document(spec)
+        if doc.get("type") == "diagonal":
+            return quadratic_oracle(np.asarray(doc["curvatures"], dtype=float))
+        if doc.get("type") != "gaussian":
+            raise UsageError(f"unsupported multivariate target type {doc.get('type')!r}")
+        alpha, beta = _declared_bounds(doc, kappa)
+        dimension = doc.get("dimension", dimension)
+    dimension = int(dimension)
+    if dimension < 1:
+        raise UsageError(f"dimension must be positive, got {dimension}")
+    return quadratic_oracle(alpha * np.ones(dimension), kappa=beta / alpha)

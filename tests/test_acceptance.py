@@ -44,7 +44,7 @@ def _report(num, ok, elapsed, detail):
 def _envelope_for(name, kappa, offset=0.0):
     potential = builtin_potential(name, kappa)
     oracle = PotentialOracle(potential, alpha=1.0, beta=kappa, hidden_offset=offset)
-    normalized, env = prepare_envelope(oracle, kappa)
+    normalized, env = prepare_envelope(oracle)
     return potential, oracle, normalized, env
 
 
@@ -80,7 +80,7 @@ def test_criterion_02_envelope_domination():
             oracle = PotentialOracle(
                 potential, alpha=1.0, beta=kappa, hidden_offset=float(rng.uniform(-3, 3))
             )
-            _, env = prepare_envelope(oracle, kappa)
+            _, env = prepare_envelope(oracle)
             grid = np.linspace(env.x_minus - 8.0, env.x_plus + 8.0, 10_000)
             v0 = potential.evaluate(0.0)[0]
             gap = env.value(grid) - np.exp(-(potential.evaluate(grid)[0] - v0))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lcsampler.cli import main
+from lcsampler.targets import resolve_target
 
 
 def run_cli(args):
@@ -227,3 +228,41 @@ class TestErrorPaths:
 
     def test_multiple_kappas_rejected_for_single_kappa_commands(self):
         assert run_cli(["sample", "--kappa", "4", "--kappa", "9"]) == 4
+
+    @pytest.mark.parametrize("dimension", ["0", "-1"])
+    def test_nonpositive_dimension_is_config_error(self, dimension):
+        assert run_cli(["hitandrun", "--dimension", dimension, "--trials", "1"]) == 4
+
+    def test_curvature_below_alpha_is_class_violation(self):
+        doc = {"type": "piecewise", "beta": 4, "breakpoints": [1.5], "curvatures": [1.0, 0.2]}
+        assert run_cli(["sample", "--target", json.dumps(doc), "--kappa", "4", "--trials", "10"]) == 3
+
+    def test_curvature_above_beta_is_class_violation(self):
+        doc = {"type": "piecewise", "beta": 4, "breakpoints": [0.5], "curvatures": [1.0, 50.0]}
+        assert run_cli(["sample", "--target", json.dumps(doc), "--trials", "10"]) == 3
+
+
+class TestKappaFromTarget:
+    def inspect(self, tmp_path, *args):
+        out = tmp_path / "env.json"
+        assert run_cli(["envelope-inspect", *args, "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    def test_json_beta_reaches_the_envelope(self, tmp_path):
+        doc = json.dumps({"type": "gaussian", "beta": 1e6})
+        from_json = self.inspect(tmp_path, "--target", doc)
+        builtin = self.inspect(tmp_path, "--target", "gaussian", "--kappa", "1e6")
+        assert from_json == builtin
+        assert from_json["x_plus"] == 1.024
+        assert from_json["construction_queries"] == 5
+
+    def test_kappa_flag_replaces_json_beta(self, tmp_path):
+        doc = json.dumps({"type": "gaussian", "beta": 4.0})
+        overridden = self.inspect(tmp_path, "--target", doc, "--kappa", "1e6")
+        assert overridden == self.inspect(tmp_path, "--target", "gaussian", "--kappa", "1e6")
+        for flags, kappa in ((["--kappa", "1e6"], 1e6), ([], 4.0)):
+            out = tmp_path / "samples.txt"
+            assert run_cli(["sample", "--target", doc, *flags, "--trials", "5", "--out", str(out)]) == 0
+            meta = json.loads((tmp_path / "samples.txt.meta.json").read_text())
+            _, oracle = resolve_target(doc, kappa if flags else None)
+            assert meta["kappa"] == oracle.kappa == kappa

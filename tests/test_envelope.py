@@ -11,11 +11,9 @@ from lcsampler import (
     PotentialOracle,
     UsageError,
     build_envelope,
-    envelope_value,
     find_threshold_index,
     normalize_at_zero,
     prepare_envelope,
-    sample_envelope,
     threshold_search_range,
 )
 from lcsampler import hardfamily
@@ -38,12 +36,12 @@ def query_budget(kappa):
 class TestThresholdSearch:
     def test_kappa_one_is_forced(self):
         n = normalize_at_zero(gaussian_oracle(1.0))
-        assert find_threshold_index(n, +1, 1.0) == 0
+        assert find_threshold_index(n, +1) == 0
 
     def test_gaussian_declared_kappa_four(self):
         n = normalize_at_zero(gaussian_oracle(4.0))
         # V(2^0/2) = 0.125 < 1/2 but V(2^1/2) = 0.5 >= 1/2
-        assert find_threshold_index(n, +1, 4.0) == 1
+        assert find_threshold_index(n, +1) == 1
 
     def test_binary_equals_linear_scan(self):
         rng = np.random.default_rng(31)
@@ -55,9 +53,7 @@ class TestThresholdSearch:
             top = threshold_search_range(kappa)
             for pot in targets:
                 for side in (+1, -1):
-                    searched = find_threshold_index(
-                        normalize_at_zero(make_oracle(pot, kappa)), side, kappa
-                    )
+                    searched = find_threshold_index(normalize_at_zero(make_oracle(pot, kappa)), side)
                     probe = normalize_at_zero(make_oracle(pot, kappa))
                     scan = next(
                         i
@@ -69,30 +65,30 @@ class TestThresholdSearch:
     def test_hard_member_three_at_kappa_1e6(self):
         # frozen by linear scan of the exact piecewise representation
         n = normalize_at_zero(make_oracle(hardfamily.build_member(1e6, 3), 1e6))
-        assert find_threshold_index(n, +1, 1e6) == 3
+        assert find_threshold_index(n, +1) == 3
 
     def test_requires_normalized_oracle(self):
         with pytest.raises(UsageError):
-            find_threshold_index(gaussian_oracle(4.0), +1, 4.0)
+            find_threshold_index(gaussian_oracle(4.0), +1)
 
     def test_flat_potential_raises_class_violation(self):
         flat = PiecewiseQuadraticPotential([], [1e-12])
         n = normalize_at_zero(make_oracle(flat, 4.0))
         with pytest.raises(ClassViolationError):
-            find_threshold_index(n, +1, 4.0)
+            find_threshold_index(n, +1)
 
 
 class TestBuildEnvelope:
     def test_gaussian_kappa_one_geometry(self):
         oracle = gaussian_oracle(1.0)
-        _, env = prepare_envelope(oracle, 1.0)
+        _, env = prepare_envelope(oracle)
         assert (env.x_minus, env.x_plus) == (-1.0, 1.0)
         assert env.plateau_height == 1.0 and env.tail_offset == 0.0
         assert env.drift_minus == env.drift_plus == 0.5
         assert env.x_minus < 0.0 < env.x_plus
 
     def test_gaussian_kappa_one_mass_vs_quadrature(self):
-        _, env = prepare_envelope(gaussian_oracle(1.0), 1.0)
+        _, env = prepare_envelope(gaussian_oracle(1.0))
         quad = adaptive_quadrature(
             lambda x: env.value(x), -40.0, 40.0, tol=1e-10, breakpoints=[env.x_minus, env.x_plus]
         )
@@ -101,20 +97,20 @@ class TestBuildEnvelope:
         assert env.mass_total == pytest.approx(sum(env.piece_masses), rel=1e-12)
 
     def test_plateau_mass_exact(self):
-        _, env = prepare_envelope(gaussian_oracle(1e3), 1e3)
+        _, env = prepare_envelope(gaussian_oracle(1e3))
         assert env.piece_masses[1] == env.plateau_height * (env.x_plus - env.x_minus)
 
     def test_query_budget_per_kappa(self):
         for kappa in (1.0, 10.0, 1e3, 1e6, 1e9, 1e12):
             oracle = gaussian_oracle(kappa)
-            prepare_envelope(oracle, kappa)
+            prepare_envelope(oracle)
             assert oracle.query_count <= query_budget(kappa)
 
     def test_loglog_growth_on_gaussian(self):
         counts = {}
         for kappa in (1e3, 1e12):
             oracle = gaussian_oracle(kappa)
-            prepare_envelope(oracle, kappa)
+            prepare_envelope(oracle)
             counts[kappa] = oracle.query_count
         assert counts[1e12] - counts[1e3] <= 3
 
@@ -124,7 +120,7 @@ class TestBuildEnvelope:
         for _ in range(25):
             pot = random_class_potential(rng, 1e3)
             oracle = make_oracle(pot, 1e3, offset=float(rng.uniform(-5, 5)))
-            _, env = prepare_envelope(oracle, 1e3)
+            _, env = prepare_envelope(oracle)
             v0 = pot.evaluate(0.0)[0]
             p_tilde = np.exp(-(pot.evaluate(grid)[0] - v0))
             assert float(np.min(env.value(grid) - p_tilde)) >= -1e-12
@@ -132,7 +128,7 @@ class TestBuildEnvelope:
     def test_mass_sandwich_per_half(self):
         # each half mass lies between the plateau edge and three times it
         for kappa in (1.0, 1e3, 1e6):
-            _, env = prepare_envelope(gaussian_oracle(kappa), kappa)
+            _, env = prepare_envelope(gaussian_oracle(kappa))
             right = adaptive_quadrature(
                 lambda x: env.value(x), 0.0, env.x_plus + 45.0, tol=1e-10,
                 breakpoints=[env.x_plus],
@@ -146,13 +142,13 @@ class TestBuildEnvelope:
 
     def test_unnormalized_oracle_rejected(self):
         with pytest.raises(UsageError):
-            build_envelope(gaussian_oracle(4.0), 4.0)
+            build_envelope(gaussian_oracle(4.0))
 
     def test_unrescaled_oracle_rejected(self):
         pot = PiecewiseQuadraticPotential.gaussian(4.0)
         oracle = PotentialOracle(pot, alpha=4.0, beta=4.0)
         with pytest.raises(UsageError):
-            build_envelope(normalize_at_zero(oracle), 1.0)
+            build_envelope(normalize_at_zero(oracle))
 
 
 class TestEnvelopeValue:
@@ -160,14 +156,14 @@ class TestEnvelopeValue:
         self.env = Envelope.from_geometry(-1.0, 1.0, 0.5, 0.5)
 
     def test_plateau(self):
-        assert envelope_value(self.env, 0.0) == 1.0
+        assert self.env.value(0.0) == 1.0
 
     def test_right_tail_closed_form(self):
         # distance 1 from the edge: exp(-1/2 - 1/2)
-        assert envelope_value(self.env, 2.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert self.env.value(2.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_left_tail_symmetry(self):
-        assert envelope_value(self.env, -2.0) == pytest.approx(envelope_value(self.env, 2.0))
+        assert self.env.value(-2.0) == pytest.approx(self.env.value(2.0))
 
     def test_shifted_plateau_variant_has_edge_jump(self):
         env = Envelope.from_geometry(-1.0, 1.0, 1.5, 1.5, plateau_height=math.e, tail_offset=3.0)
@@ -191,7 +187,7 @@ class TestEnvelopeSampling:
     def test_plateau_selection_probability(self):
         # plateau mass over total: 2 / 3.75273
         rng = np.random.default_rng(23)
-        draws = sample_envelope(self.env, rng, size=200_000)
+        draws = self.env.sample(rng, size=200_000)
         frac = float(np.mean((draws >= -1.0) & (draws <= 1.0)))
         p = 2.0 / 3.7527289129073846
         assert p == pytest.approx(0.5330, abs=5e-4)
@@ -199,19 +195,19 @@ class TestEnvelopeSampling:
 
     def test_plateau_conditional_uniform_mean(self):
         rng = np.random.default_rng(29)
-        draws = sample_envelope(self.env, rng, size=1_000_000)
+        draws = self.env.sample(rng, size=1_000_000)
         plateau = draws[(draws >= -1.0) & (draws <= 1.0)]
         assert abs(float(plateau.mean())) <= 0.002
 
     def test_ks_against_analytic_cdf(self):
         rng = np.random.default_rng(37)
         n = 100_000
-        draws = sample_envelope(self.env, rng, size=n)
+        draws = self.env.sample(rng, size=n)
         assert ks_statistic(draws, self.env.cdf) < ks_critical_value(n)
 
     def test_ks_for_sharp_envelope_with_large_drifts(self):
         # exercises the rejection fallback branch of the tail sampler
-        _, env = prepare_envelope(gaussian_oracle(1e6), 1e6)
+        _, env = prepare_envelope(gaussian_oracle(1e6))
         rng = np.random.default_rng(41)
         n = 50_000
         draws = env.sample(rng, size=n)

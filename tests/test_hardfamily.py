@@ -178,6 +178,25 @@ class TestWindowMass:
     def test_regression_value_kappa_1e6(self):
         assert member_mass_in_window(1e6, 1) == pytest.approx(WINDOW_MASS_1E6_I1, rel=1e-8)
 
+    def test_closed_forms_match_quadrature(self):
+        # quadrature is the independent check of density_cdf and the window mass
+        for kappa, i in ((1e3, 1), (1e3, 4), (1e6, 11)):
+            member = build_member(kappa, i)
+            bps = member.breakpoints
+
+            def density(x):
+                return math.exp(-member.evaluate(x)[0])
+
+            span = float(bps[-1]) + 12.0
+            total = adaptive_quadrature(density, -span, span, tol=1e-10, breakpoints=bps).value
+            assert member.density_mass() == pytest.approx(total, rel=1e-8)
+            for x in (float(bps[0]), -0.3 * float(bps[-1]), 0.0, float(bps[len(bps) // 2 + 1]), 1.0):
+                below = adaptive_quadrature(density, -span, x, tol=1e-10, breakpoints=bps).value
+                assert member.density_cdf(x) == pytest.approx(below / total, abs=1e-9)
+            lo, hi = member_window(kappa, i)
+            window = adaptive_quadrature(density, lo, hi, tol=1e-10, breakpoints=bps).value
+            assert member_mass_in_window(kappa, i, member) == pytest.approx(window / total, rel=1e-8)
+
     def test_normalizer_regression_and_closed_form(self):
         member = build_member(1e3, 1)
         bps = member.breakpoints
@@ -276,7 +295,7 @@ class TestIdentificationExperiment:
         kappa = 1e3
         member = build_member(kappa, 6)
         oracle = PotentialOracle(member, alpha=1.0, beta=kappa, hidden_offset=1.23)
-        normalized, env = prepare_envelope(oracle, kappa)
+        normalized, env = prepare_envelope(oracle)
         out = sample_exact(normalized, env, np.random.default_rng(23))
         assert out.trials == out.queries
         assert math.isfinite(out.result)

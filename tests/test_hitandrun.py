@@ -31,9 +31,10 @@ def isotropic(dim, kappa):
 class TestRestrict:
     def test_perpendicular_foot_and_values(self):
         o = isotropic(2, 1.0)
-        restriction, line = restrict(o, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        assert np.allclose(restriction.base, [1.0, 0.0])
-        assert restriction.lambda_of_origin_point == 0.0
+        x_t = np.array([1.0, 0.0])
+        line = restrict(o, x_t, np.array([0.0, 1.0]))
+        assert np.allclose(line.base, [1.0, 0.0])
+        assert np.array_equal(line.point(0.0), x_t)  # x_t sits at lam = u @ x_t = 0
         assert line.value(2.0) == pytest.approx(2.5)  # (1 + 2^2) / 2
         assert line.derivative(0.0) == 0.0
 
@@ -44,9 +45,9 @@ class TestRestrict:
             x = rng.standard_normal(3)
             u = rng.standard_normal(3)
             u /= np.linalg.norm(u)
-            restriction, _ = restrict(o, x, u)
-            assert abs(float(u @ restriction.base)) < 1e-12
-            recon = restriction.base + restriction.lambda_of_origin_point * u
+            line = restrict(o, x, u)
+            assert abs(float(u @ line.base)) < 1e-12
+            recon = line.point(float(u @ x))
             assert np.allclose(recon, x, atol=1e-12)
 
     def test_restricted_curvature_in_sandwich(self):
@@ -56,7 +57,7 @@ class TestRestrict:
         for _ in range(20):
             u = rng.standard_normal(2)
             u /= np.linalg.norm(u)
-            _, line = restrict(o, rng.standard_normal(2), u)
+            line = restrict(o, rng.standard_normal(2), u)
             lam = float(rng.uniform(-2, 2))
             h = 1e-4
             second = (line.value(lam + h) - 2 * line.value(lam) + line.value(lam - h)) / h**2
@@ -71,7 +72,7 @@ class TestRestrict:
 
     def test_each_line_call_charges_one_query(self):
         o = isotropic(2, 1.0)
-        _, line = restrict(o, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        line = restrict(o, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         before = o.query_count
         line.value(0.3)
         line.derivative(0.3)
@@ -81,7 +82,7 @@ class TestRestrict:
 class TestBracketMinimizer:
     def test_symmetric_line_contains_origin(self):
         o = isotropic(2, 1.0)
-        _, line = restrict(o, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        line = restrict(o, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         a, b = bracket_minimizer(line, 1.0, 1.0)
         assert a <= 0.0 <= b
         assert b - a == pytest.approx(math.sqrt(2.0), rel=1e-12)
@@ -89,19 +90,19 @@ class TestBracketMinimizer:
     def test_anisotropic_line_contains_analytic_minimizer(self):
         # V(x) = (x1^2 + 4 x2^2)/2 restricted through (1, 0) along (0.6, 0.8)
         o = quadratic_oracle(np.array([1.0, 4.0]), kappa=4.0)
-        restriction, line = restrict(o, np.array([1.0, 0.0]), np.array([0.6, 0.8]))
+        line = restrict(o, np.array([1.0, 0.0]), np.array([0.6, 0.8]))
         diag = np.array([1.0, 4.0])
-        denom = float(restriction.direction @ (diag * restriction.direction))
-        lam_star = -float(restriction.direction @ (diag * restriction.base)) / denom
-        a, b = bracket_minimizer(line, 4.0, float(np.linalg.norm(restriction.base)))
+        denom = float(line.direction @ (diag * line.direction))
+        lam_star = -float(line.direction @ (diag * line.base)) / denom
+        a, b = bracket_minimizer(line, 4.0, float(np.linalg.norm(line.base)))
         assert a <= lam_star <= b
         assert b - a == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
     def test_query_count_within_bisection_bound(self):
         kappa = 1e6
         o = quadratic_oracle(np.array([1.0, kappa]), kappa=kappa)
-        restriction, line = restrict(o, np.array([1.0, 0.2]), np.array([0.6, 0.8]))
-        x_star = float(np.linalg.norm(restriction.base))
+        line = restrict(o, np.array([1.0, 0.2]), np.array([0.6, 0.8]))
+        x_star = float(np.linalg.norm(line.base))
         before = o.query_count
         bracket_minimizer(line, kappa, x_star)
         used = o.query_count - before
@@ -110,7 +111,7 @@ class TestBracketMinimizer:
 
     def test_origin_line_degenerate_seed(self):
         o = isotropic(2, 4.0)
-        _, line = restrict(o, np.zeros(2), np.array([1.0, 0.0]))
+        line = restrict(o, np.zeros(2), np.array([1.0, 0.0]))
         a, b = bracket_minimizer(line, 4.0, 0.0)
         assert a <= 0.0 <= b
 
@@ -119,7 +120,7 @@ class TestBracketMinimizer:
         oracle = MultivariateOracle(
             value_fn=lambda x: 0.5 * float(x @ x), grad_fn=None, dimension=2, kappa=kappa
         )
-        _, line = restrict(oracle, np.array([1.0, 1.0]), np.array([0.0, 1.0]))
+        line = restrict(oracle, np.array([1.0, 1.0]), np.array([0.0, 1.0]))
         a, b = bracket_minimizer(line, kappa, 1.0)
         assert a <= 0.0 <= b
         assert b - a == pytest.approx(math.sqrt(2.0 / kappa), rel=1e-12)
@@ -131,7 +132,7 @@ class TestBracketMinimizer:
             dimension=2,
             kappa=4.0,
         )
-        _, line = restrict(oracle, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        line = restrict(oracle, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         with pytest.raises(ClassViolationError):
             bracket_minimizer(line, 4.0, 1.0)
 
@@ -140,8 +141,8 @@ class TestLineEnvelope:
     def _restriction(self, kappa=4.0, x_t=(1.0, 0.0), u=(0.0, 1.0), diag=None):
         diag = np.ones(2) if diag is None else np.asarray(diag, float)
         o = quadratic_oracle(diag, kappa=kappa)
-        restriction, line = restrict(o, np.asarray(x_t, float), np.asarray(u, float))
-        a, b = bracket_minimizer(line, kappa, float(np.linalg.norm(restriction.base)))
+        line = restrict(o, np.asarray(x_t, float), np.asarray(u, float))
+        a, b = bracket_minimizer(line, kappa, float(np.linalg.norm(line.base)))
         return o, line, a, b
 
     def test_envelope_dominates_relabeled_density(self):
@@ -165,8 +166,8 @@ class TestLineEnvelope:
         # plateau threshold, so the search range starting at 1 is sound
         for kappa, diag in ((4.0, (1.0, 4.0)), (100.0, (1.0, 30.0))):
             o = quadratic_oracle(np.asarray(diag, float), kappa=kappa)
-            restriction, line = restrict(o, np.array([0.5, 0.4]), np.array([0.6, 0.8]))
-            a, b = bracket_minimizer(line, kappa, float(np.linalg.norm(restriction.base)))
+            line = restrict(o, np.array([0.5, 0.4]), np.array([0.6, 0.8]))
+            a, b = bracket_minimizer(line, kappa, float(np.linalg.norm(line.base)))
             shift = max(line.value(a), line.value(b))
             probe = line.value(b + 1.0 / math.sqrt(kappa)) - shift
             assert probe < 3.0

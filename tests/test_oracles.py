@@ -10,19 +10,17 @@ from lcsampler import (
     PiecewiseQuadraticPotential,
     PotentialOracle,
     UsageError,
-    evaluate_piecewise,
     normalize_at_zero,
-    oracle_from_json,
     prepare_envelope,
-    rescale_to_unit,
     sample_exact,
 )
 from lcsampler.oracles import check_class_member
+from lcsampler.targets import resolve_target
 
 
-def standard_gaussian_oracle(offset=0.0, **kw):
+def standard_gaussian_oracle(offset=0.0):
     return PotentialOracle(
-        PiecewiseQuadraticPotential.gaussian(1.0), alpha=1.0, beta=1.0, hidden_offset=offset, **kw
+        PiecewiseQuadraticPotential.gaussian(1.0), alpha=1.0, beta=1.0, hidden_offset=offset
     )
 
 
@@ -57,14 +55,6 @@ class TestQuery:
         r = o.query(1.0, orders={1})
         assert r.value is None and r.second_derivative is None
 
-    def test_transcript_records_responses(self):
-        o = standard_gaussian_oracle(record_transcript=True)
-        o.query(1.0)
-        o.query(-2.0, orders={0})
-        assert len(o.transcript) == 2
-        x, triple = o.transcript.entries[0]
-        assert x == 1.0 and triple == (0.5, 1.0, 1.0)
-
 
 class TestNormalizeAtZero:
     def test_offset_cancels(self):
@@ -90,47 +80,14 @@ class TestNormalizeAtZero:
             normalize_at_zero(o)
 
 
-class TestRescaleToUnit:
-    def test_quartic_curvature_example(self):
-        # V(x) = 2x^2 has alpha = beta = 4; rescaled target is x^2/2
-        pot = PiecewiseQuadraticPotential.gaussian(4.0)
-        r = rescale_to_unit(PotentialOracle(pot, alpha=4.0, beta=4.0))
-        resp = r.query(1.0, orders={0, 1, 2})
-        assert resp.value == pytest.approx(0.5)
-        assert resp.second_derivative == pytest.approx(1.0)
-        assert (r.alpha, r.beta) == (1.0, 1.0)
-
-    def test_identity_when_alpha_is_one(self):
-        o = standard_gaussian_oracle()
-        r = rescale_to_unit(o)
-        assert r.query(1.5, orders={0}).value == pytest.approx(o.potential.evaluate(1.5)[0])
-
-    def test_sample_maps_back(self):
-        pot = PiecewiseQuadraticPotential.gaussian(4.0)
-        r = rescale_to_unit(PotentialOracle(pot, alpha=4.0, beta=4.0))
-        assert r.map_sample_back(1.5) == pytest.approx(0.75)
-
-    def test_rescaling_consistency_random_alpha(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            alpha = float(np.exp(rng.uniform(-2, 3)))
-            c = alpha * float(rng.uniform(1.0, 4.0))
-            pot = PiecewiseQuadraticPotential.gaussian(c)
-            r = rescale_to_unit(PotentialOracle(pot, alpha=alpha, beta=c))
-            x = float(rng.uniform(-3, 3))
-            got = r.query(x, orders={2}).second_derivative
-            want = pot.evaluate(x / math.sqrt(alpha))[2] / alpha
-            assert got == pytest.approx(want, rel=1e-12)
-
-
 class TestPiecewiseEvaluation:
     def test_single_segment(self):
         pot = PiecewiseQuadraticPotential([], [1.0])
-        assert evaluate_piecewise(pot, 2.0) == pytest.approx((2.0, 2.0, 1.0))
+        assert pot.evaluate(2.0) == pytest.approx((2.0, 2.0, 1.0))
 
     def test_two_segments_split_at_one(self):
         pot = PiecewiseQuadraticPotential([1.0], [1.0, 4.0])
-        v, d, s = evaluate_piecewise(pot, 2.0)
+        v, d, s = pot.evaluate(2.0)
         assert (v, d, s) == pytest.approx((3.5, 5.0, 4.0))
 
     def test_breakpoint_uses_right_curvature_but_is_c1(self):
@@ -197,7 +154,7 @@ class TestOffsetOpacity:
                 beta=4.0,
                 hidden_offset=offset,
             )
-            normalized, env = prepare_envelope(oracle, 4.0)
+            normalized, env = prepare_envelope(oracle)
             rng = np.random.default_rng(42)
             draws = [sample_exact(normalized, env, rng).result for _ in range(50)]
             results.append((env, draws, oracle.query_count))
@@ -225,7 +182,8 @@ class TestClassChecks:
 
 class TestJsonLoading:
     def test_gaussian_document(self):
-        o = oracle_from_json({"type": "gaussian", "alpha": 1.0, "beta": 9.0, "offset": 2.0})
+        doc = {"type": "gaussian", "alpha": 1.0, "beta": 9.0, "offset": 2.0}
+        _, o = resolve_target(json.dumps(doc), None)
         assert o.kappa == 9.0
         assert o.query(0.0, orders={0}).value == pytest.approx(2.0)
 
@@ -240,10 +198,10 @@ class TestJsonLoading:
         }
         path = tmp_path / "target.json"
         path.write_text(json.dumps(doc))
-        o = oracle_from_json(str(path))
+        _, o = resolve_target(str(path), None)
         assert o.query(0.0, orders={2}).second_derivative == 1.0
         assert o.query(1.0, orders={2}).second_derivative == 4.0
 
     def test_unknown_type_rejected(self):
         with pytest.raises(UsageError):
-            oracle_from_json({"type": "mystery"})
+            resolve_target(json.dumps({"type": "mystery"}), None)

@@ -26,7 +26,7 @@ GAUSSIAN_MEAN_TRIALS = 1.0 / GAUSSIAN_ACCEPTANCE
 def gaussian_setup(offset=0.0):
     pot = PiecewiseQuadraticPotential.gaussian(1.0)
     oracle = PotentialOracle(pot, alpha=1.0, beta=1.0, hidden_offset=offset)
-    normalized, env = prepare_envelope(oracle, 1.0)
+    normalized, env = prepare_envelope(oracle)
     return pot, oracle, normalized, env
 
 
@@ -152,7 +152,7 @@ class TestAcceptanceProbability:
             for _ in range(8):
                 pot = random_class_potential(rng, kappa)
                 oracle = PotentialOracle(pot, alpha=1.0, beta=kappa)
-                _, env = prepare_envelope(oracle, kappa)
+                _, env = prepare_envelope(oracle)
                 assert acceptance_probability(pot, env) >= 0.1
 
     def test_empirical_matches_quadrature(self):

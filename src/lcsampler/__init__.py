@@ -11,10 +11,10 @@ from .envelope import (
     Envelope,
     build_envelope,
     find_threshold_index,
+    plateau_envelope,
     prepare_envelope,
-    threshold_search_range,
 )
-from .errors import ClassViolationError, QuadratureError, UsageError
+from .errors import ClassViolationError, UsageError
 from .hardfamily import (
     HardFamily,
     build_member,
@@ -72,7 +72,6 @@ __all__ = [
     "OracleResponse",
     "PiecewiseQuadraticPotential",
     "PotentialOracle",
-    "QuadratureError",
     "QuadratureResult",
     "SampleOutcome",
     "UsageError",
@@ -91,6 +90,7 @@ __all__ = [
     "largest_m",
     "member_mass_in_window",
     "normalize_at_zero",
+    "plateau_envelope",
     "prepare_envelope",
     "quadratic_oracle",
     "restrict",
@@ -99,6 +99,5 @@ __all__ = [
     "sample_capped",
     "sample_exact",
     "step",
-    "threshold_search_range",
     "tv_distance",
 ]

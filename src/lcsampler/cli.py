@@ -297,7 +297,7 @@ def main(argv=None) -> int:
     except ClassViolationError as exc:
         sys.stderr.write(f"class violation: {exc}\n")
         return EXIT_CLASS_VIOLATION
-    except (UsageError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (UsageError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG_ERROR
 

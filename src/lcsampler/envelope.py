@@ -1,17 +1,27 @@
 """Construction of the dominating proposal for rejection sampling.
 
-For a normalized, unit-strongly-convex potential (``V(0) = 0``, ``1 <= V''
-<= kappa``) the dominating function is a flat plateau between two threshold
-points, continued by drifted Gaussian tails:
+One plateau rule builds every envelope.  For a potential ``W`` with
+``1 <= W'' <= kappa`` whose minimizer lies in the bracket ``[a, b]`` and whose
+minimum lies in ``[-floor, 0]``, the envelope is
 
-    q(x) = h                                           on [x_minus, x_plus]
-    q(x) = h * exp(-offset - drift*t - t^2/2),  t = distance to the plateau,
+    q(x) = e^floor                                          on [x_minus, x_plus]
+    q(x) = e^floor * exp(-tail_offset - drift*t - t^2/2),  t = distance to the plateau,
 
-with ``h = 1`` and ``offset = 0`` for the basic construction.  Both
-threshold indices are found by a guarded binary search over the dyadic grid
-``2^i / sqrt(kappa)``, so construction costs O(log log kappa) queries, and
-the total mass has a closed form, so normalization and sampling consume no
-queries at all.
+with ``x_plus = b + 2^j / sqrt(kappa)`` and ``x_minus = a - 2^i / sqrt(kappa)``
+for the first indices ``i, j >= lo`` at which ``W`` reaches ``level``.
+``W >= -floor`` bounds the plateau.  Convexity through the bracket makes the
+edge slopes at least ``level / (x_plus - a)`` and ``level / (b - x_minus)``,
+the drifts, and strong convexity adds ``t^2/2``, so any ``tail_offset <=
+level + floor`` dominates the tails.  As ``W(b + t) >= -floor + t^2/2``, the
+level is certain once ``t^2/2 >= level + floor``: the search stops at
+``max(lo, ceil((log2(kappa) + log2(2 (level + floor))) / 2))``, and a target
+that misses the level there is outside the class.
+
+The 1D sampler takes ``a = b = 0`` on the normalized potential with level
+1/2, floor 0, ``lo`` 0 and offset 0 (plateau height 1); the Hit-and-Run line
+step takes level 3, floor 1, ``lo`` 1 and offset 3.  The guarded dyadic
+binary search costs O(log log kappa) queries, and the mass has a closed
+form, so normalization and sampling consume no queries at all.
 """
 from __future__ import annotations
 
@@ -24,51 +34,46 @@ from . import numerics
 from .errors import ClassViolationError, UsageError
 
 
-def _first_true_index(value_at, level: float, lo: int, hi: int, describe: str = "") -> int:
-    """Smallest index i in [lo, hi] with ``value_at(i) >= level``, for monotone values.
+def find_threshold_index(
+    value, edge: float, side: int, kappa: float, level: float, lo: int, hi: int
+) -> int:
+    """Smallest i in [lo, hi] with ``value(edge + side * 2^i / sqrt(kappa)) >= level``.
 
-    ``value_at(i)`` costs one oracle query per distinct index (results are
-    cached).  The caller must guarantee the level is reached at ``hi`` for
-    any in-class target; the found index is verified with one extra query
-    only when the search never evaluated it, which is how out-of-class
-    targets surface.  Worst case ceil(log2(hi - lo + 1)) + 1 queries.
+    ``value`` must be monotone along the grid, and each distinct index costs
+    one query.  The caller guarantees the level at ``hi`` for in-class
+    targets; the answer is verified with one extra query only when the
+    search never evaluated it, which is how out-of-class targets surface.
+    That check allows ``1e-9`` of float noise, because class members can sit
+    exactly on the threshold.  Worst case ceil(log2(hi - lo + 1)) + 1 queries.
 
-    That final check compares against ``level - 1e-9``: class members can
-    sit exactly on the threshold, where an ulp of float noise must not
-    masquerade as a violation.  Mid-search noise is harmless (it can only
-    widen the plateau, which keeps domination).
-
-    Probe order is tuned for stability of the measured count as the range
-    grows: the top candidate ``hi - 1`` is probed first (near-quadratic
-    targets put the threshold at the top of the range for every kappa), then
-    a pivot near the bottom (sharply peaked targets put it at a small,
-    kappa-independent index), and ordinary bisection handles the middle
-    within the same worst-case budget.
+    Probe order keeps the count stable as the range grows: ``hi - 1`` first
+    (near-quadratic targets put the threshold at the top for every kappa),
+    then a pivot near the bottom (sharply peaked targets put it at a small,
+    kappa-independent index), then bisection within the same budget.
     """
     if hi < lo:
         raise UsageError(f"empty search range [{lo}, {hi}]")
+    root = math.sqrt(kappa)
     cache: dict[int, bool] = {}
+
+    def point(i: int) -> float:
+        return edge + side * 2.0**i / root
 
     def pred(i: int) -> bool:
         if i not in cache:
-            cache[i] = value_at(i) >= level
+            cache[i] = value(point(i)) >= level
         return cache[i]
 
     if lo == hi:
         ans = lo
     elif not pred(hi - 1):
         ans = hi
-    elif hi - 1 == lo:
-        ans = lo
-    else:
-        top = hi - 1  # known true
-        span = hi - lo + 1
-        budget = (span - 1).bit_length() + 1
-        pivot = max(top - (1 << (budget - 2)), lo)
+    else:  # hi - 1 is known true
+        pivot = max(hi - 1 - (1 << ((hi - lo).bit_length() - 1)), lo)
         if pred(pivot):
             left, right = lo, pivot
         else:
-            left, right = pivot + 1, top
+            left, right = pivot + 1, hi - 1
         while left < right:
             mid = (left + right) // 2
             if pred(mid):
@@ -76,10 +81,11 @@ def _first_true_index(value_at, level: float, lo: int, hi: int, describe: str = 
             else:
                 left = mid + 1
         ans = left
-    if ans not in cache and not value_at(ans) >= level - 1e-9:
+    if ans not in cache and not value(point(ans)) >= level - 1e-9:
         raise ClassViolationError(
-            f"no threshold index in [{lo}, {hi}] {describe}".rstrip()
-            + "; target violates the curvature sandwich"
+            f"no threshold index in [{lo}, {hi}] on side {side:+d} of {edge:g}; "
+            "target violates the curvature sandwich",
+            query_point=point(ans),
         )
     return ans
 
@@ -199,29 +205,26 @@ class Envelope:
         }
 
 
-def threshold_search_range(kappa: float) -> int:
-    """Top index of the dyadic search grid, ceil(log2(kappa) / 2)."""
-    if kappa < 1.0:
-        raise UsageError(f"kappa must be at least 1, got {kappa}")
-    return max(0, math.ceil(0.5 * math.log2(kappa)))
+def plateau_envelope(
+    value, a: float, b: float, kappa: float, *, level: float, floor: float, lo: int, tail_offset: float
+) -> Envelope:
+    """The plateau envelope of the module docstring around the bracket [a, b].
 
-
-def find_threshold_index(oracle, side: int) -> int:
-    """First i in {0..ceil(log2(kappa)/2)} with V(side * 2^i / sqrt(kappa)) >= 1/2.
-
-    Requires a normalized (V(0) = 0), unit-strongly-convex oracle; kappa is
-    ``oracle.kappa``.  The top index always satisfies the predicate for
-    class members because V(x) >= x^2/2 there, so a missing threshold is
-    reported as a class violation.
+    Searches right of ``b`` first, then left of ``a``; ``value`` is queried.
     """
-    if side not in (+1, -1):
-        raise UsageError(f"side must be +1 or -1, got {side}")
-    if not getattr(oracle, "is_normalized", False):
-        raise UsageError("threshold search needs a normalized oracle (V(0) = 0)")
-    top = threshold_search_range(oracle.kappa)
-    root_kappa = math.sqrt(oracle.kappa)
-    return _first_true_index(
-        lambda i: oracle.value(side * (2.0**i) / root_kappa), 0.5, 0, top, f"(side {side:+d})"
+    top = max(lo, math.ceil((math.log2(kappa) + math.log2(2.0 * (level + floor))) / 2))
+    root = math.sqrt(kappa)
+    i_plus = find_threshold_index(value, b, +1, kappa, level, lo, top)
+    i_minus = find_threshold_index(value, a, -1, kappa, level, lo, top)
+    x_plus = b + 2.0**i_plus / root
+    x_minus = a - 2.0**i_minus / root
+    return Envelope.from_geometry(
+        x_minus=x_minus,
+        x_plus=x_plus,
+        drift_minus=level / (b - x_minus),
+        drift_plus=level / (x_plus - a),
+        plateau_height=math.exp(floor),
+        tail_offset=tail_offset,
     )
 
 
@@ -240,18 +243,8 @@ def build_envelope(oracle) -> Envelope:
         )
     if abs(getattr(oracle, "alpha", 1.0) - 1.0) > 1e-12:
         raise UsageError("build_envelope needs a unit-strongly-convex oracle (alpha = 1)")
-    root_kappa = math.sqrt(oracle.kappa)
-    i_plus = find_threshold_index(oracle, +1)
-    i_minus = find_threshold_index(oracle, -1)
-    x_plus = (2.0**i_plus) / root_kappa
-    x_minus = -((2.0**i_minus) / root_kappa)
-    return Envelope.from_geometry(
-        x_minus=x_minus,
-        x_plus=x_plus,
-        drift_minus=1.0 / (2.0 * abs(x_minus)),
-        drift_plus=1.0 / (2.0 * x_plus),
-        plateau_height=1.0,
-        tail_offset=0.0,
+    return plateau_envelope(
+        oracle.value, 0.0, 0.0, oracle.kappa, level=0.5, floor=0.0, lo=0, tail_offset=0.0
     )
 
 

@@ -17,10 +17,3 @@ class ClassViolationError(RuntimeError):
         super().__init__(message)
         self.query_point = query_point
 
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-    def __init__(self, message, error_estimate=None):
-        super().__init__(message)
-        self.error_estimate = error_estimate

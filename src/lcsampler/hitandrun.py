@@ -1,11 +1,13 @@
 """Hit-and-Run with an exact line-sampling step.
 
-Each step draws a uniform direction, restricts the d-dimensional potential
-to that line (the restriction inherits the curvature sandwich), brackets the
-line minimizer by derivative-sign bisection, builds a shifted plateau
-envelope around the bracket, and rejection-samples the step size exactly.
-All oracle traffic goes through one counter so per-step query costs are
-measurable.
+Each step draws a uniform direction and restricts the d-dimensional
+potential to that line (the restriction inherits the curvature sandwich).
+The line step then does three things: it brackets the line minimizer by
+derivative-sign bisection, shifts the restriction by its larger value at the
+bracket ends so the minimum lies in [-1, 0], and hands both to the shared
+plateau builder :func:`lcsampler.envelope.plateau_envelope`.  Rejection
+against that envelope draws the step size exactly.  All oracle traffic goes
+through one counter so per-step query costs are measurable.
 """
 from __future__ import annotations
 
@@ -14,11 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import Envelope, _first_true_index
+from .envelope import Envelope, plateau_envelope
 from .errors import ClassViolationError, UsageError
 from .rejection import sample_exact
-
-_PLATEAU_LEVEL = 3.0  # envelope threshold on the relabeled potential
 
 
 @dataclass(frozen=True)
@@ -199,31 +199,15 @@ def build_line_envelope(
     """Shifted plateau envelope for the restriction, given a minimizer bracket.
 
     Relabels the potential by ``max(W(a), W(b))`` so the minimum lies in
-    [-1, 0], finds the first dyadic offsets past each bracket edge where the
-    relabeled value reaches 3, and returns the plateau-e envelope together
-    with the relabeled oracle the rejection step must evaluate.
+    [-1, 0], then builds the plateau-e envelope whose edges are the first
+    dyadic offsets past the bracket where the relabeled value reaches 3.
+    Index 0 is never searched: one grid step past the bracket the relabeled
+    value is at most sqrt(2) + 1/2 < 3.  Returns the envelope together with
+    the relabeled oracle the rejection step must evaluate.
     """
     shift = max(line.value(a), line.value(b))
     shifted = line.with_shift(line.shift + shift)
-    root = math.sqrt(kappa)
-    top = max(1, math.ceil(0.5 * (math.log2(kappa) + 3.0)))
-
-    i_b = _first_true_index(
-        lambda i: shifted.value(b + 2.0**i / root), _PLATEAU_LEVEL, 1, top, "(right of bracket)"
-    )
-    i_a = _first_true_index(
-        lambda i: shifted.value(a - 2.0**i / root), _PLATEAU_LEVEL, 1, top, "(left of bracket)"
-    )
-    x_b = b + 2.0**i_b / root
-    x_a = a - 2.0**i_a / root
-    env = Envelope.from_geometry(
-        x_minus=x_a,
-        x_plus=x_b,
-        drift_minus=_PLATEAU_LEVEL / (b - x_a),
-        drift_plus=_PLATEAU_LEVEL / (x_b - a),
-        plateau_height=math.e,
-        tail_offset=_PLATEAU_LEVEL,
-    )
+    env = plateau_envelope(shifted.value, a, b, kappa, level=3.0, floor=1.0, lo=1, tail_offset=3.0)
     return env, shifted
 
 

@@ -24,11 +24,11 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class OracleResponse:
-    """Answers for one query; orders that were not requested are None."""
+    """Value, derivative and second derivative at one query point."""
 
-    value: float | None = None
-    derivative: float | None = None
-    second_derivative: float | None = None
+    value: float
+    derivative: float
+    second_derivative: float
 
 
 class PiecewiseQuadraticPotential:
@@ -233,25 +233,16 @@ class PiecewiseQuadraticPotential:
         )
 
 
-def check_class_member(potential, alpha: float, beta: float, grid=None) -> None:
+def check_class_member(potential: PiecewiseQuadraticPotential, alpha: float, beta: float) -> None:
     """Raise ClassViolationError unless alpha <= V'' <= beta and V'(0) = 0."""
     if alpha <= 0 or beta < alpha:
         raise UsageError("need 0 < alpha <= beta")
-    if isinstance(potential, PiecewiseQuadraticPotential):
-        curv = potential.curvatures
-        if curv.min() < alpha - 1e-12 or curv.max() > beta + 1e-12:
-            raise ClassViolationError(
-                f"curvature range [{curv.min():g}, {curv.max():g}] escapes "
-                f"[{alpha:g}, {beta:g}]"
-            )
-        slope0 = potential.evaluate(0.0)[1]
-    else:
-        xs = np.linspace(-5.0, 5.0, 201) if grid is None else np.asarray(grid)
-        for xv in xs:
-            s = potential.evaluate(float(xv))[2]
-            if not (alpha - 1e-9 <= s <= beta + 1e-9):
-                raise ClassViolationError(f"V''({xv}) = {s} outside [{alpha}, {beta}]", xv)
-        slope0 = potential.evaluate(0.0)[1]
+    curv = potential.curvatures
+    if curv.min() < alpha - 1e-12 or curv.max() > beta + 1e-12:
+        raise ClassViolationError(
+            f"curvature range [{curv.min():g}, {curv.max():g}] escapes [{alpha:g}, {beta:g}]"
+        )
+    slope0 = potential.evaluate(0.0)[1]
     if abs(slope0) > 1e-9:
         raise ClassViolationError(f"mode not at the origin: V'(0) = {slope0}")
 
@@ -259,11 +250,10 @@ def check_class_member(potential, alpha: float, beta: float, grid=None) -> None:
 class PotentialOracle:
     """Query-counting oracle for a 1D potential.
 
-    Order 0 answers ``V(x) + C`` for a hidden constant ``C``; orders 1 and 2
-    answer the exact derivative and second derivative.  Every call increments
-    the counter by exactly one, no matter how many orders it requests.
-    Instances are immutable apart from the counter; use one oracle per
-    sampling run.
+    One query answers ``V(x) + C`` for a hidden constant ``C`` together with
+    the exact derivative and second derivative, and increments the counter
+    by exactly one.  Instances are immutable apart from the counter; use one
+    oracle per sampling run.
     """
 
     is_normalized = False
@@ -273,7 +263,6 @@ class PotentialOracle:
         potential,
         alpha: float = 1.0,
         beta: float = 1.0,
-        orders: Sequence[int] = (0, 1, 2),
         hidden_offset: float = 0.0,
     ):
         if alpha <= 0 or beta < alpha:
@@ -281,9 +270,6 @@ class PotentialOracle:
         self.potential = potential
         self.alpha = float(alpha)
         self.beta = float(beta)
-        self.orders_available = frozenset(int(o) for o in orders)
-        if not self.orders_available <= {0, 1, 2}:
-            raise UsageError(f"orders must be a subset of {{0,1,2}}, got {orders}")
         self.hidden_offset = float(hidden_offset)
         self._count = 0
 
@@ -295,26 +281,14 @@ class PotentialOracle:
     def query_count(self) -> int:
         return self._count
 
-    def query(self, x: float, orders=None) -> OracleResponse:
-        requested = self.orders_available if orders is None else frozenset(orders)
-        if not requested:
-            raise UsageError("must request at least one order")
-        if not requested <= self.orders_available:
-            raise UsageError(
-                f"orders {sorted(requested - self.orders_available)} not available "
-                f"(oracle offers {sorted(self.orders_available)})"
-            )
+    def query(self, x: float) -> OracleResponse:
         self._count += 1
         v, d, s = self.potential.evaluate(float(x))
-        return OracleResponse(
-            value=v + self.hidden_offset if 0 in requested else None,
-            derivative=d if 1 in requested else None,
-            second_derivative=s if 2 in requested else None,
-        )
+        return OracleResponse(v + self.hidden_offset, d, s)
 
     def value(self, x: float) -> float:
-        """0th-order query shorthand (one counter increment)."""
-        return self.query(x, orders={0}).value
+        """The value of one query (one counter increment)."""
+        return self.query(x).value
 
 
 class _NormalizedOracle:
@@ -326,7 +300,6 @@ class _NormalizedOracle:
         self._inner = inner
         self.alpha = inner.alpha
         self.beta = inner.beta
-        self.orders_available = inner.orders_available
         self._v0 = value_at_origin
 
     @property
@@ -337,14 +310,12 @@ class _NormalizedOracle:
     def kappa(self) -> float:
         return self.beta / self.alpha
 
-    def query(self, x, orders=None):
-        resp = self._inner.query(x, orders)
-        if resp.value is None:
-            return resp
+    def query(self, x) -> OracleResponse:
+        resp = self._inner.query(x)
         return OracleResponse(resp.value - self._v0, resp.derivative, resp.second_derivative)
 
     def value(self, x: float) -> float:
-        return self.query(x, orders={0}).value
+        return self.query(x).value
 
 
 def normalize_at_zero(oracle):
@@ -353,7 +324,5 @@ def normalize_at_zero(oracle):
     Consumes exactly one query up front (the evaluation at 0), then one per
     subsequent call.
     """
-    if 0 not in oracle.orders_available:
-        raise UsageError("normalization needs 0th-order access")
-    v0 = oracle.query(0.0, orders={0}).value
+    v0 = oracle.query(0.0).value
     return _NormalizedOracle(oracle, v0)

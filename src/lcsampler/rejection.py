@@ -3,7 +3,7 @@
 Two modes: exact sampling loops until acceptance (geometric trial count with
 mean ``Z_q / Z_p``), and capped sampling stops after a precomputed number of
 trials, returning an explicit FAILURE outcome whose probability is at most
-the requested total variation budget.  One 0th-order query is spent per
+the requested total variation budget.  One oracle query is spent per
 trial, nothing else.
 """
 from __future__ import annotations
@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
-from .errors import QuadratureError, UsageError
+from .errors import UsageError
 
 
 class _FailureToken:
@@ -99,27 +98,11 @@ def sample_capped(
     return SampleOutcome(result=FAILURE, trials=cap, queries=cap)
 
 
-def acceptance_probability(potential, env, tol: float = 1e-10) -> float:
-    """``Z_p / Z_q`` by quadrature of the exact potential representation.
+def acceptance_probability(potential, env) -> float:
+    """``Z_p / Z_q`` in closed form; query-free.
 
-    Test-harness path: evaluates the potential directly (query-free).  The
-    potential is integrated after subtracting its value at 0, matching the
-    normalized oracle the envelope was built against.
+    ``Z_p`` integrates ``exp(-(V - V(0)))``, matching the normalized oracle
+    the envelope was built against; the potential must offer
+    ``density_mass()``.
     """
-    v0 = potential.evaluate(0.0)[0]
-    bps = getattr(potential, "breakpoints", np.asarray([]))
-    # strong convexity makes exp(-V) drop below any tolerance within a fixed
-    # distance of the plateau edges
-    lo = min(env.x_minus, float(bps.min()) if len(bps) else 0.0) - 12.0
-    hi = max(env.x_plus, float(bps.max()) if len(bps) else 0.0) + 12.0
-
-    def unnormalized(x: float) -> float:
-        return math.exp(-(potential.evaluate(x)[0] - v0))
-
-    res = numerics.adaptive_quadrature(unnormalized, lo, hi, tol=tol, breakpoints=bps)
-    if not res.converged:
-        raise QuadratureError(
-            f"normalizer quadrature did not converge (error ~ {res.error_estimate:g})",
-            error_estimate=res.error_estimate,
-        )
-    return res.value / env.mass_total
+    return potential.density_mass() * math.exp(potential.evaluate(0.0)[0]) / env.mass_total

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -67,6 +68,17 @@ def builtin_potential(name: str, kappa: float) -> PiecewiseQuadraticPotential:
     )
 
 
+@contextmanager
+def _document_fields():
+    """Report a missing or mistyped field of a target document as a UsageError."""
+    try:
+        yield
+    except UsageError:
+        raise
+    except (TypeError, ValueError, KeyError) as exc:
+        raise UsageError(f"bad target document: {exc!r}") from exc
+
+
 def _read_document(spec: str) -> dict:
     """Parse a target document given inline (starting with '{') or as a file path."""
     text = spec
@@ -107,19 +119,20 @@ def resolve_target(
             potential, alpha=1.0, beta=kappa, hidden_offset=hidden_offset
         )
         return potential, oracle
-    doc = _read_document(spec)
-    alpha, beta = _declared_bounds(doc, kappa)
-    kind = doc.get("type")
-    if kind == "gaussian":
-        potential = PiecewiseQuadraticPotential.gaussian(alpha)
-    elif kind == "piecewise":
-        potential = PiecewiseQuadraticPotential(doc.get("breakpoints", []), doc["curvatures"])
-    else:
-        raise UsageError(f"unknown potential type {kind!r}")
-    check_class_member(potential, alpha, beta)
-    oracle = PotentialOracle(
-        potential, alpha=alpha, beta=beta, hidden_offset=float(doc.get("offset", 0.0))
-    )
+    with _document_fields():
+        doc = _read_document(spec)
+        alpha, beta = _declared_bounds(doc, kappa)
+        kind = doc.get("type")
+        if kind == "gaussian":
+            potential = PiecewiseQuadraticPotential.gaussian(alpha)
+        elif kind == "piecewise":
+            potential = PiecewiseQuadraticPotential(doc.get("breakpoints", []), doc["curvatures"])
+        else:
+            raise UsageError(f"unknown potential type {kind!r}")
+        check_class_member(potential, alpha, beta)
+        oracle = PotentialOracle(
+            potential, alpha=alpha, beta=beta, hidden_offset=float(doc.get("offset", 0.0))
+        )
     return potential, oracle
 
 
@@ -134,15 +147,16 @@ def resolve_multivariate_target(
     """
     if spec == "gaussian":
         alpha, beta = 1.0, (1.0 if kappa is None else kappa)
+        dimension = int(dimension)
     else:
-        doc = _read_document(spec)
-        if doc.get("type") == "diagonal":
-            return quadratic_oracle(np.asarray(doc["curvatures"], dtype=float))
-        if doc.get("type") != "gaussian":
-            raise UsageError(f"unsupported multivariate target type {doc.get('type')!r}")
-        alpha, beta = _declared_bounds(doc, kappa)
-        dimension = doc.get("dimension", dimension)
-    dimension = int(dimension)
+        with _document_fields():
+            doc = _read_document(spec)
+            if doc.get("type") == "diagonal":
+                return quadratic_oracle(np.asarray(doc["curvatures"], dtype=float))
+            if doc.get("type") != "gaussian":
+                raise UsageError(f"unsupported multivariate target type {doc.get('type')!r}")
+            alpha, beta = _declared_bounds(doc, kappa)
+            dimension = int(doc.get("dimension", dimension))
     if dimension < 1:
         raise UsageError(f"dimension must be positive, got {dimension}")
     return quadratic_oracle(alpha * np.ones(dimension), kappa=beta / alpha)

@@ -1,10 +1,14 @@
-"""Shared fixtures-in-spirit: random class members and a geometric GOF test."""
+"""Shared fixtures-in-spirit: random class members, a geometric GOF test and
+the quadrature reference for the acceptance probability."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.stats import chi2
 
 from lcsampler import PiecewiseQuadraticPotential
+from lcsampler.numerics import adaptive_quadrature
 
 
 def random_class_potential(
@@ -43,3 +47,24 @@ def geometric_chi2_pvalue(trial_counts, rho: float) -> float:
     observed, expected = np.asarray(observed, float), np.asarray(expected, float)
     stat = float(np.sum((observed - expected) ** 2 / expected))
     return float(chi2.sf(stat, df=len(expected) - 1))
+
+
+def quadrature_acceptance(potential, env, tol: float = 1e-10) -> float:
+    """``Z_p / Z_q`` by adaptive quadrature of ``exp(-(V - V(0)))``.
+
+    The independent reference for ``acceptance_probability``'s closed form;
+    it needs only ``potential.evaluate``.
+    """
+    v0 = potential.evaluate(0.0)[0]
+    bps = getattr(potential, "breakpoints", np.asarray([]))
+    # strong convexity makes exp(-V) drop below any tolerance within a fixed
+    # distance of the plateau edges
+    lo = min(env.x_minus, float(bps.min()) if len(bps) else 0.0) - 12.0
+    hi = max(env.x_plus, float(bps.max()) if len(bps) else 0.0) + 12.0
+
+    def unnormalized(x: float) -> float:
+        return math.exp(-(potential.evaluate(x)[0] - v0))
+
+    res = adaptive_quadrature(unnormalized, lo, hi, tol=tol, breakpoints=bps)
+    assert res.converged, f"reference quadrature did not converge (error ~ {res.error_estimate:g})"
+    return res.value / env.mass_total

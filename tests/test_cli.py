@@ -241,6 +241,18 @@ class TestErrorPaths:
         doc = {"type": "piecewise", "beta": 4, "breakpoints": [0.5], "curvatures": [1.0, 50.0]}
         assert run_cli(["sample", "--target", json.dumps(doc), "--trials", "10"]) == 3
 
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("envelope-inspect", {"type": "piecewise", "curvatures": 5}),
+            ("envelope-inspect", {"type": "gaussian", "beta": "x"}),
+            ("hitandrun", {"type": "diagonal", "curvatures": "ab"}),
+            ("hitandrun", {"type": "gaussian", "dimension": "x"}),
+        ],
+    )
+    def test_mistyped_document_field_is_config_error(self, command, doc):
+        assert run_cli([command, "--target", json.dumps(doc), "--trials", "1"]) == 4
+
 
 class TestKappaFromTarget:
     def inspect(self, tmp_path, *args):

@@ -14,7 +14,6 @@ from lcsampler import (
     find_threshold_index,
     normalize_at_zero,
     prepare_envelope,
-    threshold_search_range,
 )
 from lcsampler import hardfamily
 from lcsampler.numerics import adaptive_quadrature, ks_critical_value, ks_statistic
@@ -28,20 +27,31 @@ def gaussian_oracle(kappa, offset=0.0):
     return make_oracle(PiecewiseQuadraticPotential.gaussian(1.0), kappa, offset)
 
 
+def search_top(kappa):
+    """Top index of the 1D dyadic search grid, ceil(log2(kappa) / 2)."""
+    return max(0, math.ceil(0.5 * math.log2(kappa)))
+
+
+def search(oracle, side):
+    """The 1D threshold search on a normalized oracle, as build_envelope runs it."""
+    kappa = oracle.kappa
+    return find_threshold_index(oracle.value, 0.0, side, kappa, 0.5, 0, search_top(kappa))
+
+
 def query_budget(kappa):
-    grid = threshold_search_range(kappa) + 1
+    grid = search_top(kappa) + 1
     return 2 * (math.ceil(math.log2(grid)) + 1) + 1 if grid > 1 else 5
 
 
 class TestThresholdSearch:
     def test_kappa_one_is_forced(self):
         n = normalize_at_zero(gaussian_oracle(1.0))
-        assert find_threshold_index(n, +1) == 0
+        assert search(n, +1) == 0
 
     def test_gaussian_declared_kappa_four(self):
         n = normalize_at_zero(gaussian_oracle(4.0))
         # V(2^0/2) = 0.125 < 1/2 but V(2^1/2) = 0.5 >= 1/2
-        assert find_threshold_index(n, +1) == 1
+        assert search(n, +1) == 1
 
     def test_binary_equals_linear_scan(self):
         rng = np.random.default_rng(31)
@@ -50,10 +60,10 @@ class TestThresholdSearch:
         ]
         targets += [hardfamily.build_member(1e3, i) for i in (1, 3, 6)]
         for kappa in (1e3, 37.5):
-            top = threshold_search_range(kappa)
+            top = search_top(kappa)
             for pot in targets:
                 for side in (+1, -1):
-                    searched = find_threshold_index(normalize_at_zero(make_oracle(pot, kappa)), side)
+                    searched = search(normalize_at_zero(make_oracle(pot, kappa)), side)
                     probe = normalize_at_zero(make_oracle(pot, kappa))
                     scan = next(
                         i
@@ -65,17 +75,13 @@ class TestThresholdSearch:
     def test_hard_member_three_at_kappa_1e6(self):
         # frozen by linear scan of the exact piecewise representation
         n = normalize_at_zero(make_oracle(hardfamily.build_member(1e6, 3), 1e6))
-        assert find_threshold_index(n, +1) == 3
-
-    def test_requires_normalized_oracle(self):
-        with pytest.raises(UsageError):
-            find_threshold_index(gaussian_oracle(4.0), +1)
+        assert search(n, +1) == 3
 
     def test_flat_potential_raises_class_violation(self):
         flat = PiecewiseQuadraticPotential([], [1e-12])
         n = normalize_at_zero(make_oracle(flat, 4.0))
         with pytest.raises(ClassViolationError):
-            find_threshold_index(n, +1)
+            search(n, +1)
 
 
 class TestBuildEnvelope:

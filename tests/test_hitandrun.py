@@ -161,6 +161,19 @@ class TestLineEnvelope:
         assert env.tail_offset == 3.0
         assert env.x_minus < a and env.x_plus > b
 
+    def test_geometry_and_queries_pinned(self):
+        # values of the line step before it moved onto the shared plateau builder
+        o = quadratic_oracle(np.array([1.0, 30.0]), kappa=1e3)
+        line = restrict(o, np.array([1.0, 0.5]), np.array([0.6, 0.8]))
+        a, b = bracket_minimizer(line, 1e3, float(np.linalg.norm(line.base)))
+        before = o.query_count
+        env, shifted = build_line_envelope(line, a, b, 1e3)
+        assert (env.x_minus, env.x_plus) == (-0.6833373825913792, 1.3852416794663793)
+        assert (env.drift_minus, env.drift_plus) == (2.8391609345515234, 2.839160934551523)
+        assert (env.plateau_height, env.tail_offset) == (math.e, 3.0)
+        assert shifted.shift == 0.1989729931656748
+        assert o.query_count - before == 10
+
     def test_first_dyadic_offset_is_never_needed_at_zero(self):
         # the relabeled value one grid step past the bracket stays below the
         # plateau threshold, so the search range starting at 1 is sound

@@ -27,33 +27,22 @@ def standard_gaussian_oracle(offset=0.0):
 class TestQuery:
     def test_all_orders_standard_gaussian(self):
         o = standard_gaussian_oracle()
-        r = o.query(1.0, orders={0, 1, 2})
+        r = o.query(1.0)
         assert (r.value, r.derivative, r.second_derivative) == (0.5, 1.0, 1.0)
 
     def test_mode_at_origin(self):
         o = standard_gaussian_oracle()
-        assert o.query(0.0, orders={1}).derivative == 0.0
+        assert o.query(0.0).derivative == 0.0
 
     def test_hidden_offset_added_to_value(self):
         o = standard_gaussian_oracle(offset=7.3)
-        assert o.query(2.0, orders={0}).value == pytest.approx(9.3)
+        assert o.query(2.0).value == pytest.approx(9.3)
 
     def test_one_increment_per_call_regardless_of_orders(self):
         o = standard_gaussian_oracle()
-        o.query(1.0, orders={0, 1, 2})
-        o.query(1.0, orders={0})
+        o.query(1.0)
+        o.value(1.0)
         assert o.query_count == 2
-
-    def test_unavailable_order_is_usage_error(self):
-        o = PotentialOracle(PiecewiseQuadraticPotential.gaussian(), orders=(0,))
-        with pytest.raises(UsageError):
-            o.query(1.0, orders={1})
-        assert o.query_count == 0  # failed request consumed nothing
-
-    def test_unrequested_orders_are_none(self):
-        o = standard_gaussian_oracle()
-        r = o.query(1.0, orders={1})
-        assert r.value is None and r.second_derivative is None
 
 
 class TestNormalizeAtZero:
@@ -73,11 +62,6 @@ class TestNormalizeAtZero:
         n.value(1.0)
         assert o.query_count == 2
         assert n.query_count == 2
-
-    def test_requires_zeroth_order(self):
-        o = PotentialOracle(PiecewiseQuadraticPotential.gaussian(), orders=(1, 2))
-        with pytest.raises(UsageError):
-            normalize_at_zero(o)
 
 
 class TestPiecewiseEvaluation:
@@ -185,7 +169,7 @@ class TestJsonLoading:
         doc = {"type": "gaussian", "alpha": 1.0, "beta": 9.0, "offset": 2.0}
         _, o = resolve_target(json.dumps(doc), None)
         assert o.kappa == 9.0
-        assert o.query(0.0, orders={0}).value == pytest.approx(2.0)
+        assert o.query(0.0).value == pytest.approx(2.0)
 
     def test_piecewise_document_roundtrip(self, tmp_path):
         doc = {
@@ -199,8 +183,8 @@ class TestJsonLoading:
         path = tmp_path / "target.json"
         path.write_text(json.dumps(doc))
         _, o = resolve_target(str(path), None)
-        assert o.query(0.0, orders={2}).second_derivative == 1.0
-        assert o.query(1.0, orders={2}).second_derivative == 4.0
+        assert o.query(0.0).second_derivative == 1.0
+        assert o.query(1.0).second_derivative == 4.0
 
     def test_unknown_type_rejected(self):
         with pytest.raises(UsageError):

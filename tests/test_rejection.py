@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import geometric_chi2_pvalue, random_class_potential
+from helpers import geometric_chi2_pvalue, quadrature_acceptance, random_class_potential
 from lcsampler import (
     FAILURE,
     Envelope,
@@ -17,6 +17,7 @@ from lcsampler import (
     sample_capped,
     sample_exact,
 )
+from lcsampler import hardfamily
 from lcsampler.numerics import ks_critical_value, ks_statistic, normal_cdf
 
 GAUSSIAN_ACCEPTANCE = 0.6679481339591666  # Z_p / Z_q for the kappa=1 envelope
@@ -65,7 +66,7 @@ class TestSampleExact:
     def test_self_envelope_accepts_first_trial(self):
         env = Envelope.from_geometry(-1.0, 1.0, 0.5, 0.5)
         oracle = normalize_at_zero(
-            PotentialOracle(_SelfEnvelopePotential(env), alpha=1.0, beta=1.0, orders=(0,))
+            PotentialOracle(_SelfEnvelopePotential(env), alpha=1.0, beta=1.0)
         )
         rng = np.random.default_rng(3)
         for _ in range(200):
@@ -141,10 +142,24 @@ class TestAcceptanceProbability:
         assert acceptance_probability(pot, env) == pytest.approx(GAUSSIAN_ACCEPTANCE, rel=1e-8)
 
     def test_self_envelope_is_one(self):
+        # the quadrature reference: this potential has no closed-form mass
         env = Envelope.from_geometry(-1.0, 1.0, 0.5, 0.5)
-        assert acceptance_probability(_SelfEnvelopePotential(env), env) == pytest.approx(
+        assert quadrature_acceptance(_SelfEnvelopePotential(env), env) == pytest.approx(
             1.0, rel=1e-8
         )
+
+    def test_closed_form_matches_quadrature(self):
+        rng = np.random.default_rng(43)
+        cases = [(PiecewiseQuadraticPotential.gaussian(1.0), 1.0)]
+        for kappa in (10.0, 1e3):
+            cases += [(random_class_potential(rng, kappa), kappa) for _ in range(4)]
+        for kappa, i in ((1e3, 1), (1e3, 6), (1e6, 3)):
+            cases.append((hardfamily.build_member(kappa, i), kappa))
+        for pot, kappa in cases:
+            _, env = prepare_envelope(PotentialOracle(pot, alpha=1.0, beta=kappa))
+            assert acceptance_probability(pot, env) == pytest.approx(
+                quadrature_acceptance(pot, env), rel=1e-8
+            )
 
     def test_floor_holds_on_random_members(self):
         rng = np.random.default_rng(29)

@@ -26,7 +26,7 @@ form, so normalization and sampling consume no queries at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,7 +95,14 @@ class Envelope:
     """The dominating function, its piece decomposition, and its exact mass.
 
     Immutable after construction; sampling only reads fields, so independent
-    random generators may share one envelope across threads.
+    random generators may share one envelope across threads.  Constants
+    derived from the fields (the piece cut points, ``log(plateau_height)``
+    and erfc(drift/sqrt(2)) per side) are computed once and take no part in
+    equality or hashing.
+
+    ``log_value`` and ``sample`` have a scalar path: a float in (or no
+    ``size``) gives a float out through ``math`` and the generator's scalar
+    draws, bitwise equal to the array path on the same input or stream.
     """
 
     x_minus: float
@@ -106,6 +113,23 @@ class Envelope:
     tail_offset: float = 0.0
     piece_masses: tuple[float, float, float] = (0.0, 0.0, 0.0)  # left, plateau, right
     mass_total: float = 0.0
+    _cut1: float = field(init=False, repr=False, compare=False)
+    _cut2: float = field(init=False, repr=False, compare=False)
+    _log_height: float = field(init=False, repr=False, compare=False)
+    _erfc_minus: float = field(init=False, repr=False, compare=False)
+    _erfc_plus: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        left, plateau, _ = self.piece_masses
+        derived = {
+            "_cut1": left / self.mass_total,
+            "_cut2": (left + plateau) / self.mass_total,
+            "_log_height": math.log(self.plateau_height),
+            "_erfc_minus": numerics.normal_tail_erfc(self.drift_minus),
+            "_erfc_plus": numerics.normal_tail_erfc(self.drift_plus),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_geometry(
@@ -138,6 +162,14 @@ class Envelope:
         )
 
     def log_value(self, x):
+        if isinstance(x, float):
+            if self.x_minus <= x <= self.x_plus:
+                return self._log_height
+            if x > self.x_plus:
+                t, drift = x - self.x_plus, self.drift_plus
+            else:
+                t, drift = self.x_minus - x, self.drift_minus
+            return self._log_height + (-self.tail_offset - drift * t - 0.5 * t * t)
         xs = np.asarray(x, dtype=float)
         t_right = np.maximum(xs - self.x_plus, 0.0)
         t_left = np.maximum(self.x_minus - xs, 0.0)
@@ -147,7 +179,7 @@ class Envelope:
             -self.tail_offset - self.drift_plus * t_right - 0.5 * t_right * t_right,
             -self.tail_offset - self.drift_minus * t_left - 0.5 * t_left * t_left,
         )
-        out = math.log(self.plateau_height) + np.where(on_plateau, 0.0, tail)
+        out = self._log_height + np.where(on_plateau, 0.0, tail)
         return out if out.ndim else float(out)
 
     def value(self, x):
@@ -156,24 +188,37 @@ class Envelope:
 
     def sample(self, rng: np.random.Generator, size=None):
         """Exact draws from the normalized envelope; consumes no queries."""
-        scalar = size is None
-        n = 1 if scalar else int(size)
-        left, plateau, right = self.piece_masses
-        cut1, cut2 = left / self.mass_total, (left + plateau) / self.mass_total
+        if size is None:
+            u = rng.random()
+            if u < self._cut1:
+                return self.x_minus - numerics.sample_gaussian_tail(
+                    self.drift_minus, rng, erfc_a=self._erfc_minus
+                )
+            if u < self._cut2:
+                # rng.uniform(lo, hi) computes lo + (hi - lo) * random()
+                return self.x_minus + (self.x_plus - self.x_minus) * rng.random()
+            return self.x_plus + numerics.sample_gaussian_tail(
+                self.drift_plus, rng, erfc_a=self._erfc_plus
+            )
+        n = int(size)
         u = rng.random(n)
         out = np.empty(n)
-        in_left = u < cut1
-        in_mid = (~in_left) & (u < cut2)
+        in_left = u < self._cut1
+        in_mid = (~in_left) & (u < self._cut2)
         in_right = ~(in_left | in_mid)
         if in_left.any():
-            t = numerics.sample_gaussian_tail(self.drift_minus, rng, size=int(in_left.sum()))
+            t = numerics.sample_gaussian_tail(
+                self.drift_minus, rng, size=int(in_left.sum()), erfc_a=self._erfc_minus
+            )
             out[in_left] = self.x_minus - t
         if in_mid.any():
             out[in_mid] = rng.uniform(self.x_minus, self.x_plus, size=int(in_mid.sum()))
         if in_right.any():
-            t = numerics.sample_gaussian_tail(self.drift_plus, rng, size=int(in_right.sum()))
+            t = numerics.sample_gaussian_tail(
+                self.drift_plus, rng, size=int(in_right.sum()), erfc_a=self._erfc_plus
+            )
             out[in_right] = self.x_plus + t
-        return float(out[0]) if scalar else out
+        return out
 
     def cdf(self, x):
         """Analytic CDF of the normalized envelope."""

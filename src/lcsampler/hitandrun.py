@@ -68,13 +68,19 @@ class MultivariateOracle:
 
 
 def quadratic_oracle(diagonal, kappa: float | None = None) -> MultivariateOracle:
-    """Oracle for ``V(x) = x' diag(d) x / 2``; kappa defaults to max(d)/min(d)."""
+    """Oracle for ``V(x) = x' diag(d) x / 2``; kappa defaults to max(d).
+
+    The curvatures must lie in ``[1, kappa]``, the class the line step
+    assumes; ClassViolationError otherwise.
+    """
     diag = np.asarray(diagonal, dtype=float)
     if diag.size == 0:
         raise UsageError("need at least one diagonal curvature")
-    if diag.min() <= 0:
-        raise UsageError("diagonal curvatures must be positive")
-    kappa = float(diag.max() / diag.min()) if kappa is None else float(kappa)
+    kappa = float(diag.max()) if kappa is None else float(kappa)
+    if not (diag.min() >= 1.0 and diag.max() <= kappa):
+        raise ClassViolationError(
+            f"curvature range [{diag.min():g}, {diag.max():g}] escapes [1, {kappa:g}]"
+        )
     return MultivariateOracle(
         value_fn=lambda x: 0.5 * float(x @ (diag * x)),
         grad_fn=lambda x: diag * x,

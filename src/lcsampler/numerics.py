@@ -17,6 +17,7 @@ from scipy.special import erfc, erfcinv, erfcx
 from .errors import UsageError
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
+_SQRT2 = math.sqrt(2.0)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # Above this drift the inverse-CDF route for tail sampling loses precision
@@ -54,32 +55,55 @@ def gaussian_tail_partial(a: float, s) -> float:
     return out if out.ndim else float(out)
 
 
-def sample_gaussian_tail(a: float, rng: np.random.Generator, size=None):
+def normal_tail_erfc(a: float) -> float:
+    """``erfc(a/sqrt(2))``, the mass that tail sampling inverts against.
+
+    Evaluated as ``erfcx(a/sqrt(2)) * exp(-a^2/2)`` with NumPy's ``exp``
+    (``math.exp`` can differ from it by an ulp).
+    """
+    return float(erfcx(a * _INV_SQRT2)) * float(np.exp(-0.5 * a * a))
+
+
+def sample_gaussian_tail(a: float, rng: np.random.Generator, size=None, *, erfc_a=None):
     """Exact draws from the density proportional to exp(-a*t - t^2/2) on t >= 0.
 
     This is a standard normal with mean ``-a`` truncated to the nonnegative
     half-line.  Small drifts invert the CDF through erfcinv; drifts above
     ``_DRIFT_INVERSION_LIMIT`` use an Exp(a) proposal with acceptance
-    probability exp(-t^2/2), which is nearly tight there.
+    probability exp(-t^2/2), which is nearly tight there.  ``erfc_a`` is
+    :func:`normal_tail_erfc` of ``a`` for callers that keep it; it is
+    computed here when not given.
+
+    With ``size=None`` a float in gives a float out through scalar draws
+    (one ``random()`` for inversion, ``exponential()`` then ``random()`` per
+    rejection round), bitwise equal to ``size=1`` from the same stream.
     """
     if a < 0:
         raise UsageError(f"drift must be nonnegative, got {a}")
-    scalar = size is None
-    n = 1 if scalar else int(size)
-    if a <= _DRIFT_INVERSION_LIMIT:
-        u = rng.random(n)
-        tail = float(erfcx(a * _INV_SQRT2)) * np.exp(-0.5 * a * a)  # erfc(a/sqrt2)
-        t = math.sqrt(2.0) * erfcinv(u * tail) - a
-        t = np.maximum(t, 0.0)
-    else:
-        t = np.empty(n)
-        todo = np.arange(n)
-        while todo.size:
-            prop = rng.exponential(1.0 / a, size=todo.size)
-            keep = np.log(rng.random(todo.size)) <= -0.5 * prop * prop
-            t[todo[keep]] = prop[keep]
-            todo = todo[~keep]
-    return float(t[0]) if scalar else t
+    inversion = a <= _DRIFT_INVERSION_LIMIT
+    if inversion and erfc_a is None:
+        erfc_a = normal_tail_erfc(a)
+    if size is None:
+        if inversion:
+            return max(_SQRT2 * float(erfcinv(rng.random() * erfc_a)) - a, 0.0)
+        scale = 1.0 / a
+        while True:
+            prop = rng.exponential(scale)
+            # NumPy's log, as in the array branch: math.log can differ by an ulp
+            if np.log(rng.random()) <= -0.5 * prop * prop:
+                return prop
+    n = int(size)
+    if inversion:
+        t = _SQRT2 * erfcinv(rng.random(n) * erfc_a) - a
+        return np.maximum(t, 0.0)
+    t = np.empty(n)
+    todo = np.arange(n)
+    while todo.size:
+        prop = rng.exponential(1.0 / a, size=todo.size)
+        keep = np.log(rng.random(todo.size)) <= -0.5 * prop * prop
+        t[todo[keep]] = prop[keep]
+        todo = todo[~keep]
+    return t
 
 
 def normal_cdf(x):

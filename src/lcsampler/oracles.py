@@ -68,42 +68,47 @@ class PiecewiseQuadraticPotential:
             raise UsageError("breakpoints must be strictly increasing")
 
         self._bp = np.asarray(bp, dtype=float)
-        self._bp_exact = exact_bp
+        self._bp_list = bp
         self._curv = np.asarray(cv, dtype=float)
         self.value_at_zero = float(value_at_zero)
         self.slope_at_zero = float(slope_at_zero)
-        self._anchor_v, self._anchor_d = self._integrate_anchors()
+        self._exact_values, self._rows = self._segment_anchors(exact_bp, cv)
+        self._columns = tuple(np.asarray(col, dtype=float) for col in zip(*self._rows))
         self._mass_cache = None
 
-    def _integrate_anchors(self):
-        """Exact (value, slope) at each breakpoint from the zero anchor."""
-        n = len(self._bp)
+    def _segment_anchors(self, exact_bp: list[Fraction], cv: list[float]):
+        """Per-segment exact anchor values and ``(anchor_x, anchor_v, anchor_d, c)`` rows.
+
+        The segment holding the origin is anchored at the origin, every other
+        segment at its edge closest to the origin (the mode).  Value/slope
+        pairs at the edges come from exact rational integration of the
+        curvature steps outward from 0, rounded once to floats.
+        """
+        n = len(cv) - 1
+        j0 = bisect_right(self._bp_list, 0.0)
+        fr_cv = [Fraction(c) for c in cv]
         av = [Fraction(0)] * n
         ad = [Fraction(0)] * n
-        if n:
-            j0 = bisect_right(self._bp.tolist(), 0.0)
-            fr_bp = self._bp_exact
-            fr_cv = [Fraction(c) for c in self._curv.tolist()]
-            # rightward from 0 through segments j0, j0+1, ...
+        # rightward from 0, then leftward: walking right to edge k crosses
+        # segment k, walking left to it crosses segment k + 1
+        for edges, crossed in ((range(j0, n), 0), (range(j0 - 1, -1, -1), 1)):
             x, v, d = Fraction(0), Fraction(self.value_at_zero), Fraction(self.slope_at_zero)
-            for k in range(j0, n):
-                c = fr_cv[k]
-                w = fr_bp[k] - x
+            for k in edges:
+                c = fr_cv[k + crossed]
+                w = exact_bp[k] - x
                 v, d = v + d * w + c * w * w / 2, d + c * w
                 av[k], ad[k] = v, d
-                x = fr_bp[k]
-            # leftward from 0 through segments j0, j0-1, ...
-            x, v, d = Fraction(0), Fraction(self.value_at_zero), Fraction(self.slope_at_zero)
-            for k in range(j0 - 1, -1, -1):
-                c = fr_cv[k + 1]
-                w = fr_bp[k] - x
-                v, d = v + d * w + c * w * w / 2, d + c * w
-                av[k], ad[k] = v, d
-                x = fr_bp[k]
-        return (
-            np.asarray([float(v) for v in av]),
-            np.asarray([float(d) for d in ad]),
-        )
+                x = exact_bp[k]
+        exact, rows = [], []
+        for j, c in enumerate(cv):
+            if j == j0:
+                exact.append(Fraction(self.value_at_zero))
+                rows.append((0.0, self.value_at_zero, self.slope_at_zero, c))
+            else:
+                a = j - 1 if j > j0 else j
+                exact.append(av[a])
+                rows.append((self._bp_list[a], float(av[a]), float(ad[a]), c))
+        return exact, rows
 
     @classmethod
     def gaussian(cls, curvature: float = 1.0, value_at_zero: float = 0.0):
@@ -121,9 +126,13 @@ class PiecewiseQuadraticPotential:
     def evaluate(self, x):
         """Return (value, derivative, second derivative) at ``x``.
 
-        Accepts scalars or arrays.  A point exactly at a breakpoint uses the
-        right segment's curvature; value and slope are continuous so only the
-        second derivative depends on that convention.
+        A ``float`` in gives a tuple of floats out, computed with ``bisect``
+        and plain float arithmetic; any other input goes through NumPy and
+        gives arrays (0-d input gives floats).  Both paths read one anchor
+        table in the same operation order, so their values are bitwise
+        equal.  A point exactly at a breakpoint uses the right segment's
+        curvature; value and slope are continuous so only the second
+        derivative depends on that convention.
 
         Each segment is expanded around its edge closest to the origin (the
         mode), and the segment containing the origin around the origin
@@ -132,44 +141,30 @@ class PiecewiseQuadraticPotential:
         origin and a point evaluate bitwise identically there, regardless of
         how the rest of their segments differ.
         """
+        if isinstance(x, float):
+            ax, av, ad, c = self._rows[bisect_right(self._bp_list, x)]
+            delta = x - ax
+            return av + ad * delta + 0.5 * c * delta * delta, ad + c * delta, c
         arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
         xs = np.atleast_1d(arr)
-        if len(self._bp) == 0:
-            c = self._curv[0]
-            v = self.value_at_zero + self.slope_at_zero * xs + 0.5 * c * xs * xs
-            d = self.slope_at_zero + c * xs
-            s = np.full_like(xs, c)
-        else:
-            j = np.searchsorted(self._bp, xs, side="right")
-            j0 = int(np.searchsorted(self._bp, 0.0, side="right"))
-            a = np.where(j > j0, j - 1, np.minimum(j, len(self._bp) - 1))
-            at_origin = j == j0
-            anchor_x = np.where(at_origin, 0.0, self._bp[a])
-            anchor_v = np.where(at_origin, self.value_at_zero, self._anchor_v[a])
-            anchor_d = np.where(at_origin, self.slope_at_zero, self._anchor_d[a])
-            delta = xs - anchor_x
-            s = self._curv[j]
-            v = anchor_v + anchor_d * delta + 0.5 * s * delta * delta
-            d = anchor_d + s * delta
-        if scalar:
-            return float(v[0]), float(d[0]), float(s[0])
-        return v, d, s
+        j = np.searchsorted(self._bp, xs, side="right")
+        ax, av, ad, c = (col[j] for col in self._columns)
+        delta = xs - ax
+        v = av + ad * delta + 0.5 * c * delta * delta
+        d = ad + c * delta
+        if arr.ndim == 0:
+            return float(v[0]), float(d[0]), float(c[0])
+        return v, d, c
 
     # -- density helpers (test-harness path; never query-metered) ----------
 
     def _segment_table(self):
-        """Per-segment arrays (lo, hi, mu, vmin, c): exp(-V) in completed-square form."""
+        """Per-segment arrays (lo, hi, mu, vmin, c): exp(-(V - V(0))) in completed-square form."""
+        edges = [-math.inf, *self._bp_list, math.inf]
+        origin = Fraction(self.value_at_zero)
         rows = []
-        edges = [-math.inf, *self._bp.tolist(), math.inf]
-        j0 = bisect_right(self._bp.tolist(), 0.0)
-        for j in range(len(self._curv)):
-            if j == j0:
-                x0, v0, d0 = 0.0, self.value_at_zero, self.slope_at_zero
-            else:
-                a = j - 1 if j > j0 else j
-                x0, v0, d0 = self._bp[a], self._anchor_v[a], self._anchor_d[a]
-            c = self._curv[j]
+        for j, ((x0, _, d0, c), exact) in enumerate(zip(self._rows, self._exact_values)):
+            v0 = float(exact - origin)  # V - V(0) at the anchor, rounded once
             if c <= 0:
                 raise UsageError("density helpers require strictly convex segments")
             rows.append((edges[j], edges[j + 1], x0 - d0 / c, v0 - d0 * d0 / (2 * c), c))
@@ -206,8 +201,11 @@ class PiecewiseQuadraticPotential:
         out[mid] = np.exp(-vmin[mid]) * pref[mid] * phi_diff
         return out
 
-    def density_mass(self) -> float:
-        """``int exp(-V)`` in closed form (per-segment Gaussian integrals)."""
+    def normalized_mass(self) -> float:
+        """``int exp(-(V - V(0)))`` in closed form (per-segment Gaussian integrals).
+
+        Taken relative to ``V(0)``, so it stays finite whatever ``V(0)`` is.
+        """
         if self._mass_cache is None:
             table = self._segment_table()
             masses = self._segment_mass(*table)
@@ -215,9 +213,13 @@ class PiecewiseQuadraticPotential:
             self._mass_cache = (table, cum, float(np.sum(masses)))
         return self._mass_cache[2]
 
+    def density_mass(self) -> float:
+        """``int exp(-V)``; raises OverflowError when ``-V(0)`` exceeds about 709."""
+        return self.normalized_mass() * math.exp(-self.value_at_zero)
+
     def density_cdf(self, x):
         """CDF of the normalized density exp(-V)/Z, exact per segment."""
-        self.density_mass()
+        self.normalized_mass()
         (lo, hi, mu, vmin, c), cum, total = self._mass_cache
         arr = np.asarray(x, dtype=float)
         xs = np.atleast_1d(arr)
@@ -315,7 +317,7 @@ class _NormalizedOracle:
         return OracleResponse(resp.value - self._v0, resp.derivative, resp.second_derivative)
 
     def value(self, x: float) -> float:
-        return self.query(x).value
+        return self._inner.query(x).value - self._v0
 
 
 def normalize_at_zero(oracle):

@@ -4,7 +4,8 @@ Two modes: exact sampling loops until acceptance (geometric trial count with
 mean ``Z_q / Z_p``), and capped sampling stops after a precomputed number of
 trials, returning an explicit FAILURE outcome whose probability is at most
 the requested total variation budget.  One oracle query is spent per
-trial, nothing else.
+trial, nothing else.  A trial whose proposal the envelope fails to dominate
+raises ClassViolationError: that proves the target is outside the class.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import ClassViolationError, UsageError
 
 
 class _FailureToken:
@@ -49,8 +50,16 @@ class SampleOutcome:
 def _one_trial(oracle, env, rng) -> tuple[bool, float]:
     x = env.sample(rng)
     v = oracle.value(x)  # one query
-    # log-space acceptance avoids underflow for deep-tail proposals
-    return math.log(rng.random()) <= -v - env.log_value(x), x
+    # log target minus log envelope; log space avoids underflow for
+    # deep-tail proposals
+    gap = -v - env.log_value(x)
+    if gap > 1e-9:
+        raise ClassViolationError(
+            f"envelope falls below the target at {x!r} by a log gap of {gap:.3g}; "
+            "target violates the curvature sandwich",
+            query_point=x,
+        )
+    return math.log(rng.random()) <= gap, x
 
 
 def sample_exact(oracle, env, rng: np.random.Generator) -> SampleOutcome:
@@ -103,6 +112,6 @@ def acceptance_probability(potential, env) -> float:
 
     ``Z_p`` integrates ``exp(-(V - V(0)))``, matching the normalized oracle
     the envelope was built against; the potential must offer
-    ``density_mass()``.
+    ``normalized_mass()``.
     """
-    return potential.density_mass() * math.exp(potential.evaluate(0.0)[0]) / env.mass_total
+    return potential.normalized_mass() / env.mass_total

@@ -143,7 +143,7 @@ def resolve_multivariate_target(
 
     The builtin is declared like the 1D builtins.  A ``gaussian`` document
     (optional ``dimension``) follows the 1D rule for alpha, beta and kappa;
-    a ``diagonal`` document takes kappa from its curvatures.
+    a ``diagonal`` document takes its largest curvature as kappa.
     """
     if spec == "gaussian":
         alpha, beta = 1.0, (1.0 if kappa is None else kappa)

@@ -241,6 +241,11 @@ class TestErrorPaths:
         doc = {"type": "piecewise", "beta": 4, "breakpoints": [0.5], "curvatures": [1.0, 50.0]}
         assert run_cli(["sample", "--target", json.dumps(doc), "--trials", "10"]) == 3
 
+    @pytest.mark.parametrize("curvatures", [[0.5, 2.0], [1.0, -1.0]])
+    def test_diagonal_curvature_below_one_is_class_violation(self, curvatures):
+        doc = {"type": "diagonal", "curvatures": curvatures}
+        assert run_cli(["hitandrun", "--target", json.dumps(doc), "--trials", "1"]) == 3
+
     @pytest.mark.parametrize(
         "command, doc",
         [

@@ -248,6 +248,19 @@ class TestStep:
         assert state.step_index == 5
 
 
+    def test_envelope_below_line_target_raises_class_violation(self):
+        # curvature 100 along the second axis against a declared kappa of 10
+        diag = np.array([1.0, 100.0])
+        oracle = MultivariateOracle(
+            value_fn=lambda x: 0.5 * float(x @ (diag * x)),
+            grad_fn=lambda x: diag * x,
+            dimension=2,
+            kappa=10.0,
+        )
+        with pytest.raises(ClassViolationError, match="log gap"):
+            run_chain(oracle, np.zeros(2), 2_000, np.random.default_rng(1))
+
+
 class TestRunChain:
     def test_zero_steps(self):
         o = isotropic(4, 10.0)
@@ -293,5 +306,13 @@ class TestMultivariateOracle:
                 value_fn=lambda x: float(x[0] + 1.0), grad_fn=None, dimension=1, kappa=2.0
             )
 
+    @pytest.mark.parametrize(
+        "diagonal, kappa",
+        [([2.0, 8.0], 4.0), ([1.0, 100.0], 10.0), ([0.5, 2.0], None), ([0.0, 1.0], 4.0)],
+    )
+    def test_curvatures_outside_class_rejected(self, diagonal, kappa):
+        with pytest.raises(ClassViolationError):
+            quadratic_oracle(np.array(diagonal), kappa=kappa)
+
     def test_kappa_default_from_diagonal(self):
-        assert quadratic_oracle(np.array([2.0, 8.0])).kappa == 4.0
+        assert quadratic_oracle(np.array([2.0, 8.0])).kappa == 8.0

@@ -6,6 +6,7 @@ import pytest
 from helpers import geometric_chi2_pvalue, quadrature_acceptance, random_class_potential
 from lcsampler import (
     FAILURE,
+    ClassViolationError,
     Envelope,
     PiecewiseQuadraticPotential,
     PotentialOracle,
@@ -89,6 +90,20 @@ class TestSampleExact:
         assert freq == pytest.approx(p, abs=3 * math.sqrt(p * (1 - p) / n))
 
 
+    def test_envelope_below_target_raises_class_violation(self):
+        # curvature 0.2 < alpha = 1 past x = 1.2: the envelope builds, but
+        # proposals far enough right prove it fails to dominate
+        pot = PiecewiseQuadraticPotential([1.2], [1.0, 0.2])
+        normalized, env = prepare_envelope(PotentialOracle(pot, alpha=1.0, beta=1e3))
+        rng = np.random.default_rng(1)
+        with pytest.raises(ClassViolationError, match="log gap") as info:
+            for _ in range(20_000):
+                sample_exact(normalized, env, rng)
+        x = info.value.query_point
+        assert x > 1.2
+        assert -(pot.evaluate(x)[0] - pot.evaluate(0.0)[0]) - env.log_value(x) > 1e-9
+
+
 class TestSampleCapped:
     def test_cap_formula_examples(self):
         assert capped_trials(0.01, 0.1) == 44
@@ -160,6 +175,16 @@ class TestAcceptanceProbability:
             assert acceptance_probability(pot, env) == pytest.approx(
                 quadrature_acceptance(pot, env), rel=1e-8
             )
+
+    @pytest.mark.parametrize("value_at_zero", [800.0, -800.0])
+    def test_value_at_zero_cancels(self, value_at_zero):
+        def rho(v0):
+            pot = PiecewiseQuadraticPotential.gaussian(1.0, value_at_zero=v0)
+            _, env = prepare_envelope(PotentialOracle(pot, alpha=1.0, beta=1e3))
+            return acceptance_probability(pot, env)
+
+        assert rho(0.0) == pytest.approx(0.66256298, rel=1e-8)
+        assert rho(value_at_zero) == pytest.approx(rho(0.0), rel=1e-12)
 
     def test_floor_holds_on_random_members(self):
         rng = np.random.default_rng(29)

@@ -26,7 +26,6 @@ from .hardfamily import (
 )
 from .hitandrun import (
     ChainResult,
-    ChainState,
     LineOracle,
     MultivariateOracle,
     bracket_minimizer,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChainResult",
-    "ChainState",
     "ClassViolationError",
     "Envelope",
     "FAILURE",

@@ -9,9 +9,15 @@ per-step query statistics).
 Kappa comes from the target's oracle and nowhere else.  ``--kappa`` sets it
 for builtin targets (default 1) and, for a JSON target, replaces the
 document's ``beta``; without ``--kappa`` a JSON target's ``beta`` is used as
-written (``alpha`` must be 1).  A ``diagonal`` Hit-and-Run document takes
-kappa from its curvatures.  ``bench-queries`` sweeps 1e3, 1e6, 1e9 and 1e12
-when no ``--kappa`` is given.  The JSON outputs report the oracle's kappa.
+written.  A JSON target's ``alpha`` must be 1 (any other value exits 4).  A
+``diagonal`` Hit-and-Run document takes kappa from its curvatures.
+``bench-queries`` sweeps 1e3, 1e6, 1e9 and 1e12 when no ``--kappa`` is
+given.  The JSON outputs report the oracle's kappa.
+
+``--trials`` defaults to 1000 (samples, per-kappa draws or chain steps), and
+to 10000 identification trials for ``hardfamily-verify``.  ``--trials 0``
+gives empty ``sample`` and ``hitandrun`` outputs; ``bench-queries`` and
+``hardfamily-verify`` reject it (exit 4), as their rates need a trial.
 
 Every command is deterministic given (configuration, seed): per-cell random
 streams are derived from the master seed with ``numpy.random.SeedSequence``
@@ -34,6 +40,7 @@ import numpy as np
 from . import hardfamily
 from .envelope import prepare_envelope
 from .errors import ClassViolationError, UsageError
+from .hitandrun import run_chain
 from .rejection import FAILURE, acceptance_probability, sample_capped, sample_exact
 from .targets import resolve_multivariate_target, resolve_target
 
@@ -125,17 +132,16 @@ def cmd_bench_queries(args) -> int:
         normalized, env = prepare_envelope(oracle)
         envelope_queries = oracle.query_count
         rng = np.random.default_rng(stream)
-        trials = args.trials or 1000
         t0 = time.perf_counter()
-        total = sum(sample_exact(normalized, env, rng).trials for _ in range(trials))
+        total = sum(sample_exact(normalized, env, rng).trials for _ in range(args.trials))
         elapsed = time.perf_counter() - t0
         rows.append(
             {
                 "kappa": oracle.kappa,
                 "envelope_queries": envelope_queries,
-                "mean_trials": total / trials,
+                "mean_trials": total / args.trials,
                 "acceptance_rate": acceptance_probability(potential, env),
-                "throughput": trials / elapsed if elapsed > 0 else math.inf,
+                "throughput": args.trials / elapsed if elapsed > 0 else math.inf,
             }
         )
 
@@ -186,8 +192,7 @@ def cmd_hardfamily_verify(args) -> int:
         hardfamily.distinct_response_count(float(x), kappa, family) for x in points
     )
 
-    trials = args.trials or 10_000
-    identification_rate = hardfamily.run_identification_experiment(kappa, trials, rng)
+    identification_rate = hardfamily.run_identification_experiment(kappa, args.trials, rng)
 
     report = {
         "kappa": kappa,
@@ -199,7 +204,7 @@ def cmd_hardfamily_verify(args) -> int:
     }
     _write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
-    se = math.sqrt(0.25 / trials)
+    se = math.sqrt(0.25 / args.trials)
     ok = (
         lemma1_max_dev <= 1e-9
         and lemma2_min_mass >= 1.0 / 32.0
@@ -212,10 +217,7 @@ def cmd_hardfamily_verify(args) -> int:
 def cmd_hitandrun(args) -> int:
     oracle = resolve_multivariate_target(args.target, _single_kappa(args), args.dimension)
     rng = np.random.default_rng(args.seed)
-    steps = args.trials or 1000
-    from .hitandrun import run_chain
-
-    result = run_chain(oracle, np.zeros(oracle.dimension), steps, rng)
+    result = run_chain(oracle, np.zeros(oracle.dimension), args.trials, rng)
     norms = np.linalg.norm(result.positions[1:], axis=1)
     if args.format == "json":
         rows = [
@@ -232,7 +234,7 @@ def cmd_hitandrun(args) -> int:
     summary = {
         "dimension": oracle.dimension,
         "kappa": oracle.kappa,
-        "steps": steps,
+        "steps": args.trials,
         "mean_queries_per_step": result.mean_queries_per_step,
         "total_queries": int(result.step_queries.sum()),
     }
@@ -261,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="master seed; fixes all randomness")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.set_defaults(min_trials=0)
 
     p = sub.add_parser("sample", help="draw samples to a file plus a JSON sidecar")
     add_common(p)
@@ -273,16 +276,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench-queries", help="sweep kappa; tabulate queries and acceptance")
     add_common(p)
-    p.set_defaults(func=cmd_bench_queries)
+    p.set_defaults(func=cmd_bench_queries, trials=1000, min_trials=1)
 
     p = sub.add_parser("hardfamily-verify", help="check the worst-case family bounds")
     add_common(p)
-    p.set_defaults(func=cmd_hardfamily_verify)
+    p.set_defaults(func=cmd_hardfamily_verify, trials=10_000, min_trials=1)
 
     p = sub.add_parser("hitandrun", help="run a chain; emit per-step query statistics")
     add_common(p)
     p.add_argument("--dimension", type=int, default=10, help="dimension for builtin targets")
-    p.set_defaults(func=cmd_hitandrun)
+    p.set_defaults(func=cmd_hitandrun, trials=1000)
 
     return parser
 
@@ -291,8 +294,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.trials is not None and args.trials < 0:
-            raise UsageError("--trials must be nonnegative")
+        if args.trials is not None and args.trials < args.min_trials:
+            raise UsageError(f"{args.command} needs --trials of at least {args.min_trials}")
         return args.func(args)
     except ClassViolationError as exc:
         sys.stderr.write(f"class violation: {exc}\n")

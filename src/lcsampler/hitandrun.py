@@ -8,6 +8,14 @@ bracket ends so the minimum lies in [-1, 0], and hands both to the shared
 plateau builder :func:`lcsampler.envelope.plateau_envelope`.  Rejection
 against that envelope draws the step size exactly.  All oracle traffic goes
 through one counter so per-step query costs are measurable.
+
+The bisection is seeded on ``[-r, r]``, ``r = 2*kappa*max(|base|,
+sqrt(2/kappa))`` with ``base`` the line's closest point to the origin.  A
+class member has ``|W'(0)| <= kappa*|base|`` (zero gradient at the origin,
+Hessian at most kappa) and ``W'' >= 1``, so its line minimizer lies within
+``kappa*|base| <= r/2`` of 0 and W' changes sign on ``[-r, r]``.  When it
+does not, the target is outside the class: the step raises
+ClassViolationError rather than bracket a wrong point.
 """
 from __future__ import annotations
 
@@ -21,19 +29,13 @@ from .errors import ClassViolationError, UsageError
 from .rejection import sample_exact
 
 
-@dataclass(frozen=True)
-class MultivariateResponse:
-    value: float
-    gradient: np.ndarray | None = None
-
-
 class MultivariateOracle:
     """Query-counting oracle for a d-dimensional potential.
 
-    One call returns the value and (when available) the gradient, and
-    increments the counter by exactly one.  The potential must satisfy
-    ``V(0) = 0`` and ``grad V(0) = 0`` with directional curvature in
-    ``[1, kappa]`` along every unit direction.
+    One call returns ``(value, gradient)`` and increments the counter by
+    exactly one.  The potential must satisfy ``V(0) = 0`` and ``grad V(0) =
+    0`` with directional curvature in ``[1, kappa]`` along every unit
+    direction.
     """
 
     def __init__(self, value_fn, grad_fn, dimension: int, kappa: float):
@@ -49,22 +51,17 @@ class MultivariateOracle:
         origin = np.zeros(self.dimension)
         if abs(float(value_fn(origin))) > 1e-9:
             raise UsageError("potential must vanish at the origin")
-        if grad_fn is not None and float(np.linalg.norm(grad_fn(origin))) > 1e-9:
+        if float(np.linalg.norm(grad_fn(origin))) > 1e-9:
             raise UsageError("potential must have zero gradient at the origin")
-
-    @property
-    def has_gradient(self) -> bool:
-        return self._grad_fn is not None
 
     @property
     def query_count(self) -> int:
         return self._count
 
-    def query(self, x: np.ndarray) -> MultivariateResponse:
+    def query(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         self._count += 1
         x = np.asarray(x, dtype=float)
-        grad = None if self._grad_fn is None else np.asarray(self._grad_fn(x), dtype=float)
-        return MultivariateResponse(value=float(self._value_fn(x)), gradient=grad)
+        return float(self._value_fn(x)), np.asarray(self._grad_fn(x), dtype=float)
 
 
 def quadratic_oracle(diagonal, kappa: float | None = None) -> MultivariateOracle:
@@ -90,21 +87,18 @@ def quadratic_oracle(diagonal, kappa: float | None = None) -> MultivariateOracle
 
 
 class LineOracle:
-    """1D view W(lam) = V(base + lam * u) - shift; one multivariate query per call."""
+    """1D view W(lam) = V(base + lam * u) - shift; one multivariate query per call.
+
+    A unit-direction restriction keeps the sandwich [1, kappa], so ``kappa``
+    is the multivariate oracle's.
+    """
 
     def __init__(self, oracle: MultivariateOracle, base, direction, shift: float = 0.0):
         self._oracle = oracle
+        self.kappa = oracle.kappa
         self.base = np.asarray(base, dtype=float)
         self.direction = np.asarray(direction, dtype=float)
         self.shift = float(shift)
-
-    @property
-    def has_derivative(self) -> bool:
-        return self._oracle.has_gradient
-
-    @property
-    def query_count(self) -> int:
-        return self._oracle.query_count
 
     def with_shift(self, shift: float) -> "LineOracle":
         return LineOracle(self._oracle, self.base, self.direction, shift=shift)
@@ -112,21 +106,15 @@ class LineOracle:
     def point(self, lam: float) -> np.ndarray:
         return self.base + lam * self.direction
 
-    def query(self, lam: float):
-        resp = self._oracle.query(self.point(float(lam)))
-        deriv = None
-        if resp.gradient is not None:
-            deriv = float(self.direction @ resp.gradient)
-        return resp.value - self.shift, deriv
+    def query(self, lam: float) -> tuple[float, float]:
+        value, grad = self._oracle.query(self.point(float(lam)))
+        return value - self.shift, float(self.direction @ grad)
 
     def value(self, lam: float) -> float:
         return self.query(lam)[0]
 
     def derivative(self, lam: float) -> float:
-        v, d = self.query(lam)
-        if d is None:
-            raise UsageError("line oracle has no gradient access")
-        return d
+        return self.query(lam)[1]
 
 
 def restrict(oracle: MultivariateOracle, x_t, u) -> LineOracle:
@@ -145,29 +133,22 @@ def restrict(oracle: MultivariateOracle, x_t, u) -> LineOracle:
     return LineOracle(oracle, x_t - float(u @ x_t) * u, u)
 
 
-def bracket_minimizer(line: LineOracle, kappa: float, x_star_norm: float) -> tuple[float, float]:
+def bracket_minimizer(line: LineOracle) -> tuple[float, float]:
     """Bracket of exact width sqrt(2/kappa) around the line minimizer.
 
-    The minimizer satisfies |lambda| <= 2*kappa*|x*| for class members, which
-    seeds the bisection interval (padded to stay nonempty when the line runs
-    through the origin).  Derivative-sign bisection needs about
-    log2(4*kappa*|x*| / sqrt(2/kappa)) queries plus the two endpoint checks;
-    a 0th-order ternary fallback covers gradient-free oracles.
+    Bisects on the sign of W' from ``[-r, r]``, ``r = 2*kappa*max(|base|,
+    sqrt(2/kappa))``, which holds a class member's minimizer within its
+    middle half (module docstring); a sign that does not change across it
+    raises ClassViolationError at once.  Costs at most
+    ceil(log2(2r / sqrt(2/kappa))) + 2 queries.
     """
+    kappa = line.kappa
     width = math.sqrt(2.0 / kappa)
-    radius = 2.0 * kappa * max(float(x_star_norm), width)
-    if not line.has_derivative:
-        return _bracket_by_ternary(line, radius, width)
-
+    radius = 2.0 * kappa * max(float(np.linalg.norm(line.base)), width)
     d_lo, d_hi = line.derivative(-radius), line.derivative(radius)
-    for _ in range(3):  # doubling fallback for near-class targets
-        if d_lo <= 0.0 <= d_hi:
-            break
-        radius *= 2.0
-        d_lo, d_hi = line.derivative(-radius), line.derivative(radius)
     if not (d_lo <= 0.0 <= d_hi):
         raise ClassViolationError(
-            "restricted derivative does not change sign on the seeded interval",
+            f"restricted derivative does not change sign on [-{radius:g}, {radius:g}]",
             query_point=radius,
         )
     lo, hi = -radius, radius
@@ -185,23 +166,7 @@ def bracket_minimizer(line: LineOracle, kappa: float, x_star_norm: float) -> tup
     return a, a + width
 
 
-def _bracket_by_ternary(line: LineOracle, radius: float, width: float) -> tuple[float, float]:
-    """Value-only fallback: each shrink keeps 2/3 of the interval (2 queries)."""
-    lo, hi = -radius, radius
-    while hi - lo > width:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if line.value(m1) < line.value(m2):
-            hi = m2
-        else:
-            lo = m1
-    a = lo - 0.5 * (width - (hi - lo))
-    return a, a + width
-
-
-def build_line_envelope(
-    line: LineOracle, a: float, b: float, kappa: float
-) -> tuple[Envelope, LineOracle]:
+def build_line_envelope(line: LineOracle, a: float, b: float) -> tuple[Envelope, LineOracle]:
     """Shifted plateau envelope for the restriction, given a minimizer bracket.
 
     Relabels the potential by ``max(W(a), W(b))`` so the minimum lies in
@@ -213,15 +178,8 @@ def build_line_envelope(
     """
     shift = max(line.value(a), line.value(b))
     shifted = line.with_shift(line.shift + shift)
-    env = plateau_envelope(shifted.value, a, b, kappa, level=3.0, floor=1.0, lo=1, tail_offset=3.0)
+    env = plateau_envelope(shifted.value, a, b, line.kappa, level=3.0, floor=1.0, lo=1, tail_offset=3.0)
     return env, shifted
-
-
-@dataclass(frozen=True)
-class ChainState:
-    position: np.ndarray
-    step_index: int = 0
-    cumulative_queries: int = 0
 
 
 @dataclass(frozen=True)
@@ -236,16 +194,16 @@ class ChainResult:
 
 def step(
     oracle: MultivariateOracle,
-    state: ChainState,
+    x,
     rng: np.random.Generator,
     direction=None,
-) -> ChainState:
-    """One Hit-and-Run transition with an exact step-size draw.
+) -> np.ndarray:
+    """One Hit-and-Run transition from ``x`` with an exact step-size draw.
 
     The step size comes from the density proportional to the target
     restricted to the chosen line, sampled by rejection against the line
     envelope, so the transition kernel is exact.  ``direction`` overrides
-    the uniform draw (used by diagnostics).
+    the uniform draw (used by diagnostics).  Returns the new position.
     """
     if direction is None:
         g = rng.standard_normal(oracle.dimension)
@@ -254,16 +212,10 @@ def step(
         u = g / np.linalg.norm(g)
     else:
         u = np.asarray(direction, dtype=float)
-    before = oracle.query_count
-    line = restrict(oracle, state.position, u)
-    a, b = bracket_minimizer(line, oracle.kappa, float(np.linalg.norm(line.base)))
-    env, shifted = build_line_envelope(line, a, b, oracle.kappa)
-    lam = sample_exact(shifted, env, rng).result
-    return ChainState(
-        position=line.point(lam),
-        step_index=state.step_index + 1,
-        cumulative_queries=state.cumulative_queries + (oracle.query_count - before),
-    )
+    line = restrict(oracle, x, u)
+    a, b = bracket_minimizer(line)
+    env, shifted = build_line_envelope(line, a, b)
+    return line.point(sample_exact(shifted, env, rng).result)
 
 
 def run_chain(
@@ -275,13 +227,11 @@ def run_chain(
     """Run the chain and record the trajectory and per-step query counts."""
     if steps < 0:
         raise UsageError("steps must be nonnegative")
-    state = ChainState(position=np.asarray(x0, dtype=float))
     positions = np.empty((steps + 1, oracle.dimension))
-    positions[0] = state.position
+    positions[0] = x0
     step_queries = np.empty(steps, dtype=int)
     for t in range(steps):
-        prev = state.cumulative_queries
-        state = step(oracle, state, rng)
-        positions[t + 1] = state.position
-        step_queries[t] = state.cumulative_queries - prev
+        before = oracle.query_count
+        positions[t + 1] = step(oracle, positions[t], rng)
+        step_queries[t] = oracle.query_count - before
     return ChainResult(positions=positions, step_queries=step_queries)

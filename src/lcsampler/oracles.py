@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import erfc, erfcx
@@ -22,8 +21,7 @@ from .errors import ClassViolationError, UsageError
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class OracleResponse:
+class OracleResponse(NamedTuple):
     """Value, derivative and second derivative at one query point."""
 
     value: float

@@ -91,11 +91,12 @@ def _read_document(spec: str) -> dict:
     return doc
 
 
-def _declared_bounds(doc: dict, kappa: float | None) -> tuple[float, float]:
-    """(alpha, beta) of a document; a given kappa replaces the document's beta."""
+def _declared_kappa(doc: dict, kappa: float | None) -> float:
+    """A document's ``beta``, or ``kappa`` when given; UsageError unless its ``alpha`` is 1."""
     alpha = float(doc.get("alpha", 1.0))
-    beta = float(doc.get("beta", alpha)) if kappa is None else float(kappa)
-    return alpha, beta
+    if alpha != 1.0:
+        raise UsageError(f"a target document's alpha must be 1, got {alpha:g}")
+    return float(doc.get("beta", 1.0)) if kappa is None else float(kappa)
 
 
 def resolve_target(
@@ -107,10 +108,10 @@ def resolve_target(
 
     Builtin names are declared with alpha = 1 and beta = kappa (1 when kappa
     is None).  A JSON document ``{"type": "gaussian"|"piecewise", "alpha",
-    "beta", "breakpoints", "curvatures", "offset"}`` declares its own
-    alpha, beta and hidden offset; a kappa that is not None replaces its
-    beta.  Its curvatures must lie in [alpha, beta] with the mode at the
-    origin, or ClassViolationError is raised.
+    "beta", "breakpoints", "curvatures", "offset"}`` declares its own beta
+    and hidden offset; a kappa that is not None replaces its beta, and its
+    alpha must be 1 (UsageError otherwise).  Its curvatures must lie in
+    [1, beta] with the mode at the origin, or ClassViolationError is raised.
     """
     if spec in BUILTIN_NAMES or spec.startswith("hard:"):
         kappa = 1.0 if kappa is None else kappa
@@ -121,18 +122,16 @@ def resolve_target(
         return potential, oracle
     with _document_fields():
         doc = _read_document(spec)
-        alpha, beta = _declared_bounds(doc, kappa)
+        beta = _declared_kappa(doc, kappa)
         kind = doc.get("type")
         if kind == "gaussian":
-            potential = PiecewiseQuadraticPotential.gaussian(alpha)
+            potential = PiecewiseQuadraticPotential.gaussian()
         elif kind == "piecewise":
             potential = PiecewiseQuadraticPotential(doc.get("breakpoints", []), doc["curvatures"])
         else:
             raise UsageError(f"unknown potential type {kind!r}")
-        check_class_member(potential, alpha, beta)
-        oracle = PotentialOracle(
-            potential, alpha=alpha, beta=beta, hidden_offset=float(doc.get("offset", 0.0))
-        )
+        check_class_member(potential, 1.0, beta)
+        oracle = PotentialOracle(potential, beta=beta, hidden_offset=float(doc.get("offset", 0.0)))
     return potential, oracle
 
 
@@ -143,20 +142,21 @@ def resolve_multivariate_target(
 
     The builtin is declared like the 1D builtins.  A ``gaussian`` document
     (optional ``dimension``) follows the 1D rule for alpha, beta and kappa;
-    a ``diagonal`` document takes its largest curvature as kappa.
+    a ``diagonal`` document takes its largest curvature as kappa.  Either
+    document's alpha must be 1.
     """
     if spec == "gaussian":
-        alpha, beta = 1.0, (1.0 if kappa is None else kappa)
+        beta = 1.0 if kappa is None else kappa
         dimension = int(dimension)
     else:
         with _document_fields():
             doc = _read_document(spec)
+            beta = _declared_kappa(doc, kappa)  # also rejects alpha != 1 for a diagonal
             if doc.get("type") == "diagonal":
                 return quadratic_oracle(np.asarray(doc["curvatures"], dtype=float))
             if doc.get("type") != "gaussian":
                 raise UsageError(f"unsupported multivariate target type {doc.get('type')!r}")
-            alpha, beta = _declared_bounds(doc, kappa)
             dimension = int(doc.get("dimension", dimension))
     if dimension < 1:
         raise UsageError(f"dimension must be positive, got {dimension}")
-    return quadratic_oracle(alpha * np.ones(dimension), kappa=beta / alpha)
+    return quadratic_oracle(np.ones(dimension), kappa=beta)

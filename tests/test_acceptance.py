@@ -11,7 +11,6 @@ import pytest
 
 from helpers import geometric_chi2_pvalue, random_class_potential
 from lcsampler import (
-    ChainState,
     PotentialOracle,
     acceptance_probability,
     prepare_envelope,
@@ -244,11 +243,11 @@ def test_criterion_10_hit_and_run_exact_line_step():
     # conditional step-size law along a fixed direction
     o2 = quadratic_oracle(np.ones(2), kappa=4.0)
     rng = np.random.default_rng(1010)
-    state = ChainState(position=np.array([1.0, 0.0]))
+    x = np.array([1.0, 0.0])
     n_cond = 10_000
     lams = np.empty(n_cond)
     for k in range(n_cond):
-        lams[k] = step(o2, state, rng, direction=np.array([0.0, 1.0])).position[1]
+        lams[k] = step(o2, x, rng, direction=np.array([0.0, 1.0]))[1]
     ks = ks_statistic(lams, normal_cdf)
     ok &= ks < ks_critical_value(n_cond)
 

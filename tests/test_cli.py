@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lcsampler import UsageError
 from lcsampler.cli import main
 from lcsampler.targets import resolve_target
 
@@ -52,6 +53,12 @@ class TestBenchQueries:
         assert run_cli(["bench-queries", "--kappa", "1", "--trials", "50", "--out", str(out)]) == 0
         row = out.read_text().strip().splitlines()[1]
         assert int(row.split(",")[1]) <= 5
+
+    def test_zero_trials_is_config_error(self, tmp_path):
+        # a mean trial count over zero draws is undefined
+        out = tmp_path / "bench0.csv"
+        assert run_cli(["bench-queries", "--kappa", "1e3", "--trials", "0", "--out", str(out)]) == 4
+        assert not out.exists()
 
     def test_deterministic_apart_from_throughput(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -186,6 +193,12 @@ class TestHardFamilyVerify:
     def test_small_kappa_is_config_error(self, tmp_path):
         assert run_cli(["hardfamily-verify", "--kappa", "1.5"]) == 4
 
+    def test_zero_trials_is_config_error(self, tmp_path):
+        # an identification rate over zero trials is undefined
+        out = tmp_path / "verify.json"
+        assert run_cli(["hardfamily-verify", "--kappa", "1e3", "--trials", "0", "--out", str(out)]) == 4
+        assert not out.exists()
+
 
 class TestHitAndRunCommand:
     def test_csv_rows(self, tmp_path):
@@ -211,6 +224,16 @@ class TestHitAndRunCommand:
         assert len(lines) == 51
         first = lines[1].split(",")
         assert int(first[0]) == 1 and int(first[1]) > 0 and float(first[2]) >= 0.0
+
+    def test_zero_trials_runs_no_steps(self, tmp_path, capsys):
+        out = tmp_path / "chain.csv"
+        args = ["hitandrun", "--kappa", "4", "--dimension", "2", "--trials", "0", "--out", str(out)]
+        assert run_cli(args) == 0
+        assert out.read_text() == "step,queries,x_norm\n"
+        summary = json.loads(capsys.readouterr().err)
+        assert summary["steps"] == 0
+        assert summary["mean_queries_per_step"] == 0.0
+        assert summary["total_queries"] == 0
 
 
 class TestErrorPaths:
@@ -257,6 +280,23 @@ class TestErrorPaths:
     )
     def test_mistyped_document_field_is_config_error(self, command, doc):
         assert run_cli([command, "--target", json.dumps(doc), "--trials", "1"]) == 4
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("hitandrun", {"type": "gaussian", "alpha": 3, "beta": 6}),
+            ("hitandrun", {"type": "gaussian", "alpha": 2, "beta": 8}),
+            ("hitandrun", {"type": "diagonal", "alpha": 2, "curvatures": [2.0, 4.0]}),
+            ("sample", {"type": "gaussian", "alpha": 2, "beta": 8}),
+            ("sample", {"type": "piecewise", "alpha": 0.5, "beta": 4, "curvatures": [1.0]}),
+        ],
+    )
+    def test_alpha_other_than_one_is_config_error(self, command, doc):
+        assert run_cli([command, "--target", json.dumps(doc), "--trials", "1"]) == 4
+
+    def test_alpha_other_than_one_is_rejected_at_load(self):
+        with pytest.raises(UsageError, match="alpha must be 1"):
+            resolve_target(json.dumps({"type": "gaussian", "alpha": 2, "beta": 8}), None)
 
 
 class TestKappaFromTarget:

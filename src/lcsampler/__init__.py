@@ -40,7 +40,6 @@ from .numerics import (
     adaptive_quadrature,
     gaussian_tail_integral,
     ks_statistic,
-    tv_distance,
 )
 from .oracles import (
     OracleResponse,
@@ -97,5 +96,4 @@ __all__ = [
     "sample_capped",
     "sample_exact",
     "step",
-    "tv_distance",
 ]

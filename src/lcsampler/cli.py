@@ -1,10 +1,16 @@
 """Command-line harness wiring the library into reproducible experiments.
 
-Subcommands: ``sample`` (draw to a file with a JSON sidecar),
-``envelope-inspect`` (dump the built envelope), ``bench-queries`` (sweep
-kappa and tabulate construction queries / acceptance), ``hardfamily-verify``
-(check the worst-case family bounds), ``hitandrun`` (run a chain and emit
-per-step query statistics).
+Each subcommand takes only the flags it reads:
+
+* ``sample`` draws to a file with a JSON sidecar: ``--target --kappa
+  --epsilon --rho-floor --trials --seed --out``.
+* ``envelope-inspect`` dumps the built envelope: ``--target --kappa --out``.
+* ``bench-queries`` sweeps kappa and tabulates construction queries and
+  acceptance: ``--target --kappa --trials --seed --format --out``.
+* ``hardfamily-verify`` checks the worst-case family bounds: ``--kappa
+  --trials --seed --out``.
+* ``hitandrun`` runs a chain and emits per-step query statistics:
+  ``--target --kappa --dimension --trials --seed --format --out``.
 
 Kappa comes from the target's oracle and nowhere else.  ``--kappa`` sets it
 for builtin targets (default 1) and, for a JSON target, replaces the
@@ -24,8 +30,9 @@ streams are derived from the master seed with ``numpy.random.SeedSequence``
 spawned in row order.  The one exception is the wall-clock ``throughput``
 column of ``bench-queries``.
 
-Exit codes: 0 all checks pass, 2 a verified bound is violated, 3 the target
-violates the curvature sandwich, 4 configuration or I/O error.
+Exit codes: 0 all checks pass, 2 a bound checked by ``hardfamily-verify``
+is violated (no other command exits 2), 3 the target violates the curvature
+sandwich, 4 any rejected command line, configuration or I/O error.
 """
 from __future__ import annotations
 
@@ -169,14 +176,11 @@ def cmd_hardfamily_verify(args) -> int:
     lemma1_max_dev = 0.0
     for i in range(1, family.m):
         lo, hi = hardfamily.disagreement_band(kappa, i)
+        lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)  # the band's open exterior
         reach = float(family.member(i + 1).breakpoints[-1]) + 5.0
-        outside = np.concatenate(
-            [
-                np.linspace(-reach, -hi, grid_points // 4),
-                np.linspace(-lo, lo, grid_points // 4),
-                np.linspace(hi, reach, grid_points // 2),
-            ]
-        )
+        n = grid_points // 4
+        outside = np.r_[np.linspace(-reach, -hi, n), np.linspace(-lo, lo, n),
+                        np.linspace(hi, reach, 2 * n)]
         va = family.member(i).evaluate(outside)[0]
         vb = family.member(i + 1).evaluate(outside)[0]
         lemma1_max_dev = max(lemma1_max_dev, float(np.abs(va - vb).max()))
@@ -192,7 +196,8 @@ def cmd_hardfamily_verify(args) -> int:
         hardfamily.distinct_response_count(float(x), kappa, family) for x in points
     )
 
-    identification_rate = hardfamily.run_identification_experiment(kappa, args.trials, rng)
+    sampler = hardfamily.make_exact_member_sampler(kappa, family)
+    identification_rate = hardfamily.run_identification_experiment(kappa, args.trials, rng, sampler)
 
     report = {
         "kappa": kappa,
@@ -242,58 +247,52 @@ def cmd_hitandrun(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected command line as UsageError (exit 4); subparsers inherit it."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+_FLAGS = {
+    "--target": dict(default="gaussian", help="builtin name, 'hard:i', inline JSON or a JSON path"),
+    "--kappa": dict(action="append", type=float, help="condition number; repeatable for bench-queries"),
+    "--epsilon": dict(type=float, default=None, help="TV budget for capped sampling"),
+    "--rho-floor": dict(type=float, default=0.1, help="acceptance lower bound for the cap"),
+    "--dimension": dict(type=int, default=10, help="dimension for builtin targets"),
+    "--trials": dict(type=int, help="samples / steps / experiment size"),
+    "--seed": dict(type=int, default=0, help="master seed; fixes all randomness"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--out": dict(default=None, help="output path (default stdout)"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lcsampler",
-        description="Few-query rejection sampling for log-concave targets.",
-    )
+    parser = _Parser(prog="lcsampler", description="Few-query rejection sampling for log-concave targets.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--target", default="gaussian", help="builtin name, 'hard:i', inline JSON or a JSON path")
-        p.add_argument(
-            "--kappa",
-            action="append",
-            type=float,
-            help="condition number beta/alpha (repeatable for bench-queries); builtin targets "
-            "default to 1, a JSON target's beta is replaced by it or else used as written",
-        )
-        p.add_argument("--epsilon", type=float, default=None, help="TV budget for capped sampling")
-        p.add_argument("--trials", type=int, default=None, help="samples / steps / experiment size")
-        p.add_argument("--seed", type=int, default=0, help="master seed; fixes all randomness")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.set_defaults(min_trials=0)
+    def add(name, func, help_text, flags, trials=None, min_trials=0):
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func, trials=trials, min_trials=min_trials)
 
-    p = sub.add_parser("sample", help="draw samples to a file plus a JSON sidecar")
-    add_common(p)
-    p.add_argument("--rho-floor", type=float, default=0.1, help="acceptance lower bound for the cap")
-    p.set_defaults(func=cmd_sample, trials=1000)
-
-    p = sub.add_parser("envelope-inspect", help="build and dump the envelope as JSON")
-    add_common(p)
-    p.set_defaults(func=cmd_envelope_inspect)
-
-    p = sub.add_parser("bench-queries", help="sweep kappa; tabulate queries and acceptance")
-    add_common(p)
-    p.set_defaults(func=cmd_bench_queries, trials=1000, min_trials=1)
-
-    p = sub.add_parser("hardfamily-verify", help="check the worst-case family bounds")
-    add_common(p)
-    p.set_defaults(func=cmd_hardfamily_verify, trials=10_000, min_trials=1)
-
-    p = sub.add_parser("hitandrun", help="run a chain; emit per-step query statistics")
-    add_common(p)
-    p.add_argument("--dimension", type=int, default=10, help="dimension for builtin targets")
-    p.set_defaults(func=cmd_hitandrun, trials=1000)
-
+    add("sample", cmd_sample, "draw samples to a file plus a JSON sidecar",
+        "--target --kappa --epsilon --rho-floor --trials --seed --out", trials=1000)
+    add("envelope-inspect", cmd_envelope_inspect, "build and dump the envelope as JSON",
+        "--target --kappa --out")
+    add("bench-queries", cmd_bench_queries, "sweep kappa; tabulate queries and acceptance",
+        "--target --kappa --trials --seed --format --out", trials=1000, min_trials=1)
+    add("hardfamily-verify", cmd_hardfamily_verify, "check the worst-case family bounds",
+        "--kappa --trials --seed --out", trials=10_000, min_trials=1)
+    add("hitandrun", cmd_hitandrun, "run a chain; emit per-step query statistics",
+        "--target --kappa --dimension --trials --seed --format --out", trials=1000)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.trials is not None and args.trials < args.min_trials:
             raise UsageError(f"{args.command} needs --trials of at least {args.min_trials}")
         return args.func(args)

@@ -30,9 +30,9 @@ _LN2 = math.log(2.0)
 
 
 def largest_m(kappa: float) -> int:
-    """Largest m with ``2^(2m-2) <= 2 * kappa * ln(2)``; requires kappa >= 2."""
-    if kappa < 2.0:
-        raise UsageError(f"family needs kappa >= 2, got {kappa}")
+    """Largest m with ``2^(2m-2) <= 2 * kappa * ln(2)``; requires a finite kappa >= 2."""
+    if not 2.0 <= kappa < math.inf:
+        raise UsageError(f"family needs a finite kappa >= 2, got {kappa}")
     m = 1
     while 2.0 ** (2 * (m + 1) - 2) <= 2.0 * kappa * _LN2:
         m += 1

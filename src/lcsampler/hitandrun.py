@@ -41,8 +41,8 @@ class MultivariateOracle:
     def __init__(self, value_fn, grad_fn, dimension: int, kappa: float):
         if dimension < 1:
             raise UsageError(f"dimension must be positive, got {dimension}")
-        if kappa < 1.0:
-            raise UsageError(f"kappa must be at least 1, got {kappa}")
+        if not 1.0 <= kappa < math.inf:
+            raise UsageError(f"kappa must be finite and at least 1, got {kappa}")
         self._value_fn = value_fn
         self._grad_fn = grad_fn
         self.dimension = int(dimension)
@@ -67,13 +67,16 @@ class MultivariateOracle:
 def quadratic_oracle(diagonal, kappa: float | None = None) -> MultivariateOracle:
     """Oracle for ``V(x) = x' diag(d) x / 2``; kappa defaults to max(d).
 
-    The curvatures must lie in ``[1, kappa]``, the class the line step
-    assumes; ClassViolationError otherwise.
+    Kappa must be finite and at least 1 (UsageError), and the curvatures
+    must then lie in ``[1, kappa]``, the class the line step assumes
+    (ClassViolationError otherwise).
     """
     diag = np.asarray(diagonal, dtype=float)
     if diag.size == 0:
         raise UsageError("need at least one diagonal curvature")
     kappa = float(diag.max()) if kappa is None else float(kappa)
+    if not 1.0 <= kappa < math.inf:
+        raise UsageError(f"kappa must be finite and at least 1, got {kappa}")
     if not (diag.min() >= 1.0 and diag.max() <= kappa):
         raise ClassViolationError(
             f"curvature range [{diag.min():g}, {diag.max():g}] escapes [1, {kappa:g}]"
@@ -139,7 +142,8 @@ def bracket_minimizer(line: LineOracle) -> tuple[float, float]:
     Bisects on the sign of W' from ``[-r, r]``, ``r = 2*kappa*max(|base|,
     sqrt(2/kappa))``, which holds a class member's minimizer within its
     middle half (module docstring); a sign that does not change across it
-    raises ClassViolationError at once.  Costs at most
+    raises ClassViolationError at once, whose query point is the end with
+    the wrong sign (-r when W'(-r) > 0, else r).  Costs at most
     ceil(log2(2r / sqrt(2/kappa))) + 2 queries.
     """
     kappa = line.kappa
@@ -148,8 +152,9 @@ def bracket_minimizer(line: LineOracle) -> tuple[float, float]:
     d_lo, d_hi = line.derivative(-radius), line.derivative(radius)
     if not (d_lo <= 0.0 <= d_hi):
         raise ClassViolationError(
-            f"restricted derivative does not change sign on [-{radius:g}, {radius:g}]",
-            query_point=radius,
+            f"restricted derivative does not change sign on [-{radius:g}, {radius:g}]: "
+            f"W'(-{radius:g}) = {d_lo:g}, W'({radius:g}) = {d_hi:g}",
+            query_point=-radius if d_lo > 0.0 else radius,
         )
     lo, hi = -radius, radius
     while hi - lo > width:

@@ -1,15 +1,15 @@
 """Shared numerical kernels.
 
 Gaussian tail integrals of the form ``int_0^inf exp(-a*t - t^2/2) dt``,
-breakpoint-aware adaptive Simpson quadrature, total variation distance
-between densities, and the Kolmogorov-Smirnov statistic.  Everything here is
-a pure function; nothing touches an oracle or consumes queries.
+breakpoint-aware adaptive Simpson quadrature, and the Kolmogorov-Smirnov
+statistic.  Everything here is a pure function; nothing touches an oracle or
+consumes queries.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import erfc, erfcinv, erfcx
@@ -185,21 +185,6 @@ def adaptive_quadrature(
         total += _recurse(a, fa, b, fb, m, fm, whole, panel_tol, 0)
 
     return QuadratureResult(total, state["err"], state["evals"], state["converged"])
-
-
-def tv_distance(
-    p1: Callable[[float], float],
-    p2: Callable[[float], float],
-    tol: float = 1e-9,
-    lo: float = -40.0,
-    hi: float = 40.0,
-    breakpoints: Sequence[float] = (),
-) -> float:
-    """Total variation distance ``0.5 * int |p1 - p2|`` between densities."""
-    res = adaptive_quadrature(
-        lambda x: abs(p1(x) - p2(x)), lo, hi, tol=tol, breakpoints=breakpoints
-    )
-    return 0.5 * res.value
 
 
 def ks_statistic(samples, cdf: Callable) -> float:

@@ -265,8 +265,10 @@ class PotentialOracle:
         beta: float = 1.0,
         hidden_offset: float = 0.0,
     ):
-        if alpha <= 0 or beta < alpha:
-            raise UsageError(f"need 0 < alpha <= beta, got alpha={alpha}, beta={beta}")
+        if not 0 < alpha <= beta < math.inf:
+            raise UsageError(f"need 0 < alpha <= beta < inf, got alpha={alpha}, beta={beta}")
+        if not math.isfinite(hidden_offset):
+            raise UsageError(f"the hidden offset must be finite, got {hidden_offset}")
         self.potential = potential
         self.alpha = float(alpha)
         self.beta = float(beta)

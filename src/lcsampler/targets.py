@@ -37,6 +37,8 @@ def skewed_potential(kappa: float) -> PiecewiseQuadraticPotential:
     -0.75, each of width 1/sqrt(kappa), so the density is genuinely skewed
     while staying inside the curvature sandwich.
     """
+    if not 1.0 <= kappa < math.inf:
+        raise UsageError(f"skewed target needs a finite kappa >= 1, got {kappa}")
     w = 1.0 / math.sqrt(kappa)
     right_edge, left_edge = 1.0, -0.75
     breakpoints = [

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lcsampler
 from lcsampler import UsageError
-from lcsampler.cli import main
+from lcsampler.cli import build_parser, main
 from lcsampler.targets import resolve_target
 
 
@@ -193,6 +198,14 @@ class TestHardFamilyVerify:
     def test_small_kappa_is_config_error(self, tmp_path):
         assert run_cli(["hardfamily-verify", "--kappa", "1.5"]) == 4
 
+    @pytest.mark.parametrize("kappa", ["1e11", "1e12"])
+    def test_large_kappa_agrees_exactly_outside_the_bands(self, tmp_path, kappa):
+        # the lemma-1 grid samples the open exterior of each disagreement band
+        out = tmp_path / "verify.json"
+        args = ["hardfamily-verify", "--kappa", kappa, "--trials", "2000", "--seed", "4", "--out", str(out)]
+        assert run_cli(args) == 0
+        assert json.loads(out.read_text())["lemma1_max_dev"] == 0.0
+
     def test_zero_trials_is_config_error(self, tmp_path):
         # an identification rate over zero trials is undefined
         out = tmp_path / "verify.json"
@@ -279,7 +292,27 @@ class TestErrorPaths:
         ],
     )
     def test_mistyped_document_field_is_config_error(self, command, doc):
-        assert run_cli([command, "--target", json.dumps(doc), "--trials", "1"]) == 4
+        trials = ["--trials", "1"] if command == "hitandrun" else []
+        assert run_cli([command, "--target", json.dumps(doc), *trials]) == 4
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            *(
+                (command, ["--kappa", value])
+                for command in ("envelope-inspect", "sample", "bench-queries", "hardfamily-verify", "hitandrun")
+                for value in ("nan", "inf")
+            ),
+            ("sample", ["--target", "skewed", "--kappa", "nan"]),
+            ("sample", ["--target", "hard:1", "--kappa", "inf"]),
+            ("envelope-inspect", ["--target", json.dumps({"type": "gaussian", "beta": math.inf})]),
+            ("envelope-inspect", ["--target", json.dumps({"type": "gaussian", "beta": 4, "offset": math.nan})]),
+            ("hitandrun", ["--target", json.dumps({"type": "diagonal", "curvatures": [1.0, math.inf]})]),
+        ],
+    )
+    def test_non_finite_kappa_or_offset_is_config_error(self, command, flags):
+        trials = [] if command == "envelope-inspect" else ["--trials", "1"]
+        assert run_cli([command, *flags, *trials]) == 4
 
     @pytest.mark.parametrize(
         "command, doc",
@@ -297,6 +330,87 @@ class TestErrorPaths:
     def test_alpha_other_than_one_is_rejected_at_load(self):
         with pytest.raises(UsageError, match="alpha must be 1"):
             resolve_target(json.dumps({"type": "gaussian", "alpha": 2, "beta": 8}), None)
+
+
+class TestParser:
+    FLAGS = {
+        "sample": "--target --kappa --epsilon --rho-floor --trials --seed --out",
+        "envelope-inspect": "--target --kappa --out",
+        "bench-queries": "--target --kappa --trials --seed --format --out",
+        "hardfamily-verify": "--kappa --trials --seed --out",
+        "hitandrun": "--target --kappa --dimension --trials --seed --format --out",
+    }
+    # a command line each subcommand runs with exit 0
+    VALID = {
+        "sample": ["--trials", "1"],
+        "envelope-inspect": [],
+        "bench-queries": ["--kappa", "4", "--trials", "1"],
+        "hardfamily-verify": ["--kappa", "16", "--trials", "100"],
+        "hitandrun": ["--dimension", "2", "--trials", "1"],
+    }
+
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        (commands,) = (a.choices for a in build_parser()._actions if a.dest == "command")
+        taken = {
+            name: " ".join(o for a in p._actions for o in a.option_strings if o not in ("-h", "--help"))
+            for name, p in commands.items()
+        }
+        assert taken == self.FLAGS
+        assert sum(len(flags.split()) for flags in taken.values()) == 27
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("sample", "--format", "json"),
+            ("envelope-inspect", "--epsilon", "0.1"),
+            ("envelope-inspect", "--trials", "5"),
+            ("envelope-inspect", "--seed", "1"),
+            ("envelope-inspect", "--format", "json"),
+            ("bench-queries", "--epsilon", "0.1"),
+            ("hardfamily-verify", "--target", "gaussian"),
+            ("hardfamily-verify", "--epsilon", "0.1"),
+            ("hardfamily-verify", "--format", "json"),
+            ("hitandrun", "--epsilon", "0.1"),
+        ],
+    )
+    def test_removed_flag_is_config_error(self, tmp_path, command, flag, value):
+        # the same command line without the removed flag runs
+        assert run_cli([command, *self.VALID[command], "--out", str(tmp_path / "ok")]) == 0
+        out = tmp_path / "rejected"
+        assert run_cli([command, *self.VALID[command], flag, value, "--out", str(out)]) == 4
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sample", "--trials", "abc"],
+            ["bench-queries", "--format", "xml"],
+            ["envelope-inspect", "--bogus", "1"],
+            [],
+        ],
+        ids=["bad_int", "bad_choice", "unknown_flag", "no_subcommand"],
+    )
+    def test_rejected_command_line_is_config_error(self, args):
+        assert run_cli(args) == 4
+
+    @pytest.mark.parametrize("args", [["--help"], ["hitandrun", "--help"]])
+    def test_help_exits_zero(self, args, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(args)
+        assert info.value.code == 0
+        assert "usage: lcsampler" in capsys.readouterr().out
+
+    def test_process_exit_code(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(lcsampler.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "lcsampler.cli", "sample", "--trials", "abc"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 4
+        assert "invalid int value: 'abc'" in proc.stderr
 
 
 class TestKappaFromTarget:

@@ -131,7 +131,7 @@ class TestMemberConstruction:
 
 
 class TestConsecutiveAgreement:
-    @pytest.mark.parametrize("kappa", [1e3, 1e6])
+    @pytest.mark.parametrize("kappa", [1e3, 1e6, 1e12])
     def test_exact_agreement_outside_band(self, kappa):
         family = HardFamily.build(kappa)
         for i in range(1, family.m):

@@ -127,9 +127,10 @@ class TestBracketMinimizer:
 
 
     def test_minimizer_outside_seed_interval_raises_class_violation(self):
-        # curvature 100 against a declared kappa of 1: the line minimizer sits
-        # at -4.95, outside the seed interval [-2*sqrt(2), 2*sqrt(2)], so W' < 0
-        # at both ends
+        # curvature 100 against a declared kappa of 1: along u the line
+        # minimizer sits at -4.95, outside the seed interval [-r, r] with
+        # r = 2*sqrt(2), so W' > 0 at both ends (4.20 at -r, 15.40 at r) and
+        # -r is the end that fails; along -u the picture is mirrored
         diag = np.array([1.0, 100.0])
         oracle = MultivariateOracle(
             value_fn=lambda x: 0.5 * float(x @ (diag * x)),
@@ -138,11 +139,17 @@ class TestBracketMinimizer:
             kappa=1.0,
         )
         t = math.atan(0.1)
-        line = restrict(
-            oracle, np.array([-math.sin(t), math.cos(t)]), np.array([math.cos(t), math.sin(t)])
-        )
-        with pytest.raises(ClassViolationError, match="does not change sign"):
-            bracket_minimizer(line)
+        x = np.array([-math.sin(t), math.cos(t)])
+        u = np.array([math.cos(t), math.sin(t)])
+        r = 2.0 * math.sqrt(2.0)
+        for direction, failing_end, slopes in (
+            (u, -r, "W'(-2.82843) = 4.20113, W'(2.82843) = 15.4028"),
+            (-u, r, "W'(-2.82843) = -15.4028, W'(2.82843) = -4.20113"),
+        ):
+            with pytest.raises(ClassViolationError, match="does not change sign") as info:
+                bracket_minimizer(restrict(oracle, x, direction))
+            assert info.value.query_point == failing_end
+            assert slopes in str(info.value)
 
 
 class TestLineEnvelope:

@@ -12,7 +12,6 @@ from lcsampler.numerics import (
     ks_statistic,
     normal_cdf,
     sample_gaussian_tail,
-    tv_distance,
 )
 
 
@@ -91,31 +90,6 @@ class TestAdaptiveQuadrature:
         res = adaptive_quadrature(lambda x: (x + 1e-280) ** -0.5, 0.0, 1.0, tol=1e-14)
         assert not res.converged
         assert res.error_estimate > 0.0
-
-
-class TestTvDistance:
-    def _normal_density(self, mu):
-        return lambda x: math.exp(-0.5 * (x - mu) ** 2) / math.sqrt(2 * math.pi)
-
-    def test_identical_densities(self):
-        p = self._normal_density(0.0)
-        assert tv_distance(p, p, tol=1e-10) == pytest.approx(0.0, abs=1e-10)
-
-    def test_mean_shifted_gaussians_closed_form(self):
-        # TV(N(0,1), N(2,1)) = 2*Phi(1) - 1
-        p, q = self._normal_density(0.0), self._normal_density(2.0)
-        expected = 2.0 * float(normal_cdf(1.0)) - 1.0
-        assert expected == pytest.approx(0.6826894921370859, rel=1e-12)
-        assert tv_distance(p, q, tol=1e-9, breakpoints=[1.0]) == pytest.approx(expected, abs=1e-7)
-
-    def test_symmetry_and_triangle(self):
-        p, q, r = (self._normal_density(mu) for mu in (0.0, 0.7, 1.5))
-        d_pq = tv_distance(p, q, tol=1e-9)
-        d_qp = tv_distance(q, p, tol=1e-9)
-        d_qr = tv_distance(q, r, tol=1e-9)
-        d_pr = tv_distance(p, r, tol=1e-9)
-        assert d_pq == pytest.approx(d_qp, abs=1e-8)
-        assert d_pr <= d_pq + d_qr + 1e-8
 
 
 class TestKsStatistic:

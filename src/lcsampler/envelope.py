@@ -1,27 +1,31 @@
 """Construction of the dominating proposal for rejection sampling.
 
 One plateau rule builds every envelope.  For a potential ``W`` with
-``1 <= W'' <= kappa`` whose minimizer lies in the bracket ``[a, b]`` and whose
-minimum lies in ``[-floor, 0]``, the envelope is
+``1 <= W'' <= kappa`` that is at most 0 somewhere in the bracket ``[a, b]``,
+at least ``-floor`` everywhere, and whose minimizer lies within ``reach`` of
+the bracket, the envelope is
 
     q(x) = e^floor                                          on [x_minus, x_plus]
     q(x) = e^floor * exp(-tail_offset - drift*t - t^2/2),  t = distance to the plateau,
 
 with ``x_plus = b + 2^j / sqrt(kappa)`` and ``x_minus = a - 2^i / sqrt(kappa)``
 for the first indices ``i, j >= lo`` at which ``W`` reaches ``level``.
-``W >= -floor`` bounds the plateau.  Convexity through the bracket makes the
-edge slopes at least ``level / (x_plus - a)`` and ``level / (b - x_minus)``,
-the drifts, and strong convexity adds ``t^2/2``, so any ``tail_offset <=
-level + floor`` dominates the tails.  As ``W(b + t) >= -floor + t^2/2``, the
-level is certain once ``t^2/2 >= level + floor``: the search stops at
-``max(lo, ceil((log2(kappa) + log2(2 (level + floor))) / 2))``, and a target
-that misses the level there is outside the class.
+``W >= -floor`` bounds the plateau.  Convexity from the bracket point where
+``W <= 0`` makes the edge slopes at least ``level / (x_plus - a)`` and
+``level / (b - x_minus)``, the drifts, and strong convexity adds ``t^2/2``, so
+any ``tail_offset <= level + floor`` dominates the tails.  As ``W(b + t) >=
+-floor + (t - reach)^2/2``, the level is certain once ``t >= reach +
+sqrt(2 (level + floor))``: the search stops at ``max(lo, ceil(log2(kappa)/2 +
+log2(reach + sqrt(2 (level + floor)))))``, and a target that misses the
+level there is outside the class.
 
 The 1D sampler takes ``a = b = 0`` on the normalized potential with level
-1/2, floor 0, ``lo`` 0 and offset 0 (plateau height 1); the Hit-and-Run line
-step takes level 3, floor 1, ``lo`` 1 and offset 3.  The guarded dyadic
-binary search costs O(log log kappa) queries, and the mass has a closed
-form, so normalization and sampling consume no queries at all.
+1/2, floor 0, reach 0, ``lo`` 0 and offset 0 (plateau height 1); the
+Hit-and-Run line step takes ``a = b = p`` for a point p with ``|W'(p)| <=
+1``, shifted to ``W(p) = 0``, with level 3, floor 1/2, reach ``|W'(p)|``,
+``lo`` 1 and offset 3.5.  The guarded dyadic binary search costs O(log log
+kappa) queries, and the mass has a closed form, so normalization and
+sampling consume no queries at all.
 """
 from __future__ import annotations
 
@@ -251,13 +255,23 @@ class Envelope:
 
 
 def plateau_envelope(
-    value, a: float, b: float, kappa: float, *, level: float, floor: float, lo: int, tail_offset: float
+    value,
+    a: float,
+    b: float,
+    kappa: float,
+    *,
+    level: float,
+    floor: float,
+    lo: int,
+    tail_offset: float,
+    reach: float = 0.0,
 ) -> Envelope:
     """The plateau envelope of the module docstring around the bracket [a, b].
 
     Searches right of ``b`` first, then left of ``a``; ``value`` is queried.
     """
-    top = max(lo, math.ceil((math.log2(kappa) + math.log2(2.0 * (level + floor))) / 2))
+    edge = math.log2(reach + math.sqrt(2.0 * (level + floor)))
+    top = max(lo, math.ceil(math.log2(kappa) / 2 + edge))
     root = math.sqrt(kappa)
     i_plus = find_threshold_index(value, b, +1, kappa, level, lo, top)
     i_minus = find_threshold_index(value, a, -1, kappa, level, lo, top)

@@ -10,7 +10,8 @@ class ClassViolationError(RuntimeError):
 
     Raised when an observed oracle response is inconsistent with the declared
     curvature sandwich (for example, no threshold index exists in the search
-    range, or a derivative-sign bracket cannot be established).
+    range, or a line value escapes the sandwich a gradient certificate
+    implies).
     """
 
     def __init__(self, message, query_point=None):

@@ -1,26 +1,40 @@
-"""Hit-and-Run with an exact line-sampling step.
+"""Hit-and-Run with an exact line-sampling step built on a gradient certificate.
 
 Each step draws a uniform direction and restricts the d-dimensional
-potential to that line (the restriction inherits the curvature sandwich).
-The line step then does three things: it brackets the line minimizer by
-derivative-sign bisection, shifts the restriction by its larger value at the
-bracket ends so the minimum lies in [-1, 0], and hands both to the shared
-plateau builder :func:`lcsampler.envelope.plateau_envelope`.  Rejection
-against that envelope draws the step size exactly.  All oracle traffic goes
-through one counter so per-step query costs are measurable.
+potential to the line through the current point.  Along a unit direction the
+restriction W keeps the curvature sandwich ``1 <= W'' <= kappa``, and one
+query at a point p gives both ``W(p)`` and ``g = W'(p)``.  Strong convexity
+then bounds the minimum from below, ``W(p) - W* <= g^2/2``, and places the
+minimizer between ``p - g`` and ``p - g/kappa``, within ``|g|`` of p.  A point with
+``|g| <= 1`` is therefore a certificate: ``W - W(p) >= -1/2`` everywhere.
 
-The bisection is seeded on ``[-r, r]``, ``r = 2*kappa*max(|base|,
-sqrt(2/kappa))`` with ``base`` the line's closest point to the origin.  A
-class member has ``|W'(0)| <= kappa*|base|`` (zero gradient at the origin,
-Hessian at most kappa) and ``W'' >= 1``, so its line minimizer lies within
-``kappa*|base| <= r/2`` of 0 and W' changes sign on ``[-r, r]``.  When it
-does not, the target is outside the class: the step raises
-ClassViolationError rather than bracket a wrong point.
+The line step has three parts:
+
+* :func:`bracket_minimizer` searches for a certificate from the chain's
+  current point.  There ``|W'|`` is usually already at most 1; otherwise
+  ``W'(p - g)`` has the sign opposite to g, and safeguarded regula falsi on
+  W' between the two, with bisection as the fallback, finds one.
+* :func:`build_line_envelope` shifts W by the ``W(p)`` it already holds and
+  calls the shared plateau builder :func:`lcsampler.envelope.plateau_envelope`
+  with ``a = b = p``, level 3, floor 1/2 and tail offset 3.5.  Domination
+  needs only ``W(p) = 0`` after the shift, ``W >= -1/2`` and convexity; kappa
+  enters the threshold search's range alone, which also covers the distance
+  ``|g|`` from p to the minimizer.
+* Rejection against that envelope draws the step size exactly.
+
+The envelope dominates any convex restriction at least -1/2 below W(p), so a
+target outside the class could pass silently.  Instead every line value the
+step queries, in the search, the threshold search and each rejection trial,
+is checked against the sandwich the certificate implies,
+``g t + t^2/2 <= W(p + t) - W(p) <= g t + kappa t^2/2``, and a miss raises
+ClassViolationError.  All oracle traffic goes through one counter, so
+per-step query costs are measurable.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,14 +42,19 @@ from .envelope import Envelope, plateau_envelope
 from .errors import ClassViolationError, UsageError
 from .rejection import sample_exact
 
+# Relative slack of the sandwich checks, for float noise in class members
+# that sit exactly on a bound (curvature 1 or kappa).
+_SLACK = 1e-9
+
 
 class MultivariateOracle:
     """Query-counting oracle for a d-dimensional potential.
 
-    One call returns ``(value, gradient)`` and increments the counter by
-    exactly one.  The potential must satisfy ``V(0) = 0`` and ``grad V(0) =
-    0`` with directional curvature in ``[1, kappa]`` along every unit
-    direction.
+    One call returns ``(value, gradient)``, or ``(value, None)`` without
+    computing the gradient when ``gradient`` is false, and increments the
+    counter by exactly one.  The potential must satisfy ``V(0) = 0`` and
+    ``grad V(0) = 0`` with directional curvature in ``[1, kappa]`` along
+    every unit direction.
     """
 
     def __init__(self, value_fn, grad_fn, dimension: int, kappa: float):
@@ -58,10 +77,13 @@ class MultivariateOracle:
     def query_count(self) -> int:
         return self._count
 
-    def query(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+    def query(self, x: np.ndarray, gradient: bool = True) -> tuple[float, np.ndarray | None]:
         self._count += 1
         x = np.asarray(x, dtype=float)
-        return float(self._value_fn(x)), np.asarray(self._grad_fn(x), dtype=float)
+        value = float(self._value_fn(x))
+        if not gradient:
+            return value, None
+        return value, np.asarray(self._grad_fn(x), dtype=float)
 
 
 def quadratic_oracle(diagonal, kappa: float | None = None) -> MultivariateOracle:
@@ -89,22 +111,47 @@ def quadratic_oracle(diagonal, kappa: float | None = None) -> MultivariateOracle
     )
 
 
+class Certificate(NamedTuple):
+    """A point ``lam`` on a line with ``W(lam)`` and ``W'(lam)``.
+
+    :func:`bracket_minimizer` returns one with ``|slope| <= 1``.
+    """
+
+    lam: float
+    value: float
+    slope: float
+
+    def check(self, lam: float, value: float, kappa: float) -> None:
+        """Raise ClassViolationError unless ``W(lam) = value`` fits the sandwich at this point."""
+        t = lam - self.lam
+        rise = value - self.value
+        linear, square = self.slope * t, 0.5 * t * t
+        low, high = linear + square, linear + kappa * square
+        slack = _SLACK * (abs(value) + abs(self.value) + abs(linear) + kappa * square)
+        if not low - slack <= rise <= high + slack:
+            raise ClassViolationError(
+                f"W({lam:g}) - W({self.lam:g}) = {rise:.6g} escapes the curvature sandwich "
+                f"[{low:.6g}, {high:.6g}] that W'({self.lam:g}) = {self.slope:.6g} and "
+                f"kappa = {kappa:g} imply",
+                query_point=lam,
+            )
+
+
 class LineOracle:
     """1D view W(lam) = V(base + lam * u) - shift; one multivariate query per call.
 
     A unit-direction restriction keeps the sandwich [1, kappa], so ``kappa``
-    is the multivariate oracle's.
+    is the multivariate oracle's.  ``value`` asks the oracle for the value
+    alone.
     """
 
-    def __init__(self, oracle: MultivariateOracle, base, direction, shift: float = 0.0):
+    shift = 0.0
+
+    def __init__(self, oracle: MultivariateOracle, base, direction):
         self._oracle = oracle
         self.kappa = oracle.kappa
         self.base = np.asarray(base, dtype=float)
         self.direction = np.asarray(direction, dtype=float)
-        self.shift = float(shift)
-
-    def with_shift(self, shift: float) -> "LineOracle":
-        return LineOracle(self._oracle, self.base, self.direction, shift=shift)
 
     def point(self, lam: float) -> np.ndarray:
         return self.base + lam * self.direction
@@ -114,10 +161,25 @@ class LineOracle:
         return value - self.shift, float(self.direction @ grad)
 
     def value(self, lam: float) -> float:
-        return self.query(lam)[0]
+        return self._oracle.query(self.point(lam), gradient=False)[0] - self.shift
 
-    def derivative(self, lam: float) -> float:
-        return self.query(lam)[1]
+
+class CertifiedLine(LineOracle):
+    """An unshifted line's restriction shifted by ``W(p)`` of a certificate p.
+
+    Every value is checked against the sandwich the certificate implies
+    before it is returned (:meth:`Certificate.check`).
+    """
+
+    def __init__(self, line: LineOracle, certificate: Certificate):
+        super().__init__(line._oracle, line.base, line.direction)
+        self.shift = certificate.value
+        self.certificate = certificate
+
+    def value(self, lam: float) -> float:
+        value = self._oracle.query(self.point(lam), gradient=False)[0]
+        self.certificate.check(lam, value, self.kappa)
+        return value - self.shift
 
 
 def restrict(oracle: MultivariateOracle, x_t, u) -> LineOracle:
@@ -136,54 +198,75 @@ def restrict(oracle: MultivariateOracle, x_t, u) -> LineOracle:
     return LineOracle(oracle, x_t - float(u @ x_t) * u, u)
 
 
-def bracket_minimizer(line: LineOracle) -> tuple[float, float]:
-    """Bracket of exact width sqrt(2/kappa) around the line minimizer.
+def bracket_minimizer(line: LineOracle, start: float) -> Certificate:
+    """A certificate for the line: a queried point p with ``|W'(p)| <= 1``.
 
-    Bisects on the sign of W' from ``[-r, r]``, ``r = 2*kappa*max(|base|,
-    sqrt(2/kappa))``, which holds a class member's minimizer within its
-    middle half (module docstring); a sign that does not change across it
-    raises ClassViolationError at once, whose query point is the end with
-    the wrong sign (-r when W'(-r) > 0, else r).  Costs at most
-    ceil(log2(2r / sqrt(2/kappa))) + 2 queries.
+    Queries ``start`` first.  If ``|g| > 1`` there, strong convexity gives
+    ``W'(start - g)`` the opposite sign, and regula falsi on W' between the
+    two ends takes over; a secant step that fails to halve the bracket is
+    followed by a bisection, so every two probes at least halve it.  A class
+    member has ``|W'| <= 1`` within ``1/kappa`` of its minimizer, so the
+    search ends before the bracket is narrower than ``2/kappa``, after at
+    most ``2 + 2*max(0, ceil(log2(kappa*|g|/2)))`` queries.
+
+    Raises ClassViolationError when the far end's slope has the sign of g,
+    when the bracket falls below ``1/kappa`` (W' is steeper than kappa
+    allows), or when a probed value escapes the sandwich of the
+    certificate found.
     """
     kappa = line.kappa
-    width = math.sqrt(2.0 / kappa)
-    radius = 2.0 * kappa * max(float(np.linalg.norm(line.base)), width)
-    d_lo, d_hi = line.derivative(-radius), line.derivative(radius)
-    if not (d_lo <= 0.0 <= d_hi):
-        raise ClassViolationError(
-            f"restricted derivative does not change sign on [-{radius:g}, {radius:g}]: "
-            f"W'(-{radius:g}) = {d_lo:g}, W'({radius:g}) = {d_hi:g}",
-            query_point=-radius if d_lo > 0.0 else radius,
-        )
-    lo, hi = -radius, radius
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        dm = line.derivative(mid)
-        if dm < 0.0:
-            lo = mid
-        elif dm > 0.0:
-            hi = mid
-        else:
-            lo = hi = mid
-            break
-    a = lo - 0.5 * (width - (hi - lo))
-    return a, a + width
+    start = float(start)
+    probes = [Certificate(start, *line.query(start))]
+    first = probes[0]
+    if abs(first.slope) > 1.0:
+        far = Certificate(first.lam - first.slope, *line.query(first.lam - first.slope))
+        probes.append(far)
+        if far.slope * first.slope > 0.0 and abs(far.slope) > 1.0:
+            raise ClassViolationError(
+                f"W'({first.lam:g}) = {first.slope:.6g} and W'({far.lam:g}) = "
+                f"{far.slope:.6g} share a sign; the restriction is not 1-strongly convex",
+                query_point=far.lam,
+            )
+        lo, hi = sorted((first, far))
+        bisect = False
+        while abs(probes[-1].slope) > 1.0:
+            width = hi.lam - lo.lam
+            lam = 0.5 * (lo.lam + hi.lam)
+            if not bisect:
+                lam = lo.lam - lo.slope * width / (hi.slope - lo.slope)
+            if not (width >= 1.0 / kappa and lo.lam < lam < hi.lam):
+                raise ClassViolationError(
+                    f"W' rises from {lo.slope:.6g} to {hi.slope:.6g} across "
+                    f"[{lo.lam:.17g}, {hi.lam:.17g}], steeper than kappa = {kappa:g} allows",
+                    query_point=lam,
+                )
+            probe = Certificate(lam, *line.query(lam))
+            probes.append(probe)
+            lo, hi = (probe, hi) if probe.slope < 0.0 else (lo, probe)
+            bisect = not bisect and hi.lam - lo.lam > 0.5 * width
+    certificate = probes[-1]
+    for probe in probes[:-1]:
+        certificate.check(probe.lam, probe.value, kappa)
+    return certificate
 
 
-def build_line_envelope(line: LineOracle, a: float, b: float) -> tuple[Envelope, LineOracle]:
-    """Shifted plateau envelope for the restriction, given a minimizer bracket.
+def build_line_envelope(line: LineOracle, certificate: Certificate) -> tuple[Envelope, LineOracle]:
+    """Plateau envelope for the restriction shifted by the certificate's value.
 
-    Relabels the potential by ``max(W(a), W(b))`` so the minimum lies in
-    [-1, 0], then builds the plateau-e envelope whose edges are the first
-    dyadic offsets past the bracket where the relabeled value reaches 3.
-    Index 0 is never searched: one grid step past the bracket the relabeled
-    value is at most sqrt(2) + 1/2 < 3.  Returns the envelope together with
-    the relabeled oracle the rejection step must evaluate.
+    The shifted restriction is 0 at p and at least ``-slope^2/2 >= -1/2``,
+    its minimizer lies within ``|slope|`` of p, and its edges are the first
+    dyadic offsets from p where it reaches 3.  Index 0 is never searched:
+    one grid step ``1/sqrt(kappa)`` from p the shifted value is at most
+    ``|slope|/sqrt(kappa) + 1/2 <= 3/2``.  The shift itself costs no query.
+    Returns the envelope together with the shifted, sandwich-checked oracle
+    the rejection step must evaluate.
     """
-    shift = max(line.value(a), line.value(b))
-    shifted = line.with_shift(line.shift + shift)
-    env = plateau_envelope(shifted.value, a, b, line.kappa, level=3.0, floor=1.0, lo=1, tail_offset=3.0)
+    shifted = CertifiedLine(line, certificate)
+    p = certificate.lam
+    env = plateau_envelope(
+        shifted.value, p, p, line.kappa,
+        level=3.0, floor=0.5, lo=1, tail_offset=3.5, reach=abs(certificate.slope),
+    )
     return env, shifted
 
 
@@ -218,8 +301,8 @@ def step(
     else:
         u = np.asarray(direction, dtype=float)
     line = restrict(oracle, x, u)
-    a, b = bracket_minimizer(line)
-    env, shifted = build_line_envelope(line, a, b)
+    certificate = bracket_minimizer(line, float(u @ np.asarray(x, dtype=float)))
+    env, shifted = build_line_envelope(line, certificate)
     return line.point(sample_exact(shifted, env, rng).result)
 
 

@@ -161,4 +161,8 @@ def resolve_multivariate_target(
             dimension = int(doc.get("dimension", dimension))
     if dimension < 1:
         raise UsageError(f"dimension must be positive, got {dimension}")
-    return quadratic_oracle(np.ones(dimension), kappa=beta)
+    try:
+        curvatures = np.ones(dimension)
+    except (MemoryError, ValueError, OverflowError) as exc:
+        raise UsageError(f"dimension {dimension} is too large: {exc}") from exc
+    return quadratic_oracle(curvatures, kappa=beta)

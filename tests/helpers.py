@@ -1,5 +1,6 @@
-"""Shared fixtures-in-spirit: random class members, a geometric GOF test and
-the quadrature reference for the acceptance probability."""
+"""Shared fixtures-in-spirit: random class members, a geometric GOF test, the
+quadrature reference for the acceptance probability and separable product
+targets for Hit-and-Run."""
 from __future__ import annotations
 
 import math
@@ -7,7 +8,7 @@ import math
 import numpy as np
 from scipy.stats import chi2
 
-from lcsampler import PiecewiseQuadraticPotential
+from lcsampler import MultivariateOracle, PiecewiseQuadraticPotential
 from lcsampler.numerics import adaptive_quadrature
 
 
@@ -68,3 +69,21 @@ def quadrature_acceptance(potential, env, tol: float = 1e-10) -> float:
     res = adaptive_quadrature(unnormalized, lo, hi, tol=tol, breakpoints=bps)
     assert res.converged, f"reference quadrature did not converge (error ~ {res.error_estimate:g})"
     return res.value / env.mass_total
+
+
+def product_oracle(members, kappa: float) -> MultivariateOracle:
+    """Oracle for ``V(x) = sum_i V_i(x_i)`` over 1D potentials ``members``.
+
+    With every member in the class at ``kappa`` the Hessian is diagonal with
+    entries in [1, kappa], so the product is a class member too; along axis
+    i the exact conditional law is member i's own density.
+    """
+    members = list(members)
+
+    def value(x):
+        return sum(m.evaluate(float(xi))[0] for m, xi in zip(members, x))
+
+    def gradient(x):
+        return np.array([m.evaluate(float(xi))[1] for m, xi in zip(members, x)])
+
+    return MultivariateOracle(value, gradient, dimension=len(members), kappa=kappa)

@@ -269,6 +269,15 @@ class TestErrorPaths:
     def test_nonpositive_dimension_is_config_error(self, dimension):
         assert run_cli(["hitandrun", "--dimension", dimension, "--trials", "1"]) == 4
 
+    @pytest.mark.parametrize(
+        "target", ["gaussian", json.dumps({"type": "gaussian", "dimension": 2**62})]
+    )
+    def test_oversized_dimension_is_config_error(self, target, capsys):
+        # NumPy refuses 2^62 doubles before allocating anything
+        args = ["hitandrun", "--target", target, "--dimension", str(2**62), "--trials", "1"]
+        assert run_cli(args) == 4
+        assert f"dimension {2**62} is too large" in capsys.readouterr().err
+
     def test_curvature_below_alpha_is_class_violation(self):
         doc = {"type": "piecewise", "beta": 4, "breakpoints": [1.5], "curvatures": [1.0, 0.2]}
         assert run_cli(["sample", "--target", json.dumps(doc), "--kappa", "4", "--trials", "10"]) == 3

@@ -11,7 +11,12 @@ own dyadic window, so a single exact sample identifies the member.
 Members are materialized as explicit breakpoint lists (about 2m + 6
 breakpoints each), not evaluated through the block formulas per query,
 which gives O(log) evaluation and makes the agreement between consecutive
-members exact in floating point.
+members exact in floating point.  Each edge y / sqrt(kappa) is passed as
+the exact rational ``a*q / (b*p)``, with a/b the dyadic y and p/q the float
+sqrt(kappa), so every edge's denominator divides p times a power of two and
+their lcm stays small.  The potential integrates its anchors in integers
+over that lcm and rounds each anchor once; where two members agree, their
+anchors are the same exact rationals and so the same floats.
 """
 from __future__ import annotations
 
@@ -39,26 +44,6 @@ def largest_m(kappa: float) -> int:
     return m
 
 
-def phi(t: float, kappa: float) -> float:
-    """First bump profile: kappa on [1/2,1), 1 on [1,2), kappa on [2,5/2), else 0."""
-    if 0.5 <= t < 1.0:
-        return kappa
-    if 1.0 <= t < 2.0:
-        return 1.0
-    if 2.0 <= t < 2.5:
-        return kappa
-    return 0.0
-
-
-def psi(t: float, kappa: float) -> float:
-    """Repeating tail profile: 1 on [5/2,4), kappa on [4,5), else 0."""
-    if 2.5 <= t < 4.0:
-        return 1.0
-    if 4.0 <= t < 5.0:
-        return kappa
-    return 0.0
-
-
 def member_blocks(kappa: float, i: int) -> list[tuple[float, float, float]]:
     """Half-line curvature blocks of member i on the canonical axis y = x*sqrt(kappa).
 
@@ -82,20 +67,6 @@ def member_blocks(kappa: float, i: int) -> list[tuple[float, float, float]]:
     return blocks
 
 
-def second_derivative_by_formula(kappa: float, i: int, x: float) -> float:
-    """Direct block-formula evaluation of V_i'' at x >= 0 (cross-check path)."""
-    m = largest_m(kappa)
-    root = math.sqrt(kappa)
-    y = abs(x) * root
-    total = 1.0 if y <= 2.0 ** (i - 1) else 0.0
-    total += phi(y / 2.0**i, kappa)
-    for j in range(i, m):
-        total += psi(y / 2.0**j, kappa)
-    if y >= 5.0 * 2.0 ** (m - 1):
-        total += 1.0
-    return total
-
-
 def build_member(kappa: float, i: int) -> PiecewiseQuadraticPotential:
     """Member i as an even piecewise quadratic with V(0) = V'(0) = 0.
 
@@ -106,16 +77,18 @@ def build_member(kappa: float, i: int) -> PiecewiseQuadraticPotential:
     agrees, so agreeing members return bitwise-identical responses.
     """
     blocks = member_blocks(kappa, i)
-    root = Fraction(math.sqrt(kappa))
     pos_edges = []
     pos_curvs = [blocks[0][2]]
     for start, end, curv in blocks[1:]:
-        pos_edges.append(Fraction(start) / root)
+        pos_edges.append(start)
         pos_curvs.append(curv)
         if start == 2.0**i and not math.isinf(end):
-            pos_edges.append(Fraction(1.25 * 2.0**i) / root)
+            pos_edges.append(1.25 * 2.0**i)
             pos_curvs.append(curv)
-    breakpoints = [-e for e in reversed(pos_edges)] + pos_edges
+    edges = [-y for y in reversed(pos_edges)] + pos_edges
+    # each edge y / sqrt(kappa) exactly, as (a/b) / (p/q) = a*q / (b*p)
+    p, q = math.sqrt(kappa).as_integer_ratio()
+    breakpoints = [Fraction(a * q, b * p) for a, b in map(float.as_integer_ratio, edges)]
     curvatures = list(reversed(pos_curvs[1:])) + pos_curvs
     return PiecewiseQuadraticPotential(breakpoints, curvatures)
 
@@ -144,47 +117,6 @@ def disagreement_band(kappa: float, i: int) -> tuple[float, float]:
     """|x| range where members i and i+1 may differ: [2^(i-1), (5/4)*2^(i+1)] / sqrt(kappa)."""
     root = math.sqrt(kappa)
     return 2.0 ** (i - 1) / root, 1.25 * 2.0 ** (i + 1) / root
-
-
-def curvature_telescoping(kappa: float, i: int) -> tuple[float, float]:
-    """Exact band integrals of the curvature difference between members i and i+1.
-
-    Returns (single integral, double integral) of ``V_{i+1}'' - V_i''`` over
-    the disagreement band, computed on the canonical dyadic axis with
-    rational arithmetic so genuine cancellation shows up as exact zeros.
-    """
-    m = largest_m(kappa)
-    if not 1 <= i <= m - 1:
-        raise UsageError(f"consecutive pair needs i in [1, {m - 1}], got {i}")
-    lo, hi = Fraction(2) ** (i - 1), Fraction(5, 2) * Fraction(2) ** i
-
-    def curv_at(blocks, y: Fraction) -> Fraction:
-        for start, end, c in blocks:
-            if Fraction(start) <= y and (math.isinf(end) or y < Fraction(end)):
-                return Fraction(c)
-        raise AssertionError("blocks must tile the half line")
-
-    edges = {lo, hi}
-    for blocks in (member_blocks(kappa, i), member_blocks(kappa, i + 1)):
-        for start, end, _ in blocks:
-            for e in (start, end):
-                if not math.isinf(e) and lo < Fraction(e) < hi:
-                    edges.add(Fraction(e))
-    edges = sorted(edges)
-
-    blocks_i = member_blocks(kappa, i)
-    blocks_j = member_blocks(kappa, i + 1)
-    area = Fraction(0)
-    double = Fraction(0)
-    running = Fraction(0)  # integral of the difference from the band start
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid = (a + b) / 2
-        diff = curv_at(blocks_j, mid) - curv_at(blocks_i, mid)
-        w = b - a
-        double += running * w + diff * w * w / 2
-        running += diff * w
-        area += diff * w
-    return float(area), float(double)
 
 
 def member_window(kappa: float, i: int) -> tuple[float, float]:

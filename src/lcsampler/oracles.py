@@ -38,10 +38,17 @@ class PiecewiseQuadraticPotential:
     by its value and slope at x = 0.
 
     Value/slope pairs at every breakpoint are computed once at construction
-    by exact rational integration of the curvature steps.  This avoids
-    accumulation error at evaluation time and guarantees that two potentials
-    built from the same curvature profile on a region evaluate bitwise
-    identically there, no matter how their segment lists subdivide it.
+    by exact rational integration of the curvature steps, done in Python
+    integers: every breakpoint is put over one common denominator D (the lcm
+    of theirs), every curvature and V'(0) over one common C, and the walk
+    outward from 0 carries slope numerators over C*D and value numerators
+    over 2*C*D^2.  Each anchor is then rounded once, by correctly rounded
+    ``int / int`` division, to the float nearest its exact value.  This
+    avoids accumulation error at evaluation time and guarantees that two
+    potentials built from the same curvature profile on a region evaluate
+    bitwise identically there, no matter how their segment lists subdivide
+    it or which denominators the rest of their breakpoints carry: an exact
+    value has one nearest float.
     """
 
     def __init__(
@@ -53,10 +60,15 @@ class PiecewiseQuadraticPotential:
     ):
         # Fractions are accepted as breakpoints so callers with an exact grid
         # (e.g. dyadic points divided by an irrational scale) keep widths that
-        # cancel exactly during anchor integration.
-        exact_bp = [b if isinstance(b, Fraction) else Fraction(float(b)) for b in breakpoints]
+        # cancel exactly during anchor integration; a Fraction or a float
+        # enters the integer walk through its exact as_integer_ratio().
+        exact_bp = [b if isinstance(b, Fraction) else float(b) for b in breakpoints]
         bp = [float(b) for b in exact_bp]
         cv = [float(c) for c in curvatures]
+        for field, values in (("breakpoint", bp), ("curvature", cv)):
+            bad = [v for v in values if not math.isfinite(v)]
+            if bad:
+                raise UsageError(f"every {field} must be finite, got {bad[0]}")
         if len(cv) != len(bp) + 1:
             raise UsageError(
                 f"need one curvature per segment: {len(bp)} breakpoints require "
@@ -70,43 +82,62 @@ class PiecewiseQuadraticPotential:
         self._curv = np.asarray(cv, dtype=float)
         self.value_at_zero = float(value_at_zero)
         self.slope_at_zero = float(slope_at_zero)
-        self._exact_values, self._rows = self._segment_anchors(exact_bp, cv)
+        self._exact_values, self._value_den, self._rows = self._segment_anchors(exact_bp, cv)
         self._columns = tuple(np.asarray(col, dtype=float) for col in zip(*self._rows))
         self._mass_cache = None
 
-    def _segment_anchors(self, exact_bp: list[Fraction], cv: list[float]):
-        """Per-segment exact anchor values and ``(anchor_x, anchor_v, anchor_d, c)`` rows.
+    def _segment_anchors(self, exact_bp: list, cv: list[float]):
+        """Exact V - V(0) at each anchor (numerators over one denominator) and the anchor rows.
 
-        The segment holding the origin is anchored at the origin, every other
+        Rows are ``(anchor_x, anchor_v, anchor_d, c)``.  The segment holding the origin is anchored at the origin, every other
         segment at its edge closest to the origin (the mode).  Value/slope
-        pairs at the edges come from exact rational integration of the
-        curvature steps outward from 0, rounded once to floats.
+        pairs at the edges come from exact integration of the curvature
+        steps outward from 0 in integers: breakpoints over D, curvatures and
+        V'(0) over C, so slopes are numerators over C*D and V - V(0) is a
+        numerator over 2*C*D^2.  Each anchor is rounded once by ``int / int``.
         """
         n = len(cv) - 1
         j0 = bisect_right(self._bp_list, 0.0)
-        fr_cv = [Fraction(c) for c in cv]
-        av = [Fraction(0)] * n
-        ad = [Fraction(0)] * n
+        bp_ratios = [b.as_integer_ratio() for b in exact_bp]
+        cv_ratios = [c.as_integer_ratio() for c in cv]
+        s0, s_den = self.slope_at_zero.as_integer_ratio()
+        p0, q0 = self.value_at_zero.as_integer_ratio()
+        bp_den = math.lcm(1, *(q for _, q in bp_ratios))
+        cv_den = math.lcm(s_den, *(q for _, q in cv_ratios))
+        ys = [p * (bp_den // q) for p, q in bp_ratios]
+        cs = [p * (cv_den // q) for p, q in cv_ratios]
+        slope_den = cv_den * bp_den
+        value_den = 2 * slope_den * bp_den
+        av = [0] * n
+        ad = [0] * n
         # rightward from 0, then leftward: walking right to edge k crosses
         # segment k, walking left to it crosses segment k + 1
         for edges, crossed in ((range(j0, n), 0), (range(j0 - 1, -1, -1), 1)):
-            x, v, d = Fraction(0), Fraction(self.value_at_zero), Fraction(self.slope_at_zero)
+            y, v, d = 0, 0, s0 * (cv_den // s_den) * bp_den
             for k in edges:
-                c = fr_cv[k + crossed]
-                w = exact_bp[k] - x
-                v, d = v + d * w + c * w * w / 2, d + c * w
+                c = cs[k + crossed]
+                w = ys[k] - y
+                v, d = v + (2 * d + c * w) * w, d + c * w
                 av[k], ad[k] = v, d
-                x = exact_bp[k]
+                y = ys[k]
         exact, rows = [], []
         for j, c in enumerate(cv):
             if j == j0:
-                exact.append(Fraction(self.value_at_zero))
+                exact.append(0)
                 rows.append((0.0, self.value_at_zero, self.slope_at_zero, c))
-            else:
-                a = j - 1 if j > j0 else j
-                exact.append(av[a])
-                rows.append((self._bp_list[a], float(av[a]), float(ad[a]), c))
-        return exact, rows
+                continue
+            a = j - 1 if j > j0 else j
+            exact.append(av[a])
+            try:
+                value = (p0 * value_den + q0 * av[a]) / (q0 * value_den)
+                slope = ad[a] / slope_den
+            except OverflowError as exc:
+                raise UsageError(
+                    f"segment {j}: the potential at its anchor x = {self._bp_list[a]:g} "
+                    "overflows a float"
+                ) from exc
+            rows.append((self._bp_list[a], value, slope, c))
+        return exact, value_den, rows
 
     @classmethod
     def gaussian(cls, curvature: float = 1.0, value_at_zero: float = 0.0):
@@ -159,10 +190,9 @@ class PiecewiseQuadraticPotential:
     def _segment_table(self):
         """Per-segment arrays (lo, hi, mu, vmin, c): exp(-(V - V(0))) in completed-square form."""
         edges = [-math.inf, *self._bp_list, math.inf]
-        origin = Fraction(self.value_at_zero)
         rows = []
         for j, ((x0, _, d0, c), exact) in enumerate(zip(self._rows, self._exact_values)):
-            v0 = float(exact - origin)  # V - V(0) at the anchor, rounded once
+            v0 = exact / self._value_den  # V - V(0) at the anchor, rounded once
             if c <= 0:
                 raise UsageError("density helpers require strictly convex segments")
             rows.append((edges[j], edges[j + 1], x0 - d0 / c, v0 - d0 * d0 / (2 * c), c))

@@ -72,12 +72,12 @@ def builtin_potential(name: str, kappa: float) -> PiecewiseQuadraticPotential:
 
 @contextmanager
 def _document_fields():
-    """Report a missing or mistyped field of a target document as a UsageError."""
+    """Report a missing, mistyped or out-of-range field of a target document as a UsageError."""
     try:
         yield
     except UsageError:
         raise
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise UsageError(f"bad target document: {exc!r}") from exc
 
 

@@ -1,14 +1,18 @@
 """Shared fixtures-in-spirit: random class members, a geometric GOF test, the
-quadrature reference for the acceptance probability and separable product
-targets for Hit-and-Run."""
+quadrature reference for the acceptance probability, the ``Fraction``
+reference for a potential's anchors, the hard family's block-formula
+cross-checks and separable product targets for Hit-and-Run."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 from scipy.stats import chi2
 
-from lcsampler import MultivariateOracle, PiecewiseQuadraticPotential
+from lcsampler import MultivariateOracle, PiecewiseQuadraticPotential, UsageError
+from lcsampler.hardfamily import largest_m, member_blocks
 from lcsampler.numerics import adaptive_quadrature
 
 
@@ -87,3 +91,120 @@ def product_oracle(members, kappa: float) -> MultivariateOracle:
         return np.array([m.evaluate(float(xi))[1] for m, xi in zip(members, x)])
 
     return MultivariateOracle(value, gradient, dimension=len(members), kappa=kappa)
+
+
+def fraction_anchors(breakpoints, curvatures, v0: float, s0: float):
+    """Anchor rows ``(anchor_x, anchor_v, anchor_d, c)`` and ``V - V(0)`` at each anchor.
+
+    The independent reference for ``PiecewiseQuadraticPotential``'s integer
+    anchor walk: the same integration outward from 0 in ``Fraction``
+    arithmetic, every value rounded once to a float.  ``breakpoints`` may
+    hold Fractions or floats, like the constructor's.
+    """
+    exact_bp = [b if isinstance(b, Fraction) else Fraction(float(b)) for b in breakpoints]
+    bp = [float(b) for b in exact_bp]
+    cv = [float(c) for c in curvatures]
+    n = len(cv) - 1
+    j0 = bisect_right(bp, 0.0)
+    av = [Fraction(0)] * n
+    ad = [Fraction(0)] * n
+    # rightward from 0, then leftward: walking right to edge k crosses
+    # segment k, walking left to it crosses segment k + 1
+    for edges, crossed in ((range(j0, n), 0), (range(j0 - 1, -1, -1), 1)):
+        x, v, d = Fraction(0), Fraction(v0), Fraction(s0)
+        for k in edges:
+            c = Fraction(cv[k + crossed])
+            w = exact_bp[k] - x
+            v, d = v + d * w + c * w * w / 2, d + c * w
+            av[k], ad[k] = v, d
+            x = exact_bp[k]
+    rows, offsets = [], []
+    for j, c in enumerate(cv):
+        if j == j0:
+            rows.append((0.0, float(v0), float(s0), c))
+            offsets.append(0.0)
+        else:
+            a = j - 1 if j > j0 else j
+            rows.append((bp[a], float(av[a]), float(ad[a]), c))
+            offsets.append(float(av[a] - Fraction(v0)))
+    return rows, offsets
+
+
+# -- the hard family's block formulas (cross-checks of its construction) --
+
+
+def phi(t: float, kappa: float) -> float:
+    """First bump profile: kappa on [1/2,1), 1 on [1,2), kappa on [2,5/2), else 0."""
+    if 0.5 <= t < 1.0:
+        return kappa
+    if 1.0 <= t < 2.0:
+        return 1.0
+    if 2.0 <= t < 2.5:
+        return kappa
+    return 0.0
+
+
+def psi(t: float, kappa: float) -> float:
+    """Repeating tail profile: 1 on [5/2,4), kappa on [4,5), else 0."""
+    if 2.5 <= t < 4.0:
+        return 1.0
+    if 4.0 <= t < 5.0:
+        return kappa
+    return 0.0
+
+
+def second_derivative_by_formula(kappa: float, i: int, x: float) -> float:
+    """Direct block-formula evaluation of V_i'' at x >= 0 (cross-check path)."""
+    m = largest_m(kappa)
+    root = math.sqrt(kappa)
+    y = abs(x) * root
+    total = 1.0 if y <= 2.0 ** (i - 1) else 0.0
+    total += phi(y / 2.0**i, kappa)
+    for j in range(i, m):
+        total += psi(y / 2.0**j, kappa)
+    if y >= 5.0 * 2.0 ** (m - 1):
+        total += 1.0
+    return total
+
+
+def curvature_telescoping(kappa: float, i: int) -> tuple[float, float]:
+    """Exact band integrals of the curvature difference between members i and i+1.
+
+    Returns (single integral, double integral) of ``V_{i+1}'' - V_i''`` over
+    the disagreement band, computed on the canonical dyadic axis with
+    rational arithmetic so genuine cancellation shows up as exact zeros.
+    """
+    m = largest_m(kappa)
+    if not 1 <= i <= m - 1:
+        raise UsageError(f"consecutive pair needs i in [1, {m - 1}], got {i}")
+    lo, hi = Fraction(2) ** (i - 1), Fraction(5, 2) * Fraction(2) ** i
+
+    def curv_at(blocks, y: Fraction) -> Fraction:
+        for start, end, c in blocks:
+            if Fraction(start) <= y and (math.isinf(end) or y < Fraction(end)):
+                return Fraction(c)
+        raise AssertionError("blocks must tile the half line")
+
+    edges = {lo, hi}
+    for blocks in (member_blocks(kappa, i), member_blocks(kappa, i + 1)):
+        for start, end, _ in blocks:
+            for e in (start, end):
+                if not math.isinf(e) and lo < Fraction(e) < hi:
+                    edges.add(Fraction(e))
+    edges = sorted(edges)
+
+    blocks_i = member_blocks(kappa, i)
+    blocks_j = member_blocks(kappa, i + 1)
+    area = Fraction(0)
+    double = Fraction(0)
+    running = Fraction(0)  # integral of the difference from the band start
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid = (a + b) / 2
+        diff = curv_at(blocks_j, mid) - curv_at(blocks_i, mid)
+        w = b - a
+        double += running * w + diff * w * w / 2
+        running += diff * w
+        area += diff * w
+    return float(area), float(double)
+
+

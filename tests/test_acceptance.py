@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import geometric_chi2_pvalue, random_class_potential
+from helpers import curvature_telescoping, geometric_chi2_pvalue, random_class_potential
 from lcsampler import (
     PotentialOracle,
     acceptance_probability,
@@ -188,7 +188,7 @@ def test_criterion_06_hard_family_structure():
             va = family.member(i).evaluate(grid)[0]
             vb = family.member(i + 1).evaluate(grid)[0]
             worst_dev = max(worst_dev, float(np.abs(va - vb).max()))
-            area, double = hardfamily.curvature_telescoping(kappa, i)
+            area, double = curvature_telescoping(kappa, i)
             ok &= area == 0.0 and double == 0.0
     ok &= worst_dev <= 1e-9
     elapsed = time.perf_counter() - t0

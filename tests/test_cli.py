@@ -324,6 +324,23 @@ class TestErrorPaths:
         assert run_cli([command, *flags, *trials]) == 4
 
     @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"breakpoints": [math.inf], "curvatures": [1, 1]}, "every breakpoint must be finite"),
+            ({"breakpoints": [math.nan], "curvatures": [1, 1]}, "every breakpoint must be finite"),
+            ({"breakpoints": [1.0], "curvatures": [1, math.inf]}, "every curvature must be finite"),
+            ({"breakpoints": [1.0], "curvatures": [1, math.nan]}, "every curvature must be finite"),
+            ({"breakpoints": [-1e308, 1e308], "curvatures": [1, 1, 1]}, "segment 0: "),
+            ({"breakpoints": [10**400], "curvatures": [1, 1]}, "int too large to convert to float"),
+        ],
+    )
+    def test_non_finite_or_overflowing_piecewise_document_is_config_error(self, doc, message, capsys):
+        # json.dumps writes inf and nan as Infinity and NaN, which json.loads reads back
+        target = json.dumps({"type": "piecewise", **doc})
+        assert run_cli(["envelope-inspect", "--kappa", "10", "--target", target]) == 4
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "command, doc",
         [
             ("hitandrun", {"type": "gaussian", "alpha": 3, "beta": 6}),

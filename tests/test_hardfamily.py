@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from helpers import curvature_telescoping, phi, psi, second_derivative_by_formula
 from lcsampler import PotentialOracle, UsageError, prepare_envelope, sample_exact
 from lcsampler.hardfamily import (
     HardFamily,
     build_member,
-    curvature_telescoping,
     disagreement_band,
     distinct_response_count,
     identify,
@@ -16,10 +16,7 @@ from lcsampler.hardfamily import (
     member_blocks,
     member_mass_in_window,
     member_window,
-    phi,
-    psi,
     run_identification_experiment,
-    second_derivative_by_formula,
 )
 from lcsampler.numerics import adaptive_quadrature
 from lcsampler.oracles import check_class_member

@@ -1,10 +1,11 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import random_class_potential
+from helpers import fraction_anchors, random_class_potential
 from lcsampler import (
     ClassViolationError,
     PiecewiseQuadraticPotential,
@@ -14,8 +15,9 @@ from lcsampler import (
     prepare_envelope,
     sample_exact,
 )
+from lcsampler import hardfamily
 from lcsampler.oracles import check_class_member
-from lcsampler.targets import resolve_target
+from lcsampler.targets import builtin_potential, resolve_target
 
 
 def standard_gaussian_oracle(offset=0.0):
@@ -126,6 +128,50 @@ class TestPiecewiseEvaluation:
         assert np.all(np.diff(cdf) >= -1e-12)
         assert cdf[0] == pytest.approx(0.0, abs=1e-8)
         assert cdf[-1] == pytest.approx(1.0, abs=1e-8)
+
+
+def _exact_member_breakpoints(kappa, i):
+    """Member i's edges y / sqrt(kappa) as Fractions, from its blocks and the 1.25 * 2^i split."""
+    root = Fraction(math.sqrt(kappa))
+    ys = sorted({start for start, _, _ in hardfamily.member_blocks(kappa, i)[1:]} | {1.25 * 2.0**i})
+    pos = [Fraction(y) / root for y in ys]
+    return [-e for e in reversed(pos)] + pos
+
+
+def _anchor_cases():
+    for kappa in (2.0, 37.5, 1e3, 1e6, 1e12, 3.3e7):
+        yield "gaussian", kappa, []
+        yield "skewed", kappa, None
+        for i in range(1, hardfamily.largest_m(kappa) + 1):
+            yield f"hard:{i}", kappa, _exact_member_breakpoints(kappa, i)
+
+
+class TestExactAnchors:
+    """The integer anchor walk equals the Fraction reference bit for bit."""
+
+    @staticmethod
+    def _check(pot, breakpoints, v0=0.0, s0=0.0):
+        rows, offsets = fraction_anchors(breakpoints, pot.curvatures.tolist(), v0, s0)
+        assert pot._rows == rows
+        _, _, mu, vmin, _ = pot._segment_table()
+        assert mu.tolist() == [x - d / c for x, _, d, c in rows]
+        assert vmin.tolist() == [v - d * d / (2 * c) for v, (_, _, d, c) in zip(offsets, rows)]
+
+    @pytest.mark.parametrize("name, kappa, breakpoints", list(_anchor_cases()))
+    def test_builtin_and_hard_members(self, name, kappa, breakpoints):
+        pot = builtin_potential(name, kappa)
+        self._check(pot, pot.breakpoints.tolist() if breakpoints is None else breakpoints)
+
+    def test_random_potentials_with_offset_value_and_slope(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            n = int(rng.integers(1, 13))
+            bps = (np.sort(rng.uniform(-3.0, 3.0, size=n)) + np.arange(n) * 1e-9).tolist()
+            cvs = np.exp(rng.uniform(0.0, np.log(1e6), size=n + 1)).tolist()
+            v0 = float(rng.uniform(-800.0, 800.0))
+            s0 = float(rng.uniform(0.5, 5.0)) * float(rng.choice([-1.0, 1.0]))
+            pot = PiecewiseQuadraticPotential(bps, cvs, v0, s0)
+            self._check(pot, bps, v0, s0)
 
 
 class TestOffsetOpacity:

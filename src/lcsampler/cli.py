@@ -109,6 +109,7 @@ def cmd_sample(args) -> int:
         "envelope_queries": oracle.query_count - total_trials,
         "total_queries": oracle.query_count,
         "mean_trials": (total_trials / args.trials) if args.trials else None,
+        "acceptance_rate": acceptance_probability(potential, env),
         "epsilon": args.epsilon,
     }
     _write_text(args.out, "".join(line + "\n" for line in lines))
@@ -122,10 +123,11 @@ def cmd_sample(args) -> int:
 
 
 def cmd_envelope_inspect(args) -> int:
-    _, oracle = resolve_target(args.target, _single_kappa(args))
+    potential, oracle = resolve_target(args.target, _single_kappa(args))
     _, env = prepare_envelope(oracle)
     doc = env.to_json_dict()
     doc["construction_queries"] = oracle.query_count
+    doc["acceptance_rate"] = acceptance_probability(potential, env)
     _write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 

@@ -10,22 +10,25 @@ the bracket, the envelope is
 
 with ``x_plus = b + 2^j / sqrt(kappa)`` and ``x_minus = a - 2^i / sqrt(kappa)``
 for the first indices ``i, j >= lo`` at which ``W`` reaches ``level``.
-``W >= -floor`` bounds the plateau.  Convexity from the bracket point where
-``W <= 0`` makes the edge slopes at least ``level / (x_plus - a)`` and
-``level / (b - x_minus)``, the drifts, and strong convexity adds ``t^2/2``, so
-any ``tail_offset <= level + floor`` dominates the tails.  As ``W(b + t) >=
--floor + (t - reach)^2/2``, the level is certain once ``t >= reach +
-sqrt(2 (level + floor))``: the search stops at ``max(lo, ceil(log2(kappa)/2 +
-log2(reach + sqrt(2 (level + floor)))))``, and a target that misses the
-level there is outside the class.
+``W >= -floor`` bounds the plateau.  The tails are built from the edge values
+``W(x_plus)`` and ``W(x_minus)`` the search already queried: the drifts are
+``W(x_plus) / (x_plus - a)`` and ``W(x_minus) / (b - x_minus)``, and the one
+``tail_offset`` is ``min(W(x_minus), W(x_plus)) + floor``.  Convexity from
+the bracket point where ``W <= 0`` makes each drift a lower bound on the edge
+slope, and strong convexity adds ``t^2/2``, so ``W(x_plus + t) >= W(x_plus) +
+drift*t + t^2/2`` (likewise on the left) and the tails dominate, touching the
+target at the edge with the smaller value.  As ``W(b + t) >= -floor + (t -
+reach)^2/2``, the level is certain once ``t >= reach + sqrt(2 (level +
+floor))``: the search stops at ``max(lo, ceil(log2(kappa)/2 + log2(reach +
+sqrt(2 (level + floor)))))``, and a target that misses the level there is
+outside the class.
 
 The 1D sampler takes ``a = b = 0`` on the normalized potential with level
-1/2, floor 0, reach 0, ``lo`` 0 and offset 0 (plateau height 1); the
-Hit-and-Run line step takes ``a = b = p`` for a point p with ``|W'(p)| <=
-1``, shifted to ``W(p) = 0``, with level 3, floor 1/2, reach ``|W'(p)|``,
-``lo`` 1 and offset 3.5.  The guarded dyadic binary search costs O(log log
-kappa) queries, and the mass has a closed form, so normalization and
-sampling consume no queries at all.
+1/2, floor 0, reach 0 and ``lo`` 0 (plateau height 1); the Hit-and-Run line
+step takes ``a = b = p`` for a point p with ``|W'(p)| <= 1``, shifted to
+``W(p) = 0``, with level 3, floor 1/2, reach ``|W'(p)|`` and ``lo`` 1.  The
+guarded dyadic binary search costs O(log log kappa) queries, and the mass
+has a closed form, so normalization and sampling consume no queries at all.
 """
 from __future__ import annotations
 
@@ -40,15 +43,16 @@ from .errors import ClassViolationError, UsageError
 
 def find_threshold_index(
     value, edge: float, side: int, kappa: float, level: float, lo: int, hi: int
-) -> int:
+) -> tuple[int, float]:
     """Smallest i in [lo, hi] with ``value(edge + side * 2^i / sqrt(kappa)) >= level``.
 
-    ``value`` must be monotone along the grid, and each distinct index costs
-    one query.  The caller guarantees the level at ``hi`` for in-class
-    targets; the answer is verified with one extra query only when the
-    search never evaluated it, which is how out-of-class targets surface.
-    That check allows ``1e-9`` of float noise, because class members can sit
-    exactly on the threshold.  Worst case ceil(log2(hi - lo + 1)) + 1 queries.
+    Returns that index and the value queried there.  ``value`` must be
+    monotone along the grid, and each distinct index costs one query.  The
+    caller guarantees the level at ``hi`` for in-class targets; the answer
+    is verified with one extra query only when the search never evaluated
+    it, which is how out-of-class targets surface.  That check allows
+    ``1e-9`` of float noise, because class members can sit exactly on the
+    threshold.  Worst case ceil(log2(hi - lo + 1)) + 1 queries.
 
     Probe order keeps the count stable as the range grows: ``hi - 1`` first
     (near-quadratic targets put the threshold at the top for every kappa),
@@ -58,15 +62,15 @@ def find_threshold_index(
     if hi < lo:
         raise UsageError(f"empty search range [{lo}, {hi}]")
     root = math.sqrt(kappa)
-    cache: dict[int, bool] = {}
+    cache: dict[int, float] = {}
 
     def point(i: int) -> float:
         return edge + side * 2.0**i / root
 
     def pred(i: int) -> bool:
         if i not in cache:
-            cache[i] = value(point(i)) >= level
-        return cache[i]
+            cache[i] = value(point(i))
+        return cache[i] >= level
 
     if lo == hi:
         ans = lo
@@ -85,13 +89,14 @@ def find_threshold_index(
             else:
                 left = mid + 1
         ans = left
-    if ans not in cache and not value(point(ans)) >= level - 1e-9:
+    w = cache[ans] if ans in cache else value(point(ans))
+    if not w >= level - 1e-9:
         raise ClassViolationError(
             f"no threshold index in [{lo}, {hi}] on side {side:+d} of {edge:g}; "
             "target violates the curvature sandwich",
             query_point=point(ans),
         )
-    return ans
+    return ans, w
 
 
 @dataclass(frozen=True)
@@ -224,25 +229,6 @@ class Envelope:
             out[in_right] = self.x_plus + t
         return out
 
-    def cdf(self, x):
-        """Analytic CDF of the normalized envelope."""
-        xs = np.asarray(x, dtype=float)
-        left, plateau, _ = self.piece_masses
-        damp = self.plateau_height * math.exp(-self.tail_offset)
-        below = np.where(
-            xs <= self.x_minus,
-            damp * numerics.gaussian_tail_partial(self.drift_minus, np.maximum(self.x_minus - xs, 0.0)),
-            np.where(
-                xs <= self.x_plus,
-                left + self.plateau_height * (xs - self.x_minus),
-                self.mass_total
-                - damp
-                * numerics.gaussian_tail_partial(self.drift_plus, np.maximum(xs - self.x_plus, 0.0)),
-            ),
-        )
-        out = below / self.mass_total
-        return out if out.ndim else float(out)
-
     def to_json_dict(self) -> dict:
         return {
             "x_minus": self.x_minus,
@@ -263,27 +249,30 @@ def plateau_envelope(
     level: float,
     floor: float,
     lo: int,
-    tail_offset: float,
     reach: float = 0.0,
 ) -> Envelope:
     """The plateau envelope of the module docstring around the bracket [a, b].
 
     Searches right of ``b`` first, then left of ``a``; ``value`` is queried.
+    Each tail's drift is the search's edge value over its distance from the
+    far end of the bracket, and the offset is the smaller edge value plus
+    ``floor``: ``W(x_plus + t) >= W(x_plus) + drift*t + t^2/2`` by convexity
+    and unit strong convexity, so the tails dominate at no extra query.
     """
     edge = math.log2(reach + math.sqrt(2.0 * (level + floor)))
     top = max(lo, math.ceil(math.log2(kappa) / 2 + edge))
     root = math.sqrt(kappa)
-    i_plus = find_threshold_index(value, b, +1, kappa, level, lo, top)
-    i_minus = find_threshold_index(value, a, -1, kappa, level, lo, top)
+    i_plus, w_plus = find_threshold_index(value, b, +1, kappa, level, lo, top)
+    i_minus, w_minus = find_threshold_index(value, a, -1, kappa, level, lo, top)
     x_plus = b + 2.0**i_plus / root
     x_minus = a - 2.0**i_minus / root
     return Envelope.from_geometry(
         x_minus=x_minus,
         x_plus=x_plus,
-        drift_minus=level / (b - x_minus),
-        drift_plus=level / (x_plus - a),
+        drift_minus=w_minus / (b - x_minus),
+        drift_plus=w_plus / (x_plus - a),
         plateau_height=math.exp(floor),
-        tail_offset=tail_offset,
+        tail_offset=min(w_minus, w_plus) + floor,
     )
 
 
@@ -303,7 +292,7 @@ def build_envelope(oracle) -> Envelope:
     if abs(getattr(oracle, "alpha", 1.0) - 1.0) > 1e-12:
         raise UsageError("build_envelope needs a unit-strongly-convex oracle (alpha = 1)")
     return plateau_envelope(
-        oracle.value, 0.0, 0.0, oracle.kappa, level=0.5, floor=0.0, lo=0, tail_offset=0.0
+        oracle.value, 0.0, 0.0, oracle.kappa, level=0.5, floor=0.0, lo=0
     )
 
 

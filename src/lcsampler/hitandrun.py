@@ -16,8 +16,8 @@ The line step has three parts:
   W' between the two, with bisection as the fallback, finds one.
 * :func:`build_line_envelope` shifts W by the ``W(p)`` it already holds and
   calls the shared plateau builder :func:`lcsampler.envelope.plateau_envelope`
-  with ``a = b = p``, level 3, floor 1/2 and tail offset 3.5.  Domination
-  needs only ``W(p) = 0`` after the shift, ``W >= -1/2`` and convexity; kappa
+  with ``a = b = p``, level 3 and floor 1/2.  Domination needs only
+  ``W(p) = 0`` after the shift, ``W >= -1/2`` and convexity; kappa
   enters the threshold search's range alone, which also covers the distance
   ``|g|`` from p to the minimizer.
 * Rejection against that envelope draws the step size exactly.
@@ -265,7 +265,7 @@ def build_line_envelope(line: LineOracle, certificate: Certificate) -> tuple[Env
     p = certificate.lam
     env = plateau_envelope(
         shifted.value, p, p, line.kappa,
-        level=3.0, floor=0.5, lo=1, tail_offset=3.5, reach=abs(certificate.slope),
+        level=3.0, floor=0.5, lo=1, reach=abs(certificate.slope),
     )
     return env, shifted
 

@@ -41,20 +41,6 @@ def gaussian_tail_integral(a: float) -> float:
     return _SQRT_HALF_PI * float(erfcx(a * _INV_SQRT2))
 
 
-def gaussian_tail_partial(a: float, s) -> float:
-    """``int_s^inf exp(-a*t - t^2/2) dt`` for a >= 0 and s >= 0.
-
-    Evaluated as ``sqrt(pi/2) * erfcx((a+s)/sqrt(2)) * exp(-a*s - s^2/2)`` so
-    the result underflows gracefully instead of overflowing.  Accepts arrays
-    for ``s``.
-    """
-    if a < 0:
-        raise UsageError(f"drift must be nonnegative, got {a}")
-    s = np.asarray(s, dtype=float)
-    out = _SQRT_HALF_PI * erfcx((a + s) * _INV_SQRT2) * np.exp(-a * s - 0.5 * s * s)
-    return out if out.ndim else float(out)
-
-
 def normal_tail_erfc(a: float) -> float:
     """``erfc(a/sqrt(2))``, the mass that tail sampling inverts against.
 

@@ -1,7 +1,7 @@
 """Shared fixtures-in-spirit: random class members, a geometric GOF test, the
-quadrature reference for the acceptance probability, the ``Fraction``
-reference for a potential's anchors, the hard family's block-formula
-cross-checks and separable product targets for Hit-and-Run."""
+quadrature reference for the acceptance probability, the envelope's analytic
+CDF, the ``Fraction`` reference for a potential's anchors, the hard family's
+block-formula cross-checks and separable product targets for Hit-and-Run."""
 from __future__ import annotations
 
 import math
@@ -9,6 +9,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import erfcx
 from scipy.stats import chi2
 
 from lcsampler import MultivariateOracle, PiecewiseQuadraticPotential, UsageError
@@ -73,6 +74,56 @@ def quadrature_acceptance(potential, env, tol: float = 1e-10) -> float:
     res = adaptive_quadrature(unnormalized, lo, hi, tol=tol, breakpoints=bps)
     assert res.converged, f"reference quadrature did not converge (error ~ {res.error_estimate:g})"
     return res.value / env.mass_total
+
+
+def gaussian_tail_partial(a: float, s):
+    """``int_s^inf exp(-a*t - t^2/2) dt`` for a >= 0 and s >= 0.
+
+    Evaluated as ``sqrt(pi/2) * erfcx((a+s)/sqrt(2)) * exp(-a*s - s^2/2)`` so
+    the result underflows gracefully instead of overflowing.  Accepts arrays
+    for ``s``.
+    """
+    if a < 0:
+        raise UsageError(f"drift must be nonnegative, got {a}")
+    s = np.asarray(s, dtype=float)
+    scale = erfcx((a + s) * (1.0 / math.sqrt(2.0)))
+    out = math.sqrt(math.pi / 2.0) * scale * np.exp(-a * s - 0.5 * s * s)
+    return out if out.ndim else float(out)
+
+
+def envelope_cdf(env):
+    """The analytic CDF of the normalized envelope ``env``, as a function of x."""
+    left, _, _ = env.piece_masses
+    damp = env.plateau_height * math.exp(-env.tail_offset)
+
+    def cdf(x):
+        xs = np.asarray(x, dtype=float)
+        below = np.where(
+            xs <= env.x_minus,
+            damp * gaussian_tail_partial(env.drift_minus, np.maximum(env.x_minus - xs, 0.0)),
+            np.where(
+                xs <= env.x_plus,
+                left + env.plateau_height * (xs - env.x_minus),
+                env.mass_total
+                - damp * gaussian_tail_partial(env.drift_plus, np.maximum(xs - env.x_plus, 0.0)),
+            ),
+        )
+        out = below / env.mass_total
+        return out if out.ndim else float(out)
+
+    return cdf
+
+
+def domination_grid(env) -> np.ndarray:
+    """Criterion 2's grid around the plateau, plus a dense band of four
+    plateau widths around each edge and the first points past the edges,
+    where the tails touch the target."""
+    width = env.x_plus - env.x_minus
+    return np.concatenate(
+        [np.linspace(env.x_minus - 8.0, env.x_plus + 8.0, 10_000)]
+        + [np.linspace(e - 2.0 * width, e + 2.0 * width, 4001) for e in (env.x_minus, env.x_plus)]
+        + [np.nextafter([env.x_minus, env.x_plus], [-np.inf, np.inf])]
+    )
 
 
 def product_oracle(members, kappa: float) -> MultivariateOracle:

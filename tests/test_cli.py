@@ -117,8 +117,11 @@ class TestSampleCommand:
         values = [float(line) for line in out.read_text().splitlines()]
         assert len(values) == 10000
         meta = json.loads((tmp_path / "samples.txt.meta.json").read_text())
-        se = math.sqrt((1 - 0.668) / 0.668**2 / 10000)
-        assert meta["mean_trials"] == pytest.approx(1.497122230243602, abs=3 * se)
+        # acceptance sqrt(2 pi) / Z_q with the closed-form kappa = 1 mass
+        # Z_q = 2 + 2 e^(-1/2) sqrt(pi/2) e^(1/8) erfc(1/(2 sqrt 2))
+        assert meta["acceptance_rate"] == pytest.approx(0.8183348608090128, rel=1e-12)
+        se = math.sqrt((1 - 0.818) / 0.818**2 / 10000)
+        assert meta["mean_trials"] == pytest.approx(1.2219936457447156, abs=3 * se)
         assert meta["failures"] == 0
         # one query per trial, plus the envelope construction
         total_trials = round(meta["mean_trials"] * 10000)
@@ -175,8 +178,9 @@ class TestEnvelopeInspect:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["x_minus"] == -1.0 and doc["x_plus"] == 1.0
-        assert doc["plateau_height"] == 1.0 and doc["tail_offset"] == 0.0
+        assert doc["plateau_height"] == 1.0 and doc["tail_offset"] == 0.5
         assert doc["drifts"] == [0.5, 0.5]
+        assert doc["acceptance_rate"] == pytest.approx(0.8183348608090128, rel=1e-12)
         assert len(doc["masses"]) == 3
         assert doc["construction_queries"] <= 5
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_class_potential
+from helpers import domination_grid, envelope_cdf, random_class_potential
 from lcsampler import (
     ClassViolationError,
     Envelope,
@@ -15,8 +15,9 @@ from lcsampler import (
     normalize_at_zero,
     prepare_envelope,
 )
-from lcsampler import hardfamily
+from lcsampler import acceptance_probability, hardfamily
 from lcsampler.numerics import adaptive_quadrature, ks_critical_value, ks_statistic
+from lcsampler.targets import builtin_potential
 
 
 def make_oracle(potential, kappa, offset=0.0):
@@ -33,7 +34,10 @@ def search_top(kappa):
 
 
 def search(oracle, side):
-    """The 1D threshold search on a normalized oracle, as build_envelope runs it."""
+    """The 1D threshold search on a normalized oracle, as build_envelope runs it.
+
+    Returns the index and the value queried at its edge.
+    """
     kappa = oracle.kappa
     return find_threshold_index(oracle.value, 0.0, side, kappa, 0.5, 0, search_top(kappa))
 
@@ -46,12 +50,12 @@ def query_budget(kappa):
 class TestThresholdSearch:
     def test_kappa_one_is_forced(self):
         n = normalize_at_zero(gaussian_oracle(1.0))
-        assert search(n, +1) == 0
+        assert search(n, +1) == (0, 0.5)
 
     def test_gaussian_declared_kappa_four(self):
         n = normalize_at_zero(gaussian_oracle(4.0))
         # V(2^0/2) = 0.125 < 1/2 but V(2^1/2) = 0.5 >= 1/2
-        assert search(n, +1) == 1
+        assert search(n, +1) == (1, 0.5)
 
     def test_binary_equals_linear_scan(self):
         rng = np.random.default_rng(31)
@@ -63,7 +67,7 @@ class TestThresholdSearch:
             top = search_top(kappa)
             for pot in targets:
                 for side in (+1, -1):
-                    searched = search(normalize_at_zero(make_oracle(pot, kappa)), side)
+                    searched, _ = search(normalize_at_zero(make_oracle(pot, kappa)), side)
                     probe = normalize_at_zero(make_oracle(pot, kappa))
                     scan = next(
                         i
@@ -75,7 +79,24 @@ class TestThresholdSearch:
     def test_hard_member_three_at_kappa_1e6(self):
         # frozen by linear scan of the exact piecewise representation
         n = normalize_at_zero(make_oracle(hardfamily.build_member(1e6, 3), 1e6))
-        assert search(n, +1) == 3
+        assert search(n, +1)[0] == 3
+
+    def test_returned_value_is_the_oracle_value_at_the_edge(self):
+        # the edge is queried by a probe or by the final check, so its value
+        # comes at no extra query
+        rng = np.random.default_rng(5)
+        targets = [PiecewiseQuadraticPotential.gaussian(1.0), random_class_potential(rng, 1e6)]
+        targets += [hardfamily.build_member(1e6, i) for i in (1, 3, 10)]
+        for kappa in (1.0, 37.5, 1e6):
+            for pot in targets:
+                for side in (+1, -1):
+                    oracle = normalize_at_zero(make_oracle(pot, kappa, offset=2.5))
+                    before = oracle.query_count
+                    index, value = search(oracle, side)
+                    spent = oracle.query_count - before
+                    edge = side * 2.0**index / math.sqrt(kappa)
+                    assert value == oracle.value(edge)
+                    assert spent <= math.ceil(math.log2(search_top(kappa) + 1)) + 1
 
     def test_flat_potential_raises_class_violation(self):
         flat = PiecewiseQuadraticPotential([], [1e-12])
@@ -89,7 +110,8 @@ class TestBuildEnvelope:
         oracle = gaussian_oracle(1.0)
         _, env = prepare_envelope(oracle)
         assert (env.x_minus, env.x_plus) == (-1.0, 1.0)
-        assert env.plateau_height == 1.0 and env.tail_offset == 0.0
+        # the tails start from W(+-1) = 1/2: offset 1/2, drift 1/2 per unit
+        assert env.plateau_height == 1.0 and env.tail_offset == 0.5
         assert env.drift_minus == env.drift_plus == 0.5
         assert env.x_minus < 0.0 < env.x_plus
 
@@ -98,7 +120,12 @@ class TestBuildEnvelope:
         quad = adaptive_quadrature(
             lambda x: env.value(x), -40.0, 40.0, tol=1e-10, breakpoints=[env.x_minus, env.x_plus]
         )
-        assert quad.value == pytest.approx(3.7527289129073846, rel=1e-10)
+        # closed form: 2 + 2 e^(-1/2) int_0^inf exp(-t/2 - t^2/2) dt, with the
+        # integral sqrt(pi/2) e^(1/8) erfc(1/(2 sqrt 2))
+        tail = math.sqrt(math.pi / 2.0) * math.exp(0.125) * math.erfc(0.5 / math.sqrt(2.0))
+        closed = 2.0 + 2.0 * math.exp(-0.5) * tail
+        assert closed == pytest.approx(3.0630838238431228, rel=1e-12)
+        assert quad.value == pytest.approx(closed, rel=1e-10)
         assert env.mass_total == pytest.approx(quad.value, rel=1e-8)
         assert env.mass_total == pytest.approx(sum(env.piece_masses), rel=1e-12)
 
@@ -209,7 +236,7 @@ class TestEnvelopeSampling:
         rng = np.random.default_rng(37)
         n = 100_000
         draws = self.env.sample(rng, size=n)
-        assert ks_statistic(draws, self.env.cdf) < ks_critical_value(n)
+        assert ks_statistic(draws, envelope_cdf(self.env)) < ks_critical_value(n)
 
     def test_ks_for_sharp_envelope_with_large_drifts(self):
         # exercises the rejection fallback branch of the tail sampler
@@ -217,11 +244,12 @@ class TestEnvelopeSampling:
         rng = np.random.default_rng(41)
         n = 50_000
         draws = env.sample(rng, size=n)
-        assert ks_statistic(draws, env.cdf) < ks_critical_value(n)
+        assert ks_statistic(draws, envelope_cdf(env)) < ks_critical_value(n)
 
     def test_cdf_limits(self):
-        assert self.env.cdf(-60.0) == pytest.approx(0.0, abs=1e-12)
-        assert self.env.cdf(60.0) == pytest.approx(1.0, abs=1e-12)
+        cdf = envelope_cdf(self.env)
+        assert cdf(-60.0) == pytest.approx(0.0, abs=1e-12)
+        assert cdf(60.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_scalar_sample(self):
         rng = np.random.default_rng(0)
@@ -242,3 +270,55 @@ class TestSerialization:
         }
         assert doc["drifts"] == [0.5, 0.25]
         assert doc["masses"] == list(env.piece_masses)
+
+
+def _members(kappa):
+    """Every builtin target and every hard-family member at kappa."""
+    names = ["gaussian", "skewed"]
+    names += [f"hard:{i}" for i in range(1, hardfamily.largest_m(kappa) + 1)]
+    return names
+
+
+# Construction queries (normalization plus both threshold searches) per
+# target in _members order, recorded when the tails were still built from
+# the search level with offset 0; the edge values must come at no query.
+CONSTRUCTION_QUERIES = {
+    2.0: [5, 5, 5],
+    37.5: [5, 5, 7, 7, 5],
+    1e3: [5, 5, 9, 9, 9, 9, 5, 5],
+    1e6: [5, 5, 7, 11, 11, 11, 11, 11, 11, 11, 11, 5, 5],
+    1e12: [5, 5, 9, 9, 9] + [13] * 16 + [5, 5],
+}
+
+
+class TestEdgeValueTails:
+    @pytest.mark.parametrize("kappa", sorted(CONSTRUCTION_QUERIES))
+    def test_domination_sweep(self, kappa):
+        # the tail touches the target at the edge with the smaller value
+        rng = np.random.default_rng(61)
+        for name in _members(kappa):
+            pot = builtin_potential(name, kappa)
+            offset = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 5.0))
+            _, env = prepare_envelope(make_oracle(pot, kappa, offset=offset))
+            grid = domination_grid(env)
+            v0 = pot.evaluate(0.0)[0]
+            gap = env.value(grid) - np.exp(-(pot.evaluate(grid)[0] - v0))
+            assert float(gap.min()) >= -1e-12, (name, kappa)
+
+    @pytest.mark.parametrize("kappa", [2.0, 1e3, 1e6, 1e12])
+    def test_acceptance_floor(self, kappa):
+        # 0.478 at the worst member (hard:20 at kappa 1e12); 0.167 when the
+        # tails started from the level with offset 0
+        for name in _members(kappa):
+            pot = builtin_potential(name, kappa)
+            _, env = prepare_envelope(make_oracle(pot, kappa))
+            assert acceptance_probability(pot, env) >= 0.45, (name, kappa)
+
+    @pytest.mark.parametrize("kappa", sorted(CONSTRUCTION_QUERIES))
+    def test_construction_queries_unchanged(self, kappa):
+        counts = []
+        for name in _members(kappa):
+            oracle = make_oracle(builtin_potential(name, kappa), kappa)
+            prepare_envelope(oracle)
+            counts.append(oracle.query_count)
+        assert counts == CONSTRUCTION_QUERIES[kappa]

@@ -23,7 +23,7 @@ from lcsampler.numerics import (
 )
 from lcsampler.targets import builtin_potential
 
-from helpers import product_oracle
+from helpers import domination_grid, product_oracle
 
 
 def isotropic(dim, kappa):
@@ -232,11 +232,15 @@ class TestLineEnvelope:
         assert float(np.min(env.value(grid) - vals)) >= -1e-12
 
     def test_plateau_level_and_offset(self):
+        # W(lam) = lam^2/2 from p = 0: the grid 2^i/2 first reaches 3 at
+        # lam = +-4, where W = 8, so the offset is 8 + 1/2 and the drifts 8/4
         kappa = 4.0
         _, line, cert = self._restriction(kappa=kappa)
         env, shifted = build_line_envelope(line, cert)
         assert env.plateau_height == math.exp(0.5)
-        assert env.tail_offset == 3.5
+        assert env.tail_offset == 8.5
+        assert (env.x_minus, env.x_plus) == (-4.0, 4.0)
+        assert env.drift_minus == env.drift_plus == 2.0
         assert env.x_minus < cert.lam < env.x_plus
         assert shifted.shift == cert.value  # the shift costs no query
 
@@ -247,10 +251,17 @@ class TestLineEnvelope:
         before = o.query_count
         env, shifted = build_line_envelope(line, cert)
         assert (env.x_minus, env.x_plus) == (-0.6561006303949868, 1.3677570721127759)
-        assert (env.drift_minus, env.drift_plus) == (2.964635306407856, 2.964635306407856)
-        assert (env.plateau_height, env.tail_offset) == (math.exp(0.5), 3.5)
+        assert (env.drift_minus, env.drift_plus) == (9.896664165262983, 9.89666416526294)
+        assert (env.plateau_height, env.tail_offset) == (math.exp(0.5), 10.51471999999998)
         assert shifted.shift == cert.value == 0.19171779141104298
         assert o.query_count - before == 8
+        # each tail starts from the quadratic's own value at its edge
+        edge_values = []
+        for edge, drift in ((env.x_minus, env.drift_minus), (env.x_plus, env.drift_plus)):
+            x = line.point(edge)
+            edge_values.append(0.5 * (x[0] ** 2 + 30.0 * x[1] ** 2) - cert.value)
+            assert drift == pytest.approx(edge_values[-1] / abs(edge - cert.lam), rel=1e-12)
+        assert env.tail_offset == pytest.approx(min(edge_values) + 0.5, rel=1e-12)
 
     def test_first_dyadic_offset_is_never_needed_at_zero(self):
         # the shifted value one grid step from the certificate point stays
@@ -613,6 +624,26 @@ class TestProductTargets:
         n = 4000
         draws = np.array([step(oracle, x, rng, direction=axis)[0] for _ in range(n)])
         assert ks_statistic(draws, member.density_cdf) < ks_critical_value(n)
+
+    @pytest.mark.parametrize("name", ["hard:2", "skewed"])
+    def test_line_envelopes_dominate_the_restriction(self, name):
+        # 200 random lines, some through the member's narrow bands; the
+        # restriction is evaluated member by member, not through the oracle
+        kappa = 1e6
+        members = [builtin_potential(name, kappa)] + [builtin_potential("gaussian", kappa)] * 2
+        oracle = product_oracle(members, kappa)
+        rng = np.random.default_rng(47)
+        for _ in range(200):
+            x = rng.standard_normal(3) * np.array([10.0 ** rng.uniform(-3.0, 0.0), 1.0, 1.0])
+            u = rng.standard_normal(3)
+            u /= np.linalg.norm(u)
+            line = restrict(oracle, x, u)
+            cert = bracket_minimizer(line, float(u @ x))
+            env, _ = build_line_envelope(line, cert)
+            grid = domination_grid(env)
+            points = line.base[:, None] + grid[None, :] * line.direction[:, None]
+            w = sum(m.evaluate(points[i])[0] for i, m in enumerate(members)) - cert.value
+            assert float(np.min(env.value(grid) - np.exp(-w))) >= -1e-12
 
     @pytest.mark.parametrize("name, ceiling", [("hard:2", 25.0), ("skewed", 16.0)])
     def test_queries_per_step(self, name, ceiling):

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from helpers import gaussian_tail_partial
 from lcsampler.errors import UsageError
 from lcsampler.numerics import (
     adaptive_quadrature,
     gaussian_tail_integral,
-    gaussian_tail_partial,
     ks_critical_value,
     ks_statistic,
     normal_cdf,

@@ -21,7 +21,9 @@ from lcsampler import (
 from lcsampler import hardfamily
 from lcsampler.numerics import ks_critical_value, ks_statistic, normal_cdf
 
-GAUSSIAN_ACCEPTANCE = 0.6679481339591666  # Z_p / Z_q for the kappa=1 envelope
+# Z_p / Z_q for the kappa=1 envelope: sqrt(2 pi) over the closed-form mass
+# 2 + 2 e^(-1/2) sqrt(pi/2) e^(1/8) erfc(1/(2 sqrt 2)) (test_envelope)
+GAUSSIAN_ACCEPTANCE = 0.8183348608090128
 GAUSSIAN_MEAN_TRIALS = 1.0 / GAUSSIAN_ACCEPTANCE
 
 
@@ -118,7 +120,7 @@ class TestSampleCapped:
             capped_trials(0.01, -0.5)
 
     def test_gaussian_never_fails_at_cap_44(self):
-        # failure probability (1 - 0.668)^44 < 1e-20: zero failures expected
+        # failure probability (1 - 0.818)^44 < 1e-20: zero failures expected
         _, _, normalized, env = gaussian_setup()
         rng = np.random.default_rng(17)
         outcomes = [sample_capped(normalized, env, 0.01, 0.1, rng) for _ in range(20_000)]
@@ -183,7 +185,9 @@ class TestAcceptanceProbability:
             _, env = prepare_envelope(PotentialOracle(pot, alpha=1.0, beta=1e3))
             return acceptance_probability(pot, env)
 
-        assert rho(0.0) == pytest.approx(0.66256298, rel=1e-8)
+        # x_pm = +-32/sqrt(1e3) where W = 0.512: sqrt(2 pi) over the mass
+        # 2x + 2 e^(-x^2/2) sqrt(pi/2) e^(x^2/8) erfc(x/(2 sqrt 2)), x = 32/sqrt(1e3)
+        assert rho(0.0) == pytest.approx(0.81642294, rel=1e-8)
         assert rho(value_at_zero) == pytest.approx(rho(0.0), rel=1e-12)
 
     def test_floor_holds_on_random_members(self):

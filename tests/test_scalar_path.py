@@ -75,95 +75,96 @@ def test_scalar_path_returns_plain_floats():
 
 
 # The first 20 (result, trials) of sample_exact at kappa = 1e6, seed 20240605,
-# recorded before the scalar path existed.
+# recorded when the tails were first built from the threshold search's edge
+# values; the scalar path was already in place and equal to the array path.
 PINNED_DRAWS = {
     "gaussian": [
         (-0.7323118637348662, 1),
-        (-1.57155079881466, 1),
+        (-1.5651730577983005, 1),
         (-0.09344485586915496, 2),
         (-0.21722528055515344, 3),
-        (1.5390510176448726, 2),
+        (1.5329672206991778, 2),
         (-0.45262144273861393, 1),
-        (-1.9513949460157936, 1),
+        (-1.9421248175929116, 1),
         (-0.6667096620276984, 2),
         (-0.11752467828272184, 1),
-        (-1.8521653069855806, 1),
-        (-2.0355290798369876, 2),
-        (1.0437035722606192, 1),
+        (-1.8435651412681664, 1),
+        (-2.0257307900216572, 2),
+        (1.043409280942271, 1),
         (0.02393399451467948, 1),
         (-0.37258352810286555, 1),
         (0.8555155904483791, 2),
-        (-0.11119769720966566, 2),
-        (-2.0498309299094064, 1),
+        (1.0805888330807703, 1),
+        (-0.11119769720966566, 1),
+        (-0.5982634012161568, 1),
         (0.8095969057316055, 1),
-        (-1.5848468207042652, 1),
-        (-1.0949609908644056, 1),
+        (-0.06077067245287848, 1),
     ],
     "skewed": [
         (-0.7323118637348662, 1),
-        (-0.09344485586915496, 3),
-        (-0.21722528055515344, 3),
-        (-0.45262144273861393, 3),
-        (-0.6667096620276984, 3),
+        (-0.04059256348648521, 1),
+        (-0.09344485586915496, 2),
+        (-0.11425743497322127, 2),
+        (-0.21722528055515344, 1),
+        (0.009907587334738954, 2),
+        (-0.45262144273861393, 1),
+        (-0.5102555231435727, 1),
+        (-0.6667096620276984, 2),
         (-0.11752467828272184, 1),
-        (0.02393399451467948, 5),
+        (-0.4082277492524715, 1),
+        (-0.5862568943646331, 2),
+        (0.9785217292752137, 1),
+        (0.02393399451467948, 1),
         (-0.37258352810286555, 1),
         (0.8555155904483791, 2),
-        (-0.11119769720966566, 2),
-        (0.8095969057316055, 2),
-        (-0.5343967487553472, 7),
-        (-0.2488553056427777, 1),
-        (0.28365080520942554, 3),
-        (-0.3146575431554045, 1),
-        (0.14701968989802405, 3),
-        (0.4338956112841019, 5),
-        (0.9963660613699039, 2),
-        (-0.4797230715842109, 1),
-        (-0.0327676805058279, 2),
+        (0.8927189098131396, 1),
+        (-0.11119769720966566, 1),
+        (-0.5982634012161568, 1),
+        (0.8095969057316055, 1),
     ],
     "hard:1": [
         (-0.0014302966088571606, 1),
         (-3.858126401387347e-05, 10),
         (-0.0018975150047183234, 1),
-        (-0.0007900587464505339, 7),
-        (-0.0026032562716627296, 1),
-        (0.001581243956507042, 1),
-        (-0.00020887190245114573, 5),
-        (0.0018214005493136696, 2),
-        (0.001548229730105293, 1),
-        (-0.0006145655139753994, 2),
-        (-0.0017115155054593357, 4),
-        (-0.0016566670636915292, 7),
-        (-0.003389697216580812, 5),
-        (0.003442973472806334, 3),
-        (-0.0005932333738208567, 2),
-        (-0.0029863339604262905, 2),
-        (-0.001105504524565443, 7),
-        (0.002258265506761263, 2),
-        (0.0014201914067209355, 1),
-        (-0.0009091686964527047, 1),
+        (-0.0022228367302663584, 1),
+        (-0.0007527153553208224, 3),
+        (0.0016709288875944904, 2),
+        (-0.0008275835299080435, 2),
+        (-0.0010760886523428245, 2),
+        (-0.001278399996104525, 1),
+        (-0.0023497003505271543, 1),
+        (0.0026240174896137447, 2),
+        (0.0008308945188625974, 1),
+        (0.002567817758082561, 1),
+        (-0.0005574194144897819, 3),
+        (-0.00144464505742401, 3),
+        (0.0016222145916630726, 2),
+        (0.0008474523657892616, 2),
+        (-0.0025021812144408015, 1),
+        (0.0014271807820060846, 2),
+        (-0.0016566670636915292, 2),
     ],
     "hard:3": [
-        (-0.00015432505605549388, 11),
-        (-0.003310334119632174, 8),
-        (-0.004304354609371298, 2),
-        (0.0033235780754503896, 5),
-        (-0.0022296776579591275, 4),
-        (-0.002372933495283427, 21),
-        (-0.004422018098261772, 9),
-        (-0.0036366747858108187, 4),
-        (-0.004542399574528247, 4),
-        (0.0038061292827242504, 2),
-        (0.0034411807104521522, 5),
-        (0.0020765748943130866, 5),
-        (-0.002196354907806201, 1),
-        (-0.001740566939287108, 4),
-        (-0.0051870360698489295, 1),
-        (-0.002466237323431768, 4),
-        (-0.0034693736397494665, 1),
-        (0.002662391988344972, 3),
-        (-0.005320964153184171, 14),
-        (0.0026299663385459995, 8),
+        (-0.0003171294022381657, 2),
+        (-0.0007300379364777732, 2),
+        (0.004172618902751, 1),
+        (-0.0008926362107282912, 1),
+        (-0.0016970725043371363, 1),
+        (7.740302605264808e-05, 2),
+        (-0.0035361050213954213, 1),
+        (-0.003986371274559162, 1),
+        (-0.0009181615490837644, 3),
+        (-0.0031892792910349337, 1),
+        (-0.004580131987223696, 2),
+        (0.00018698433214593344, 2),
+        (-0.002910808813303637, 1),
+        (0.003539038119542927, 1),
+        (-0.000868732009450513, 3),
+        (-0.004673932822001225, 1),
+        (-0.00047477087853811314, 2),
+        (0.0031213325521981146, 2),
+        (0.0018729080343150573, 1),
+        (0.0010112942604173156, 2),
     ],
 }
 

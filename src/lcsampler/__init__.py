@@ -35,12 +35,7 @@ from .hitandrun import (
     run_chain,
     step,
 )
-from .numerics import (
-    QuadratureResult,
-    adaptive_quadrature,
-    gaussian_tail_integral,
-    ks_statistic,
-)
+from .numerics import gaussian_tail_integral
 from .oracles import (
     OracleResponse,
     PiecewiseQuadraticPotential,
@@ -69,11 +64,9 @@ __all__ = [
     "OracleResponse",
     "PiecewiseQuadraticPotential",
     "PotentialOracle",
-    "QuadratureResult",
     "SampleOutcome",
     "UsageError",
     "acceptance_probability",
-    "adaptive_quadrature",
     "bracket_minimizer",
     "build_envelope",
     "build_line_envelope",
@@ -83,7 +76,6 @@ __all__ = [
     "find_threshold_index",
     "gaussian_tail_integral",
     "identify",
-    "ks_statistic",
     "largest_m",
     "member_mass_in_window",
     "normalize_at_zero",

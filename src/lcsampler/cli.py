@@ -188,18 +188,13 @@ def cmd_hardfamily_verify(args) -> int:
         lemma1_max_dev = max(lemma1_max_dev, float(np.abs(va - vb).max()))
 
     lemma2_min_mass = min(
-        hardfamily.member_mass_in_window(kappa, i, member=family.member(i))
-        for i in range(1, family.m + 1)
+        hardfamily.member_mass_in_window(family, i) for i in range(1, family.m + 1)
     )
 
     reach = float(family.member(family.m).breakpoints[-1]) * 1.5
     points = rng.uniform(-reach, reach, grid_points)
-    degeneracy_max = max(
-        hardfamily.distinct_response_count(float(x), kappa, family) for x in points
-    )
-
-    sampler = hardfamily.make_exact_member_sampler(kappa, family)
-    identification_rate = hardfamily.run_identification_experiment(kappa, args.trials, rng, sampler)
+    degeneracy_max = max(hardfamily.distinct_response_count(float(x), family) for x in points)
+    identification_rate = hardfamily.run_identification_experiment(family, args.trials, rng)
 
     report = {
         "kappa": kappa,

@@ -1,32 +1,32 @@
 """Construction of the dominating proposal for rejection sampling.
 
 One plateau rule builds every envelope.  For a potential ``W`` with
-``1 <= W'' <= kappa`` that is at most 0 somewhere in the bracket ``[a, b]``,
-at least ``-floor`` everywhere, and whose minimizer lies within ``reach`` of
-the bracket, the envelope is
+``1 <= W'' <= kappa`` and ``W(p) = 0`` at an anchor ``p``, at least
+``-floor`` everywhere, and whose minimizer lies within ``reach`` of ``p``,
+the envelope is
 
     q(x) = e^floor                                          on [x_minus, x_plus]
     q(x) = e^floor * exp(-tail_offset - drift*t - t^2/2),  t = distance to the plateau,
 
-with ``x_plus = b + 2^j / sqrt(kappa)`` and ``x_minus = a - 2^i / sqrt(kappa)``
+with ``x_plus = p + 2^j / sqrt(kappa)`` and ``x_minus = p - 2^i / sqrt(kappa)``
 for the first indices ``i, j >= lo`` at which ``W`` reaches ``level``.
 ``W >= -floor`` bounds the plateau.  The tails are built from the edge values
 ``W(x_plus)`` and ``W(x_minus)`` the search already queried: the drifts are
-``W(x_plus) / (x_plus - a)`` and ``W(x_minus) / (b - x_minus)``, and the one
+``W(x_plus) / (x_plus - p)`` and ``W(x_minus) / (p - x_minus)``, and the one
 ``tail_offset`` is ``min(W(x_minus), W(x_plus)) + floor``.  Convexity from
-the bracket point where ``W <= 0`` makes each drift a lower bound on the edge
-slope, and strong convexity adds ``t^2/2``, so ``W(x_plus + t) >= W(x_plus) +
-drift*t + t^2/2`` (likewise on the left) and the tails dominate, touching the
-target at the edge with the smaller value.  As ``W(b + t) >= -floor + (t -
+``W(p) = 0`` makes each drift a lower bound on the edge slope, and strong
+convexity adds ``t^2/2``, so ``W(x_plus + t) >= W(x_plus) + drift*t +
+t^2/2`` (likewise on the left) and the tails dominate, touching the target
+at the edge with the smaller value.  As ``W(p + t) >= -floor + (t -
 reach)^2/2``, the level is certain once ``t >= reach + sqrt(2 (level +
 floor))``: the search stops at ``max(lo, ceil(log2(kappa)/2 + log2(reach +
 sqrt(2 (level + floor)))))``, and a target that misses the level there is
 outside the class.
 
-The 1D sampler takes ``a = b = 0`` on the normalized potential with level
+The 1D sampler anchors at ``p = 0`` on the normalized potential with level
 1/2, floor 0, reach 0 and ``lo`` 0 (plateau height 1); the Hit-and-Run line
-step takes ``a = b = p`` for a point p with ``|W'(p)| <= 1``, shifted to
-``W(p) = 0``, with level 3, floor 1/2, reach ``|W'(p)|`` and ``lo`` 1.  The
+step anchors at a point p with ``|W'(p)| <= 1``, shifted to ``W(p) = 0``,
+with level 3, floor 1/2, reach ``|W'(p)|`` and ``lo`` 1.  The
 guarded dyadic binary search costs O(log log kappa) queries, and the mass
 has a closed form, so normalization and sampling consume no queries at all.
 """
@@ -242,8 +242,7 @@ class Envelope:
 
 def plateau_envelope(
     value,
-    a: float,
-    b: float,
+    p: float,
     kappa: float,
     *,
     level: float,
@@ -251,26 +250,26 @@ def plateau_envelope(
     lo: int,
     reach: float = 0.0,
 ) -> Envelope:
-    """The plateau envelope of the module docstring around the bracket [a, b].
+    """The plateau envelope of the module docstring around the anchor ``p``.
 
-    Searches right of ``b`` first, then left of ``a``; ``value`` is queried.
-    Each tail's drift is the search's edge value over its distance from the
-    far end of the bracket, and the offset is the smaller edge value plus
-    ``floor``: ``W(x_plus + t) >= W(x_plus) + drift*t + t^2/2`` by convexity
-    and unit strong convexity, so the tails dominate at no extra query.
+    Searches right of ``p`` first, then left; ``value`` is queried.  Each
+    tail's drift is the search's edge value over its distance from ``p``,
+    and the offset is the smaller edge value plus ``floor``: ``W(x_plus + t)
+    >= W(x_plus) + drift*t + t^2/2`` by convexity and unit strong convexity,
+    so the tails dominate at no extra query.
     """
     edge = math.log2(reach + math.sqrt(2.0 * (level + floor)))
     top = max(lo, math.ceil(math.log2(kappa) / 2 + edge))
     root = math.sqrt(kappa)
-    i_plus, w_plus = find_threshold_index(value, b, +1, kappa, level, lo, top)
-    i_minus, w_minus = find_threshold_index(value, a, -1, kappa, level, lo, top)
-    x_plus = b + 2.0**i_plus / root
-    x_minus = a - 2.0**i_minus / root
+    i_plus, w_plus = find_threshold_index(value, p, +1, kappa, level, lo, top)
+    i_minus, w_minus = find_threshold_index(value, p, -1, kappa, level, lo, top)
+    x_plus = p + 2.0**i_plus / root
+    x_minus = p - 2.0**i_minus / root
     return Envelope.from_geometry(
         x_minus=x_minus,
         x_plus=x_plus,
-        drift_minus=w_minus / (b - x_minus),
-        drift_plus=w_plus / (x_plus - a),
+        drift_minus=w_minus / (p - x_minus),
+        drift_plus=w_plus / (x_plus - p),
         plateau_height=math.exp(floor),
         tail_offset=min(w_minus, w_plus) + floor,
     )
@@ -280,20 +279,15 @@ def build_envelope(oracle) -> Envelope:
     """Run both threshold searches and assemble the dominating function.
 
     The oracle must already answer V(x) - V(0) (see
-    :func:`lcsampler.oracles.normalize_at_zero`) and declare unit strong
-    convexity (``alpha = 1``); kappa is ``oracle.kappa``.  Total queries are
-    at most ``2 * (ceil(log2(ceil(log2(kappa)/2) + 1)) + 1)``; the mass
-    comes from the closed form, not from extra queries.
+    :func:`lcsampler.oracles.normalize_at_zero`); kappa is ``oracle.kappa``.
+    Total queries are at most ``2 * (ceil(log2(ceil(log2(kappa)/2) + 1)) +
+    1)``; the mass comes from the closed form, not from extra queries.
     """
     if not getattr(oracle, "is_normalized", False):
         raise UsageError(
             "build_envelope needs a normalized oracle; wrap it with normalize_at_zero()"
         )
-    if abs(getattr(oracle, "alpha", 1.0) - 1.0) > 1e-12:
-        raise UsageError("build_envelope needs a unit-strongly-convex oracle (alpha = 1)")
-    return plateau_envelope(
-        oracle.value, 0.0, 0.0, oracle.kappa, level=0.5, floor=0.0, lo=0
-    )
+    return plateau_envelope(oracle.value, 0.0, oracle.kappa, level=0.5, floor=0.0, lo=0)
 
 
 def prepare_envelope(oracle):
@@ -301,7 +295,7 @@ def prepare_envelope(oracle):
 
     Returns ``(normalized_oracle, envelope)``.  This is the whole
     query-metered construction pipeline: one normalization query plus the
-    two threshold searches.  The oracle must declare ``alpha = 1``.
+    two threshold searches.
     """
     from .oracles import normalize_at_zero
 

@@ -125,12 +125,10 @@ def member_window(kappa: float, i: int) -> tuple[float, float]:
     return 2.0 ** (i - 2) / root, 2.0 ** (i - 1) / root
 
 
-def member_mass_in_window(
-    kappa: float, i: int, member: PiecewiseQuadraticPotential | None = None
-) -> float:
+def member_mass_in_window(family: HardFamily, i: int) -> float:
     """Normalized mass of member i's density on its own window (closed form)."""
-    member = build_member(kappa, i) if member is None else member
-    lo, hi = member_window(kappa, i)
+    member = family.member(i)
+    lo, hi = member_window(family.kappa, i)
     return member.density_cdf(hi) - member.density_cdf(lo)
 
 
@@ -149,22 +147,20 @@ def identify(y: float, kappa: float) -> int | None:
     return k if k >= 1 else None
 
 
-def distinct_response_count(x: float, kappa: float, family: HardFamily | None = None) -> int:
+def distinct_response_count(x: float, family: HardFamily) -> int:
     """Number of distinct (V, V', V'') triples across the family at one point."""
-    family = HardFamily.build(kappa) if family is None else family
     return len({member.evaluate(float(x)) for member in family.members})
 
 
-def make_exact_member_sampler(kappa: float, family: HardFamily | None = None):
+def make_exact_member_sampler(family: HardFamily):
     """Callable (index, rng) -> exact draw from member `index`'s density.
 
     Envelopes are built once per member (the construction queries are paid
     here, not per draw); each draw then costs a geometric number of queries.
     """
-    family = HardFamily.build(kappa) if family is None else family
     prepared = {}
     for i in range(1, family.m + 1):
-        oracle = PotentialOracle(family.member(i), alpha=1.0, beta=kappa)
+        oracle = PotentialOracle(family.member(i), beta=family.kappa)
         prepared[i] = prepare_envelope(oracle)
 
     def sampler(index: int, rng: np.random.Generator) -> float:
@@ -175,7 +171,7 @@ def make_exact_member_sampler(kappa: float, family: HardFamily | None = None):
 
 
 def run_identification_experiment(
-    kappa: float,
+    family: HardFamily,
     trials: int,
     rng: np.random.Generator,
     sampler=None,
@@ -184,16 +180,16 @@ def run_identification_experiment(
 
     Draws a uniform member index, samples once from that member, and checks
     whether the dyadic window of the sample recovers the index.  With an
-    exact per-member sampler the population rate is the average window mass,
-    which is at least 1/32.
+    exact per-member sampler (by default :func:`make_exact_member_sampler`
+    of ``family``) the population rate is the average window mass, which is
+    at least 1/32.
     """
-    m = largest_m(kappa)
     if sampler is None:
-        sampler = make_exact_member_sampler(kappa)
+        sampler = make_exact_member_sampler(family)
     hits = 0
     for _ in range(trials):
-        z = int(rng.integers(1, m + 1))
+        z = int(rng.integers(1, family.m + 1))
         y = sampler(z, rng)
-        if identify(y, kappa) == z:
+        if identify(y, family.kappa) == z:
             hits += 1
     return hits / trials

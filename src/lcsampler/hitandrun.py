@@ -16,7 +16,7 @@ The line step has three parts:
   W' between the two, with bisection as the fallback, finds one.
 * :func:`build_line_envelope` shifts W by the ``W(p)`` it already holds and
   calls the shared plateau builder :func:`lcsampler.envelope.plateau_envelope`
-  with ``a = b = p``, level 3 and floor 1/2.  Domination needs only
+  anchored at p, with level 3 and floor 1/2.  Domination needs only
   ``W(p) = 0`` after the shift, ``W >= -1/2`` and convexity; kappa
   enters the threshold search's range alone, which also covers the distance
   ``|g|`` from p to the minimizer.
@@ -262,9 +262,8 @@ def build_line_envelope(line: LineOracle, certificate: Certificate) -> tuple[Env
     the rejection step must evaluate.
     """
     shifted = CertifiedLine(line, certificate)
-    p = certificate.lam
     env = plateau_envelope(
-        shifted.value, p, p, line.kappa,
+        shifted.value, certificate.lam, line.kappa,
         level=3.0, floor=0.5, lo=1, reach=abs(certificate.slope),
     )
     return env, shifted

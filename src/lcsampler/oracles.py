@@ -1,10 +1,12 @@
 """Potentials and the query-counting oracle model.
 
-A target density is ``p(x) proportional to exp(-V(x))`` with ``alpha <= V''
-<= beta`` everywhere and the mode at the origin (``V'(0) = 0``).  Algorithms
-never see ``V`` directly; they see a :class:`PotentialOracle` that answers
-pointwise value/derivative/second-derivative queries, with the value shifted
-by a hidden constant, and that counts every call.
+A target density is ``p(x) proportional to exp(-V(x))``.  Every potential is
+built in one normal form: ``1 <= V'' <= kappa`` everywhere and ``V(0) =
+V'(0) = 0``, so the mode sits at the origin with unit strong convexity, and
+a 1D target has two free quantities, kappa and the oracle's hidden offset.
+Algorithms never see ``V`` directly; they see a :class:`PotentialOracle`
+that answers pointwise value/derivative/second-derivative queries, with the
+value shifted by that hidden constant, and that counts every call.
 """
 from __future__ import annotations
 
@@ -20,6 +22,10 @@ from .errors import ClassViolationError, UsageError
 
 _SQRT2 = math.sqrt(2.0)
 
+# fl(V(x) + C) - C rounds V to multiples of ulp(C); below 2^24 the error is
+# at most 2^-30, inside the 1e-9 slack of the class checks.
+_MAX_HIDDEN_OFFSET = 2.0**24
+
 
 class OracleResponse(NamedTuple):
     """Value, derivative and second derivative at one query point."""
@@ -34,30 +40,24 @@ class PiecewiseQuadraticPotential:
 
     ``breakpoints`` is a strictly increasing list of reals and ``curvatures``
     has one entry per segment, including the two unbounded end segments, so
-    ``len(curvatures) == len(breakpoints) + 1``.  The potential is anchored
-    by its value and slope at x = 0.
+    ``len(curvatures) == len(breakpoints) + 1``.  The potential is built in
+    the normal form of the module docstring.
 
     Value/slope pairs at every breakpoint are computed once at construction
     by exact rational integration of the curvature steps, done in Python
     integers: every breakpoint is put over one common denominator D (the lcm
-    of theirs), every curvature and V'(0) over one common C, and the walk
-    outward from 0 carries slope numerators over C*D and value numerators
-    over 2*C*D^2.  Each anchor is then rounded once, by correctly rounded
-    ``int / int`` division, to the float nearest its exact value.  This
-    avoids accumulation error at evaluation time and guarantees that two
+    of theirs), every curvature over one common C, and the walk outward from
+    0 carries slope numerators over C*D and value numerators over 2*C*D^2.
+    Each anchor is then rounded once, by correctly rounded ``int / int``
+    division, to the float nearest its exact value.  This avoids
+    accumulation error at evaluation time and guarantees that two
     potentials built from the same curvature profile on a region evaluate
     bitwise identically there, no matter how their segment lists subdivide
     it or which denominators the rest of their breakpoints carry: an exact
     value has one nearest float.
     """
 
-    def __init__(
-        self,
-        breakpoints: Sequence,
-        curvatures: Sequence[float],
-        value_at_zero: float = 0.0,
-        slope_at_zero: float = 0.0,
-    ):
+    def __init__(self, breakpoints: Sequence, curvatures: Sequence[float]):
         # Fractions are accepted as breakpoints so callers with an exact grid
         # (e.g. dyadic points divided by an irrational scale) keep widths that
         # cancel exactly during anchor integration; a Fraction or a float
@@ -80,30 +80,26 @@ class PiecewiseQuadraticPotential:
         self._bp = np.asarray(bp, dtype=float)
         self._bp_list = bp
         self._curv = np.asarray(cv, dtype=float)
-        self.value_at_zero = float(value_at_zero)
-        self.slope_at_zero = float(slope_at_zero)
-        self._exact_values, self._value_den, self._rows = self._segment_anchors(exact_bp, cv)
+        self._rows = self._segment_anchors(exact_bp, cv)
         self._columns = tuple(np.asarray(col, dtype=float) for col in zip(*self._rows))
         self._mass_cache = None
 
-    def _segment_anchors(self, exact_bp: list, cv: list[float]):
-        """Exact V - V(0) at each anchor (numerators over one denominator) and the anchor rows.
+    def _segment_anchors(self, exact_bp: list, cv: list[float]) -> list[tuple]:
+        """The anchor rows ``(anchor_x, anchor_v, anchor_d, c)``, one per segment.
 
-        Rows are ``(anchor_x, anchor_v, anchor_d, c)``.  The segment holding the origin is anchored at the origin, every other
+        The segment holding the origin is anchored at the origin, every other
         segment at its edge closest to the origin (the mode).  Value/slope
         pairs at the edges come from exact integration of the curvature
-        steps outward from 0 in integers: breakpoints over D, curvatures and
-        V'(0) over C, so slopes are numerators over C*D and V - V(0) is a
-        numerator over 2*C*D^2.  Each anchor is rounded once by ``int / int``.
+        steps outward from 0 in integers: breakpoints over D, curvatures over
+        C, so slopes are numerators over C*D and values numerators over
+        2*C*D^2.  Each anchor is rounded once by ``int / int``.
         """
         n = len(cv) - 1
         j0 = bisect_right(self._bp_list, 0.0)
         bp_ratios = [b.as_integer_ratio() for b in exact_bp]
         cv_ratios = [c.as_integer_ratio() for c in cv]
-        s0, s_den = self.slope_at_zero.as_integer_ratio()
-        p0, q0 = self.value_at_zero.as_integer_ratio()
         bp_den = math.lcm(1, *(q for _, q in bp_ratios))
-        cv_den = math.lcm(s_den, *(q for _, q in cv_ratios))
+        cv_den = math.lcm(1, *(q for _, q in cv_ratios))
         ys = [p * (bp_den // q) for p, q in bp_ratios]
         cs = [p * (cv_den // q) for p, q in cv_ratios]
         slope_den = cv_den * bp_den
@@ -113,23 +109,21 @@ class PiecewiseQuadraticPotential:
         # rightward from 0, then leftward: walking right to edge k crosses
         # segment k, walking left to it crosses segment k + 1
         for edges, crossed in ((range(j0, n), 0), (range(j0 - 1, -1, -1), 1)):
-            y, v, d = 0, 0, s0 * (cv_den // s_den) * bp_den
+            y, v, d = 0, 0, 0
             for k in edges:
                 c = cs[k + crossed]
                 w = ys[k] - y
                 v, d = v + (2 * d + c * w) * w, d + c * w
                 av[k], ad[k] = v, d
                 y = ys[k]
-        exact, rows = [], []
+        rows = []
         for j, c in enumerate(cv):
             if j == j0:
-                exact.append(0)
-                rows.append((0.0, self.value_at_zero, self.slope_at_zero, c))
+                rows.append((0.0, 0.0, 0.0, c))
                 continue
             a = j - 1 if j > j0 else j
-            exact.append(av[a])
             try:
-                value = (p0 * value_den + q0 * av[a]) / (q0 * value_den)
+                value = av[a] / value_den
                 slope = ad[a] / slope_den
             except OverflowError as exc:
                 raise UsageError(
@@ -137,12 +131,12 @@ class PiecewiseQuadraticPotential:
                     "overflows a float"
                 ) from exc
             rows.append((self._bp_list[a], value, slope, c))
-        return exact, value_den, rows
+        return rows
 
     @classmethod
-    def gaussian(cls, curvature: float = 1.0, value_at_zero: float = 0.0):
+    def gaussian(cls, curvature: float = 1.0):
         """Pure quadratic ``V(x) = curvature * x^2 / 2`` (no breakpoints)."""
-        return cls([], [curvature], value_at_zero=value_at_zero)
+        return cls([], [curvature])
 
     @property
     def breakpoints(self) -> np.ndarray:
@@ -188,11 +182,10 @@ class PiecewiseQuadraticPotential:
     # -- density helpers (test-harness path; never query-metered) ----------
 
     def _segment_table(self):
-        """Per-segment arrays (lo, hi, mu, vmin, c): exp(-(V - V(0))) in completed-square form."""
+        """Per-segment arrays (lo, hi, mu, vmin, c): exp(-V) in completed-square form."""
         edges = [-math.inf, *self._bp_list, math.inf]
         rows = []
-        for j, ((x0, _, d0, c), exact) in enumerate(zip(self._rows, self._exact_values)):
-            v0 = exact / self._value_den  # V - V(0) at the anchor, rounded once
+        for j, (x0, v0, d0, c) in enumerate(self._rows):
             if c <= 0:
                 raise UsageError("density helpers require strictly convex segments")
             rows.append((edges[j], edges[j + 1], x0 - d0 / c, v0 - d0 * d0 / (2 * c), c))
@@ -229,11 +222,8 @@ class PiecewiseQuadraticPotential:
         out[mid] = np.exp(-vmin[mid]) * pref[mid] * phi_diff
         return out
 
-    def normalized_mass(self) -> float:
-        """``int exp(-(V - V(0)))`` in closed form (per-segment Gaussian integrals).
-
-        Taken relative to ``V(0)``, so it stays finite whatever ``V(0)`` is.
-        """
+    def density_mass(self) -> float:
+        """``int exp(-V)`` in closed form (per-segment Gaussian integrals)."""
         if self._mass_cache is None:
             table = self._segment_table()
             masses = self._segment_mass(*table)
@@ -241,13 +231,9 @@ class PiecewiseQuadraticPotential:
             self._mass_cache = (table, cum, float(np.sum(masses)))
         return self._mass_cache[2]
 
-    def density_mass(self) -> float:
-        """``int exp(-V)``; raises OverflowError when ``-V(0)`` exceeds about 709."""
-        return self.normalized_mass() * math.exp(-self.value_at_zero)
-
     def density_cdf(self, x):
         """CDF of the normalized density exp(-V)/Z, exact per segment."""
-        self.normalized_mass()
+        self.density_mass()
         (lo, hi, mu, vmin, c), cum, total = self._mass_cache
         arr = np.asarray(x, dtype=float)
         xs = np.atleast_1d(arr)
@@ -263,27 +249,27 @@ class PiecewiseQuadraticPotential:
         )
 
 
-def check_class_member(potential: PiecewiseQuadraticPotential, alpha: float, beta: float) -> None:
-    """Raise ClassViolationError unless alpha <= V'' <= beta and V'(0) = 0."""
-    if alpha <= 0 or beta < alpha:
-        raise UsageError("need 0 < alpha <= beta")
+def check_class_member(potential: PiecewiseQuadraticPotential, kappa: float) -> None:
+    """Raise ClassViolationError unless 1 <= V'' <= kappa; UsageError when kappa < 1."""
+    if kappa < 1:
+        raise UsageError(f"need kappa >= 1, got {kappa:g}")
     curv = potential.curvatures
-    if curv.min() < alpha - 1e-12 or curv.max() > beta + 1e-12:
+    if curv.min() < 1 - 1e-12 or curv.max() > kappa + 1e-12:
         raise ClassViolationError(
-            f"curvature range [{curv.min():g}, {curv.max():g}] escapes [{alpha:g}, {beta:g}]"
+            f"curvature range [{curv.min():g}, {curv.max():g}] escapes [1, {kappa:g}]"
         )
-    slope0 = potential.evaluate(0.0)[1]
-    if abs(slope0) > 1e-9:
-        raise ClassViolationError(f"mode not at the origin: V'(0) = {slope0}")
 
 
 class PotentialOracle:
-    """Query-counting oracle for a 1D potential.
+    """Query-counting oracle for a 1D potential in normal form.
 
-    One query answers ``V(x) + C`` for a hidden constant ``C`` together with
-    the exact derivative and second derivative, and increments the counter
-    by exactly one.  Instances are immutable apart from the counter; use one
-    oracle per sampling run.
+    The potential satisfies ``1 <= V'' <= kappa`` and ``V(0) = V'(0) = 0``;
+    ``kappa`` is given as ``beta``, and the hidden offset ``C`` is the only
+    constant.  ``alpha`` is accepted only as 1.  One query answers ``V(x) +
+    C`` together with the exact derivative and second derivative, and
+    increments the counter by exactly one.  ``|C|`` must stay below 2^24, so
+    that adding and cancelling it changes V by at most 2^-30.  Instances are
+    immutable apart from the counter; use one oracle per sampling run.
     """
 
     is_normalized = False
@@ -295,19 +281,18 @@ class PotentialOracle:
         beta: float = 1.0,
         hidden_offset: float = 0.0,
     ):
-        if not 0 < alpha <= beta < math.inf:
-            raise UsageError(f"need 0 < alpha <= beta < inf, got alpha={alpha}, beta={beta}")
-        if not math.isfinite(hidden_offset):
-            raise UsageError(f"the hidden offset must be finite, got {hidden_offset}")
+        if alpha != 1.0:
+            raise UsageError(f"the oracle's alpha must be 1, got {alpha:g}")
+        if not 1.0 <= beta < math.inf:
+            raise UsageError(f"need 1 <= beta < inf, got beta={beta}")
+        if not abs(hidden_offset) < _MAX_HIDDEN_OFFSET:
+            raise UsageError(
+                f"the hidden offset must be finite and below 2^24 in magnitude, got {hidden_offset:g}"
+            )
         self.potential = potential
-        self.alpha = float(alpha)
-        self.beta = float(beta)
+        self.kappa = float(beta)
         self.hidden_offset = float(hidden_offset)
         self._count = 0
-
-    @property
-    def kappa(self) -> float:
-        return self.beta / self.alpha
 
     @property
     def query_count(self) -> int:
@@ -330,17 +315,12 @@ class _NormalizedOracle:
 
     def __init__(self, inner, value_at_origin: float):
         self._inner = inner
-        self.alpha = inner.alpha
-        self.beta = inner.beta
+        self.kappa = inner.kappa
         self._v0 = value_at_origin
 
     @property
     def query_count(self) -> int:
         return self._inner.query_count
-
-    @property
-    def kappa(self) -> float:
-        return self.beta / self.alpha
 
     def query(self, x) -> OracleResponse:
         resp = self._inner.query(x)

@@ -110,8 +110,8 @@ def sample_capped(
 def acceptance_probability(potential, env) -> float:
     """``Z_p / Z_q`` in closed form; query-free.
 
-    ``Z_p`` integrates ``exp(-(V - V(0)))``, matching the normalized oracle
-    the envelope was built against; the potential must offer
-    ``normalized_mass()``.
+    ``Z_p`` is ``potential.density_mass()``, the integral of ``exp(-V)``; a
+    potential in normal form has ``V(0) = 0``, so this is the target of the
+    normalized oracle the envelope was built against.
     """
-    return potential.normalized_mass() / env.mass_total
+    return potential.density_mass() / env.mass_total

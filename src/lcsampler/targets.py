@@ -108,19 +108,17 @@ def resolve_target(
 ) -> tuple[PiecewiseQuadraticPotential, PotentialOracle]:
     """Map a target name or JSON document/path to (potential, oracle).
 
-    Builtin names are declared with alpha = 1 and beta = kappa (1 when kappa
-    is None).  A JSON document ``{"type": "gaussian"|"piecewise", "alpha",
-    "beta", "breakpoints", "curvatures", "offset"}`` declares its own beta
-    and hidden offset; a kappa that is not None replaces its beta, and its
-    alpha must be 1 (UsageError otherwise).  Its curvatures must lie in
-    [1, beta] with the mode at the origin, or ClassViolationError is raised.
+    Builtin names are declared with kappa (1 when kappa is None).  A JSON
+    document ``{"type": "gaussian"|"piecewise", "alpha", "beta",
+    "breakpoints", "curvatures", "offset"}`` declares its own beta and
+    hidden offset; a kappa that is not None replaces its beta, and its alpha
+    must be 1 (UsageError otherwise).  Its curvatures must lie in [1, beta],
+    or ClassViolationError is raised.
     """
     if spec in BUILTIN_NAMES or spec.startswith("hard:"):
         kappa = 1.0 if kappa is None else kappa
         potential = builtin_potential(spec, kappa)
-        oracle = PotentialOracle(
-            potential, alpha=1.0, beta=kappa, hidden_offset=hidden_offset
-        )
+        oracle = PotentialOracle(potential, beta=kappa, hidden_offset=hidden_offset)
         return potential, oracle
     with _document_fields():
         doc = _read_document(spec)
@@ -132,7 +130,7 @@ def resolve_target(
             potential = PiecewiseQuadraticPotential(doc.get("breakpoints", []), doc["curvatures"])
         else:
             raise UsageError(f"unknown potential type {kind!r}")
-        check_class_member(potential, 1.0, beta)
+        check_class_member(potential, beta)
         oracle = PotentialOracle(potential, beta=beta, hidden_offset=float(doc.get("offset", 0.0)))
     return potential, oracle
 

@@ -1,20 +1,132 @@
-"""Shared fixtures-in-spirit: random class members, a geometric GOF test, the
-quadrature reference for the acceptance probability, the envelope's analytic
-CDF, the ``Fraction`` reference for a potential's anchors, the hard family's
+"""Shared fixtures-in-spirit: adaptive quadrature, the KS statistic and the
+normal CDF, random class members, a geometric GOF test, the quadrature
+reference for the acceptance probability, the envelope's analytic CDF, the
+``Fraction`` reference for a potential's anchors, the hard family's
 block-formula cross-checks and separable product targets for Hit-and-Run."""
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterable
 
 import numpy as np
-from scipy.special import erfcx
+from scipy.special import erfc, erfcx
 from scipy.stats import chi2
 
 from lcsampler import MultivariateOracle, PiecewiseQuadraticPotential, UsageError
 from lcsampler.hardfamily import largest_m, member_blocks
-from lcsampler.numerics import adaptive_quadrature
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_MAX_DEPTH = 60
+
+
+# -- reference numerics: quadrature and goodness of fit -------------------
+
+
+def normal_cdf(x):
+    """Standard normal CDF via the complementary error function."""
+    out = 0.5 * erfc(-np.asarray(x, dtype=float) * _INV_SQRT2)
+    return out if out.ndim else float(out)
+
+
+@dataclass(frozen=True)
+class QuadratureResult:
+    value: float
+    error_estimate: float
+    evaluations: int
+    converged: bool = True
+
+
+def adaptive_quadrature(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    tol: float = 1e-10,
+    breakpoints: Iterable[float] = (),
+    min_panels: int = 16,
+) -> QuadratureResult:
+    """Adaptive Simpson integration of ``f`` over [lo, hi].
+
+    Interior ``breakpoints`` split the domain first so integrand kinks never
+    straddle a panel; panels are then subdivided to at least ``min_panels``
+    overall so a localized integrand cannot hide between the initial probe
+    points of a wide interval.  Recursion depth is capped at 60; exhausting
+    it returns the best estimate flagged as non-converged instead of
+    raising.
+    """
+    if tol <= 0:
+        raise UsageError("tolerance must be positive")
+    if hi < lo:
+        raise UsageError("integration bounds out of order")
+    if hi == lo:
+        return QuadratureResult(0.0, 0.0, 0)
+
+    coarse = [lo]
+    for b in sorted(set(float(b) for b in breakpoints)):
+        if lo < b < hi:
+            coarse.append(b)
+    coarse.append(hi)
+    edges = []
+    for a, b in zip(coarse[:-1], coarse[1:]):
+        pieces = max(1, math.ceil(min_panels * (b - a) / (hi - lo)))
+        edges.extend(a + (b - a) * k / pieces for k in range(pieces))
+    edges.append(hi)
+
+    state = {"evals": 0, "converged": True, "err": 0.0}
+
+    def _simpson(a, fa, b, fb):
+        m = 0.5 * (a + b)
+        fm = f(m)
+        state["evals"] += 1
+        return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+    def _recurse(a, fa, b, fb, m, fm, whole, eps, depth):
+        lm, flm, left = _simpson(a, fa, m, fm)
+        rm, frm, right = _simpson(m, fm, b, fb)
+        delta = left + right - whole
+        if abs(delta) <= 15.0 * eps or depth >= _MAX_DEPTH:
+            if abs(delta) > 15.0 * eps:
+                state["converged"] = False
+            state["err"] += abs(delta) / 15.0
+            return left + right + delta / 15.0
+        return _recurse(a, fa, m, fm, lm, flm, left, eps / 2.0, depth + 1) + _recurse(
+            m, fm, b, fb, rm, frm, right, eps / 2.0, depth + 1
+        )
+
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        fa, fb = f(a), f(b)
+        state["evals"] += 2
+        panel_tol = tol * (b - a) / (hi - lo)
+        m, fm, whole = _simpson(a, fa, b, fb)
+        total += _recurse(a, fa, b, fb, m, fm, whole, panel_tol, 0)
+
+    return QuadratureResult(total, state["err"], state["evals"], state["converged"])
+
+
+def ks_statistic(samples, cdf: Callable) -> float:
+    """Sup-norm distance between the empirical CDF of ``samples`` and ``cdf``."""
+    xs = np.sort(np.asarray(samples, dtype=float))
+    if xs.size == 0:
+        raise UsageError("KS statistic needs at least one sample")
+    n = xs.size
+    fx = np.asarray(cdf(xs), dtype=float)
+    upper = np.arange(1, n + 1) / n - fx
+    lower = fx - np.arange(0, n) / n
+    return float(max(upper.max(), lower.max()))
+
+
+def ks_critical_value(n: int, significance: float = 0.01) -> float:
+    """One-sample KS critical value; 1.63/sqrt(n) at the 1% level."""
+    coeff = {0.10: 1.22, 0.05: 1.36, 0.01: 1.63}.get(significance)
+    if coeff is None:
+        raise UsageError(f"unsupported significance level {significance}")
+    return coeff / math.sqrt(n)
+
+
+# -- random class members and fixtures ------------------------------------
 
 
 def random_class_potential(
@@ -144,8 +256,8 @@ def product_oracle(members, kappa: float) -> MultivariateOracle:
     return MultivariateOracle(value, gradient, dimension=len(members), kappa=kappa)
 
 
-def fraction_anchors(breakpoints, curvatures, v0: float, s0: float):
-    """Anchor rows ``(anchor_x, anchor_v, anchor_d, c)`` and ``V - V(0)`` at each anchor.
+def fraction_anchors(breakpoints, curvatures):
+    """Anchor rows ``(anchor_x, anchor_v, anchor_d, c)`` of the normal-form potential.
 
     The independent reference for ``PiecewiseQuadraticPotential``'s integer
     anchor walk: the same integration outward from 0 in ``Fraction``
@@ -162,23 +274,21 @@ def fraction_anchors(breakpoints, curvatures, v0: float, s0: float):
     # rightward from 0, then leftward: walking right to edge k crosses
     # segment k, walking left to it crosses segment k + 1
     for edges, crossed in ((range(j0, n), 0), (range(j0 - 1, -1, -1), 1)):
-        x, v, d = Fraction(0), Fraction(v0), Fraction(s0)
+        x, v, d = Fraction(0), Fraction(0), Fraction(0)
         for k in edges:
             c = Fraction(cv[k + crossed])
             w = exact_bp[k] - x
             v, d = v + d * w + c * w * w / 2, d + c * w
             av[k], ad[k] = v, d
             x = exact_bp[k]
-    rows, offsets = [], []
+    rows = []
     for j, c in enumerate(cv):
         if j == j0:
-            rows.append((0.0, float(v0), float(s0), c))
-            offsets.append(0.0)
+            rows.append((0.0, 0.0, 0.0, c))
         else:
             a = j - 1 if j > j0 else j
             rows.append((bp[a], float(av[a]), float(ad[a]), c))
-            offsets.append(float(av[a] - Fraction(v0)))
-    return rows, offsets
+    return rows
 
 
 # -- the hard family's block formulas (cross-checks of its construction) --

@@ -9,7 +9,15 @@ import time
 import numpy as np
 import pytest
 
-from helpers import curvature_telescoping, geometric_chi2_pvalue, random_class_potential
+from helpers import (
+    adaptive_quadrature,
+    curvature_telescoping,
+    geometric_chi2_pvalue,
+    ks_critical_value,
+    ks_statistic,
+    normal_cdf,
+    random_class_potential,
+)
 from lcsampler import (
     PotentialOracle,
     acceptance_probability,
@@ -21,13 +29,7 @@ from lcsampler import (
     step,
 )
 from lcsampler import hardfamily
-from lcsampler.numerics import (
-    adaptive_quadrature,
-    gaussian_tail_integral,
-    ks_critical_value,
-    ks_statistic,
-    normal_cdf,
-)
+from lcsampler.numerics import gaussian_tail_integral
 from lcsampler.targets import builtin_potential
 
 BENCH_KAPPAS = (1e3, 1e6, 1e9, 1e12)
@@ -199,8 +201,9 @@ def test_criterion_07_window_mass_bound():
     t0 = time.perf_counter()
     lo = math.inf
     for kappa in (1e3, 1e6):
-        for i in range(1, hardfamily.largest_m(kappa) + 1):
-            lo = min(lo, hardfamily.member_mass_in_window(kappa, i))
+        family = hardfamily.HardFamily.build(kappa)
+        for i in range(1, family.m + 1):
+            lo = min(lo, hardfamily.member_mass_in_window(family, i))
     elapsed = time.perf_counter() - t0
     ok = lo >= 1.0 / 32.0 and elapsed < 10.0
     _report(7, ok, elapsed, f"min window mass over both families: {lo:.5f} (floor 1/32)")
@@ -229,7 +232,7 @@ def test_criterion_09_identification_experiment():
     t0 = time.perf_counter()
     rng = np.random.default_rng(909)
     trials = 100_000
-    rate = hardfamily.run_identification_experiment(1e3, trials, rng)
+    rate = hardfamily.run_identification_experiment(hardfamily.HardFamily.build(1e3), trials, rng)
     se = math.sqrt(rate * (1.0 - rate) / trials)
     ok = rate >= 1.0 / 32.0 - 3.0 * se
     elapsed = time.perf_counter() - t0

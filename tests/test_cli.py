@@ -361,6 +361,30 @@ class TestErrorPaths:
         with pytest.raises(UsageError, match="alpha must be 1"):
             resolve_target(json.dumps({"type": "gaussian", "alpha": 2, "beta": 8}), None)
 
+    def test_kappa_below_one_for_a_document_is_config_error(self):
+        target = json.dumps({"type": "gaussian"})
+        assert run_cli(["envelope-inspect", "--kappa", "0.5", "--target", target]) == 4
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # the rounded target escaped the envelope: exit 3 for an in-class target
+            {"type": "gaussian", "beta": 1e6, "offset": 1e15},
+            # W rounded to steps of 2^-6: exit 0 with draws off by up to 0.8% pointwise
+            {
+                "type": "piecewise",
+                "beta": 1e6,
+                "breakpoints": [-0.752, -0.751, -0.75, 1.0, 1.001, 1.002, 1.003],
+                "curvatures": [1e6, 1, 1e6, 1, 1e6, 1, 1e6, 1],
+                "offset": 1e14,
+            },
+        ],
+    )
+    def test_offset_of_two_to_the_24_or_more_is_config_error(self, doc, tmp_path, capsys):
+        args = ["sample", "--trials", "20000", "--seed", "3", "--target", json.dumps(doc)]
+        assert run_cli([*args, "--out", str(tmp_path / "draws.txt")]) == 4
+        assert f"got {doc['offset']:g}" in capsys.readouterr().err
+
 
 class TestParser:
     FLAGS = {

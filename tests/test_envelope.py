@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import domination_grid, envelope_cdf, random_class_potential
+from helpers import (
+    adaptive_quadrature,
+    domination_grid,
+    envelope_cdf,
+    ks_critical_value,
+    ks_statistic,
+    random_class_potential,
+)
 from lcsampler import (
     ClassViolationError,
     Envelope,
@@ -16,7 +23,6 @@ from lcsampler import (
     prepare_envelope,
 )
 from lcsampler import acceptance_probability, hardfamily
-from lcsampler.numerics import adaptive_quadrature, ks_critical_value, ks_statistic
 from lcsampler.targets import builtin_potential
 
 
@@ -179,9 +185,8 @@ class TestBuildEnvelope:
 
     def test_unrescaled_oracle_rejected(self):
         pot = PiecewiseQuadraticPotential.gaussian(4.0)
-        oracle = PotentialOracle(pot, alpha=4.0, beta=4.0)
-        with pytest.raises(UsageError):
-            build_envelope(normalize_at_zero(oracle))
+        with pytest.raises(UsageError, match="alpha must be 1"):
+            PotentialOracle(pot, alpha=4.0, beta=4.0)
 
 
 class TestEnvelopeValue:

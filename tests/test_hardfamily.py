@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import curvature_telescoping, phi, psi, second_derivative_by_formula
+from helpers import (
+    adaptive_quadrature,
+    curvature_telescoping,
+    ks_critical_value,
+    ks_statistic,
+    phi,
+    psi,
+    second_derivative_by_formula,
+)
 from lcsampler import PotentialOracle, UsageError, prepare_envelope, sample_exact
 from lcsampler.hardfamily import (
     HardFamily,
@@ -18,7 +26,6 @@ from lcsampler.hardfamily import (
     member_window,
     run_identification_experiment,
 )
-from lcsampler.numerics import adaptive_quadrature
 from lcsampler.oracles import check_class_member
 
 # quadrature regression constants (tol 1e-10), pinned on first computation
@@ -88,7 +95,7 @@ class TestMemberConstruction:
 
     def test_membership_in_class(self):
         for i in (1, 4, 6):
-            check_class_member(build_member(1e3, i), 1.0, 1e3)
+            check_class_member(build_member(1e3, i), 1e3)
 
     def test_blocks_tile_the_half_line(self):
         for kappa, i in ((4.0, 1), (1e3, 2), (1e6, 7)):
@@ -167,18 +174,21 @@ class TestWindowMass:
             assert hi_a == lo_b  # half-open adjacency
 
     def test_lemma_mass_bound_kappa_1e3(self):
+        family = HardFamily.build(1e3)
         for i, frozen in enumerate(WINDOW_MASSES_1E3, start=1):
-            mass = member_mass_in_window(1e3, i)
+            mass = member_mass_in_window(family, i)
             assert mass >= 1.0 / 32.0
             assert mass == pytest.approx(frozen, abs=1e-7)
 
     def test_regression_value_kappa_1e6(self):
-        assert member_mass_in_window(1e6, 1) == pytest.approx(WINDOW_MASS_1E6_I1, rel=1e-8)
+        family = HardFamily.build(1e6)
+        assert member_mass_in_window(family, 1) == pytest.approx(WINDOW_MASS_1E6_I1, rel=1e-8)
 
     def test_closed_forms_match_quadrature(self):
         # quadrature is the independent check of density_cdf and the window mass
         for kappa, i in ((1e3, 1), (1e3, 4), (1e6, 11)):
-            member = build_member(kappa, i)
+            family = HardFamily.build(kappa)
+            member = family.member(i)
             bps = member.breakpoints
 
             def density(x):
@@ -192,7 +202,7 @@ class TestWindowMass:
                 assert member.density_cdf(x) == pytest.approx(below / total, abs=1e-9)
             lo, hi = member_window(kappa, i)
             window = adaptive_quadrature(density, lo, hi, tol=1e-10, breakpoints=bps).value
-            assert member_mass_in_window(kappa, i, member) == pytest.approx(window / total, rel=1e-8)
+            assert member_mass_in_window(family, i) == pytest.approx(window / total, rel=1e-8)
 
     def test_normalizer_regression_and_closed_form(self):
         member = build_member(1e3, 1)
@@ -238,12 +248,12 @@ class TestIdentify:
 
 class TestResponseDegeneracy:
     def test_origin_has_single_response(self):
-        assert distinct_response_count(0.0, 1e3) == 1
+        assert distinct_response_count(0.0, HardFamily.build(1e3)) == 1
 
     def test_beyond_all_structure_members_coincide(self):
         family = HardFamily.build(1e3)
         far = float(family.member(family.m).breakpoints[-1]) + 1.0
-        assert distinct_response_count(far, 1e3, family) == 1
+        assert distinct_response_count(far, family) == 1
 
     @pytest.mark.parametrize("kappa", [1e3, 1e6])
     def test_at_most_five_distinct_responses(self, kappa):
@@ -251,7 +261,7 @@ class TestResponseDegeneracy:
         rng = np.random.default_rng(11)
         reach = float(family.member(family.m).breakpoints[-1]) * 1.5
         worst = max(
-            distinct_response_count(float(x), kappa, family)
+            distinct_response_count(float(x), family)
             for x in rng.uniform(-reach, reach, 4000)
         )
         assert worst <= 5
@@ -261,27 +271,26 @@ class TestIdentificationExperiment:
     def test_exact_sampler_beats_lemma_bound(self):
         rng = np.random.default_rng(13)
         trials = 12_000
-        rate = run_identification_experiment(1e3, trials, rng)
+        rate = run_identification_experiment(HardFamily.build(1e3), trials, rng)
         se = math.sqrt(rate * (1.0 - rate) / trials)
         assert rate >= 1.0 / 32.0 - 3.0 * se
 
     def test_population_rate_from_quadrature(self):
-        masses = [member_mass_in_window(1e3, i) for i in range(1, 7)]
+        family = HardFamily.build(1e3)
+        masses = [member_mass_in_window(family, i) for i in range(1, 7)]
         assert sum(masses) / 6 == pytest.approx(POPULATION_RATE_1E3, rel=1e-7)
 
     def test_adversarial_constant_sampler_never_identifies(self):
         rng = np.random.default_rng(17)
         rate = run_identification_experiment(
-            1e3, 500, rng, sampler=lambda index, rng: 0.0
+            HardFamily.build(1e3), 500, rng, sampler=lambda index, rng: 0.0
         )
         assert rate == 0.0
 
     def test_member_sampler_draws_from_the_right_member(self):
         # sampled CDF against the member's exact density CDF
-        from lcsampler.numerics import ks_critical_value, ks_statistic
-
         kappa = 1e3
-        sampler = make_exact_member_sampler(kappa)
+        sampler = make_exact_member_sampler(HardFamily.build(kappa))
         rng = np.random.default_rng(19)
         n = 8000
         draws = np.array([sampler(4, rng) for _ in range(n)])
@@ -291,7 +300,7 @@ class TestIdentificationExperiment:
     def test_rejection_pipeline_runs_on_members(self):
         kappa = 1e3
         member = build_member(kappa, 6)
-        oracle = PotentialOracle(member, alpha=1.0, beta=kappa, hidden_offset=1.23)
+        oracle = PotentialOracle(member, beta=kappa, hidden_offset=1.23)
         normalized, env = prepare_envelope(oracle)
         out = sample_exact(normalized, env, np.random.default_rng(23))
         assert out.trials == out.queries

@@ -15,15 +15,16 @@ from lcsampler import (
     sample_exact,
     step,
 )
-from lcsampler.numerics import (
+from lcsampler.targets import builtin_potential
+
+from helpers import (
     adaptive_quadrature,
+    domination_grid,
     ks_critical_value,
     ks_statistic,
     normal_cdf,
+    product_oracle,
 )
-from lcsampler.targets import builtin_potential
-
-from helpers import domination_grid, product_oracle
 
 
 def isotropic(dim, kappa):

@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import gaussian_tail_partial
-from lcsampler.errors import UsageError
-from lcsampler.numerics import (
+from helpers import (
     adaptive_quadrature,
-    gaussian_tail_integral,
+    gaussian_tail_partial,
     ks_critical_value,
     ks_statistic,
     normal_cdf,
-    sample_gaussian_tail,
 )
+from lcsampler.errors import UsageError
+from lcsampler.numerics import gaussian_tail_integral, sample_gaussian_tail
 
 
 class TestGaussianTailIntegral:

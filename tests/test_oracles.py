@@ -40,6 +40,14 @@ class TestQuery:
         o = standard_gaussian_oracle(offset=7.3)
         assert o.query(2.0).value == pytest.approx(9.3)
 
+    def test_hidden_offset_below_two_to_the_24(self):
+        below = math.nextafter(2.0**24, 0.0)
+        for offset in (below, -below):
+            assert standard_gaussian_oracle(offset).hidden_offset == offset
+        for offset in (2.0**24, -(2.0**24), math.inf, math.nan):
+            with pytest.raises(UsageError, match="hidden offset"):
+                standard_gaussian_oracle(offset)
+
     def test_one_increment_per_call_regardless_of_orders(self):
         o = standard_gaussian_oracle()
         o.query(1.0)
@@ -52,11 +60,6 @@ class TestNormalizeAtZero:
         o = standard_gaussian_oracle(offset=5.0)
         n = normalize_at_zero(o)
         assert n.value(1.0) == pytest.approx(0.5)
-
-    def test_baked_in_constant_cancels(self):
-        pot = PiecewiseQuadraticPotential.gaussian(1.0, value_at_zero=3.0)
-        n = normalize_at_zero(PotentialOracle(pot))
-        assert n.value(2.0) == pytest.approx(2.0)
 
     def test_query_accounting(self):
         o = standard_gaussian_oracle()
@@ -150,28 +153,26 @@ class TestExactAnchors:
     """The integer anchor walk equals the Fraction reference bit for bit."""
 
     @staticmethod
-    def _check(pot, breakpoints, v0=0.0, s0=0.0):
-        rows, offsets = fraction_anchors(breakpoints, pot.curvatures.tolist(), v0, s0)
+    def _check(pot, breakpoints):
+        rows = fraction_anchors(breakpoints, pot.curvatures.tolist())
         assert pot._rows == rows
         _, _, mu, vmin, _ = pot._segment_table()
         assert mu.tolist() == [x - d / c for x, _, d, c in rows]
-        assert vmin.tolist() == [v - d * d / (2 * c) for v, (_, _, d, c) in zip(offsets, rows)]
+        assert vmin.tolist() == [v - d * d / (2 * c) for _, v, d, c in rows]
 
     @pytest.mark.parametrize("name, kappa, breakpoints", list(_anchor_cases()))
     def test_builtin_and_hard_members(self, name, kappa, breakpoints):
         pot = builtin_potential(name, kappa)
         self._check(pot, pot.breakpoints.tolist() if breakpoints is None else breakpoints)
 
-    def test_random_potentials_with_offset_value_and_slope(self):
+    def test_random_potentials(self):
         rng = np.random.default_rng(2024)
         for _ in range(200):
             n = int(rng.integers(1, 13))
             bps = (np.sort(rng.uniform(-3.0, 3.0, size=n)) + np.arange(n) * 1e-9).tolist()
             cvs = np.exp(rng.uniform(0.0, np.log(1e6), size=n + 1)).tolist()
-            v0 = float(rng.uniform(-800.0, 800.0))
-            s0 = float(rng.uniform(0.5, 5.0)) * float(rng.choice([-1.0, 1.0]))
-            pot = PiecewiseQuadraticPotential(bps, cvs, v0, s0)
-            self._check(pot, bps, v0, s0)
+            pot = PiecewiseQuadraticPotential(bps, cvs)
+            self._check(pot, bps)
 
 
 class TestOffsetOpacity:
@@ -179,10 +180,7 @@ class TestOffsetOpacity:
         results = []
         for offset in (0.0, 123.456):
             oracle = PotentialOracle(
-                PiecewiseQuadraticPotential.gaussian(1.0),
-                alpha=1.0,
-                beta=4.0,
-                hidden_offset=offset,
+                PiecewiseQuadraticPotential.gaussian(1.0), beta=4.0, hidden_offset=offset
             )
             normalized, env = prepare_envelope(oracle)
             rng = np.random.default_rng(42)
@@ -197,17 +195,12 @@ class TestOffsetOpacity:
 
 class TestClassChecks:
     def test_accepts_member(self):
-        check_class_member(PiecewiseQuadraticPotential.gaussian(2.0), 1.0, 4.0)
+        check_class_member(PiecewiseQuadraticPotential.gaussian(2.0), 4.0)
 
     def test_rejects_out_of_sandwich_curvature(self):
         pot = PiecewiseQuadraticPotential([0.5], [1.0, 9.0])
         with pytest.raises(ClassViolationError):
-            check_class_member(pot, 1.0, 4.0)
-
-    def test_rejects_shifted_mode(self):
-        pot = PiecewiseQuadraticPotential([], [1.0], slope_at_zero=0.5)
-        with pytest.raises(ClassViolationError):
-            check_class_member(pot, 1.0, 4.0)
+            check_class_member(pot, 4.0)
 
 
 class TestJsonLoading:

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import geometric_chi2_pvalue, quadrature_acceptance, random_class_potential
+from helpers import (
+    geometric_chi2_pvalue,
+    ks_critical_value,
+    ks_statistic,
+    normal_cdf,
+    quadrature_acceptance,
+    random_class_potential,
+)
 from lcsampler import (
     FAILURE,
     ClassViolationError,
@@ -19,7 +26,6 @@ from lcsampler import (
     sample_exact,
 )
 from lcsampler import hardfamily
-from lcsampler.numerics import ks_critical_value, ks_statistic, normal_cdf
 
 # Z_p / Z_q for the kappa=1 envelope: sqrt(2 pi) over the closed-form mass
 # 2 + 2 e^(-1/2) sqrt(pi/2) e^(1/8) erfc(1/(2 sqrt 2)) (test_envelope)
@@ -178,17 +184,17 @@ class TestAcceptanceProbability:
                 quadrature_acceptance(pot, env), rel=1e-8
             )
 
-    @pytest.mark.parametrize("value_at_zero", [800.0, -800.0])
-    def test_value_at_zero_cancels(self, value_at_zero):
-        def rho(v0):
-            pot = PiecewiseQuadraticPotential.gaussian(1.0, value_at_zero=v0)
-            _, env = prepare_envelope(PotentialOracle(pot, alpha=1.0, beta=1e3))
+    @pytest.mark.parametrize("offset", [800.0, -800.0])
+    def test_hidden_offset_cancels(self, offset):
+        def rho(c):
+            pot = PiecewiseQuadraticPotential.gaussian(1.0)
+            _, env = prepare_envelope(PotentialOracle(pot, beta=1e3, hidden_offset=c))
             return acceptance_probability(pot, env)
 
         # x_pm = +-32/sqrt(1e3) where W = 0.512: sqrt(2 pi) over the mass
         # 2x + 2 e^(-x^2/2) sqrt(pi/2) e^(x^2/8) erfc(x/(2 sqrt 2)), x = 32/sqrt(1e3)
         assert rho(0.0) == pytest.approx(0.81642294, rel=1e-8)
-        assert rho(value_at_zero) == pytest.approx(rho(0.0), rel=1e-12)
+        assert rho(offset) == pytest.approx(rho(0.0), rel=1e-12)
 
     def test_floor_holds_on_random_members(self):
         rng = np.random.default_rng(29)

@@ -47,7 +47,6 @@ from .rejection import (
     SampleOutcome,
     acceptance_probability,
     capped_trials,
-    sample_capped,
     sample_exact,
 )
 
@@ -85,7 +84,6 @@ __all__ = [
     "restrict",
     "run_chain",
     "run_identification_experiment",
-    "sample_capped",
     "sample_exact",
     "step",
 ]

@@ -16,7 +16,11 @@ Kappa comes from the target's oracle and nowhere else.  ``--kappa`` sets it
 for builtin targets (default 1) and, for a JSON target, replaces the
 document's ``beta``; without ``--kappa`` a JSON target's ``beta`` is used as
 written.  A JSON target's ``alpha`` must be 1 (any other value exits 4).  A
-``diagonal`` Hit-and-Run document takes kappa from its curvatures.
+``diagonal`` Hit-and-Run document takes kappa from ``--kappa``, else its
+``beta``, else its largest curvature; a kappa below that curvature exits 3.
+``--dimension`` (default 10) sizes the builtin Hit-and-Run target and, for a
+``gaussian`` document, replaces its ``dimension``; a ``diagonal`` document's
+dimension is its curvature count, and ``--dimension`` with one exits 4.
 ``bench-queries`` sweeps 1e3, 1e6, 1e9 and 1e12 when no ``--kappa`` is
 given.  The JSON outputs report the oracle's kappa.
 
@@ -48,7 +52,7 @@ from . import hardfamily
 from .envelope import prepare_envelope
 from .errors import ClassViolationError, UsageError
 from .hitandrun import run_chain
-from .rejection import FAILURE, acceptance_probability, sample_capped, sample_exact
+from .rejection import FAILURE, acceptance_probability, capped_trials, sample_exact
 from .targets import resolve_multivariate_target, resolve_target
 
 EXIT_OK = 0
@@ -67,8 +71,13 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_rows(args, header: tuple[str, ...], rows: list[tuple]) -> None:
+    """Write ``rows`` as CSV (``repr`` per cell) or, with ``--format json``, a list of objects."""
+    if args.format == "json":
+        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2)
+    else:
+        text = ",".join(header) + "".join("\n" + ",".join(map(repr, row)) for row in rows)
+    _write_text(args.out, text + "\n")
 
 
 def _single_kappa(args) -> float | None:
@@ -83,22 +92,20 @@ def _single_kappa(args) -> float | None:
 def cmd_sample(args) -> int:
     potential, oracle = resolve_target(args.target, _single_kappa(args))
     normalized, env = prepare_envelope(oracle)
+    cap = None if args.epsilon is None else capped_trials(args.epsilon, args.rho_floor)
     rng = np.random.default_rng(args.seed)
 
     lines = []
     failures = 0
     total_trials = 0
     for _ in range(args.trials):
-        if args.epsilon is None:
-            outcome = sample_exact(normalized, env, rng)
-        else:
-            outcome = sample_capped(normalized, env, args.epsilon, args.rho_floor, rng)
+        outcome = sample_exact(normalized, env, rng, cap)
         total_trials += outcome.trials
         if outcome.result is FAILURE:
             failures += 1
             lines.append("FAILURE")
         else:
-            lines.append(_fmt(outcome.result))
+            lines.append(repr(float(outcome.result)))
 
     sidecar = {
         "target": args.target,
@@ -144,26 +151,15 @@ def cmd_bench_queries(args) -> int:
         t0 = time.perf_counter()
         total = sum(sample_exact(normalized, env, rng).trials for _ in range(args.trials))
         elapsed = time.perf_counter() - t0
-        rows.append(
-            {
-                "kappa": oracle.kappa,
-                "envelope_queries": envelope_queries,
-                "mean_trials": total / args.trials,
-                "acceptance_rate": acceptance_probability(potential, env),
-                "throughput": args.trials / elapsed if elapsed > 0 else math.inf,
-            }
-        )
-
-    if args.format == "json":
-        _write_text(args.out, json.dumps(rows, indent=2) + "\n")
-    else:
-        header = "kappa,envelope_queries,mean_trials,acceptance_rate,throughput"
-        body = "".join(
-            f"{_fmt(r['kappa'])},{r['envelope_queries']},{_fmt(r['mean_trials'])},"
-            f"{_fmt(r['acceptance_rate'])},{_fmt(r['throughput'])}\n"
-            for r in rows
-        )
-        _write_text(args.out, header + "\n" + body)
+        rows.append((
+            oracle.kappa,
+            envelope_queries,
+            total / args.trials,
+            acceptance_probability(potential, env),
+            args.trials / elapsed if elapsed > 0 else math.inf,
+        ))
+    header = ("kappa", "envelope_queries", "mean_trials", "acceptance_rate", "throughput")
+    _write_rows(args, header, rows)
     return EXIT_OK
 
 
@@ -221,18 +217,8 @@ def cmd_hitandrun(args) -> int:
     rng = np.random.default_rng(args.seed)
     result = run_chain(oracle, np.zeros(oracle.dimension), args.trials, rng)
     norms = np.linalg.norm(result.positions[1:], axis=1)
-    if args.format == "json":
-        rows = [
-            {"step": t + 1, "queries": int(q), "x_norm": float(n)}
-            for t, (q, n) in enumerate(zip(result.step_queries, norms))
-        ]
-        _write_text(args.out, json.dumps(rows, indent=2) + "\n")
-    else:
-        body = "".join(
-            f"{t + 1},{int(q)},{_fmt(n)}\n"
-            for t, (q, n) in enumerate(zip(result.step_queries, norms))
-        )
-        _write_text(args.out, "step,queries,x_norm\n" + body)
+    rows = [(t + 1, int(q), float(n)) for t, (q, n) in enumerate(zip(result.step_queries, norms))]
+    _write_rows(args, ("step", "queries", "x_norm"), rows)
     summary = {
         "dimension": oracle.dimension,
         "kappa": oracle.kappa,
@@ -256,7 +242,7 @@ _FLAGS = {
     "--kappa": dict(action="append", type=float, help="condition number; repeatable for bench-queries"),
     "--epsilon": dict(type=float, default=None, help="TV budget for capped sampling"),
     "--rho-floor": dict(type=float, default=0.1, help="acceptance lower bound for the cap"),
-    "--dimension": dict(type=int, default=10, help="dimension for builtin targets"),
+    "--dimension": dict(type=int, help="dimension of the builtin or a gaussian document (default 10)"),
     "--trials": dict(type=int, help="samples / steps / experiment size"),
     "--seed": dict(type=int, default=0, help="master seed; fixes all randomness"),
     "--format": dict(choices=("csv", "json"), default="csv"),

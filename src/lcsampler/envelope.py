@@ -103,11 +103,14 @@ def find_threshold_index(
 class Envelope:
     """The dominating function, its piece decomposition, and its exact mass.
 
-    Immutable after construction; sampling only reads fields, so independent
-    random generators may share one envelope across threads.  Constants
-    derived from the fields (the piece cut points, ``log(plateau_height)``
-    and erfc(drift/sqrt(2)) per side) are computed once and take no part in
-    equality or hashing.
+    Built from its geometry alone: the constructor checks that the plateau
+    is nonempty and both drifts positive (UsageError), stores the six
+    geometry fields as floats, and derives the closed-form piece masses and
+    their total.  Immutable after construction; sampling only reads fields,
+    so independent random generators may share one envelope across threads.
+    Constants derived for sampling (the piece cut points,
+    ``log(plateau_height)`` and erfc(drift/sqrt(2)) per side) are computed
+    once and take no part in equality or hashing.
 
     ``log_value`` and ``sample`` have a scalar path: a float in (or no
     ``size``) gives a float out through ``math`` and the generator's scalar
@@ -120,8 +123,8 @@ class Envelope:
     drift_plus: float
     plateau_height: float = 1.0
     tail_offset: float = 0.0
-    piece_masses: tuple[float, float, float] = (0.0, 0.0, 0.0)  # left, plateau, right
-    mass_total: float = 0.0
+    piece_masses: tuple[float, float, float] = field(init=False)  # left, plateau, right
+    mass_total: float = field(init=False)
     _cut1: float = field(init=False, repr=False, compare=False)
     _cut2: float = field(init=False, repr=False, compare=False)
     _log_height: float = field(init=False, repr=False, compare=False)
@@ -129,11 +132,25 @@ class Envelope:
     _erfc_plus: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        left, plateau, _ = self.piece_masses
+        geometry = ("x_minus", "x_plus", "drift_minus", "drift_plus", "plateau_height", "tail_offset")
+        for name in geometry:
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not self.x_minus < self.x_plus:
+            raise UsageError(f"plateau must be nonempty, got [{self.x_minus}, {self.x_plus}]")
+        if self.drift_minus <= 0 or self.drift_plus <= 0:
+            raise UsageError("tail drifts must be positive")
+        h = self.plateau_height
+        damp = h * math.exp(-self.tail_offset)
+        left = damp * numerics.gaussian_tail_integral(self.drift_minus)
+        plateau = h * (self.x_plus - self.x_minus)
+        right = damp * numerics.gaussian_tail_integral(self.drift_plus)
+        total = left + plateau + right
         derived = {
-            "_cut1": left / self.mass_total,
-            "_cut2": (left + plateau) / self.mass_total,
-            "_log_height": math.log(self.plateau_height),
+            "piece_masses": (left, plateau, right),
+            "mass_total": total,
+            "_cut1": left / total,
+            "_cut2": (left + plateau) / total,
+            "_log_height": math.log(h),
             "_erfc_minus": numerics.normal_tail_erfc(self.drift_minus),
             "_erfc_plus": numerics.normal_tail_erfc(self.drift_plus),
         }
@@ -141,34 +158,9 @@ class Envelope:
             object.__setattr__(self, name, value)
 
     @classmethod
-    def from_geometry(
-        cls,
-        x_minus: float,
-        x_plus: float,
-        drift_minus: float,
-        drift_plus: float,
-        plateau_height: float = 1.0,
-        tail_offset: float = 0.0,
-    ) -> "Envelope":
-        if not x_minus < x_plus:
-            raise UsageError(f"plateau must be nonempty, got [{x_minus}, {x_plus}]")
-        if drift_minus <= 0 or drift_plus <= 0:
-            raise UsageError("tail drifts must be positive")
-        h = float(plateau_height)
-        damp = h * math.exp(-tail_offset)
-        left = damp * numerics.gaussian_tail_integral(drift_minus)
-        plateau = h * (x_plus - x_minus)
-        right = damp * numerics.gaussian_tail_integral(drift_plus)
-        return cls(
-            x_minus=float(x_minus),
-            x_plus=float(x_plus),
-            drift_minus=float(drift_minus),
-            drift_plus=float(drift_plus),
-            plateau_height=h,
-            tail_offset=float(tail_offset),
-            piece_masses=(left, plateau, right),
-            mass_total=left + plateau + right,
-        )
+    def from_geometry(cls, *args, **kwargs) -> "Envelope":
+        """The constructor under its older name."""
+        return cls(*args, **kwargs)
 
     def log_value(self, x):
         if isinstance(x, float):
@@ -265,7 +257,7 @@ def plateau_envelope(
     i_minus, w_minus = find_threshold_index(value, p, -1, kappa, level, lo, top)
     x_plus = p + 2.0**i_plus / root
     x_minus = p - 2.0**i_minus / root
-    return Envelope.from_geometry(
+    return Envelope(
         x_minus=x_minus,
         x_plus=x_plus,
         drift_minus=w_minus / (p - x_minus),

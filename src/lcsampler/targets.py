@@ -26,16 +26,13 @@ from .oracles import PiecewiseQuadraticPotential, PotentialOracle, check_class_m
 BUILTIN_NAMES = ("gaussian", "skewed")
 
 
-def gaussian_potential() -> PiecewiseQuadraticPotential:
-    return PiecewiseQuadraticPotential.gaussian(1.0)
-
-
 def skewed_potential(kappa: float) -> PiecewiseQuadraticPotential:
     """Asymmetric class member with alternating unit / kappa curvature bands.
 
     The right-hand bands start at x = 1 and the left-hand bands at x =
     -0.75, each of width 1/sqrt(kappa), so the density is genuinely skewed
-    while staying inside the curvature sandwich.
+    while staying inside the curvature sandwich.  A kappa whose bands round
+    onto their edges in double precision (from about 2.9e31) is a UsageError.
     """
     if not 1.0 <= kappa < math.inf:
         raise UsageError(f"skewed target needs a finite kappa >= 1, got {kappa}")
@@ -50,13 +47,18 @@ def skewed_potential(kappa: float) -> PiecewiseQuadraticPotential:
         right_edge + 2 * w,
         right_edge + 3 * w,
     ]
+    if len(set(breakpoints)) < len(breakpoints):
+        raise UsageError(
+            f"skewed target cannot resolve its 1/sqrt(kappa) bands at kappa {kappa:g}: "
+            "they round onto their edges"
+        )
     curvatures = [kappa, 1.0, kappa, 1.0, kappa, 1.0, kappa, 1.0]
     return PiecewiseQuadraticPotential(breakpoints, curvatures)
 
 
 def builtin_potential(name: str, kappa: float) -> PiecewiseQuadraticPotential:
     if name == "gaussian":
-        return gaussian_potential()
+        return PiecewiseQuadraticPotential.gaussian()
     if name == "skewed":
         return skewed_potential(kappa)
     if name.startswith("hard:"):
@@ -93,12 +95,17 @@ def _read_document(spec: str) -> dict:
     return doc
 
 
-def _declared_kappa(doc: dict, kappa: float | None) -> float:
-    """A document's ``beta``, or ``kappa`` when given; UsageError unless its ``alpha`` is 1."""
+def _declared_kappa(doc: dict, kappa: float | None, default: float | None = 1.0) -> float | None:
+    """``kappa`` when given, else the document's ``beta``, else ``default``.
+
+    UsageError unless the document's ``alpha`` is 1.
+    """
     alpha = float(doc.get("alpha", 1.0))
     if alpha != 1.0:
         raise UsageError(f"a target document's alpha must be 1, got {alpha:g}")
-    return float(doc.get("beta", 1.0)) if kappa is None else float(kappa)
+    if kappa is not None:
+        return float(kappa)
+    return float(doc["beta"]) if "beta" in doc else default
 
 
 def resolve_target(
@@ -136,27 +143,35 @@ def resolve_target(
 
 
 def resolve_multivariate_target(
-    spec: str, kappa: float | None, dimension: int = 10
+    spec: str, kappa: float | None, dimension: int | None = None
 ) -> MultivariateOracle:
     """Builtin 'gaussian' (isotropic quadratic) or a JSON document.
 
     The builtin is declared like the 1D builtins.  A ``gaussian`` document
-    (optional ``dimension``) follows the 1D rule for alpha, beta and kappa;
-    a ``diagonal`` document takes its largest curvature as kappa.  Either
-    document's alpha must be 1.
+    follows the 1D rule for alpha, beta and kappa.  A ``diagonal`` document
+    takes kappa from ``kappa``, else its ``beta``, else its largest
+    curvature; a kappa below that curvature is a ClassViolationError.
+    Either document's alpha must be 1.  ``dimension`` (10 when None) sizes
+    the builtin and replaces a ``gaussian`` document's ``dimension``; a
+    ``diagonal`` document's dimension is its curvature count, so giving one
+    is a UsageError.
     """
     if spec == "gaussian":
         beta = 1.0 if kappa is None else kappa
-        dimension = int(dimension)
+        dimension = 10 if dimension is None else int(dimension)
     else:
         with _document_fields():
             doc = _read_document(spec)
-            beta = _declared_kappa(doc, kappa)  # also rejects alpha != 1 for a diagonal
-            if doc.get("type") == "diagonal":
-                return quadratic_oracle(np.asarray(doc["curvatures"], dtype=float))
-            if doc.get("type") != "gaussian":
-                raise UsageError(f"unsupported multivariate target type {doc.get('type')!r}")
-            dimension = int(doc.get("dimension", dimension))
+            kind = doc.get("type")
+            if kind == "diagonal":
+                if dimension is not None:
+                    raise UsageError("a diagonal document's dimension is its curvature count")
+                curvatures = np.asarray(doc["curvatures"], dtype=float)
+                return quadratic_oracle(curvatures, _declared_kappa(doc, kappa, default=None))
+            if kind != "gaussian":
+                raise UsageError(f"unsupported multivariate target type {kind!r}")
+            beta = _declared_kappa(doc, kappa)
+            dimension = int(doc.get("dimension", 10) if dimension is None else dimension)
     if dimension < 1:
         raise UsageError(f"dimension must be positive, got {dimension}")
     try:

@@ -21,10 +21,10 @@ from helpers import (
 from lcsampler import (
     PotentialOracle,
     acceptance_probability,
+    capped_trials,
     prepare_envelope,
     quadratic_oracle,
     run_chain,
-    sample_capped,
     sample_exact,
     step,
 )
@@ -159,11 +159,10 @@ def test_criterion_05_capped_mode_tv_guarantee():
     n = 100_000
     ok = True
     rates = []
+    cap = capped_trials(0.01, 0.1)
     for name, kappa in (("gaussian", 1.0), ("hard:1", 1e3), ("skewed", 1e3)):
         _, _, normalized, env = _envelope_for(name, kappa)
-        fails = sum(
-            sample_capped(normalized, env, 0.01, 0.1, rng).failed for _ in range(n)
-        )
+        fails = sum(sample_exact(normalized, env, rng, cap).failed for _ in range(n))
         rate = fails / n
         rates.append(f"{name}: {rate:.5f}")
         ok &= rate <= 0.01 + 3.0 * math.sqrt(0.01 * 0.99 / n)

@@ -253,6 +253,38 @@ class TestHitAndRunCommand:
         assert summary["total_queries"] == 0
 
 
+    DIAGONAL = {"type": "diagonal", "curvatures": [1, 4]}
+
+    @pytest.mark.parametrize(
+        "doc, flags, code, dimension, kappa",
+        [
+            pytest.param(DIAGONAL, [], 0, 2, 4.0, id="diagonal-largest-curvature"),
+            pytest.param(DIAGONAL, ["--kappa", "100"], 0, 2, 100.0, id="diagonal-kappa-flag"),
+            pytest.param({**DIAGONAL, "beta": 100}, [], 0, 2, 100.0, id="diagonal-beta"),
+            pytest.param({**DIAGONAL, "beta": 100}, ["--kappa", "8"], 0, 2, 8.0, id="diagonal-kappa-over-beta"),
+            pytest.param(DIAGONAL, ["--kappa", "2"], 3, None, None, id="diagonal-kappa-below-curvature"),
+            pytest.param({**DIAGONAL, "beta": 0.5}, [], 4, None, None, id="diagonal-beta-below-one"),
+            pytest.param(DIAGONAL, ["--kappa", "nan"], 4, None, None, id="diagonal-kappa-nan"),
+            pytest.param(DIAGONAL, ["--dimension", "7"], 4, None, None, id="diagonal-dimension-7"),
+            pytest.param(DIAGONAL, ["--dimension", "2"], 4, None, None, id="diagonal-dimension-2"),
+            pytest.param("gaussian", [], 0, 10, 1.0, id="builtin-default"),
+            pytest.param("gaussian", ["--dimension", "7", "--kappa", "9"], 0, 7, 9.0, id="builtin-flags"),
+            pytest.param({"type": "gaussian"}, [], 0, 10, 1.0, id="gaussian-default"),
+            pytest.param({"type": "gaussian", "dimension": 3}, [], 0, 3, 1.0, id="gaussian-dimension"),
+            pytest.param(
+                {"type": "gaussian", "dimension": 3, "beta": 5}, ["--dimension", "7"], 0, 7, 5.0,
+                id="gaussian-dimension-flag",
+            ),
+        ],
+    )
+    def test_kappa_and_dimension_of_the_target(self, capsys, doc, flags, code, dimension, kappa):
+        target = doc if isinstance(doc, str) else json.dumps(doc)
+        assert run_cli(["hitandrun", "--target", target, *flags, "--trials", "5"]) == code
+        if code == 0:
+            summary = json.loads(capsys.readouterr().err)
+            assert (summary["dimension"], summary["kappa"]) == (dimension, kappa)
+
+
 class TestErrorPaths:
     def test_unknown_target_is_config_error(self):
         assert run_cli(["sample", "--target", "nonsense", "--kappa", "4"]) == 4
@@ -262,6 +294,17 @@ class TestErrorPaths:
         path = tmp_path / "flat.json"
         path.write_text(json.dumps(doc))
         assert run_cli(["envelope-inspect", "--target", str(path), "--kappa", "4"]) == 3
+
+    @pytest.mark.parametrize("flags", [["--epsilon", "2"], ["--epsilon", "0.1", "--rho-floor", "1.5"]])
+    def test_cap_parameters_are_checked_before_the_first_draw(self, flags):
+        assert run_cli(["sample", *flags, "--trials", "0"]) == 4
+
+    @pytest.mark.parametrize("kappa, code", [("1e31", 0), ("3e31", 4), ("1e40", 4)])
+    def test_skewed_bands_below_float_resolution_are_config_error(self, kappa, code, capsys):
+        assert run_cli(["envelope-inspect", "--target", "skewed", "--kappa", kappa]) == code
+        if code:
+            message = f"skewed target cannot resolve its 1/sqrt(kappa) bands at kappa {float(kappa):g}"
+            assert message in capsys.readouterr().err
 
     def test_negative_trials_rejected(self):
         assert run_cli(["sample", "--kappa", "4", "--trials", "-1"]) == 4

@@ -261,6 +261,22 @@ class TestEnvelopeSampling:
         assert isinstance(self.env.sample(rng), float)
 
 
+class TestConstruction:
+    def test_direct_construction_equals_from_geometry(self):
+        env = Envelope(-1.0, 2.0, 0.5, 0.25, plateau_height=math.e, tail_offset=3.0)
+        assert env == Envelope.from_geometry(-1.0, 2.0, 0.5, 0.25, math.e, 3.0)
+        assert env.mass_total == sum(env.piece_masses)
+        assert env.piece_masses[1] == math.e * 3.0
+
+    @pytest.mark.parametrize(
+        "geometry, message",
+        [((1.0, 1.0, 0.5, 0.5), "plateau must be nonempty"), ((-1.0, 1.0, 0.0, 0.5), "drifts")],
+    )
+    def test_bad_geometry_is_usage_error(self, geometry, message):
+        with pytest.raises(UsageError, match=message):
+            Envelope(*geometry)
+
+
 class TestSerialization:
     def test_json_dict_fields(self):
         env = Envelope.from_geometry(-1.0, 2.0, 0.5, 0.25)

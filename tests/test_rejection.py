@@ -22,7 +22,6 @@ from lcsampler import (
     capped_trials,
     normalize_at_zero,
     prepare_envelope,
-    sample_capped,
     sample_exact,
 )
 from lcsampler import hardfamily
@@ -129,7 +128,8 @@ class TestSampleCapped:
         # failure probability (1 - 0.818)^44 < 1e-20: zero failures expected
         _, _, normalized, env = gaussian_setup()
         rng = np.random.default_rng(17)
-        outcomes = [sample_capped(normalized, env, 0.01, 0.1, rng) for _ in range(20_000)]
+        cap = capped_trials(0.01, 0.1)
+        outcomes = [sample_exact(normalized, env, rng, cap=cap) for _ in range(20_000)]
         assert sum(o.failed for o in outcomes) == 0
         assert max(o.trials for o in outcomes) <= 44
 
@@ -139,7 +139,8 @@ class TestSampleCapped:
         pot = PiecewiseQuadraticPotential.gaussian(1.0)
         normalized = normalize_at_zero(PotentialOracle(pot, alpha=1.0, beta=1.0))
         rng = np.random.default_rng(19)
-        outcomes = [sample_capped(normalized, env, 0.5, 0.5, rng) for _ in range(400)]
+        cap = capped_trials(0.5, 0.5)
+        outcomes = [sample_exact(normalized, env, rng, cap=cap) for _ in range(400)]
         failures = [o for o in outcomes if o.failed]
         assert failures, "cap of one trial against a poor envelope must fail sometimes"
         assert all(o.result is FAILURE and o.trials == o.queries == 1 for o in failures)
@@ -153,10 +154,18 @@ class TestSampleCapped:
         normalized = normalize_at_zero(PotentialOracle(pot, alpha=1.0, beta=1.0))
         rng = np.random.default_rng(23)
         n = 20_000
-        fails = sum(sample_capped(normalized, env, 0.2, rho, rng).failed for _ in range(n))
+        fails = sum(sample_exact(normalized, env, rng, cap=cap).failed for _ in range(n))
         se = math.sqrt(expected_fail * (1 - expected_fail) / n)
         assert fails / n == pytest.approx(expected_fail, abs=3 * se + 1e-4)
         assert expected_fail <= 0.2
+
+    @pytest.mark.parametrize("cap", [0, -1, 2.0, "3"])
+    def test_cap_must_be_an_int_of_at_least_one(self, cap):
+        _, oracle, normalized, env = gaussian_setup()
+        before = oracle.query_count
+        with pytest.raises(UsageError, match="trial cap"):
+            sample_exact(normalized, env, np.random.default_rng(0), cap=cap)
+        assert oracle.query_count == before
 
 
 class TestAcceptanceProbability:

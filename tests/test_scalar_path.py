@@ -8,7 +8,7 @@ equal to the array path, so ``==`` is the comparison throughout.
 import numpy as np
 import pytest
 
-from lcsampler import PotentialOracle, prepare_envelope, sample_exact
+from lcsampler import FAILURE, PotentialOracle, prepare_envelope, sample_exact
 from lcsampler import hardfamily
 from lcsampler.numerics import sample_gaussian_tail
 from lcsampler.targets import builtin_potential
@@ -169,9 +169,85 @@ PINNED_DRAWS = {
 }
 
 
+# The same stream through the loop capped at two trials, recorded from the
+# separate capped sampler that the one loop replaced.
+PINNED_CAPPED_DRAWS = {
+    "gaussian": [
+        (-0.7323118637348662, 1),
+        (-1.5651730577983005, 1),
+        (-0.09344485586915496, 2),
+        (FAILURE, 2),
+        (-0.21722528055515344, 1),
+        (1.5329672206991778, 2),
+        (-0.45262144273861393, 1),
+        (-1.9421248175929116, 1),
+        (-0.6667096620276984, 2),
+        (-0.11752467828272184, 1),
+        (-1.8435651412681664, 1),
+        (-2.0257307900216572, 2),
+        (1.043409280942271, 1),
+        (0.02393399451467948, 1),
+        (-0.37258352810286555, 1),
+        (0.8555155904483791, 2),
+        (1.0805888330807703, 1),
+        (-0.11119769720966566, 1),
+        (-0.5982634012161568, 1),
+        (0.8095969057316055, 1),
+    ],
+    "skewed": PINNED_DRAWS["skewed"],  # no draw there needs a third trial
+    "hard:1": [
+        (-0.0014302966088571606, 1),
+        (FAILURE, 2),
+        (FAILURE, 2),
+        (FAILURE, 2),
+        (FAILURE, 2),
+        (-3.858126401387347e-05, 2),
+        (-0.0018975150047183234, 1),
+        (-0.0022228367302663584, 1),
+        (FAILURE, 2),
+        (-0.0007527153553208224, 1),
+        (0.0016709288875944904, 2),
+        (-0.0008275835299080435, 2),
+        (-0.0010760886523428245, 2),
+        (-0.001278399996104525, 1),
+        (-0.0023497003505271543, 1),
+        (0.0026240174896137447, 2),
+        (0.0008308945188625974, 1),
+        (0.002567817758082561, 1),
+        (FAILURE, 2),
+        (-0.0005574194144897819, 1),
+    ],
+    "hard:3": [
+        (-0.0003171294022381657, 2),
+        (-0.0007300379364777732, 2),
+        (0.004172618902751, 1),
+        (-0.0008926362107282912, 1),
+        (-0.0016970725043371363, 1),
+        (7.740302605264808e-05, 2),
+        (-0.0035361050213954213, 1),
+        (-0.003986371274559162, 1),
+        (FAILURE, 2),
+        (-0.0009181615490837644, 1),
+        (-0.0031892792910349337, 1),
+        (-0.004580131987223696, 2),
+        (0.00018698433214593344, 2),
+        (-0.002910808813303637, 1),
+        (0.003539038119542927, 1),
+        (FAILURE, 2),
+        (-0.000868732009450513, 1),
+        (-0.004673932822001225, 1),
+        (-0.00047477087853811314, 2),
+        (0.0031213325521981146, 2),
+    ],
+}
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_DRAWS))
-def test_pinned_exact_draws(name):
+@pytest.mark.parametrize(
+    "cap, pinned", [(None, PINNED_DRAWS), (2, PINNED_CAPPED_DRAWS)], ids=["uncapped", "cap2"]
+)
+def test_pinned_exact_draws(name, cap, pinned):
     _, normalized, env = _setup(name, 1e6)
     rng = np.random.default_rng(20240605)
-    draws = [sample_exact(normalized, env, rng) for _ in range(20)]
-    assert [(d.result, d.trials) for d in draws] == PINNED_DRAWS[name]
+    draws = [sample_exact(normalized, env, rng, cap) for _ in range(20)]
+    assert [(d.result, d.trials) for d in draws] == pinned[name]

@@ -11,8 +11,8 @@ from .envelope import (
     Envelope,
     build_envelope,
     find_threshold_index,
-    plateau_envelope,
     prepare_envelope,
+    threshold_searches,
 )
 from .errors import ClassViolationError, UsageError
 from .hardfamily import (
@@ -78,7 +78,6 @@ __all__ = [
     "largest_m",
     "member_mass_in_window",
     "normalize_at_zero",
-    "plateau_envelope",
     "prepare_envelope",
     "quadratic_oracle",
     "restrict",
@@ -86,4 +85,5 @@ __all__ = [
     "run_identification_experiment",
     "sample_exact",
     "step",
+    "threshold_searches",
 ]

@@ -90,6 +90,8 @@ def _single_kappa(args) -> float | None:
 
 
 def cmd_sample(args) -> int:
+    if not 0.0 < args.rho_floor < 1.0:
+        raise UsageError(f"--rho-floor must lie in (0, 1), got {args.rho_floor}")
     potential, oracle = resolve_target(args.target, _single_kappa(args))
     normalized, env = prepare_envelope(oracle)
     cap = None if args.epsilon is None else capped_trials(args.epsilon, args.rho_floor)
@@ -118,6 +120,7 @@ def cmd_sample(args) -> int:
         "mean_trials": (total_trials / args.trials) if args.trials else None,
         "acceptance_rate": acceptance_probability(potential, env),
         "epsilon": args.epsilon,
+        "rho_floor": args.rho_floor,
     }
     _write_text(args.out, "".join(line + "\n" for line in lines))
     sidecar_text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"

@@ -1,38 +1,41 @@
 """Construction of the dominating proposal for rejection sampling.
 
-One plateau rule builds every envelope.  For a potential ``W`` with
+One search rule serves every envelope.  For a potential ``W`` with
 ``1 <= W'' <= kappa`` and ``W(p) = 0`` at an anchor ``p``, at least
 ``-floor`` everywhere, and whose minimizer lies within ``reach`` of ``p``,
-the envelope is
-
-    q(x) = e^floor                                          on [x_minus, x_plus]
-    q(x) = e^floor * exp(-tail_offset - drift*t - t^2/2),  t = distance to the plateau,
-
-with ``x_plus = p + 2^j / sqrt(kappa)`` and ``x_minus = p - 2^i / sqrt(kappa)``
-for the first indices ``i, j >= lo`` at which ``W`` reaches ``level``.
-``W >= -floor`` bounds the plateau.  The tails are built from the edge values
-``W(x_plus)`` and ``W(x_minus)`` the search already queried: the drifts are
-``W(x_plus) / (x_plus - p)`` and ``W(x_minus) / (p - x_minus)``, and the one
-``tail_offset`` is ``min(W(x_minus), W(x_plus)) + floor``.  Convexity from
-``W(p) = 0`` makes each drift a lower bound on the edge slope, and strong
-convexity adds ``t^2/2``, so ``W(x_plus + t) >= W(x_plus) + drift*t +
-t^2/2`` (likewise on the left) and the tails dominate, touching the target
-at the edge with the smaller value.  As ``W(p + t) >= -floor + (t -
+:func:`threshold_searches` probes the dyadic offsets ``p + 2^j / sqrt(kappa)``
+and ``p - 2^i / sqrt(kappa)`` for the first indices ``i, j >= lo`` at which
+``W`` reaches ``level``; those are the edges.  As ``W(p + t) >= -floor + (t -
 reach)^2/2``, the level is certain once ``t >= reach + sqrt(2 (level +
 floor))``: the search stops at ``max(lo, ceil(log2(kappa)/2 + log2(reach +
 sqrt(2 (level + floor)))))``, and a target that misses the level there is
-outside the class.
+outside the class.  The guarded dyadic binary search costs O(log log kappa)
+queries.  It returns the edges and every value it queried on the way.
+
+An :class:`Envelope` is a plateau of height ``h`` on ``[x_minus, x_plus]``
+and, on each side, pieces running outward from the plateau edge, each
+
+    q(x) = h * exp(-tail_offset - offset - drift*t - t^2/2),  t = distance to the piece's start,
+
+up to the next piece's start; the last piece of each side is its unbounded
+tail.  Every mass has a closed form, so normalization and sampling consume
+no queries at all.
 
 The 1D sampler anchors at ``p = 0`` on the normalized potential with level
-1/2, floor 0, reach 0 and ``lo`` 0 (plateau height 1); the Hit-and-Run line
-step anchors at a point p with ``|W'(p)| <= 1``, shifted to ``W(p) = 0``,
-with level 3, floor 1/2, reach ``|W'(p)|`` and ``lo`` 1.  The
-guarded dyadic binary search costs O(log log kappa) queries, and the mass
-has a closed form, so normalization and sampling consume no queries at all.
+1/2, floor 0, reach 0 and ``lo`` 0, and assembles the paper's envelope from
+the two edges alone: plateau height 1 between them, and one tail per side
+with drift ``W(x_plus) / (x_plus - p)`` (likewise on the left) and the one
+``tail_offset`` ``min(W(x_minus), W(x_plus))``.  Convexity from ``W(p) = 0``
+makes each drift a lower bound on the edge slope, and strong convexity adds
+``t^2/2``, so ``W(x_plus + t) >= W(x_plus) + drift*t + t^2/2`` and the tails
+dominate, touching the target at the edge with the smaller value.  The
+Hit-and-Run line step assembles a tighter envelope from every probe (see
+:func:`lcsampler.hitandrun.build_line_envelope`).
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,10 +46,12 @@ from .errors import ClassViolationError, UsageError
 
 def find_threshold_index(
     value, edge: float, side: int, kappa: float, level: float, lo: int, hi: int
-) -> tuple[int, float]:
+) -> tuple[int, float, dict[int, tuple[float, float]]]:
     """Smallest i in [lo, hi] with ``value(edge + side * 2^i / sqrt(kappa)) >= level``.
 
-    Returns that index and the value queried there.  ``value`` must be
+    Returns that index, the value queried there, and every probe: a dict
+    from each grid index queried to ``(x, value(x))``, in which increasing
+    indices run outward from ``edge``.  ``value`` must be
     monotone along the grid, and each distinct index costs one query.  The
     caller guarantees the level at ``hi`` for in-class targets; the answer
     is verified with one extra query only when the search never evaluated
@@ -62,59 +67,66 @@ def find_threshold_index(
     if hi < lo:
         raise UsageError(f"empty search range [{lo}, {hi}]")
     root = math.sqrt(kappa)
-    cache: dict[int, float] = {}
+    probes: dict[int, tuple[float, float]] = {}
 
-    def point(i: int) -> float:
-        return edge + side * 2.0**i / root
-
-    def pred(i: int) -> bool:
-        if i not in cache:
-            cache[i] = value(point(i))
-        return cache[i] >= level
+    def probe(i: int) -> float:
+        if i not in probes:
+            x = edge + side * 2.0**i / root
+            probes[i] = (x, value(x))
+        return probes[i][1]
 
     if lo == hi:
         ans = lo
-    elif not pred(hi - 1):
+    elif not probe(hi - 1) >= level:
         ans = hi
     else:  # hi - 1 is known true
         pivot = max(hi - 1 - (1 << ((hi - lo).bit_length() - 1)), lo)
-        if pred(pivot):
+        if probe(pivot) >= level:
             left, right = lo, pivot
         else:
             left, right = pivot + 1, hi - 1
         while left < right:
             mid = (left + right) // 2
-            if pred(mid):
+            if probe(mid) >= level:
                 right = mid
             else:
                 left = mid + 1
         ans = left
-    w = cache[ans] if ans in cache else value(point(ans))
+    w = probe(ans)
     if not w >= level - 1e-9:
         raise ClassViolationError(
             f"no threshold index in [{lo}, {hi}] on side {side:+d} of {edge:g}; "
             "target violates the curvature sandwich",
-            query_point=point(ans),
+            query_point=probes[ans][0],
         )
-    return ans, w
+    return ans, w, probes
 
 
 @dataclass(frozen=True)
 class Envelope:
     """The dominating function, its piece decomposition, and its exact mass.
 
-    Built from its geometry alone: the constructor checks that the plateau
-    is nonempty and both drifts positive (UsageError), stores the six
-    geometry fields as floats, and derives the closed-form piece masses and
-    their total.  Immutable after construction; sampling only reads fields,
-    so independent random generators may share one envelope across threads.
-    Constants derived for sampling (the piece cut points,
-    ``log(plateau_height)`` and erfc(drift/sqrt(2)) per side) are computed
-    once and take no part in equality or hashing.
+    The six geometry fields give the plateau, the tails' drifts and the
+    common ``tail_offset``.  ``pieces_minus`` and ``pieces_plus`` list a
+    side's pieces outward as ``(start, offset, drift)``, each piece's offset
+    counted on top of ``tail_offset``: the first starts at the plateau edge
+    and the last, the tail, has the side's drift.  Left empty, a side is its
+    one tail ``(edge, 0, drift)``.  The constructor checks that the plateau
+    is nonempty, both drifts positive and the pieces in that order
+    (UsageError), stores the six geometry fields as floats, and derives the
+    closed-form piece masses, left to right, and their total.  Immutable
+    after construction; sampling only reads fields, so independent random
+    generators may share one envelope across threads.  Constants derived for
+    sampling and evaluation (cut points, ``log(plateau_height)``,
+    erfc(drift/sqrt(2)) per tail that starts at the plateau, the tails'
+    starts and offsets, and the finite pieces between plateau and tail)
+    take no part in equality or hashing.
 
     ``log_value`` and ``sample`` have a scalar path: a float in (or no
     ``size``) gives a float out through ``math`` and the generator's scalar
     draws, bitwise equal to the array path on the same input or stream.
+    Both test the plateau and the tails first, and look up a finite piece
+    only between them.
     """
 
     x_minus: float
@@ -123,39 +135,111 @@ class Envelope:
     drift_plus: float
     plateau_height: float = 1.0
     tail_offset: float = 0.0
-    piece_masses: tuple[float, float, float] = field(init=False)  # left, plateau, right
+    pieces_minus: tuple[tuple[float, float, float], ...] = ()
+    pieces_plus: tuple[tuple[float, float, float], ...] = ()
+    piece_masses: tuple[float, ...] = field(init=False)  # left to right
     mass_total: float = field(init=False)
     _cut1: float = field(init=False, repr=False, compare=False)
     _cut2: float = field(init=False, repr=False, compare=False)
+    _cut3: float = field(init=False, repr=False, compare=False)
     _log_height: float = field(init=False, repr=False, compare=False)
-    _erfc_minus: float = field(init=False, repr=False, compare=False)
-    _erfc_plus: float = field(init=False, repr=False, compare=False)
+    # erfc(drift/sqrt(2)) for a tail's draws; None for a tail beyond finite
+    # pieces, which holds little mass, so its rare draws compute it
+    _erfc_minus: float | None = field(init=False, repr=False, compare=False)
+    _erfc_plus: float | None = field(init=False, repr=False, compare=False)
+    _tail_minus: float = field(init=False, repr=False, compare=False)
+    _tail_plus: float = field(init=False, repr=False, compare=False)
+    _tail_offset_minus: float = field(init=False, repr=False, compare=False)
+    _tail_offset_plus: float = field(init=False, repr=False, compare=False)
+    # The finite pieces between plateau and tails, set only when there are
+    # any, as (side, start, end, offset, drift, length): per side outward,
+    # and all of them, left side first, with their cumulative sampling cut
+    # points.
+    _inner_minus = _inner_plus = _inner = _inner_cuts = ()
 
     def __post_init__(self):
+        set_field = object.__setattr__  # the class is frozen
         geometry = ("x_minus", "x_plus", "drift_minus", "drift_plus", "plateau_height", "tail_offset")
         for name in geometry:
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = getattr(self, name)
+            if type(value) is not float:
+                set_field(self, name, float(value))
         if not self.x_minus < self.x_plus:
             raise UsageError(f"plateau must be nonempty, got [{self.x_minus}, {self.x_plus}]")
         if self.drift_minus <= 0 or self.drift_plus <= 0:
             raise UsageError("tail drifts must be positive")
         h = self.plateau_height
-        damp = h * math.exp(-self.tail_offset)
-        left = damp * numerics.gaussian_tail_integral(self.drift_minus)
+        tail_minus, offset_minus, inner_minus, masses_minus = self._side(
+            -1, self.x_minus, self.drift_minus, self.pieces_minus
+        )
+        tail_plus, offset_plus, inner_plus, masses_plus = self._side(
+            +1, self.x_plus, self.drift_plus, self.pieces_plus
+        )
+        left = h * math.exp(-offset_minus) * numerics.gaussian_tail_integral(self.drift_minus)
         plateau = h * (self.x_plus - self.x_minus)
-        right = damp * numerics.gaussian_tail_integral(self.drift_plus)
+        right = h * math.exp(-offset_plus) * numerics.gaussian_tail_integral(self.drift_plus)
         total = left + plateau + right
+        masses = (left, plateau, right)
+        cut3 = math.inf
+        if inner_minus or inner_plus:
+            running = total
+            total += sum(masses_minus) + sum(masses_plus)
+            cut3 = running / total
+            cuts = []
+            for mass in masses_minus + masses_plus:
+                running += mass
+                cuts.append(running / total)
+            cuts[-1] = math.inf
+            masses = (left, *reversed(masses_minus), plateau, *masses_plus, right)
         derived = {
-            "piece_masses": (left, plateau, right),
+            "piece_masses": masses,
             "mass_total": total,
             "_cut1": left / total,
             "_cut2": (left + plateau) / total,
+            "_cut3": cut3,
             "_log_height": math.log(h),
-            "_erfc_minus": numerics.normal_tail_erfc(self.drift_minus),
-            "_erfc_plus": numerics.normal_tail_erfc(self.drift_plus),
+            "_erfc_minus": None if inner_minus else numerics.normal_tail_erfc(self.drift_minus),
+            "_erfc_plus": None if inner_plus else numerics.normal_tail_erfc(self.drift_plus),
+            "_tail_minus": tail_minus,
+            "_tail_plus": tail_plus,
+            "_tail_offset_minus": offset_minus,
+            "_tail_offset_plus": offset_plus,
         }
+        if inner_minus or inner_plus:
+            # last: instances keep CPython's shared attribute layout, and
+            # its fast attribute reads, only while they add attributes in
+            # one order
+            derived.update(
+                _inner_minus=inner_minus,
+                _inner_plus=inner_plus,
+                _inner=inner_minus + inner_plus,
+                _inner_cuts=tuple(cuts),
+            )
         for name, value in derived.items():
-            object.__setattr__(self, name, value)
+            set_field(self, name, value)
+
+    def _side(self, side: int, edge: float, drift: float, pieces):
+        """One side's tail start and offset, and its finite pieces and their masses.
+
+        Raises UsageError unless the pieces start at ``edge``, run outward
+        with nonnegative drifts and end in the tail's ``drift``.
+        """
+        if not pieces:
+            return edge, self.tail_offset, (), []
+        start, offset, s = pieces[0]
+        if start != edge or pieces[-1][2] != drift:
+            raise UsageError("a side's pieces must start at its edge and end in its tail's drift")
+        tail_offset, h = self.tail_offset, self.plateau_height
+        inner, masses = [], []
+        for end, next_offset, next_s in pieces[1:]:
+            length = side * (end - start)
+            if not (length > 0.0 and s >= 0.0):
+                raise UsageError("a side's pieces must run outward with nonnegative drifts")
+            offset += tail_offset
+            inner.append((side, start, end, offset, s, length))
+            masses.append(h * math.exp(-offset) * numerics.gaussian_piece_integral(s, length))
+            start, offset, s = end, next_offset, next_s
+        return start, tail_offset + offset, tuple(inner), masses
 
     @classmethod
     def from_geometry(cls, *args, **kwargs) -> "Envelope":
@@ -166,20 +250,42 @@ class Envelope:
         if isinstance(x, float):
             if self.x_minus <= x <= self.x_plus:
                 return self._log_height
+            if x >= self._tail_plus:
+                t = x - self._tail_plus
+                return self._log_height + (
+                    -self._tail_offset_plus - self.drift_plus * t - 0.5 * t * t
+                )
+            if x <= self._tail_minus:
+                t = self._tail_minus - x
+                return self._log_height + (
+                    -self._tail_offset_minus - self.drift_minus * t - 0.5 * t * t
+                )
+            # between the plateau and a tail: a finite piece
             if x > self.x_plus:
-                t, drift = x - self.x_plus, self.drift_plus
-            else:
-                t, drift = self.x_minus - x, self.drift_minus
-            return self._log_height + (-self.tail_offset - drift * t - 0.5 * t * t)
+                for _, start, end, offset, drift, _ in self._inner_plus:
+                    if x < end:
+                        break
+                t = x - start
+            else:  # NaN too, which ends in NaN through the left tail's constants
+                start, offset, drift = self._tail_minus, self._tail_offset_minus, self.drift_minus
+                for _, start, end, offset, drift, _ in self._inner_minus:
+                    if x > end:
+                        break
+                t = start - x
+            return self._log_height + (-offset - drift * t - 0.5 * t * t)
         xs = np.asarray(x, dtype=float)
-        t_right = np.maximum(xs - self.x_plus, 0.0)
-        t_left = np.maximum(self.x_minus - xs, 0.0)
+        t_right = np.maximum(xs - self._tail_plus, 0.0)
+        t_left = np.maximum(self._tail_minus - xs, 0.0)
         on_plateau = (xs >= self.x_minus) & (xs <= self.x_plus)
         tail = np.where(
             xs > self.x_plus,
-            -self.tail_offset - self.drift_plus * t_right - 0.5 * t_right * t_right,
-            -self.tail_offset - self.drift_minus * t_left - 0.5 * t_left * t_left,
+            -self._tail_offset_plus - self.drift_plus * t_right - 0.5 * t_right * t_right,
+            -self._tail_offset_minus - self.drift_minus * t_left - 0.5 * t_left * t_left,
         )
+        for side, start, end, offset, drift, _ in self._inner:
+            t = side * (xs - start)
+            inside = (t >= 0.0) & (side * (xs - end) < 0.0)
+            tail = np.where(inside, -offset - drift * t - 0.5 * t * t, tail)
         out = self._log_height + np.where(on_plateau, 0.0, tail)
         return out if out.ndim else float(out)
 
@@ -192,37 +298,48 @@ class Envelope:
         if size is None:
             u = rng.random()
             if u < self._cut1:
-                return self.x_minus - numerics.sample_gaussian_tail(
+                return self._tail_minus - numerics.sample_gaussian_tail(
                     self.drift_minus, rng, erfc_a=self._erfc_minus
                 )
             if u < self._cut2:
                 # rng.uniform(lo, hi) computes lo + (hi - lo) * random()
                 return self.x_minus + (self.x_plus - self.x_minus) * rng.random()
-            return self.x_plus + numerics.sample_gaussian_tail(
-                self.drift_plus, rng, erfc_a=self._erfc_plus
-            )
+            if u < self._cut3:
+                return self._tail_plus + numerics.sample_gaussian_tail(
+                    self.drift_plus, rng, erfc_a=self._erfc_plus
+                )
+            side, start, _, _, drift, length = self._inner[bisect_right(self._inner_cuts, u)]
+            return start + side * numerics.sample_gaussian_piece(drift, length, rng)
         n = int(size)
         u = rng.random(n)
         out = np.empty(n)
         in_left = u < self._cut1
         in_mid = (~in_left) & (u < self._cut2)
-        in_right = ~(in_left | in_mid)
+        in_right = ~(in_left | in_mid) & (u < self._cut3)
         if in_left.any():
             t = numerics.sample_gaussian_tail(
                 self.drift_minus, rng, size=int(in_left.sum()), erfc_a=self._erfc_minus
             )
-            out[in_left] = self.x_minus - t
+            out[in_left] = self._tail_minus - t
         if in_mid.any():
             out[in_mid] = rng.uniform(self.x_minus, self.x_plus, size=int(in_mid.sum()))
         if in_right.any():
             t = numerics.sample_gaussian_tail(
                 self.drift_plus, rng, size=int(in_right.sum()), erfc_a=self._erfc_plus
             )
-            out[in_right] = self.x_plus + t
+            out[in_right] = self._tail_plus + t
+        in_inner = ~(in_left | in_mid | in_right)
+        if in_inner.any():
+            which = np.searchsorted(self._inner_cuts, u, side="right")
+            for j, (side, start, _, _, drift, length) in enumerate(self._inner):
+                chosen = in_inner & (which == j)
+                if chosen.any():
+                    t = numerics.sample_gaussian_piece(drift, length, rng, size=int(chosen.sum()))
+                    out[chosen] = start + side * t
         return out
 
     def to_json_dict(self) -> dict:
-        return {
+        doc = {
             "x_minus": self.x_minus,
             "x_plus": self.x_plus,
             "plateau_height": self.plateau_height,
@@ -230,41 +347,30 @@ class Envelope:
             "drifts": [self.drift_minus, self.drift_plus],
             "masses": list(self.piece_masses),
         }
+        if self.pieces_minus or self.pieces_plus:
+            doc["pieces"] = [[list(piece) for piece in self.pieces_minus],
+                             [list(piece) for piece in self.pieces_plus]]
+        return doc
 
 
-def plateau_envelope(
-    value,
-    p: float,
-    kappa: float,
-    *,
-    level: float,
-    floor: float,
-    lo: int,
-    reach: float = 0.0,
-) -> Envelope:
-    """The plateau envelope of the module docstring around the anchor ``p``.
+def threshold_searches(
+    value, p: float, kappa: float, *, level: float, floor: float, lo: int, reach: float
+):
+    """Both threshold searches of the module docstring around the anchor ``p``.
 
-    Searches right of ``p`` first, then left; ``value`` is queried.  Each
-    tail's drift is the search's edge value over its distance from ``p``,
-    and the offset is the smaller edge value plus ``floor``: ``W(x_plus + t)
-    >= W(x_plus) + drift*t + t^2/2`` by convexity and unit strong convexity,
-    so the tails dominate at no extra query.
+    Searches right of ``p`` first, then left; ``value`` is queried, and
+    nothing else.  Returns ``(left, right)``, each side as ``(edge, W(edge),
+    probes)``, with the probes of :func:`find_threshold_index`: every grid
+    index that side queried, mapped to ``(x, W(x))``, the edge among them.
     """
     edge = math.log2(reach + math.sqrt(2.0 * (level + floor)))
     top = max(lo, math.ceil(math.log2(kappa) / 2 + edge))
-    root = math.sqrt(kappa)
-    i_plus, w_plus = find_threshold_index(value, p, +1, kappa, level, lo, top)
-    i_minus, w_minus = find_threshold_index(value, p, -1, kappa, level, lo, top)
-    x_plus = p + 2.0**i_plus / root
-    x_minus = p - 2.0**i_minus / root
-    return Envelope(
-        x_minus=x_minus,
-        x_plus=x_plus,
-        drift_minus=w_minus / (p - x_minus),
-        drift_plus=w_plus / (x_plus - p),
-        plateau_height=math.exp(floor),
-        tail_offset=min(w_minus, w_plus) + floor,
-    )
+    sides = []
+    for side in (+1, -1):
+        i, w, probes = find_threshold_index(value, p, side, kappa, level, lo, top)
+        sides.append((probes[i][0], w, probes))
+    right, left = sides
+    return left, right
 
 
 def build_envelope(oracle) -> Envelope:
@@ -279,7 +385,17 @@ def build_envelope(oracle) -> Envelope:
         raise UsageError(
             "build_envelope needs a normalized oracle; wrap it with normalize_at_zero()"
         )
-    return plateau_envelope(oracle.value, 0.0, oracle.kappa, level=0.5, floor=0.0, lo=0)
+    (x_minus, w_minus, _), (x_plus, w_plus, _) = threshold_searches(
+        oracle.value, 0.0, oracle.kappa, level=0.5, floor=0.0, lo=0, reach=0.0
+    )
+    return Envelope(
+        x_minus=x_minus,
+        x_plus=x_plus,
+        drift_minus=w_minus / -x_minus,
+        drift_plus=w_plus / x_plus,
+        plateau_height=1.0,
+        tail_offset=min(w_minus, w_plus),
+    )
 
 
 def prepare_envelope(oracle):

@@ -15,20 +15,41 @@ The line step has three parts:
   ``W'(p - g)`` has the sign opposite to g, and safeguarded regula falsi on
   W' between the two, with bisection as the fallback, finds one.
 * :func:`build_line_envelope` shifts W by the ``W(p)`` it already holds and
-  calls the shared plateau builder :func:`lcsampler.envelope.plateau_envelope`
-  anchored at p, with level 3 and floor 1/2.  Domination needs only
-  ``W(p) = 0`` after the shift, ``W >= -1/2`` and convexity; kappa
-  enters the threshold search's range alone, which also covers the distance
-  ``|g|`` from p to the minimizer.
+  runs the shared threshold searches
+  :func:`lcsampler.envelope.threshold_searches` around p, with level 3 and
+  floor 1/2; kappa enters their range alone, which also covers the
+  distance ``|g|`` from p to the minimizer.  It assembles the envelope
+  from every value the searches queried, not just the two edges, with the
+  strong-convexity bounds of adaptive rejection sampling:
+
+  - The plateau has height ``e^(g^2/2)``, since ``W(p + t) >= g t + t^2/2
+    >= -g^2/2``, and ends on each side at the innermost probe with
+    ``W > 0``.
+  - From each probe x_k with ``w_k = W(x_k) > 0`` at distance ``d_k`` from
+    p to the next probe outward, the envelope is ``exp(-w_k - s_k t -
+    t^2/2)`` with ``s_k = w_k/d_k + d_k/2``: strong convexity between p and
+    x_k gives ``0 = W(p) >= w_k - W'(x_k) d_k + d_k^2/2``, so ``W'(x_k) >=
+    s_k``, and then ``W(x_k + t) >= w_k + s_k t + t^2/2``.  The outermost
+    piece is the unbounded tail.
+
+  This envelope is nowhere above the one the two edges alone give (plateau
+  ``e^(1/2)`` between them, tails ``exp(-min(w_edge) - (w_edge/d_edge) t -
+  t^2/2)``), so the acceptance rate on a line never falls.  Between the
+  edges the plateau and every piece (at most ``e^(-w_k) < 1``) lie below
+  ``e^(1/2)``.  At the edge ``s_edge > w_edge/d_edge``.  Past an outer
+  probe x_2 its piece lies below the inner probe's, because ``w_2`` is at
+  least the inner bound at x_2 and ``s_2 >= s_1 + d_2 - d_1``:
+  ``W(p + d) - d^2/2`` is convex and 0 at p, so its chord slope from p
+  grows.
 * Rejection against that envelope draws the step size exactly.
 
-The envelope dominates any convex restriction at least -1/2 below W(p), so a
-target outside the class could pass silently.  Instead every line value the
-step queries, in the search, the threshold search and each rejection trial,
-is checked against the sandwich the certificate implies,
-``g t + t^2/2 <= W(p + t) - W(p) <= g t + kappa t^2/2``, and a miss raises
-ClassViolationError.  All oracle traffic goes through one counter, so
-per-step query costs are measurable.
+The envelope dominates any restriction that keeps the curvature sandwich
+around the certificate, so a target outside the class could pass silently.
+Instead every line value the step queries, in the search, the threshold
+search and each rejection trial, is checked against the sandwich the
+certificate implies, ``g t + t^2/2 <= W(p + t) - W(p) <= g t + kappa
+t^2/2``, and a miss raises ClassViolationError.  All oracle traffic goes
+through one counter, so per-step query costs are measurable.
 """
 from __future__ import annotations
 
@@ -38,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .envelope import Envelope, plateau_envelope
+from .envelope import Envelope, threshold_searches
 from .errors import ClassViolationError, UsageError
 from .rejection import sample_exact
 
@@ -251,22 +272,48 @@ def bracket_minimizer(line: LineOracle, start: float) -> Certificate:
 
 
 def build_line_envelope(line: LineOracle, certificate: Certificate) -> tuple[Envelope, LineOracle]:
-    """Plateau envelope for the restriction shifted by the certificate's value.
+    """The envelope of the module docstring for the restriction shifted by ``W(p)``.
 
     The shifted restriction is 0 at p and at least ``-slope^2/2 >= -1/2``,
-    its minimizer lies within ``|slope|`` of p, and its edges are the first
-    dyadic offsets from p where it reaches 3.  Index 0 is never searched:
-    one grid step ``1/sqrt(kappa)`` from p the shifted value is at most
-    ``|slope|/sqrt(kappa) + 1/2 <= 3/2``.  The shift itself costs no query.
-    Returns the envelope together with the shifted, sandwich-checked oracle
-    the rejection step must evaluate.
+    its minimizer lies within ``|slope|`` of p, and the searches' edges are
+    the first dyadic offsets from p where it reaches 3.  Index 0 is never
+    searched: one grid step ``1/sqrt(kappa)`` from p the shifted value is at
+    most ``|slope|/sqrt(kappa) + 1/2 <= 3/2``.  The shift and the pieces
+    cost no query.  Returns the envelope together with the shifted,
+    sandwich-checked oracle the rejection step must evaluate.
     """
     shifted = CertifiedLine(line, certificate)
-    env = plateau_envelope(
-        shifted.value, certificate.lam, line.kappa,
-        level=3.0, floor=0.5, lo=1, reach=abs(certificate.slope),
+    p, slope = certificate.lam, certificate.slope
+    (_, _, probes_minus), (_, _, probes_plus) = threshold_searches(
+        shifted.value, p, line.kappa, level=3.0, floor=0.5, lo=1, reach=abs(slope)
+    )
+    pieces_minus, pieces_plus = _pieces(p, probes_minus), _pieces(p, probes_plus)
+    floor = 0.5 * slope * slope
+    env = Envelope(
+        x_minus=pieces_minus[0][0],
+        x_plus=pieces_plus[0][0],
+        drift_minus=pieces_minus[-1][2],
+        drift_plus=pieces_plus[-1][2],
+        plateau_height=math.exp(floor),
+        tail_offset=floor,
+        pieces_minus=pieces_minus,
+        pieces_plus=pieces_plus,
     )
     return env, shifted
+
+
+def _pieces(p: float, probes) -> tuple[tuple[float, float, float], ...]:
+    """``(x_k, w_k, s_k)`` for each probe outward with ``w_k > 0``, ``s_k = w_k/d_k + d_k/2``.
+
+    ``probes`` maps grid indices, which run outward, to ``(x, W(x))``.
+    """
+    pieces = []
+    for i in sorted(probes):
+        x, w = probes[i]
+        if w > 0.0:
+            d = abs(x - p)
+            pieces.append((x, w, w / d + 0.5 * d))
+    return tuple(pieces)
 
 
 @dataclass(frozen=True)

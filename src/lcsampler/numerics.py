@@ -2,8 +2,8 @@
 
 Gaussian tail integrals of the form ``int_0^inf exp(-a*t - t^2/2) dt``, the
 erfc they invert against, and exact draws from the matching truncated
-normal.  Everything here is a pure function; nothing touches an oracle or
-consumes queries.
+normal; the same for a finite piece ``[0, length]``.  Everything here is a
+pure function; nothing touches an oracle or consumes queries.
 """
 from __future__ import annotations
 
@@ -22,6 +22,10 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # (erfc underflows), so sampling switches to an exponential-proposal
 # rejection step.
 _DRIFT_INVERSION_LIMIT = 5.0
+# A finite piece no longer than this is drawn by the exponential proposal
+# whatever its drift: its acceptance exp(-t^2/2) stays above exp(-1/2), and
+# the erfc difference the inversion needs cancels on short pieces.
+_SHORT_PIECE = 1.0
 
 
 def gaussian_tail_integral(a: float) -> float:
@@ -86,3 +90,53 @@ def sample_gaussian_tail(a: float, rng: np.random.Generator, size=None, *, erfc_
         t[todo[keep]] = prop[keep]
         todo = todo[~keep]
     return t
+
+
+def gaussian_piece_integral(a: float, length: float) -> float:
+    """``int_0^length exp(-a*t - t^2/2) dt`` for a >= 0 and length >= 0.
+
+    Up to ``_DRIFT_INVERSION_LIMIT`` this is ``sqrt(pi/2) * exp(a^2/2) *
+    (erfc(a/sqrt(2)) - erfc((a + length)/sqrt(2)))`` through ``math``.
+    Beyond it ``exp(a^2/2)`` would overflow and erfc underflow for the large
+    drifts of curvature bands, so it is the difference of two half-line
+    integrals, each scaled by erfcx.  Either way the absolute error is a few
+    ulps of the half-line integral ``gaussian_tail_integral(a)``.
+    """
+    b = a + length
+    if a <= _DRIFT_INVERSION_LIMIT:
+        erfc_gap = math.erfc(a * _INV_SQRT2) - math.erfc(b * _INV_SQRT2)
+        return _SQRT_HALF_PI * math.exp(0.5 * a * a) * erfc_gap
+    decay = math.exp(-length * (a + 0.5 * length))
+    return gaussian_tail_integral(a) - decay * gaussian_tail_integral(b)
+
+
+def sample_gaussian_piece(a: float, length: float, rng: np.random.Generator, size=None):
+    """Exact draws from the density proportional to exp(-a*t - t^2/2) on [0, length].
+
+    A piece with ``a <= _DRIFT_INVERSION_LIMIT`` longer than ``_SHORT_PIECE``
+    inverts the CDF: ``t = sqrt(2) erfcinv(erfc(a/sqrt(2)) - u * (erfc(a/sqrt(2))
+    - erfc((a + length)/sqrt(2)))) - a``.  Every other piece proposes Exp(a)
+    truncated to [0, length] (uniform when a = 0), by inversion, and accepts
+    with probability exp(-t^2/2): at least exp(-1/2) on a short piece, and at
+    least ``a^2 / (a^2 + 1)`` above the limit.  No draw is made on the
+    half-line and retried until it lands inside, which loops for a long time
+    on a narrow piece far from its mean.
+
+    ``size=None`` returns a float; an array of ``size`` repeats that scalar
+    draw, so ``size=1`` equals it bitwise on the same stream.
+    """
+    if a < 0 or length <= 0:
+        raise UsageError(f"need a nonnegative drift and a positive length, got {a}, {length}")
+    if size is not None:
+        return np.array([sample_gaussian_piece(a, length, rng) for _ in range(int(size))])
+    if a <= _DRIFT_INVERSION_LIMIT and length > _SHORT_PIECE:
+        top = math.erfc(a * _INV_SQRT2)
+        gap = top - math.erfc((a + length) * _INV_SQRT2)
+        t = _SQRT2 * float(erfcinv(top - rng.random() * gap)) - a
+        return min(max(t, 0.0), length)
+    span = -math.expm1(-a * length)  # P(Exp(a) <= length)
+    while True:
+        u = rng.random()
+        t = min(-math.log1p(-u * span) / a, length) if a > 0.0 else u * length
+        if rng.random() < math.exp(-0.5 * t * t):
+            return t

@@ -61,14 +61,17 @@ class PiecewiseQuadraticPotential:
         # Fractions are accepted as breakpoints so callers with an exact grid
         # (e.g. dyadic points divided by an irrational scale) keep widths that
         # cancel exactly during anchor integration; a Fraction or a float
-        # enters the integer walk through its exact as_integer_ratio().
+        # enters the integer walk through its exact as_integer_ratio(), taken
+        # once.  Its float is p / q, the correctly rounded division that
+        # float(Fraction) also does.
         exact_bp = [b if isinstance(b, Fraction) else float(b) for b in breakpoints]
-        bp = [float(b) for b in exact_bp]
         cv = [float(c) for c in curvatures]
-        for field, values in (("breakpoint", bp), ("curvature", cv)):
-            bad = [v for v in values if not math.isfinite(v)]
+        for field, values in (("breakpoint", exact_bp), ("curvature", cv)):
+            bad = [v for v in values if type(v) is float and not math.isfinite(v)]
             if bad:
                 raise UsageError(f"every {field} must be finite, got {bad[0]}")
+        bp_ratios = [b.as_integer_ratio() for b in exact_bp]
+        bp = [p / q for p, q in bp_ratios]
         if len(cv) != len(bp) + 1:
             raise UsageError(
                 f"need one curvature per segment: {len(bp)} breakpoints require "
@@ -80,23 +83,23 @@ class PiecewiseQuadraticPotential:
         self._bp = np.asarray(bp, dtype=float)
         self._bp_list = bp
         self._curv = np.asarray(cv, dtype=float)
-        self._rows = self._segment_anchors(exact_bp, cv)
+        self._rows = self._segment_anchors(bp_ratios, cv)
         self._columns = tuple(np.asarray(col, dtype=float) for col in zip(*self._rows))
         self._mass_cache = None
 
-    def _segment_anchors(self, exact_bp: list, cv: list[float]) -> list[tuple]:
+    def _segment_anchors(self, bp_ratios: list[tuple[int, int]], cv: list[float]) -> list[tuple]:
         """The anchor rows ``(anchor_x, anchor_v, anchor_d, c)``, one per segment.
 
         The segment holding the origin is anchored at the origin, every other
         segment at its edge closest to the origin (the mode).  Value/slope
         pairs at the edges come from exact integration of the curvature
-        steps outward from 0 in integers: breakpoints over D, curvatures over
-        C, so slopes are numerators over C*D and values numerators over
-        2*C*D^2.  Each anchor is rounded once by ``int / int``.
+        steps outward from 0 in integers: breakpoints (given as their exact
+        integer ratios) over D, curvatures over C, so slopes are numerators
+        over C*D and values numerators over 2*C*D^2.  Each anchor is rounded
+        once by ``int / int``.
         """
         n = len(cv) - 1
         j0 = bisect_right(self._bp_list, 0.0)
-        bp_ratios = [b.as_integer_ratio() for b in exact_bp]
         cv_ratios = [c.as_integer_ratio() for c in cv]
         bp_den = math.lcm(1, *(q for _, q in bp_ratios))
         cv_den = math.lcm(1, *(q for _, q in cv_ratios))

@@ -229,12 +229,15 @@ def envelope_cdf(env):
 def domination_grid(env) -> np.ndarray:
     """Criterion 2's grid around the plateau, plus a dense band of four
     plateau widths around each edge and the first points past the edges,
-    where the tails touch the target."""
+    where the tails touch the target; for an envelope with pieces, also
+    every piece start and the floats on both sides of it."""
     width = env.x_plus - env.x_minus
+    starts = np.array([piece[0] for piece in env.pieces_minus + env.pieces_plus])
     return np.concatenate(
         [np.linspace(env.x_minus - 8.0, env.x_plus + 8.0, 10_000)]
         + [np.linspace(e - 2.0 * width, e + 2.0 * width, 4001) for e in (env.x_minus, env.x_plus)]
         + [np.nextafter([env.x_minus, env.x_plus], [-np.inf, np.inf])]
+        + [starts, np.nextafter(starts, -np.inf), np.nextafter(starts, np.inf)]
     )
 
 

@@ -299,6 +299,14 @@ class TestErrorPaths:
     def test_cap_parameters_are_checked_before_the_first_draw(self, flags):
         assert run_cli(["sample", *flags, "--trials", "0"]) == 4
 
+    def test_rho_floor_is_checked_without_epsilon(self, tmp_path, capsys):
+        assert run_cli(["sample", "--rho-floor", "7", "--trials", "3"]) == 4
+        assert "--rho-floor" in capsys.readouterr().err
+        out = tmp_path / "draws.txt"
+        assert run_cli(["sample", "--rho-floor", "0.5", "--trials", "3", "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / "draws.txt.meta.json").read_text())
+        assert (meta["epsilon"], meta["rho_floor"]) == (None, 0.5)
+
     @pytest.mark.parametrize("kappa, code", [("1e31", 0), ("3e31", 4), ("1e40", 4)])
     def test_skewed_bands_below_float_resolution_are_config_error(self, kappa, code, capsys):
         assert run_cli(["envelope-inspect", "--target", "skewed", "--kappa", kappa]) == code

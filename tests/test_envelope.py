@@ -45,7 +45,8 @@ def search(oracle, side):
     Returns the index and the value queried at its edge.
     """
     kappa = oracle.kappa
-    return find_threshold_index(oracle.value, 0.0, side, kappa, 0.5, 0, search_top(kappa))
+    index, value, _ = find_threshold_index(oracle.value, 0.0, side, kappa, 0.5, 0, search_top(kappa))
+    return index, value
 
 
 def query_budget(kappa):
@@ -275,6 +276,34 @@ class TestConstruction:
     def test_bad_geometry_is_usage_error(self, geometry, message):
         with pytest.raises(UsageError, match=message):
             Envelope(*geometry)
+
+    @pytest.mark.parametrize(
+        "pieces_plus",
+        [
+            ((1.5, 0.0, 0.5),),  # does not start at the plateau edge
+            ((1.0, 0.0, 2.0), (3.0, 1.0, 0.7)),  # ends in a drift other than the tail's
+            ((1.0, 0.0, 2.0), (0.5, 1.0, 0.5)),  # runs inward
+            ((1.0, 0.0, -2.0), (3.0, 1.0, 0.5)),  # negative drift
+        ],
+    )
+    def test_bad_pieces_are_usage_error(self, pieces_plus):
+        with pytest.raises(UsageError, match="pieces must"):
+            Envelope(-1.0, 1.0, 0.5, 0.5, pieces_plus=pieces_plus)
+
+    def test_pieces_envelope_is_hashable_and_lists_masses_left_to_right(self):
+        pieces_plus = ((1.0, 0.0, 0.25), (2.0, 1.0, 0.5))
+        env = Envelope(-1.0, 1.0, 0.5, 0.5, pieces_plus=pieces_plus)
+        assert env == Envelope(-1.0, 1.0, 0.5, 0.5, pieces_plus=pieces_plus)
+        assert hash(env) == hash(Envelope(-1.0, 1.0, 0.5, 0.5, pieces_plus=pieces_plus))
+        assert env != Envelope(-1.0, 1.0, 0.5, 0.5)
+        # left tail, plateau, the finite piece on [1, 2], the tail from 2
+        quad = [
+            adaptive_quadrature(lambda x: env.value(x), lo, hi, tol=1e-12).value
+            for lo, hi in ((-40.0, -1.0), (-1.0, 1.0), (1.0, 2.0), (2.0, 40.0))
+        ]
+        assert env.piece_masses == pytest.approx(quad, rel=1e-9)
+        assert env.mass_total == pytest.approx(sum(quad), rel=1e-9)
+        assert env.to_json_dict()["pieces"] == [[], [list(p) for p in pieces_plus]]
 
 
 class TestSerialization:

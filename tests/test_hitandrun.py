@@ -5,6 +5,7 @@ import pytest
 
 from lcsampler import (
     ClassViolationError,
+    Envelope,
     MultivariateOracle,
     UsageError,
     bracket_minimizer,
@@ -14,6 +15,7 @@ from lcsampler import (
     run_chain,
     sample_exact,
     step,
+    threshold_searches,
 )
 from lcsampler.targets import builtin_potential
 
@@ -233,36 +235,64 @@ class TestLineEnvelope:
         assert float(np.min(env.value(grid) - vals)) >= -1e-12
 
     def test_plateau_level_and_offset(self):
-        # W(lam) = lam^2/2 from p = 0: the grid 2^i/2 first reaches 3 at
-        # lam = +-4, where W = 8, so the offset is 8 + 1/2 and the drifts 8/4
+        # W(lam) = lam^2/2 from p = 0 with slope 0: plateau height e^0.  The
+        # grid 2^i/2 runs to top = ceil(1 + log2(sqrt(7))) = 3; the search
+        # probes i = 2 (lam = +-2, W = 2 < 3), then checks the edge i = 3
+        # (lam = +-4, W = 8).  Both probes are positive, so the plateau ends
+        # at +-2, and the pieces start there with s = W/d + d/2 = 2 and 4,
+        # which is the restriction's own slope: beyond the plateau the
+        # envelope is exp(-lam^2/2) exactly
         kappa = 4.0
         _, line, cert = self._restriction(kappa=kappa)
         env, shifted = build_line_envelope(line, cert)
-        assert env.plateau_height == math.exp(0.5)
-        assert env.tail_offset == 8.5
-        assert (env.x_minus, env.x_plus) == (-4.0, 4.0)
-        assert env.drift_minus == env.drift_plus == 2.0
+        assert (env.plateau_height, env.tail_offset) == (1.0, 0.0)
+        assert (env.x_minus, env.x_plus) == (-2.0, 2.0)
+        assert env.pieces_plus == ((2.0, 2.0, 2.0), (4.0, 8.0, 4.0))
+        assert env.pieces_minus == ((-2.0, 2.0, 2.0), (-4.0, 8.0, 4.0))
+        assert env.drift_minus == env.drift_plus == 4.0
+        outside = np.array([-7.5, -4.0, -3.0, -2.5, 2.5, 3.0, 4.0, 7.5])
+        assert np.allclose(env.log_value(outside), -0.5 * outside**2, rtol=1e-15, atol=0)
+        # mass: the plateau 4 plus the Gaussian tails beyond +-2
+        closed = 4.0 + math.sqrt(2.0 * math.pi) * math.erfc(math.sqrt(2.0))
+        assert env.mass_total == pytest.approx(closed, rel=1e-12)
         assert env.x_minus < cert.lam < env.x_plus
         assert shifted.shift == cert.value  # the shift costs no query
 
     def test_geometry_and_queries_pinned(self):
+        # The restriction has curvature c = 0.6^2 + 30 * 0.8^2 = 19.56, and
+        # the certificate sits at its minimizer (slope ~ 1e-14), so the
+        # shifted value at d = 2^i/sqrt(1000) from p is c d^2/2 = 0.00978 4^i
+        # on both sides.  The search range tops at ceil(log2(1000)/2 +
+        # log2(sqrt(7))) = 7; it probes i = 6 (W = 40.06), the pivot i = 2
+        # (W = 0.156), then bisects to i = 4 (2.50) and i = 5 (10.01), the
+        # edge: 4 queries a side.  Every probe is positive, so the plateau
+        # ends at i = 2, and each piece has offset c d^2/2 and drift
+        # W/d + d/2 = (c + 1) d/2.
         o = quadratic_oracle(np.array([1.0, 30.0]), kappa=1e3)
         line = restrict(o, np.array([1.0, 0.5]), np.array([0.6, 0.8]))
         cert = bracket_minimizer(line, 1.0)
         before = o.query_count
         env, shifted = build_line_envelope(line, cert)
-        assert (env.x_minus, env.x_plus) == (-0.6561006303949868, 1.3677570721127759)
-        assert (env.drift_minus, env.drift_plus) == (9.896664165262983, 9.89666416526294)
-        assert (env.plateau_height, env.tail_offset) == (math.exp(0.5), 10.51471999999998)
-        assert shifted.shift == cert.value == 0.19171779141104298
         assert o.query_count - before == 8
-        # each tail starts from the quadratic's own value at its edge
-        edge_values = []
-        for edge, drift in ((env.x_minus, env.drift_minus), (env.x_plus, env.drift_plus)):
-            x = line.point(edge)
-            edge_values.append(0.5 * (x[0] ** 2 + 30.0 * x[1] ** 2) - cert.value)
-            assert drift == pytest.approx(edge_values[-1] / abs(edge - cert.lam), rel=1e-12)
-        assert env.tail_offset == pytest.approx(min(edge_values) + 0.5, rel=1e-12)
+        assert shifted.shift == cert.value == 0.19171779141104298
+        assert abs(cert.slope) < 1e-13
+        assert env.plateau_height == math.exp(0.5 * cert.slope**2)
+        assert env.tail_offset == 0.5 * cert.slope**2
+        curvature = 0.6**2 + 30.0 * 0.8**2
+        for side, pieces in ((-1.0, env.pieces_minus), (1.0, env.pieces_plus)):
+            d = np.array([2.0**i for i in (2, 4, 5, 6)]) / math.sqrt(1e3)
+            assert np.allclose([x for x, _, _ in pieces], cert.lam + side * d, rtol=1e-14, atol=0)
+            assert np.allclose([w for _, w, _ in pieces], 0.5 * curvature * d**2, rtol=1e-12, atol=0)
+            assert np.allclose([s for _, _, s in pieces], 0.5 * (curvature + 1.0) * d, rtol=1e-12, atol=0)
+        assert (env.x_minus, env.x_plus) == (env.pieces_minus[0][0], env.pieces_plus[0][0])
+        assert (env.drift_minus, env.drift_plus) == (env.pieces_minus[-1][2], env.pieces_plus[-1][2])
+        # each piece starts from the quadratic's own value at its probe
+        for x, w, s in env.pieces_minus + env.pieces_plus:
+            point = line.point(x)
+            value = 0.5 * (point[0] ** 2 + 30.0 * point[1] ** 2) - cert.value
+            assert w == pytest.approx(value, rel=1e-12)
+            d = abs(x - cert.lam)
+            assert s == pytest.approx(w / d + 0.5 * d, rel=1e-15)
 
     def test_first_dyadic_offset_is_never_needed_at_zero(self):
         # the shifted value one grid step from the certificate point stays
@@ -307,6 +337,51 @@ class TestLineEnvelope:
         ).value
         floor = 0.5 * math.exp(-3.0) * (env.x_plus - env.x_minus) / env.mass_total
         assert z_p / env.mass_total >= floor
+
+
+def edge_envelope(shifted, cert):
+    """The line envelope built from the two threshold edges alone.
+
+    Plateau e^(1/2) between the edges; each tail's drift is its edge value
+    over its distance from p, and the offset the smaller edge value plus 1/2.
+    Re-runs the searches (same probes, fresh queries).
+    """
+    (x_minus, w_minus, _), (x_plus, w_plus, _) = threshold_searches(
+        shifted.value, cert.lam, shifted.kappa, level=3.0, floor=0.5, lo=1, reach=abs(cert.slope)
+    )
+    return Envelope(
+        x_minus,
+        x_plus,
+        w_minus / (cert.lam - x_minus),
+        w_plus / (x_plus - cert.lam),
+        math.exp(0.5),
+        min(w_minus, w_plus) + 0.5,
+    )
+
+
+class TestNeverWorse:
+    @pytest.mark.parametrize("name", ["isotropic", "hard:2", "skewed"])
+    def test_below_the_edge_envelope_with_no_more_mass(self, name):
+        # 200 random lines at kappa 1e6: the envelope from every probe is
+        # pointwise at most the one from the two edges, so rho never falls
+        kappa = 1e6
+        rng = np.random.default_rng(53)
+        if name == "isotropic":
+            oracle, scale = isotropic(10, kappa), np.ones(10)
+        else:
+            members = [builtin_potential(name, kappa)] + [builtin_potential("gaussian", kappa)] * 2
+            oracle, scale = product_oracle(members, kappa), np.array([1e-3, 1.0, 1.0])
+        for _ in range(200):
+            x = rng.standard_normal(oracle.dimension) * scale ** rng.uniform(0.0, 1.0)
+            u = rng.standard_normal(oracle.dimension)
+            u /= np.linalg.norm(u)
+            line = restrict(oracle, x, u)
+            cert = bracket_minimizer(line, float(u @ x))
+            env, shifted = build_line_envelope(line, cert)
+            old = edge_envelope(shifted, cert)
+            grid = np.concatenate([domination_grid(env), domination_grid(old)])
+            assert float(np.max(env.log_value(grid) - old.log_value(grid))) <= 1e-12
+            assert env.mass_total <= old.mass_total
 
 
 class TestStep:
@@ -409,137 +484,139 @@ class TestRunChain:
 
 # The first 20 steps of two chains at seed 2024, positions and per-step
 # queries.  A refactor of the line step that keeps its query sequence must
-# reproduce them bit for bit.
+# reproduce them bit for bit.  Re-recorded when the line envelope began to
+# use every threshold-search probe: the trial sequence changed, and the
+# queries fell from 318 to 216 (anisotropic) and from 187 to 152 (10-d).
 ANISOTROPIC_POSITIONS = [
-    [0.7818683232216479, 0.15189057810161288],
-    [0.8503581633474097, 0.03960077161633391],
-    [1.0569237199375907, -0.029751087995558867],
-    [0.9585587509626262, 0.15095397416093614],
-    [0.9395109449622606, 0.36491074934445833],
-    [0.5482981250664075, -0.11703414284547489],
-    [0.6871846869316842, -0.1783868018990317],
-    [0.6783907047309072, -0.30453793872647994],
-    [1.4214380162564182, 0.03500752776799032],
-    [0.8874469785810231, 0.40077242739490865],
-    [0.9634873242309125, -0.38061613976952136],
-    [0.8589486783420153, -0.40627470858811593],
-    [1.4789441460722332, 0.12067465978443248],
-    [1.3235959859172146, -0.07271411776187031],
-    [1.3269787628617626, -0.2003504005715258],
-    [0.29159063067671287, 0.04051955365982579],
-    [-0.6848630006836409, -0.12791919448303704],
-    [-0.22539979808159183, -0.40880844751490436],
-    [0.02166578487142575, 0.14269908290880462],
-    [0.20083750851505316, 0.12167747071906843],
+    [0.6212297445630617, -0.10446743269862607],
+    [0.3046565094106935, -0.23577099649237065],
+    [0.34478073778533835, 0.42994192008825094],
+    [0.6489777569271207, -0.0687922622387589],
+    [0.6168960901498264, 0.06214264539631387],
+    [0.4311471106710257, 0.17941014705100722],
+    [0.45261617215835587, 0.14061799500896066],
+    [0.3895826690750572, -0.08519598038044844],
+    [0.4422143824795736, 0.03978871350708335],
+    [0.1228588684817506, 0.14954462287643636],
+    [-0.6529545789296048, 0.10148115601350671],
+    [-0.5023643825672217, 0.22582886285370268],
+    [-0.8943612521586437, 0.041262961803449405],
+    [-0.039319534647492195, 0.08418407757337008],
+    [-0.0634497267906654, 0.022191781804679716],
+    [-0.031570954082735934, 0.062419787804030416],
+    [-0.0037625843349294525, 0.010964306610359286],
+    [-0.005431111132805745, -0.01991833856181483],
+    [-0.02535040696386934, 0.1073108785732497],
+    [-1.168088257942454, 0.09702024491774586],
 ]
 ANISOTROPIC_QUERIES = [
-    17, 16, 11, 15, 16, 14, 15, 18, 20, 13, 24, 28, 16, 12, 15, 15, 9, 12, 15, 17,
+    13, 10, 12, 12, 12, 10, 12, 12, 12, 10, 8, 12, 12, 8, 12, 10, 12, 11, 10, 6,
 ]
 
 ISOTROPIC_10D_POSITIONS = [
     [
-        0.27514389843215875, 0.43909341750217895, 0.3066635309239851, -0.2602542807859096,
-        -0.37247206871626864, 0.01797010601064185, 0.2303483171278562, 0.13617019471956565,
-        0.48411887289425737, 0.20079566511752633,
+        0.13757194921607938, 0.21954670875108948, 0.15333176546199254, -0.1301271403929548,
+        -0.18623603435813432, 0.008985053005320926, 0.1151741585639281, 0.06808509735978283,
+        0.24205943644712868, 0.10039783255876317,
     ],
     [
-        0.1521509241247426, 0.43504069633751535, 0.23942363782435624, -0.14620840233742644,
-        -0.33631582191997406, 0.1249457207754909, 0.294618506759395, 0.06134535237855518,
-        0.6067949815161435, 0.2450488438419952,
+        -0.40037186011274, 0.20182101121638724, -0.1407605144959522, 0.36868406924155583,
+        -0.028096683373605297, 0.47687250784529445, 0.39627761858970034, -0.259182057109905,
+        0.7786173460131411, 0.2939513560181469,
     ],
     [
-        0.1612397497009348, 0.502954996799694, 0.2754056893351188, 0.11895552879382404,
-        -0.44247776214361734, 0.3167682710376248, 0.2302164312354104, -0.09188497457521083,
-        0.8005382258063378, 0.17474527007102086,
+        0.11715154761283841, 0.3971413645459954, 0.03100259873945707, 0.0449651307762364,
+        0.3057765220980184, 0.2660908562585097, 0.3522887331378914, -0.5878795723748124,
+        0.6044682957360484, -0.989412010865909,
     ],
     [
-        0.1707976139000908, 0.4853963632516937, 0.28713297375466135, 0.14680434766170392,
-        -0.44420757697611607, 0.299792048150185, 0.23615635962970086, -0.0804069886515934,
-        0.7965934785652307, 0.1750084310105737,
+        0.2133063199943946, 0.7416104221430185, 0.5514694840766854, -0.11237599034875143,
+        0.5948259404930982, 0.07303683918162268, -0.10615724301082552, -0.5594034401121237,
+        0.8839300966071391, -1.0871948390674588,
     ],
     [
-        0.10146018824270786, 0.2857555570604932, 0.036643907958294364, -0.0600334257971121,
-        -0.6640039387189856, 0.15215664823084965, 0.6111025960272078, -0.34243340300039116,
-        1.0868502662373538, 0.3116715263268577,
+        -0.30420724455570314, 0.2511566511526197, 0.2763017928397858, 0.22341674188319785,
+        0.6156290896422846, -0.16063703934991674, -0.024043961803538485, -0.32297756326704047,
+        1.1805733438012698, -0.8422459085975482,
     ],
     [
-        -0.3831290350707749, 0.23841303904003477, -0.17048615705853637, 0.5678835528056002,
-        -0.5134245818465526, 0.3421736017422333, 0.7262620463395728, 0.6330764442542756,
-        0.6559221601758121, -0.06821563222914542,
+        -0.1935918423620796, 0.12862369436055424, 0.21860897095003104, 0.20410915127266027,
+        0.7299415927388809, -0.09754090497157217, -0.2967071780916385, -0.3366646258194566,
+        1.1062154312588584, -0.9338492874266497,
     ],
     [
-        -0.08980319368590615, 0.29871183999080225, -0.17817140002794932, 0.45763746459985577,
-        -0.4623424070669488, 0.0158997634557268, 0.7198016353166664, 0.5900136502757852,
-        0.5881719453494526, 0.23444230254878023,
+        -0.24361350197231496, 0.0655010753897964, 0.1803536154745321, -0.119950019514906,
+        0.8730936122826709, 0.028655583911604665, -0.5302160503960942, -0.3085922721003584,
+        1.0110111573737453, -0.7415328029459185,
     ],
     [
-        -0.12115227685841051, 0.9141408555109785, 0.17426455104130217, 0.15802695897024763,
-        -0.3836730645519536, -1.9525573026580283, 0.17074994256722087, 0.48849943477169655,
-        -1.055559452828013, 0.012424847816364715,
+        -0.19124751800688805, -0.2689727534510127, 0.17373083988803412, -0.16409507772187373,
+        0.8036406831824803, 0.33891998882332147, -0.8609635030467742, -0.3115707337526127,
+        1.0202346458668818, -0.6790441281113921,
     ],
     [
-        -0.042888395695946165, 0.8307297973405241, 0.0724556688633404, 0.36631751202557306,
-        -0.5128591902034356, -1.8640693937826205, 0.026405686043739163, 0.41133911219331004,
-        -1.0377211935994877, -0.2592880819577566,
+        -0.14979559645879595, -0.2663913779726278, -0.008715918574618717, -0.24746657877127698,
+        0.8390042991061998, 0.24576310516936928, -0.9426688306550866, -0.2999706206195254,
+        1.015575492912722, -0.587578042804906,
     ],
     [
-        0.3286797065720503, 1.0074416735042746, 0.1406737519641153, 0.2767097755350205,
-        -0.9884906026193501, -1.8689454312009108, 0.5604651491229529, 0.23257014959811614,
-        -0.991474877964409, 0.22016867678672036,
+        -0.5539777439727951, -0.32098392985722196, 0.03388904397315186, -0.07224003117581984,
+        0.9072234241964734, 0.5647855449536241, -0.6839714024732098, -0.5766829880983544,
+        0.9773030253670962, -0.6140206671893436,
     ],
     [
-        0.5060479486514496, 1.0232966799474452, 0.005511115947323571, 0.004865950837149538,
-        -0.8109388861079232, -1.9810037805411902, 0.4260850356786961, 0.08557300109534996,
-        -0.9372407494021482, 0.18286229712807578,
+        -0.9444769810444074, 0.477937542585146, -0.46161864089622645, 0.267165138262225,
+        0.35357505047638427, 0.2688285866364666, -0.6155507846409802, -1.6188680068260706,
+        0.5107159037054665, -0.6309614687310094,
     ],
     [
-        0.6233310154712673, 0.9257184216141154, -0.3842564807616082, -0.31994580314191945,
-        -0.5042896921555404, -2.604804276382046, 0.20779203463283463, 0.018447027778782404,
-        -0.9522645612158105, -0.1337659021864353,
+        -1.1923462753941254, 0.42176565854164116, -0.6085036499721171, 0.22841179640423767,
+        0.7518033595199805, 0.03766993597142565, -0.7238049340849917, -1.266362545950856,
+        0.678361890992874, -0.5662431931936813,
     ],
     [
-        0.2504679957766068, 1.369445268557935, 0.15814781486305723, 0.2153118189764135,
-        -0.4877448425778256, -2.5574910500670063, 0.2543389553272498, -0.027711876402497983,
-        -1.3691063927676863, -0.33964365322663476,
+        -0.9268729095607967, 0.7693354005439077, -0.4463746732015734, 0.17078715181750143,
+        0.8673222749213212, -0.05368290772241756, -0.6809849425183903, -1.2943443572676299,
+        0.5712881308658675, -0.6544289282214502,
     ],
     [
-        0.14408299926111195, 1.2370094263511837, 0.8425415506306901, 0.14627909706597797,
-        -0.23388932802003098, -2.531489814205229, -0.7267192546156346, 1.020769935515482,
-        -1.3686266711862392, -0.5249220590191683,
+        -0.7772644882697136, 0.7835584288754129, -0.36907830713528345, 0.08073561825042258,
+        0.9664800845605208, 0.024562269375012574, -0.5948042024076434, -1.1900609485170466,
+        0.6146298351369546, -0.6680634152451094,
     ],
     [
-        0.16977122287077945, 1.2310333860115217, 0.871182834087871, 0.11319684376567188,
-        -0.2547840812330446, -2.5593663833238214, -0.7493912823996597, 1.0417864683566356,
-        -1.2822582323818594, -0.5884411910537055,
+        -0.7616179344927262, 0.5451303775358942, -0.08687263444445846, 0.1500018079180312,
+        0.6611282567078756, 0.3693897990107174, -0.5568669007099667, -1.0618891112881106,
+        1.1127636589695078, -0.6235350662360979,
     ],
     [
-        0.20165534128433527, 1.2338987086366744, 1.2324020423079292, 0.17009838368068428,
-        -0.2774377370091968, -2.6476431528286795, -0.4770982128483168, 0.8753222194703638,
-        -1.0289455422854197, -0.36900867494798384,
+        -0.977236584386628, 0.28656099110441813, -0.36971926644483694, 0.25435716963460453,
+        0.5893446612704683, 0.5146724649265215, -0.6863387243251902, -1.3409667691943912,
+        1.1728199618011992, -0.6735012684437746,
     ],
     [
-        0.4684421300101824, 1.5877083858517196, 1.1688370531229293, -0.1679745403223188,
-        -0.569431886066279, -2.307420066044464, -0.29401227003333263, 0.743859162144687,
-        -0.2102848157010503, -0.7958883475752044,
+        -1.4191729200228655, 0.1506637954480751, -0.40013512177875776, -0.38665974567527905,
+        -0.35853863429232696, 1.6957124203608283, 0.12328160243274727, 0.26220669229162374,
+        0.7651021218948381, -1.0279097941036268,
     ],
     [
-        1.086725097964537, -0.15757615776779998, -0.4521583553349926, 0.05951945050812549,
-        -0.5986255632484843, -0.525872612983493, 0.9247253578887435, 0.22746245433431583,
-        -1.2709772114715072, 0.7436525102055263,
+        -0.18502179650831863, 0.7602097635361882, -1.2192392269095618, -0.3836250735345034,
+        0.12048858710942514, 1.9488744597395327, -1.6344418404127967, -1.2317256123621205,
+        -0.3421884079381809, -1.2052341756292368,
     ],
     [
-        0.7789630267476438, -0.1527549310697068, -0.5216356585997567, 0.08499401130267423,
-        -0.46570794738488547, -0.3619838519875898, 1.009986787029995, -0.30663038850110136,
-        -1.4818980218007844, 0.760649568724563,
+        -0.8328850070547404, -0.3099212912851049, -0.5056292554787364, -1.7620061366196131,
+        0.05998801485716487, 1.8547921391524314, -1.0507083234208623, -1.0371838642270563,
+        -0.4399412665446401, -0.9964090836934327,
     ],
     [
-        0.8291904294490867, -0.0779337399101114, -0.2791260618082692, 0.2261655913960098,
-        -0.4702004187753394, -0.34177586417617456, 1.093301110033021, -0.09568671862441772,
-        -1.4957806344982791, 0.7930262241700273,
+        -0.5055462044936014, -0.6597565786737566, -0.5057893188536129, -1.700186347663262,
+        -0.08740409589441397, 1.6883998808404788, -0.9867976294585337, -0.9439379472339211,
+        -0.34059282230296484, -1.035614505206818,
     ],
 ]
 ISOTROPIC_10D_QUERIES = [
-    6, 8, 6, 7, 8, 11, 15, 11, 12, 16, 6, 11, 12, 8, 7, 9, 10, 10, 8, 8,
+    6, 6, 10, 6, 9, 7, 8, 8, 7, 6, 6, 7, 6, 9, 9, 9, 9, 9, 8, 7,
 ]
 
 

@@ -11,7 +11,17 @@ from helpers import (
     normal_cdf,
 )
 from lcsampler.errors import UsageError
-from lcsampler.numerics import gaussian_tail_integral, sample_gaussian_tail
+from lcsampler.numerics import (
+    gaussian_piece_integral,
+    gaussian_tail_integral,
+    sample_gaussian_piece,
+    sample_gaussian_tail,
+)
+
+# Drifts on both sides of the inversion limit 5 and lengths from a
+# kappa = 1e12 grid step to far past the mean
+PIECE_DRIFTS = (0.0, 0.5, 4.99, 5.01, 40.0)
+PIECE_LENGTHS = (2e-6, 1e-3, 1.0, 30.0)
 
 
 class TestGaussianTailIntegral:
@@ -61,6 +71,42 @@ class TestTailSampling:
     def test_scalar_draw(self):
         rng = np.random.default_rng(0)
         assert isinstance(sample_gaussian_tail(1.0, rng), float)
+
+
+def piece_cdf(a, length):
+    """CDF of exp(-a*t - t^2/2) on [0, length], from the half-line partial integrals."""
+    head = gaussian_tail_partial(a, 0.0)
+    mass = head - gaussian_tail_partial(a, length)
+    return lambda t: (head - gaussian_tail_partial(a, np.clip(t, 0.0, length))) / mass
+
+
+class TestGaussianPiece:
+    @pytest.mark.parametrize("a", PIECE_DRIFTS)
+    @pytest.mark.parametrize("length", PIECE_LENGTHS)
+    def test_integral_matches_quadrature(self, a, length):
+        quad = adaptive_quadrature(
+            lambda t: math.exp(-a * t - 0.5 * t * t), 0.0, length, tol=1e-13 * min(length, 1.0)
+        )
+        assert gaussian_piece_integral(a, length) == pytest.approx(quad.value, rel=1e-9)
+
+    @pytest.mark.parametrize("a", PIECE_DRIFTS)
+    @pytest.mark.parametrize("length", PIECE_LENGTHS)
+    def test_draws_match_analytic_cdf(self, a, length):
+        n = 3000
+        rng = np.random.default_rng(13)
+        scalar = np.array([sample_gaussian_piece(a, length, rng) for _ in range(n)])
+        array = sample_gaussian_piece(a, length, rng, size=n)
+        cdf = piece_cdf(a, length)
+        for draws in (scalar, array):
+            assert 0.0 <= float(draws.min()) and float(draws.max()) <= length
+            assert ks_statistic(draws, cdf) < ks_critical_value(n)
+
+    def test_bad_piece_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(UsageError):
+            sample_gaussian_piece(-0.1, 1.0, rng)
+        with pytest.raises(UsageError):
+            sample_gaussian_piece(1.0, 0.0, rng)
 
 
 class TestAdaptiveQuadrature:

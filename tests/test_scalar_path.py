@@ -1,16 +1,27 @@
 """The scalar path of the rejection trial: parity with the array path and pinned draws.
 
-``evaluate``, ``Envelope.log_value``, ``Envelope.sample`` and
-``sample_gaussian_tail`` take a float (or no ``size``) through plain float
-arithmetic and the generator's scalar draws; every value must be bitwise
-equal to the array path, so ``==`` is the comparison throughout.
+``evaluate``, ``Envelope.log_value``, ``Envelope.sample``,
+``sample_gaussian_tail`` and ``sample_gaussian_piece`` take a float (or no
+``size``) through plain float arithmetic and the generator's scalar draws;
+every value must be bitwise equal to the array path, so ``==`` is the
+comparison throughout.
 """
 import numpy as np
 import pytest
 
-from lcsampler import FAILURE, PotentialOracle, prepare_envelope, sample_exact
+from helpers import domination_grid, product_oracle
+from lcsampler import (
+    FAILURE,
+    PotentialOracle,
+    bracket_minimizer,
+    build_line_envelope,
+    prepare_envelope,
+    quadratic_oracle,
+    restrict,
+    sample_exact,
+)
 from lcsampler import hardfamily
-from lcsampler.numerics import sample_gaussian_tail
+from lcsampler.numerics import sample_gaussian_piece, sample_gaussian_tail
 from lcsampler.targets import builtin_potential
 
 PARITY_KAPPAS = (2.0, 1e3, 1e6, 1e12)
@@ -65,6 +76,46 @@ def test_scalar_tail_draw_equals_size_one(drift):
         t = sample_gaussian_tail(drift, scalar_rng)
         assert isinstance(t, float)
         assert t == sample_gaussian_tail(drift, array_rng, size=1)[0]
+
+
+@pytest.mark.parametrize("drift", [0.0, 0.5, 4.99, 5.01, 40.0])
+@pytest.mark.parametrize("length", [2e-6, 1e-3, 1.0, 30.0])
+def test_scalar_piece_draw_equals_size_one(drift, length):
+    scalar_rng, array_rng = np.random.default_rng(8), np.random.default_rng(8)
+    for _ in range(200):
+        t = sample_gaussian_piece(drift, length, scalar_rng)
+        assert isinstance(t, float)
+        assert t == sample_gaussian_piece(drift, length, array_rng, size=1)[0]
+
+
+def _line_envelopes():
+    """Line envelopes with finite pieces: isotropic and hard-member products at kappa 1e6."""
+    rng = np.random.default_rng(43)
+    kappa = 1e6
+    oracles = [quadratic_oracle(np.ones(3), kappa=kappa)]
+    oracles += [
+        product_oracle([builtin_potential(name, kappa)] + [builtin_potential("gaussian", kappa)] * 2, kappa)
+        for name in ("hard:2", "skewed")
+    ]
+    for oracle in oracles:
+        for _ in range(5):
+            x = rng.standard_normal(3) * np.array([10.0 ** rng.uniform(-3.0, 0.0), 1.0, 1.0])
+            u = rng.standard_normal(3)
+            u /= np.linalg.norm(u)
+            line = restrict(oracle, x, u)
+            yield build_line_envelope(line, bracket_minimizer(line, float(u @ x)))[0]
+
+
+def test_line_envelope_scalar_path_equals_array_path():
+    for env in _line_envelopes():
+        assert env.pieces_minus and env.pieces_plus
+        grid = domination_grid(env)
+        log_values = env.log_value(grid)
+        for k, x in enumerate(grid.tolist()):
+            assert env.log_value(x) == log_values[k], x
+        scalar_rng, array_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(300):
+            assert env.sample(scalar_rng) == env.sample(array_rng, size=1)[0]
 
 
 def test_scalar_path_returns_plain_floats():

@@ -12,8 +12,8 @@ Members are materialized as explicit breakpoint lists (about 2m + 6
 breakpoints each), not evaluated through the block formulas per query,
 which gives O(log) evaluation and makes the agreement between consecutive
 members exact in floating point.  Each edge y / sqrt(kappa) is passed as
-the exact rational ``a*q / (b*p)``, with a/b the dyadic y and p/q the float
-sqrt(kappa), so every edge's denominator divides p times a power of two and
+the exact int pair ``(a*q, b*p)``, with a/b the dyadic y and p/q the float
+sqrt(kappa), so every edge's denominator is p times a power of two and
 their lcm stays small.  The potential integrates its anchors in integers
 over that lcm and rounds each anchor once; where two members agree, their
 anchors are the same exact rationals and so the same floats.
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -85,10 +84,10 @@ def build_member(kappa: float, i: int) -> PiecewiseQuadraticPotential:
         if start == 2.0**i and not math.isinf(end):
             pos_edges.append(1.25 * 2.0**i)
             pos_curvs.append(curv)
-    edges = [-y for y in reversed(pos_edges)] + pos_edges
     # each edge y / sqrt(kappa) exactly, as (a/b) / (p/q) = a*q / (b*p)
     p, q = math.sqrt(kappa).as_integer_ratio()
-    breakpoints = [Fraction(a * q, b * p) for a, b in map(float.as_integer_ratio, edges)]
+    pos = [(a * q, b * p) for a, b in map(float.as_integer_ratio, pos_edges)]
+    breakpoints = [(-a, b) for a, b in reversed(pos)] + pos
     curvatures = list(reversed(pos_curvs[1:])) + pos_curvs
     return PiecewiseQuadraticPotential(breakpoints, curvatures)
 

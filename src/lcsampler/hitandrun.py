@@ -341,9 +341,9 @@ def step(
     """
     if direction is None:
         g = rng.standard_normal(oracle.dimension)
-        while float(np.linalg.norm(g)) < 1e-12:
+        while (norm := float(np.linalg.norm(g))) < 1e-12:
             g = rng.standard_normal(oracle.dimension)
-        u = g / np.linalg.norm(g)
+        u = g / norm
     else:
         u = np.asarray(direction, dtype=float)
     line = restrict(oracle, x, u)

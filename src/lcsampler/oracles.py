@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -38,10 +39,11 @@ class OracleResponse(NamedTuple):
 class PiecewiseQuadraticPotential:
     """A C^1 potential whose second derivative is piecewise constant.
 
-    ``breakpoints`` is a strictly increasing list of reals and ``curvatures``
-    has one entry per segment, including the two unbounded end segments, so
-    ``len(curvatures) == len(breakpoints) + 1``.  The potential is built in
-    the normal form of the module docstring.
+    ``breakpoints`` is a strictly increasing list of reals, each a float or
+    an exact ratio p / q given as an int pair ``(p, q)`` with ``q > 0``, and
+    ``curvatures`` has one entry per segment, including the two unbounded
+    end segments, so ``len(curvatures) == len(breakpoints) + 1``.  The
+    potential is built in the normal form of the module docstring.
 
     Value/slope pairs at every breakpoint are computed once at construction
     by exact rational integration of the curvature steps, done in Python
@@ -58,20 +60,31 @@ class PiecewiseQuadraticPotential:
     """
 
     def __init__(self, breakpoints: Sequence, curvatures: Sequence[float]):
-        # Fractions are accepted as breakpoints so callers with an exact grid
-        # (e.g. dyadic points divided by an irrational scale) keep widths that
-        # cancel exactly during anchor integration; a Fraction or a float
-        # enters the integer walk through its exact as_integer_ratio(), taken
-        # once.  Its float is p / q, the correctly rounded division that
-        # float(Fraction) also does.
-        exact_bp = [b if isinstance(b, Fraction) else float(b) for b in breakpoints]
+        # Exact pairs let callers with an exact grid (e.g. dyadic points divided
+        # by an irrational scale) keep widths that cancel exactly during anchor
+        # integration.  Either form enters the integer walk as its exact ratio;
+        # a pair's float is p / q, the correctly rounded division.  A Fraction
+        # is refused rather than rounded through float().
+        bp_ratios = []
+        for b in breakpoints:
+            if type(b) is not tuple:
+                if isinstance(b, Fraction):
+                    raise UsageError(f"give an exact breakpoint as an int pair (p, q), not {b!r}")
+                b = float(b)
+                if not math.isfinite(b):
+                    raise UsageError(f"every breakpoint must be finite, got {b}")
+                b = b.as_integer_ratio()
+            elif len(b) != 2 or type(b[0]) is not int or type(b[1]) is not int or b[1] <= 0:
+                raise UsageError(f"an exact breakpoint must be two ints (p, q) with q > 0, got {b!r}")
+            bp_ratios.append(b)
         cv = [float(c) for c in curvatures]
-        for field, values in (("breakpoint", exact_bp), ("curvature", cv)):
-            bad = [v for v in values if type(v) is float and not math.isfinite(v)]
-            if bad:
-                raise UsageError(f"every {field} must be finite, got {bad[0]}")
-        bp_ratios = [b.as_integer_ratio() for b in exact_bp]
-        bp = [p / q for p, q in bp_ratios]
+        bad = [c for c in cv if not math.isfinite(c)]
+        if bad:
+            raise UsageError(f"every curvature must be finite, got {bad[0]}")
+        try:
+            bp = [p / q for p, q in bp_ratios]
+        except OverflowError as exc:
+            raise UsageError(f"a breakpoint overflows a float: {exc}") from exc
         if len(cv) != len(bp) + 1:
             raise UsageError(
                 f"need one curvature per segment: {len(bp)} breakpoints require "
@@ -80,11 +93,8 @@ class PiecewiseQuadraticPotential:
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
             raise UsageError("breakpoints must be strictly increasing")
 
-        self._bp = np.asarray(bp, dtype=float)
         self._bp_list = bp
-        self._curv = np.asarray(cv, dtype=float)
         self._rows = self._segment_anchors(bp_ratios, cv)
-        self._columns = tuple(np.asarray(col, dtype=float) for col in zip(*self._rows))
         self._mass_cache = None
 
     def _segment_anchors(self, bp_ratios: list[tuple[int, int]], cv: list[float]) -> list[tuple]:
@@ -96,44 +106,40 @@ class PiecewiseQuadraticPotential:
         steps outward from 0 in integers: breakpoints (given as their exact
         integer ratios) over D, curvatures over C, so slopes are numerators
         over C*D and values numerators over 2*C*D^2.  Each anchor is rounded
-        once by ``int / int``.
+        once by ``int / int`` as the walk reaches it.
         """
         n = len(cv) - 1
-        j0 = bisect_right(self._bp_list, 0.0)
-        cv_ratios = [c.as_integer_ratio() for c in cv]
-        bp_den = math.lcm(1, *(q for _, q in bp_ratios))
-        cv_den = math.lcm(1, *(q for _, q in cv_ratios))
-        ys = [p * (bp_den // q) for p, q in bp_ratios]
-        cs = [p * (cv_den // q) for p, q in cv_ratios]
+        bp = self._bp_list
+        j0 = bisect_right(bp, 0.0)
+        cv_ratios = {c: c.as_integer_ratio() for c in set(cv)}
+        bp_den = math.lcm(1, *{q for _, q in bp_ratios})
+        cv_den = math.lcm(1, *(q for _, q in cv_ratios.values()))
+        scale = {q: bp_den // q for _, q in bp_ratios}
+        ys = [p * scale[q] for p, q in bp_ratios]
+        cint = {c: p * (cv_den // q) for c, (p, q) in cv_ratios.items()}
+        cs = [cint[c] for c in cv]
         slope_den = cv_den * bp_den
         value_den = 2 * slope_den * bp_den
-        av = [0] * n
-        ad = [0] * n
+        rows = [(0.0, 0.0, 0.0, cv[j0])] * (n + 1)
+        overflows = []
         # rightward from 0, then leftward: walking right to edge k crosses
-        # segment k, walking left to it crosses segment k + 1
-        for edges, crossed in ((range(j0, n), 0), (range(j0 - 1, -1, -1), 1)):
+        # segment k and anchors segment k + 1, walking left to it crosses
+        # segment k + 1 and anchors segment k
+        for edges, side in ((range(j0, n), 0), (range(j0 - 1, -1, -1), 1)):
             y, v, d = 0, 0, 0
             for k in edges:
-                c = cs[k + crossed]
+                c = cs[k + side]
                 w = ys[k] - y
                 v, d = v + (2 * d + c * w) * w, d + c * w
-                av[k], ad[k] = v, d
                 y = ys[k]
-        rows = []
-        for j, c in enumerate(cv):
-            if j == j0:
-                rows.append((0.0, 0.0, 0.0, c))
-                continue
-            a = j - 1 if j > j0 else j
-            try:
-                value = av[a] / value_den
-                slope = ad[a] / slope_den
-            except OverflowError as exc:
-                raise UsageError(
-                    f"segment {j}: the potential at its anchor x = {self._bp_list[a]:g} "
-                    "overflows a float"
-                ) from exc
-            rows.append((self._bp_list[a], value, slope, c))
+                j = k + 1 - side
+                try:
+                    rows[j] = (bp[k], v / value_den, d / slope_den, cv[j])
+                except OverflowError:
+                    overflows.append((j, bp[k]))
+        if overflows:
+            j, x = min(overflows)
+            raise UsageError(f"segment {j}: the potential at its anchor x = {x:g} overflows a float")
         return rows
 
     @classmethod
@@ -141,13 +147,20 @@ class PiecewiseQuadraticPotential:
         """Pure quadratic ``V(x) = curvature * x^2 / 2`` (no breakpoints)."""
         return cls([], [curvature])
 
-    @property
-    def breakpoints(self) -> np.ndarray:
-        return self._bp
+    # the scalar path reads only _bp_list and _rows; the arrays are built on
+    # first use by the array path, the density helpers or a caller
 
-    @property
+    @cached_property
+    def breakpoints(self) -> np.ndarray:
+        return np.asarray(self._bp_list, dtype=float)
+
+    @cached_property
     def curvatures(self) -> np.ndarray:
-        return self._curv
+        return np.asarray([row[3] for row in self._rows], dtype=float)
+
+    @cached_property
+    def _columns(self) -> tuple:
+        return tuple(np.asarray(col, dtype=float) for col in zip(*self._rows))
 
     def evaluate(self, x):
         """Return (value, derivative, second derivative) at ``x``.
@@ -173,7 +186,7 @@ class PiecewiseQuadraticPotential:
             return av + ad * delta + 0.5 * c * delta * delta, ad + c * delta, c
         arr = np.asarray(x, dtype=float)
         xs = np.atleast_1d(arr)
-        j = np.searchsorted(self._bp, xs, side="right")
+        j = np.searchsorted(self.breakpoints, xs, side="right")
         ax, av, ad, c = (col[j] for col in self._columns)
         delta = xs - ax
         v = av + ad * delta + 0.5 * c * delta * delta
@@ -240,15 +253,15 @@ class PiecewiseQuadraticPotential:
         (lo, hi, mu, vmin, c), cum, total = self._mass_cache
         arr = np.asarray(x, dtype=float)
         xs = np.atleast_1d(arr)
-        j = np.searchsorted(self._bp, xs, side="right")
+        j = np.searchsorted(self.breakpoints, xs, side="right")
         part = self._segment_mass(lo[j], np.minimum(xs, hi[j]), mu[j], vmin[j], c[j])
         out = (cum[j] + part) / total
         return float(out[0]) if arr.ndim == 0 else out
 
     def __repr__(self):
         return (
-            f"PiecewiseQuadraticPotential({len(self._bp)} breakpoints, "
-            f"curvatures in [{self._curv.min():g}, {self._curv.max():g}])"
+            f"PiecewiseQuadraticPotential({len(self._bp_list)} breakpoints, "
+            f"curvatures in [{self.curvatures.min():g}, {self.curvatures.max():g}])"
         )
 
 

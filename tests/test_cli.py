@@ -353,6 +353,8 @@ class TestErrorPaths:
             ("envelope-inspect", {"type": "gaussian", "beta": "x"}),
             ("hitandrun", {"type": "diagonal", "curvatures": "ab"}),
             ("hitandrun", {"type": "gaussian", "dimension": "x"}),
+            # JSON gives a list, never the constructor's exact (p, q) tuple
+            ("envelope-inspect", {"type": "piecewise", "breakpoints": [[1, 2]], "curvatures": [1, 1]}),
         ],
     )
     def test_mistyped_document_field_is_config_error(self, command, doc):
@@ -387,6 +389,11 @@ class TestErrorPaths:
             ({"breakpoints": [1.0], "curvatures": [1, math.nan]}, "every curvature must be finite"),
             ({"breakpoints": [-1e308, 1e308], "curvatures": [1, 1, 1]}, "segment 0: "),
             ({"breakpoints": [10**400], "curvatures": [1, 1]}, "int too large to convert to float"),
+            # both walks overflow; the lowest segment is named
+            (
+                {"breakpoints": [-1e308, -1e307, 1e308], "curvatures": [1, 1, 1, 1]},
+                "segment 0: the potential at its anchor x = -1e+308 overflows",
+            ),
         ],
     )
     def test_non_finite_or_overflowing_piecewise_document_is_config_error(self, doc, message, capsys):

@@ -142,7 +142,8 @@ def _exact_member_breakpoints(kappa, i):
 
 
 def _anchor_cases():
-    for kappa in (2.0, 37.5, 1e3, 1e6, 1e12, 3.3e7):
+    # at 1e9, 1e15 and 2.6e11 sqrt(kappa) has a 52- or 53-bit odd mantissa
+    for kappa in (2.0, 37.5, 1e3, 1e6, 1e12, 3.3e7, 1e9, 1e15, 2.6e11):
         yield "gaussian", kappa, []
         yield "skewed", kappa, None
         for i in range(1, hardfamily.largest_m(kappa) + 1):
@@ -173,6 +174,39 @@ class TestExactAnchors:
             cvs = np.exp(rng.uniform(0.0, np.log(1e6), size=n + 1)).tolist()
             pot = PiecewiseQuadraticPotential(bps, cvs)
             self._check(pot, bps)
+
+    def test_arrays_built_on_first_use_match_inputs_and_scalar_path(self):
+        kappa = 2.6e11
+        p, q = math.sqrt(kappa).as_integer_ratio()
+        breakpoints = [(-3 * q, 2 * p), -1e-6, (-q, 4 * p), (5 * q, 8 * p), 0.25]
+        curvatures = [1.0, kappa, 1.0, 7.0, 1.0, 3.0]
+        direct = PiecewiseQuadraticPotential(breakpoints, curvatures)
+        member = hardfamily.build_member(kappa, 3)
+        xs = np.concatenate([np.linspace(-6.0, 6.0, 601), np.linspace(-40.0, 40.0, 401) / math.sqrt(kappa)])
+        for pot in (direct, member):
+            # the array path runs before anything else has built an array
+            v, d, s = pot.evaluate(xs)
+            assert list(zip(v.tolist(), d.tolist(), s.tolist())) == [pot.evaluate(x) for x in xs.tolist()]
+        assert direct.breakpoints.tolist() == [b[0] / b[1] if isinstance(b, tuple) else b for b in breakpoints]
+        assert direct.curvatures.tolist() == curvatures
+        assert member.breakpoints.tolist() == [float(b) for b in _exact_member_breakpoints(kappa, 3)]
+
+    @pytest.mark.parametrize(
+        "breakpoint, message",
+        [
+            ((1, 0), "two ints"),
+            ((1, -2), "two ints"),
+            ((1.0, 2), "two ints"),
+            ((True, 2), "two ints"),
+            ((1, 2, 3), "two ints"),
+            ((10**400, 1), "overflows a float"),
+            (Fraction(1, 3), "int pair"),
+        ],
+    )
+    def test_exact_breakpoint_must_be_an_int_pair(self, breakpoint, message):
+        # a Fraction is refused, never rounded through float()
+        with pytest.raises(UsageError, match=message):
+            PiecewiseQuadraticPotential([breakpoint], [1.0, 1.0])
 
 
 class TestOffsetOpacity:

@@ -13,13 +13,16 @@ outside the class.  The guarded dyadic binary search costs O(log log kappa)
 queries.  It returns the edges and every value it queried on the way.
 
 An :class:`Envelope` is a plateau of height ``h`` on ``[x_minus, x_plus]``
-and, on each side, pieces running outward from the plateau edge, each
+and, on each side, one table of rows ``(start, offset, drift)`` running
+outward from the plateau edge, each offset counted down from ``log h``.  A
+row holds from its start to the next row's start, at distance ``t`` from
+its start,
 
-    q(x) = h * exp(-tail_offset - offset - drift*t - t^2/2),  t = distance to the piece's start,
+    q(x) = h * exp(-offset - drift*t - t^2/2),
 
-up to the next piece's start; the last piece of each side is its unbounded
-tail.  Every mass has a closed form, so normalization and sampling consume
-no queries at all.
+and the last row of each side is its unbounded tail.  The plateau and every
+row are segments with closed-form masses, so normalization and sampling
+consume no queries at all.
 
 The 1D sampler anchors at ``p = 0`` on the normalized potential with level
 1/2, floor 0, reach 0 and ``lo`` 0, and assembles the paper's envelope from
@@ -104,7 +107,7 @@ def find_threshold_index(
 
 @dataclass(frozen=True)
 class Envelope:
-    """The dominating function, its piece decomposition, and its exact mass.
+    """The dominating function, its segments, and its exact mass.
 
     The six geometry fields give the plateau, the tails' drifts and the
     common ``tail_offset``.  ``pieces_minus`` and ``pieces_plus`` list a
@@ -112,21 +115,25 @@ class Envelope:
     counted on top of ``tail_offset``: the first starts at the plateau edge
     and the last, the tail, has the side's drift.  Left empty, a side is its
     one tail ``(edge, 0, drift)``.  The constructor checks that the plateau
-    is nonempty, both drifts positive and the pieces in that order
-    (UsageError), stores the six geometry fields as floats, and derives the
-    closed-form piece masses, left to right, and their total.  Immutable
-    after construction; sampling only reads fields, so independent random
-    generators may share one envelope across threads.  Constants derived for
-    sampling and evaluation (cut points, ``log(plateau_height)``,
-    erfc(drift/sqrt(2)) per tail that starts at the plateau, the tails'
-    starts and offsets, and the finite pieces between plateau and tail)
-    take no part in equality or hashing.
+    is finite and nonempty, its height finite and positive, both drifts
+    positive, every offset finite and the pieces in that order (UsageError),
+    stores the six geometry fields as floats, and derives the closed-form
+    piece masses, left to right, and their total.  Immutable after
+    construction; sampling only reads fields, so independent random
+    generators may share one envelope across threads.
+
+    Each side is one table of rows ``(start, tail_offset + offset, drift)``
+    running outward, the tail its last row.  A point off the plateau takes
+    the row of the last start it has reached, so a boundary belongs to the
+    plateau at ``x_minus`` and ``x_plus`` and to the outer piece at every
+    other start.  Sampling picks a segment by mass from one cut list, in
+    the order left tail, plateau, right tail, then the finite pieces, left
+    side first and each side outward.  The tables take no part in equality
+    or hashing.
 
     ``log_value`` and ``sample`` have a scalar path: a float in (or no
     ``size``) gives a float out through ``math`` and the generator's scalar
     draws, bitwise equal to the array path on the same input or stream.
-    Both test the plateau and the tails first, and look up a finite piece
-    only between them.
     """
 
     x_minus: float
@@ -139,23 +146,16 @@ class Envelope:
     pieces_plus: tuple[tuple[float, float, float], ...] = ()
     piece_masses: tuple[float, ...] = field(init=False)  # left to right
     mass_total: float = field(init=False)
-    _cut1: float = field(init=False, repr=False, compare=False)
-    _cut2: float = field(init=False, repr=False, compare=False)
-    _cut3: float = field(init=False, repr=False, compare=False)
     _log_height: float = field(init=False, repr=False, compare=False)
-    # erfc(drift/sqrt(2)) for a tail's draws; None for a tail beyond finite
-    # pieces, which holds little mass, so its rare draws compute it
-    _erfc_minus: float | None = field(init=False, repr=False, compare=False)
-    _erfc_plus: float | None = field(init=False, repr=False, compare=False)
-    _tail_minus: float = field(init=False, repr=False, compare=False)
-    _tail_plus: float = field(init=False, repr=False, compare=False)
-    _tail_offset_minus: float = field(init=False, repr=False, compare=False)
-    _tail_offset_plus: float = field(init=False, repr=False, compare=False)
-    # The finite pieces between plateau and tails, set only when there are
-    # any, as (side, start, end, offset, drift, length): per side outward,
-    # and all of them, left side first, with their cumulative sampling cut
-    # points.
-    _inner_minus = _inner_plus = _inner = _inner_cuts = ()
+    # per side, the rows outward and the starts after the first, negated on
+    # the left so that both sides bisect an ascending list
+    _table_minus: tuple = field(init=False, repr=False, compare=False)
+    _table_plus: tuple = field(init=False, repr=False, compare=False)
+    # (start, side, drift, length, erfc) in sampling order and the share of
+    # the mass up to the end of each; the plateau has no drift, a tail no
+    # length
+    _segments: tuple = field(init=False, repr=False, compare=False)
+    _cuts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         set_field = object.__setattr__  # the class is frozen
@@ -164,82 +164,71 @@ class Envelope:
             value = getattr(self, name)
             if type(value) is not float:
                 set_field(self, name, float(value))
-        if not self.x_minus < self.x_plus:
-            raise UsageError(f"plateau must be nonempty, got [{self.x_minus}, {self.x_plus}]")
-        if self.drift_minus <= 0 or self.drift_plus <= 0:
+        if not -math.inf < self.x_minus < self.x_plus < math.inf:
+            raise UsageError(f"plateau must be nonempty and finite: [{self.x_minus}, {self.x_plus}]")
+        if not (self.drift_minus > 0 and self.drift_plus > 0):
             raise UsageError("tail drifts must be positive")
         h = self.plateau_height
-        tail_minus, offset_minus, inner_minus, masses_minus = self._side(
+        if not 0.0 < h < math.inf:
+            raise UsageError(f"plateau_height must be finite and positive, got {h}")
+        if not math.isfinite(self.tail_offset):
+            raise UsageError(f"tail_offset must be finite, got {self.tail_offset}")
+        table_minus, segments_minus, masses_minus = self._side(
             -1, self.x_minus, self.drift_minus, self.pieces_minus
         )
-        tail_plus, offset_plus, inner_plus, masses_plus = self._side(
+        table_plus, segments_plus, masses_plus = self._side(
             +1, self.x_plus, self.drift_plus, self.pieces_plus
         )
-        left = h * math.exp(-offset_minus) * numerics.gaussian_tail_integral(self.drift_minus)
-        plateau = h * (self.x_plus - self.x_minus)
-        right = h * math.exp(-offset_plus) * numerics.gaussian_tail_integral(self.drift_plus)
-        total = left + plateau + right
-        masses = (left, plateau, right)
-        cut3 = math.inf
-        if inner_minus or inner_plus:
-            running = total
-            total += sum(masses_minus) + sum(masses_plus)
-            cut3 = running / total
-            cuts = []
-            for mass in masses_minus + masses_plus:
-                running += mass
-                cuts.append(running / total)
-            cuts[-1] = math.inf
-            masses = (left, *reversed(masses_minus), plateau, *masses_plus, right)
-        derived = {
-            "piece_masses": masses,
-            "mass_total": total,
-            "_cut1": left / total,
-            "_cut2": (left + plateau) / total,
-            "_cut3": cut3,
-            "_log_height": math.log(h),
-            "_erfc_minus": None if inner_minus else numerics.normal_tail_erfc(self.drift_minus),
-            "_erfc_plus": None if inner_plus else numerics.normal_tail_erfc(self.drift_plus),
-            "_tail_minus": tail_minus,
-            "_tail_plus": tail_plus,
-            "_tail_offset_minus": offset_minus,
-            "_tail_offset_plus": offset_plus,
-        }
-        if inner_minus or inner_plus:
-            # last: instances keep CPython's shared attribute layout, and
-            # its fast attribute reads, only while they add attributes in
-            # one order
-            derived.update(
-                _inner_minus=inner_minus,
-                _inner_plus=inner_plus,
-                _inner=inner_minus + inner_plus,
-                _inner_cuts=tuple(cuts),
-            )
-        for name, value in derived.items():
-            set_field(self, name, value)
+        width = self.x_plus - self.x_minus
+        left, plateau, right = masses_minus.pop(), h * width, masses_plus.pop()
+        segments = (segments_minus.pop(), (self.x_minus, 1, None, width, None), segments_plus.pop())
+        # the sums in this order fix mass_total and the cuts, and so every draw
+        total = left + plateau + right + (sum(masses_minus) + sum(masses_plus))
+        running, cuts = 0.0, []
+        for mass in (left, plateau, right, *masses_minus, *masses_plus):
+            running += mass
+            cuts.append(running / total)
+        cuts[-1] = math.inf
+        set_field(self, "piece_masses", (left, *reversed(masses_minus), plateau, *masses_plus, right))
+        set_field(self, "mass_total", total)
+        set_field(self, "_log_height", math.log(h))
+        set_field(self, "_table_minus", table_minus)
+        set_field(self, "_table_plus", table_plus)
+        set_field(self, "_segments", (*segments, *segments_minus, *segments_plus))
+        set_field(self, "_cuts", tuple(cuts))
 
     def _side(self, side: int, edge: float, drift: float, pieces):
-        """One side's tail start and offset, and its finite pieces and their masses.
+        """One side's table of rows and starts, and its segments and their masses, the tail last.
 
         Raises UsageError unless the pieces start at ``edge``, run outward
-        with nonnegative drifts and end in the tail's ``drift``.
+        with nonnegative drifts and finite offsets, and end in ``drift``.
         """
-        if not pieces:
-            return edge, self.tail_offset, (), []
+        h, tail_offset = self.plateau_height, self.tail_offset
+        pieces = pieces or ((edge, 0.0, drift),)
+        if pieces[0][0] != edge or pieces[-1][2] != drift or not math.isfinite(pieces[-1][1]):
+            raise UsageError("a side's pieces must start at its edge and end in its tail's drift, "
+                             "at a finite offset")
+        rows, starts, segments, masses = [], [], [], []
         start, offset, s = pieces[0]
-        if start != edge or pieces[-1][2] != drift:
-            raise UsageError("a side's pieces must start at its edge and end in its tail's drift")
-        tail_offset, h = self.tail_offset, self.plateau_height
-        inner, masses = [], []
         for end, next_offset, next_s in pieces[1:]:
             length = side * (end - start)
-            if not (length > 0.0 and s >= 0.0):
-                raise UsageError("a side's pieces must run outward with nonnegative drifts")
+            if not (length > 0.0 and s >= 0.0 and math.isfinite(offset)):
+                raise UsageError(
+                    "a side's pieces must run outward with nonnegative drifts and finite offsets"
+                )
             offset += tail_offset
-            inner.append((side, start, end, offset, s, length))
+            rows.append((start, offset, s))
+            starts.append(side * end)
+            segments.append((start, side, s, length, None))
             masses.append(h * math.exp(-offset) * numerics.gaussian_piece_integral(s, length))
             start, offset, s = end, next_offset, next_s
-        return start, tail_offset + offset, tuple(inner), masses
+        offset += tail_offset
+        rows.append((start, offset, s))
+        # a tail beyond finite pieces holds little mass, so its rare draws
+        # compute erfc(drift/sqrt(2)) themselves
+        segments.append((start, side, s, None, None if segments else numerics.normal_tail_erfc(s)))
+        masses.append(h * math.exp(-offset) * numerics.gaussian_tail_integral(s))
+        return (rows, starts), segments, masses
 
     @classmethod
     def from_geometry(cls, *args, **kwargs) -> "Envelope":
@@ -250,43 +239,24 @@ class Envelope:
         if isinstance(x, float):
             if self.x_minus <= x <= self.x_plus:
                 return self._log_height
-            if x >= self._tail_plus:
-                t = x - self._tail_plus
-                return self._log_height + (
-                    -self._tail_offset_plus - self.drift_plus * t - 0.5 * t * t
-                )
-            if x <= self._tail_minus:
-                t = self._tail_minus - x
-                return self._log_height + (
-                    -self._tail_offset_minus - self.drift_minus * t - 0.5 * t * t
-                )
-            # between the plateau and a tail: a finite piece
             if x > self.x_plus:
-                for _, start, end, offset, drift, _ in self._inner_plus:
-                    if x < end:
-                        break
+                rows, starts = self._table_plus
+                start, offset, drift = rows[bisect_right(starts, x)]
                 t = x - start
-            else:  # NaN too, which ends in NaN through the left tail's constants
-                start, offset, drift = self._tail_minus, self._tail_offset_minus, self.drift_minus
-                for _, start, end, offset, drift, _ in self._inner_minus:
-                    if x > end:
-                        break
+            else:  # NaN too, which ends in NaN in the left tail
+                rows, starts = self._table_minus
+                start, offset, drift = rows[bisect_right(starts, -x)]
                 t = start - x
             return self._log_height + (-offset - drift * t - 0.5 * t * t)
         xs = np.asarray(x, dtype=float)
-        t_right = np.maximum(xs - self._tail_plus, 0.0)
-        t_left = np.maximum(self._tail_minus - xs, 0.0)
-        on_plateau = (xs >= self.x_minus) & (xs <= self.x_plus)
-        tail = np.where(
-            xs > self.x_plus,
-            -self._tail_offset_plus - self.drift_plus * t_right - 0.5 * t_right * t_right,
-            -self._tail_offset_minus - self.drift_minus * t_left - 0.5 * t_left * t_left,
-        )
-        for side, start, end, offset, drift, _ in self._inner:
-            t = side * (xs - start)
-            inside = (t >= 0.0) & (side * (xs - end) < 0.0)
-            tail = np.where(inside, -offset - drift * t - 0.5 * t * t, tail)
-        out = self._log_height + np.where(on_plateau, 0.0, tail)
+        out = np.full(xs.shape, np.nan)  # NaN reaches no start and stays NaN
+        for side, (rows, _) in ((-1, self._table_minus), (1, self._table_plus)):
+            for start, offset, drift in rows:
+                t = side * (xs - start)
+                reached = t >= 0.0
+                t = t[reached]
+                out[reached] = self._log_height + (-offset - drift * t - 0.5 * t * t)
+        out[(xs >= self.x_minus) & (xs <= self.x_plus)] = self._log_height
         return out if out.ndim else float(out)
 
     def value(self, x):
@@ -296,46 +266,26 @@ class Envelope:
     def sample(self, rng: np.random.Generator, size=None):
         """Exact draws from the normalized envelope; consumes no queries."""
         if size is None:
-            u = rng.random()
-            if u < self._cut1:
-                return self._tail_minus - numerics.sample_gaussian_tail(
-                    self.drift_minus, rng, erfc_a=self._erfc_minus
-                )
-            if u < self._cut2:
-                # rng.uniform(lo, hi) computes lo + (hi - lo) * random()
-                return self.x_minus + (self.x_plus - self.x_minus) * rng.random()
-            if u < self._cut3:
-                return self._tail_plus + numerics.sample_gaussian_tail(
-                    self.drift_plus, rng, erfc_a=self._erfc_plus
-                )
-            side, start, _, _, drift, length = self._inner[bisect_right(self._inner_cuts, u)]
+            start, side, drift, length, erfc = self._segments[bisect_right(self._cuts, rng.random())]
+            if drift is None:
+                return start + length * rng.random()
+            if length is None:
+                return start + side * numerics.sample_gaussian_tail(drift, rng, erfc_a=erfc)
             return start + side * numerics.sample_gaussian_piece(drift, length, rng)
-        n = int(size)
-        u = rng.random(n)
-        out = np.empty(n)
-        in_left = u < self._cut1
-        in_mid = (~in_left) & (u < self._cut2)
-        in_right = ~(in_left | in_mid) & (u < self._cut3)
-        if in_left.any():
-            t = numerics.sample_gaussian_tail(
-                self.drift_minus, rng, size=int(in_left.sum()), erfc_a=self._erfc_minus
-            )
-            out[in_left] = self._tail_minus - t
-        if in_mid.any():
-            out[in_mid] = rng.uniform(self.x_minus, self.x_plus, size=int(in_mid.sum()))
-        if in_right.any():
-            t = numerics.sample_gaussian_tail(
-                self.drift_plus, rng, size=int(in_right.sum()), erfc_a=self._erfc_plus
-            )
-            out[in_right] = self._tail_plus + t
-        in_inner = ~(in_left | in_mid | in_right)
-        if in_inner.any():
-            which = np.searchsorted(self._inner_cuts, u, side="right")
-            for j, (side, start, _, _, drift, length) in enumerate(self._inner):
-                chosen = in_inner & (which == j)
-                if chosen.any():
-                    t = numerics.sample_gaussian_piece(drift, length, rng, size=int(chosen.sum()))
-                    out[chosen] = start + side * t
+        u = rng.random(int(size))
+        which = np.searchsorted(self._cuts, u, side="right")
+        out = np.empty(u.size)
+        for j, (start, side, drift, length, erfc) in enumerate(self._segments):
+            chosen = which == j
+            n = int(np.count_nonzero(chosen))
+            if not n:
+                continue
+            if drift is None:
+                out[chosen] = start + length * rng.random(n)
+            elif length is None:
+                out[chosen] = start + side * numerics.sample_gaussian_tail(drift, rng, n, erfc_a=erfc)
+            else:
+                out[chosen] = start + side * numerics.sample_gaussian_piece(drift, length, rng, n)
         return out
 
     def to_json_dict(self) -> dict:

@@ -1,5 +1,6 @@
 """The merge and summary logic of tools/bench_record.py; no benchmark runs."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -53,3 +54,22 @@ def test_command_runs_each_workload_for_twenty_seconds_untraced(workload):
         "python3", "lcbench/run.py", "--workload", workload, "--seed", "7",
         "--seconds", "20", "--trace", "0",
     ]
+
+
+def test_a_failed_gate_exits_nonzero_and_merges_nothing(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "BENCH.json"
+    out.write_text("{}\n")
+
+    def run_once(root, workload, seed):
+        doc = record(seed, ops_per_s=10.0)
+        doc["correct"] = not (workload == "build1d" and seed == 5)
+        return doc
+
+    monkeypatch.setattr(bench_record, "run_once", run_once)
+    argv = ["--label", "change", "--seeds", "4", "5", "--out", str(out)]
+    assert bench_record.main(argv) == 1
+    assert out.read_text() == "{}\n"
+    assert "build1d seed 5" in capsys.readouterr().err
+    assert bench_record.main(["--label", "change", "--seeds", "4", "--out", str(out)]) == 0
+    runs = json.loads(out.read_text())["labels"]["change"]["runs"]
+    assert set(runs) == set(bench_record.WORKLOADS)

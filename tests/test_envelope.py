@@ -17,10 +17,14 @@ from lcsampler import (
     PiecewiseQuadraticPotential,
     PotentialOracle,
     UsageError,
+    bracket_minimizer,
     build_envelope,
+    build_line_envelope,
     find_threshold_index,
     normalize_at_zero,
     prepare_envelope,
+    quadratic_oracle,
+    restrict,
 )
 from lcsampler import acceptance_probability, hardfamily
 from lcsampler.targets import builtin_potential
@@ -47,6 +51,17 @@ def search(oracle, side):
     kappa = oracle.kappa
     index, value, _ = find_threshold_index(oracle.value, 0.0, side, kappa, 0.5, 0, search_top(kappa))
     return index, value
+
+
+def line_envelopes():
+    """Hit-and-Run line envelopes at kappa 1e6, each with finite pieces on both sides."""
+    oracle = quadratic_oracle(np.array([1.0, 30.0, 1e6]), kappa=1e6)
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        x, u = rng.standard_normal(3), rng.standard_normal(3)
+        u /= np.linalg.norm(u)
+        line = restrict(oracle, x, u)
+        yield build_line_envelope(line, bracket_minimizer(line, float(u @ x)))[0]
 
 
 def query_budget(kappa):
@@ -218,6 +233,30 @@ class TestEnvelopeValue:
         assert vals.shape == xs.shape
         assert vals[1] == vals[2] == vals[3] == 1.0
 
+    def test_nan_in_nan_out(self):
+        _, env_1d = prepare_envelope(gaussian_oracle(1e6))
+        for env in (env_1d, next(line_envelopes())):
+            assert math.isnan(env.log_value(math.nan))
+            assert math.isnan(env.log_value(np.array(math.nan)))
+            assert np.isnan(env.log_value(np.array([math.nan, 0.0]))).tolist() == [True, False]
+            # the array path evaluates each row only where it applies: no inf - inf
+            assert env.log_value(np.array([-math.inf, math.inf])).tolist() == [-math.inf] * 2
+
+    def test_boundaries_by_value(self):
+        # x_minus and x_plus belong to the plateau; every later piece start
+        # to the piece it starts, at t = 0
+        pieces_plus = ((1.0, 0.0, 0.25), (2.0, 1.0, 0.5))
+        by_hand = Envelope(-1.0, 1.0, 0.5, 0.5, math.e, 0.25, pieces_plus=pieces_plus)
+        for env in (by_hand, *line_envelopes()):
+            log_h = math.log(env.plateau_height)
+            points, expected = [env.x_minus, env.x_plus], [log_h, log_h]
+            for start, offset, _ in env.pieces_minus[1:] + env.pieces_plus[1:]:
+                points.append(start)
+                expected.append(log_h - (env.tail_offset + offset))
+            assert len(points) > 2
+            assert [env.log_value(x) for x in points] == expected
+            assert env.log_value(np.array(points)).tolist() == expected
+
 
 class TestEnvelopeSampling:
     def setup_method(self):
@@ -271,7 +310,16 @@ class TestConstruction:
 
     @pytest.mark.parametrize(
         "geometry, message",
-        [((1.0, 1.0, 0.5, 0.5), "plateau must be nonempty"), ((-1.0, 1.0, 0.0, 0.5), "drifts")],
+        [
+            ((1.0, 1.0, 0.5, 0.5), "plateau must be nonempty"),
+            ((-1.0, 1.0, 0.0, 0.5), "drifts"),
+            ((-math.inf, 1.0, 0.5, 0.5), "plateau must be nonempty and finite"),
+            ((-1.0, 1.0, math.nan, 0.5), "drifts"),
+            ((-1.0, 1.0, 0.5, 0.5, math.nan), "plateau_height"),
+            ((-1.0, 1.0, 0.5, 0.5, 0.0), "plateau_height"),
+            ((-1.0, 1.0, 0.5, 0.5, math.inf), "plateau_height"),
+            ((-1.0, 1.0, 0.5, 0.5, 1.0, math.nan), "tail_offset"),
+        ],
     )
     def test_bad_geometry_is_usage_error(self, geometry, message):
         with pytest.raises(UsageError, match=message):
@@ -284,6 +332,7 @@ class TestConstruction:
             ((1.0, 0.0, 2.0), (3.0, 1.0, 0.7)),  # ends in a drift other than the tail's
             ((1.0, 0.0, 2.0), (0.5, 1.0, 0.5)),  # runs inward
             ((1.0, 0.0, -2.0), (3.0, 1.0, 0.5)),  # negative drift
+            ((1.0, 0.0, 2.0), (3.0, math.nan, 0.5)),  # NaN offset
         ],
     )
     def test_bad_pieces_are_usage_error(self, pieces_plus):

@@ -13,6 +13,9 @@ line.  The runs are appended to the label's runs already in the file, so
 calling it seed by seed with the labels alternating records alternating
 pairs; other labels in the file are kept.  Each label then carries, per
 workload and end-to-end metric, the median and quartiles over all its runs.
+A run whose result line says ``"correct": false`` stops the invocation with
+exit status 1 and a message naming its workload and seed, and the file is
+left as it was.
 Standard library only.
 """
 from __future__ import annotations
@@ -100,7 +103,15 @@ def main(argv=None) -> int:
                         help="checkout whose lcbench/run.py runs (default: this one)")
     args = parser.parse_args(argv)
     root = Path(args.root)
-    runs = {w: [run_once(root, w, seed) for seed in args.seeds] for w in WORKLOADS}
+    runs = {}
+    for workload in WORKLOADS:
+        for seed in args.seeds:
+            record = run_once(root, workload, seed)
+            if not record["correct"]:
+                print(f"{workload} seed {seed} failed its correctness gate; "
+                      f"nothing from this invocation is merged into {args.out}", file=sys.stderr)
+                return 1
+            runs.setdefault(workload, []).append(record)
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc = merge(doc, args.label, runs)

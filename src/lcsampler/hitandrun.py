@@ -11,9 +11,14 @@ minimizer between ``p - g`` and ``p - g/kappa``, within ``|g|`` of p.  A point w
 The line step has three parts:
 
 * :func:`bracket_minimizer` searches for a certificate from the chain's
-  current point.  There ``|W'|`` is usually already at most 1; otherwise
-  ``W'(p - g)`` has the sign opposite to g, and safeguarded regula falsi on
-  W' between the two, with bisection as the fallback, finds one.
+  current point, at ``lam = 0`` on its line.  That point is the previous
+  step's accepted rejection trial, whose one query returned the value and
+  the gradient there, so the search starts from that answer, a
+  :class:`Probe`, and queries nothing for it; only a chain's first step
+  queries its start.  There ``|W'|`` is usually already at most 1;
+  otherwise ``W'(p - g)`` has the sign opposite to g, and safeguarded
+  regula falsi on W' between the two, with bisection as the fallback,
+  finds one.
 * :func:`build_line_envelope` shifts W by the ``W(p)`` it already holds and
   runs the shared threshold searches
   :func:`lcsampler.envelope.threshold_searches` around p, with level 3 and
@@ -50,13 +55,18 @@ The line step has three parts:
   the inner probe's, because ``w_2`` is at least the inner bound at x_2 and
   ``s_2 >= s_1 + d_2 - d_1``: ``W(p + d) - d^2/2`` is convex and 0 at p, so
   its chord slope from p grows.
-* Rejection against that envelope draws the step size exactly.
+* Rejection against that envelope draws the step size exactly.  Each
+  trial asks for the value and the gradient in its one query; the accepted
+  trial's queried point, value and gradient become the next step's
+  :class:`Probe`.  The oracle is deterministic, so that reused answer is
+  the one a fresh query at the same point would give, and the kernel is
+  Smith's (1984) Hit-and-Run kernel either way.
 
 The envelope dominates any restriction that keeps the curvature sandwich
 around the certificate, so a target outside the class could pass silently.
-Instead every line value the step queries, in the search, the threshold
-search and each rejection trial, is checked against the sandwich the
-certificate implies, ``g t + t^2/2 <= W(p + t) - W(p) <= g t + kappa
+Instead every line value the step queries or reuses, in the search, the
+threshold search and each rejection trial, is checked against the sandwich
+the certificate implies, ``g t + t^2/2 <= W(p + t) - W(p) <= g t + kappa
 t^2/2``, and a miss raises ClassViolationError.  All oracle traffic goes
 through one counter, so per-step query costs are measurable.
 """
@@ -141,6 +151,14 @@ def quadratic_oracle(diagonal, kappa: float | None = None) -> MultivariateOracle
     )
 
 
+class Probe(NamedTuple):
+    """One multivariate query's answer: the queried point array, V there and grad V there."""
+
+    point: np.ndarray
+    value: float
+    gradient: np.ndarray
+
+
 class Certificate(NamedTuple):
     """A point ``lam`` on a line with ``W(lam)`` and ``W'(lam)``.
 
@@ -212,32 +230,53 @@ class CertifiedLine(LineOracle):
         return value - self.shift
 
 
+class TrialLine(CertifiedLine):
+    """The rejection loop's view of a certified line.
+
+    Each value is one query of the value and the gradient together, checked
+    like any other value of the line, and the answer is kept as ``last``, a
+    :class:`Probe` of the queried point array.
+    """
+
+    last: Probe | None = None
+
+    def value(self, lam: float) -> float:
+        point = self.point(lam)
+        value, gradient = self._oracle.query(point)
+        self.certificate.check(lam, value, self.kappa)
+        self.last = Probe(point, value, gradient)
+        return value - self.shift
+
+
 def restrict(oracle: MultivariateOracle, x_t, u) -> LineOracle:
     """Restrict the potential to the line through x_t with unit direction u.
 
-    The line's ``base`` is its closest point to the origin, so x_t sits at
-    ``lam = u @ x_t``.
+    The line's ``base`` is x_t itself, so ``point(0)`` is x_t bitwise and an
+    answer already queried there is exactly the line's answer at 0.
     """
-    x_t = np.asarray(x_t, dtype=float)
     u = np.asarray(u, dtype=float)
     norm = float(np.linalg.norm(u))
     if norm == 0.0:
         raise UsageError("direction must be nonzero")
     if abs(norm - 1.0) > 1e-12:
         raise UsageError(f"direction must be a unit vector, |u| = {norm}")
-    return LineOracle(oracle, x_t - float(u @ x_t) * u, u)
+    return LineOracle(oracle, x_t, u)
 
 
-def bracket_minimizer(line: LineOracle, start: float) -> Certificate:
+def bracket_minimizer(line: LineOracle, start: float, first: Certificate | None = None) -> Certificate:
     """A certificate for the line: a queried point p with ``|W'(p)| <= 1``.
 
-    Queries ``start`` first.  If ``|g| > 1`` there, strong convexity gives
+    Queries ``start`` first, unless ``first`` is given: the line's answer
+    at ``start`` from a query already made, taken as the first probe
+    without a query.  If ``|g| > 1`` there, strong convexity gives
     ``W'(start - g)`` the opposite sign, and regula falsi on W' between the
     two ends takes over; a secant step that fails to halve the bracket is
     followed by a bisection, so every two probes at least halve it.  A class
     member has ``|W'| <= 1`` within ``1/kappa`` of its minimizer, so the
     search ends before the bracket is narrower than ``2/kappa``, after at
-    most ``2 + 2*max(0, ceil(log2(kappa*|g|/2)))`` queries.
+    most ``2 + 2*max(0, ceil(log2(kappa*|g|/2)))`` queries.  With ``first``
+    given that bound is ``1 + 2*max(0, ceil(log2(kappa*|g|/2)))``, and no
+    query at all when ``|g| <= 1``.
 
     Raises ClassViolationError when the far end's slope has the sign of g,
     when the bracket falls below ``1/kappa`` (W' is steeper than kappa
@@ -245,9 +284,10 @@ def bracket_minimizer(line: LineOracle, start: float) -> Certificate:
     certificate found.
     """
     kappa = line.kappa
-    start = float(start)
-    probes = [Certificate(start, *line.query(start))]
-    first = probes[0]
+    if first is None:
+        start = float(start)
+        first = Certificate(start, *line.query(start))
+    probes = [first]
     if abs(first.slope) > 1.0:
         far = Certificate(first.lam - first.slope, *line.query(first.lam - first.slope))
         probes.append(far)
@@ -348,13 +388,16 @@ def step(
     x,
     rng: np.random.Generator,
     direction=None,
-) -> np.ndarray:
+) -> Probe:
     """One Hit-and-Run transition from ``x`` with an exact step-size draw.
 
     The step size comes from the density proportional to the target
     restricted to the chosen line, sampled by rejection against the line
-    envelope, so the transition kernel is exact.  ``direction`` overrides
-    the uniform draw (used by diagnostics).  Returns the new position.
+    envelope, so the transition kernel is exact.  ``x`` is a point, which
+    the certificate search queries first, or the :class:`Probe` a previous
+    step returned, whose answer it reuses.  ``direction`` overrides the
+    uniform draw (used by diagnostics).  Returns the accepted trial's
+    :class:`Probe`: its ``point`` is the new position.
     """
     if direction is None:
         g = rng.standard_normal(oracle.dimension)
@@ -363,10 +406,16 @@ def step(
         u = g / norm
     else:
         u = np.asarray(direction, dtype=float)
+    first = None
+    if isinstance(x, Probe):
+        first = Certificate(0.0, x.value, float(u @ x.gradient))
+        x = x.point
     line = restrict(oracle, x, u)
-    certificate = bracket_minimizer(line, float(u @ np.asarray(x, dtype=float)))
-    env, shifted = build_line_envelope(line, certificate)
-    return line.point(sample_exact(shifted, env, rng).result)
+    certificate = bracket_minimizer(line, 0.0, first)
+    env, _ = build_line_envelope(line, certificate)
+    trials = TrialLine(line, certificate)
+    sample_exact(trials, env, rng)
+    return trials.last
 
 
 def run_chain(
@@ -375,14 +424,20 @@ def run_chain(
     steps: int,
     rng: np.random.Generator,
 ) -> ChainResult:
-    """Run the chain and record the trajectory and per-step query counts."""
+    """Run the chain and record the trajectory and per-step query counts.
+
+    Each step hands its accepted trial's :class:`Probe` to the next, so only
+    the first step queries its start point.
+    """
     if steps < 0:
         raise UsageError("steps must be nonnegative")
     positions = np.empty((steps + 1, oracle.dimension))
     positions[0] = x0
     step_queries = np.empty(steps, dtype=int)
+    state = positions[0]
     for t in range(steps):
         before = oracle.query_count
-        positions[t + 1] = step(oracle, positions[t], rng)
+        state = step(oracle, state, rng)
+        positions[t + 1] = state.point
         step_queries[t] = oracle.query_count - before
     return ChainResult(positions=positions, step_queries=step_queries)

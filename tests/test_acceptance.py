@@ -249,7 +249,7 @@ def test_criterion_10_hit_and_run_exact_line_step():
     n_cond = 10_000
     lams = np.empty(n_cond)
     for k in range(n_cond):
-        lams[k] = step(o2, x, rng, direction=np.array([0.0, 1.0]))[1]
+        lams[k] = step(o2, x, rng, direction=np.array([0.0, 1.0])).point[1]
     ks = ks_statistic(lams, normal_cdf)
     ok &= ks < ks_critical_value(n_cond)
 

@@ -249,9 +249,26 @@ class TestHitAndRunCommand:
         assert out.read_text() == "step,queries,x_norm\n"
         summary = json.loads(capsys.readouterr().err)
         assert summary["steps"] == 0
+        assert summary["first_step_queries"] == 0
         assert summary["mean_queries_per_step"] == 0.0
         assert summary["total_queries"] == 0
 
+    def test_summary_reports_the_first_step_apart(self, tmp_path, capsys):
+        # only the first step queries its start point; every later step
+        # starts from its predecessor's accepted trial.  The first step is
+        # the one a one-step chain at the same seed takes
+        out = tmp_path / "chain.json"
+        args = ["hitandrun", "--kappa", "1e6", "--dimension", "10", "--seed", "9",
+                "--format", "json", "--out", str(out)]
+        assert run_cli([*args, "--trials", "200"]) == 0
+        rows = json.loads(out.read_text())
+        summary = json.loads(capsys.readouterr().err)
+        assert summary["first_step_queries"] == rows[0]["queries"]
+        assert summary["total_queries"] == sum(row["queries"] for row in rows)
+        later = [row["queries"] for row in rows[1:]]
+        assert summary["first_step_queries"] > sum(later) / len(later)
+        assert run_cli([*args, "--trials", "1"]) == 0
+        assert json.loads(capsys.readouterr().err)["total_queries"] == summary["first_step_queries"]
 
     DIAGONAL = {"type": "diagonal", "curvatures": [1, 4]}
 

@@ -61,7 +61,7 @@ def line_envelopes():
         x, u = rng.standard_normal(3), rng.standard_normal(3)
         u /= np.linalg.norm(u)
         line = restrict(oracle, x, u)
-        yield build_line_envelope(line, bracket_minimizer(line, float(u @ x)))[0]
+        yield build_line_envelope(line, bracket_minimizer(line, 0.0))[0]
 
 
 def query_budget(kappa):

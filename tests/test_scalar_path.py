@@ -103,7 +103,7 @@ def _line_envelopes():
             u = rng.standard_normal(3)
             u /= np.linalg.norm(u)
             line = restrict(oracle, x, u)
-            yield build_line_envelope(line, bracket_minimizer(line, float(u @ x)))[0]
+            yield build_line_envelope(line, bracket_minimizer(line, 0.0))[0]
 
 
 def test_line_envelope_scalar_path_equals_array_path():

@@ -75,10 +75,11 @@ def find_threshold_index(
     probes: dict[int, tuple[float, float]] = {}
 
     def probe(i: int) -> float:
-        if i not in probes:
+        known = probes.get(i)
+        if known is None:
             x = edge + side * 2.0**i / root
-            probes[i] = (x, value(x))
-        return probes[i][1]
+            known = probes[i] = (x, value(x))
+        return known[1]
 
     if lo == hi:
         ans = lo
@@ -107,7 +108,7 @@ def find_threshold_index(
     return ans, w, probes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Envelope:
     """The dominating function, its segments, and its exact mass.
 
@@ -159,34 +160,27 @@ class Envelope:
     _segments: tuple = field(init=False, repr=False, compare=False)
     _cuts: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        set_field = object.__setattr__  # the class is frozen
-        geometry = ("x_minus", "x_plus", "drift_minus", "drift_plus", "plateau_height", "tail_offset")
-        for name in geometry:
-            value = getattr(self, name)
-            if type(value) is not float:
-                set_field(self, name, float(value))
-        if not -math.inf < self.x_minus < self.x_plus < math.inf:
-            raise UsageError(f"plateau must be nonempty and finite: [{self.x_minus}, {self.x_plus}]")
-        if not (self.drift_minus > 0 and self.drift_plus > 0):
+    def __init__(self, x_minus, x_plus, drift_minus, drift_plus, plateau_height=1.0,
+                 tail_offset=0.0, pieces_minus=(), pieces_plus=()):
+        x_minus, x_plus, h = float(x_minus), float(x_plus), float(plateau_height)
+        drift_minus, drift_plus, tail_offset = float(drift_minus), float(drift_plus), float(tail_offset)
+        if not -math.inf < x_minus < x_plus < math.inf:
+            raise UsageError(f"plateau must be nonempty and finite: [{x_minus}, {x_plus}]")
+        if not (drift_minus > 0 and drift_plus > 0):
             raise UsageError("tail drifts must be positive")
-        h = self.plateau_height
         if not 0.0 < h < math.inf:
             raise UsageError(f"plateau_height must be finite and positive, got {h}")
-        if not math.isfinite(self.tail_offset):
-            raise UsageError(f"tail_offset must be finite, got {self.tail_offset}")
+        if not math.isfinite(tail_offset):
+            raise UsageError(f"tail_offset must be finite, got {tail_offset}")
         try:
-            table_minus, segments_minus, masses_minus = self._side(
-                -1, self.x_minus, self.drift_minus, self.pieces_minus
-            )
-            table_plus, segments_plus, masses_plus = self._side(
-                +1, self.x_plus, self.drift_plus, self.pieces_plus
-            )
+            minus = _side(-1, x_minus, drift_minus, pieces_minus, h, tail_offset)
+            plus = _side(+1, x_plus, drift_plus, pieces_plus, h, tail_offset)
         except OverflowError:  # math.exp of an offset below about -709
             raise UsageError("an offset is too far below zero for its mass to be a float") from None
-        width = self.x_plus - self.x_minus
+        (table_minus, segments_minus, masses_minus), (table_plus, segments_plus, masses_plus) = minus, plus
+        width = x_plus - x_minus
         left, plateau, right = masses_minus.pop(), h * width, masses_plus.pop()
-        segments = (segments_minus.pop(), (self.x_minus, 1, None, width, None), segments_plus.pop())
+        segments = (segments_minus.pop(), (x_minus, 1, None, width, None), segments_plus.pop())
         # the sums in this order fix mass_total and the cuts, and so every draw
         total = left + plateau + right + (sum(masses_minus) + sum(masses_plus))
         if not total < math.inf:
@@ -196,46 +190,24 @@ class Envelope:
             running += mass
             cuts.append(running / total)
         cuts[-1] = math.inf
-        set_field(self, "piece_masses", (left, *reversed(masses_minus), plateau, *masses_plus, right))
-        set_field(self, "mass_total", total)
-        set_field(self, "_log_height", math.log(h))
-        set_field(self, "_table_minus", table_minus)
-        set_field(self, "_table_plus", table_plus)
-        set_field(self, "_segments", (*segments, *segments_minus, *segments_plus))
-        set_field(self, "_cuts", tuple(cuts))
-
-    def _side(self, side: int, edge: float, drift: float, pieces):
-        """One side's table of rows and starts, and its segments and their masses, the tail last.
-
-        Raises UsageError unless the pieces start at ``edge``, run outward
-        with nonnegative drifts and finite offsets, and end in ``drift``.
-        """
-        h, tail_offset = self.plateau_height, self.tail_offset
-        pieces = pieces or ((edge, 0.0, drift),)
-        if pieces[0][0] != edge or pieces[-1][2] != drift or not math.isfinite(pieces[-1][1]):
-            raise UsageError("a side's pieces must start at its edge and end in its tail's drift, "
-                             "at a finite offset")
-        rows, starts, segments, masses = [], [], [], []
-        start, offset, s = pieces[0]
-        for end, next_offset, next_s in pieces[1:]:
-            length = side * (end - start)
-            if not (length > 0.0 and s >= 0.0 and math.isfinite(offset)):
-                raise UsageError(
-                    "a side's pieces must run outward with nonnegative drifts and finite offsets"
-                )
-            offset += tail_offset
-            rows.append((start, offset, s))
-            starts.append(side * end)
-            segments.append((start, side, s, length, None))
-            masses.append(h * math.exp(-offset) * numerics.gaussian_piece_integral(s, length))
-            start, offset, s = end, next_offset, next_s
-        offset += tail_offset
-        rows.append((start, offset, s))
-        # a tail beyond finite pieces holds little mass, so its rare draws
-        # compute erfc(drift/sqrt(2)) themselves
-        segments.append((start, side, s, None, None if segments else numerics.normal_tail_erfc(s)))
-        masses.append(h * math.exp(-offset) * numerics.gaussian_tail_integral(s))
-        return (rows, starts), segments, masses
+        # frozen: the dataclass supplies eq, hash and repr, and each field is written once, here,
+        # key by key in field order, so that every envelope's dict shares one key table
+        fields = self.__dict__
+        fields["x_minus"] = x_minus
+        fields["x_plus"] = x_plus
+        fields["drift_minus"] = drift_minus
+        fields["drift_plus"] = drift_plus
+        fields["plateau_height"] = h
+        fields["tail_offset"] = tail_offset
+        fields["pieces_minus"] = pieces_minus
+        fields["pieces_plus"] = pieces_plus
+        fields["piece_masses"] = (left, *reversed(masses_minus), plateau, *masses_plus, right)
+        fields["mass_total"] = total
+        fields["_log_height"] = math.log(h)
+        fields["_table_minus"] = table_minus
+        fields["_table_plus"] = table_plus
+        fields["_segments"] = (*segments, *segments_minus, *segments_plus)
+        fields["_cuts"] = tuple(cuts)
 
     @classmethod
     def from_geometry(cls, *args, **kwargs) -> "Envelope":
@@ -313,6 +285,39 @@ class Envelope:
         return doc
 
 
+def _side(side: int, edge: float, drift: float, pieces, h: float, tail_offset: float):
+    """One side's table of rows and starts, and its segments and their masses, the tail last.
+
+    Raises UsageError unless the pieces start at ``edge``, run outward
+    with nonnegative drifts and finite offsets, and end in ``drift``.
+    """
+    pieces = pieces or ((edge, 0.0, drift),)
+    if pieces[0][0] != edge or pieces[-1][2] != drift or not math.isfinite(pieces[-1][1]):
+        raise UsageError("a side's pieces must start at its edge and end in its tail's drift, "
+                         "at a finite offset")
+    rows, starts, segments, masses = [], [], [], []
+    start, offset, s = pieces[0]
+    for end, next_offset, next_s in pieces[1:]:
+        length = side * (end - start)
+        if not (length > 0.0 and s >= 0.0 and math.isfinite(offset)):
+            raise UsageError(
+                "a side's pieces must run outward with nonnegative drifts and finite offsets"
+            )
+        offset += tail_offset
+        rows.append((start, offset, s))
+        starts.append(side * end)
+        segments.append((start, side, s, length, None))
+        masses.append(h * math.exp(-offset) * numerics.gaussian_piece_integral(s, length))
+        start, offset, s = end, next_offset, next_s
+    offset += tail_offset
+    rows.append((start, offset, s))
+    # a tail beyond finite pieces holds little mass, so its rare draws
+    # compute erfc(drift/sqrt(2)) themselves
+    segments.append((start, side, s, None, None if segments else numerics.normal_tail_erfc(s)))
+    masses.append(h * math.exp(-offset) * numerics.gaussian_tail_integral(s))
+    return (rows, starts), segments, masses
+
+
 def _crossing(rise: float, level: float) -> float:
     """The positive ``t`` at which ``rise*t + t^2/2`` reaches ``level > 0``.
 
@@ -349,15 +354,13 @@ def threshold_searches(value, p: float, kappa: float, *, level: float, slope: fl
     probes of :func:`find_threshold_index`: every grid index that side
     queried, mapped to ``(x, W(x))``, the edge among them.
     """
-    range_plus = search_range(kappa, level=level, rise=slope)
-    # a zero slope gives both sides the same sandwich
-    range_minus = range_plus if slope == 0.0 else search_range(kappa, level=level, rise=-slope)
-    sides = []
-    for side, (lo, top) in ((+1, range_plus), (-1, range_minus)):
-        i, w, probes = find_threshold_index(value, p, side, kappa, level, lo, top)
-        sides.append((probes[i][0], w, probes))
-    right, left = sides
-    return left, right
+    lo, top = search_range(kappa, level=level, rise=slope)
+    i, w, probes = find_threshold_index(value, p, +1, kappa, level, lo, top)
+    right = probes[i][0], w, probes
+    if slope != 0.0:  # a zero slope gives both sides the same sandwich
+        lo, top = search_range(kappa, level=level, rise=-slope)
+    i, w, probes = find_threshold_index(value, p, -1, kappa, level, lo, top)
+    return (probes[i][0], w, probes), right
 
 
 def build_envelope(oracle) -> Envelope:

@@ -85,6 +85,7 @@ from .rejection import sample_exact
 # Relative slack of the sandwich checks, for float noise in class members
 # that sit exactly on a bound (curvature 1 or kappa).
 _SLACK = 1e-9
+_FLOAT = np.dtype(float)
 
 
 class MultivariateOracle:
@@ -119,7 +120,8 @@ class MultivariateOracle:
 
     def query(self, x: np.ndarray, gradient: bool = True) -> tuple[float, np.ndarray | None]:
         self._count += 1
-        x = np.asarray(x, dtype=float)
+        if type(x) is not np.ndarray or x.dtype is not _FLOAT:  # a float array passes as it is
+            x = np.asarray(x, dtype=float)
         value = float(self._value_fn(x))
         if not gradient:
             return value, None
@@ -171,15 +173,16 @@ class Certificate(NamedTuple):
 
     def check(self, lam: float, value: float, kappa: float) -> None:
         """Raise ClassViolationError unless ``W(lam) = value`` fits the sandwich at this point."""
-        t = lam - self.lam
-        rise = value - self.value
-        linear, square = self.slope * t, 0.5 * t * t
+        p, w, g = self
+        t = lam - p
+        rise = value - w
+        linear, square = g * t, 0.5 * t * t
         low, high = linear + square, linear + kappa * square
-        slack = _SLACK * (abs(value) + abs(self.value) + abs(linear) + kappa * square)
+        slack = _SLACK * (abs(value) + abs(w) + abs(linear) + kappa * square)
         if not low - slack <= rise <= high + slack:
             raise ClassViolationError(
-                f"W({lam:g}) - W({self.lam:g}) = {rise:.6g} escapes the curvature sandwich "
-                f"[{low:.6g}, {high:.6g}] that W'({self.lam:g}) = {self.slope:.6g} and "
+                f"W({lam:g}) - W({p:g}) = {rise:.6g} escapes the curvature sandwich "
+                f"[{low:.6g}, {high:.6g}] that W'({p:g}) = {g:.6g} and "
                 f"kappa = {kappa:g} imply",
                 query_point=lam,
             )
@@ -206,7 +209,7 @@ class LineOracle:
 
     def query(self, lam: float) -> tuple[float, float]:
         value, grad = self._oracle.query(self.point(float(lam)))
-        return value - self.shift, float(self.direction @ grad)
+        return value - self.shift, float(self.direction.dot(grad))
 
     def value(self, lam: float) -> float:
         return self._oracle.query(self.point(lam), gradient=False)[0] - self.shift
@@ -220,12 +223,13 @@ class CertifiedLine(LineOracle):
     """
 
     def __init__(self, line: LineOracle, certificate: Certificate):
-        super().__init__(line._oracle, line.base, line.direction)
+        self._oracle, self.kappa = line._oracle, line.kappa
+        self.base, self.direction = line.base, line.direction
         self.shift = certificate.value
         self.certificate = certificate
 
     def value(self, lam: float) -> float:
-        value = self._oracle.query(self.point(lam), gradient=False)[0]
+        value = self._oracle.query(self.base + lam * self.direction, gradient=False)[0]
         self.certificate.check(lam, value, self.kappa)
         return value - self.shift
 
@@ -241,7 +245,7 @@ class TrialLine(CertifiedLine):
     last: Probe | None = None
 
     def value(self, lam: float) -> float:
-        point = self.point(lam)
+        point = self.base + lam * self.direction
         value, gradient = self._oracle.query(point)
         self.certificate.check(lam, value, self.kappa)
         self.last = Probe(point, value, gradient)
@@ -255,7 +259,7 @@ def restrict(oracle: MultivariateOracle, x_t, u) -> LineOracle:
     answer already queried there is exactly the line's answer at 0.
     """
     u = np.asarray(u, dtype=float)
-    norm = float(np.linalg.norm(u))
+    norm = math.sqrt(float(u.dot(u)))
     if norm == 0.0:
         raise UsageError("direction must be nonzero")
     if abs(norm - 1.0) > 1e-12:
@@ -287,33 +291,33 @@ def bracket_minimizer(line: LineOracle, start: float, first: Certificate | None 
     if first is None:
         start = float(start)
         first = Certificate(start, *line.query(start))
-    probes = [first]
-    if abs(first.slope) > 1.0:
-        far = Certificate(first.lam - first.slope, *line.query(first.lam - first.slope))
-        probes.append(far)
-        if far.slope * first.slope > 0.0 and abs(far.slope) > 1.0:
+    if abs(first.slope) <= 1.0:
+        return first
+    far = Certificate(first.lam - first.slope, *line.query(first.lam - first.slope))
+    probes = [first, far]
+    if far.slope * first.slope > 0.0 and abs(far.slope) > 1.0:
+        raise ClassViolationError(
+            f"W'({first.lam:g}) = {first.slope:.6g} and W'({far.lam:g}) = "
+            f"{far.slope:.6g} share a sign; the restriction is not 1-strongly convex",
+            query_point=far.lam,
+        )
+    lo, hi = sorted((first, far))
+    bisect = False
+    while abs(probes[-1].slope) > 1.0:
+        width = hi.lam - lo.lam
+        lam = 0.5 * (lo.lam + hi.lam)
+        if not bisect:
+            lam = lo.lam - lo.slope * width / (hi.slope - lo.slope)
+        if not (width >= 1.0 / kappa and lo.lam < lam < hi.lam):
             raise ClassViolationError(
-                f"W'({first.lam:g}) = {first.slope:.6g} and W'({far.lam:g}) = "
-                f"{far.slope:.6g} share a sign; the restriction is not 1-strongly convex",
-                query_point=far.lam,
+                f"W' rises from {lo.slope:.6g} to {hi.slope:.6g} across "
+                f"[{lo.lam:.17g}, {hi.lam:.17g}], steeper than kappa = {kappa:g} allows",
+                query_point=lam,
             )
-        lo, hi = sorted((first, far))
-        bisect = False
-        while abs(probes[-1].slope) > 1.0:
-            width = hi.lam - lo.lam
-            lam = 0.5 * (lo.lam + hi.lam)
-            if not bisect:
-                lam = lo.lam - lo.slope * width / (hi.slope - lo.slope)
-            if not (width >= 1.0 / kappa and lo.lam < lam < hi.lam):
-                raise ClassViolationError(
-                    f"W' rises from {lo.slope:.6g} to {hi.slope:.6g} across "
-                    f"[{lo.lam:.17g}, {hi.lam:.17g}], steeper than kappa = {kappa:g} allows",
-                    query_point=lam,
-                )
-            probe = Certificate(lam, *line.query(lam))
-            probes.append(probe)
-            lo, hi = (probe, hi) if probe.slope < 0.0 else (lo, probe)
-            bisect = not bisect and hi.lam - lo.lam > 0.5 * width
+        probe = Certificate(lam, *line.query(lam))
+        probes.append(probe)
+        lo, hi = (probe, hi) if probe.slope < 0.0 else (lo, probe)
+        bisect = not bisect and hi.lam - lo.lam > 0.5 * width
     certificate = probes[-1]
     for probe in probes[:-1]:
         certificate.check(probe.lam, probe.value, kappa)
@@ -346,16 +350,9 @@ def build_line_envelope(line: LineOracle, certificate: Certificate) -> tuple[Env
     else:
         tangent = (mean, -floor, 0.0) if pieces_plus[0][0] > mean else (p, 0.0, -slope)
         pieces_minus = (tangent, *pieces_minus)
-    env = Envelope(
-        x_minus=pieces_minus[0][0],
-        x_plus=pieces_plus[0][0],
-        drift_minus=pieces_minus[-1][2],
-        drift_plus=pieces_plus[-1][2],
-        plateau_height=math.exp(floor),
-        tail_offset=floor,
-        pieces_minus=pieces_minus,
-        pieces_plus=pieces_plus,
-    )
+    # x_minus, x_plus, drift_minus, drift_plus, plateau_height, tail_offset, pieces
+    env = Envelope(pieces_minus[0][0], pieces_plus[0][0], pieces_minus[-1][2], pieces_plus[-1][2],
+                   math.exp(floor), floor, pieces_minus, pieces_plus)
     return env, shifted
 
 
@@ -377,6 +374,9 @@ def _pieces(p: float, probes) -> tuple[tuple[float, float, float], ...]:
 class ChainResult:
     positions: np.ndarray  # (steps + 1, d)
     step_queries: np.ndarray  # (steps,)
+    # the final position's Probe, which a further chunk can start from; None
+    # when the chain took no step from a point array
+    last: Probe | None = None
 
     @property
     def mean_queries_per_step(self) -> float:
@@ -401,14 +401,14 @@ def step(
     """
     if direction is None:
         g = rng.standard_normal(oracle.dimension)
-        while (norm := float(np.linalg.norm(g))) < 1e-12:
+        while (norm := math.sqrt(float(g.dot(g)))) < 1e-12:
             g = rng.standard_normal(oracle.dimension)
         u = g / norm
     else:
         u = np.asarray(direction, dtype=float)
     first = None
     if isinstance(x, Probe):
-        first = Certificate(0.0, x.value, float(u @ x.gradient))
+        first = Certificate(0.0, x.value, float(u.dot(x.gradient)))
         x = x.point
     line = restrict(oracle, x, u)
     certificate = bracket_minimizer(line, 0.0, first)
@@ -427,17 +427,21 @@ def run_chain(
     """Run the chain and record the trajectory and per-step query counts.
 
     Each step hands its accepted trial's :class:`Probe` to the next, so only
-    the first step queries its start point.
+    the first step queries its start point, and not even that one when
+    ``x0`` is a :class:`Probe`: a chain run in chunks passes each chunk's
+    ``last`` to the next and takes the same steps as one unbroken chain.
     """
     if steps < 0:
         raise UsageError("steps must be nonnegative")
     positions = np.empty((steps + 1, oracle.dimension))
-    positions[0] = x0
     step_queries = np.empty(steps, dtype=int)
-    state = positions[0]
+    positions[0] = x0.point if isinstance(x0, Probe) else x0
+    state = x0 if isinstance(x0, Probe) else positions[0]
+    before = oracle.query_count
     for t in range(steps):
-        before = oracle.query_count
         state = step(oracle, state, rng)
         positions[t + 1] = state.point
-        step_queries[t] = oracle.query_count - before
-    return ChainResult(positions=positions, step_queries=step_queries)
+        step_queries[t] = (after := oracle.query_count) - before
+        before = after
+    last = state if isinstance(state, Probe) else None
+    return ChainResult(positions=positions, step_queries=step_queries, last=last)

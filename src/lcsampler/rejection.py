@@ -11,7 +11,7 @@ raises ClassViolationError: that proves the target is outside the class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ class _FailureToken:
 FAILURE = _FailureToken()
 
 
-@dataclass(frozen=True)
-class SampleOutcome:
+class SampleOutcome(NamedTuple):
     """Either an accepted sample or FAILURE, plus the trial/query ledger."""
 
     result: float | _FailureToken
@@ -71,8 +70,8 @@ def sample_exact(oracle, env, rng: np.random.Generator, cap: int | None = None) 
                 query_point=x,
             )
         if math.log(rng.random()) <= gap:
-            return SampleOutcome(result=x, trials=trials, queries=trials)
-    return SampleOutcome(result=FAILURE, trials=cap, queries=cap)
+            return SampleOutcome(x, trials, trials)
+    return SampleOutcome(FAILURE, cap, cap)
 
 
 def capped_trials(epsilon: float, rho_floor: float) -> int:

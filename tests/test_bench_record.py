@@ -1,6 +1,7 @@
 """The merge and summary logic of tools/bench_record.py; no benchmark runs."""
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -73,3 +74,32 @@ def test_a_failed_gate_exits_nonzero_and_merges_nothing(tmp_path, monkeypatch, c
     assert bench_record.main(["--label", "change", "--seeds", "4", "--out", str(out)]) == 0
     runs = json.loads(out.read_text())["labels"]["change"]["runs"]
     assert set(runs) == set(bench_record.WORKLOADS)
+
+
+@pytest.mark.parametrize("status", [2, 1])
+def test_a_run_that_exits_nonzero_exits_1_and_merges_nothing(tmp_path, monkeypatch, capsys, status):
+    # 2 is run.py's status for a checkout without src/; 1 is a crash
+    out = tmp_path / "BENCH.json"
+    out.write_text("{}\n")
+    calls = []
+
+    def run(command, check=False, **kwargs):  # subprocess.run's contract, check included
+        calls.append(command)
+        workload, seed = command[3], command[5]
+        line = json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                           "metrics": {"ops_per_s": {"value": 5.0}}})
+        proc = subprocess.CompletedProcess(command, 0, f"log\n{line}\n", "")
+        if workload == "hitandrun10d" and seed == "9":
+            proc = subprocess.CompletedProcess(command, status, "", "Traceback ...\nboom\n")
+        if check:
+            proc.check_returncode()
+        return proc
+
+    monkeypatch.setattr(bench_record.subprocess, "run", run)
+    argv = ["--label", "change", "--seeds", "8", "9", "--root", str(tmp_path), "--out", str(out)]
+    assert bench_record.main(argv) == 1
+    assert out.read_text() == "{}\n"
+    err = capsys.readouterr().err
+    assert f"hitandrun10d seed 9: lcbench/run.py exited with status {status}: boom" in err
+    assert "nothing from this invocation is merged" in err
+    assert len(calls) == 2 * len(bench_record.WORKLOADS)

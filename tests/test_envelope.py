@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -358,6 +360,36 @@ class TestConstruction:
     def test_mass_beyond_a_float_is_usage_error(self, geometry, pieces_plus, message):
         with pytest.raises(UsageError, match=message):
             Envelope(*geometry, pieces_plus=pieces_plus)
+
+    def test_fields_are_frozen(self):
+        env = Envelope(-1.0, 1.0, 0.5, 0.5)
+        for name in ("x_minus", "mass_total", "piece_masses", "_cuts"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(env, name, 0.0)
+        assert env.x_minus == -1.0
+
+    def test_int_geometry_is_stored_as_float(self):
+        env = Envelope(-1, 1, 0.5, 0.5, plateau_height=2, tail_offset=0)
+        assert env == Envelope(-1.0, 1.0, 0.5, 0.5, plateau_height=2.0, tail_offset=0.0)
+        assert hash(env) == hash(Envelope(-1.0, 1.0, 0.5, 0.5, plateau_height=2.0))
+        assert all(type(getattr(env, name)) is float for name in (
+            "x_minus", "x_plus", "drift_minus", "drift_plus", "plateau_height", "tail_offset"))
+        assert Envelope(-1, 1, 0.5, 0.5) == Envelope(-1.0, 1.0, 0.5, 0.5)
+        assert hash(Envelope(-1, 1, 0.5, 0.5)) == hash(Envelope(-1.0, 1.0, 0.5, 0.5))
+
+    def test_repr_lists_the_public_fields_only(self):
+        pieces_plus = ((1.0, 0.0, 0.25), (2.0, 1.0, 0.5))
+        env = Envelope(-1.0, 1.0, 0.5, 0.5, pieces_plus=pieces_plus)
+        names = re.findall(r"(\w+)=", repr(env))
+        assert names == [
+            "x_minus", "x_plus", "drift_minus", "drift_plus", "plateau_height",
+            "tail_offset", "pieces_minus", "pieces_plus", "piece_masses", "mass_total",
+        ]
+        assert repr(env).startswith(
+            "Envelope(x_minus=-1.0, x_plus=1.0, drift_minus=0.5, drift_plus=0.5, "
+            "plateau_height=1.0, tail_offset=0.0, pieces_minus=(), "
+            "pieces_plus=((1.0, 0.0, 0.25), (2.0, 1.0, 0.5)), piece_masses=("
+        )
 
     def test_pieces_envelope_is_hashable_and_lists_masses_left_to_right(self):
         pieces_plus = ((1.0, 0.0, 0.25), (2.0, 1.0, 0.5))

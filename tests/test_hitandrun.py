@@ -650,7 +650,36 @@ class TestRunChain:
         assert res.positions.shape == (1, 4)
         assert res.step_queries.size == 0
         assert res.mean_queries_per_step == 0.0
+        assert res.last is None
         assert o.query_count == 0
+
+    def test_chunks_from_the_last_probe_take_the_unbroken_chain(self):
+        def oracle():
+            return quadratic_oracle(np.array([1.0, 4.0, 30.0]), kappa=100.0)
+
+        x0 = np.array([0.5, -0.2, 0.1])
+        whole_oracle = oracle()
+        whole = run_chain(whole_oracle, x0, 100, np.random.default_rng(41))
+        assert whole.last.point.tolist() == whole.positions[-1].tolist()
+
+        # each chunk starts from the previous chunk's last Probe
+        chunked_oracle, rng = oracle(), np.random.default_rng(41)
+        first = run_chain(chunked_oracle, x0, 50, rng)
+        second = run_chain(chunked_oracle, first.last, 50, rng)
+        positions = np.concatenate([first.positions, second.positions[1:]])
+        assert positions.tolist() == whole.positions.tolist()
+        queries = np.concatenate([first.step_queries, second.step_queries])
+        assert queries.tolist() == whole.step_queries.tolist()
+        assert chunked_oracle.query_count == whole_oracle.query_count
+        assert run_chain(chunked_oracle, second.last, 0, rng).last is second.last
+
+        # restarting from the point array takes the same steps but queries
+        # the start again
+        restarted_oracle, rng = oracle(), np.random.default_rng(41)
+        first = run_chain(restarted_oracle, x0, 50, rng)
+        second = run_chain(restarted_oracle, first.positions[-1], 50, rng)
+        assert second.positions.tolist() == whole.positions[50:].tolist()
+        assert restarted_oracle.query_count == whole_oracle.query_count + 1
 
     def test_short_chain_moments(self):
         o = isotropic(6, 10.0)

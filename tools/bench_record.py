@@ -13,9 +13,10 @@ line.  The runs are appended to the label's runs already in the file, so
 calling it seed by seed with the labels alternating records alternating
 pairs; other labels in the file are kept.  Each label then carries, per
 workload and end-to-end metric, the median and quartiles over all its runs.
-A run whose result line says ``"correct": false`` stops the invocation with
-exit status 1 and a message naming its workload and seed, and the file is
-left as it was.
+A run whose result line says ``"correct": false``, or a run that exits with
+a nonzero status (``run.py`` exits 2 when the checkout has no ``src/``),
+stops the invocation with exit status 1 and a message naming its workload
+and seed, and the file is left as it was.
 Standard library only.
 """
 from __future__ import annotations
@@ -38,10 +39,21 @@ def run_command(workload: str, seed) -> list[str]:
             "--seconds", str(SECONDS), "--trace", "0"]
 
 
+class RunFailed(Exception):
+    """A benchmark process that exited with a nonzero status."""
+
+
 def run_once(root: Path, workload: str, seed: int) -> dict:
-    """One benchmark process; its last output line as a run record."""
-    proc = subprocess.run(run_command(workload, seed), cwd=root, capture_output=True,
-                          text=True, check=True)
+    """One benchmark process; its last output line as a run record.
+
+    Raises RunFailed, naming the workload, the seed, the exit status and the
+    last line of the process's standard error, when it exits nonzero.
+    """
+    proc = subprocess.run(run_command(workload, seed), cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        last = (proc.stderr.strip().splitlines() or ["(no output on stderr)"])[-1]
+        raise RunFailed(f"{workload} seed {seed}: lcbench/run.py exited with status "
+                        f"{proc.returncode}: {last}")
     doc = json.loads(proc.stdout.strip().splitlines()[-1])
     return {
         "seed": seed,
@@ -106,7 +118,12 @@ def main(argv=None) -> int:
     runs = {}
     for workload in WORKLOADS:
         for seed in args.seeds:
-            record = run_once(root, workload, seed)
+            try:
+                record = run_once(root, workload, seed)
+            except RunFailed as exc:
+                print(f"{exc}; nothing from this invocation is merged into {args.out}",
+                      file=sys.stderr)
+                return 1
             if not record["correct"]:
                 print(f"{workload} seed {seed} failed its correctness gate; "
                       f"nothing from this invocation is merged into {args.out}", file=sys.stderr)

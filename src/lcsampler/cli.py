@@ -244,6 +244,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)  # the parser names the flag and this type
+    return value
+
+
 _FLAGS = {
     "--target": dict(default="gaussian", help="builtin name, 'hard:i', inline JSON or a JSON path"),
     "--kappa": dict(action="append", type=float, help="condition number; repeatable for bench-queries"),
@@ -251,7 +258,7 @@ _FLAGS = {
     "--rho-floor": dict(type=float, default=0.1, help="acceptance lower bound for the cap"),
     "--dimension": dict(type=int, help="dimension of the builtin or a gaussian document (default 10)"),
     "--trials": dict(type=int, help="samples / steps / experiment size"),
-    "--seed": dict(type=int, default=0, help="master seed; fixes all randomness"),
+    "--seed": dict(type=nonnegative_int, default=0, help="master seed; fixes all randomness"),
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--out": dict(default=None, help="output path (default stdout)"),
 }

@@ -13,35 +13,37 @@ certain, so a target that misses it there is outside the class.  The
 guarded dyadic binary search costs O(log log kappa) queries.  It returns
 the edges and every value it queried on the way.
 
-An :class:`Envelope` is a plateau of height ``h`` on ``[x_minus, x_plus]``
-and, on each side, one table of rows ``(start, offset, drift)`` running
-outward from the plateau edge, each offset counted down from ``log h``.  A
-row holds from its start to the next row's start, at distance ``t`` from
-its start,
+An :class:`Envelope` is a plateau of height ``h`` and, on each side, one
+table of rows ``(start, offset, drift)`` running outward; the first row of
+a side starts at its plateau edge, ``x_minus`` or ``x_plus``.  A row holds
+from its start to the next row's start, at distance ``t`` from its start,
 
     q(x) = h * exp(-offset - drift*t - t^2/2),
 
-and the last row of each side is its unbounded tail.  The plateau and every
-row are segments with closed-form masses, so normalization and sampling
-consume no queries at all.
+with its offset counted down from ``log h``, and the last row of each side
+is its unbounded tail.  The plateau and every row are segments with
+closed-form masses, so normalization and sampling consume no queries at
+all.
 
 The 1D sampler anchors at ``p = 0`` on the normalized potential with level
 1/2 and slope 0, so each side searches the paper's grid ``[0,
-ceil(log2(kappa)/2)]``, and assembles the paper's envelope from
-the two edges alone: plateau height 1 between them, and one tail per side
-with drift ``W(x_plus) / (x_plus - p)`` (likewise on the left) and the one
-``tail_offset`` ``min(W(x_minus), W(x_plus))``.  Convexity from ``W(p) = 0``
-makes each drift a lower bound on the edge slope, and strong convexity adds
-``t^2/2``, so ``W(x_plus + t) >= W(x_plus) + drift*t + t^2/2`` and the tails
-dominate, touching the target at the edge with the smaller value.  The
-Hit-and-Run line step assembles a tighter envelope from every probe (see
+ceil(log2(kappa)/2)]``, and assembles the paper's envelope
+(:meth:`Envelope.from_geometry`) from the two edges alone: plateau height 1
+between them, and one tail row per side starting at its edge, with drift
+``W(x_plus) / (x_plus - p)`` (likewise on the left) and the one offset
+``min(W(x_minus), W(x_plus))``.  Convexity from ``W(p) = 0`` makes each drift
+a lower bound on the edge slope, and strong convexity adds ``t^2/2``, so
+``W(x_plus + t) >= W(x_plus) + drift*t + t^2/2`` and the tails dominate,
+touching the target at the edge with the smaller value.  The Hit-and-Run line
+step assembles a tighter envelope from every probe (see
 :func:`lcsampler.hitandrun.build_line_envelope`).
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -112,131 +114,109 @@ def find_threshold_index(
 class Envelope:
     """The dominating function, its segments, and its exact mass.
 
-    The six geometry fields give the plateau, the tails' drifts and the
-    common ``tail_offset``.  ``pieces_minus`` and ``pieces_plus`` list a
-    side's pieces outward as ``(start, offset, drift)``, each piece's offset
-    counted on top of ``tail_offset``: the first starts at the plateau edge
-    and the last, the tail, has the side's drift.  Left empty, a side is its
-    one tail ``(edge, 0, drift)``.  The constructor checks that the plateau
-    is finite and nonempty, its height finite and positive, both drifts
-    positive, every offset finite, the pieces in that order and the total
-    mass finite (UsageError), stores the six geometry fields as floats, and
-    derives the closed-form piece masses, left to right, and their total.
-    Immutable after construction; sampling only reads fields, so
-    independent random generators may share one envelope across threads.
+    Built from ``plateau_height`` and the row tables of the module
+    docstring, ``rows_minus`` and ``rows_plus``, whose first starts are
+    ``x_minus`` and ``x_plus``: UsageError unless the height is finite and
+    positive, each side has a row, the plateau is finite and nonempty, the
+    rows run outward with finite offsets and nonnegative drifts, each tail's
+    drift is positive and the total mass is finite.  Immutable; sampling
+    only reads fields, so independent random generators may share one
+    envelope across threads.  Equality and hashing see the height, the rows
+    and the masses.
 
-    Each side is one table of rows ``(start, tail_offset + offset, drift)``
-    running outward, the tail its last row.  A point off the plateau takes
-    the row of the last start it has reached, so a boundary belongs to the
-    plateau at ``x_minus`` and ``x_plus`` and to the outer piece at every
-    other start.  Sampling picks a segment by mass from one cut list, in
-    the order left tail, plateau, right tail, then the finite pieces, left
-    side first and each side outward.  The tables take no part in equality
-    or hashing.
-
-    ``log_value`` and ``sample`` have a scalar path: a float in (or no
+    Inside is one segment table, left to right: the left tail, the left rows
+    inward, the plateau, the right rows outward, the right tail, with
+    ``piece_masses`` their closed-form masses.  ``x_minus`` and ``x_plus``
+    belong to the plateau and every other start to the row it starts.
+    ``log_value`` bisects the segment boundaries and ``sample`` cuts the
+    segments by mass; both have a scalar path, on which a float in (or no
     ``size``) gives a float out through ``math`` and the generator's scalar
     draws, bitwise equal to the array path on the same input or stream.
     """
 
-    x_minus: float
-    x_plus: float
-    drift_minus: float
-    drift_plus: float
-    plateau_height: float = 1.0
-    tail_offset: float = 0.0
-    pieces_minus: tuple[tuple[float, float, float], ...] = ()
-    pieces_plus: tuple[tuple[float, float, float], ...] = ()
+    plateau_height: float
+    rows_minus: tuple[tuple[float, float, float], ...]
+    rows_plus: tuple[tuple[float, float, float], ...]
     piece_masses: tuple[float, ...] = field(init=False)  # left to right
     mass_total: float = field(init=False)
+    x_minus: float = field(init=False, repr=False, compare=False)
+    x_plus: float = field(init=False, repr=False, compare=False)
     _log_height: float = field(init=False, repr=False, compare=False)
-    # per side, the rows outward and the starts after the first, negated on
-    # the left so that both sides bisect an ascending list
-    _table_minus: tuple = field(init=False, repr=False, compare=False)
-    _table_plus: tuple = field(init=False, repr=False, compare=False)
-    # (start, side, drift, length, erfc) in sampling order and the share of
-    # the mass up to the end of each; the plateau has no drift, a tail no
-    # length
+    # _starts: the segment boundaries, ascending; _segments: (start, side, offset, drift, length,
+    # erfc) each, no drift on the plateau and no length on a tail; _cuts: the mass share to each end
+    _starts: tuple = field(init=False, repr=False, compare=False)
     _segments: tuple = field(init=False, repr=False, compare=False)
     _cuts: tuple = field(init=False, repr=False, compare=False)
 
-    def __init__(self, x_minus, x_plus, drift_minus, drift_plus, plateau_height=1.0,
-                 tail_offset=0.0, pieces_minus=(), pieces_plus=()):
-        x_minus, x_plus, h = float(x_minus), float(x_plus), float(plateau_height)
-        drift_minus, drift_plus, tail_offset = float(drift_minus), float(drift_plus), float(tail_offset)
-        if not -math.inf < x_minus < x_plus < math.inf:
-            raise UsageError(f"plateau must be nonempty and finite: [{x_minus}, {x_plus}]")
-        if not (drift_minus > 0 and drift_plus > 0):
-            raise UsageError("tail drifts must be positive")
+    def __init__(self, plateau_height, rows_minus, rows_plus):
+        h, rows_minus, rows_plus = float(plateau_height), tuple(rows_minus), tuple(rows_plus)
         if not 0.0 < h < math.inf:
             raise UsageError(f"plateau_height must be finite and positive, got {h}")
-        if not math.isfinite(tail_offset):
-            raise UsageError(f"tail_offset must be finite, got {tail_offset}")
+        if not (rows_minus and rows_plus):
+            raise UsageError("each side of an envelope needs at least one row")
+        x_minus, x_plus = rows_minus[0][0], rows_plus[0][0]
+        if not -math.inf < x_minus < x_plus < math.inf:
+            raise UsageError(f"plateau must be nonempty and finite: [{x_minus}, {x_plus}]")
         try:
-            minus = _side(-1, x_minus, drift_minus, pieces_minus, h, tail_offset)
-            plus = _side(+1, x_plus, drift_plus, pieces_plus, h, tail_offset)
+            segments_minus, masses_minus = _side(-1.0, rows_minus, h)
+            segments_plus, masses_plus = _side(1.0, rows_plus, h)
         except OverflowError:  # math.exp of an offset below about -709
             raise UsageError("an offset is too far below zero for its mass to be a float") from None
-        (table_minus, segments_minus, masses_minus), (table_plus, segments_plus, masses_plus) = minus, plus
-        width = x_plus - x_minus
-        left, plateau, right = masses_minus.pop(), h * width, masses_plus.pop()
-        segments = (segments_minus.pop(), (x_minus, 1, None, width, None), segments_plus.pop())
-        # the sums in this order fix mass_total and the cuts, and so every draw
-        total = left + plateau + right + (sum(masses_minus) + sum(masses_plus))
+        width, plateau = x_plus - x_minus, h * (x_plus - x_minus)
+        # the tails and the plateau first: this order fixes mass_total
+        total = (masses_minus[-1] + plateau + masses_plus[-1]
+                 + (sum(masses_minus[:-1]) + sum(masses_plus[:-1])))
         if not total < math.inf:
             raise UsageError(f"the envelope's mass must be finite, got {total}")
-        running, cuts = 0.0, []
-        for mass in (left, plateau, right, *masses_minus, *masses_plus):
-            running += mass
-            cuts.append(running / total)
-        cuts[-1] = math.inf
+        masses = (*masses_minus[::-1], plateau, *masses_plus)
         # frozen: the dataclass supplies eq, hash and repr, and each field is written once, here,
         # key by key in field order, so that every envelope's dict shares one key table
         fields = self.__dict__
+        fields["plateau_height"] = h
+        fields["rows_minus"] = rows_minus
+        fields["rows_plus"] = rows_plus
+        fields["piece_masses"] = masses
+        fields["mass_total"] = total
         fields["x_minus"] = x_minus
         fields["x_plus"] = x_plus
-        fields["drift_minus"] = drift_minus
-        fields["drift_plus"] = drift_plus
-        fields["plateau_height"] = h
-        fields["tail_offset"] = tail_offset
-        fields["pieces_minus"] = pieces_minus
-        fields["pieces_plus"] = pieces_plus
-        fields["piece_masses"] = (left, *reversed(masses_minus), plateau, *masses_plus, right)
-        fields["mass_total"] = total
         fields["_log_height"] = math.log(h)
-        fields["_table_minus"] = table_minus
-        fields["_table_plus"] = table_plus
-        fields["_segments"] = (*segments, *segments_minus, *segments_plus)
-        fields["_cuts"] = tuple(cuts)
+        fields["_starts"] = (*[row[0] for row in reversed(rows_minus)], *[row[0] for row in rows_plus])
+        fields["_segments"] = (*segments_minus[::-1], (x_minus, 1.0, 0.0, None, width, None), *segments_plus)
+        fields["_cuts"] = (*[running / total for running in accumulate(masses[:-1])], math.inf)
 
     @classmethod
-    def from_geometry(cls, *args, **kwargs) -> "Envelope":
-        """The constructor under its older name."""
-        return cls(*args, **kwargs)
+    def from_geometry(cls, x_minus, x_plus, drift_minus, drift_plus, plateau_height=1.0,
+                      tail_offset=0.0) -> "Envelope":
+        """The paper's envelope: a plateau and one tail row per side.
+
+        The rows are ``(x_minus, tail_offset, drift_minus)`` and ``(x_plus,
+        tail_offset, drift_plus)``, every value converted to float.
+        """
+        tail_offset = float(tail_offset)
+        return cls(plateau_height, ((float(x_minus), tail_offset, float(drift_minus)),),
+                   ((float(x_plus), tail_offset, float(drift_plus)),))
 
     def log_value(self, x):
         if isinstance(x, float):
-            if self.x_minus <= x <= self.x_plus:
-                return self._log_height
+            # a start right of the plateau begins the segment it bounds, one left of it ends one
             if x > self.x_plus:
-                rows, starts = self._table_plus
-                start, offset, drift = rows[bisect_right(starts, x)]
-                t = x - start
+                i = bisect_right(self._starts, x)
+            elif x >= self.x_minus:
+                return self._log_height
             else:  # NaN too, which ends in NaN in the left tail
-                rows, starts = self._table_minus
-                start, offset, drift = rows[bisect_right(starts, -x)]
-                t = start - x
+                i = bisect_left(self._starts, x)
+            start, side, offset, drift, _, _ = self._segments[i]
+            t = side * (x - start)
             return self._log_height + (-offset - drift * t - 0.5 * t * t)
         xs = np.asarray(x, dtype=float)
-        out = np.full(xs.shape, np.nan)  # NaN reaches no start and stays NaN
-        for side, (rows, starts) in ((-1, self._table_minus), (1, self._table_plus)):
-            # the scalar path's row for each point; a point inside the
-            # plateau or across it maps to the first row at t < 0
-            which = np.searchsorted(starts, side * xs, side="right")
-            for k, (start, offset, drift) in enumerate(rows):
-                t = side * (xs - start)
-                applies = (which == k) & (t >= 0.0)
-                t = t[applies]
+        # the scalar path's segment for each point; NaN takes the right tail
+        which = np.where(xs > self.x_plus, np.searchsorted(self._starts, xs, side="right"),
+                         np.searchsorted(self._starts, xs, side="left"))
+        out = np.empty(xs.shape)
+        for k, (start, side, offset, drift, _, _) in enumerate(self._segments):
+            if drift is not None:  # the plateau is written last, over x_minus too
+                applies = which == k
+                t = side * (xs[applies] - start)
                 out[applies] = self._log_height + (-offset - drift * t - 0.5 * t * t)
         out[(xs >= self.x_minus) & (xs <= self.x_plus)] = self._log_height
         return out if out.ndim else float(out)
@@ -248,7 +228,7 @@ class Envelope:
     def sample(self, rng: np.random.Generator, size=None):
         """Exact draws from the normalized envelope; consumes no queries."""
         if size is None:
-            start, side, drift, length, erfc = self._segments[bisect_right(self._cuts, rng.random())]
+            start, side, _, drift, length, erfc = self._segments[bisect_right(self._cuts, rng.random())]
             if drift is None:
                 return start + length * rng.random()
             if length is None:
@@ -257,7 +237,7 @@ class Envelope:
         u = rng.random(int(size))
         which = np.searchsorted(self._cuts, u, side="right")
         out = np.empty(u.size)
-        for j, (start, side, drift, length, erfc) in enumerate(self._segments):
+        for j, (start, side, _, drift, length, erfc) in enumerate(self._segments):
             chosen = which == j
             n = int(np.count_nonzero(chosen))
             if not n:
@@ -271,51 +251,33 @@ class Envelope:
         return out
 
     def to_json_dict(self) -> dict:
-        doc = {
+        return {
             "x_minus": self.x_minus,
             "x_plus": self.x_plus,
             "plateau_height": self.plateau_height,
-            "tail_offset": self.tail_offset,
-            "drifts": [self.drift_minus, self.drift_plus],
+            "rows": [[list(row) for row in self.rows_minus], [list(row) for row in self.rows_plus]],
             "masses": list(self.piece_masses),
         }
-        if self.pieces_minus or self.pieces_plus:
-            doc["pieces"] = [[list(piece) for piece in self.pieces_minus],
-                             [list(piece) for piece in self.pieces_plus]]
-        return doc
 
 
-def _side(side: int, edge: float, drift: float, pieces, h: float, tail_offset: float):
-    """One side's table of rows and starts, and its segments and their masses, the tail last.
-
-    Raises UsageError unless the pieces start at ``edge``, run outward
-    with nonnegative drifts and finite offsets, and end in ``drift``.
-    """
-    pieces = pieces or ((edge, 0.0, drift),)
-    if pieces[0][0] != edge or pieces[-1][2] != drift or not math.isfinite(pieces[-1][1]):
-        raise UsageError("a side's pieces must start at its edge and end in its tail's drift, "
-                         "at a finite offset")
-    rows, starts, segments, masses = [], [], [], []
-    start, offset, s = pieces[0]
-    for end, next_offset, next_s in pieces[1:]:
+def _side(side: float, rows, h: float):
+    """One side's segments and their masses, outward, the tail last; UsageError on a bad row."""
+    segments, masses = [], []
+    start, offset, drift = rows[0]
+    for end, next_offset, next_drift in rows[1:]:
         length = side * (end - start)
-        if not (length > 0.0 and s >= 0.0 and math.isfinite(offset)):
-            raise UsageError(
-                "a side's pieces must run outward with nonnegative drifts and finite offsets"
-            )
-        offset += tail_offset
-        rows.append((start, offset, s))
-        starts.append(side * end)
-        segments.append((start, side, s, length, None))
-        masses.append(h * math.exp(-offset) * numerics.gaussian_piece_integral(s, length))
-        start, offset, s = end, next_offset, next_s
-    offset += tail_offset
-    rows.append((start, offset, s))
-    # a tail beyond finite pieces holds little mass, so its rare draws
+        if not (length > 0.0 and drift >= 0.0 and math.isfinite(offset)):
+            raise UsageError("a side's rows must run outward with nonnegative drifts and finite offsets")
+        segments.append((start, side, offset, drift, length, None))
+        masses.append(h * math.exp(-offset) * numerics.gaussian_piece_integral(drift, length))
+        start, offset, drift = end, next_offset, next_drift
+    if not (drift > 0.0 and math.isfinite(offset)):
+        raise UsageError(f"tail drifts must be positive and every offset finite, got the tail row {rows[-1]}")
+    # a tail beyond finite rows holds little mass, so its rare draws
     # compute erfc(drift/sqrt(2)) themselves
-    segments.append((start, side, s, None, None if segments else numerics.normal_tail_erfc(s)))
-    masses.append(h * math.exp(-offset) * numerics.gaussian_tail_integral(s))
-    return (rows, starts), segments, masses
+    segments.append((start, side, offset, drift, None, None if segments else numerics.normal_tail_erfc(drift)))
+    masses.append(h * math.exp(-offset) * numerics.gaussian_tail_integral(drift))
+    return segments, masses
 
 
 def _crossing(rise: float, level: float) -> float:
@@ -378,14 +340,8 @@ def build_envelope(oracle) -> Envelope:
     (x_minus, w_minus, _), (x_plus, w_plus, _) = threshold_searches(
         oracle.value, 0.0, oracle.kappa, level=0.5, slope=0.0
     )
-    return Envelope(
-        x_minus=x_minus,
-        x_plus=x_plus,
-        drift_minus=w_minus / -x_minus,
-        drift_plus=w_plus / x_plus,
-        plateau_height=1.0,
-        tail_offset=min(w_minus, w_plus),
-    )
+    return Envelope.from_geometry(x_minus, x_plus, w_minus / -x_minus, w_plus / x_plus, 1.0,
+                                  min(w_minus, w_plus))
 
 
 def prepare_envelope(oracle):

@@ -26,32 +26,34 @@ The line step has three parts:
   sandwich ``g t + t^2/2 <= W(p + t) <= g t + kappa t^2/2`` leaves open; on
   a line of curvature 1 that is two queries a side.  It assembles the
   envelope from every value the searches queried, not just the two edges,
-  with the strong-convexity bounds of adaptive rejection sampling:
+  with the strong-convexity bounds of adaptive rejection sampling, as rows
+  (:class:`lcsampler.envelope.Envelope`) whose offsets count down from the
+  plateau's ``log h = g^2/2``:
 
   - The tangent ``exp(-g t - t^2/2)``, from ``W(p + t) >= g t + t^2/2``,
-    peaks at ``e^(g^2/2)`` at the mean ``m = p - g``.  On the side of p
-    away from m it is one row, from a start c out to that side's innermost
-    probe with ``W > 0``, with offset ``g (c - p) + (c - p)^2/2`` and drift
-    ``|c - m|``.  c is m, or p when the innermost probe with ``W > 0`` on
-    the mean's side lies between m and p; the drift is never negative.
-  - The plateau of height ``e^(g^2/2) >= exp(-W)`` stays on the mean's
-    side, from that innermost probe with ``W > 0`` to c.  The tangent would
-    fit there too, but an envelope with no flat segment is exact on every
-    line of curvature 1, so its computed acceptance would be 1 up to
-    rounding; the benchmark's traced gate still asks for a value below 1.
+    peaks at ``h = e^(g^2/2)`` at the mean ``m = p - g``.  On the side of p
+    away from m it is one row ``(c, (c - m)^2/2, |c - m|)``, from a start c
+    out to that side's innermost probe with ``W > 0``.  c is m, or p when
+    the innermost probe with ``W > 0`` on the mean's side lies between m
+    and p; the drift is never negative.
+  - The plateau of height ``h >= exp(-W)`` stays on the mean's side, from
+    that innermost probe with ``W > 0`` to c.  The tangent would fit there
+    too, but an envelope with no flat segment is exact on every line of
+    curvature 1, so its computed acceptance would be 1 up to rounding; the
+    benchmark's traced gate still asks for a value below 1.
   - From each probe x_k with ``w_k = W(x_k) > 0`` at distance ``d_k`` from
     p to the next probe outward, the envelope is ``exp(-w_k - s_k t -
-    t^2/2)`` with ``s_k = w_k/d_k + d_k/2``: strong convexity between p and
-    x_k gives ``0 = W(p) >= w_k - W'(x_k) d_k + d_k^2/2``, so ``W'(x_k) >=
-    s_k``, and then ``W(x_k + t) >= w_k + s_k t + t^2/2``.  The outermost
-    piece is the unbounded tail.
+    t^2/2)``, the row ``(x_k, w_k + g^2/2, s_k)`` with ``s_k = w_k/d_k +
+    d_k/2``: strong convexity between p and x_k gives ``0 = W(p) >= w_k -
+    W'(x_k) d_k + d_k^2/2``, so ``W'(x_k) >= s_k``, and then ``W(x_k + t) >=
+    w_k + s_k t + t^2/2``.  The outermost row is the unbounded tail.
 
   This envelope is nowhere above the one the two edges alone give (plateau
   ``e^(1/2)`` between them, tails ``exp(-min(w_edge) - (w_edge/d_edge) t -
   t^2/2)``), so the acceptance rate on a line never falls.  Between the
   edges the plateau, the tangent row (at most ``e^(g^2/2)``) and every
-  piece (at most ``e^(-w_k) < 1``) lie below ``e^(1/2)``.  At the edge
-  ``s_edge > w_edge/d_edge``.  Past an outer probe x_2 its piece lies below
+  probe's row (at most ``e^(-w_k) < 1``) lie below ``e^(1/2)``.  At the edge
+  ``s_edge > w_edge/d_edge``.  Past an outer probe x_2 its row lies below
   the inner probe's, because ``w_2`` is at least the inner bound at x_2 and
   ``s_2 >= s_1 + d_2 - d_1``: ``W(p + d) - d^2/2`` is convex and 0 at p, so
   its chord slope from p grows.
@@ -330,7 +332,7 @@ def build_line_envelope(line: LineOracle, certificate: Certificate) -> tuple[Env
     The shifted restriction is 0 at p with slope ``g``, and the searches'
     edges are the first dyadic offsets from p where it reaches 3, each
     side searched only where the certificate's sandwich leaves that edge
-    open.  The shift, the tangent row and the pieces cost no query.
+    open.  The shift and the rows cost no query.
     Returns the envelope together with the shifted, sandwich-checked oracle
     the rejection step must evaluate.
     """
@@ -339,35 +341,33 @@ def build_line_envelope(line: LineOracle, certificate: Certificate) -> tuple[Env
     (_, _, probes_minus), (_, _, probes_plus) = threshold_searches(
         shifted.value, p, line.kappa, level=3.0, slope=slope
     )
-    pieces_minus, pieces_plus = _pieces(p, probes_minus), _pieces(p, probes_plus)
     floor = 0.5 * slope * slope
+    rows_minus, rows_plus = _rows(p, probes_minus, floor), _rows(p, probes_plus, floor)
     # the tangent row runs away from the mean p - g, from the mean, or from
     # p when the mean side's plateau edge lies between the mean and p
     mean = p - slope
     if slope >= 0.0:
-        tangent = (mean, -floor, 0.0) if pieces_minus[0][0] < mean else (p, 0.0, slope)
-        pieces_plus = (tangent, *pieces_plus)
+        tangent = (mean, 0.0, 0.0) if rows_minus[0][0] < mean else (p, floor, slope)
+        rows_plus = (tangent, *rows_plus)
     else:
-        tangent = (mean, -floor, 0.0) if pieces_plus[0][0] > mean else (p, 0.0, -slope)
-        pieces_minus = (tangent, *pieces_minus)
-    # x_minus, x_plus, drift_minus, drift_plus, plateau_height, tail_offset, pieces
-    env = Envelope(pieces_minus[0][0], pieces_plus[0][0], pieces_minus[-1][2], pieces_plus[-1][2],
-                   math.exp(floor), floor, pieces_minus, pieces_plus)
-    return env, shifted
+        tangent = (mean, 0.0, 0.0) if rows_plus[0][0] > mean else (p, floor, -slope)
+        rows_minus = (tangent, *rows_minus)
+    return Envelope(math.exp(floor), rows_minus, rows_plus), shifted
 
 
-def _pieces(p: float, probes) -> tuple[tuple[float, float, float], ...]:
-    """``(x_k, w_k, s_k)`` for each probe outward with ``w_k > 0``, ``s_k = w_k/d_k + d_k/2``.
+def _rows(p: float, probes, floor: float) -> tuple[tuple[float, float, float], ...]:
+    """The row ``(x_k, w_k + floor, w_k/d_k + d_k/2)`` of each probe outward with ``w_k > 0``.
 
-    ``probes`` maps grid indices, which run outward, to ``(x, W(x))``.
+    ``probes`` maps grid indices, which run outward, to ``(x, W(x))``, and
+    ``floor`` is the plateau's ``log h``.
     """
-    pieces = []
+    rows = []
     for i in sorted(probes):
         x, w = probes[i]
         if w > 0.0:
             d = abs(x - p)
-            pieces.append((x, w, w / d + 0.5 * d))
-    return tuple(pieces)
+            rows.append((x, w + floor, w / d + 0.5 * d))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -433,8 +433,11 @@ def run_chain(
     """
     if steps < 0:
         raise UsageError("steps must be nonnegative")
-    positions = np.empty((steps + 1, oracle.dimension))
-    step_queries = np.empty(steps, dtype=int)
+    try:
+        positions = np.empty((steps + 1, oracle.dimension))
+        step_queries = np.empty(steps, dtype=int)
+    except (MemoryError, ValueError) as exc:
+        raise UsageError(f"a chain of {steps} steps is too long to record: {exc}") from exc
     positions[0] = x0.point if isinstance(x0, Probe) else x0
     state = x0 if isinstance(x0, Probe) else positions[0]
     before = oracle.query_count

@@ -11,6 +11,7 @@ raises ClassViolationError: that proves the target is outside the class.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -51,10 +52,13 @@ def sample_exact(oracle, env, rng: np.random.Generator, cap: int | None = None) 
     """Draw one exact sample from exp(-V)/Z_p; FAILURE once ``cap`` trials are spent.
 
     Runs until acceptance when ``cap`` is None; otherwise ``cap`` must be an
-    int of at least 1 (UsageError).
+    integer of at least 1, a bool excepted (UsageError).  The counts
+    returned are ints.
     """
-    if cap is not None and not (isinstance(cap, int) and cap >= 1):
-        raise UsageError(f"trial cap must be None or an int of at least 1, got {cap!r}")
+    if cap is not None:
+        if isinstance(cap, bool) or not hasattr(cap, "__index__") or operator.index(cap) < 1:
+            raise UsageError(f"trial cap must be None or an integer of at least 1, got {cap!r}")
+        cap = operator.index(cap)
     trials = 0
     while trials != cap:
         trials += 1

@@ -204,20 +204,26 @@ def gaussian_tail_partial(a: float, s):
 
 
 def envelope_cdf(env):
-    """The analytic CDF of the normalized envelope ``env``, as a function of x."""
+    """The analytic CDF of the normalized envelope ``env``, as a function of x.
+
+    ``env`` has one row per side, its tail, as every 1D envelope does.
+    """
     left, _, _ = env.piece_masses
-    damp = env.plateau_height * math.exp(-env.tail_offset)
+    ((x_minus, offset_minus, drift_minus),) = env.rows_minus
+    ((x_plus, offset_plus, drift_plus),) = env.rows_plus
+    damp_minus = env.plateau_height * math.exp(-offset_minus)
+    damp_plus = env.plateau_height * math.exp(-offset_plus)
 
     def cdf(x):
         xs = np.asarray(x, dtype=float)
         below = np.where(
-            xs <= env.x_minus,
-            damp * gaussian_tail_partial(env.drift_minus, np.maximum(env.x_minus - xs, 0.0)),
+            xs <= x_minus,
+            damp_minus * gaussian_tail_partial(drift_minus, np.maximum(x_minus - xs, 0.0)),
             np.where(
-                xs <= env.x_plus,
-                left + env.plateau_height * (xs - env.x_minus),
+                xs <= x_plus,
+                left + env.plateau_height * (xs - x_minus),
                 env.mass_total
-                - damp * gaussian_tail_partial(env.drift_plus, np.maximum(xs - env.x_plus, 0.0)),
+                - damp_plus * gaussian_tail_partial(drift_plus, np.maximum(xs - x_plus, 0.0)),
             ),
         )
         out = below / env.mass_total
@@ -229,10 +235,10 @@ def envelope_cdf(env):
 def domination_grid(env) -> np.ndarray:
     """Criterion 2's grid around the plateau, plus a dense band of four
     plateau widths around each edge and the first points past the edges,
-    where the tails touch the target; for an envelope with pieces, also
-    every piece start and the floats on both sides of it."""
+    where the tails touch the target; also every row start and the floats
+    on both sides of it."""
     width = env.x_plus - env.x_minus
-    starts = np.array([piece[0] for piece in env.pieces_minus + env.pieces_plus])
+    starts = np.array([row[0] for row in env.rows_minus + env.rows_plus])
     return np.concatenate(
         [np.linspace(env.x_minus - 8.0, env.x_plus + 8.0, 10_000)]
         + [np.linspace(e - 2.0 * width, e + 2.0 * width, 4001) for e in (env.x_minus, env.x_plus)]

@@ -178,8 +178,8 @@ class TestEnvelopeInspect:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["x_minus"] == -1.0 and doc["x_plus"] == 1.0
-        assert doc["plateau_height"] == 1.0 and doc["tail_offset"] == 0.5
-        assert doc["drifts"] == [0.5, 0.5]
+        assert doc["plateau_height"] == 1.0
+        assert doc["rows"] == [[[-1.0, 0.5, 0.5]], [[1.0, 0.5, 0.5]]]
         assert doc["acceptance_rate"] == pytest.approx(0.8183348608090128, rel=1e-12)
         assert len(doc["masses"]) == 3
         assert doc["construction_queries"] <= 5
@@ -349,6 +349,14 @@ class TestErrorPaths:
         args = ["hitandrun", "--target", target, "--dimension", str(2**62), "--trials", "1"]
         assert run_cli(args) == 4
         assert f"dimension {2**62} is too large" in capsys.readouterr().err
+
+    def test_chain_too_long_to_record_is_config_error(self, tmp_path, capsys):
+        # NumPy refuses the (2^62 + 1) x 2 positions before any step runs
+        out = tmp_path / "chain.csv"
+        args = ["hitandrun", "--dimension", "2", "--trials", str(2**62), "--out", str(out)]
+        assert run_cli(args) == 4
+        assert f"a chain of {2**62} steps is too long to record" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_curvature_below_alpha_is_class_violation(self):
         doc = {"type": "piecewise", "beta": 4, "breakpoints": [1.5], "curvatures": [1.0, 0.2]}
@@ -521,6 +529,14 @@ class TestParser:
     )
     def test_rejected_command_line_is_config_error(self, args):
         assert run_cli(args) == 4
+
+    @pytest.mark.parametrize("command", ["sample", "bench-queries", "hardfamily-verify", "hitandrun"])
+    def test_negative_seed_is_config_error(self, tmp_path, command, capsys):
+        # NumPy's seeding takes nonnegative integers only
+        out = tmp_path / "rejected"
+        assert run_cli([command, *self.VALID[command], "--seed", "-1", "--out", str(out)]) == 4
+        assert "argument --seed: invalid nonnegative_int value: '-1'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("args", [["--help"], ["hitandrun", "--help"]])
     def test_help_exits_zero(self, args, capsys):

@@ -135,8 +135,8 @@ class TestBuildEnvelope:
         _, env = prepare_envelope(oracle)
         assert (env.x_minus, env.x_plus) == (-1.0, 1.0)
         # the tails start from W(+-1) = 1/2: offset 1/2, drift 1/2 per unit
-        assert env.plateau_height == 1.0 and env.tail_offset == 0.5
-        assert env.drift_minus == env.drift_plus == 0.5
+        assert env.plateau_height == 1.0
+        assert (env.rows_minus, env.rows_plus) == (((-1.0, 0.5, 0.5),), ((1.0, 0.5, 0.5),))
         assert env.x_minus < 0.0 < env.x_plus
 
     def test_gaussian_kappa_one_mass_vs_quadrature(self):
@@ -247,22 +247,21 @@ class TestEnvelopeValue:
     def test_drift_zero_row_at_infinity(self):
         # a row with drift 0 evaluated at +inf would give 0 * inf; only the
         # tail, whose drift is positive, applies there
-        env = Envelope(-1.0, 1.0, 0.5, 0.5, 0.5, pieces_plus=((1.0, 0.0, 0.0), (2.0, 1.0, 0.5)))
+        env = Envelope(0.5, ((-1.0, 0.0, 0.5),), ((1.0, 0.0, 0.0), (2.0, 1.0, 0.5)))
         assert env.log_value(np.array([-math.inf, math.inf])).tolist() == [-math.inf] * 2
         xs = [-3.0, -1.0, 0.0, 1.0, 1.5, 2.0, 2.5, math.inf]
         assert env.log_value(np.array(xs)).tolist() == [env.log_value(x) for x in xs]
 
     def test_boundaries_by_value(self):
-        # x_minus and x_plus belong to the plateau; every later piece start
-        # to the piece it starts, at t = 0
-        pieces_plus = ((1.0, 0.0, 0.25), (2.0, 1.0, 0.5))
-        by_hand = Envelope(-1.0, 1.0, 0.5, 0.5, math.e, 0.25, pieces_plus=pieces_plus)
+        # x_minus and x_plus belong to the plateau; every later row start
+        # to the row it starts, at t = 0
+        by_hand = Envelope(math.e, ((-1.0, 0.25, 0.5),), ((1.0, 0.25, 0.25), (2.0, 1.25, 0.5)))
         for env in (by_hand, *line_envelopes()):
             log_h = math.log(env.plateau_height)
             points, expected = [env.x_minus, env.x_plus], [log_h, log_h]
-            for start, offset, _ in env.pieces_minus[1:] + env.pieces_plus[1:]:
+            for start, offset, _ in env.rows_minus[1:] + env.rows_plus[1:]:
                 points.append(start)
-                expected.append(log_h - (env.tail_offset + offset))
+                expected.append(log_h - offset)
             assert len(points) > 2
             assert [env.log_value(x) for x in points] == expected
             assert env.log_value(np.array(points)).tolist() == expected
@@ -313,8 +312,9 @@ class TestEnvelopeSampling:
 
 class TestConstruction:
     def test_direct_construction_equals_from_geometry(self):
-        env = Envelope(-1.0, 2.0, 0.5, 0.25, plateau_height=math.e, tail_offset=3.0)
+        env = Envelope(math.e, ((-1.0, 3.0, 0.5),), ((2.0, 3.0, 0.25),))
         assert env == Envelope.from_geometry(-1.0, 2.0, 0.5, 0.25, math.e, 3.0)
+        assert (env.x_minus, env.x_plus) == (-1.0, 2.0)
         assert env.mass_total == sum(env.piece_masses)
         assert env.piece_masses[1] == math.e * 3.0
 
@@ -328,75 +328,71 @@ class TestConstruction:
             ((-1.0, 1.0, 0.5, 0.5, math.nan), "plateau_height"),
             ((-1.0, 1.0, 0.5, 0.5, 0.0), "plateau_height"),
             ((-1.0, 1.0, 0.5, 0.5, math.inf), "plateau_height"),
-            ((-1.0, 1.0, 0.5, 0.5, 1.0, math.nan), "tail_offset"),
+            ((-1.0, 1.0, 0.5, 0.5, 1.0, math.nan), "offset finite"),
         ],
     )
     def test_bad_geometry_is_usage_error(self, geometry, message):
         with pytest.raises(UsageError, match=message):
-            Envelope(*geometry)
+            Envelope.from_geometry(*geometry)
 
     @pytest.mark.parametrize(
-        "pieces_plus",
+        "pieces_plus",  # the right side's rows
         [
-            ((1.5, 0.0, 0.5),),  # does not start at the plateau edge
-            ((1.0, 0.0, 2.0), (3.0, 1.0, 0.7)),  # ends in a drift other than the tail's
+            (),  # no row
+            ((1.0, 0.0, 2.0), (3.0, 1.0, 0.0)),  # a tail of drift 0
             ((1.0, 0.0, 2.0), (0.5, 1.0, 0.5)),  # runs inward
             ((1.0, 0.0, -2.0), (3.0, 1.0, 0.5)),  # negative drift
             ((1.0, 0.0, 2.0), (3.0, math.nan, 0.5)),  # NaN offset
         ],
     )
     def test_bad_pieces_are_usage_error(self, pieces_plus):
-        with pytest.raises(UsageError, match="pieces must"):
-            Envelope(-1.0, 1.0, 0.5, 0.5, pieces_plus=pieces_plus)
+        with pytest.raises(UsageError, match="row"):
+            Envelope(1.0, ((-1.0, 0.0, 0.5),), pieces_plus)
 
     @pytest.mark.parametrize(
-        "geometry, pieces_plus, message",
+        "geometry, pieces_plus, message",  # the height and left rows, the right rows
         [
-            ((-1.0, 1.0, 0.5, 0.5, 1.0, -800.0), (), "too far below zero"),
-            ((-1.0, 1.0, 0.5, 0.5), ((1.0, -800.0, 2.0), (3.0, 1.0, 0.5)), "too far below zero"),
-            ((-1.0, 1.0, 0.5, 0.5, 1e308), (), "mass must be finite"),
+            ((1.0, ((-1.0, -800.0, 0.5),)), ((1.0, -800.0, 0.5),), "too far below zero"),
+            ((1.0, ((-1.0, 0.0, 0.5),)), ((1.0, -800.0, 2.0), (3.0, 1.0, 0.5)), "too far below zero"),
+            ((1e308, ((-1.0, 0.0, 0.5),)), ((1.0, 0.0, 0.5),), "mass must be finite"),
         ],
     )
     def test_mass_beyond_a_float_is_usage_error(self, geometry, pieces_plus, message):
         with pytest.raises(UsageError, match=message):
-            Envelope(*geometry, pieces_plus=pieces_plus)
+            Envelope(*geometry, pieces_plus)
 
     def test_fields_are_frozen(self):
-        env = Envelope(-1.0, 1.0, 0.5, 0.5)
-        for name in ("x_minus", "mass_total", "piece_masses", "_cuts"):
+        env = Envelope.from_geometry(-1.0, 1.0, 0.5, 0.5)
+        for name in ("x_minus", "rows_plus", "mass_total", "piece_masses", "_cuts"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(env, name, 0.0)
         assert env.x_minus == -1.0
 
     def test_int_geometry_is_stored_as_float(self):
-        env = Envelope(-1, 1, 0.5, 0.5, plateau_height=2, tail_offset=0)
-        assert env == Envelope(-1.0, 1.0, 0.5, 0.5, plateau_height=2.0, tail_offset=0.0)
-        assert hash(env) == hash(Envelope(-1.0, 1.0, 0.5, 0.5, plateau_height=2.0))
-        assert all(type(getattr(env, name)) is float for name in (
-            "x_minus", "x_plus", "drift_minus", "drift_plus", "plateau_height", "tail_offset"))
-        assert Envelope(-1, 1, 0.5, 0.5) == Envelope(-1.0, 1.0, 0.5, 0.5)
-        assert hash(Envelope(-1, 1, 0.5, 0.5)) == hash(Envelope(-1.0, 1.0, 0.5, 0.5))
+        env = Envelope.from_geometry(-1, 1, 0.5, 0.5, plateau_height=2, tail_offset=0)
+        assert env == Envelope.from_geometry(-1.0, 1.0, 0.5, 0.5, plateau_height=2.0, tail_offset=0.0)
+        assert hash(env) == hash(Envelope.from_geometry(-1.0, 1.0, 0.5, 0.5, plateau_height=2.0))
+        assert all(type(value) is float for value in (
+            env.x_minus, env.x_plus, env.plateau_height, *env.rows_minus[0], *env.rows_plus[0]))
+        assert Envelope(1, ((-1, 0, 0.5),), ((1, 0, 0.5),)) == Envelope.from_geometry(-1.0, 1.0, 0.5, 0.5)
+        assert hash(Envelope(1, [(-1, 0, 0.5)], [(1, 0, 0.5)])) == hash(
+            Envelope.from_geometry(-1.0, 1.0, 0.5, 0.5))
 
     def test_repr_lists_the_public_fields_only(self):
-        pieces_plus = ((1.0, 0.0, 0.25), (2.0, 1.0, 0.5))
-        env = Envelope(-1.0, 1.0, 0.5, 0.5, pieces_plus=pieces_plus)
+        env = Envelope(1.0, ((-1.0, 0.0, 0.5),), ((1.0, 0.0, 0.25), (2.0, 1.0, 0.5)))
         names = re.findall(r"(\w+)=", repr(env))
-        assert names == [
-            "x_minus", "x_plus", "drift_minus", "drift_plus", "plateau_height",
-            "tail_offset", "pieces_minus", "pieces_plus", "piece_masses", "mass_total",
-        ]
+        assert names == ["plateau_height", "rows_minus", "rows_plus", "piece_masses", "mass_total"]
         assert repr(env).startswith(
-            "Envelope(x_minus=-1.0, x_plus=1.0, drift_minus=0.5, drift_plus=0.5, "
-            "plateau_height=1.0, tail_offset=0.0, pieces_minus=(), "
-            "pieces_plus=((1.0, 0.0, 0.25), (2.0, 1.0, 0.5)), piece_masses=("
+            "Envelope(plateau_height=1.0, rows_minus=((-1.0, 0.0, 0.5),), "
+            "rows_plus=((1.0, 0.0, 0.25), (2.0, 1.0, 0.5)), piece_masses=("
         )
 
     def test_pieces_envelope_is_hashable_and_lists_masses_left_to_right(self):
-        pieces_plus = ((1.0, 0.0, 0.25), (2.0, 1.0, 0.5))
-        env = Envelope(-1.0, 1.0, 0.5, 0.5, pieces_plus=pieces_plus)
-        assert env == Envelope(-1.0, 1.0, 0.5, 0.5, pieces_plus=pieces_plus)
-        assert hash(env) == hash(Envelope(-1.0, 1.0, 0.5, 0.5, pieces_plus=pieces_plus))
-        assert env != Envelope(-1.0, 1.0, 0.5, 0.5)
+        rows_minus, rows_plus = ((-1.0, 0.0, 0.5),), ((1.0, 0.0, 0.25), (2.0, 1.0, 0.5))
+        env = Envelope(1.0, rows_minus, rows_plus)
+        assert env == Envelope(1.0, rows_minus, rows_plus)
+        assert hash(env) == hash(Envelope(1.0, rows_minus, rows_plus))
+        assert env != Envelope.from_geometry(-1.0, 1.0, 0.5, 0.5)
         # left tail, plateau, the finite piece on [1, 2], the tail from 2
         quad = [
             adaptive_quadrature(lambda x: env.value(x), lo, hi, tol=1e-12).value
@@ -404,7 +400,7 @@ class TestConstruction:
         ]
         assert env.piece_masses == pytest.approx(quad, rel=1e-9)
         assert env.mass_total == pytest.approx(sum(quad), rel=1e-9)
-        assert env.to_json_dict()["pieces"] == [[], [list(p) for p in pieces_plus]]
+        assert env.to_json_dict()["rows"] == [[[-1.0, 0.0, 0.5]], [list(row) for row in rows_plus]]
 
 
 class TestSerialization:
@@ -415,11 +411,10 @@ class TestSerialization:
             "x_minus",
             "x_plus",
             "plateau_height",
-            "tail_offset",
-            "drifts",
+            "rows",
             "masses",
         }
-        assert doc["drifts"] == [0.5, 0.25]
+        assert doc["rows"] == [[[-1.0, 0.0, 0.5]], [[2.0, 0.0, 0.25]]]
         assert doc["masses"] == list(env.piece_masses)
 
 

@@ -286,11 +286,10 @@ class TestLineEnvelope:
         before = o.query_count
         env, shifted = build_line_envelope(line, cert)
         assert o.query_count - before == 4
-        assert (env.plateau_height, env.tail_offset) == (1.0, 0.0)
+        assert env.plateau_height == 1.0
         assert (env.x_minus, env.x_plus) == (-2.0, 0.0)
-        assert env.pieces_plus == ((0.0, 0.0, 0.0), (2.0, 2.0, 2.0), (4.0, 8.0, 4.0))
-        assert env.pieces_minus == ((-2.0, 2.0, 2.0), (-4.0, 8.0, 4.0))
-        assert env.drift_minus == env.drift_plus == 4.0
+        assert env.rows_plus == ((0.0, 0.0, 0.0), (2.0, 2.0, 2.0), (4.0, 8.0, 4.0))
+        assert env.rows_minus == ((-2.0, 2.0, 2.0), (-4.0, 8.0, 4.0))
         outside = np.array([-7.5, -4.0, -3.0, -2.5, 0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 7.5])
         assert np.allclose(env.log_value(outside), -0.5 * outside**2, rtol=1e-15, atol=0)
         # mass: the plateau 2, the half Gaussian right of 0 and the tail left of -2
@@ -314,10 +313,10 @@ class TestLineEnvelope:
         # 40.06), the pivot i = 2 (W = 0.156), then bisects to i = 4 (2.50)
         # and i = 5 (10.01), the edge: 4 queries a side.  Every probe is
         # positive; each piece has offset c d^2/2 and drift W/d + d/2 = (c +
-        # 1) d/2.  The mean p - g lies right of p, nearer than the probe at
-        # i = 2, so the tangent row (p - g, -g^2/2, 0) runs left from the
-        # mean to the left probe at i = 2, and the plateau keeps [p - g,
-        # right probe at i = 2].
+        # 1) d/2, each offset counted down from the plateau's log h = g^2/2.
+        # The mean p - g lies right of p, nearer than the probe at i = 2, so
+        # the tangent row (p - g, 0, 0) runs left from the mean to the left
+        # probe at i = 2, and the plateau keeps [p - g, right probe at i = 2].
         o = quadratic_oracle(np.array([1.0, 30.0]), kappa=1e3)
         line = restrict(o, np.array([1.0, 0.5]), np.array([0.6, 0.8]))
         before = o.query_count
@@ -328,20 +327,20 @@ class TestLineEnvelope:
         assert o.query_count - before == 8
         assert shifted.shift == cert.value == 125 / 652 == 0.19171779141104295
         assert -1e-13 < cert.slope < 0.0
-        assert env.plateau_height == math.exp(0.5 * cert.slope**2)
-        assert env.tail_offset == 0.5 * cert.slope**2
+        floor = 0.5 * cert.slope**2
+        assert env.plateau_height == math.exp(floor)
         mean = cert.lam - cert.slope
-        assert env.pieces_minus[0] == (mean, -0.5 * cert.slope**2, 0.0)
+        assert env.rows_minus[0] == (mean, 0.0, 0.0)
         curvature = 0.6**2 + 30.0 * 0.8**2
-        for side, pieces in ((-1.0, env.pieces_minus[1:]), (1.0, env.pieces_plus)):
+        for side, rows in ((-1.0, env.rows_minus[1:]), (1.0, env.rows_plus)):
             d = np.array([2.0**i for i in (2, 4, 5, 6)]) / math.sqrt(1e3)
-            assert np.allclose([x for x, _, _ in pieces], cert.lam + side * d, rtol=1e-14, atol=0)
-            assert np.allclose([w for _, w, _ in pieces], 0.5 * curvature * d**2, rtol=1e-12, atol=0)
-            assert np.allclose([s for _, _, s in pieces], 0.5 * (curvature + 1.0) * d, rtol=1e-12, atol=0)
-        assert (env.x_minus, env.x_plus) == (mean, env.pieces_plus[0][0])
-        assert (env.drift_minus, env.drift_plus) == (env.pieces_minus[-1][2], env.pieces_plus[-1][2])
-        # each piece starts from the quadratic's own value at its probe
-        for x, w, s in env.pieces_minus[1:] + env.pieces_plus:
+            assert np.allclose([x for x, _, _ in rows], cert.lam + side * d, rtol=1e-14, atol=0)
+            assert np.allclose([o - floor for _, o, _ in rows], 0.5 * curvature * d**2, rtol=1e-12, atol=0)
+            assert np.allclose([s for _, _, s in rows], 0.5 * (curvature + 1.0) * d, rtol=1e-12, atol=0)
+        assert (env.x_minus, env.x_plus) == (mean, env.rows_plus[0][0])
+        # each probe's row starts from the quadratic's own value at its probe
+        for x, offset, s in env.rows_minus[1:] + env.rows_plus:
+            w = offset - floor
             point = line.point(x)
             value = 0.5 * (point[0] ** 2 + 30.0 * point[1] ** 2) - cert.value
             assert w == pytest.approx(value, rel=1e-12)
@@ -414,7 +413,7 @@ def edge_envelope(shifted, cert):
     (x_minus, w_minus, _), (x_plus, w_plus, _) = threshold_searches(
         shifted.value, cert.lam, shifted.kappa, level=3.0, slope=cert.slope
     )
-    return Envelope(
+    return Envelope.from_geometry(
         x_minus,
         x_plus,
         w_minus / (cert.lam - x_minus),
@@ -731,30 +730,36 @@ class TestRunChain:
 # tangent row moved to the other side and the chain took another path: 228
 # -> 194 queries (bracket 52 -> 25, search 154 -> 146, trials 22 -> 23; over
 # 5,000 steps 11.20 -> 10.20 per step).
+# Re-recorded again when the envelope's segments came to be drawn in one
+# left-to-right order: every line envelope is the same function with the
+# same masses, but a uniform now picks another segment, so the trials and
+# then the chains take other paths.  The queries went from 194 to 195
+# (anisotropic; over 5,000 steps 10.20 -> 10.27 per step) and from 105 to
+# 107 (10-d; 5.54 -> 5.56 per step).
 ANISOTROPIC_POSITIONS = [
     [0.5878986735554335, -0.15765943136239413],
-    [-0.3648962679272031, -0.5528456236540724],
-    [-1.2186095643314485, -0.5809761893581298],
-    [-0.18232026993905182, 0.041619059195821095],
-    [0.009003811787477195, -0.008722873009276419],
-    [-0.05745677078318184, 0.05982241459599183],
-    [-0.012168335603342254, 0.22206568344320293],
-    [0.22670197399563435, 0.20722837897624588],
-    [0.22328622288668495, -0.053927386486701784],
-    [-0.7007191341748731, 0.27076920432712615],
-    [-0.5558866467980828, -0.09705853942327286],
-    [-0.5898358750146889, 0.1039412297307199],
-    [-0.6599406289082107, -0.007675602673050716],
-    [-0.6447583280357025, -0.05370090803530219],
-    [-0.432732050023932, 0.13321208083712405],
-    [-0.4441327440946278, -0.07780256402799934],
-    [-0.4555573064074253, -0.004831203418893731],
-    [0.34234901719664645, 0.0023541380490448146],
-    [0.4819228166364081, 0.44966510698659135],
-    [0.1311674765577336, 0.11509713648104297],
+    [0.8829612478172899, -0.0352777413117773],
+    [0.007134415662062188, -0.06413696647681777],
+    [0.24882942346753606, 0.08107167774364324],
+    [0.23065313045948296, 0.1552545829735495],
+    [-0.6994678773712838, -0.03885617648666306],
+    [-1.2667477684338246, 0.15160110988306866],
+    [-1.478384790684574, -0.1681665422865847],
+    [-1.4523063250766002, 0.08776480736191686],
+    [-1.454396167868519, -0.07201688533544837],
+    [-1.4327828484555625, -0.3147910989387822],
+    [-1.5851913668085216, -0.14596229188534293],
+    [0.6701883809906526, -0.03274744718490251],
+    [0.6972676256013097, 0.03682118828787814],
+    [0.42255576837285075, -0.30983927891167584],
+    [-0.196084537870782, -0.23546656094865434],
+    [-0.26828399858867763, -0.013528859997392256],
+    [-0.25429762463984845, 0.18710799978414477],
+    [-0.20851516811734877, -0.017414211336119256],
+    [-0.16370494065845118, -0.004359671468095128],
 ]
 ANISOTROPIC_QUERIES = [
-    12, 11, 5, 11, 7, 11, 11, 7, 11, 7, 11, 11, 11, 9, 11, 12, 11, 5, 9, 11,
+    12, 11, 5, 8, 11, 11, 9, 11, 11, 11, 12, 11, 6, 9, 11, 6, 11, 9, 11, 9,
 ]
 
 ISOTROPIC_10D_POSITIONS = [
@@ -764,103 +769,103 @@ ISOTROPIC_10D_POSITIONS = [
         -0.3970436242420417, -0.16467988147978618,
     ],
     [
-        -0.3108373427068433, -0.3629234084876078, -0.29807460682252573, 0.29242929470714574,
-        0.330518870632928, 0.05935060017186523, -0.14440522394948502, -0.16349991502750458,
-        -0.31208132601396465, -0.13403127507576842,
+        0.001251963755995178, -0.3526398053412542, -0.12745631157219905, 0.0030428536493806724,
+        0.23877397178406412, -0.21209535524466663, -0.30748802620945626, 0.026364858012536685,
+        -0.6233665996237416, -0.24632178544569913,
     ],
     [
-        -0.48026930003768464, -0.426869327217404, -0.3543081221346409, 0.39841161850248813,
-        0.22121214197308062, 0.12835839240821875, -0.130003705386958, -0.055887655273162265,
-        -0.2550666789172657, 0.2861289804254963,
+        0.00340693700658061, -0.35182648920823134, -0.1267410880500664, 0.0016948843736207114,
+        0.24016422354106307, -0.2129730523963375, -0.3076711964198402, 0.02499615788737177,
+        -0.6240917582143671, -0.2516657248407707,
     ],
     [
-        -0.3110331883987013, 0.17940951307079034, 0.5617336897247194, 0.12148517085360555,
-        0.7299502776797593, -0.21142413088383502, -0.9368863226332023, -0.00576856311274844,
-        0.2367968797980275, 0.1140274276889709,
+        0.1613855176690171, 0.21412288026625825, 0.7283659211070355, -0.2568105062535626,
+        0.7150612643052757, -0.5301533530055083, -1.060880245004428, 0.07178134437571568,
+        -0.16494680308105614, -0.4123191383930527,
     ],
     [
-        -0.03258784163336681, 0.44329548571096733, 0.7097861630385042, -0.059186274635729064,
-        0.7187572569061068, -0.08569717685842701, -0.9810669250869358, -0.13297621479944094,
-        0.07718960090018404, -0.017766006447941518,
+        -0.5135902912667468, -0.4255597357974097, 0.36947381139570995, 0.1811528373160906,
+        0.7421941230112897, -0.834926456539715, -0.9537826108478393, 0.3801437881999473,
+        0.22195516327466291, -0.09284035789845374,
     ],
     [
-        0.029907987175665653, 0.07328273951373604, 0.5055532635451508, 0.8233844215940296,
-        0.7630602637094245, 0.15498844086496208, -0.6845602714546585, 0.3391049441379846,
-        -0.029027325499333442, -0.29064535518793866,
+        -0.776046275775934, -0.13482709665380688, 0.5063609543062803, 0.22696375154410114,
+        0.47096606663799573, -0.9846339813381648, -0.30683750690046196, 0.4126189354759592,
+        0.3983833889588757, 0.1245060016336165,
     ],
     [
-        0.05507255558592361, 0.10503805262612337, 0.5247985168498802, 0.9864099836364884,
-        0.6910442846926231, 0.09150233899669744, -0.5670881596276192, 0.3249824885636266,
-        0.018867416134561492, -0.3873946707413437,
+        -0.7564136292566037, -0.0489315524361537, 0.24596770528083406, 0.16451943277535622,
+        0.3921672228722944, -1.0323898860909713, -0.7113753474732956, 0.591322129461009,
+        0.5559202208177095, -0.16699377208692565,
     ],
     [
-        0.029024786997916396, 0.12089543590142333, 0.6090891495897384, 1.0037375537598656,
-        0.6888358396760063, 0.05982182803972528, -0.5524090955070757, 0.2312238611416838,
-        0.01701094099309642, -0.39976927140678764,
+        -0.7388295338920757, 0.27653123216375725, -0.7544893818092397, -0.35923568352491697,
+        0.7110193193008794, 0.6624827477980701, -0.3629614910422669, 0.5469158544047463,
+        -0.08109517820424816, 0.128165289606142,
     ],
     [
-        0.030365901370496832, 0.1167423681679129, 0.5809523226876163, 1.100172177853422,
-        0.7169300877144031, 0.14985925169709863, -0.5447254718441273, 0.21942801368372772,
-        0.007107559386877422, -0.3878475684312564,
+        -0.7075944361775591, 0.13699587879120617, -0.6057421779660673, -0.35789617859758843,
+        0.7068712355831107, 0.6343796873541913, -0.26664259626385245, 0.5749763870829655,
+        0.008834193293696321, 0.1358396923019048,
     ],
     [
-        0.039450967898128145, -0.5253730281637199, 0.2875290528515603, 1.2246332669180826,
-        0.38906748400186814, -0.1376999752340663, -0.5038992532546156, 0.20303027731976622,
-        0.3290194536423175, -0.20349921671025945,
+        -0.6827683385793277, 0.16067625123300538, -0.5516596313211527, -0.35452824402413763,
+        0.46883196125605475, 0.5256044381988615, -0.22050349495564203, 0.4534340962228293,
+        -0.09776719034512735, 0.15097442276014467,
     ],
     [
-        -0.2767006995550324, -0.583826337616429, -0.6589545464915465, 1.0967925017510205,
-        0.4888366067850447, 0.2726324812801595, -0.3441487955547405, 0.9500932263773141,
-        0.9348177910315434, -0.8514835949540887,
+        -0.6457870803112019, 0.15096600670330496, -0.30869078415508033, -0.2867581823253654,
+        0.48136197389213997, 0.728492034652426, -0.19309963334458907, 0.4320476532503279,
+        -0.18572578350705582, 0.1167304206267964,
     ],
     [
-        -0.33280267010627035, -0.5240347113947187, -0.585974791016018, 0.9474833913409,
-        0.5814412171018142, 0.20920161145703514, -0.24067836822044497, 1.005404132004785,
-        0.922030775117438, -0.6567113633938522,
+        -0.6287396391563926, 0.1627441624398024, -0.3156053543151982, -0.24356629031070404,
+        0.4353294827376538, 0.6723062414123013, -0.07814925084867927, 0.3607530393613432,
+        -0.1368915045525535, 0.03707041082282453,
     ],
     [
-        -0.4836218616040644, -0.6125317960153193, -0.6452810362856354, 0.9340434711560286,
-        0.5462968947784765, 0.199929324612161, -0.14539659549662082, 0.9500961453156693,
-        0.8961294340286858, -0.5723694307781524,
+        -0.632674662311269, 0.16260128998740545, -0.31670585772695736, -0.2542421457667082,
+        0.4290651467847514, 0.6681082020523965, -0.0791006062021259, 0.3582653207792643,
+        -0.13754785069205613, 0.043815006275759766,
     ],
     [
-        -0.2685714221548396, -0.6103271603201115, -0.8867489444791589, 1.014871488318951,
-        0.5253872360792848, -0.016850694481150674, -0.4292148047960543, 0.817705001030546,
-        0.9431845181217572, -0.6666997701239964,
+        -0.08882402323260175, 0.1681766914366895, -0.9273648106887485, -0.04983257142637926,
+        0.37618577915547874, 0.11988355194086098, -0.796861122781327, 0.023455456580775247,
+        -0.018548151730922308, -0.19474119230321385,
     ],
     [
-        -0.24614816593506192, -0.5918594112739254, -0.9203236794833244, 1.0763784030260515,
-        0.4623102029413836, -0.022847325029387966, -0.4618040494503812, 0.8556720052801123,
-        0.9013781786756347, -0.6996890469712731,
+        -0.004810856252115886, 0.23736976799808848, -1.0531591998079612, 0.18061525671663706,
+        0.13985519158568288, 0.09741598886119614, -0.9189631772767387, 0.16570635165614073,
+        -0.17518387592302528, -0.3183420465757169,
     ],
     [
-        -0.2540671323605369, -0.5931473004923258, -0.9006983408265775, 1.0531496685449484,
-        0.45660880823529865, 0.0022866011063895977, -0.4901872745333791, 0.8525493341457504,
-        0.8908281796392655, -0.7406911225834802,
+        0.008702314227933442, 0.23956746219611863, -1.0866484877716256, 0.22025349133134162,
+        0.14958422874759447, 0.05452667598153501, -0.8705291596647552, 0.17103497475220733,
+        -0.15718102960659308, -0.24837483014691475,
     ],
     [
-        -0.5222705363703042, -0.4238758829510354, -0.6977084482751933, 1.2751984123296014,
-        0.37468463324166756, 0.05864031152002716, -0.6042414290132762, 0.9541911871384707,
-        1.1099180903735386, -0.7878383221305122,
+        -0.8846328448818357, 0.8033787578815301, -0.41052728554608675, 0.959856146977589,
+        -0.12328980942161061, 0.24223029982129585, -1.2504221241691074, 0.5095848945442653,
+        0.5725663089395621, -0.40541329565197604,
     ],
     [
-        -0.7040397003311877, -0.054112332798074536, -0.5683132400661022, 1.3149879578116865,
-        0.38359013753364724, 0.2463246237924268, -0.3267092450830029, 0.6083927120783295,
-        0.8728681302241077, -1.2572339049707983,
+        -0.5169020409160451, 0.05532312175474141, -0.6723021812830208, 0.8793593166532262,
+        -0.14130622200584417, -0.1374672326960924, -1.8118877264701867, 1.2091576299471467,
+        1.0521337478070691, 0.544204402391654,
     ],
     [
-        -0.9472485859149048, 0.23531919097480541, -0.21451697359075195, 1.6641226343537439,
-        0.3943819141792406, 0.2771858152693236, -0.29634789490482516, 0.5782844550168273,
-        0.6009730053081868, -1.3915226269737808,
+        -0.27724323777420534, -0.229883614884207, -1.0209341384421164, 0.5353209049210161,
+        -0.15194047275885256, -0.16787794813986814, -1.8418058967212803, 1.2388264014425971,
+        1.3200600616876557, 0.6765329327142184,
     ],
     [
-        -0.9809320122149646, 0.46918580142033484, -0.01574800015153824, 1.8114485882997526,
-        0.41797507510881715, 0.11542225044734847, -0.27040638229295255, 0.5351607307056591,
-        0.6837978669101745, -1.2547137218396132,
+        -1.4324676982496312, -0.4148842605665583, 0.24749971106502588, 0.3319061697145527,
+        0.18620484255549655, -0.817331106224783, -2.914563203826668, 1.954187672220338,
+        -0.06170374260374856, 0.6158838835391077,
     ],
 ]
 ISOTROPIC_10D_QUERIES = [
-    6, 5, 6, 5, 6, 5, 5, 5, 5, 5, 5, 6, 5, 5, 6, 5, 5, 5, 5, 5,
+    6, 5, 6, 5, 5, 5, 5, 6, 5, 6, 5, 5, 6, 5, 6, 5, 5, 5, 6, 5,
 ]
 
 

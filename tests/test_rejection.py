@@ -159,13 +159,24 @@ class TestSampleCapped:
         assert fails / n == pytest.approx(expected_fail, abs=3 * se + 1e-4)
         assert expected_fail <= 0.2
 
-    @pytest.mark.parametrize("cap", [0, -1, 2.0, "3"])
+    @pytest.mark.parametrize("cap", [0, -1, 2.0, "3", True, np.int64(0)])
     def test_cap_must_be_an_int_of_at_least_one(self, cap):
         _, oracle, normalized, env = gaussian_setup()
         before = oracle.query_count
         with pytest.raises(UsageError, match="trial cap"):
             sample_exact(normalized, env, np.random.default_rng(0), cap=cap)
         assert oracle.query_count == before
+
+    def test_numpy_integer_cap_gives_int_counts(self):
+        # against the poor envelope most draws spend the whole cap of 3
+        env = Envelope.from_geometry(-30.0, 30.0, 0.5, 0.5)
+        pot = PiecewiseQuadraticPotential.gaussian(1.0)
+        normalized = normalize_at_zero(PotentialOracle(pot, alpha=1.0, beta=1.0))
+        rng = np.random.default_rng(29)
+        outcomes = [sample_exact(normalized, env, rng, cap=np.int64(3)) for _ in range(100)]
+        failures = [o for o in outcomes if o.failed]
+        assert failures and all(o.trials == o.queries == 3 for o in failures)
+        assert all(type(o.trials) is int and type(o.queries) is int for o in outcomes)
 
 
 class TestAcceptanceProbability:

@@ -75,37 +75,31 @@ def find_threshold_index(
         raise UsageError(f"empty search range [{lo}, {hi}]")
     root = math.sqrt(kappa)
     probes: dict[int, tuple[float, float]] = {}
-
-    def probe(i: int) -> float:
-        known = probes.get(i)
-        if known is None:
-            x = edge + side * 2.0**i / root
-            known = probes[i] = (x, value(x))
-        return known[1]
-
-    if lo == hi:
-        ans = lo
-    elif not probe(hi - 1) >= level:
-        ans = hi
-    else:  # hi - 1 is known true
-        pivot = max(hi - 1 - (1 << ((hi - lo).bit_length() - 1)), lo)
-        if probe(pivot) >= level:
-            left, right = lo, pivot
+    # the answer lies in [left, right]; probe hi - 1, then the pivot, then
+    # bisect, so no index is probed twice.  The pivot steps down from hi - 1
+    # by the largest power of two up to hi - lo (none when lo == hi).
+    pivot = max(hi - 1 - ((1 << (hi - lo).bit_length()) >> 1), lo)
+    left, right, i = lo, hi, hi - 1
+    while left < right:
+        x = edge + side * 2.0**i / root
+        w = value(x)
+        probes[i] = x, w
+        if w >= level:
+            right = i
         else:
-            left, right = pivot + 1, hi - 1
-        while left < right:
-            mid = (left + right) // 2
-            if probe(mid) >= level:
-                right = mid
-            else:
-                left = mid + 1
-        ans = left
-    w = probe(ans)
+            left = i + 1
+        i = pivot if i == hi - 1 else (left + right) // 2
+    ans = left
+    known = probes.get(ans)
+    if known is None:  # the search never evaluated its answer
+        x = edge + side * 2.0**ans / root
+        known = probes[ans] = x, value(x)
+    w = known[1]
     if not w >= level - 1e-9:
         raise ClassViolationError(
             f"no threshold index in [{lo}, {hi}] on side {side:+d} of {edge:g}; "
             "target violates the curvature sandwich",
-            query_point=probes[ans][0],
+            query_point=known[0],
         )
     return ans, w, probes
 
@@ -300,9 +294,14 @@ def search_range(kappa: float, *, level: float, rise: float) -> tuple[int, int]:
     of the crossing, so no index below ``lo`` can reach the level.  ``top``
     is clamped to at least ``lo``.
     """
-    top = math.ceil(math.log2(kappa) / 2 + math.log2(_crossing(rise, level)))
+    return _search_range(math.log2(kappa) / 2, math.sqrt(kappa), level, rise)
+
+
+def _search_range(half_log: float, root: float, level: float, rise: float) -> tuple[int, int]:
+    """:func:`search_range` given ``log2(kappa)/2`` and ``sqrt(kappa)``."""
+    top = math.ceil(half_log + math.log2(_crossing(rise, level)))
     # in grid units u = t sqrt(kappa) the upper bound is rise u / sqrt(kappa) + u^2/2
-    lo = math.ceil(math.log2(_crossing(rise / math.sqrt(kappa), level - 1e-9)))
+    lo = math.ceil(math.log2(_crossing(rise / root, level - 1e-9)))
     return lo, top if top > lo else lo
 
 
@@ -316,11 +315,12 @@ def threshold_searches(value, p: float, kappa: float, *, level: float, slope: fl
     probes of :func:`find_threshold_index`: every grid index that side
     queried, mapped to ``(x, W(x))``, the edge among them.
     """
-    lo, top = search_range(kappa, level=level, rise=slope)
+    half_log, root = math.log2(kappa) / 2, math.sqrt(kappa)
+    lo, top = _search_range(half_log, root, level, slope)
     i, w, probes = find_threshold_index(value, p, +1, kappa, level, lo, top)
     right = probes[i][0], w, probes
     if slope != 0.0:  # a zero slope gives both sides the same sandwich
-        lo, top = search_range(kappa, level=level, rise=-slope)
+        lo, top = _search_range(half_log, root, level, -slope)
     i, w, probes = find_threshold_index(value, p, -1, kappa, level, lo, top)
     return (probes[i][0], w, probes), right
 

@@ -8,15 +8,17 @@ derivative alternates between 1 and kappa on dyadic blocks of the axis
 narrow band, and each member concentrates at least 1/32 of its mass on its
 own dyadic window, so a single exact sample identifies the member.
 
-Members are materialized as explicit breakpoint lists (about 2m + 6
-breakpoints each), not evaluated through the block formulas per query,
-which gives O(log) evaluation and makes the agreement between consecutive
-members exact in floating point.  Each edge y / sqrt(kappa) is passed as
-the exact int pair ``(a*q, b*p)``, with a/b the dyadic y and p/q the float
-sqrt(kappa), so every edge's denominator is p times a power of two and
-their lcm stays small.  The potential integrates its anchors in integers
-over that lcm and rounds each anchor once; where two members agree, their
-anchors are the same exact rationals and so the same floats.
+Members are materialized as explicit breakpoint lists (member i has
+4(m - i) + 10 breakpoints), not evaluated through the block formulas per
+query, which gives O(log) evaluation and makes the agreement between
+consecutive members exact in floating point.  Each edge y / sqrt(kappa) is
+passed as the exact int pair ``(a*q, b*p)``, with a/b the dyadic y (an
+integer but for one half) and p/q the float sqrt(kappa), so every edge's
+denominator is p or 2p and their lcm stays small.  The potential integrates
+its anchors in integers over that lcm and rounds each anchor once; where two
+members agree, their anchors are the same exact rationals and so the same
+floats.  The left half's pairs are the right half's with p negated, so the
+potential walks one half-line and mirrors it.
 """
 from __future__ import annotations
 
@@ -43,6 +45,25 @@ def largest_m(kappa: float) -> int:
     return m
 
 
+def _block_starts(kappa: float, i: int) -> list[int]:
+    """Starts of member i's blocks on the canonical half-line y >= 0, all integers.
+
+    The starts are 0, 2^(i-1), 2^i, 2^(i+1), then 2.5 * 2^j and 4 * 2^j for
+    each j from i to m - 1, then 5 * 2^(m-1).  Block k runs from start k to
+    start k + 1, the last one to infinity, with curvature 1 for even k and
+    kappa for odd k.  This is the one statement of the layout:
+    :func:`member_blocks` reports it and :func:`build_member` builds from it.
+    """
+    m = largest_m(kappa)
+    if not 1 <= i <= m:
+        raise UsageError(f"member index {i} outside [1, {m}]")
+    starts = [0, 1 << i - 1, 1 << i, 1 << i + 1]
+    for j in range(i, m):
+        starts += (5 << j - 1, 4 << j)
+    starts.append(5 << m - 1)
+    return starts
+
+
 def member_blocks(kappa: float, i: int) -> list[tuple[float, float, float]]:
     """Half-line curvature blocks of member i on the canonical axis y = x*sqrt(kappa).
 
@@ -50,20 +71,9 @@ def member_blocks(kappa: float, i: int) -> list[tuple[float, float, float]]:
     no overlaps; all edges are exact dyadic floats.  The final block is
     unbounded (end = inf).
     """
-    m = largest_m(kappa)
-    if not 1 <= i <= m:
-        raise UsageError(f"member index {i} outside [1, {m}]")
-    blocks = [
-        (0.0, 2.0 ** (i - 1), 1.0),
-        (2.0 ** (i - 1), 2.0**i, kappa),
-        (2.0**i, 2.0 ** (i + 1), 1.0),
-        (2.0 ** (i + 1), 2.5 * 2.0**i, kappa),
-    ]
-    for j in range(i, m):
-        blocks.append((2.5 * 2.0**j, 4.0 * 2.0**j, 1.0))
-        blocks.append((4.0 * 2.0**j, 5.0 * 2.0**j, kappa))
-    blocks.append((5.0 * 2.0 ** (m - 1), math.inf, 1.0))
-    return blocks
+    starts = list(map(float, _block_starts(kappa, i)))
+    ends = starts[1:] + [math.inf]
+    return [(s, e, kappa if k % 2 else 1.0) for k, (s, e) in enumerate(zip(starts, ends))]
 
 
 def build_member(kappa: float, i: int) -> PiecewiseQuadraticPotential:
@@ -75,21 +85,16 @@ def build_member(kappa: float, i: int) -> PiecewiseQuadraticPotential:
     segment anchors with its neighbors' on every region where the family
     agrees, so agreeing members return bitwise-identical responses.
     """
-    blocks = member_blocks(kappa, i)
-    pos_edges = []
-    pos_curvs = [blocks[0][2]]
-    for start, end, curv in blocks[1:]:
-        pos_edges.append(start)
-        pos_curvs.append(curv)
-        if start == 2.0**i and not math.isinf(end):
-            pos_edges.append(1.25 * 2.0**i)
-            pos_curvs.append(curv)
-    # each edge y / sqrt(kappa) exactly, as (a/b) / (p/q) = a*q / (b*p)
+    starts = _block_starts(kappa, i)
+    # each edge y / sqrt(kappa) exactly, as y / (p/q) = y*q / p; the split
+    # 1.25 * 2^i = 5 * 2^(i-2) is 5/2 at i = 1, the one y that is not an integer
     p, q = math.sqrt(kappa).as_integer_ratio()
-    pos = [(a * q, b * p) for a, b in map(float.as_integer_ratio, pos_edges)]
+    pos = [(y * q, p) for y in starts[1:]]
+    pos.insert(2, (5 * q, 2 * p) if i == 1 else ((5 << i - 2) * q, p))
+    curvatures = [1.0, kappa] * (len(starts) // 2) + [1.0]
+    curvatures.insert(3, 1.0)
     breakpoints = [(-a, b) for a, b in reversed(pos)] + pos
-    curvatures = list(reversed(pos_curvs[1:])) + pos_curvs
-    return PiecewiseQuadraticPotential(breakpoints, curvatures)
+    return PiecewiseQuadraticPotential(breakpoints, curvatures[:0:-1] + curvatures)
 
 
 @dataclass(frozen=True)

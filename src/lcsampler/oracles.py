@@ -14,6 +14,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
+from operator import add, le, mul, neg, truediv
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -57,6 +58,15 @@ class PiecewiseQuadraticPotential:
     bitwise identically there, no matter how their segment lists subdivide
     it or which denominators the rest of their breakpoints carry: an exact
     value has one nearest float.
+
+    An even potential, whose ratio pairs mirror about 0 up to the sign of
+    ``p`` and whose curvatures mirror too, costs one half-line: the walk
+    runs rightward only and each left anchor is its right mirror image with
+    the slope negated, which is bitwise what the leftward walk gives (see
+    ``_segment_anchors``).  A float's ratio is reduced, so a float list
+    mirrors exactly when its floats do.  Any other list walks both ways,
+    among them an even one whose mirrored pairs carry different
+    denominators, such as ``(-2, 4)`` against ``(1, 2)``.
     """
 
     def __init__(self, breakpoints: Sequence, curvatures: Sequence[float]):
@@ -77,47 +87,67 @@ class PiecewiseQuadraticPotential:
             elif len(b) != 2 or type(b[0]) is not int or type(b[1]) is not int or b[1] <= 0:
                 raise UsageError(f"an exact breakpoint must be two ints (p, q) with q > 0, got {b!r}")
             bp_ratios.append(b)
-        cv = [float(c) for c in curvatures]
-        bad = [c for c in cv if not math.isfinite(c)]
-        if bad:
-            raise UsageError(f"every curvature must be finite, got {bad[0]}")
+        cv = list(map(float, curvatures))
+        if not all(map(math.isfinite, cv)):
+            bad = next(c for c in cv if not math.isfinite(c))
+            raise UsageError(f"every curvature must be finite, got {bad}")
+        n = len(bp_ratios)
+        ps, qs = zip(*bp_ratios) if n else ((), ())
+        # even: the pairs and curvatures mirror about 0 (so an odd middle pair is 0)
+        mirrored = (len(cv) == n + 1 and cv == cv[::-1] and qs == qs[::-1]
+                    and not any(map(add, ps[:(n + 1) // 2], reversed(ps))))
+        half = n // 2 if mirrored else 0
         try:
-            bp = [p / q for p, q in bp_ratios]
+            bp = list(map(truediv, ps[half:], qs[half:]))
         except OverflowError as exc:
             raise UsageError(f"a breakpoint overflows a float: {exc}") from exc
-        if len(cv) != len(bp) + 1:
+        if mirrored:  # correctly rounded division is odd: -p / q is -(p / q)
+            bp[:0] = map(neg, reversed(bp[n % 2:]))
+        if len(cv) != n + 1:
             raise UsageError(
-                f"need one curvature per segment: {len(bp)} breakpoints require "
-                f"{len(bp) + 1} curvatures, got {len(cv)}"
+                f"need one curvature per segment: {n} breakpoints require "
+                f"{n + 1} curvatures, got {len(cv)}"
             )
-        if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
+        if any(map(le, bp[1:], bp)):
             raise UsageError("breakpoints must be strictly increasing")
 
         self._bp_list = bp
-        self._rows = self._segment_anchors(bp_ratios, cv)
+        self._rows = self._segment_anchors(ps, qs, cv, mirrored)
         self._mass_cache = None
 
-    def _segment_anchors(self, bp_ratios: list[tuple[int, int]], cv: list[float]) -> list[tuple]:
+    def _segment_anchors(self, ps: tuple, qs: tuple, cv: list[float], mirrored: bool) -> list[tuple]:
         """The anchor rows ``(anchor_x, anchor_v, anchor_d, c)``, one per segment.
 
         The segment holding the origin is anchored at the origin, every other
         segment at its edge closest to the origin (the mode).  Value/slope
         pairs at the edges come from exact integration of the curvature
         steps outward from 0 in integers: breakpoints (given as their exact
-        integer ratios) over D, curvatures over C, so slopes are numerators
-        over C*D and values numerators over 2*C*D^2.  Each anchor is rounded
-        once by ``int / int`` as the walk reaches it.
+        integer ratios ``ps[k] / qs[k]``) over D, curvatures over C, so
+        slopes are numerators over C*D and values numerators over 2*C*D^2.
+        Each anchor is rounded once by ``int / int`` as the walk reaches it.
+
+        A ``mirrored`` potential is even, so only the rightward walk runs,
+        over the right half's ratios and curvatures.  Walking left to the
+        mirror image of an edge crosses the mirror images of the same
+        segments, so its integers are the rightward walk's with the widths'
+        and slopes' signs flipped and the same value numerators, whatever
+        the common denominators; correctly rounded division is odd, so left
+        segment j is right segment n - j with the same value and the slope
+        ``0.0 - d``, bitwise what the leftward walk gives, a zero slope
+        included (``+0.0``, as ``0 / den`` gives it).
         """
         n = len(cv) - 1
         bp = self._bp_list
         j0 = bisect_right(bp, 0.0)
-        cv_ratios = {c: c.as_integer_ratio() for c in set(cv)}
-        bp_den = math.lcm(1, *{q for _, q in bp_ratios})
+        lo = j0 if mirrored else 0  # the integer tables start at edge lo
+        cv_ratios = {c: c.as_integer_ratio() for c in set(cv[lo:])}
+        dens = set(qs[lo:])
+        bp_den = math.lcm(1, *dens)
         cv_den = math.lcm(1, *(q for _, q in cv_ratios.values()))
-        scale = {q: bp_den // q for _, q in bp_ratios}
-        ys = [p * scale[q] for p, q in bp_ratios]
+        scale = {q: bp_den // q for q in dens}
+        ys = list(map(mul, ps[lo:], map(scale.__getitem__, qs[lo:])))
         cint = {c: p * (cv_den // q) for c, (p, q) in cv_ratios.items()}
-        cs = [cint[c] for c in cv]
+        cs = list(map(cint.__getitem__, cv[lo:]))
         slope_den = cv_den * bp_den
         value_den = 2 * slope_den * bp_den
         rows = [(0.0, 0.0, 0.0, cv[j0])] * (n + 1)
@@ -125,18 +155,24 @@ class PiecewiseQuadraticPotential:
         # rightward from 0, then leftward: walking right to edge k crosses
         # segment k and anchors segment k + 1, walking left to it crosses
         # segment k + 1 and anchors segment k
-        for edges, side in ((range(j0, n), 0), (range(j0 - 1, -1, -1), 1)):
+        walks = [(range(j0, n), ys[j0 - lo:], cs[j0 - lo:], 0)]
+        if not mirrored:
+            walks.append((range(j0 - 1, -1, -1), ys[:j0][::-1], cs[1:j0 + 1][::-1], 1))
+        for edges, edge_ys, crossed, side in walks:
             y, v, d = 0, 0, 0
-            for k in edges:
-                c = cs[k + side]
-                w = ys[k] - y
-                v, d = v + (2 * d + c * w) * w, d + c * w
-                y = ys[k]
+            for k, y_k, c in zip(edges, edge_ys, crossed):
+                w, y = y_k - y, y_k
+                cw = c * w
+                v, d = v + (2 * d + cw) * w, d + cw
                 j = k + 1 - side
                 try:
                     rows[j] = (bp[k], v / value_den, d / slope_den, cv[j])
                 except OverflowError:
                     overflows.append((j, bp[k]))
+        if mirrored:  # left segment j is the mirror image of right segment n - j
+            mirrors = reversed(rows[n - j0 + 1:])
+            rows[:j0] = [(x, v, 0.0 - d, c) for x, c, (_, v, d, _) in zip(bp, cv, mirrors)]
+            overflows += [(n - j, bp[n - j]) for j, _ in overflows]
         if overflows:
             j, x = min(overflows)
             raise UsageError(f"segment {j}: the potential at its anchor x = {x:g} overflows a float")

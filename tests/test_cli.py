@@ -419,6 +419,11 @@ class TestErrorPaths:
                 {"breakpoints": [-1e308, -1e307, 1e308], "curvatures": [1, 1, 1, 1]},
                 "segment 0: the potential at its anchor x = -1e+308 overflows",
             ),
+            # an even document overflows only at its outer anchors; the lowest is named
+            (
+                {"breakpoints": [-1e308, -1.0, 1.0, 1e308], "curvatures": [1, 1, 1, 1, 1]},
+                "segment 0: the potential at its anchor x = -1e+308 overflows",
+            ),
         ],
     )
     def test_non_finite_or_overflowing_piecewise_document_is_config_error(self, doc, message, capsys):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
 AREAS = [
-    "envelope1d", "line_envelope", "chain", "cli.sample", "cli.envelope-inspect",
+    "potential", "envelope1d", "line_envelope", "chain", "cli.sample", "cli.envelope-inspect",
     "cli.bench-queries", "cli.hardfamily-verify", "cli.hitandrun",
 ]
 

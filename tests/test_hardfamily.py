@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from helpers import (
     psi,
     second_derivative_by_formula,
 )
+from lcsampler import hardfamily
 from lcsampler import PotentialOracle, UsageError, prepare_envelope, sample_exact
 from lcsampler.hardfamily import (
     HardFamily,
@@ -26,7 +28,7 @@ from lcsampler.hardfamily import (
     member_window,
     run_identification_experiment,
 )
-from lcsampler.oracles import check_class_member
+from lcsampler.oracles import PiecewiseQuadraticPotential, check_class_member
 
 # quadrature regression constants (tol 1e-10), pinned on first computation
 WINDOW_MASS_1E6_I1 = 0.10265565705840798
@@ -132,6 +134,35 @@ class TestMemberConstruction:
             build_member(1e3, 0)
         with pytest.raises(UsageError):
             build_member(1e3, 7)  # m(1e3) = 6
+
+    @pytest.mark.parametrize("kappa", [2.0, 4.0, 37.5, 1e3, 1e6, 1e9, 1e12, 2.6e11])
+    def test_member_is_its_blocks(self, kappa, monkeypatch):
+        # the exact pairs build_member passes are member_blocks' starts, the
+        # unit run from 2^i split at 1.25 * 2^i, mirrored and divided by the
+        # float sqrt(kappa) read as a Fraction; the curvatures are the blocks'
+        built = []
+
+        def record(breakpoints, curvatures):
+            built.append((breakpoints, curvatures))
+            return PiecewiseQuadraticPotential(breakpoints, curvatures)
+
+        monkeypatch.setattr(hardfamily, "PiecewiseQuadraticPotential", record)
+        root = Fraction(math.sqrt(kappa))
+        m = largest_m(kappa)
+        for i in range(1, m + 1):
+            segments = []
+            for start, _, curv in member_blocks(kappa, i):
+                segments.append((start, curv))
+                if start == 2.0**i:
+                    segments.append((1.25 * 2.0**i, curv))
+            pos = [Fraction(start) / root for start, _ in segments[1:]]
+            curvs = [curv for _, curv in segments]
+            pot = build_member(kappa, i)
+            breakpoints, curvatures = built.pop()
+            assert len(breakpoints) == 4 * (m - i) + 10
+            assert [Fraction(p, q) for p, q in breakpoints] == [-b for b in reversed(pos)] + pos
+            assert list(curvatures) == pot.curvatures.tolist() == curvs[:0:-1] + curvs
+            assert pot.breakpoints.tolist() == [float(b) for b in [-b for b in reversed(pos)] + pos]
 
 
 class TestConsecutiveAgreement:

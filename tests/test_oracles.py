@@ -157,6 +157,8 @@ class TestExactAnchors:
     def _check(pot, breakpoints):
         rows = fraction_anchors(breakpoints, pot.curvatures.tolist())
         assert pot._rows == rows
+        # == lets -0.0 equal 0.0; the walk writes every zero as +0.0
+        assert not any(math.copysign(1.0, v) < 0.0 for row in pot._rows for v in row if v == 0.0)
         _, _, mu, vmin, _ = pot._segment_table()
         assert mu.tolist() == [x - d / c for x, _, d, c in rows]
         assert vmin.tolist() == [v - d * d / (2 * c) for _, v, d, c in rows]
@@ -174,6 +176,28 @@ class TestExactAnchors:
             cvs = np.exp(rng.uniform(0.0, np.log(1e6), size=n + 1)).tolist()
             pot = PiecewiseQuadraticPotential(bps, cvs)
             self._check(pot, bps)
+
+    @pytest.mark.parametrize(
+        "breakpoints, curvatures",
+        [
+            # symmetric, with 0.0 as its middle breakpoint
+            ([-2.0, -0.5, 0.0, 0.5, 2.0], [3.0, 1.0, 7.0, 7.0, 1.0, 3.0]),
+            ([-0.75, 0.0, 0.75], [1.0, 5.0, 5.0, 1.0]),
+            # symmetric breakpoints, asymmetric curvatures
+            ([-2.0, -0.5, 0.5, 2.0], [3.0, 1.0, 7.0, 1.0, 2.0]),
+            ([-2.0, -0.5, 0.0, 0.5, 2.0], [3.0, 1.0, 7.0, 6.0, 1.0, 3.0]),
+            # symmetric but for one ulp in one breakpoint
+            ([-2.0, -0.5, 0.5, math.nextafter(2.0, math.inf)], [3.0, 1.0, 7.0, 1.0, 3.0]),
+            ([-2.0, math.nextafter(-0.5, 0.0), 0.5, 2.0], [3.0, 1.0, 7.0, 1.0, 3.0]),
+            # symmetric, given as unreduced pairs on one side
+            ([(-6, 4), (-2, 4), (1, 2), (3, 2)], [3.0, 1.0, 7.0, 1.0, 3.0]),
+            ([(-3, 2), (-1, 2), (0, 5), (2, 4), (6, 4)], [3.0, 1.0, 7.0, 7.0, 1.0, 3.0]),
+        ],
+    )
+    def test_near_symmetric_lists(self, breakpoints, curvatures):
+        pot = PiecewiseQuadraticPotential(breakpoints, curvatures)
+        exact = [Fraction(*b) if isinstance(b, tuple) else b for b in breakpoints]
+        self._check(pot, exact)
 
     def test_arrays_built_on_first_use_match_inputs_and_scalar_path(self):
         kappa = 2.6e11

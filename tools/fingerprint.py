@@ -10,6 +10,11 @@ Two checkouts agree on an area exactly when every number the area reads is
 bitwise equal, so a refactor can show which behaviour it kept and which it
 changed.  The areas:
 
+* ``potential`` - every builtin and hard-family potential at each kappa of
+  ``KAPPAS``: ``breakpoints``, ``curvatures``, ``density_mass()``, and
+  scalar and array ``evaluate`` on a grid holding every breakpoint, its two
+  float neighbours, the midpoints between breakpoints and a span beyond
+  them, so a change to how a potential is built shows here directly.
 * ``envelope1d`` - every builtin and hard-family target at each kappa of
   ``KAPPAS``, with hidden offset 1.25: construction queries, ``piece_masses``,
   ``mass_total``, ``x_minus``, ``x_plus``, scalar and array ``log_value`` on
@@ -82,12 +87,28 @@ def grid(env) -> np.ndarray:
     ])
 
 
+def target_names(lc, kappa: float) -> list[str]:
+    """The builtin targets and, from kappa 2 on, every hard-family member."""
+    names = ["gaussian", "skewed"]
+    if kappa >= 2.0:
+        names += [f"hard:{i}" for i in range(1, lc.largest_m(kappa) + 1)]
+    return names
+
+
+def potential(lc, digest) -> None:
+    for kappa in KAPPAS:
+        for name in target_names(lc, kappa):
+            pot = lc.targets.builtin_potential(name, kappa)
+            bp = pot.breakpoints
+            xs = np.concatenate([np.linspace(-6.0, 6.0, 97), bp, np.nextafter(bp, -np.inf),
+                                 np.nextafter(bp, np.inf), (bp[:-1] + bp[1:]) / 2])
+            feed(digest, (name, kappa, bp, pot.curvatures, pot.density_mass(),
+                          [pot.evaluate(float(x)) for x in xs], pot.evaluate(xs)))
+
+
 def envelope1d(lc, digest) -> None:
     for kappa in KAPPAS:
-        names = ["gaussian", "skewed"]
-        if kappa >= 2.0:
-            names += [f"hard:{i}" for i in range(1, lc.largest_m(kappa) + 1)]
-        for name in names:
+        for name in target_names(lc, kappa):
             _, oracle = lc.targets.resolve_target(name, kappa, HIDDEN_OFFSET)
             normalized, env = lc.prepare_envelope(oracle)
             feed(digest, (name, kappa, oracle.query_count, env.piece_masses, env.mass_total,
@@ -174,7 +195,8 @@ def fingerprint(root: Path) -> dict:
     if root.resolve() / "src" not in here.parents:
         raise SystemExit(f"imported lcsampler from {here}, not from {root / 'src'}")
     hashes = {}
-    for area, run in (("envelope1d", envelope1d), ("line_envelope", line_envelope), ("chain", chain)):
+    for area, run in (("potential", potential), ("envelope1d", envelope1d),
+                      ("line_envelope", line_envelope), ("chain", chain)):
         digest = hashlib.sha256()
         run(lc, digest)
         hashes[area] = digest.hexdigest()

@@ -11,7 +11,9 @@ first one at which the upper bound can reach the level needs a probe, and
 at the first one at which the lower bound does, ``top``, the level is
 certain, so a target that misses it there is outside the class.  The
 guarded dyadic binary search costs O(log log kappa) queries.  It returns
-the edges and every value it queried on the way.
+the edges and every value it queried on the way; a search that ends at
+``top`` without querying it takes the lower bound there as its value, unless
+the caller asks for exact edges, as the 1D sampler does.
 
 An :class:`Envelope` is a plateau of height ``h`` and, on each side, one
 table of rows ``(start, offset, drift)`` running outward; the first row of
@@ -52,19 +54,29 @@ from .errors import ClassViolationError, UsageError
 
 
 def find_threshold_index(
-    value, edge: float, side: int, kappa: float, level: float, lo: int, hi: int
+    value, edge: float, side: int, kappa: float, level: float, lo: int, hi: int,
+    certified: float | None = None,
 ) -> tuple[int, float, dict[int, tuple[float, float]]]:
     """Smallest i in [lo, hi] with ``value(edge + side * 2^i / sqrt(kappa)) >= level``.
 
-    Returns that index, the value queried there, and every probe: a dict
-    from each grid index queried to ``(x, value(x))``, in which increasing
-    indices run outward from ``edge``.  ``value`` must be
-    monotone along the grid, and each distinct index costs one query.  The
-    caller guarantees the level at ``hi`` for in-class targets; the answer
-    is verified with one extra query only when the search never evaluated
-    it, which is how out-of-class targets surface.  That check allows
+    Returns that index, the value there, and every probe: a dict from each
+    grid index evaluated to ``(x, value(x))``, in which increasing indices run
+    outward from ``edge``.  ``value`` must be monotone along the grid, and
+    each distinct index costs one query.  The caller guarantees the level
+    at ``hi`` for in-class targets, and the search can end on an index it
+    never evaluated only there.  Then ``certified``, when given, is taken
+    as the value at ``hi`` and recorded as its probe at no query: a lower
+    bound on ``value`` there that reaches the level, such as the sandwich's.
+    Without it the answer is verified with one extra query, which is how
+    out-of-class targets surface.  Either value must reach the level less
     ``1e-9`` of float noise, because class members can sit exactly on the
-    threshold.  Worst case ceil(log2(hi - lo + 1)) + 1 queries.
+    threshold.  Worst case ceil(log2(hi - lo + 1)) + 1 queries either way,
+    for an answer below ``hi - 1``, where the first probe costs one beyond
+    bisection's count.  An answer at ``hi`` costs one query with
+    ``certified`` (the probe at ``hi - 1``, none when ``lo = hi``), as the
+    line step runs it, and two without, as the 1D envelope runs it: its
+    drift and offset need the exact value at its edge, and that query is
+    how a flat 1D target surfaces.
 
     Probe order keeps the count stable as the range grows: ``hi - 1`` first
     (near-quadratic targets put the threshold at the top for every kappa),
@@ -91,9 +103,9 @@ def find_threshold_index(
         i = pivot if i == hi - 1 else (left + right) // 2
     ans = left
     known = probes.get(ans)
-    if known is None:  # the search never evaluated its answer
+    if known is None:  # the search never evaluated its answer, so it is hi
         x = edge + side * 2.0**ans / root
-        known = probes[ans] = x, value(x)
+        known = probes[ans] = x, value(x) if certified is None else certified
     w = known[1]
     if not w >= level - 1e-9:
         raise ClassViolationError(
@@ -305,7 +317,8 @@ def _search_range(half_log: float, root: float, level: float, rise: float) -> tu
     return lo, top if top > lo else lo
 
 
-def threshold_searches(value, p: float, kappa: float, *, level: float, slope: float):
+def threshold_searches(value, p: float, kappa: float, *, level: float, slope: float,
+                       exact_edges: bool = False):
     """Both threshold searches of the module docstring around the anchor ``p``.
 
     ``W(p) = 0`` and ``W'(p) = slope``; each side searches the range
@@ -313,16 +326,34 @@ def threshold_searches(value, p: float, kappa: float, *, level: float, slope: fl
     first, then left; ``value`` is queried, and nothing else.  Returns
     ``(left, right)``, each side as ``(edge, W(edge), probes)``, with the
     probes of :func:`find_threshold_index`: every grid index that side
-    queried, mapped to ``(x, W(x))``, the edge among them.
+    evaluated, mapped to ``(x, W(x))``, the edge among them.
+
+    A side whose search ends at its ``top`` without querying it takes the
+    sandwich's lower bound there, ``rise d + d^2/2`` at ``d = 2^top /
+    sqrt(kappa)``, as ``W(edge)``: every class member reaches the level
+    there, and a row built from a lower bound on W still dominates.  So a
+    side whose edge is its top costs one query, none when ``lo = top``, and
+    a side's worst case stays ``ceil(log2(top - lo + 1)) + 1`` queries.
+    With ``exact_edges`` that edge is queried and checked instead: the 1D
+    envelope's drift and offset need the exact ``W(edge)``, and that query
+    is how a flat 1D target surfaces.
     """
     half_log, root = math.log2(kappa) / 2, math.sqrt(kappa)
     lo, top = _search_range(half_log, root, level, slope)
-    i, w, probes = find_threshold_index(value, p, +1, kappa, level, lo, top)
+    certified = None if exact_edges else _lower_bound(slope, top, root)
+    i, w, probes = find_threshold_index(value, p, +1, kappa, level, lo, top, certified)
     right = probes[i][0], w, probes
     if slope != 0.0:  # a zero slope gives both sides the same sandwich
         lo, top = _search_range(half_log, root, level, -slope)
-    i, w, probes = find_threshold_index(value, p, -1, kappa, level, lo, top)
+        certified = None if exact_edges else _lower_bound(-slope, top, root)
+    i, w, probes = find_threshold_index(value, p, -1, kappa, level, lo, top, certified)
     return (probes[i][0], w, probes), right
+
+
+def _lower_bound(rise: float, index: int, root: float) -> float:
+    """The sandwich's lower bound ``rise*d + d^2/2`` at the grid index's ``d = 2^index / root``."""
+    d = 2.0**index / root
+    return rise * d + 0.5 * d * d
 
 
 def build_envelope(oracle) -> Envelope:
@@ -338,7 +369,7 @@ def build_envelope(oracle) -> Envelope:
             "build_envelope needs a normalized oracle; wrap it with normalize_at_zero()"
         )
     (x_minus, w_minus, _), (x_plus, w_plus, _) = threshold_searches(
-        oracle.value, 0.0, oracle.kappa, level=0.5, slope=0.0
+        oracle.value, 0.0, oracle.kappa, level=0.5, slope=0.0, exact_edges=True
     )
     return Envelope.from_geometry(x_minus, x_plus, w_minus / -x_minus, w_plus / x_plus, 1.0,
                                   min(w_minus, w_plus))

@@ -1,7 +1,8 @@
 """The worst-case potential family with dyadic curvature blocks.
 
 For condition number kappa >= 2 the family has m members, where m is the
-largest integer with ``exp(-2^(2m-2) / (2*kappa)) >= 1/2``.  Each member is
+largest integer with ``exp(-2^(2m-2) / (2*kappa)) >= 1/2``; kappa must stay
+below about 3.24e307, where m would pass 511 and ``4^m`` the float range.  Each member is
 an even, unit-strongly-convex, kappa-smooth potential whose second
 derivative alternates between 1 and kappa on dyadic blocks of the axis
 ``y = x * sqrt(kappa)``; consecutive members agree exactly outside one
@@ -36,11 +37,17 @@ _LN2 = math.log(2.0)
 
 
 def largest_m(kappa: float) -> int:
-    """Largest m with ``2^(2m-2) <= 2 * kappa * ln(2)``; requires a finite kappa >= 2."""
-    if not 2.0 <= kappa < math.inf:
-        raise UsageError(f"family needs a finite kappa >= 2, got {kappa}")
+    """Largest m with ``2^(2m-2) <= 2 * kappa * ln(2)``.
+
+    Requires kappa >= 2 with ``2 * kappa * ln(2) < 2^1022``, so that m
+    stays at most 511 and the search's ``2^(2m)`` a float: kappa below
+    about 3.24e307.
+    """
+    bound = 2.0 * kappa * _LN2
+    if not (2.0 <= kappa and bound < 2.0**1022):
+        raise UsageError(f"family needs 2 <= kappa < about 3.24e307, got kappa = {kappa:g}")
     m = 1
-    while 2.0 ** (2 * (m + 1) - 2) <= 2.0 * kappa * _LN2:
+    while 2.0 ** (2 * (m + 1) - 2) <= bound:
         m += 1
     return m
 

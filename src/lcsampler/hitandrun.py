@@ -23,9 +23,11 @@ The line step has three parts:
   runs the shared threshold searches
   :func:`lcsampler.envelope.threshold_searches` around p, with level 3 and
   the certificate's slope g.  Each side searches only the range that the
-  sandwich ``g t + t^2/2 <= W(p + t) <= g t + kappa t^2/2`` leaves open; on
-  a line of curvature 1 that is two queries a side.  It assembles the
-  envelope from every value the searches queried, not just the two edges,
+  sandwich ``g t + t^2/2 <= W(p + t) <= g t + kappa t^2/2`` leaves open, and
+  a search that ends at the range's top without querying it takes the
+  sandwich's lower bound there as its value: on a line of curvature 1 that
+  is one query a side, at the index below the top.  It assembles the
+  envelope from every value the searches hold, not just the two edges,
   with the strong-convexity bounds of adaptive rejection sampling, as rows
   (:class:`lcsampler.envelope.Envelope`) whose offsets count down from the
   plateau's ``log h = g^2/2``:
@@ -47,16 +49,24 @@ The line step has three parts:
     d_k/2``: strong convexity between p and x_k gives ``0 = W(p) >= w_k -
     W'(x_k) d_k + d_k^2/2``, so ``W'(x_k) >= s_k``, and then ``W(x_k + t) >=
     w_k + s_k t + t^2/2``.  The outermost row is the unbounded tail.
+  - Every step of that derivation holds for any ``w_k <= W(x_k)``, so an
+    edge the search took at the top unqueried gives its row from the lower
+    bound ``w_top = g d + d^2/2`` (``d = 2^top / sqrt(kappa)``, g signed
+    along the side).  On a line of curvature 1 that bound is W itself.
 
-  This envelope is nowhere above the one the two edges alone give (plateau
-  ``e^(1/2)`` between them, tails ``exp(-min(w_edge) - (w_edge/d_edge) t -
-  t^2/2)``), so the acceptance rate on a line never falls.  Between the
-  edges the plateau, the tangent row (at most ``e^(g^2/2)``) and every
-  probe's row (at most ``e^(-w_k) < 1``) lie below ``e^(1/2)``.  At the edge
-  ``s_edge > w_edge/d_edge``.  Past an outer probe x_2 its row lies below
-  the inner probe's, because ``w_2`` is at least the inner bound at x_2 and
-  ``s_2 >= s_1 + d_2 - d_1``: ``W(p + d) - d^2/2`` is convex and 0 at p, so
-  its chord slope from p grows.
+  This envelope is nowhere above the one the two edges alone give with the
+  values the searches hold there (plateau ``e^(1/2)`` between them, tails
+  ``exp(-min(w_edge) - (w_edge/d_edge) t - t^2/2)``), so against those edges
+  the acceptance rate on a line never falls.  Between the edges the
+  plateau, the tangent row (at most ``e^(g^2/2)``) and every probe's row
+  (at most ``e^(-w_k) < 1``) lie below ``e^(1/2)``.  At the edge ``s_edge >
+  w_edge/d_edge``.  Past an outer probe x_2 its row lies below the inner
+  probe's, because ``w_2`` is at least the inner bound at x_2 and ``s_2 >=
+  s_1 + d_2 - d_1``: ``W(p + d) - d^2/2`` is convex and 0 at p, so its chord
+  slope from p grows.  Where a bound stands in for a queried edge value the
+  envelope can lie above the queried edges' one near that edge, and no
+  bound on its mass against them is proved; the tests measure it on random
+  lines instead.
 * Rejection against that envelope draws the step size exactly.  Each
   trial asks for the value and the gradient in its one query; the accepted
   trial's queried point, value and gradient become the next step's
@@ -277,12 +287,15 @@ def bracket_minimizer(line: LineOracle, start: float, first: Certificate | None 
     without a query.  If ``|g| > 1`` there, strong convexity gives
     ``W'(start - g)`` the opposite sign, and regula falsi on W' between the
     two ends takes over; a secant step that fails to halve the bracket is
-    followed by a bisection, so every two probes at least halve it.  A class
-    member has ``|W'| <= 1`` within ``1/kappa`` of its minimizer, so the
-    search ends before the bracket is narrower than ``2/kappa``, after at
-    most ``2 + 2*max(0, ceil(log2(kappa*|g|/2)))`` queries.  With ``first``
-    given that bound is ``1 + 2*max(0, ceil(log2(kappa*|g|/2)))``, and no
-    query at all when ``|g| <= 1``.
+    followed by a bisection, and a secant point that rounds onto or past an
+    end of the bracket is replaced by one, so every two probes at least
+    halve it.  A class member has ``|W'| <= 1`` within ``1/kappa`` of its
+    minimizer, so the search ends before the bracket is narrower than
+    ``2/kappa``, after at most ``2 + 2*max(0, ceil(log2(kappa*|g|/2)))``
+    queries, whether or not the replacement fires: it halves the bracket
+    with one probe.  With ``first`` given that bound is ``1 +
+    2*max(0, ceil(log2(kappa*|g|/2)))``, and no query at all when ``|g| <=
+    1``.
 
     Raises ClassViolationError when the far end's slope has the sign of g,
     when the bracket falls below ``1/kappa`` (W' is steeper than kappa
@@ -309,7 +322,9 @@ def bracket_minimizer(line: LineOracle, start: float, first: Certificate | None 
         width = hi.lam - lo.lam
         lam = 0.5 * (lo.lam + hi.lam)
         if not bisect:
-            lam = lo.lam - lo.slope * width / (hi.slope - lo.slope)
+            secant = lo.lam - lo.slope * width / (hi.slope - lo.slope)
+            if lo.lam < secant < hi.lam:  # else it rounded onto or past an end: bisect
+                lam = secant
         if not (width >= 1.0 / kappa and lo.lam < lam < hi.lam):
             raise ClassViolationError(
                 f"W' rises from {lo.slope:.6g} to {hi.slope:.6g} across "
@@ -332,7 +347,10 @@ def build_line_envelope(line: LineOracle, certificate: Certificate) -> tuple[Env
     The shifted restriction is 0 at p with slope ``g``, and the searches'
     edges are the first dyadic offsets from p where it reaches 3, each
     side searched only where the certificate's sandwich leaves that edge
-    open.  The shift and the rows cost no query.
+    open.  An edge at the top of its range that the search did not query
+    takes the sandwich's lower bound there, which gives a dominating row
+    like a queried value, so a line of curvature 1 costs one query a side.
+    The shift and the rows cost no query.
     Returns the envelope together with the shifted, sandwich-checked oracle
     the rejection step must evaluate.
     """

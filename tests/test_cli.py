@@ -216,6 +216,22 @@ class TestHardFamilyVerify:
         assert run_cli(["hardfamily-verify", "--kappa", "1e3", "--trials", "0", "--out", str(out)]) == 4
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sample", "--target", "hard:1", "--kappa", "8e307", "--trials", "1"],
+            ["hardfamily-verify", "--kappa", "1e308"],
+        ],
+        ids=["sample-8e307", "verify-1e308"],
+    )
+    def test_kappa_beyond_the_family_range_is_config_error(self, tmp_path, capsys, args):
+        # from about 3.24e307 on the family's m would pass 511 and 4^m the
+        # float range, so the command names kappa and exits 4, not a traceback
+        out = tmp_path / "out"
+        assert run_cli([*args, "--out", str(out)]) == 4
+        assert f"kappa = {float(args[args.index('--kappa') + 1]):g}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestHitAndRunCommand:
     def test_csv_rows(self, tmp_path):
@@ -365,6 +381,16 @@ class TestErrorPaths:
     def test_curvature_above_beta_is_class_violation(self):
         doc = {"type": "piecewise", "beta": 4, "breakpoints": [0.5], "curvatures": [1.0, 50.0]}
         assert run_cli(["sample", "--target", json.dumps(doc), "--trials", "10"]) == 3
+
+    def test_in_class_diagonal_at_kappa_1e12_runs(self, tmp_path):
+        # the certificate search's secant point rounds onto an end of a
+        # bracket far wider than 1/kappa on one of these lines; the search
+        # bisects there rather than report a class violation
+        doc = {"type": "diagonal", "curvatures": [1, 1e6, 1e12]}
+        out = tmp_path / "chain.csv"
+        args = ["hitandrun", "--target", json.dumps(doc), "--trials", "30", "--seed", "1", "--out", str(out)]
+        assert run_cli(args) == 0
+        assert len(out.read_text().splitlines()) == 31
 
     @pytest.mark.parametrize("curvatures", [[0.5, 2.0], [1.0, -1.0]])
     def test_diagonal_curvature_below_one_is_class_violation(self, curvatures):

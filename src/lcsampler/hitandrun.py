@@ -67,12 +67,15 @@ The line step has three parts:
   envelope can lie above the queried edges' one near that edge, and no
   bound on its mass against them is proved; the tests measure it on random
   lines instead.
-* Rejection against that envelope draws the step size exactly.  Each
-  trial asks for the value and the gradient in its one query; the accepted
-  trial's queried point, value and gradient become the next step's
-  :class:`Probe`.  The oracle is deterministic, so that reused answer is
-  the one a fresh query at the same point would give, and the kernel is
-  Smith's (1984) Hit-and-Run kernel either way.
+* Rejection against that envelope draws the step size exactly.  The
+  trials query the line's one view, the :class:`CertifiedLine` that
+  :func:`build_line_envelope` returns and that the searches asked for
+  values alone.  Each trial asks it for the value and the gradient in one
+  query, and only the trials set its ``last``: the accepted trial's
+  queried point, value and gradient, the next step's :class:`Probe`.  The
+  oracle is deterministic, so that reused answer is the one a fresh query
+  at the same point would give, and the kernel is Smith's (1984)
+  Hit-and-Run kernel either way.
 
 The envelope dominates any restriction that keeps the curvature sandwich
 around the certificate, so a target outside the class could pass silently.
@@ -201,14 +204,12 @@ class Certificate(NamedTuple):
 
 
 class LineOracle:
-    """1D view W(lam) = V(base + lam * u) - shift; one multivariate query per call.
+    """1D view W(lam) = V(base + lam * u); one multivariate query per call.
 
     A unit-direction restriction keeps the sandwich [1, kappa], so ``kappa``
     is the multivariate oracle's.  ``value`` asks the oracle for the value
     alone.
     """
-
-    shift = 0.0
 
     def __init__(self, oracle: MultivariateOracle, base, direction):
         self._oracle = oracle
@@ -221,18 +222,24 @@ class LineOracle:
 
     def query(self, lam: float) -> tuple[float, float]:
         value, grad = self._oracle.query(self.point(float(lam)))
-        return value - self.shift, float(self.direction.dot(grad))
+        return value, float(self.direction.dot(grad))
 
     def value(self, lam: float) -> float:
-        return self._oracle.query(self.point(lam), gradient=False)[0] - self.shift
+        return self._oracle.query(self.point(lam), gradient=False)[0]
 
 
-class CertifiedLine(LineOracle):
-    """An unshifted line's restriction shifted by ``W(p)`` of a certificate p.
+class CertifiedLine:
+    """A line's one view around a certificate p: W shifted by ``W(p)``.
 
-    Every value is checked against the sandwich the certificate implies
-    before it is returned (:meth:`Certificate.check`).
+    Each value is checked against the sandwich the certificate implies
+    (:meth:`Certificate.check`).  The searches query :meth:`level`, the
+    value alone; the rejection trials query :meth:`value`, the value and
+    the gradient, and only it sets ``last``, a :class:`Probe` of the
+    queried point array.
     """
+
+    last: Probe | None = None
+    point = LineOracle.point
 
     def __init__(self, line: LineOracle, certificate: Certificate):
         self._oracle, self.kappa = line._oracle, line.kappa
@@ -240,21 +247,10 @@ class CertifiedLine(LineOracle):
         self.shift = certificate.value
         self.certificate = certificate
 
-    def value(self, lam: float) -> float:
+    def level(self, lam: float) -> float:
         value = self._oracle.query(self.base + lam * self.direction, gradient=False)[0]
         self.certificate.check(lam, value, self.kappa)
         return value - self.shift
-
-
-class TrialLine(CertifiedLine):
-    """The rejection loop's view of a certified line.
-
-    Each value is one query of the value and the gradient together, checked
-    like any other value of the line, and the answer is kept as ``last``, a
-    :class:`Probe` of the queried point array.
-    """
-
-    last: Probe | None = None
 
     def value(self, lam: float) -> float:
         point = self.base + lam * self.direction
@@ -341,7 +337,7 @@ def bracket_minimizer(line: LineOracle, start: float, first: Certificate | None 
     return certificate
 
 
-def build_line_envelope(line: LineOracle, certificate: Certificate) -> tuple[Envelope, LineOracle]:
+def build_line_envelope(line: LineOracle, certificate: Certificate) -> tuple[Envelope, CertifiedLine]:
     """The envelope of the module docstring for the restriction shifted by ``W(p)``.
 
     The shifted restriction is 0 at p with slope ``g``, and the searches'
@@ -351,13 +347,14 @@ def build_line_envelope(line: LineOracle, certificate: Certificate) -> tuple[Env
     takes the sandwich's lower bound there, which gives a dominating row
     like a queried value, so a line of curvature 1 costs one query a side.
     The shift and the rows cost no query.
-    Returns the envelope together with the shifted, sandwich-checked oracle
-    the rejection step must evaluate.
+    Returns the envelope and the line's one view, the
+    :class:`CertifiedLine` the rejection trials query; the searches asked
+    it for values alone, so its ``last`` is still None.
     """
-    shifted = CertifiedLine(line, certificate)
+    view = CertifiedLine(line, certificate)
     p, slope = certificate.lam, certificate.slope
     (_, _, probes_minus), (_, _, probes_plus) = threshold_searches(
-        shifted.value, p, line.kappa, level=3.0, slope=slope
+        view.level, p, line.kappa, level=3.0, slope=slope
     )
     floor = 0.5 * slope * slope
     rows_minus, rows_plus = _rows(p, probes_minus, floor), _rows(p, probes_plus, floor)
@@ -370,7 +367,7 @@ def build_line_envelope(line: LineOracle, certificate: Certificate) -> tuple[Env
     else:
         tangent = (mean, 0.0, 0.0) if rows_plus[0][0] > mean else (p, floor, -slope)
         rows_minus = (tangent, *rows_minus)
-    return Envelope(math.exp(floor), rows_minus, rows_plus), shifted
+    return Envelope(math.exp(floor), rows_minus, rows_plus), view
 
 
 def _rows(p: float, probes, floor: float) -> tuple[tuple[float, float, float], ...]:
@@ -430,10 +427,9 @@ def step(
         x = x.point
     line = restrict(oracle, x, u)
     certificate = bracket_minimizer(line, 0.0, first)
-    env, _ = build_line_envelope(line, certificate)
-    trials = TrialLine(line, certificate)
-    sample_exact(trials, env, rng)
-    return trials.last
+    env, view = build_line_envelope(line, certificate)
+    sample_exact(view, env, rng)
+    return view.last
 
 
 def run_chain(

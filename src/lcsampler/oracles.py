@@ -13,16 +13,17 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from operator import add, le, mul, neg, truediv
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import erfc, erfcx
+from scipy.special import erf, erfcx
 
 from .errors import ClassViolationError, UsageError
 
 _SQRT2 = math.sqrt(2.0)
+_SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 
 # fl(V(x) + C) - C rounds V to multiples of ulp(C); below 2^24 the error is
 # at most 2^-30, inside the 1e-9 slack of the class checks.
@@ -35,6 +36,12 @@ class OracleResponse(NamedTuple):
     value: float
     derivative: float
     second_derivative: float
+
+
+@cache
+def _gauss_legendre():
+    """Ten nodes and weights on [-1, 1]: exact to rounding for the density helpers' flat segments."""
+    return np.polynomial.legendre.leggauss(10)
 
 
 class PiecewiseQuadraticPotential:
@@ -234,44 +241,65 @@ class PiecewiseQuadraticPotential:
     # -- density helpers (test-harness path; never query-metered) ----------
 
     def _segment_table(self):
-        """Per-segment arrays (lo, hi, mu, vmin, c): exp(-V) in completed-square form."""
+        """Per-segment arrays (lo, hi, mu, vmin, c, x0, v0): exp(-V) in completed-square form.
+
+        ``(mu, vmin)`` is the summit of the segment's parabola and ``(x0, v0)``
+        its anchor.  Next to a kink at large kappa the summit lies far outside
+        the segment, where ``vmin = v0 - d0^2/(2c)`` rounds away the
+        segment's own values (or overflows to -inf), so a segment that does
+        not hold its summit takes V from the anchor instead.
+        """
         edges = [-math.inf, *self._bp_list, math.inf]
         rows = []
         for j, (x0, v0, d0, c) in enumerate(self._rows):
             if c <= 0:
                 raise UsageError("density helpers require strictly convex segments")
-            rows.append((edges[j], edges[j + 1], x0 - d0 / c, v0 - d0 * d0 / (2 * c), c))
+            rows.append((edges[j], edges[j + 1], x0 - d0 / c, v0 - d0 * d0 / (2 * c), c, x0, v0))
         return tuple(np.asarray(col, dtype=float) for col in zip(*rows))
 
     @staticmethod
-    def _segment_mass(lo, hi, mu, vmin, c):
-        """``int_lo^hi exp(-vmin - c*(x-mu)^2/2) dx`` elementwise, without cancellation.
+    def _segment_mass(lo, hi, mu, vmin, c, x0, v0):
+        """``int_lo^hi exp(-V) dx`` elementwise, without cancellation.
 
-        Segments entirely on one side of their summit are mirrored to its
-        right and evaluated through the scaled complementary error function
-        with the potential value at the near edge in the exponent, so
-        deep-tail segments underflow to zero instead of overflowing.
+        A segment that holds its summit is a difference of two error
+        functions of opposite sign.  One on a single side of its summit is
+        mirrored so that V rises from its near edge: with ``n`` the slope
+        there and ``w`` the width, both scaled by ``sqrt(c)``, its mass is
+        ``exp(-V(near)) / sqrt(c)`` times ``int_0^w exp(-u (n + u/2)) du``.
+        Where V rises by at least 1 across the segment that integral is a
+        difference of scaled complementary error functions, the second at
+        most 1/e of the first, and deep tails underflow to zero; where it
+        rises less it is a Gauss-Legendre sum, exact to rounding for so
+        nearly flat an integrand however narrow the segment.
         """
         r = np.sqrt(c)
-        pref = np.sqrt(2.0 * math.pi / c)
         z1 = (lo - mu) * r
         z2 = (hi - mu) * r
-        left = z2 <= 0
-        near = np.where(left, -z2, z1)
-        far = np.where(left, -z1, z2)
-
-        def tail_term(z, vmin):
-            # erfcx(z/sqrt(2)) * exp(-vmin - z^2/2); the exponent is -V(edge)
-            expo = -vmin - 0.5 * z * z
-            return np.where(expo < -745.0, 0.0, erfcx(z / _SQRT2) * np.exp(expo))
-
         out = np.empty(z1.shape)
-        side = near >= 0
-        v = vmin[side]
-        out[side] = 0.5 * pref[side] * (tail_term(near[side], v) - tail_term(far[side], v))
-        mid = ~side
-        phi_diff = 0.5 * (erfc(z1[mid] / _SQRT2) - erfc(z2[mid] / _SQRT2))
-        out[mid] = np.exp(-vmin[mid]) * pref[mid] * phi_diff
+        mid = (z1 < 0) & (z2 > 0)
+        half_pref = np.sqrt(0.5 * math.pi / c[mid])
+        out[mid] = np.exp(-vmin[mid]) * half_pref * (erf(z2[mid] / _SQRT2) - erf(z1[mid] / _SQRT2))
+
+        side = ~mid
+        r, rising = r[side], z1[side] >= 0
+        near = np.where(rising, lo[side], hi[side])
+        n = np.where(rising, z1[side], -z2[side])
+        t = near - x0[side]
+        # V(near) = v0 + t (V'(near) - c t / 2), V'(near) = +-n sqrt(c)
+        v_near = v0[side] + t * (np.where(rising, n, -n) * r - 0.5 * c[side] * t)
+        w = (hi[side] - lo[side]) * r
+        rise = w * (n + 0.5 * w)
+        steep = rise >= 1.0
+        scaled = np.empty(n.shape)
+        ns, ws = n[steep], w[steep]
+        scaled[steep] = _SQRT_HALF_PI * (
+            erfcx(ns / _SQRT2) - erfcx((ns + ws) / _SQRT2) * np.exp(-rise[steep])
+        )
+        nodes, weights = _gauss_legendre()
+        nf, wf = n[~steep, None], 0.5 * w[~steep, None]
+        u = wf * (1.0 + nodes)
+        scaled[~steep] = np.sum(wf * weights * np.exp(-u * (nf + 0.5 * u)), axis=1)
+        out[side] = np.exp(-v_near) / r * scaled
         return out
 
     def density_mass(self) -> float:
@@ -286,11 +314,11 @@ class PiecewiseQuadraticPotential:
     def density_cdf(self, x):
         """CDF of the normalized density exp(-V)/Z, exact per segment."""
         self.density_mass()
-        (lo, hi, mu, vmin, c), cum, total = self._mass_cache
+        (lo, hi, *rest), cum, total = self._mass_cache
         arr = np.asarray(x, dtype=float)
         xs = np.atleast_1d(arr)
         j = np.searchsorted(self.breakpoints, xs, side="right")
-        part = self._segment_mass(lo[j], np.minimum(xs, hi[j]), mu[j], vmin[j], c[j])
+        part = self._segment_mass(lo[j], np.minimum(xs, hi[j]), *(col[j] for col in rest))
         out = (cum[j] + part) / total
         return float(out[0]) if arr.ndim == 0 else out
 

@@ -83,6 +83,29 @@ def _document_fields():
         raise UsageError(f"bad target document: {exc!r}") from exc
 
 
+# a JSON number reads as int or float, never bool, though Python counts a bool an int;
+# an integer may be written as an integral float such as 10.0
+_KINDS = {
+    "a number": lambda v: type(v) in (int, float),
+    "an integer": lambda v: type(v) is int or type(v) is float and v.is_integer(),
+    "a list of numbers": lambda v: type(v) is list and all(type(x) in (int, float) for x in v),
+}
+
+
+def _field(doc: dict, name: str, kind: str, *default):
+    """The document's field ``name``, or ``default`` when given and the field is absent.
+
+    A value that is not ``kind`` (a key of ``_KINDS``) is a UsageError naming
+    the field: a string is not read as a list, nor a bool as a number.
+    """
+    if default and name not in doc:
+        return default[0]
+    value = doc[name]
+    if not _KINDS[kind](value):
+        raise UsageError(f"a target document's {name!r} must be {kind}, got {value!r}")
+    return value
+
+
 def _read_document(spec: str) -> dict:
     """Parse a target document given inline (starting with '{') or as a file path."""
     text = spec
@@ -98,14 +121,16 @@ def _read_document(spec: str) -> dict:
 def _declared_kappa(doc: dict, kappa: float | None, default: float | None = 1.0) -> float | None:
     """``kappa`` when given, else the document's ``beta``, else ``default``.
 
-    UsageError unless the document's ``alpha`` is 1.
+    UsageError unless the document's ``alpha`` is 1 and its ``beta``, if any,
+    a number.
     """
-    alpha = float(doc.get("alpha", 1.0))
+    alpha = float(_field(doc, "alpha", "a number", 1.0))
     if alpha != 1.0:
         raise UsageError(f"a target document's alpha must be 1, got {alpha:g}")
+    beta = _field(doc, "beta", "a number", None)
     if kappa is not None:
         return float(kappa)
-    return float(doc["beta"]) if "beta" in doc else default
+    return default if beta is None else float(beta)
 
 
 def resolve_target(
@@ -134,11 +159,15 @@ def resolve_target(
         if kind == "gaussian":
             potential = PiecewiseQuadraticPotential.gaussian()
         elif kind == "piecewise":
-            potential = PiecewiseQuadraticPotential(doc.get("breakpoints", []), doc["curvatures"])
+            potential = PiecewiseQuadraticPotential(
+                _field(doc, "breakpoints", "a list of numbers", []),
+                _field(doc, "curvatures", "a list of numbers"),
+            )
         else:
             raise UsageError(f"unknown potential type {kind!r}")
         check_class_member(potential, beta)
-        oracle = PotentialOracle(potential, beta=beta, hidden_offset=float(doc.get("offset", 0.0)))
+        offset = float(_field(doc, "offset", "a number", 0.0))
+        oracle = PotentialOracle(potential, beta=beta, hidden_offset=offset)
     return potential, oracle
 
 
@@ -166,12 +195,12 @@ def resolve_multivariate_target(
             if kind == "diagonal":
                 if dimension is not None:
                     raise UsageError("a diagonal document's dimension is its curvature count")
-                curvatures = np.asarray(doc["curvatures"], dtype=float)
+                curvatures = np.asarray(_field(doc, "curvatures", "a list of numbers"), dtype=float)
                 return quadratic_oracle(curvatures, _declared_kappa(doc, kappa, default=None))
             if kind != "gaussian":
                 raise UsageError(f"unsupported multivariate target type {kind!r}")
             beta = _declared_kappa(doc, kappa)
-            dimension = int(doc.get("dimension", 10) if dimension is None else dimension)
+            dimension = int(_field(doc, "dimension", "an integer", 10) if dimension is None else dimension)
     if dimension < 1:
         raise UsageError(f"dimension must be positive, got {dimension}")
     try:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import lcsampler
-from lcsampler import UsageError
+from helpers import adaptive_quadrature
+from lcsampler import UsageError, prepare_envelope
 from lcsampler.cli import build_parser, main
 from lcsampler.targets import resolve_target
 
@@ -158,6 +159,21 @@ class TestSampleCommand:
         meta = json.loads((tmp_path / "empty.txt.meta.json").read_text())
         assert meta["samples"] == 0 and meta["mean_trials"] is None
 
+    def test_acceptance_rate_is_right_at_kappa_1e160(self, tmp_path):
+        # the target's mass once read inf - inf there and wrote NaN, which is not JSON
+        out = tmp_path / "huge.txt"
+        assert run_cli(["sample", "--target", "hard:1", "--kappa", "1e160", "--trials", "3",
+                        "--out", str(out)]) == 0
+        text = (tmp_path / "huge.txt.meta.json").read_text()
+        meta = json.loads(text, parse_constant=lambda name: pytest.fail(f"sidecar holds {name}"))
+        potential, oracle = resolve_target("hard:1", 1e160)
+        _, env = prepare_envelope(oracle)
+        bps = potential.breakpoints
+        span = float(bps[-1]) + 12.0
+        mass = adaptive_quadrature(lambda x: math.exp(-potential.evaluate(x)[0]), -span, span,
+                                   tol=1e-12, breakpoints=bps).value
+        assert meta["acceptance_rate"] == pytest.approx(mass / env.mass_total, rel=1e-12)
+
     def test_same_seed_reproduces_byte_for_byte(self, tmp_path):
         texts = []
         for name in ("r1.txt", "r2.txt"):
@@ -304,6 +320,7 @@ class TestHitAndRunCommand:
             pytest.param("gaussian", ["--dimension", "7", "--kappa", "9"], 0, 7, 9.0, id="builtin-flags"),
             pytest.param({"type": "gaussian"}, [], 0, 10, 1.0, id="gaussian-default"),
             pytest.param({"type": "gaussian", "dimension": 3}, [], 0, 3, 1.0, id="gaussian-dimension"),
+            pytest.param({"type": "gaussian", "dimension": 3.0}, [], 0, 3, 1.0, id="gaussian-dimension-float"),
             pytest.param(
                 {"type": "gaussian", "dimension": 3, "beta": 5}, ["--dimension", "7"], 0, 7, 5.0,
                 id="gaussian-dimension-flag",
@@ -406,11 +423,28 @@ class TestErrorPaths:
             ("hitandrun", {"type": "gaussian", "dimension": "x"}),
             # JSON gives a list, never the constructor's exact (p, q) tuple
             ("envelope-inspect", {"type": "piecewise", "breakpoints": [[1, 2]], "curvatures": [1, 1]}),
+            # a string is not read character by character as a list
+            ("envelope-inspect", {"type": "piecewise", "breakpoints": "12", "curvatures": [1, 1, 1]}),
+            ("envelope-inspect", {"type": "piecewise", "curvatures": "1"}),
+            ("hitandrun", {"type": "diagonal", "curvatures": "123"}),
+            ("hitandrun", {"type": "diagonal", "curvatures": 5}),
+            # a dimension is an integer, not a float, a string or a bool
+            ("hitandrun", {"type": "gaussian", "dimension": 2.5}),
+            ("hitandrun", {"type": "gaussian", "dimension": "3"}),
+            ("hitandrun", {"type": "gaussian", "dimension": True}),
+            # a bool is not a number
+            ("envelope-inspect", {"type": "gaussian", "beta": True}),
+            ("envelope-inspect", {"type": "gaussian", "alpha": True}),
+            ("envelope-inspect", {"type": "gaussian", "offset": False}),
+            ("envelope-inspect", {"type": "piecewise", "breakpoints": [True], "curvatures": [1, 1]}),
+            ("hitandrun", {"type": "diagonal", "curvatures": [1, True]}),
         ],
     )
-    def test_mistyped_document_field_is_config_error(self, command, doc):
+    def test_mistyped_document_field_is_config_error(self, command, doc, capsys):
         trials = ["--trials", "1"] if command == "hitandrun" else []
         assert run_cli([command, "--target", json.dumps(doc), *trials]) == 4
+        field = next(name for name, value in doc.items() if name != "type")
+        assert repr(field) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, flags",

@@ -249,6 +249,38 @@ class TestWindowMass:
         assert member.density_mass() == pytest.approx(quad.value, rel=1e-9)
 
 
+    @pytest.mark.parametrize("i", [1, 3, 7])
+    def test_mass_and_cdf_match_quadrature_at_large_kappa(self, i):
+        # next to each kink the slope is about sqrt(kappa), so a curvature-1
+        # segment's summit lies about sqrt(kappa) away: its values cannot be
+        # taken from that summit (from 1e154 its value even overflows), and
+        # the central band, 2/sqrt(kappa) wide, must not cancel
+        for kappa in (1e20, 1e60, 1e154, 1e160, 1e200, 1e300):
+            member = build_member(kappa, i)
+            bps = member.breakpoints
+
+            def density(x):
+                return math.exp(-member.evaluate(x)[0])
+
+            span = float(bps[-1]) + 12.0
+            total = adaptive_quadrature(density, -span, span, tol=1e-12, breakpoints=bps).value
+            assert member.density_mass() == pytest.approx(total, rel=1e-12)
+            for x in (-2.0 / math.sqrt(kappa), 0.0, 0.5 / math.sqrt(kappa), float(bps[len(bps) // 2 + 2])):
+                below = adaptive_quadrature(density, -span, x, tol=1e-12, breakpoints=bps).value
+                assert member.density_cdf(x) == pytest.approx(below / total, abs=1e-12)
+
+    def test_every_mass_is_finite_up_to_the_largest_kappa(self):
+        # warnings are errors in this suite, so no overflow or inf - inf either
+        kappa = 3e307
+        top = largest_m(kappa)
+        for i in (*range(1, top, 8), top):
+            member = build_member(kappa, i)
+            mass = member.density_mass()
+            assert math.isfinite(mass) and mass > 0.0
+            # every member is even
+            assert member.density_cdf(0.0) == pytest.approx(0.5, abs=1e-12)
+
+
 class TestIdentify:
     def test_examples_kappa_four(self):
         assert identify(0.3, 4.0) == 1  # window (1/4, 1/2]

@@ -413,7 +413,7 @@ def edge_envelope(shifted, cert):
     Re-runs the searches (same probes, fresh queries).
     """
     (x_minus, w_minus, _), (x_plus, w_plus, _) = threshold_searches(
-        shifted.value, cert.lam, shifted.kappa, level=3.0, slope=cert.slope
+        shifted.level, cert.lam, shifted.kappa, level=3.0, slope=cert.slope
     )
     return Envelope.from_geometry(
         x_minus,
@@ -465,13 +465,13 @@ class TestNeverWorse:
         # and both find the same first index at which W reaches 3
         for line, cert in never_worse_lines(name, kappa):
             _, shifted = build_line_envelope(line, cert)
-            left, right = threshold_searches(shifted.value, cert.lam, kappa, level=3.0, slope=cert.slope)
+            left, right = threshold_searches(shifted.level, cert.lam, kappa, level=3.0, slope=cert.slope)
             wide_top = math.ceil(math.log2(kappa) / 2 + math.log2(abs(cert.slope) + math.sqrt(7.0)))
             for side, (edge, _, _) in ((-1, left), (1, right)):
                 lo, top = search_range(kappa, level=3.0, rise=side * cert.slope)
                 assert 1 <= lo <= top <= wide_top
                 index, _, probes = find_threshold_index(
-                    shifted.value, cert.lam, side, kappa, 3.0, 1, wide_top
+                    shifted.level, cert.lam, side, kappa, 3.0, 1, wide_top
                 )
                 assert probes[index][0] == edge
 
@@ -493,7 +493,7 @@ class TestSearchRange:
             before = oracle.query_count
             _, shifted = build_line_envelope(line, cert)
             assert oracle.query_count - before == 2
-            left, right = threshold_searches(shifted.value, cert.lam, kappa, level=3.0, slope=cert.slope)
+            left, right = threshold_searches(shifted.level, cert.lam, kappa, level=3.0, slope=cert.slope)
             for side, (edge, _, probes) in ((-1, left), (1, right)):
                 _, top = search_range(kappa, level=3.0, rise=side * cert.slope)
                 assert sorted(probes) == [top - 1, top]
@@ -557,14 +557,45 @@ class TestCertifiedEdge:
         for line, cert in never_worse_lines(name, kappa):
             env, shifted = build_line_envelope(line, cert)
             (x_minus, w_minus, _), (x_plus, w_plus, _) = threshold_searches(
-                shifted.value, cert.lam, kappa, level=3.0, slope=cert.slope, exact_edges=True
+                shifted.level, cert.lam, kappa, level=3.0, slope=cert.slope, exact_edges=True
             )
-            assert (w_minus, w_plus) == (shifted.value(x_minus), shifted.value(x_plus))
+            assert (w_minus, w_plus) == (shifted.level(x_minus), shifted.level(x_plus))
             queried = Envelope.from_geometry(
                 x_minus, x_plus, w_minus / (cert.lam - x_minus), w_plus / (x_plus - cert.lam),
                 math.exp(0.5), min(w_minus, w_plus) + 0.5,
             )
             assert env.mass_total <= queried.mass_total
+
+
+class TestOneView:
+    def test_trials_query_the_view_the_envelope_returns(self):
+        # the searches ask the view for values alone, each trial asks it
+        # for the value and the gradient, and the accepted trial's answer
+        # is its last, the one a fresh query there gives
+        diag = np.array([1.0, 30.0, 4.0])
+        gradients = 0
+
+        def gradient(x):
+            nonlocal gradients
+            gradients += 1
+            return diag * x
+
+        oracle = MultivariateOracle(lambda x: 0.5 * float(x @ (diag * x)), gradient, dimension=3, kappa=1e3)
+        rng = np.random.default_rng(71)
+        for _ in range(30):
+            x, u = rng.standard_normal(3), rng.standard_normal(3)
+            line = restrict(oracle, x, u / np.linalg.norm(u))
+            cert = bracket_minimizer(line, 0.0)
+            queries, before = oracle.query_count, gradients
+            env, view = build_line_envelope(line, cert)
+            assert oracle.query_count > queries and gradients == before
+            assert view.last is None
+            outcome = sample_exact(view, env, rng)
+            assert gradients - before == outcome.trials
+            last = view.last
+            assert last.point.tobytes() == view.point(outcome.result).tobytes()
+            value, grad = oracle.query(last.point)
+            assert last.value == value and last.gradient.tobytes() == grad.tobytes()
 
 
 class TestStep:

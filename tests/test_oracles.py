@@ -159,7 +159,7 @@ class TestExactAnchors:
         assert pot._rows == rows
         # == lets -0.0 equal 0.0; the walk writes every zero as +0.0
         assert not any(math.copysign(1.0, v) < 0.0 for row in pot._rows for v in row if v == 0.0)
-        _, _, mu, vmin, _ = pot._segment_table()
+        _, _, mu, vmin, *_ = pot._segment_table()
         assert mu.tolist() == [x - d / c for x, _, d, c in rows]
         assert vmin.tolist() == [v - d * d / (2 * c) for _, v, d, c in rows]
 

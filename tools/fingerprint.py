@@ -22,9 +22,11 @@ changed.  The areas:
   with their trial and query counts.
 * ``line_envelope`` - fixed random lines of quadratic targets: certificate
   and envelope queries, ``piece_masses``, ``mass_total``, ``x_minus``,
-  ``x_plus`` and scalar and array ``log_value`` on a grid.  No draws.
+  ``x_plus`` and scalar and array ``log_value`` on a grid, and the returned
+  view's ``shift``, ``point(0.0)`` and ``point(1.0)``.  No draws.
 * ``chain`` - positions and per-step queries of a Hit-and-Run chain on each
-  quadratic target of the line area.
+  quadratic target of the line area, and the value and gradient of its
+  ``last`` answer.
 * ``cli.<command>`` - each command's outputs: ``bench-queries`` without its
   wall-clock ``throughput`` column, and ``envelope-inspect`` without its
   geometry-row keys, whose layout is the stored form rather than behaviour.
@@ -135,15 +137,17 @@ def line_envelope(lc, digest) -> None:
             line = lc.restrict(oracle, x, u / np.linalg.norm(u))
             before = oracle.query_count
             cert = lc.bracket_minimizer(line, 0.0)
-            env, _ = lc.build_line_envelope(line, cert)
+            env, view = lc.build_line_envelope(line, cert)
             feed(digest, (oracle.query_count - before, tuple(cert), env.piece_masses,
-                          env.mass_total, env.x_minus, env.x_plus, log_values(env, grid(env))))
+                          env.mass_total, env.x_minus, env.x_plus, log_values(env, grid(env)),
+                          view.shift, view.point(0.0), view.point(1.0)))
 
 
 def chain(lc, digest) -> None:
     for (oracle, _), steps in zip(quadratic_targets(lc), (400, 200, 200)):
         result = lc.run_chain(oracle, np.zeros(oracle.dimension), steps, np.random.default_rng(5))
-        feed(digest, (result.positions, result.step_queries))
+        feed(digest, (result.positions, result.step_queries, result.last.value,
+                      result.last.gradient))
 
 
 def cli_outputs(lc) -> dict:

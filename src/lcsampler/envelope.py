@@ -13,7 +13,12 @@ certain, so a target that misses it there is outside the class.  The
 guarded dyadic binary search costs O(log log kappa) queries.  It returns
 the edges and every value it queried on the way; a search that ends at
 ``top`` without querying it takes the lower bound there as its value, unless
-the caller asks for exact edges, as the 1D sampler does.
+the caller asks for exact edges, as the 1D sampler does.  A search that
+reads each probe's slope with its value, as the 1D sampler's does, skips
+every probe whose outcome the kappa-upper bound from an earlier probe at or
+above the level decides: it finds the same edges and never spends more
+queries than the same search on values alone
+(:func:`find_threshold_index`).
 
 An :class:`Envelope` is a plateau of height ``h`` and, on each side, one
 table of rows ``(start, offset, drift)`` running outward; the first row of
@@ -57,31 +62,43 @@ def find_threshold_index(
     value, edge: float, side: int, kappa: float, level: float, lo: int, hi: int,
     certified: float | None = None,
 ) -> tuple[int, float, dict[int, tuple[float, float]]]:
-    """Smallest i in [lo, hi] with ``value(edge + side * 2^i / sqrt(kappa)) >= level``.
+    """Smallest i in [lo, hi] with ``W(edge + side * 2^i / sqrt(kappa)) >= level``.
 
-    Returns that index, the value there, and every probe: a dict from each
-    grid index evaluated to ``(x, value(x))``, in which increasing indices run
-    outward from ``edge``.  ``value`` must be monotone along the grid, and
-    each distinct index costs one query.  The caller guarantees the level
-    at ``hi`` for in-class targets, and the search can end on an index it
-    never evaluated only there.  Then ``certified``, when given, is taken
-    as the value at ``hi`` and recorded as its probe at no query: a lower
-    bound on ``value`` there that reaches the level, such as the sandwich's.
-    Without it the answer is verified with one extra query, which is how
-    out-of-class targets surface.  Either value must reach the level less
-    ``1e-9`` of float noise, because class members can sit exactly on the
-    threshold.  Worst case ceil(log2(hi - lo + 1)) + 1 queries either way,
-    for an answer below ``hi - 1``, where the first probe costs one beyond
-    bisection's count.  An answer at ``hi`` costs one query with
-    ``certified`` (the probe at ``hi - 1``, none when ``lo = hi``), as the
-    line step runs it, and two without, as the 1D envelope runs it: its
-    drift and offset need the exact value at its edge, and that query is
-    how a flat 1D target surfaces.
+    ``value(x)`` answers with one query: ``W(x)`` as a float, or the pair
+    ``(W(x), W'(x))``.  ``W(edge) = 0``, and ``W`` must be monotone along the
+    grid.  Returns that index, the value there, and every probe: a dict from
+    each grid index queried to ``(x, W(x))``, in which increasing indices run
+    outward from ``edge``.  The caller guarantees the level at ``hi`` for
+    in-class targets, and the search can end on an index it never queried
+    only there.  Then ``certified``, when given, is taken as the value at
+    ``hi`` and recorded as its probe at no query: a lower bound on ``W``
+    there that reaches the level, such as the sandwich's.  Without it the
+    answer is verified with one extra query, which is how out-of-class
+    targets surface.  Either value must reach the level less ``1e-9`` of
+    float noise, because class members can sit exactly on the threshold.
+    Worst case ceil(log2(hi - lo + 1)) + 1 queries, for an answer below ``hi
+    - 1``, where the first probe costs one beyond bisection's count.  An
+    answer at ``hi`` costs one query with ``certified`` (the probe at ``hi -
+    1``, none when ``lo = hi``), as the line step runs it, and two without,
+    as the 1D envelope runs it: its drift and offset need the exact value at
+    its edge, and that query is how a flat 1D target surfaces.
 
     Probe order keeps the count stable as the range grows: ``hi - 1`` first
     (near-quadratic targets put the threshold at the top for every kappa),
     then a pivot near the bottom (sharply peaked targets put it at a small,
     kappa-independent index), then bisection within the same budget.
+
+    Given pairs, a slope decides probes without a query.  A probe at or
+    above the level, with value ``w`` and outward slope ``s``, bounds ``W <=
+    w - s d + kappa d^2/2`` at distance ``d`` inward, so every index at which
+    that bound lies below the level lies below it, and by monotonicity every
+    index further in (:func:`_verdict`); an answer a verdict rests on must
+    first fit the sandwich of ``W(edge) = 0``, else ClassViolationError
+    names it.  The probe order stays the one above, and a probe whose
+    outcome is so decided costs no query.  So for a class member the search
+    returns the same index and value as on values alone, from the same
+    query at the edge, and never spends more queries.  Probes below the
+    level bound nothing here: their lower bounds decide almost no index.
     """
     if hi < lo:
         raise UsageError(f"empty search range [{lo}, {hi}]")
@@ -89,23 +106,39 @@ def find_threshold_index(
     probes: dict[int, tuple[float, float]] = {}
     # the answer lies in [left, right]; probe hi - 1, then the pivot, then
     # bisect, so no index is probed twice.  The pivot steps down from hi - 1
-    # by the largest power of two up to hi - lo (none when lo == hi).
+    # by the largest power of two up to hi - lo (none when lo == hi).  Every
+    # index below `below` is known to lie below the level.
     pivot = max(hi - 1 - ((1 << (hi - lo).bit_length()) >> 1), lo)
-    left, right, i = lo, hi, hi - 1
+    left, right, i, below = lo, hi, hi - 1, lo
     while left < right:
-        x = edge + side * 2.0**i / root
-        w = value(x)
-        probes[i] = x, w
-        if w >= level:
-            right = i
-        else:
+        if i < below:
             left = i + 1
+        else:
+            t = 2.0**i / root
+            x = edge + side * t
+            w = value(x)
+            if isinstance(w, tuple):  # the pair (W(x), W'(x))
+                w, s = w
+                if w >= level and i > left:  # an index inward of i is still open
+                    below = _verdict(x, t, w, side * s, kappa, level, root, i, below)
+            probes[i] = x, w
+            if w >= level:
+                right = i
+            else:
+                left = i + 1
         i = pivot if i == hi - 1 else (left + right) // 2
     ans = left
     known = probes.get(ans)
-    if known is None:  # the search never evaluated its answer, so it is hi
-        x = edge + side * 2.0**ans / root
-        known = probes[ans] = x, value(x) if certified is None else certified
+    if known is None:  # the search never queried its answer, so it is hi
+        t = 2.0**ans / root
+        x = edge + side * t
+        if certified is None:
+            w = value(x)
+            if isinstance(w, tuple):
+                w = w[0]
+        else:
+            w = certified
+        known = probes[ans] = x, w
     w = known[1]
     if not w >= level - 1e-9:
         raise ClassViolationError(
@@ -114,6 +147,60 @@ def find_threshold_index(
             query_point=known[0],
         )
     return ans, w, probes
+
+
+# What adding and cancelling an oracle's hidden offset may change a value by
+# (see lcsampler.oracles)
+_OFFSET_NOISE = 2.0**-30
+
+
+def _verdict(x: float, t: float, w: float, s: float, kappa: float, level: float, root: float,
+             i: int, below: int) -> int:
+    """``below`` raised past the inner indices that the probe at grid index ``i`` puts below the level.
+
+    Every index under ``below`` is known to lie below the level.  The probe
+    at ``x``, at distance ``t`` from the edge, answered ``W(x) = w >=
+    level`` with outward slope ``s``, so ``W <= w - s d + kappa d^2/2`` at
+    distance ``d`` inward.  That bound first drops below the level at its
+    smaller root ``d1``.  The outermost index under ``i`` and inward of ``t
+    - d1`` is checked against the bound less a slack of a relative 1e-12
+    (the value, the slope and the bound's own arithmetic each err by a few
+    ulps of its terms, about 1e-15) plus the hidden offset's noise on both
+    values; if it passes, it and every index further in lie below the
+    level, so no verdict rests on a rounded root.
+
+    Before a verdict rests on ``(w, s)`` they must fit the sandwich that
+    ``W(edge) = 0`` gives, in value form ``w - s t + t^2/2 <= 0 <= w - s t +
+    kappa t^2/2``, up to the relative slack of
+    :meth:`lcsampler.hitandrun.Certificate.check` plus the offset noise;
+    ClassViolationError names ``x`` otherwise.
+    """
+    excess = w - level
+    disc = s * s - 2.0 * kappa * excess
+    if not (s > 0.0 and disc > 0.0):  # the bound never dips below the level
+        return below
+    reach = t - 2.0 * excess / (s + math.sqrt(disc))  # t - d1, without cancellation
+    if not reach > 0.0:
+        return below
+    frac, exp = math.frexp(reach * root)  # the largest j with 2^j < reach * root
+    j = min(exp - 1 if frac > 0.5 else exp - 2, i - 1)
+    if j < below:
+        return below
+    d = t - 2.0**j / root
+    linear, quadratic = s * d, 0.5 * kappa * d * d
+    slack = 1e-12 * (abs(w) + abs(linear) + quadratic) + 2.0 * _OFFSET_NOISE
+    if not excess - linear + quadratic < -slack:
+        return below
+    linear, square = s * t, 0.5 * t * t
+    gap, steep = w - linear, kappa * square
+    slack = 1e-9 * (abs(w) + abs(linear) + steep) + _OFFSET_NOISE
+    if not gap + square <= slack >= -gap - steep:
+        raise ClassViolationError(
+            f"W({x:g}) = {w:.6g} with outward slope {s:.6g} escapes the curvature sandwich "
+            f"that W = 0 at distance {t:g} and kappa = {kappa:g} imply",
+            query_point=x,
+        )
+    return j + 1
 
 
 @dataclass(frozen=True, init=False)
@@ -323,10 +410,11 @@ def threshold_searches(value, p: float, kappa: float, *, level: float, slope: fl
 
     ``W(p) = 0`` and ``W'(p) = slope``; each side searches the range
     :func:`search_range` derives from the sandwich.  Searches right of ``p``
-    first, then left; ``value`` is queried, and nothing else.  Returns
-    ``(left, right)``, each side as ``(edge, W(edge), probes)``, with the
-    probes of :func:`find_threshold_index`: every grid index that side
-    evaluated, mapped to ``(x, W(x))``, the edge among them.
+    first, then left; ``value`` is queried, and nothing else, for values
+    or for value and slope pairs as :func:`find_threshold_index` takes them.
+    Returns ``(left, right)``, each side as ``(edge, W(edge), probes)``, with
+    the probes of :func:`find_threshold_index`: every grid index that side
+    queried, mapped to ``(x, W(x))``, the edge among them.
 
     A side whose search ends at its ``top`` without querying it takes the
     sandwich's lower bound there, ``rise d + d^2/2`` at ``d = 2^top /
@@ -361,15 +449,20 @@ def build_envelope(oracle) -> Envelope:
 
     The oracle must already answer V(x) - V(0) (see
     :func:`lcsampler.oracles.normalize_at_zero`); kappa is ``oracle.kappa``.
-    Total queries are at most ``2 * (ceil(log2(ceil(log2(kappa)/2) + 1)) +
-    1)``; the mass comes from the closed form, not from extra queries.
+    Each search query reads V' with the value (``value_and_slope``), at no
+    extra count, and a slope lets the searches skip probes whose outcome it
+    decides.  For a class member the edges, their values and so the
+    envelope are those of the same searches on values alone, and the
+    queries never exceed theirs.  Either way they total at most ``2 *
+    (ceil(log2(ceil(log2(kappa)/2) + 1)) + 1)``; the mass comes from the
+    closed form, not from extra queries.
     """
     if not getattr(oracle, "is_normalized", False):
         raise UsageError(
             "build_envelope needs a normalized oracle; wrap it with normalize_at_zero()"
         )
     (x_minus, w_minus, _), (x_plus, w_plus, _) = threshold_searches(
-        oracle.value, 0.0, oracle.kappa, level=0.5, slope=0.0, exact_edges=True
+        oracle.value_and_slope, 0.0, oracle.kappa, level=0.5, slope=0.0, exact_edges=True
     )
     return Envelope.from_geometry(x_minus, x_plus, w_minus / -x_minus, w_plus / x_plus, 1.0,
                                   min(w_minus, w_plus))

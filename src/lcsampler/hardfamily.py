@@ -37,19 +37,16 @@ _LN2 = math.log(2.0)
 
 
 def largest_m(kappa: float) -> int:
-    """Largest m with ``2^(2m-2) <= 2 * kappa * ln(2)``.
+    """Largest m with ``2^(2m-2) <= 2 * kappa * ln(2)``, read off the bound's binary exponent.
 
     Requires kappa >= 2 with ``2 * kappa * ln(2) < 2^1022``, so that m
-    stays at most 511 and the search's ``2^(2m)`` a float: kappa below
-    about 3.24e307.
+    stays at most 511 and ``2^(2m)`` a float: kappa below about 3.24e307.
     """
     bound = 2.0 * kappa * _LN2
     if not (2.0 <= kappa and bound < 2.0**1022):
         raise UsageError(f"family needs 2 <= kappa < about 3.24e307, got kappa = {kappa:g}")
-    m = 1
-    while 2.0 ** (2 * (m + 1) - 2) <= bound:
-        m += 1
-    return m
+    # 2^(e-1) <= bound < 2^e, so 2m - 2 is the largest even number up to e - 1
+    return (math.frexp(bound)[1] + 1) // 2
 
 
 def _block_starts(kappa: float, i: int) -> list[int]:

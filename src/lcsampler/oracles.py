@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from operator import add, le, mul, neg, truediv
 from typing import NamedTuple, Sequence
 
@@ -36,6 +36,10 @@ class OracleResponse(NamedTuple):
     value: float
     derivative: float
     second_derivative: float
+
+
+# OracleResponse from a 3-tuple, without the generated __new__'s Python frame
+_response = partial(tuple.__new__, OracleResponse)
 
 
 @cache
@@ -381,7 +385,7 @@ class PotentialOracle:
     def query(self, x: float) -> OracleResponse:
         self._count += 1
         v, d, s = self.potential.evaluate(float(x))
-        return OracleResponse(v + self.hidden_offset, d, s)
+        return _response((v + self.hidden_offset, d, s))
 
     def value(self, x: float) -> float:
         """The value of one query (one counter increment)."""
@@ -408,6 +412,11 @@ class _NormalizedOracle:
 
     def value(self, x: float) -> float:
         return self._inner.query(x).value - self._v0
+
+    def value_and_slope(self, x: float) -> tuple[float, float]:
+        """``(V(x) - V(0), V'(x))`` from one query, the pair the 1D threshold search reads."""
+        v, d, _ = self._inner.query(x)
+        return v - self._v0, d
 
 
 def normalize_at_zero(oracle):

@@ -1,8 +1,9 @@
 """Shared fixtures-in-spirit: adaptive quadrature, the KS statistic and the
 normal CDF, random class members, a geometric GOF test, the quadrature
 reference for the acceptance probability, the envelope's analytic CDF, the
-``Fraction`` reference for a potential's anchors, the hard family's
-block-formula cross-checks and separable product targets for Hit-and-Run."""
+``Fraction`` reference for a potential's anchors, the value-only 1D threshold
+search, the hard family's block-formula cross-checks and separable product
+targets for Hit-and-Run."""
 from __future__ import annotations
 
 import math
@@ -15,7 +16,8 @@ import numpy as np
 from scipy.special import erfc, erfcx
 from scipy.stats import chi2
 
-from lcsampler import MultivariateOracle, PiecewiseQuadraticPotential, UsageError
+from lcsampler import Envelope, MultivariateOracle, PiecewiseQuadraticPotential, UsageError
+from lcsampler.envelope import search_range
 from lcsampler.hardfamily import largest_m, member_blocks
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -298,6 +300,49 @@ def fraction_anchors(breakpoints, curvatures):
             a = j - 1 if j > j0 else j
             rows.append((bp[a], float(av[a]), float(ad[a]), c))
     return rows
+
+
+# -- the 1D threshold search on values alone (reference for the slopes) ---
+
+
+def value_only_search(value, side: int, kappa: float, lo: int, hi: int) -> tuple[int, float]:
+    """The 1D search around 0 for level 1/2 on values alone: every probe is queried.
+
+    The probe order of ``find_threshold_index``: ``hi - 1``, then the pivot
+    ``hi - 1`` less the largest power of two up to ``hi - lo``, then
+    bisection; an answer the loop never queried is queried once more.
+    Returns the index and the value there.
+    """
+    root = math.sqrt(kappa)
+    probed = {}
+    pivot = max(hi - 1 - ((1 << (hi - lo).bit_length()) >> 1), lo)
+    left, right, i = lo, hi, hi - 1
+    while left < right:
+        probed[i] = value(side * 2.0**i / root)
+        if probed[i] >= 0.5:
+            right = i
+        else:
+            left = i + 1
+        i = pivot if i == hi - 1 else (left + right) // 2
+    if left not in probed:
+        probed[left] = value(side * 2.0**left / root)
+    return left, probed[left]
+
+
+def value_only_envelope(normalized) -> Envelope:
+    """The 1D envelope from :func:`value_only_search` on a normalized oracle's values.
+
+    The paper's geometry as ``build_envelope`` assembles it: plateau 1
+    between the edges, each tail's drift its edge value over its edge's
+    distance from 0, and the smaller edge value as the offset.
+    """
+    lo, hi = search_range(normalized.kappa, level=0.5, rise=0.0)
+    root = math.sqrt(normalized.kappa)
+    i_plus, w_plus = value_only_search(normalized.value, +1, normalized.kappa, lo, hi)
+    i_minus, w_minus = value_only_search(normalized.value, -1, normalized.kappa, lo, hi)
+    x_minus, x_plus = -(2.0**i_minus) / root, 2.0**i_plus / root
+    return Envelope.from_geometry(x_minus, x_plus, w_minus / -x_minus, w_plus / x_plus, 1.0,
+                                  min(w_minus, w_plus))
 
 
 # -- the hard family's block formulas (cross-checks of its construction) --

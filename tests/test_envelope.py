@@ -12,6 +12,8 @@ from helpers import (
     ks_critical_value,
     ks_statistic,
     random_class_potential,
+    value_only_envelope,
+    value_only_search,
 )
 from lcsampler import (
     ClassViolationError,
@@ -48,10 +50,13 @@ def search_top(kappa):
 def search(oracle, side):
     """The 1D threshold search on a normalized oracle, as build_envelope runs it.
 
-    Returns the index and the value queried at its edge.
+    Each query answers the value and the slope.  Returns the index and the
+    value queried at its edge.
     """
     kappa = oracle.kappa
-    index, value, _ = find_threshold_index(oracle.value, 0.0, side, kappa, 0.5, 0, search_top(kappa))
+    index, value, _ = find_threshold_index(
+        oracle.value_and_slope, 0.0, side, kappa, 0.5, 0, search_top(kappa)
+    )
     return index, value
 
 
@@ -82,13 +87,15 @@ class TestThresholdSearch:
         assert search(n, +1) == (1, 0.5)
 
     def test_binary_equals_linear_scan(self):
+        # class members at each kappa; the search reads slopes as
+        # build_envelope runs it and still finds the scan's first index
         rng = np.random.default_rng(31)
-        targets = [PiecewiseQuadraticPotential.gaussian(1.0)] + [
-            random_class_potential(rng, 1e3) for _ in range(15)
-        ]
-        targets += [hardfamily.build_member(1e3, i) for i in (1, 3, 6)]
-        for kappa in (1e3, 37.5):
+        for kappa in (1e3, 37.5, 1e6, 1e12):
             top = search_top(kappa)
+            m = hardfamily.largest_m(kappa)
+            targets = [PiecewiseQuadraticPotential.gaussian(1.0)]
+            targets += [random_class_potential(rng, kappa) for _ in range(15)]
+            targets += [hardfamily.build_member(kappa, i) for i in sorted({1, min(3, m), m})]
             for pot in targets:
                 for side in (+1, -1):
                     searched, _ = search(normalize_at_zero(make_oracle(pot, kappa)), side)
@@ -98,7 +105,7 @@ class TestThresholdSearch:
                         for i in range(top + 1)
                         if probe.value(side * 2.0**i / math.sqrt(kappa)) >= 0.5
                     )
-                    assert searched == scan
+                    assert searched == scan, (kappa, side)
 
     def test_hard_member_three_at_kappa_1e6(self):
         # frozen by linear scan of the exact piecewise representation
@@ -108,10 +115,13 @@ class TestThresholdSearch:
     def test_returned_value_is_the_oracle_value_at_the_edge(self):
         # the edge is queried by a probe or by the final check, so its value
         # comes at no extra query
+        # (class members at each kappa: the slopes reject a steeper target)
         rng = np.random.default_rng(5)
-        targets = [PiecewiseQuadraticPotential.gaussian(1.0), random_class_potential(rng, 1e6)]
-        targets += [hardfamily.build_member(1e6, i) for i in (1, 3, 10)]
         for kappa in (1.0, 37.5, 1e6):
+            targets = [PiecewiseQuadraticPotential.gaussian(1.0), random_class_potential(rng, kappa)]
+            if kappa >= 2.0:
+                m = hardfamily.largest_m(kappa)
+                targets += [hardfamily.build_member(kappa, i) for i in sorted({1, min(3, m), m})]
             for pot in targets:
                 for side in (+1, -1):
                     oracle = normalize_at_zero(make_oracle(pot, kappa, offset=2.5))
@@ -427,13 +437,24 @@ def _members(kappa):
 
 # Construction queries (normalization plus both threshold searches) per
 # target in _members order, recorded when the tails were still built from
-# the search level with offset 0; the edge values must come at no query.
+# the search level with offset 0 and the searches read values alone; the
+# edge values must come at no query.  A ceiling now: the slopes may only
+# save queries.
 CONSTRUCTION_QUERIES = {
     2.0: [5, 5, 5],
     37.5: [5, 5, 7, 7, 5],
     1e3: [5, 5, 9, 9, 9, 9, 5, 5],
     1e6: [5, 5, 7, 11, 11, 11, 11, 11, 11, 11, 11, 5, 5],
     1e12: [5, 5, 9, 9, 9] + [13] * 16 + [5, 5],
+}
+
+# The same counts with the searches reading each probe's slope, pinned
+CONSTRUCTION_QUERIES_WITH_SLOPES = {
+    2.0: [5, 5, 5],
+    37.5: [5, 5, 7, 3, 5],
+    1e3: [5, 5, 9, 7, 9, 3, 5, 5],
+    1e6: [5, 5, 5, 11, 9, 11, 7, 11, 9, 11, 3, 5, 5],
+    1e12: [5, 5, 7, 9, 5, 13, 11, 13, 9, 13, 11, 13, 7, 13, 11, 13, 9, 13, 11, 13, 3, 5, 5],
 }
 
 
@@ -462,9 +483,86 @@ class TestEdgeValueTails:
 
     @pytest.mark.parametrize("kappa", sorted(CONSTRUCTION_QUERIES))
     def test_construction_queries_unchanged(self, kappa):
-        counts = []
+        # no target costs more than the searches on values alone spent
+        counts = construction_counts(kappa)
+        assert all(map(int.__le__, counts, CONSTRUCTION_QUERIES[kappa])), counts
+
+    @pytest.mark.parametrize("kappa", sorted(CONSTRUCTION_QUERIES_WITH_SLOPES))
+    def test_construction_queries_pinned(self, kappa):
+        assert construction_counts(kappa) == CONSTRUCTION_QUERIES_WITH_SLOPES[kappa]
+
+
+def construction_counts(kappa):
+    """The construction queries of every target of _members at kappa, with no hidden offset."""
+    counts = []
+    for name in _members(kappa):
+        oracle = make_oracle(builtin_potential(name, kappa), kappa)
+        prepare_envelope(oracle)
+        counts.append(oracle.query_count)
+    return counts
+
+
+def verdict_cells():
+    """``(kappa, name)`` for the build1d sweep and every target at five more kappas."""
+    for kappa in (1e3, 1e6, 1e9, 1e12, 2.0, 37.5, 2.6e11, 1e15, 4.0**9):
         for name in _members(kappa):
-            oracle = make_oracle(builtin_potential(name, kappa), kappa)
-            prepare_envelope(oracle)
-            counts.append(oracle.query_count)
-        assert counts == CONSTRUCTION_QUERIES[kappa]
+            yield kappa, name
+
+
+class TestSlopeVerdicts:
+    """The 1D searches read slopes, and the envelopes stay those of values alone."""
+
+    def test_envelopes_equal_the_value_only_search(self):
+        # 20 seeded hidden offsets per cell: bitwise the same rows and masses,
+        # never more queries, and on the build1d sweep 15% fewer in all
+        # (7.16 search queries a build against 8.65)
+        rng = np.random.default_rng(71)
+        spent = {True: 0, False: 0}
+        for kappa, name in verdict_cells():
+            pot = builtin_potential(name, kappa)
+            for offset in rng.uniform(-3.0, 3.0, 20).tolist():
+                reference = normalize_at_zero(make_oracle(pot, kappa, offset))
+                expected = value_only_envelope(reference)
+                oracle = make_oracle(pot, kappa, offset)
+                _, env = prepare_envelope(oracle)
+                assert env.rows_minus == expected.rows_minus, (name, kappa, offset)
+                assert env.rows_plus == expected.rows_plus, (name, kappa, offset)
+                assert env.piece_masses == expected.piece_masses, (name, kappa, offset)
+                assert oracle.query_count <= reference.query_count, (name, kappa, offset)
+                if kappa in (1e3, 1e6, 1e9, 1e12):
+                    spent[True] += oracle.query_count
+                    spent[False] += reference.query_count
+        assert spent[True] < 0.9 * spent[False]
+
+    def test_a_dip_between_grid_points_decides_nothing(self):
+        # at index 5 of the kappa = 1e6 grid, t = 0.032, W = 200.4 and
+        # W' = 2e4 put the bound below 1/2 only for d in 0.02 -+ 4.5e-4,
+        # between the inner indices' distances 0.016 and 0.024, so the
+        # outermost index inward of the dip, 3, stays open and is queried
+        answers = {5: (200.4, 2e4), 4: (2.0, 100.0), 3: (1.0, 100.0), 2: (0.4, 10.0),
+                   1: (0.2, 10.0), 0: (0.1, 10.0)}
+        by_point = {2.0**j / 1e3: pair for j, pair in answers.items()}
+        index, value, probes = find_threshold_index(by_point.__getitem__, 0.0, +1, 1e6, 0.5, 0, 6)
+        assert (index, value) == (3, 1.0)
+        assert sorted(probes) == [1, 2, 3, 5]
+
+    def test_steeper_target_fails_loudly(self):
+        # curvature 4e6 under kappa 1e6: the values alone give an envelope
+        # without complaint, but the slope at the first probe, index 9 at
+        # 2^9 / 1e3, breaks the sandwich a verdict would rest on
+        steep = PiecewiseQuadraticPotential.gaussian(4e6)
+        value_only_envelope(normalize_at_zero(make_oracle(steep, 1e6, offset=0.5)))
+        with pytest.raises(ClassViolationError, match="escapes the curvature sandwich") as info:
+            prepare_envelope(make_oracle(steep, 1e6, offset=0.5))
+        assert info.value.query_point == 0.512
+
+    @pytest.mark.parametrize("offset", [2.0**24 - 1.0, -(2.0**24 - 1.0)])
+    def test_members_at_extreme_offsets_pass(self, offset):
+        # the largest hidden offsets round each value by up to 2^-30, and
+        # no member at kappa 1e15 trips the check or moves an edge
+        kappa = 1e15
+        for name in _members(kappa):
+            pot = builtin_potential(name, kappa)
+            _, env = prepare_envelope(make_oracle(pot, kappa, offset))
+            expected = value_only_envelope(normalize_at_zero(make_oracle(pot, kappa, offset)))
+            assert (env.rows_minus, env.rows_plus) == (expected.rows_minus, expected.rows_plus), name

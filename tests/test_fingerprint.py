@@ -5,8 +5,8 @@ from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
 AREAS = [
-    "potential", "envelope1d", "line_envelope", "chain", "cli.sample", "cli.envelope-inspect",
-    "cli.bench-queries", "cli.hardfamily-verify", "cli.hitandrun",
+    "potential", "envelope1d", "construction", "line_envelope", "chain", "cli.sample",
+    "cli.envelope-inspect", "cli.bench-queries", "cli.hardfamily-verify", "cli.hitandrun",
 ]
 
 

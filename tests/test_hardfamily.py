@@ -52,6 +52,24 @@ class TestLargestM:
         with pytest.raises(UsageError):
             largest_m(1.5)
 
+    def test_closed_form_equals_the_loop(self):
+        # the loop that defined m, against random kappas and every power of
+        # two the bound 2*kappa*ln(2) can cross, with its float neighbours
+        def loop(kappa):
+            bound, m = 2.0 * kappa * math.log(2.0), 1
+            while 2.0 ** (2 * (m + 1) - 2) <= bound:
+                m += 1
+            return m
+
+        rng = np.random.default_rng(73)
+        kappas = list(np.exp(rng.uniform(math.log(2.0), math.log(3.2e307), 3000)))
+        for e in range(2, 1022):
+            kappa = 2.0**e / (2.0 * math.log(2.0))
+            kappas += [math.nextafter(kappa, 0.0), kappa, math.nextafter(kappa, math.inf)]
+        for kappa in kappas:
+            if 2.0 <= kappa and 2.0 * kappa * math.log(2.0) < 2.0**1022:
+                assert largest_m(kappa) == loop(kappa), kappa
+
 
 class TestBumpProfiles:
     def test_phi_plateau_values(self):

@@ -68,6 +68,13 @@ class TestNormalizeAtZero:
         assert o.query_count == 2
         assert n.query_count == 2
 
+    def test_value_and_slope_is_one_query(self):
+        # the normalized value and the slope of a query, for one count
+        n = normalize_at_zero(standard_gaussian_oracle(offset=5.0))
+        response = n.query(1.5)
+        assert n.value_and_slope(1.5) == (response.value, response.derivative)
+        assert n.query_count == 3
+
 
 class TestPiecewiseEvaluation:
     def test_single_segment(self):

@@ -16,10 +16,13 @@ changed.  The areas:
   float neighbours, the midpoints between breakpoints and a span beyond
   them, so a change to how a potential is built shows here directly.
 * ``envelope1d`` - every builtin and hard-family target at each kappa of
-  ``KAPPAS``, with hidden offset 1.25: construction queries, ``piece_masses``,
-  ``mass_total``, ``x_minus``, ``x_plus``, scalar and array ``log_value`` on
-  a grid, array and scalar ``sample`` draws, and 50 ``sample_exact`` draws
-  with their trial and query counts.
+  ``KAPPAS``, with hidden offset 1.25: ``piece_masses``, ``mass_total``,
+  ``x_minus``, ``x_plus``, scalar and array ``log_value`` on a grid, array
+  and scalar ``sample`` draws, and 50 ``sample_exact`` draws with their
+  trial and query counts.
+* ``construction`` - the construction queries (normalization and both
+  threshold searches) of each ``envelope1d`` envelope, apart from its
+  geometry, so a change to how the searches spend queries shows here alone.
 * ``line_envelope`` - fixed random lines of quadratic targets: certificate
   and envelope queries, ``piece_masses``, ``mass_total``, ``x_minus``,
   ``x_plus`` and scalar and array ``log_value`` on a grid, and the returned
@@ -113,12 +116,20 @@ def envelope1d(lc, digest) -> None:
         for name in target_names(lc, kappa):
             _, oracle = lc.targets.resolve_target(name, kappa, HIDDEN_OFFSET)
             normalized, env = lc.prepare_envelope(oracle)
-            feed(digest, (name, kappa, oracle.query_count, env.piece_masses, env.mass_total,
-                          env.x_minus, env.x_plus, log_values(env, grid(env))))
+            feed(digest, (name, kappa, env.piece_masses, env.mass_total, env.x_minus, env.x_plus,
+                          log_values(env, grid(env))))
             rng = np.random.default_rng(7)
             feed(digest, env.sample(rng, size=200))
             feed(digest, [env.sample(rng) for _ in range(20)])
             feed(digest, [tuple(lc.sample_exact(normalized, env, rng)) for _ in range(50)])
+
+
+def construction(lc, digest) -> None:
+    for kappa in KAPPAS:
+        for name in target_names(lc, kappa):
+            _, oracle = lc.targets.resolve_target(name, kappa, HIDDEN_OFFSET)
+            lc.prepare_envelope(oracle)
+            feed(digest, (name, kappa, oracle.query_count))
 
 
 def quadratic_targets(lc):
@@ -200,7 +211,8 @@ def fingerprint(root: Path) -> dict:
         raise SystemExit(f"imported lcsampler from {here}, not from {root / 'src'}")
     hashes = {}
     for area, run in (("potential", potential), ("envelope1d", envelope1d),
-                      ("line_envelope", line_envelope), ("chain", chain)):
+                      ("construction", construction), ("line_envelope", line_envelope),
+                      ("chain", chain)):
         digest = hashlib.sha256()
         run(lc, digest)
         hashes[area] = digest.hexdigest()

@@ -13,8 +13,9 @@ certain, so a target that misses it there is outside the class.  The
 guarded dyadic binary search costs O(log log kappa) queries.  It returns
 the edges and every value it queried on the way; a search that ends at
 ``top`` without querying it takes the lower bound there as its value, unless
-the caller asks for exact edges, as the 1D sampler does.  A search that
-reads each probe's slope with its value, as the 1D sampler's does, skips
+the caller asks for exact edges, as the 1D sampler does.  Each query
+answers ``(W(x), W'(x))``, the slope None where a view reads values alone,
+as the line step's does; a search given slopes, as the 1D sampler's, skips
 every probe whose outcome the kappa-upper bound from an earlier probe at or
 above the level decides: it finds the same edges and never spends more
 queries than the same search on values alone
@@ -56,6 +57,7 @@ import numpy as np
 
 from . import numerics
 from .errors import ClassViolationError, UsageError
+from .oracles import _NormalizedOracle, normalize_at_zero
 
 
 def find_threshold_index(
@@ -64,12 +66,12 @@ def find_threshold_index(
 ) -> tuple[int, float, dict[int, tuple[float, float]]]:
     """Smallest i in [lo, hi] with ``W(edge + side * 2^i / sqrt(kappa)) >= level``.
 
-    ``value(x)`` answers with one query: ``W(x)`` as a float, or the pair
-    ``(W(x), W'(x))``.  ``W(edge) = 0``, and ``W`` must be monotone along the
-    grid.  Returns that index, the value there, and every probe: a dict from
-    each grid index queried to ``(x, W(x))``, in which increasing indices run
-    outward from ``edge``.  The caller guarantees the level at ``hi`` for
-    in-class targets, and the search can end on an index it never queried
+    ``value(x)`` answers with one query as the pair ``(W(x), W'(x))``, the
+    slope None when the view queried none.  ``W(edge) = 0``, and ``W`` must
+    be monotone along the grid.  Returns that index, the value there, and
+    every probe: a dict from each grid index queried to ``(x, W(x))``, in
+    which increasing indices run outward from ``edge``.  The caller
+    guarantees the level at ``hi`` for in-class targets, and the search can end on an index it never queried
     only there.  Then ``certified``, when given, is taken as the value at
     ``hi`` and recorded as its probe at no query: a lower bound on ``W``
     there that reaches the level, such as the sandwich's.  Without it the
@@ -88,17 +90,17 @@ def find_threshold_index(
     then a pivot near the bottom (sharply peaked targets put it at a small,
     kappa-independent index), then bisection within the same budget.
 
-    Given pairs, a slope decides probes without a query.  A probe at or
-    above the level, with value ``w`` and outward slope ``s``, bounds ``W <=
-    w - s d + kappa d^2/2`` at distance ``d`` inward, so every index at which
-    that bound lies below the level lies below it, and by monotonicity every
-    index further in (:func:`_verdict`); an answer a verdict rests on must
-    first fit the sandwich of ``W(edge) = 0``, else ClassViolationError
+    A slope that is not ``None`` decides probes without a query.  A probe at
+    or above the level, with value ``w`` and outward slope ``s``, bounds ``W
+    <= w - s d + kappa d^2/2`` at distance ``d`` inward, so every index at
+    which that bound lies below the level lies below it, and by monotonicity
+    every index further in (:func:`_verdict`); an answer a verdict rests on
+    must first fit the sandwich of ``W(edge) = 0``, else ClassViolationError
     names it.  The probe order stays the one above, and a probe whose
     outcome is so decided costs no query.  So for a class member the search
-    returns the same index and value as on values alone, from the same
-    query at the edge, and never spends more queries.  Probes below the
-    level bound nothing here: their lower bounds decide almost no index.
+    returns the same index and value as on values alone, from the same query
+    at the edge, and never spends more queries.  Probes below the level
+    bound nothing here: their lower bounds decide almost no index.
     """
     if hi < lo:
         raise UsageError(f"empty search range [{lo}, {hi}]")
@@ -116,11 +118,9 @@ def find_threshold_index(
         else:
             t = 2.0**i / root
             x = edge + side * t
-            w = value(x)
-            if isinstance(w, tuple):  # the pair (W(x), W'(x))
-                w, s = w
-                if w >= level and i > left:  # an index inward of i is still open
-                    below = _verdict(x, t, w, side * s, kappa, level, root, i, below)
+            w, s = value(x)
+            if s is not None and w >= level and i > left:  # an index inward of i is still open
+                below = _verdict(x, t, w, side * s, kappa, level, root, i, below)
             probes[i] = x, w
             if w >= level:
                 right = i
@@ -132,13 +132,7 @@ def find_threshold_index(
     if known is None:  # the search never queried its answer, so it is hi
         t = 2.0**ans / root
         x = edge + side * t
-        if certified is None:
-            w = value(x)
-            if isinstance(w, tuple):
-                w = w[0]
-        else:
-            w = certified
-        known = probes[ans] = x, w
+        known = probes[ans] = x, value(x)[0] if certified is None else certified
     w = known[1]
     if not w >= level - 1e-9:
         raise ClassViolationError(
@@ -278,15 +272,14 @@ class Envelope:
         fields["_cuts"] = (*[running / total for running in accumulate(masses[:-1])], math.inf)
 
     @classmethod
-    def from_geometry(cls, x_minus, x_plus, drift_minus, drift_plus, plateau_height=1.0,
-                      tail_offset=0.0) -> "Envelope":
-        """The paper's envelope: a plateau and one tail row per side.
+    def from_geometry(cls, x_minus, x_plus, drift_minus, drift_plus, tail_offset=0.0) -> "Envelope":
+        """The paper's envelope in normal form: a plateau of height 1 and one tail row per side.
 
         The rows are ``(x_minus, tail_offset, drift_minus)`` and ``(x_plus,
         tail_offset, drift_plus)``, every value converted to float.
         """
         tail_offset = float(tail_offset)
-        return cls(plateau_height, ((float(x_minus), tail_offset, float(drift_minus)),),
+        return cls(1.0, ((float(x_minus), tail_offset, float(drift_minus)),),
                    ((float(x_plus), tail_offset, float(drift_plus)),))
 
     def log_value(self, x):
@@ -410,8 +403,8 @@ def threshold_searches(value, p: float, kappa: float, *, level: float, slope: fl
 
     ``W(p) = 0`` and ``W'(p) = slope``; each side searches the range
     :func:`search_range` derives from the sandwich.  Searches right of ``p``
-    first, then left; ``value`` is queried, and nothing else, for values
-    or for value and slope pairs as :func:`find_threshold_index` takes them.
+    first, then left; ``value`` is queried, and nothing else, for the pair
+    that :func:`find_threshold_index` takes.
     Returns ``(left, right)``, each side as ``(edge, W(edge), probes)``, with
     the probes of :func:`find_threshold_index`: every grid index that side
     queried, mapped to ``(x, W(x))``, the edge among them.
@@ -457,25 +450,21 @@ def build_envelope(oracle) -> Envelope:
     (ceil(log2(ceil(log2(kappa)/2) + 1)) + 1)``; the mass comes from the
     closed form, not from extra queries.
     """
-    if not getattr(oracle, "is_normalized", False):
-        raise UsageError(
-            "build_envelope needs a normalized oracle; wrap it with normalize_at_zero()"
-        )
+    if not isinstance(oracle, _NormalizedOracle):
+        raise UsageError("build_envelope needs a normalized oracle; wrap it with normalize_at_zero()")
     (x_minus, w_minus, _), (x_plus, w_plus, _) = threshold_searches(
         oracle.value_and_slope, 0.0, oracle.kappa, level=0.5, slope=0.0, exact_edges=True
     )
-    return Envelope.from_geometry(x_minus, x_plus, w_minus / -x_minus, w_plus / x_plus, 1.0,
+    return Envelope.from_geometry(x_minus, x_plus, w_minus / -x_minus, w_plus / x_plus,
                                   min(w_minus, w_plus))
 
 
 def prepare_envelope(oracle):
-    """Normalize at the origin, then build the envelope at ``oracle.kappa``.
+    """Normalize a root oracle at the origin, then build the envelope at ``oracle.kappa``.
 
     Returns ``(normalized_oracle, envelope)``.  This is the whole
     query-metered construction pipeline: one normalization query plus the
     two threshold searches.
     """
-    from .oracles import normalize_at_zero
-
-    normalized = oracle if getattr(oracle, "is_normalized", False) else normalize_at_zero(oracle)
+    normalized = normalize_at_zero(oracle)
     return normalized, build_envelope(normalized)

@@ -141,17 +141,18 @@ def member_mass_in_window(family: HardFamily, i: int) -> float:
 
 
 def identify(y: float, kappa: float) -> int | None:
-    """Index k >= 1 with y in (2^(k-2), 2^(k-1)] / sqrt(kappa), else None."""
+    """Index k >= 1 with y in (2^(k-2), 2^(k-1)] / sqrt(kappa), else None.
+
+    Read off the binary exponent; UsageError when ``y * sqrt(kappa)`` is NaN or infinite.
+    """
     if y <= 0.0:
         return None
-    root = math.sqrt(kappa)
-    scaled = y * root
-    k = math.ceil(math.log2(scaled)) + 1
-    # guard the float log against edge rounding
-    while k >= 1 and scaled <= 2.0 ** (k - 2):
-        k -= 1
-    while scaled > 2.0 ** (k - 1):
-        k += 1
+    scaled = y * math.sqrt(kappa)
+    if not math.isfinite(scaled):
+        raise UsageError(f"identify needs a finite y * sqrt(kappa), got y = {y}, kappa = {kappa}")
+    # 2^(e-1) <= scaled < 2^e, with equality on the left exactly when m = 1/2
+    m, e = math.frexp(scaled)
+    k = e if m == 0.5 else e + 1
     return k if k >= 1 else None
 
 

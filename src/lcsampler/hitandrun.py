@@ -207,8 +207,8 @@ class LineOracle:
     """1D view W(lam) = V(base + lam * u); one multivariate query per call.
 
     A unit-direction restriction keeps the sandwich [1, kappa], so ``kappa``
-    is the multivariate oracle's.  ``value`` asks the oracle for the value
-    alone.
+    is the multivariate oracle's.  :meth:`query` answers the value and the
+    slope, which the certificate search reads.
     """
 
     def __init__(self, oracle: MultivariateOracle, base, direction):
@@ -224,18 +224,15 @@ class LineOracle:
         value, grad = self._oracle.query(self.point(float(lam)))
         return value, float(self.direction.dot(grad))
 
-    def value(self, lam: float) -> float:
-        return self._oracle.query(self.point(lam), gradient=False)[0]
-
 
 class CertifiedLine:
     """A line's one view around a certificate p: W shifted by ``W(p)``.
 
     Each value is checked against the sandwich the certificate implies
     (:meth:`Certificate.check`).  The searches query :meth:`level`, the
-    value alone; the rejection trials query :meth:`value`, the value and
-    the gradient, and only it sets ``last``, a :class:`Probe` of the
-    queried point array.
+    value alone, answered as the pair ``(W, None)``; the rejection trials
+    query :meth:`value`, the value and the gradient, and only it sets
+    ``last``, a :class:`Probe` of the queried point array.
     """
 
     last: Probe | None = None
@@ -247,10 +244,10 @@ class CertifiedLine:
         self.shift = certificate.value
         self.certificate = certificate
 
-    def level(self, lam: float) -> float:
+    def level(self, lam: float) -> tuple[float, None]:
         value = self._oracle.query(self.base + lam * self.direction, gradient=False)[0]
         self.certificate.check(lam, value, self.kappa)
-        return value - self.shift
+        return value - self.shift, None
 
     def value(self, lam: float) -> float:
         point = self.base + lam * self.direction
@@ -296,7 +293,10 @@ def bracket_minimizer(line: LineOracle, start: float, first: Certificate | None 
     Raises ClassViolationError when the far end's slope has the sign of g,
     when the bracket falls below ``1/kappa`` (W' is steeper than kappa
     allows), or when a probed value escapes the sandwich of the
-    certificate found.
+    certificate found, or when W' rises faster than kappa allows (with the
+    slack of :meth:`Certificate.check`) between two adjacent doubles at
+    least ``1/kappa`` apart; a smaller rise there is a UsageError: double
+    precision cannot resolve the line.
     """
     kappa = line.kappa
     if first is None:
@@ -322,6 +322,15 @@ def bracket_minimizer(line: LineOracle, start: float, first: Certificate | None 
             if lo.lam < secant < hi.lam:  # else it rounded onto or past an end: bisect
                 lam = secant
         if not (width >= 1.0 / kappa and lo.lam < lam < hi.lam):
+            # between adjacent doubles 1/kappa apart or more, only a rise
+            # steeper than kappa proves a violation
+            steep = kappa * width
+            slack = _SLACK * (abs(lo.slope) + abs(hi.slope) + steep)
+            if width >= 1.0 / kappa and hi.slope - lo.slope <= steep + slack:
+                raise UsageError(
+                    f"W' rises from {lo.slope:.6g} to {hi.slope:.6g} between adjacent doubles "
+                    f"{lo.lam:.17g} and {hi.lam:.17g}; kappa = {kappa:g} needs more than double precision"
+                )
             raise ClassViolationError(
                 f"W' rises from {lo.slope:.6g} to {hi.slope:.6g} across "
                 f"[{lo.lam:.17g}, {hi.lam:.17g}], steeper than kappa = {kappa:g} allows",

@@ -356,8 +356,6 @@ class PotentialOracle:
     immutable apart from the counter; use one oracle per sampling run.
     """
 
-    is_normalized = False
-
     def __init__(
         self,
         potential,
@@ -387,15 +385,12 @@ class PotentialOracle:
         v, d, s = self.potential.evaluate(float(x))
         return _response((v + self.hidden_offset, d, s))
 
-    def value(self, x: float) -> float:
-        """The value of one query (one counter increment)."""
-        return self.query(x).value
-
 
 class _NormalizedOracle:
-    """View answering V(x) - V(0); the counter stays on the root oracle."""
+    """View answering V(x) - V(0) by two methods, one query each, on the root oracle's counter.
 
-    is_normalized = True
+    :meth:`value` serves the rejection trials, :meth:`value_and_slope` the 1D threshold search.
+    """
 
     def __init__(self, inner, value_at_origin: float):
         self._inner = inner
@@ -405,10 +400,6 @@ class _NormalizedOracle:
     @property
     def query_count(self) -> int:
         return self._inner.query_count
-
-    def query(self, x) -> OracleResponse:
-        resp = self._inner.query(x)
-        return OracleResponse(resp.value - self._v0, resp.derivative, resp.second_derivative)
 
     def value(self, x: float) -> float:
         return self._inner.query(x).value - self._v0

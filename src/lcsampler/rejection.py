@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -82,17 +83,21 @@ def capped_trials(epsilon: float, rho_floor: float) -> int:
     """Trial cap that keeps a sample within total variation ``epsilon`` of the target.
 
     With acceptance probability at least ``rho_floor`` per trial, failing
-    ``N = ceil(ln(1/eps) / ln(1/(1 - rho_floor)))`` independent trials has
+    ``N = ceil(ln(eps) / ln(1 - rho_floor))`` independent trials has
     probability at most ``(1 - rho_floor)^N <= eps``.  Accepted draws are
     exactly target-distributed, so the distance of the output law of
     ``sample_exact(..., cap=N)`` (over samples plus the FAILURE token) from
-    the target equals that failure probability.
+    the target equals that failure probability.  The logarithms are
+    ``log(eps)`` and ``log1p(-rho_floor)``, and their quotient is taken
+    exactly, so N is a finite int for every pair in (0, 1), however large.
+    Where a rounded quotient would be an integer N can be one more, 4 and
+    not 3 at ``(1e-6, 0.99)``, still a valid cap.
     """
     if not 0.0 < epsilon < 1.0:
         raise UsageError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not 0.0 < rho_floor < 1.0:
         raise UsageError(f"rho_floor must lie in (0, 1), got {rho_floor}")
-    return math.ceil(math.log(1.0 / epsilon) / math.log(1.0 / (1.0 - rho_floor)))
+    return math.ceil(Fraction(math.log(epsilon)) / Fraction(math.log1p(-rho_floor)))
 
 
 def acceptance_probability(potential, env) -> float:

@@ -341,7 +341,7 @@ def value_only_envelope(normalized) -> Envelope:
     i_plus, w_plus = value_only_search(normalized.value, +1, normalized.kappa, lo, hi)
     i_minus, w_minus = value_only_search(normalized.value, -1, normalized.kappa, lo, hi)
     x_minus, x_plus = -(2.0**i_minus) / root, 2.0**i_plus / root
-    return Envelope.from_geometry(x_minus, x_plus, w_minus / -x_minus, w_plus / x_plus, 1.0,
+    return Envelope.from_geometry(x_minus, x_plus, w_minus / -x_minus, w_plus / x_plus,
                                   min(w_minus, w_plus))
 
 

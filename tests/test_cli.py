@@ -349,6 +349,11 @@ class TestErrorPaths:
     def test_cap_parameters_are_checked_before_the_first_draw(self, flags):
         assert run_cli(["sample", *flags, "--trials", "0"]) == 4
 
+    @pytest.mark.parametrize("flags", [["--epsilon", "1e-320"], ["--epsilon", "0.01", "--rho-floor", "1e-17"]])
+    def test_extreme_cap_parameters_run(self, flags, tmp_path):
+        # 1/epsilon overflows and 1 - rho rounds to 1; both lie in (0, 1)
+        assert run_cli(["sample", *flags, "--trials", "1", "--out", str(tmp_path / "draws.txt")]) == 0
+
     def test_rho_floor_is_checked_without_epsilon(self, tmp_path, capsys):
         assert run_cli(["sample", "--rho-floor", "7", "--trials", "3"]) == 4
         assert "--rho-floor" in capsys.readouterr().err
@@ -408,6 +413,14 @@ class TestErrorPaths:
         args = ["hitandrun", "--target", json.dumps(doc), "--trials", "30", "--seed", "1", "--out", str(out)]
         assert run_cli(args) == 0
         assert len(out.read_text().splitlines()) == 31
+
+    def test_in_class_diagonal_past_double_precision_is_config_error(self, capsys):
+        # curvature 1e32 > 2^104: one ulp at the line minimizer moves W' by
+        # more than 2, so the certificate search ends between two adjacent
+        # doubles whose slopes still exceed 1, with a rise the class allows
+        doc = {"type": "diagonal", "curvatures": [1, 1e32]}
+        assert run_cli(["hitandrun", "--target", json.dumps(doc), "--trials", "300", "--seed", "1"]) == 4
+        assert "double precision" in capsys.readouterr().err
 
     @pytest.mark.parametrize("curvatures", [[0.5, 2.0], [1.0, -1.0]])
     def test_diagonal_curvature_below_one_is_class_violation(self, curvatures):

@@ -232,7 +232,7 @@ class TestEnvelopeValue:
         assert self.env.value(-2.0) == pytest.approx(self.env.value(2.0))
 
     def test_shifted_plateau_variant_has_edge_jump(self):
-        env = Envelope.from_geometry(-1.0, 1.0, 1.5, 1.5, plateau_height=math.e, tail_offset=3.0)
+        env = Envelope(math.e, ((-1.0, 3.0, 1.5),), ((1.0, 3.0, 1.5),))
         assert env.value(1.0) == pytest.approx(math.e)
         just_outside = env.value(1.0 + 1e-12)
         assert just_outside == pytest.approx(math.exp(-2.0), rel=1e-9)
@@ -323,7 +323,8 @@ class TestEnvelopeSampling:
 class TestConstruction:
     def test_direct_construction_equals_from_geometry(self):
         env = Envelope(math.e, ((-1.0, 3.0, 0.5),), ((2.0, 3.0, 0.25),))
-        assert env == Envelope.from_geometry(-1.0, 2.0, 0.5, 0.25, math.e, 3.0)
+        assert Envelope(1.0, env.rows_minus, env.rows_plus) == Envelope.from_geometry(
+            -1.0, 2.0, 0.5, 0.25, 3.0)
         assert (env.x_minus, env.x_plus) == (-1.0, 2.0)
         assert env.mass_total == sum(env.piece_masses)
         assert env.piece_masses[1] == math.e * 3.0
@@ -342,8 +343,11 @@ class TestConstruction:
         ],
     )
     def test_bad_geometry_is_usage_error(self, geometry, message):
+        # (x_minus, x_plus, drift_minus, drift_plus), then the height and the
+        # tail offset where given, else 1 and 0
+        x_minus, x_plus, drift_minus, drift_plus, height, offset = geometry + (1.0, 0.0)[len(geometry) - 4:]
         with pytest.raises(UsageError, match=message):
-            Envelope.from_geometry(*geometry)
+            Envelope(height, ((x_minus, offset, drift_minus),), ((x_plus, offset, drift_plus),))
 
     @pytest.mark.parametrize(
         "pieces_plus",  # the right side's rows
@@ -379,9 +383,10 @@ class TestConstruction:
         assert env.x_minus == -1.0
 
     def test_int_geometry_is_stored_as_float(self):
-        env = Envelope.from_geometry(-1, 1, 0.5, 0.5, plateau_height=2, tail_offset=0)
-        assert env == Envelope.from_geometry(-1.0, 1.0, 0.5, 0.5, plateau_height=2.0, tail_offset=0.0)
-        assert hash(env) == hash(Envelope.from_geometry(-1.0, 1.0, 0.5, 0.5, plateau_height=2.0))
+        env = Envelope.from_geometry(-1, 1, 0.5, 0.5, tail_offset=0)
+        assert env == Envelope.from_geometry(-1.0, 1.0, 0.5, 0.5, tail_offset=0.0)
+        assert hash(env) == hash(Envelope.from_geometry(-1.0, 1.0, 0.5, 0.5))
+        assert type(Envelope(2, env.rows_minus, env.rows_plus).plateau_height) is float
         assert all(type(value) is float for value in (
             env.x_minus, env.x_plus, env.plateau_height, *env.rows_minus[0], *env.rows_plus[0]))
         assert Envelope(1, ((-1, 0, 0.5),), ((1, 0, 0.5),)) == Envelope.from_geometry(-1.0, 1.0, 0.5, 0.5)

@@ -327,6 +327,41 @@ class TestIdentify:
                     assert lo < y <= hi
 
 
+    def test_exponent_form_equals_the_loop(self):
+        # the log2 form with its two correcting loops, against random (kappa,
+        # y) pairs and, at each kappa, every 2^j / sqrt(kappa) with its float
+        # neighbours
+        def loop(y, kappa):
+            if y <= 0.0:
+                return None
+            scaled = y * math.sqrt(kappa)
+            k = math.ceil(math.log2(scaled)) + 1
+            while k >= 1 and scaled <= 2.0 ** (k - 2):
+                k -= 1
+            while scaled > 2.0 ** (k - 1):
+                k += 1
+            return k if k >= 1 else None
+
+        rng = np.random.default_rng(29)
+        pairs = list(zip(np.exp(rng.uniform(0.0, math.log(1e12), 300_000)).tolist(),
+                         np.exp(rng.uniform(-700.0, 690.0, 300_000)).tolist()))
+        for kappa in (2.0, 37.5, 1e6, 1e12):
+            root = math.sqrt(kappa)
+            for j in range(-1070, 1000):
+                y = 2.0**j / root
+                pairs += [(kappa, math.nextafter(y, 0.0)), (kappa, y), (kappa, math.nextafter(y, math.inf))]
+        assert len(pairs) == 324_840
+        for kappa, y in pairs:
+            assert identify(y, kappa) == loop(y, kappa), (kappa, y)
+
+    @pytest.mark.parametrize("y", [math.nan, math.inf, 1e300])
+    def test_non_finite_scaled_point_raises(self, y):
+        # 1e300 * sqrt(1e20) overflows; -inf lies at or below 0 and gives None
+        with pytest.raises(UsageError, match="finite"):
+            identify(y, 1e20)
+        assert identify(-math.inf, 1e20) is None
+
+
 class TestResponseDegeneracy:
     def test_origin_has_single_response(self):
         assert distinct_response_count(0.0, HardFamily.build(1e3)) == 1

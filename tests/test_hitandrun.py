@@ -45,7 +45,7 @@ class TestRestrict:
         line = restrict(o, x_t, np.array([0.0, 1.0]))
         assert np.array_equal(line.base, [1.0, 0.0])  # x_t, here also the line's closest point to 0
         assert np.array_equal(line.point(0.0), x_t)
-        assert line.value(2.0) == pytest.approx(2.5)  # (1 + 2^2) / 2
+        assert line.query(2.0)[0] == pytest.approx(2.5)  # (1 + 2^2) / 2
         assert line.query(0.0)[1] == 0.0
 
     def test_point_zero_is_the_start_bitwise(self):
@@ -72,7 +72,7 @@ class TestRestrict:
             line = restrict(o, rng.standard_normal(2), u)
             lam = float(rng.uniform(-2, 2))
             h = 1e-4
-            second = (line.value(lam + h) - 2 * line.value(lam) + line.value(lam - h)) / h**2
+            second = (line.query(lam + h)[0] - 2 * line.query(lam)[0] + line.query(lam - h)[0]) / h**2
             assert 1.0 - 1e-4 <= second <= kappa + 1e-4
 
     def test_rejects_non_unit_direction(self):
@@ -86,8 +86,8 @@ class TestRestrict:
         o = isotropic(2, 1.0)
         line = restrict(o, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         before = o.query_count
-        line.value(0.3)
         line.query(0.3)
+        line.query(-0.3)
         assert o.query_count == before + 2
         # the shifted line checks each value against the certificate
         # inside the one query that produced it
@@ -228,6 +228,26 @@ class TestBracketMinimizer:
         with pytest.raises(ClassViolationError, match="steeper than kappa = 1 allows"):
             bracket_minimizer(line, 1.0)
 
+    @pytest.mark.parametrize("curvature, kappa, error, message", [
+        (2.0, 4.0, UsageError, "double precision"),
+        (3.0, 2.0, ClassViolationError, "steeper than kappa = 2 allows"),
+    ])
+    def test_bracket_between_adjacent_doubles(self, curvature, kappa, error, message):
+        # W(lam) = c (lam - m)^2 / 2 about m = 2^53 + 1, which no double
+        # holds: the search ends on [2^53, 2^53 + 2], 2 >= 1/kappa wide with
+        # nothing between, where W' rises by 2c.  Up to 2 kappa that is the
+        # limit of double precision; beyond it, a proof that W'' > kappa
+        class Line:
+            def query(self, lam):
+                t = (lam - 2.0**53) - 1.0
+                return 0.5 * curvature * t * t, curvature * t
+
+        line = Line()
+        line.kappa = kappa
+        with pytest.raises(error, match=message) as info:
+            bracket_minimizer(line, 0.0)
+        assert all(f"{2.0**53 + d:.17g}" in str(info.value) for d in (0.0, 2.0))
+
     def test_minimizer_outside_seed_interval_raises_class_violation(self):
         # curvature 100 against a declared kappa of 1: from the start 0,
         # W'(0) = g = 9.80, and with kappa = 1 the interval [-g, -g/kappa]
@@ -362,7 +382,7 @@ class TestLineEnvelope:
                     lo, _ = search_range(kappa, level=3.0, rise=side * cert.slope)
                     assert lo >= 1
                     for i in range(lo - 8, lo):
-                        probe = line.value(cert.lam + side * 2.0**i / math.sqrt(kappa)) - cert.value
+                        probe = line.query(cert.lam + side * 2.0**i / math.sqrt(kappa))[0] - cert.value
                         assert probe < 3.0
 
     def test_mass_is_proportional_to_edge_width(self):
@@ -415,14 +435,9 @@ def edge_envelope(shifted, cert):
     (x_minus, w_minus, _), (x_plus, w_plus, _) = threshold_searches(
         shifted.level, cert.lam, shifted.kappa, level=3.0, slope=cert.slope
     )
-    return Envelope.from_geometry(
-        x_minus,
-        x_plus,
-        w_minus / (cert.lam - x_minus),
-        w_plus / (x_plus - cert.lam),
-        math.exp(0.5),
-        min(w_minus, w_plus) + 0.5,
-    )
+    offset = min(w_minus, w_plus) + 0.5
+    return Envelope(math.exp(0.5), ((x_minus, offset, w_minus / (cert.lam - x_minus)),),
+                    ((x_plus, offset, w_plus / (x_plus - cert.lam)),))
 
 
 def never_worse_lines(name, kappa):
@@ -559,11 +574,10 @@ class TestCertifiedEdge:
             (x_minus, w_minus, _), (x_plus, w_plus, _) = threshold_searches(
                 shifted.level, cert.lam, kappa, level=3.0, slope=cert.slope, exact_edges=True
             )
-            assert (w_minus, w_plus) == (shifted.level(x_minus), shifted.level(x_plus))
-            queried = Envelope.from_geometry(
-                x_minus, x_plus, w_minus / (cert.lam - x_minus), w_plus / (x_plus - cert.lam),
-                math.exp(0.5), min(w_minus, w_plus) + 0.5,
-            )
+            assert (w_minus, w_plus) == (shifted.level(x_minus)[0], shifted.level(x_plus)[0])
+            offset = min(w_minus, w_plus) + 0.5
+            queried = Envelope(math.exp(0.5), ((x_minus, offset, w_minus / (cert.lam - x_minus)),),
+                               ((x_plus, offset, w_plus / (x_plus - cert.lam)),))
             assert env.mass_total <= queried.mass_total
 
 
@@ -987,7 +1001,9 @@ class TestMultivariateOracle:
         gradient_calls.clear()  # the origin check at construction
         assert o.query(np.array([1.0, 1.0]), gradient=False) == (1.5, None)
         line = restrict(o, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        assert line.value(1.0) == pytest.approx(1.5)
+        # W(lam) = (1 + 2 lam^2) / 2, so W(0) = 1/2 with slope 0 certifies the line
+        view = hitandrun.CertifiedLine(line, Certificate(0.0, 0.5, 0.0))
+        assert view.level(1.0) == (pytest.approx(1.0), None)
         assert o.query_count == 2
         assert gradient_calls == []
 

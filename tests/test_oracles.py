@@ -51,7 +51,7 @@ class TestQuery:
     def test_one_increment_per_call_regardless_of_orders(self):
         o = standard_gaussian_oracle()
         o.query(1.0)
-        o.value(1.0)
+        assert o.query(1.0).value == pytest.approx(0.5)
         assert o.query_count == 2
 
 
@@ -70,10 +70,11 @@ class TestNormalizeAtZero:
 
     def test_value_and_slope_is_one_query(self):
         # the normalized value and the slope of a query, for one count
-        n = normalize_at_zero(standard_gaussian_oracle(offset=5.0))
-        response = n.query(1.5)
-        assert n.value_and_slope(1.5) == (response.value, response.derivative)
-        assert n.query_count == 3
+        o = standard_gaussian_oracle(offset=5.0)
+        n = normalize_at_zero(o)
+        response, origin = o.query(1.5), o.query(0.0)
+        assert n.value_and_slope(1.5) == (response.value - origin.value, response.derivative)
+        assert n.query_count == 4
 
 
 class TestPiecewiseEvaluation:

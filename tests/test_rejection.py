@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -115,6 +116,21 @@ class TestSampleCapped:
     def test_cap_formula_examples(self):
         assert capped_trials(0.01, 0.1) == 44
         assert capped_trials(0.5, 0.5) == 1
+
+    def test_extreme_pairs_give_finite_caps(self):
+        # 1/epsilon overflows, 1 - rho rounds to 1, or the quotient passes
+        # the largest float: each cap is still the least int N with
+        # N log1p(-rho) <= log(epsilon), taken exactly
+        tiny, below_one = 5e-324, 1.0 - 2.0**-53
+        pairs = [(1e-320, 0.1), (0.01, 1e-17), (tiny, tiny), (tiny, below_one), (below_one, tiny),
+                 (below_one, below_one), (1e-6, 0.99)]
+        for epsilon, rho in pairs:
+            n = capped_trials(epsilon, rho)
+            log_fail, log_epsilon = Fraction(math.log1p(-rho)), Fraction(math.log(epsilon))
+            assert type(n) is int and n >= 1
+            assert n * log_fail <= log_epsilon < (n - 1) * log_fail
+        assert capped_trials(1e-320, 0.1) == 6994
+        assert capped_trials(1e-6, 0.99) == 4  # where log(1/eps) / log(1/(1 - rho)) rounds to 3
 
     def test_domain_validation(self):
         with pytest.raises(UsageError):

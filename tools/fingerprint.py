@@ -30,6 +30,9 @@ changed.  The areas:
 * ``chain`` - positions and per-step queries of a Hit-and-Run chain on each
   quadratic target of the line area, and the value and gradient of its
   ``last`` answer.
+* ``hardfamily`` - ``hardfamily.identify`` at each kappa of ``KAPPAS`` on
+  every window edge ``2^j / sqrt(kappa)`` for j from -1070 to 999, the two
+  float neighbours of each, and seeded random points.
 * ``cli.<command>`` - each command's outputs: ``bench-queries`` without its
   wall-clock ``throughput`` column, and ``envelope-inspect`` without its
   geometry-row keys, whose layout is the stored form rather than behaviour.
@@ -161,6 +164,15 @@ def chain(lc, digest) -> None:
                       result.last.gradient))
 
 
+def hardfamily(lc, digest) -> None:
+    rng = np.random.default_rng(13)
+    for kappa in KAPPAS:
+        edges = [2.0**j / np.sqrt(kappa) for j in range(-1070, 1000)]
+        ys = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                             np.exp(rng.uniform(-700.0, 690.0, 2000))])
+        feed(digest, (kappa, [lc.hardfamily.identify(float(y), kappa) for y in ys]))
+
+
 def cli_outputs(lc) -> dict:
     """Per command, a list of its output texts (or parsed documents) and exit codes."""
     from lcsampler.cli import main
@@ -212,7 +224,7 @@ def fingerprint(root: Path) -> dict:
     hashes = {}
     for area, run in (("potential", potential), ("envelope1d", envelope1d),
                       ("construction", construction), ("line_envelope", line_envelope),
-                      ("chain", chain)):
+                      ("chain", chain), ("hardfamily", hardfamily)):
         digest = hashlib.sha256()
         run(lc, digest)
         hashes[area] = digest.hexdigest()

@@ -12,14 +12,14 @@ own dyadic window, so a single exact sample identifies the member.
 Members are materialized as explicit breakpoint lists (member i has
 4(m - i) + 10 breakpoints), not evaluated through the block formulas per
 query, which gives O(log) evaluation and makes the agreement between
-consecutive members exact in floating point.  Each edge y / sqrt(kappa) is
-passed as the exact int pair ``(a*q, b*p)``, with a/b the dyadic y (an
-integer but for one half) and p/q the float sqrt(kappa), so every edge's
-denominator is p or 2p and their lcm stays small.  The potential integrates
-its anchors in integers over that lcm and rounds each anchor once; where two
-members agree, their anchors are the same exact rationals and so the same
-floats.  The left half's pairs are the right half's with p negated, so the
-potential walks one half-line and mirrors it.
+consecutive members exact in floating point.  A member is even, so it is
+built from its right half alone (``PiecewiseQuadraticPotential.even``):
+each edge y / sqrt(kappa), with y dyadic (an integer but for one half)
+and p/q the float sqrt(kappa), is the exact ratio 2*y*q / (2*p), so every
+edge shares the one denominator 2p.  The potential integrates its anchors
+in integers over it, rounds each anchor once and mirrors the left half;
+where two members agree, their anchors are the same exact rationals and
+so the same floats, whatever denominator carries them.
 """
 from __future__ import annotations
 
@@ -90,15 +90,15 @@ def build_member(kappa: float, i: int) -> PiecewiseQuadraticPotential:
     agrees, so agreeing members return bitwise-identical responses.
     """
     starts = _block_starts(kappa, i)
-    # each edge y / sqrt(kappa) exactly, as y / (p/q) = y*q / p; the split
-    # 1.25 * 2^i = 5 * 2^(i-2) is 5/2 at i = 1, the one y that is not an integer
+    # each edge y / sqrt(kappa) exactly, as y / (p/q) = 2*y*q / (2*p); the split
+    # 1.25 * 2^i = 5 * 2^(i-2) has 2*y = 5 * 2^(i-1), an integer at i = 1 too
     p, q = math.sqrt(kappa).as_integer_ratio()
-    pos = [(y * q, p) for y in starts[1:]]
-    pos.insert(2, (5 * q, 2 * p) if i == 1 else ((5 << i - 2) * q, p))
+    twice_q = 2 * q
+    numerators = [y * twice_q for y in starts[1:]]
+    numerators.insert(2, (5 << i - 1) * q)
     curvatures = [1.0, kappa] * (len(starts) // 2) + [1.0]
     curvatures.insert(3, 1.0)
-    breakpoints = [(-a, b) for a, b in reversed(pos)] + pos
-    return PiecewiseQuadraticPotential(breakpoints, curvatures[:0:-1] + curvatures)
+    return PiecewiseQuadraticPotential.even(numerators, 2 * p, curvatures)
 
 
 @dataclass(frozen=True)

@@ -161,7 +161,7 @@ def quadratic_oracle(diagonal, kappa: float | None = None) -> MultivariateOracle
             f"curvature range [{diag.min():g}, {diag.max():g}] escapes [1, {kappa:g}]"
         )
     return MultivariateOracle(
-        value_fn=lambda x: 0.5 * float(x @ (diag * x)),
+        value_fn=lambda x: 0.5 * float(x.dot(diag * x)),
         grad_fn=lambda x: diag * x,
         dimension=diag.size,
         kappa=kappa,
@@ -296,7 +296,11 @@ def bracket_minimizer(line: LineOracle, start: float, first: Certificate | None 
     certificate found, or when W' rises faster than kappa allows (with the
     slack of :meth:`Certificate.check`) between two adjacent doubles at
     least ``1/kappa`` apart; a smaller rise there is a UsageError: double
-    precision cannot resolve the line.
+    precision cannot resolve the line.  So is a first slope g with ``kappa
+    g^2`` past the float range: the far probe lies ``|g|`` away, where the
+    sandwich lets an in-class W rise by ``kappa g^2/2``, and twice that (a
+    quadratic's ``x' D x``) may overflow, so the search raises before it
+    queries there.
     """
     kappa = line.kappa
     if first is None:
@@ -304,6 +308,11 @@ def bracket_minimizer(line: LineOracle, start: float, first: Certificate | None 
         first = Certificate(start, *line.query(start))
     if abs(first.slope) <= 1.0:
         return first
+    if kappa * first.slope * first.slope == math.inf:
+        raise UsageError(
+            f"W'({first.lam:g}) = {first.slope:.6g} puts the far probe where kappa * W'^2 "
+            f"overflows a float; kappa = {kappa:g} needs more than double precision"
+        )
     far = Certificate(first.lam - first.slope, *line.query(first.lam - first.slope))
     probes = [first, far]
     if far.slope * first.slope > 0.0 and abs(far.slope) > 1.0:

@@ -48,6 +48,92 @@ def _gauss_legendre():
     return np.polynomial.legendre.leggauss(10)
 
 
+def _check_finite(cv: list[float]) -> None:
+    if not all(map(math.isfinite, cv)):
+        bad = next(c for c in cv if not math.isfinite(c))
+        raise UsageError(f"every curvature must be finite, got {bad}")
+
+
+def _anchor_overflow(j: int, x: float) -> UsageError:
+    return UsageError(f"segment {j}: the potential at its anchor x = {x:g} overflows a float")
+
+
+def _anchor_walk(xs: list, ys: list, den: int, crossed: list, anchored: list) -> tuple[list, list]:
+    """One side's anchor rows ``(x, v, d, c)``, walking outward from 0 in integers.
+
+    Edge k is ``xs[k]``, exactly ``ys[k] / den``.  Reaching it crosses a
+    segment of curvature ``crossed[k]`` and anchors the next segment out,
+    of curvature ``anchored[k]``, at it.  Curvatures go over their common
+    denominator C, so slopes are numerators over C*den and values
+    numerators over 2*C*den^2, and each anchor is rounded once by ``int /
+    int`` as the walk reaches it.  Returns the rows, None where an anchor
+    overflows a float, and the positions k of those.
+    """
+    ratios = {c: c.as_integer_ratio() for c in set(crossed)}
+    cv_den = math.lcm(1, *(q for _, q in ratios.values()))
+    cint = {c: p * (cv_den // q) for c, (p, q) in ratios.items()}
+    slope_den = cv_den * den
+    value_den = 2 * slope_den * den
+    rows, overflows = [], []
+    y, v, d = 0, 0, 0
+    for x, y_k, c, a in zip(xs, ys, map(cint.__getitem__, crossed), anchored):
+        w, y = y_k - y, y_k
+        cw = c * w
+        v, d = v + (2 * d + cw) * w, d + cw
+        try:
+            rows.append((x, v / value_den, d / slope_den, a))
+        except OverflowError:
+            overflows.append(len(rows))
+            rows.append(None)
+    return rows, overflows
+
+
+def _even_rows(xs: list, ys: list, den: int, cv: list, left_cv: list) -> list[tuple]:
+    """The anchor rows of an even potential, from one walk along its right half.
+
+    The right half breaks at ``xs[k] = ys[k] / den > 0`` and has curvatures
+    ``cv``, from the segment holding the origin outward.  ``left_cv`` holds
+    the curvatures of the segments left of that one: ``len(xs)`` of them,
+    or one more when 0 is itself a breakpoint.  Only the rightward walk
+    runs.  Walking left to the mirror image of an edge crosses the mirror
+    images of the same segments, so its integers are the rightward walk's
+    with the widths' and slopes' signs flipped and the same value
+    numerators, whatever the common denominators; correctly rounded
+    division is odd, so each left row is its right mirror image with the
+    same value and the slope ``0.0 - d``, bitwise what the leftward walk
+    gives, a zero slope included (``+0.0``, as ``0 / den`` gives it).
+    """
+    walked, overflows = _anchor_walk(xs, ys, den, cv, cv[1:])
+    if overflows:  # the leftmost overflowing segment mirrors the outermost one
+        k = overflows[-1]
+        raise _anchor_overflow(len(xs) - 1 - k, -xs[k])
+    right = [(0.0, 0.0, 0.0, cv[0]), *walked]
+    mirrors = reversed(right[len(right) - len(left_cv):])
+    return [(0.0 - x, v, 0.0 - d, c) for c, (x, v, d, _) in zip(left_cv, mirrors)] + right
+
+
+def _two_way_rows(bp: list, ps: tuple, qs: tuple, cv: list) -> list[tuple]:
+    """The anchor rows of any potential: a rightward and a leftward walk from 0.
+
+    Every breakpoint goes over the lcm of the denominators of its exact
+    ratio ``ps[k] / qs[k]``.  Walking right to edge k crosses segment k and
+    anchors segment k + 1 at it; walking left to it crosses segment k + 1
+    and anchors segment k.
+    """
+    j0 = bisect_right(bp, 0.0)
+    den = math.lcm(1, *set(qs))
+    ys = [p * (den // q) for p, q in zip(ps, qs)]
+    right, right_over = _anchor_walk(bp[j0:], ys[j0:], den, cv[j0:], cv[j0 + 1:])
+    left, left_over = _anchor_walk(bp[:j0][::-1], ys[:j0][::-1], den, cv[j0:0:-1], cv[:j0][::-1])
+    if left_over:  # the leftmost overflowing segment
+        j = j0 - 1 - left_over[-1]
+        raise _anchor_overflow(j, bp[j])
+    if right_over:
+        j = j0 + 1 + right_over[0]
+        raise _anchor_overflow(j, bp[j - 1])
+    return [*reversed(left), (0.0, 0.0, 0.0, cv[j0]), *right]
+
+
 class PiecewiseQuadraticPotential:
     """A C^1 potential whose second derivative is piecewise constant.
 
@@ -70,14 +156,17 @@ class PiecewiseQuadraticPotential:
     it or which denominators the rest of their breakpoints carry: an exact
     value has one nearest float.
 
-    An even potential, whose ratio pairs mirror about 0 up to the sign of
-    ``p`` and whose curvatures mirror too, costs one half-line: the walk
-    runs rightward only and each left anchor is its right mirror image with
-    the slope negated, which is bitwise what the leftward walk gives (see
-    ``_segment_anchors``).  A float's ratio is reduced, so a float list
-    mirrors exactly when its floats do.  Any other list walks both ways,
-    among them an even one whose mirrored pairs carry different
-    denominators, such as ``(-2, 4)`` against ``(1, 2)``.
+    An even potential costs one half-line.  :meth:`even` takes it as its
+    right half, int numerators over one int denominator.  The constructor
+    hands a list whose ratio pairs mirror about 0 up to the sign of ``p``,
+    and whose curvatures mirror too, to the same code (``_even_rows``) as
+    its right half over that half's common denominator.  There one walk
+    runs rightward, and each left anchor is its right mirror image with the
+    slope negated, which is bitwise what the leftward walk gives.  A
+    float's ratio is reduced, so a float list mirrors exactly when its
+    floats do.  Any other list walks both ways, with the same walk
+    (``_two_way_rows``), among them an even one whose mirrored pairs carry
+    different denominators, such as ``(-2, 4)`` against ``(1, 2)``.
     """
 
     def __init__(self, breakpoints: Sequence, curvatures: Sequence[float]):
@@ -99,9 +188,7 @@ class PiecewiseQuadraticPotential:
                 raise UsageError(f"an exact breakpoint must be two ints (p, q) with q > 0, got {b!r}")
             bp_ratios.append(b)
         cv = list(map(float, curvatures))
-        if not all(map(math.isfinite, cv)):
-            bad = next(c for c in cv if not math.isfinite(c))
-            raise UsageError(f"every curvature must be finite, got {bad}")
+        _check_finite(cv)
         n = len(bp_ratios)
         ps, qs = zip(*bp_ratios) if n else ((), ())
         # even: the pairs and curvatures mirror about 0 (so an odd middle pair is 0)
@@ -123,71 +210,57 @@ class PiecewiseQuadraticPotential:
             raise UsageError("breakpoints must be strictly increasing")
 
         self._bp_list = bp
-        self._rows = self._segment_anchors(ps, qs, cv, mirrored)
+        if mirrored:  # the right half from its first positive edge r, over its own lcm
+            r = (n + 1) // 2
+            den = math.lcm(1, *set(qs[r:]))
+            ys = [p * (den // q) for p, q in zip(ps[r:], qs[r:])]
+            self._rows = _even_rows(bp[r:], ys, den, cv[r:], cv[:r])
+        else:
+            self._rows = _two_way_rows(bp, ps, qs, cv)
         self._mass_cache = None
 
-    def _segment_anchors(self, ps: tuple, qs: tuple, cv: list[float], mirrored: bool) -> list[tuple]:
-        """The anchor rows ``(anchor_x, anchor_v, anchor_d, c)``, one per segment.
+    @classmethod
+    def even(cls, numerators: Sequence[int], denominator: int, curvatures: Sequence[float]):
+        """The even potential whose right half breaks at ``numerators[k] / denominator``.
 
-        The segment holding the origin is anchored at the origin, every other
-        segment at its edge closest to the origin (the mode).  Value/slope
-        pairs at the edges come from exact integration of the curvature
-        steps outward from 0 in integers: breakpoints (given as their exact
-        integer ratios ``ps[k] / qs[k]``) over D, curvatures over C, so
-        slopes are numerators over C*D and values numerators over 2*C*D^2.
-        Each anchor is rounded once by ``int / int`` as the walk reaches it.
-
-        A ``mirrored`` potential is even, so only the rightward walk runs,
-        over the right half's ratios and curvatures.  Walking left to the
-        mirror image of an edge crosses the mirror images of the same
-        segments, so its integers are the rightward walk's with the widths'
-        and slopes' signs flipped and the same value numerators, whatever
-        the common denominators; correctly rounded division is odd, so left
-        segment j is right segment n - j with the same value and the slope
-        ``0.0 - d``, bitwise what the leftward walk gives, a zero slope
-        included (``+0.0``, as ``0 / den`` gives it).
+        The numerators are ints (not bools), the first positive, and strictly
+        increasing once divided; ``denominator`` is a positive int.
+        ``curvatures`` has one entry per right-half segment, starting with
+        the segment that holds the origin, so ``len(curvatures) ==
+        len(numerators) + 1``.  The left half is the mirror image.  The
+        potential is bitwise the one the constructor builds from the
+        mirrored list of pairs ``(+-numerators[k], denominator)``: both run
+        the one half-line walk of ``_even_rows``.  Every refusal is a
+        UsageError naming the problem.
         """
-        n = len(cv) - 1
-        bp = self._bp_list
-        j0 = bisect_right(bp, 0.0)
-        lo = j0 if mirrored else 0  # the integer tables start at edge lo
-        cv_ratios = {c: c.as_integer_ratio() for c in set(cv[lo:])}
-        dens = set(qs[lo:])
-        bp_den = math.lcm(1, *dens)
-        cv_den = math.lcm(1, *(q for _, q in cv_ratios.values()))
-        scale = {q: bp_den // q for q in dens}
-        ys = list(map(mul, ps[lo:], map(scale.__getitem__, qs[lo:])))
-        cint = {c: p * (cv_den // q) for c, (p, q) in cv_ratios.items()}
-        cs = list(map(cint.__getitem__, cv[lo:]))
-        slope_den = cv_den * bp_den
-        value_den = 2 * slope_den * bp_den
-        rows = [(0.0, 0.0, 0.0, cv[j0])] * (n + 1)
-        overflows = []
-        # rightward from 0, then leftward: walking right to edge k crosses
-        # segment k and anchors segment k + 1, walking left to it crosses
-        # segment k + 1 and anchors segment k
-        walks = [(range(j0, n), ys[j0 - lo:], cs[j0 - lo:], 0)]
-        if not mirrored:
-            walks.append((range(j0 - 1, -1, -1), ys[:j0][::-1], cs[1:j0 + 1][::-1], 1))
-        for edges, edge_ys, crossed, side in walks:
-            y, v, d = 0, 0, 0
-            for k, y_k, c in zip(edges, edge_ys, crossed):
-                w, y = y_k - y, y_k
-                cw = c * w
-                v, d = v + (2 * d + cw) * w, d + cw
-                j = k + 1 - side
-                try:
-                    rows[j] = (bp[k], v / value_den, d / slope_den, cv[j])
-                except OverflowError:
-                    overflows.append((j, bp[k]))
-        if mirrored:  # left segment j is the mirror image of right segment n - j
-            mirrors = reversed(rows[n - j0 + 1:])
-            rows[:j0] = [(x, v, 0.0 - d, c) for x, c, (_, v, d, _) in zip(bp, cv, mirrors)]
-            overflows += [(n - j, bp[n - j]) for j, _ in overflows]
-        if overflows:
-            j, x = min(overflows)
-            raise UsageError(f"segment {j}: the potential at its anchor x = {x:g} overflows a float")
-        return rows
+        ys = list(numerators)
+        cv = list(map(float, curvatures))
+        if type(denominator) is not int or denominator <= 0:
+            raise UsageError(f"the denominator must be a positive int, got {denominator!r}")
+        if not set(map(type, ys)) <= {int}:
+            bad = next(y for y in ys if type(y) is not int)
+            raise UsageError(f"every numerator must be an int, got {bad!r}")
+        if len(cv) != len(ys) + 1:
+            raise UsageError(
+                f"need one curvature per right-half segment: {len(ys)} numerators "
+                f"require {len(ys) + 1} curvatures, got {len(cv)}"
+            )
+        _check_finite(cv)
+        try:
+            xs = list(map(denominator.__rtruediv__, ys))  # y / denominator, correctly rounded
+        except OverflowError as exc:
+            raise UsageError(f"a breakpoint overflows a float: {exc}") from exc
+        if xs and not xs[0] > 0.0:
+            raise UsageError(
+                f"the right half's breakpoints must be positive, got {ys[0]} / {denominator} first"
+            )
+        if any(map(le, xs[1:], xs)):
+            raise UsageError("breakpoints must be strictly increasing")
+        self = cls.__new__(cls)
+        self._bp_list = [*map(neg, reversed(xs)), *xs]
+        self._rows = _even_rows(xs, ys, denominator, cv, cv[:0:-1])
+        self._mass_cache = None
+        return self
 
     @classmethod
     def gaussian(cls, curvature: float = 1.0):

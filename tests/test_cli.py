@@ -422,6 +422,20 @@ class TestErrorPaths:
         assert run_cli(["hitandrun", "--target", json.dumps(doc), "--trials", "300", "--seed", "1"]) == 4
         assert "double precision" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("curvature, code", [(1e30, 0), (1e300, 4)])
+    def test_in_class_diagonal_whose_far_probe_overflows_is_config_error(self, curvature, code, capsys):
+        # at curvature 1e300 the second step's slope at its start is about
+        # 1.5e149, so its bracket's far probe lies where kappa * W'^2 and
+        # the target's x' D x overflow a float: the search stops before that
+        # query, with no overflow warning; at 1e30 the chain runs
+        doc = {"type": "diagonal", "curvatures": [1, curvature]}
+        args = ["hitandrun", "--target", json.dumps(doc), "--trials", "30", "--seed", "1"]
+        assert run_cli(args) == code
+        err = capsys.readouterr().err
+        assert "Warning" not in err
+        if code:
+            assert "kappa = 1e+300 needs more than double precision" in err
+
     @pytest.mark.parametrize("curvatures", [[0.5, 2.0], [1.0, -1.0]])
     def test_diagonal_curvature_below_one_is_class_violation(self, curvatures):
         doc = {"type": "diagonal", "curvatures": curvatures}

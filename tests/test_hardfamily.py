@@ -13,7 +13,6 @@ from helpers import (
     psi,
     second_derivative_by_formula,
 )
-from lcsampler import hardfamily
 from lcsampler import PotentialOracle, UsageError, prepare_envelope, sample_exact
 from lcsampler.hardfamily import (
     HardFamily,
@@ -155,16 +154,18 @@ class TestMemberConstruction:
 
     @pytest.mark.parametrize("kappa", [2.0, 4.0, 37.5, 1e3, 1e6, 1e9, 1e12, 2.6e11])
     def test_member_is_its_blocks(self, kappa, monkeypatch):
-        # the exact pairs build_member passes are member_blocks' starts, the
-        # unit run from 2^i split at 1.25 * 2^i, mirrored and divided by the
-        # float sqrt(kappa) read as a Fraction; the curvatures are the blocks'
+        # the grid build_member passes to even is member_blocks' starts, the
+        # unit run from 2^i split at 1.25 * 2^i, divided by the float
+        # sqrt(kappa) read as a Fraction; mirrored, they are the member's
+        # breakpoints, and the curvatures are the blocks'
         built = []
+        even = PiecewiseQuadraticPotential.even
 
-        def record(breakpoints, curvatures):
-            built.append((breakpoints, curvatures))
-            return PiecewiseQuadraticPotential(breakpoints, curvatures)
+        def record(numerators, denominator, curvatures):
+            built.append((numerators, denominator, curvatures))
+            return even(numerators, denominator, curvatures)
 
-        monkeypatch.setattr(hardfamily, "PiecewiseQuadraticPotential", record)
+        monkeypatch.setattr(PiecewiseQuadraticPotential, "even", record)
         root = Fraction(math.sqrt(kappa))
         m = largest_m(kappa)
         for i in range(1, m + 1):
@@ -176,10 +177,11 @@ class TestMemberConstruction:
             pos = [Fraction(start) / root for start, _ in segments[1:]]
             curvs = [curv for _, curv in segments]
             pot = build_member(kappa, i)
-            breakpoints, curvatures = built.pop()
-            assert len(breakpoints) == 4 * (m - i) + 10
-            assert [Fraction(p, q) for p, q in breakpoints] == [-b for b in reversed(pos)] + pos
-            assert list(curvatures) == pot.curvatures.tolist() == curvs[:0:-1] + curvs
+            numerators, denominator, curvatures = built.pop()
+            assert len(numerators) == 2 * (m - i) + 5
+            assert [Fraction(n, denominator) for n in numerators] == pos
+            assert list(curvatures) == curvs
+            assert pot.curvatures.tolist() == curvs[:0:-1] + curvs
             assert pot.breakpoints.tolist() == [float(b) for b in [-b for b in reversed(pos)] + pos]
 
 

@@ -241,6 +241,79 @@ class TestExactAnchors:
             PiecewiseQuadraticPotential([breakpoint], [1.0, 1.0])
 
 
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestEven:
+    """``PiecewiseQuadraticPotential.even`` builds what the constructor builds from the mirrored list."""
+
+    @pytest.mark.parametrize("kappa", [2.0, 4.0, 37.5, 1e3, 1e6, 1e9, 1e12, 2.6e11, 1e15, 1e100, 3e307])
+    def test_hard_members_equal_the_general_constructor(self, kappa):
+        m = hardfamily.largest_m(kappa)
+        # every member, but only the outermost two on each side at 3e307 (m = 511)
+        for i in range(1, m + 1) if kappa < 1e300 else (1, 2, m - 1, m):
+            member = hardfamily.build_member(kappa, i)
+            exact = _exact_member_breakpoints(kappa, i)
+            right = [(b.numerator, b.denominator) for b in exact[len(exact) // 2:]]
+            curvatures = member.curvatures.tolist()
+            # the mirrored pairs take the constructor's half walk; the left
+            # half unreduced, its two-way walk
+            mirrored = [(-p, q) for p, q in reversed(right)] + right
+            unreduced = [(-2 * p, 2 * q) for p, q in reversed(right)] + right
+            grid = [y for b in member._bp_list for y in (math.nextafter(b, -math.inf), b,
+                                                         math.nextafter(b, math.inf))]
+            xs = np.asarray(grid)
+            scalar = list(map(member.evaluate, grid))
+            arrays = [a.tolist() for a in member.evaluate(xs)]
+            assert arrays == [list(col) for col in zip(*scalar)]
+            for pairs in (mirrored, unreduced):
+                general = PiecewiseQuadraticPotential(pairs, curvatures)
+                assert _bits(member._bp_list) == _bits(general._bp_list)
+                assert [_bits(row) for row in member._rows] == [_bits(row) for row in general._rows]
+                assert scalar == list(map(general.evaluate, grid))
+                assert arrays == [a.tolist() for a in general.evaluate(xs)]
+
+    def test_no_breakpoints_is_the_gaussian(self):
+        pot = PiecewiseQuadraticPotential.even([], 1, [3])
+        assert pot._bp_list == [] and pot._rows == PiecewiseQuadraticPotential.gaussian(3.0)._rows
+
+    @pytest.mark.parametrize(
+        "numerators, denominator, curvatures, message",
+        [
+            ([True, 2], 1, [1.0, 1.0, 1.0], "numerator must be an int"),
+            ([1.0, 2], 1, [1.0, 1.0, 1.0], "numerator must be an int"),
+            ([1, 2], 0, [1.0, 1.0, 1.0], "denominator must be a positive int"),
+            ([1, 2], -3, [1.0, 1.0, 1.0], "denominator must be a positive int"),
+            ([1, 2], 3.0, [1.0, 1.0, 1.0], "denominator must be a positive int"),
+            ([1, 2], True, [1.0, 1.0, 1.0], "denominator must be a positive int"),
+            ([2, 1], 1, [1.0, 1.0, 1.0], "strictly increasing"),
+            ([1, 1], 1, [1.0, 1.0, 1.0], "strictly increasing"),
+            # distinct ints that divide to one float
+            ([2**60, 2**60 + 1], 1, [1.0, 1.0, 1.0], "strictly increasing"),
+            ([0, 1], 1, [1.0, 1.0, 1.0], "must be positive"),
+            ([-1, 1], 1, [1.0, 1.0, 1.0], "must be positive"),
+            ([1], 10**400, [1.0, 1.0], "must be positive"),  # 1 / 10^400 rounds to 0.0
+            ([1, 2], 1, [1.0, 1.0], "one curvature per right-half segment"),
+            ([1, 2], 1, [1.0, 1.0, 1.0, 1.0], "one curvature per right-half segment"),
+            ([1], 1, [1.0, math.inf], "finite"),
+            ([1], 1, [math.nan, 1.0], "finite"),
+            ([10**400], 1, [1.0, 1.0], "breakpoint overflows a float"),
+            ([1, 10**308], 1, [1.0, 1.0, 1.0], "segment 0: the potential at its anchor x = -1e[+]308 overflows"),
+        ],
+    )
+    def test_refusals(self, numerators, denominator, curvatures, message):
+        with pytest.raises(UsageError, match=message):
+            PiecewiseQuadraticPotential.even(numerators, denominator, curvatures)
+
+    def test_overflow_names_the_constructors_segment(self):
+        with pytest.raises(UsageError) as even:
+            PiecewiseQuadraticPotential.even([1, 2, 10**308], 1, [1.0, 1.0, 5.0, 1.0])
+        with pytest.raises(UsageError) as general:
+            PiecewiseQuadraticPotential([-1e308, -2.0, -1.0, 1.0, 2.0, 1e308], [1.0, 5.0, 1.0, 1.0, 1.0, 5.0, 1.0])
+        assert str(even.value) == str(general.value)
+
+
 class TestOffsetOpacity:
     def test_identical_runs_for_different_hidden_offsets(self):
         results = []

@@ -13,7 +13,7 @@ Members are materialized as explicit breakpoint lists (member i has
 4(m - i) + 10 breakpoints), not evaluated through the block formulas per
 query, which gives O(log) evaluation and makes the agreement between
 consecutive members exact in floating point.  A member is even, so it is
-built from its right half alone (``PiecewiseQuadraticPotential.even``):
+built from its right half alone (``PiecewiseQuadraticPotential._even``):
 each edge y / sqrt(kappa), with y dyadic (an integer but for one half)
 and p/q the float sqrt(kappa), is the exact ratio 2*y*q / (2*p), so every
 edge shares the one denominator 2p.  The potential integrates its anchors
@@ -98,7 +98,7 @@ def build_member(kappa: float, i: int) -> PiecewiseQuadraticPotential:
     numerators.insert(2, (5 << i - 1) * q)
     curvatures = [1.0, kappa] * (len(starts) // 2) + [1.0]
     curvatures.insert(3, 1.0)
-    return PiecewiseQuadraticPotential.even(numerators, 2 * p, curvatures)
+    return PiecewiseQuadraticPotential._even(numerators, 2 * p, curvatures)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from operator import add, le, mul, neg, truediv
+from operator import le, neg, truediv
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -88,30 +88,6 @@ def _anchor_walk(xs: list, ys: list, den: int, crossed: list, anchored: list) ->
     return rows, overflows
 
 
-def _even_rows(xs: list, ys: list, den: int, cv: list, left_cv: list) -> list[tuple]:
-    """The anchor rows of an even potential, from one walk along its right half.
-
-    The right half breaks at ``xs[k] = ys[k] / den > 0`` and has curvatures
-    ``cv``, from the segment holding the origin outward.  ``left_cv`` holds
-    the curvatures of the segments left of that one: ``len(xs)`` of them,
-    or one more when 0 is itself a breakpoint.  Only the rightward walk
-    runs.  Walking left to the mirror image of an edge crosses the mirror
-    images of the same segments, so its integers are the rightward walk's
-    with the widths' and slopes' signs flipped and the same value
-    numerators, whatever the common denominators; correctly rounded
-    division is odd, so each left row is its right mirror image with the
-    same value and the slope ``0.0 - d``, bitwise what the leftward walk
-    gives, a zero slope included (``+0.0``, as ``0 / den`` gives it).
-    """
-    walked, overflows = _anchor_walk(xs, ys, den, cv, cv[1:])
-    if overflows:  # the leftmost overflowing segment mirrors the outermost one
-        k = overflows[-1]
-        raise _anchor_overflow(len(xs) - 1 - k, -xs[k])
-    right = [(0.0, 0.0, 0.0, cv[0]), *walked]
-    mirrors = reversed(right[len(right) - len(left_cv):])
-    return [(0.0 - x, v, 0.0 - d, c) for c, (x, v, d, _) in zip(left_cv, mirrors)] + right
-
-
 def _two_way_rows(bp: list, ps: tuple, qs: tuple, cv: list) -> list[tuple]:
     """The anchor rows of any potential: a rightward and a leftward walk from 0.
 
@@ -156,17 +132,9 @@ class PiecewiseQuadraticPotential:
     it or which denominators the rest of their breakpoints carry: an exact
     value has one nearest float.
 
-    An even potential costs one half-line.  :meth:`even` takes it as its
-    right half, int numerators over one int denominator.  The constructor
-    hands a list whose ratio pairs mirror about 0 up to the sign of ``p``,
-    and whose curvatures mirror too, to the same code (``_even_rows``) as
-    its right half over that half's common denominator.  There one walk
-    runs rightward, and each left anchor is its right mirror image with the
-    slope negated, which is bitwise what the leftward walk gives.  A
-    float's ratio is reduced, so a float list mirrors exactly when its
-    floats do.  Any other list walks both ways, with the same walk
-    (``_two_way_rows``), among them an even one whose mirrored pairs carry
-    different denominators, such as ``(-2, 4)`` against ``(1, 2)``.
+    An even potential costs one half-line: :meth:`_even` takes it as its
+    right half, int numerators over one int denominator, walks that half
+    once and mirrors the rows.  The constructor walks both ways from 0.
     """
 
     def __init__(self, breakpoints: Sequence, curvatures: Sequence[float]):
@@ -191,16 +159,10 @@ class PiecewiseQuadraticPotential:
         _check_finite(cv)
         n = len(bp_ratios)
         ps, qs = zip(*bp_ratios) if n else ((), ())
-        # even: the pairs and curvatures mirror about 0 (so an odd middle pair is 0)
-        mirrored = (len(cv) == n + 1 and cv == cv[::-1] and qs == qs[::-1]
-                    and not any(map(add, ps[:(n + 1) // 2], reversed(ps))))
-        half = n // 2 if mirrored else 0
         try:
-            bp = list(map(truediv, ps[half:], qs[half:]))
+            bp = list(map(truediv, ps, qs))
         except OverflowError as exc:
             raise UsageError(f"a breakpoint overflows a float: {exc}") from exc
-        if mirrored:  # correctly rounded division is odd: -p / q is -(p / q)
-            bp[:0] = map(neg, reversed(bp[n % 2:]))
         if len(cv) != n + 1:
             raise UsageError(
                 f"need one curvature per segment: {n} breakpoints require "
@@ -210,28 +172,29 @@ class PiecewiseQuadraticPotential:
             raise UsageError("breakpoints must be strictly increasing")
 
         self._bp_list = bp
-        if mirrored:  # the right half from its first positive edge r, over its own lcm
-            r = (n + 1) // 2
-            den = math.lcm(1, *set(qs[r:]))
-            ys = [p * (den // q) for p, q in zip(ps[r:], qs[r:])]
-            self._rows = _even_rows(bp[r:], ys, den, cv[r:], cv[:r])
-        else:
-            self._rows = _two_way_rows(bp, ps, qs, cv)
+        self._rows = _two_way_rows(bp, ps, qs, cv)
         self._mass_cache = None
 
     @classmethod
-    def even(cls, numerators: Sequence[int], denominator: int, curvatures: Sequence[float]):
+    def _even(cls, numerators: Sequence[int], denominator: int, curvatures: Sequence[float]):
         """The even potential whose right half breaks at ``numerators[k] / denominator``.
 
         The numerators are ints (not bools), the first positive, and strictly
         increasing once divided; ``denominator`` is a positive int.
         ``curvatures`` has one entry per right-half segment, starting with
         the segment that holds the origin, so ``len(curvatures) ==
-        len(numerators) + 1``.  The left half is the mirror image.  The
-        potential is bitwise the one the constructor builds from the
-        mirrored list of pairs ``(+-numerators[k], denominator)``: both run
-        the one half-line walk of ``_even_rows``.  Every refusal is a
-        UsageError naming the problem.
+        len(numerators) + 1``.  The left half is the mirror image.  Every
+        refusal is a UsageError naming the problem.
+
+        Only the rightward walk runs.  Walking left to the mirror image of an
+        edge crosses the mirror images of the same segments, so its integers
+        are the rightward walk's with the widths' and slopes' signs flipped
+        and the same value numerators; correctly rounded division is odd, so
+        each left row is its right mirror image with the same value and the
+        slope ``0.0 - d``.  That is bitwise what the constructor's leftward
+        walk gives on the mirrored list of pairs ``(+-numerators[k],
+        denominator)``, a zero slope included (``+0.0``, as ``0 / den``
+        gives it).
         """
         ys = list(numerators)
         cv = list(map(float, curvatures))
@@ -256,9 +219,14 @@ class PiecewiseQuadraticPotential:
             )
         if any(map(le, xs[1:], xs)):
             raise UsageError("breakpoints must be strictly increasing")
+        right, overflows = _anchor_walk(xs, ys, denominator, cv, cv[1:])
+        if overflows:  # the leftmost overflowing segment mirrors the outermost one
+            k = overflows[-1]
+            raise _anchor_overflow(len(xs) - 1 - k, -xs[k])
         self = cls.__new__(cls)
         self._bp_list = [*map(neg, reversed(xs)), *xs]
-        self._rows = _even_rows(xs, ys, denominator, cv, cv[:0:-1])
+        left = [(0.0 - x, v, 0.0 - d, c) for x, v, d, c in reversed(right)]
+        self._rows = [*left, (0.0, 0.0, 0.0, cv[0]), *right]
         self._mass_cache = None
         return self
 

@@ -154,18 +154,18 @@ class TestMemberConstruction:
 
     @pytest.mark.parametrize("kappa", [2.0, 4.0, 37.5, 1e3, 1e6, 1e9, 1e12, 2.6e11])
     def test_member_is_its_blocks(self, kappa, monkeypatch):
-        # the grid build_member passes to even is member_blocks' starts, the
+        # the grid build_member passes to _even is member_blocks' starts, the
         # unit run from 2^i split at 1.25 * 2^i, divided by the float
         # sqrt(kappa) read as a Fraction; mirrored, they are the member's
         # breakpoints, and the curvatures are the blocks'
         built = []
-        even = PiecewiseQuadraticPotential.even
+        even = PiecewiseQuadraticPotential._even
 
         def record(numerators, denominator, curvatures):
             built.append((numerators, denominator, curvatures))
             return even(numerators, denominator, curvatures)
 
-        monkeypatch.setattr(PiecewiseQuadraticPotential, "even", record)
+        monkeypatch.setattr(PiecewiseQuadraticPotential, "_even", record)
         root = Fraction(math.sqrt(kappa))
         m = largest_m(kappa)
         for i in range(1, m + 1):

@@ -246,7 +246,7 @@ def _bits(values):
 
 
 class TestEven:
-    """``PiecewiseQuadraticPotential.even`` builds what the constructor builds from the mirrored list."""
+    """``PiecewiseQuadraticPotential._even`` builds what the constructor builds from the mirrored list."""
 
     @pytest.mark.parametrize("kappa", [2.0, 4.0, 37.5, 1e3, 1e6, 1e9, 1e12, 2.6e11, 1e15, 1e100, 3e307])
     def test_hard_members_equal_the_general_constructor(self, kappa):
@@ -255,27 +255,23 @@ class TestEven:
         for i in range(1, m + 1) if kappa < 1e300 else (1, 2, m - 1, m):
             member = hardfamily.build_member(kappa, i)
             exact = _exact_member_breakpoints(kappa, i)
-            right = [(b.numerator, b.denominator) for b in exact[len(exact) // 2:]]
-            curvatures = member.curvatures.tolist()
-            # the mirrored pairs take the constructor's half walk; the left
-            # half unreduced, its two-way walk
-            mirrored = [(-p, q) for p, q in reversed(right)] + right
-            unreduced = [(-2 * p, 2 * q) for p, q in reversed(right)] + right
+            # the mirrored pairs take the constructor's two-way walk
+            general = PiecewiseQuadraticPotential(
+                [(b.numerator, b.denominator) for b in exact], member.curvatures.tolist()
+            )
+            assert _bits(member._bp_list) == _bits(general._bp_list)
+            assert [_bits(row) for row in member._rows] == [_bits(row) for row in general._rows]
             grid = [y for b in member._bp_list for y in (math.nextafter(b, -math.inf), b,
                                                          math.nextafter(b, math.inf))]
             xs = np.asarray(grid)
             scalar = list(map(member.evaluate, grid))
             arrays = [a.tolist() for a in member.evaluate(xs)]
             assert arrays == [list(col) for col in zip(*scalar)]
-            for pairs in (mirrored, unreduced):
-                general = PiecewiseQuadraticPotential(pairs, curvatures)
-                assert _bits(member._bp_list) == _bits(general._bp_list)
-                assert [_bits(row) for row in member._rows] == [_bits(row) for row in general._rows]
-                assert scalar == list(map(general.evaluate, grid))
-                assert arrays == [a.tolist() for a in general.evaluate(xs)]
+            assert scalar == list(map(general.evaluate, grid))
+            assert arrays == [a.tolist() for a in general.evaluate(xs)]
 
     def test_no_breakpoints_is_the_gaussian(self):
-        pot = PiecewiseQuadraticPotential.even([], 1, [3])
+        pot = PiecewiseQuadraticPotential._even([], 1, [3])
         assert pot._bp_list == [] and pot._rows == PiecewiseQuadraticPotential.gaussian(3.0)._rows
 
     @pytest.mark.parametrize(
@@ -304,11 +300,11 @@ class TestEven:
     )
     def test_refusals(self, numerators, denominator, curvatures, message):
         with pytest.raises(UsageError, match=message):
-            PiecewiseQuadraticPotential.even(numerators, denominator, curvatures)
+            PiecewiseQuadraticPotential._even(numerators, denominator, curvatures)
 
     def test_overflow_names_the_constructors_segment(self):
         with pytest.raises(UsageError) as even:
-            PiecewiseQuadraticPotential.even([1, 2, 10**308], 1, [1.0, 1.0, 5.0, 1.0])
+            PiecewiseQuadraticPotential._even([1, 2, 10**308], 1, [1.0, 1.0, 5.0, 1.0])
         with pytest.raises(UsageError) as general:
             PiecewiseQuadraticPotential([-1e308, -2.0, -1.0, 1.0, 2.0, 1e308], [1.0, 5.0, 1.0, 1.0, 1.0, 5.0, 1.0])
         assert str(even.value) == str(general.value)

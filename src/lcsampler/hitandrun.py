@@ -146,13 +146,16 @@ class MultivariateOracle:
 def quadratic_oracle(diagonal, kappa: float | None = None) -> MultivariateOracle:
     """Oracle for ``V(x) = x' diag(d) x / 2``; kappa defaults to max(d).
 
-    Kappa must be finite and at least 1 (UsageError), and the curvatures
-    must then lie in ``[1, kappa]``, the class the line step assumes
-    (ClassViolationError otherwise).
+    Every curvature and kappa must be finite, and kappa at least 1
+    (UsageError); the curvatures must then lie in ``[1, kappa]``, the class
+    the line step assumes (ClassViolationError otherwise).
     """
     diag = np.asarray(diagonal, dtype=float)
     if diag.size == 0:
         raise UsageError("need at least one diagonal curvature")
+    if not np.isfinite(diag).all():
+        bad = diag[~np.isfinite(diag)][0]
+        raise UsageError(f"every curvature must be finite, got {bad}")
     kappa = float(diag.max()) if kappa is None else float(kappa)
     if not 1.0 <= kappa < math.inf:
         raise UsageError(f"kappa must be finite and at least 1, got {kappa}")
@@ -191,9 +194,11 @@ class Certificate(NamedTuple):
         p, w, g = self
         t = lam - p
         rise = value - w
-        linear, square = g * t, 0.5 * t * t
-        low, high = linear + square, linear + kappa * square
-        slack = _SLACK * (abs(value) + abs(w) + abs(linear) + kappa * square)
+        # kappa * t first, the order an in-class value uses: t * t underflows
+        # to zero where kappa * t * t is still a normal float
+        linear, curved = g * t, 0.5 * (kappa * t) * t
+        low, high = linear + 0.5 * t * t, linear + curved
+        slack = _SLACK * (abs(value) + abs(w) + abs(linear) + curved)
         if not low - slack <= rise <= high + slack:
             raise ClassViolationError(
                 f"W({lam:g}) - W({p:g}) = {rise:.6g} escapes the curvature sandwich "
@@ -267,7 +272,7 @@ def restrict(oracle: MultivariateOracle, x_t, u) -> LineOracle:
     norm = math.sqrt(float(u.dot(u)))
     if norm == 0.0:
         raise UsageError("direction must be nonzero")
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails this too
         raise UsageError(f"direction must be a unit vector, |u| = {norm}")
     return LineOracle(oracle, x_t, u)
 

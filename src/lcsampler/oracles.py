@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from fractions import Fraction
 from functools import cache, cached_property, partial
-from operator import le, neg, truediv
+from operator import le, neg
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -48,10 +47,10 @@ def _gauss_legendre():
     return np.polynomial.legendre.leggauss(10)
 
 
-def _check_finite(cv: list[float]) -> None:
-    if not all(map(math.isfinite, cv)):
-        bad = next(c for c in cv if not math.isfinite(c))
-        raise UsageError(f"every curvature must be finite, got {bad}")
+def _check_finite(values: list[float], what: str) -> None:
+    if not all(map(math.isfinite, values)):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise UsageError(f"every {what} must be finite, got {bad}")
 
 
 def _anchor_overflow(j: int, x: float) -> UsageError:
@@ -88,17 +87,18 @@ def _anchor_walk(xs: list, ys: list, den: int, crossed: list, anchored: list) ->
     return rows, overflows
 
 
-def _two_way_rows(bp: list, ps: tuple, qs: tuple, cv: list) -> list[tuple]:
+def _two_way_rows(bp: list[float], cv: list[float]) -> list[tuple]:
     """The anchor rows of any potential: a rightward and a leftward walk from 0.
 
-    Every breakpoint goes over the lcm of the denominators of its exact
-    ratio ``ps[k] / qs[k]``.  Walking right to edge k crosses segment k and
-    anchors segment k + 1 at it; walking left to it crosses segment k + 1
-    and anchors segment k.
+    Every breakpoint goes over the lcm of the denominators of the floats'
+    exact ratios.  Walking right to edge k crosses segment k and anchors
+    segment k + 1 at it; walking left to it crosses segment k + 1 and
+    anchors segment k.
     """
     j0 = bisect_right(bp, 0.0)
-    den = math.lcm(1, *set(qs))
-    ys = [p * (den // q) for p, q in zip(ps, qs)]
+    ratios = list(map(float.as_integer_ratio, bp))
+    den = math.lcm(1, *{q for _, q in ratios})
+    ys = [p * (den // q) for p, q in ratios]
     right, right_over = _anchor_walk(bp[j0:], ys[j0:], den, cv[j0:], cv[j0 + 1:])
     left, left_over = _anchor_walk(bp[:j0][::-1], ys[:j0][::-1], den, cv[j0:0:-1], cv[:j0][::-1])
     if left_over:  # the leftmost overflowing segment
@@ -113,8 +113,7 @@ def _two_way_rows(bp: list, ps: tuple, qs: tuple, cv: list) -> list[tuple]:
 class PiecewiseQuadraticPotential:
     """A C^1 potential whose second derivative is piecewise constant.
 
-    ``breakpoints`` is a strictly increasing list of reals, each a float or
-    an exact ratio p / q given as an int pair ``(p, q)`` with ``q > 0``, and
+    ``breakpoints`` is a strictly increasing list of finite floats, and
     ``curvatures`` has one entry per segment, including the two unbounded
     end segments, so ``len(curvatures) == len(breakpoints) + 1``.  The
     potential is built in the normal form of the module docstring.
@@ -137,32 +136,12 @@ class PiecewiseQuadraticPotential:
     once and mirrors the rows.  The constructor walks both ways from 0.
     """
 
-    def __init__(self, breakpoints: Sequence, curvatures: Sequence[float]):
-        # Exact pairs let callers with an exact grid (e.g. dyadic points divided
-        # by an irrational scale) keep widths that cancel exactly during anchor
-        # integration.  Either form enters the integer walk as its exact ratio;
-        # a pair's float is p / q, the correctly rounded division.  A Fraction
-        # is refused rather than rounded through float().
-        bp_ratios = []
-        for b in breakpoints:
-            if type(b) is not tuple:
-                if isinstance(b, Fraction):
-                    raise UsageError(f"give an exact breakpoint as an int pair (p, q), not {b!r}")
-                b = float(b)
-                if not math.isfinite(b):
-                    raise UsageError(f"every breakpoint must be finite, got {b}")
-                b = b.as_integer_ratio()
-            elif len(b) != 2 or type(b[0]) is not int or type(b[1]) is not int or b[1] <= 0:
-                raise UsageError(f"an exact breakpoint must be two ints (p, q) with q > 0, got {b!r}")
-            bp_ratios.append(b)
+    def __init__(self, breakpoints: Sequence[float], curvatures: Sequence[float]):
+        bp = list(map(float, breakpoints))
+        _check_finite(bp, "breakpoint")
         cv = list(map(float, curvatures))
-        _check_finite(cv)
-        n = len(bp_ratios)
-        ps, qs = zip(*bp_ratios) if n else ((), ())
-        try:
-            bp = list(map(truediv, ps, qs))
-        except OverflowError as exc:
-            raise UsageError(f"a breakpoint overflows a float: {exc}") from exc
+        _check_finite(cv, "curvature")
+        n = len(bp)
         if len(cv) != n + 1:
             raise UsageError(
                 f"need one curvature per segment: {n} breakpoints require "
@@ -172,7 +151,7 @@ class PiecewiseQuadraticPotential:
             raise UsageError("breakpoints must be strictly increasing")
 
         self._bp_list = bp
-        self._rows = _two_way_rows(bp, ps, qs, cv)
+        self._rows = _two_way_rows(bp, cv)
         self._mass_cache = None
 
     @classmethod
@@ -191,10 +170,10 @@ class PiecewiseQuadraticPotential:
         are the rightward walk's with the widths' and slopes' signs flipped
         and the same value numerators; correctly rounded division is odd, so
         each left row is its right mirror image with the same value and the
-        slope ``0.0 - d``.  That is bitwise what the constructor's leftward
-        walk gives on the mirrored list of pairs ``(+-numerators[k],
-        denominator)``, a zero slope included (``+0.0``, as ``0 / den``
-        gives it).
+        slope ``0.0 - d``.  Every row is thus bitwise the exact rational
+        walk of ``tests/helpers.fraction_anchors`` on the mirrored
+        breakpoints ``+-numerators[k] / denominator``, each anchor rounded
+        once, a zero slope included (``+0.0``, as ``0 / den`` gives it).
         """
         ys = list(numerators)
         cv = list(map(float, curvatures))
@@ -208,7 +187,7 @@ class PiecewiseQuadraticPotential:
                 f"need one curvature per right-half segment: {len(ys)} numerators "
                 f"require {len(ys) + 1} curvatures, got {len(cv)}"
             )
-        _check_finite(cv)
+        _check_finite(cv, "curvature")
         try:
             xs = list(map(denominator.__rtruediv__, ys))  # y / denominator, correctly rounded
         except OverflowError as exc:

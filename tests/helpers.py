@@ -273,7 +273,8 @@ def fraction_anchors(breakpoints, curvatures):
     The independent reference for ``PiecewiseQuadraticPotential``'s integer
     anchor walk: the same integration outward from 0 in ``Fraction``
     arithmetic, every value rounded once to a float.  ``breakpoints`` may
-    hold Fractions or floats, like the constructor's.
+    hold floats, as the constructor takes them, or Fractions, such as the
+    exact ``numerators[k] / denominator`` of ``_even``'s mirrored grid.
     """
     exact_bp = [b if isinstance(b, Fraction) else Fraction(float(b)) for b in breakpoints]
     bp = [float(b) for b in exact_bp]

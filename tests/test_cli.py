@@ -448,7 +448,7 @@ class TestErrorPaths:
             ("envelope-inspect", {"type": "gaussian", "beta": "x"}),
             ("hitandrun", {"type": "diagonal", "curvatures": "ab"}),
             ("hitandrun", {"type": "gaussian", "dimension": "x"}),
-            # JSON gives a list, never the constructor's exact (p, q) tuple
+            # a breakpoint is a number, not a list
             ("envelope-inspect", {"type": "piecewise", "breakpoints": [[1, 2]], "curvatures": [1, 1]}),
             # a string is not read character by character as a list
             ("envelope-inspect", {"type": "piecewise", "breakpoints": "12", "curvatures": [1, 1, 1]}),
@@ -486,6 +486,12 @@ class TestErrorPaths:
             ("envelope-inspect", ["--target", json.dumps({"type": "gaussian", "beta": math.inf})]),
             ("envelope-inspect", ["--target", json.dumps({"type": "gaussian", "beta": 4, "offset": math.nan})]),
             ("hitandrun", ["--target", json.dumps({"type": "diagonal", "curvatures": [1.0, math.inf]})]),
+            # with kappa given, a non-finite curvature is refused before the class check
+            *(
+                ("hitandrun", ["--target", json.dumps({"type": "diagonal", "curvatures": [c, 2.0], **beta}), *kappa])
+                for c in (math.nan, math.inf)
+                for beta, kappa in (({}, ["--kappa", "3"]), ({"beta": 3}, []))
+            ),
         ],
     )
     def test_non_finite_kappa_or_offset_is_config_error(self, command, flags):

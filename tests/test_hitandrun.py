@@ -81,6 +81,11 @@ class TestRestrict:
             restrict(o, np.zeros(2), np.array([0.0, 2.0]))
         with pytest.raises(UsageError):
             restrict(o, np.zeros(2), np.zeros(2))
+        # a NaN direction is a usage error, not a class violation of the quadratic
+        with pytest.raises(UsageError, match=r"\|u\| = nan"):
+            restrict(o, np.zeros(2), np.array([math.nan, 0.0]))
+        with pytest.raises(UsageError, match=r"\|u\| = nan"):
+            step(o, np.zeros(2), np.random.default_rng(0), direction=[math.nan, 0.0])
 
     def test_each_line_call_charges_one_query(self):
         o = isotropic(2, 1.0)
@@ -95,6 +100,17 @@ class TestRestrict:
         before = o.query_count
         shifted.value(0.3)
         assert o.query_count == before + 1
+
+
+class TestCertificateCheck:
+    def test_curvature_term_survives_where_t_squared_underflows(self):
+        # t * t underflows at t = 5.4e-166, kappa * t does not: a value on the
+        # in-class upper bound passes, twice it does not
+        cert, t, kappa = Certificate(0.0, 0.0, 1e-152), 5.4e-166, 1e300
+        on_bound = 1e-152 * t + 0.5 * (kappa * t) * t
+        cert.check(t, on_bound, kappa)
+        with pytest.raises(ClassViolationError, match="escapes the curvature sandwich"):
+            cert.check(t, 2.0 * on_bound, kappa)
 
 
 def quadratic_line_minimum(diag, line):

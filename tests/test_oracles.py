@@ -156,20 +156,32 @@ def _anchor_cases():
         yield "skewed", kappa, None
         for i in range(1, hardfamily.largest_m(kappa) + 1):
             yield f"hard:{i}", kappa, _exact_member_breakpoints(kappa, i)
+    for kappa in (4.0, 1e100):
+        for i in range(1, hardfamily.largest_m(kappa) + 1):
+            yield f"hard:{i}", kappa, _exact_member_breakpoints(kappa, i)
+    # only the outermost two members on each side at 3e307 (m = 511)
+    m = hardfamily.largest_m(3e307)
+    for i in (1, 2, m - 1, m):
+        yield f"hard:{i}", 3e307, _exact_member_breakpoints(3e307, i)
 
 
 class TestExactAnchors:
-    """The integer anchor walk equals the Fraction reference bit for bit."""
+    """Both integer anchor walks, the constructor's and ``_even``'s, equal the Fraction reference bit for bit."""
 
     @staticmethod
     def _check(pot, breakpoints):
         rows = fraction_anchors(breakpoints, pot.curvatures.tolist())
+        assert pot._bp_list == [float(b) for b in breakpoints]
         assert pot._rows == rows
         # == lets -0.0 equal 0.0; the walk writes every zero as +0.0
         assert not any(math.copysign(1.0, v) < 0.0 for row in pot._rows for v in row if v == 0.0)
         _, _, mu, vmin, *_ = pot._segment_table()
         assert mu.tolist() == [x - d / c for x, _, d, c in rows]
         assert vmin.tolist() == [v - d * d / (2 * c) for _, v, d, c in rows]
+        # the scalar and array paths agree on each breakpoint and its float neighbours
+        grid = [y for b in pot._bp_list for y in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf))]
+        v, d, s = pot.evaluate(np.asarray(grid, dtype=float))
+        assert list(zip(v.tolist(), d.tolist(), s.tolist())) == list(map(pot.evaluate, grid))
 
     @pytest.mark.parametrize("name, kappa, breakpoints", list(_anchor_cases()))
     def test_builtin_and_hard_members(self, name, kappa, breakpoints):
@@ -197,20 +209,15 @@ class TestExactAnchors:
             # symmetric but for one ulp in one breakpoint
             ([-2.0, -0.5, 0.5, math.nextafter(2.0, math.inf)], [3.0, 1.0, 7.0, 1.0, 3.0]),
             ([-2.0, math.nextafter(-0.5, 0.0), 0.5, 2.0], [3.0, 1.0, 7.0, 1.0, 3.0]),
-            # symmetric, given as unreduced pairs on one side
-            ([(-6, 4), (-2, 4), (1, 2), (3, 2)], [3.0, 1.0, 7.0, 1.0, 3.0]),
-            ([(-3, 2), (-1, 2), (0, 5), (2, 4), (6, 4)], [3.0, 1.0, 7.0, 7.0, 1.0, 3.0]),
         ],
     )
     def test_near_symmetric_lists(self, breakpoints, curvatures):
-        pot = PiecewiseQuadraticPotential(breakpoints, curvatures)
-        exact = [Fraction(*b) if isinstance(b, tuple) else b for b in breakpoints]
-        self._check(pot, exact)
+        self._check(PiecewiseQuadraticPotential(breakpoints, curvatures), breakpoints)
 
     def test_arrays_built_on_first_use_match_inputs_and_scalar_path(self):
         kappa = 2.6e11
-        p, q = math.sqrt(kappa).as_integer_ratio()
-        breakpoints = [(-3 * q, 2 * p), -1e-6, (-q, 4 * p), (5 * q, 8 * p), 0.25]
+        root = math.sqrt(kappa)
+        breakpoints = [-1.5 / root, -1e-6, -0.25 / root, 0.625 / root, 0.25]
         curvatures = [1.0, kappa, 1.0, 7.0, 1.0, 3.0]
         direct = PiecewiseQuadraticPotential(breakpoints, curvatures)
         member = hardfamily.build_member(kappa, 3)
@@ -219,56 +226,13 @@ class TestExactAnchors:
             # the array path runs before anything else has built an array
             v, d, s = pot.evaluate(xs)
             assert list(zip(v.tolist(), d.tolist(), s.tolist())) == [pot.evaluate(x) for x in xs.tolist()]
-        assert direct.breakpoints.tolist() == [b[0] / b[1] if isinstance(b, tuple) else b for b in breakpoints]
+        assert direct.breakpoints.tolist() == breakpoints
         assert direct.curvatures.tolist() == curvatures
         assert member.breakpoints.tolist() == [float(b) for b in _exact_member_breakpoints(kappa, 3)]
 
-    @pytest.mark.parametrize(
-        "breakpoint, message",
-        [
-            ((1, 0), "two ints"),
-            ((1, -2), "two ints"),
-            ((1.0, 2), "two ints"),
-            ((True, 2), "two ints"),
-            ((1, 2, 3), "two ints"),
-            ((10**400, 1), "overflows a float"),
-            (Fraction(1, 3), "int pair"),
-        ],
-    )
-    def test_exact_breakpoint_must_be_an_int_pair(self, breakpoint, message):
-        # a Fraction is refused, never rounded through float()
-        with pytest.raises(UsageError, match=message):
-            PiecewiseQuadraticPotential([breakpoint], [1.0, 1.0])
-
-
-def _bits(values):
-    return [float(v).hex() for v in values]
-
 
 class TestEven:
-    """``PiecewiseQuadraticPotential._even`` builds what the constructor builds from the mirrored list."""
-
-    @pytest.mark.parametrize("kappa", [2.0, 4.0, 37.5, 1e3, 1e6, 1e9, 1e12, 2.6e11, 1e15, 1e100, 3e307])
-    def test_hard_members_equal_the_general_constructor(self, kappa):
-        m = hardfamily.largest_m(kappa)
-        # every member, but only the outermost two on each side at 3e307 (m = 511)
-        for i in range(1, m + 1) if kappa < 1e300 else (1, 2, m - 1, m):
-            member = hardfamily.build_member(kappa, i)
-            exact = _exact_member_breakpoints(kappa, i)
-            # the mirrored pairs take the constructor's two-way walk
-            general = PiecewiseQuadraticPotential(
-                [(b.numerator, b.denominator) for b in exact], member.curvatures.tolist()
-            )
-            assert _bits(member._bp_list) == _bits(general._bp_list)
-            assert [_bits(row) for row in member._rows] == [_bits(row) for row in general._rows]
-            grid = [y for b in member._bp_list for y in (math.nextafter(b, -math.inf), b,
-                                                         math.nextafter(b, math.inf))]
-            xs = np.asarray(grid)
-            scalar = list(map(member.evaluate, grid))
-            arrays = [a.tolist() for a in member.evaluate(xs)]
-            assert arrays == [list(col) for col in zip(*scalar)]
-            assert scalar == list(map(general.evaluate, grid))
-            assert arrays == [a.tolist() for a in general.evaluate(xs)]
+    """``PiecewiseQuadraticPotential._even``'s refusals and edge cases; ``TestExactAnchors`` checks its rows."""
 
     def test_no_breakpoints_is_the_gaussian(self):
         pot = PiecewiseQuadraticPotential._even([], 1, [3])

@@ -42,3 +42,30 @@ def test_every_exported_name_is_used_by_the_library():
     # a name only tests call belongs in tests/helpers.py, not in the package
     unused = sorted(set(lcsampler.__all__) - _library_references())
     assert unused == []
+
+
+def _unread_imports(source: str) -> list[str]:
+    """Names a module imports but never reads; ``__future__`` imports are not names."""
+    tree = ast.parse(source)
+    imported = [
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in imported if name not in read]
+
+
+def test_unread_imports_are_found():
+    assert _unread_imports("from operator import add, mul\nimport numpy as np\nnp.zeros(add(1, 2))") == ["mul"]
+
+
+def test_every_import_is_read():
+    # __init__.py's imports are its re-exports, read by importers
+    unread = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py" and (names := _unread_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unread == {}

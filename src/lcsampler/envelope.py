@@ -52,6 +52,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
 
@@ -59,10 +60,12 @@ from . import numerics
 from .errors import ClassViolationError, UsageError
 from .oracles import _NormalizedOracle, normalize_at_zero
 
+_first = itemgetter(0)
+
 
 def find_threshold_index(
     value, edge: float, side: int, kappa: float, level: float, lo: int, hi: int,
-    certified: float | None = None,
+    certified: float | None = None, clear: float = 0.0,
 ) -> tuple[int, float, dict[int, tuple[float, float]]]:
     """Smallest i in [lo, hi] with ``W(edge + side * 2^i / sqrt(kappa)) >= level``.
 
@@ -101,6 +104,14 @@ def find_threshold_index(
     returns the same index and value as on values alone, from the same query
     at the edge, and never spends more queries.  Probes below the level
     bound nothing here: their lower bounds decide almost no index.
+
+    ``clear`` is a distance from ``edge`` out to which the caller knows
+    ``W`` lies below the level, as a value below it queried that far out
+    shows by convexity.  Each index whose distance ``2^i / sqrt(kappa)``, as
+    the search computes it, is at most ``clear`` is decided the same way, at
+    no query, so the search finds the same answer and never spends more
+    queries than without it; raising ``lo`` past ``clear`` instead would move
+    the pivot and cost one query more on some ranges.
     """
     if hi < lo:
         raise UsageError(f"empty search range [{lo}, {hi}]")
@@ -113,10 +124,9 @@ def find_threshold_index(
     pivot = max(hi - 1 - ((1 << (hi - lo).bit_length()) >> 1), lo)
     left, right, i, below = lo, hi, hi - 1, lo
     while left < right:
-        if i < below:
+        if i < below or (t := 2.0**i / root) <= clear:  # known below the level
             left = i + 1
         else:
-            t = 2.0**i / root
             x = edge + side * t
             w, s = value(x)
             if s is not None and w >= level and i > left:  # an index inward of i is still open
@@ -244,32 +254,36 @@ class Envelope:
         x_minus, x_plus = rows_minus[0][0], rows_plus[0][0]
         if not -math.inf < x_minus < x_plus < math.inf:
             raise UsageError(f"plateau must be nonempty and finite: [{x_minus}, {x_plus}]")
+        # one table left to right: the left rows from the tail in, the plateau in slot n, the right
+        # rows out; _side fills each side's slots walking its rows outward
+        n = len(rows_minus)
+        width, plateau = x_plus - x_minus, h * (x_plus - x_minus)
+        segments = [(x_minus, 1.0, 0.0, None, width, None)] * (n + 1 + len(rows_plus))
+        masses = [plateau] * len(segments)
         try:
-            segments_minus, masses_minus = _side(-1.0, rows_minus, h)
-            segments_plus, masses_plus = _side(1.0, rows_plus, h)
+            _side(-1.0, rows_minus, h, segments, masses, n - 1)
+            _side(1.0, rows_plus, h, segments, masses, n + 1)
         except OverflowError:  # math.exp of an offset below about -709
             raise UsageError("an offset is too far below zero for its mass to be a float") from None
-        width, plateau = x_plus - x_minus, h * (x_plus - x_minus)
-        # the tails and the plateau first: this order fixes mass_total
-        total = (masses_minus[-1] + plateau + masses_plus[-1]
-                 + (sum(masses_minus[:-1]) + sum(masses_plus[:-1])))
+        # the tails and the plateau first, then each side's inner rows outward: this order fixes
+        # mass_total
+        total = masses[0] + plateau + masses[-1] + (sum(masses[n - 1:0:-1]) + sum(masses[n + 1:-1]))
         if not total < math.inf:
             raise UsageError(f"the envelope's mass must be finite, got {total}")
-        masses = (*masses_minus[::-1], plateau, *masses_plus)
         # frozen: the dataclass supplies eq, hash and repr, and each field is written once, here,
         # key by key in field order, so that every envelope's dict shares one key table
         fields = self.__dict__
         fields["plateau_height"] = h
         fields["rows_minus"] = rows_minus
         fields["rows_plus"] = rows_plus
-        fields["piece_masses"] = masses
+        fields["piece_masses"] = tuple(masses)
         fields["mass_total"] = total
         fields["x_minus"] = x_minus
         fields["x_plus"] = x_plus
         fields["_log_height"] = math.log(h)
-        fields["_starts"] = (*[row[0] for row in reversed(rows_minus)], *[row[0] for row in rows_plus])
-        fields["_segments"] = (*segments_minus[::-1], (x_minus, 1.0, 0.0, None, width, None), *segments_plus)
-        fields["_cuts"] = (*[running / total for running in accumulate(masses[:-1])], math.inf)
+        fields["_starts"] = (*map(_first, reversed(rows_minus)), *map(_first, rows_plus))
+        fields["_segments"] = tuple(segments)
+        fields["_cuts"] = (*map(total.__rtruediv__, accumulate(masses[:-1])), math.inf)
 
     @classmethod
     def from_geometry(cls, x_minus, x_plus, drift_minus, drift_plus, tail_offset=0.0) -> "Envelope":
@@ -346,24 +360,32 @@ class Envelope:
         }
 
 
-def _side(side: float, rows, h: float):
-    """One side's segments and their masses, outward, the tail last; UsageError on a bad row."""
-    segments, masses = [], []
+def _side(side: float, rows, h: float, segments: list, masses: list, slot: int) -> None:
+    """Write one side's segments and masses, walking its rows outward, the tail last.
+
+    The innermost row goes to ``segments[slot]`` and each further row one
+    slot further by ``side``; UsageError on a bad row.
+    """
+    step = int(side)
     start, offset, drift = rows[0]
     for end, next_offset, next_drift in rows[1:]:
         length = side * (end - start)
         if not (length > 0.0 and drift >= 0.0 and math.isfinite(offset)):
             raise UsageError("a side's rows must run outward with nonnegative drifts and finite offsets")
-        segments.append((start, side, offset, drift, length, None))
-        masses.append(h * math.exp(-offset) * numerics.gaussian_piece_integral(drift, length))
+        segments[slot] = (start, side, offset, drift, length, None)
+        masses[slot] = h * math.exp(-offset) * numerics.gaussian_piece_integral(drift, length)
         start, offset, drift = end, next_offset, next_drift
+        slot += step
     if not (drift > 0.0 and math.isfinite(offset)):
         raise UsageError(f"tail drifts must be positive and every offset finite, got the tail row {rows[-1]}")
-    # a tail beyond finite rows holds little mass, so its rare draws
-    # compute erfc(drift/sqrt(2)) themselves
-    segments.append((start, side, offset, drift, None, None if segments else numerics.normal_tail_erfc(drift)))
-    masses.append(h * math.exp(-offset) * numerics.gaussian_tail_integral(drift))
-    return segments, masses
+    # a tail beyond finite rows holds little mass, so its rare draws compute
+    # erfc(drift/sqrt(2)) themselves, and a tail drawn by the exponential
+    # proposal never reads it
+    erfc = None
+    if len(rows) == 1 and drift <= numerics._DRIFT_INVERSION_LIMIT:
+        erfc = numerics.normal_tail_erfc(drift)
+    segments[slot] = (start, side, offset, drift, None, erfc)
+    masses[slot] = h * math.exp(-offset) * numerics.gaussian_tail_integral(drift)
 
 
 def _crossing(rise: float, level: float) -> float:
@@ -398,7 +420,7 @@ def _search_range(half_log: float, root: float, level: float, rise: float) -> tu
 
 
 def threshold_searches(value, p: float, kappa: float, *, level: float, slope: float,
-                       exact_edges: bool = False):
+                       exact_edges: bool = False, clear: tuple[float, float] = (0.0, 0.0)):
     """Both threshold searches of the module docstring around the anchor ``p``.
 
     ``W(p) = 0`` and ``W'(p) = slope``; each side searches the range
@@ -418,16 +440,25 @@ def threshold_searches(value, p: float, kappa: float, *, level: float, slope: fl
     With ``exact_edges`` that edge is queried and checked instead: the 1D
     envelope's drift and offset need the exact ``W(edge)``, and that query
     is how a flat 1D target surfaces.
+
+    ``clear`` holds, left then right, a distance from ``p`` out to which
+    ``W`` is known to stay below the level, 0 where nothing is known: the
+    line step's certificate-search probes below the level show it by
+    convexity from ``W(p) = 0``.  Each side's search then skips, at no
+    query, every grid index at that distance or nearer (the ``clear`` of
+    :func:`find_threshold_index`), so it finds the same edge with no more
+    queries.  The 1D sampler leaves both at 0.
     """
     half_log, root = math.log2(kappa) / 2, math.sqrt(kappa)
+    clear_minus, clear_plus = clear
     lo, top = _search_range(half_log, root, level, slope)
     certified = None if exact_edges else _lower_bound(slope, top, root)
-    i, w, probes = find_threshold_index(value, p, +1, kappa, level, lo, top, certified)
+    i, w, probes = find_threshold_index(value, p, +1, kappa, level, lo, top, certified, clear_plus)
     right = probes[i][0], w, probes
     if slope != 0.0:  # a zero slope gives both sides the same sandwich
         lo, top = _search_range(half_log, root, level, -slope)
         certified = None if exact_edges else _lower_bound(-slope, top, root)
-    i, w, probes = find_threshold_index(value, p, -1, kappa, level, lo, top, certified)
+    i, w, probes = find_threshold_index(value, p, -1, kappa, level, lo, top, certified, clear_minus)
     return (probes[i][0], w, probes), right
 
 

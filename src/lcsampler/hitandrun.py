@@ -18,7 +18,8 @@ The line step has three parts:
   queries its start.  There ``|W'|`` is usually already at most 1;
   otherwise ``W'(p - g)`` has the sign opposite to g, and safeguarded
   regula falsi on W' between the two, with bisection as the fallback,
-  finds one.
+  finds one.  It returns the certificate and its other probes, every one
+  checked against the certificate's sandwich.
 * :func:`build_line_envelope` shifts W by the ``W(p)`` it already holds and
   runs the shared threshold searches
   :func:`lcsampler.envelope.threshold_searches` around p, with level 3 and
@@ -26,11 +27,17 @@ The line step has three parts:
   sandwich ``g t + t^2/2 <= W(p + t) <= g t + kappa t^2/2`` leaves open, and
   a search that ends at the range's top without querying it takes the
   sandwich's lower bound there as its value: on a line of curvature 1 that
-  is one query a side, at the index below the top.  It assembles the
-  envelope from every value the searches hold, not just the two edges,
-  with the strong-convexity bounds of adaptive rejection sampling, as rows
-  (:class:`lcsampler.envelope.Envelope`) whose offsets count down from the
-  plateau's ``log h = g^2/2``:
+  is one query a side, at the index below the top.  The certificate
+  search's probes lie on the same line, so they feed the searches too:
+  convexity from ``W(p) = 0`` keeps W below the level 3 out to a probe
+  below it, so each grid index no farther from p than that side's farthest
+  such probe costs no query.  The search keeps its probe order and finds
+  the same edge, so neither its worst case ``ceil(log2(top - lo + 1)) + 1``
+  a side nor any line's count rises.  It assembles the envelope from every
+  value the searches and the certificate search hold, not just the two
+  edges, with the strong-convexity bounds of adaptive rejection sampling,
+  as rows (:class:`lcsampler.envelope.Envelope`) whose offsets count down
+  from the plateau's ``log h = g^2/2``:
 
   - The tangent ``exp(-g t - t^2/2)``, from ``W(p + t) >= g t + t^2/2``,
     peaks at ``h = e^(g^2/2)`` at the mean ``m = p - g``.  On the side of p
@@ -48,7 +55,9 @@ The line step has three parts:
     t^2/2)``, the row ``(x_k, w_k + g^2/2, s_k)`` with ``s_k = w_k/d_k +
     d_k/2``: strong convexity between p and x_k gives ``0 = W(p) >= w_k -
     W'(x_k) d_k + d_k^2/2``, so ``W'(x_k) >= s_k``, and then ``W(x_k + t) >=
-    w_k + s_k t + t^2/2``.  The outermost row is the unbounded tail.
+    w_k + s_k t + t^2/2``.  The outermost row is the unbounded tail.  The
+    probes are the threshold searches' and the certificate search's alike,
+    in outward order.
   - Every step of that derivation holds for any ``w_k <= W(x_k)``, so an
     edge the search took at the top unqueried gives its row from the lower
     bound ``w_top = g d + d^2/2`` (``d = 2^top / sqrt(kappa)``, g signed
@@ -57,7 +66,9 @@ The line step has three parts:
   This envelope is nowhere above the one the two edges alone give with the
   values the searches hold there (plateau ``e^(1/2)`` between them, tails
   ``exp(-min(w_edge) - (w_edge/d_edge) t - t^2/2)``), so against those edges
-  the acceptance rate on a line never falls.  Between the edges the
+  the acceptance rate on a line never falls; the argument never uses where
+  a probe sits, and the certificate search's probes move neither edge nor
+  its value.  Between the edges the
   plateau, the tangent row (at most ``e^(g^2/2)``) and every probe's row
   (at most ``e^(-w_k) < 1``) lie below ``e^(1/2)``.  At the edge ``s_edge >
   w_edge/d_edge``.  Past an outer probe x_2 its row lies below the inner
@@ -89,6 +100,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -101,6 +113,9 @@ from .rejection import sample_exact
 # that sit exactly on a bound (curvature 1 or kappa).
 _SLACK = 1e-9
 _FLOAT = np.dtype(float)
+# The line envelope's threshold: each side's search finds the first grid
+# offset from the certificate where the shifted restriction reaches it
+_LEVEL = 3.0
 
 
 class MultivariateOracle:
@@ -208,6 +223,11 @@ class Certificate(NamedTuple):
             )
 
 
+# the per-step and per-trial constructors, without NamedTuple's Python-level __new__
+_probe = partial(tuple.__new__, Probe)
+_certificate = partial(tuple.__new__, Certificate)
+
+
 class LineOracle:
     """1D view W(lam) = V(base + lam * u); one multivariate query per call.
 
@@ -258,7 +278,7 @@ class CertifiedLine:
         point = self.base + lam * self.direction
         value, gradient = self._oracle.query(point)
         self.certificate.check(lam, value, self.kappa)
-        self.last = Probe(point, value, gradient)
+        self.last = _probe((point, value, gradient))
         return value - self.shift
 
 
@@ -277,8 +297,14 @@ def restrict(oracle: MultivariateOracle, x_t, u) -> LineOracle:
     return LineOracle(oracle, x_t, u)
 
 
-def bracket_minimizer(line: LineOracle, start: float, first: Certificate | None = None) -> Certificate:
+def bracket_minimizer(
+    line: LineOracle, start: float, first: Certificate | None = None
+) -> tuple[Certificate, tuple[Certificate, ...]]:
     """A certificate for the line: a queried point p with ``|W'(p)| <= 1``.
+
+    Returns the certificate and a tuple of the search's other probes, each a
+    :class:`Certificate` of its point and each checked against the
+    certificate's sandwich (empty when the first probe is the certificate).
 
     Queries ``start`` first, unless ``first`` is given: the line's answer
     at ``start`` from a query already made, taken as the first probe
@@ -310,15 +336,15 @@ def bracket_minimizer(line: LineOracle, start: float, first: Certificate | None 
     kappa = line.kappa
     if first is None:
         start = float(start)
-        first = Certificate(start, *line.query(start))
+        first = _certificate((start, *line.query(start)))
     if abs(first.slope) <= 1.0:
-        return first
+        return first, ()
     if kappa * first.slope * first.slope == math.inf:
         raise UsageError(
             f"W'({first.lam:g}) = {first.slope:.6g} puts the far probe where kappa * W'^2 "
             f"overflows a float; kappa = {kappa:g} needs more than double precision"
         )
-    far = Certificate(first.lam - first.slope, *line.query(first.lam - first.slope))
+    far = _certificate((first.lam - first.slope, *line.query(first.lam - first.slope)))
     probes = [first, far]
     if far.slope * first.slope > 0.0 and abs(far.slope) > 1.0:
         raise ClassViolationError(
@@ -350,17 +376,19 @@ def bracket_minimizer(line: LineOracle, start: float, first: Certificate | None 
                 f"[{lo.lam:.17g}, {hi.lam:.17g}], steeper than kappa = {kappa:g} allows",
                 query_point=lam,
             )
-        probe = Certificate(lam, *line.query(lam))
+        probe = _certificate((lam, *line.query(lam)))
         probes.append(probe)
         lo, hi = (probe, hi) if probe.slope < 0.0 else (lo, probe)
         bisect = not bisect and hi.lam - lo.lam > 0.5 * width
-    certificate = probes[-1]
-    for probe in probes[:-1]:
+    *probes, certificate = probes
+    for probe in probes:
         certificate.check(probe.lam, probe.value, kappa)
-    return certificate
+    return certificate, tuple(probes)
 
 
-def build_line_envelope(line: LineOracle, certificate: Certificate) -> tuple[Envelope, CertifiedLine]:
+def build_line_envelope(
+    line: LineOracle, certificate: Certificate, probes=()
+) -> tuple[Envelope, CertifiedLine]:
     """The envelope of the module docstring for the restriction shifted by ``W(p)``.
 
     The shifted restriction is 0 at p with slope ``g``, and the searches'
@@ -369,18 +397,32 @@ def build_line_envelope(line: LineOracle, certificate: Certificate) -> tuple[Env
     open.  An edge at the top of its range that the search did not query
     takes the sandwich's lower bound there, which gives a dominating row
     like a queried value, so a line of curvature 1 costs one query a side.
-    The shift and the rows cost no query.
+    ``probes`` are the certificate search's other points on the line, as
+    :func:`bracket_minimizer` returns them, each already checked against the
+    certificate.  On each side the farthest one below the level clears the
+    grid out to it, so that side's search skips those indices at no query,
+    and each one above 0 adds its row among the grid's.  Neither moves an
+    edge or its value, so the searches' worst case stays ``ceil(log2(top -
+    lo + 1)) + 1`` queries a side, and no line costs more queries than
+    without the probes.  The shift, the probes and the rows cost no query.
     Returns the envelope and the line's one view, the
     :class:`CertifiedLine` the rejection trials query; the searches asked
     it for values alone, so its ``last`` is still None.
     """
     view = CertifiedLine(line, certificate)
     p, slope = certificate.lam, certificate.slope
-    (_, _, probes_minus), (_, _, probes_plus) = threshold_searches(
-        view.level, p, line.kappa, level=3.0, slope=slope
-    )
     floor = 0.5 * slope * slope
+    clear, extra_minus, extra_plus = (0.0, 0.0), (), ()
+    if probes:
+        clear, extra_minus, extra_plus = _bracket_rows(p, certificate.value, floor, probes)
+    (_, _, probes_minus), (_, _, probes_plus) = threshold_searches(
+        view.level, p, line.kappa, level=_LEVEL, slope=slope, clear=clear
+    )
     rows_minus, rows_plus = _rows(p, probes_minus, floor), _rows(p, probes_plus, floor)
+    if extra_minus:  # the certificate search's rows merged in outward
+        rows_minus = _merged(rows_minus, extra_minus, True)
+    if extra_plus:
+        rows_plus = _merged(rows_plus, extra_plus, False)
     # the tangent row runs away from the mean p - g, from the mean, or from
     # p when the mean side's plateau edge lies between the mean and p
     mean = p - slope
@@ -391,6 +433,34 @@ def build_line_envelope(line: LineOracle, certificate: Certificate) -> tuple[Env
         tangent = (mean, 0.0, 0.0) if rows_plus[0][0] > mean else (p, floor, -slope)
         rows_minus = (tangent, *rows_minus)
     return Envelope(math.exp(floor), rows_minus, rows_plus), view
+
+
+def _bracket_rows(p: float, shift: float, floor: float, probes):
+    """What the certificate search's probes give each side of p: how far it is clear, and rows.
+
+    Returns ``[clear_minus, clear_plus]``, each side's farthest distance
+    from p at which the shifted value lies below the level (0 with none),
+    then the rows of :func:`_rows` of the probes left of p and right of it
+    with ``W > 0``, in no particular order.
+    """
+    clear, rows = [0.0, 0.0], ([], [])
+    for lam, value, _ in probes:
+        w, side, d = value - shift, lam > p, abs(lam - p)
+        if w < _LEVEL and d > clear[side]:
+            clear[side] = d
+        if w > 0.0:
+            rows[side].append((lam, w + floor, w / d + 0.5 * d))
+    return clear, rows[0], rows[1]
+
+
+def _merged(rows, extra, reverse: bool):
+    """``rows`` with the rows ``extra`` merged in by start, ascending or ``reverse``d.
+
+    A start that both hold keeps the row of ``rows``: an edge the search
+    took unqueried at its top holds the sandwich's bound there, which the
+    queried value of a probe at the same point may exceed.
+    """
+    return tuple(sorted({row[0]: row for row in (*extra, *rows)}.values(), reverse=reverse))
 
 
 def _rows(p: float, probes, floor: float) -> tuple[tuple[float, float, float], ...]:
@@ -433,7 +503,8 @@ def step(
     restricted to the chosen line, sampled by rejection against the line
     envelope, so the transition kernel is exact.  ``x`` is a point, which
     the certificate search queries first, or the :class:`Probe` a previous
-    step returned, whose answer it reuses.  ``direction`` overrides the
+    step returned, whose answer it reuses; a point that is not a finite
+    vector of the oracle's dimension is a UsageError.  ``direction`` overrides the
     uniform draw (used by diagnostics).  Returns the accepted trial's
     :class:`Probe`: its ``point`` is the new position.
     """
@@ -446,13 +517,29 @@ def step(
         u = np.asarray(direction, dtype=float)
     first = None
     if isinstance(x, Probe):
-        first = Certificate(0.0, x.value, float(u.dot(x.gradient)))
+        first = _certificate((0.0, x.value, float(u.dot(x.gradient))))
         x = x.point
+    else:
+        x = _start_point(oracle, x)
     line = restrict(oracle, x, u)
-    certificate = bracket_minimizer(line, 0.0, first)
-    env, view = build_line_envelope(line, certificate)
+    certificate, probes = bracket_minimizer(line, 0.0, first)
+    env, view = build_line_envelope(line, certificate, probes)
     sample_exact(view, env, rng)
     return view.last
+
+
+def _start_point(oracle: MultivariateOracle, x) -> np.ndarray:
+    """``x`` as a float array, UsageError unless it is a finite point of the oracle's dimension."""
+    try:
+        point = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"the start point must be a vector of floats: {exc}") from None
+    if point.shape != (oracle.dimension,):
+        raise UsageError(f"the start point must have shape ({oracle.dimension},), got {point.shape}")
+    if not np.isfinite(point).all():
+        bad = point[~np.isfinite(point)][0]
+        raise UsageError(f"every coordinate of the start point must be finite, got {bad}")
+    return point
 
 
 def run_chain(
@@ -466,7 +553,9 @@ def run_chain(
     Each step hands its accepted trial's :class:`Probe` to the next, so only
     the first step queries its start point, and not even that one when
     ``x0`` is a :class:`Probe`: a chain run in chunks passes each chunk's
-    ``last`` to the next and takes the same steps as one unbroken chain.
+    ``last`` to the next and takes the same steps as one unbroken chain.  A
+    point ``x0`` must be a finite vector of the oracle's dimension
+    (UsageError), checked before any query.
     """
     if steps < 0:
         raise UsageError("steps must be nonnegative")
@@ -475,6 +564,8 @@ def run_chain(
         step_queries = np.empty(steps, dtype=int)
     except (MemoryError, ValueError) as exc:
         raise UsageError(f"a chain of {steps} steps is too long to record: {exc}") from exc
+    if not isinstance(x0, Probe):
+        x0 = _start_point(oracle, x0)
     positions[0] = x0.point if isinstance(x0, Probe) else x0
     state = x0 if isinstance(x0, Probe) else positions[0]
     before = oracle.query_count

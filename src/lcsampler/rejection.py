@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +50,10 @@ class SampleOutcome(NamedTuple):
         return self.result is FAILURE
 
 
+# the per-draw constructor, without NamedTuple's Python-level __new__
+_outcome = partial(tuple.__new__, SampleOutcome)
+
+
 def sample_exact(oracle, env, rng: np.random.Generator, cap: int | None = None) -> SampleOutcome:
     """Draw one exact sample from exp(-V)/Z_p; FAILURE once ``cap`` trials are spent.
 
@@ -75,8 +80,8 @@ def sample_exact(oracle, env, rng: np.random.Generator, cap: int | None = None) 
                 query_point=x,
             )
         if math.log(rng.random()) <= gap:
-            return SampleOutcome(x, trials, trials)
-    return SampleOutcome(FAILURE, cap, cap)
+            return _outcome((x, trials, trials))
+    return _outcome((FAILURE, cap, cap))
 
 
 def capped_trials(epsilon: float, rho_floor: float) -> int:

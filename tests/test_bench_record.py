@@ -103,3 +103,77 @@ def test_a_run_that_exits_nonzero_exits_1_and_merges_nothing(tmp_path, monkeypat
     assert f"hitandrun10d seed 9: lcbench/run.py exited with status {status}: boom" in err
     assert "nothing from this invocation is merged" in err
     assert len(calls) == 2 * len(bench_record.WORKLOADS)
+
+
+METRICS = [
+    {"name": "ops_per_s", "better": "higher", "bound": 0.1},
+    {"name": "queries_per_op", "better": "lower", "bound": 0.05},
+]
+
+
+def labelled(parent, change):
+    """A file holding ``parent`` and ``change`` runs of hitandrun10d, each a list of (seed, metrics)."""
+    doc = bench_record.merge({}, "parent", {"hitandrun10d": [record(s, **m) for s, m in parent]})
+    return bench_record.merge(doc, "change", {"hitandrun10d": [record(s, **m) for s, m in change]})
+
+
+def test_comparison_pairs_runs_by_seed_and_states_the_gain_rule():
+    # queries fall on 9 of 10 pairs (seed 10 ties) by a median 0.05, more
+    # than the parent's interquartile range 0.01; ops/s lose 2% on every
+    # pair, within the 10% bound.  The change's runs come in another order
+    parent = [(s, {"ops_per_s": 100.0 + s, "queries_per_op": 3.56 + 0.01 * (s % 4)}) for s in range(1, 11)]
+    change = [(s, {"ops_per_s": 0.98 * (100.0 + s),
+                   "queries_per_op": 3.56 + 0.01 * (s % 4) - (0.0 if s == 10 else 0.05)})
+              for s in reversed(range(1, 11))]
+    rows = bench_record.compare(labelled(parent, change), METRICS)["hitandrun10d"]
+    queries = rows["queries_per_op"]
+    assert (queries["pairs"], queries["won"], queries["lost"]) == (10, 9, 0)
+    assert queries["median_delta"] == pytest.approx(-0.05)
+    assert queries["parent_iqr"] == pytest.approx(0.01)
+    assert queries["gain"] is True and queries["within_bound"] is True
+    speed = rows["ops_per_s"]
+    assert (speed["pairs"], speed["won"], speed["lost"]) == (10, 0, 10)
+    assert speed["median_delta"] == pytest.approx(-0.02 * 105.5)
+    assert speed["gain"] is False and speed["within_bound"] is True
+
+
+@pytest.mark.parametrize("factor, won, gain, within", [
+    (1.2, 10, True, True),     # better everywhere, by far more than the spread
+    (1.0, 0, False, True),     # every pair a tie
+    (0.85, 0, False, False),   # 15% worse, past the 10% bound
+])
+def test_comparison_of_a_higher_is_better_metric(factor, won, gain, within):
+    parent = [(s, {"ops_per_s": 100.0 + s}) for s in range(10)]
+    change = [(s, {"ops_per_s": factor * (100.0 + s)}) for s in range(10)]
+    row = bench_record.compare(labelled(parent, change), METRICS)["hitandrun10d"]["ops_per_s"]
+    assert (row["won"], row["gain"], row["within_bound"]) == (won, gain, within)
+    assert "queries_per_op" not in bench_record.compare(labelled(parent, change), METRICS)["hitandrun10d"]
+
+
+def test_eight_of_ten_pairs_is_no_gain():
+    parent = [(s, {"queries_per_op": 3.5 + 0.001 * s}) for s in range(10)]
+    change = [(s, {"queries_per_op": 3.5 + 0.001 * s + (0.01 if s < 2 else -0.1)}) for s in range(10)]
+    row = bench_record.compare(labelled(parent, change), METRICS)["hitandrun10d"]["queries_per_op"]
+    assert (row["won"], row["lost"], row["gain"]) == (8, 2, False)
+
+
+def test_main_records_the_comparison_once_both_labels_are_in(tmp_path, monkeypatch):
+    out = tmp_path / "BENCH.json"
+
+    def run_once(root, workload, seed):
+        speed = 100.0 + seed + (5.0 if root == tmp_path else 0.0)
+        return record(seed, ops_per_s=speed, queries_per_op=2.0, success_rate=1.0)
+
+    monkeypatch.setattr(bench_record, "run_once", run_once)
+    assert bench_record.main(["--label", "parent", "--seeds", "1", "2", "--out", str(out)]) == 0
+    assert "comparison" not in json.loads(out.read_text())
+    argv = ["--label", "change", "--seeds", "2", "1", "--root", str(tmp_path), "--out", str(out)]
+    assert bench_record.main(argv) == 0
+    comparison = json.loads(out.read_text())["comparison"]
+    assert set(comparison) == set(bench_record.WORKLOADS)
+    for rows in comparison.values():
+        # the end-to-end metrics of BENCHMARK.json that the runs hold
+        assert set(rows) == {"ops_per_s", "queries_per_op", "success_rate"}
+        assert (rows["ops_per_s"]["won"], rows["ops_per_s"]["gain"]) == (2, True)
+        assert (rows["queries_per_op"]["won"], rows["queries_per_op"]["lost"]) == (0, 0)
+        assert rows["success_rate"]["within_bound"] is True

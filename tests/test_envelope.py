@@ -68,7 +68,7 @@ def line_envelopes():
         x, u = rng.standard_normal(3), rng.standard_normal(3)
         u /= np.linalg.norm(u)
         line = restrict(oracle, x, u)
-        yield build_line_envelope(line, bracket_minimizer(line, 0.0))[0]
+        yield build_line_envelope(line, *bracket_minimizer(line, 0.0))[0]
 
 
 def query_budget(kappa):
@@ -416,6 +416,31 @@ class TestConstruction:
         assert env.piece_masses == pytest.approx(quad, rel=1e-9)
         assert env.mass_total == pytest.approx(sum(quad), rel=1e-9)
         assert env.to_json_dict()["rows"] == [[[-1.0, 0.0, 0.5]], [list(row) for row in rows_plus]]
+
+
+    def test_float_order_of_the_total_and_the_cuts(self):
+        # three finite rows a side whose masses span 16 orders of magnitude,
+        # so that summing them in any other order moves the last bit: the
+        # total adds the two tails and the plateau first, then each side's
+        # inner rows outward, and each cut is a running left-to-right sum over
+        # that total.  Reversing either side's inner rows, one sum over every
+        # piece, or one sum over all inner rows each gives another total
+        rows_minus = ((-0.5, 0.8197560944897663, 0.5), (-1.5, 35.9831577575688, 1.0),
+                      (-2.5, 35.20999913477009, 1.5), (-3.5, 0.8032653757093785, 2.0))
+        rows_plus = ((0.5, 0.3077018565348695, 0.25), (1.75, 35.88933702703656, 1.25),
+                     (3.0, 35.057179060687595, 1.75), (4.0, 0.092839469371783, 2.5))
+        env = Envelope(1.0, rows_minus, rows_plus)
+        masses, n = env.piece_masses, len(rows_minus)
+        outer = masses[0] + masses[n] + masses[-1]
+        inner_minus, inner_plus = masses[n - 1:0:-1], masses[n + 1:-1]  # each outward
+        assert min(masses) < 1e-15 * max(masses)
+        assert env.mass_total == outer + (sum(inner_minus) + sum(inner_plus))
+        for other in (outer + (sum(inner_minus[::-1]) + sum(inner_plus)),
+                      outer + (sum(inner_minus) + sum(inner_plus[::-1])),
+                      sum(masses), outer + sum(inner_minus + inner_plus)):
+            assert other != env.mass_total
+        running = [sum(masses[:k + 1][1:], masses[0]) for k in range(len(masses) - 1)]
+        assert env._cuts == (*[total / env.mass_total for total in running], math.inf)
 
 
 class TestSerialization:

@@ -96,7 +96,7 @@ class TestRestrict:
         assert o.query_count == before + 2
         # the shifted line checks each value against the certificate
         # inside the one query that produced it
-        _, shifted = build_line_envelope(line, bracket_minimizer(line, 0.0))
+        _, shifted = build_line_envelope(line, *bracket_minimizer(line, 0.0))
         before = o.query_count
         shifted.value(0.3)
         assert o.query_count == before + 1
@@ -133,7 +133,7 @@ class TestBracketMinimizer:
         o = isotropic(2, 1.0)
         line = restrict(o, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         for start in (0.0, 0.7, -3.0, 40.0):
-            cert = bracket_minimizer(line, start)
+            cert, _ = bracket_minimizer(line, start)
             assert abs(cert.slope) <= 1.0
             assert abs(cert.lam) <= abs(cert.slope)
             assert cert.value - 0.5 <= 0.5 * cert.slope**2 + 1e-12
@@ -146,7 +146,7 @@ class TestBracketMinimizer:
         line = restrict(o, np.array([1.0, 0.0]), np.array([0.6, 0.8]))
         lam_star, w_star = quadratic_line_minimum(diag, line)
         for start in (0.6, 5.0, -20.0, lam_star + 0.2):
-            cert = bracket_minimizer(line, start)
+            cert, _ = bracket_minimizer(line, start)
             assert abs(cert.slope) <= 1.0
             assert abs(cert.lam - lam_star) <= abs(cert.slope) + 1e-12
             assert cert.value - w_star <= 0.5 * cert.slope**2 + 1e-12
@@ -165,7 +165,7 @@ class TestBracketMinimizer:
                 start = float(rng.normal(0.0, 3.0))
                 first = line.query(start)[1]
                 before = oracle.query_count
-                cert = bracket_minimizer(line, start)
+                cert, _ = bracket_minimizer(line, start)
                 used = oracle.query_count - before
                 assert abs(cert.slope) <= 1.0
                 assert used <= query_bound(kappa, first)
@@ -191,9 +191,9 @@ class TestBracketMinimizer:
                 line = restrict(oracle, rng.standard_normal(oracle.dimension), u)
                 first = Certificate(0.0, *line.query(0.0))
                 before = oracle.query_count
-                cert = bracket_minimizer(line, 0.0, first)
+                cert, probes = bracket_minimizer(line, 0.0, first)
                 used = oracle.query_count - before
-                assert cert == bracket_minimizer(line, 0.0)
+                assert (cert, probes) == bracket_minimizer(line, 0.0)
                 if abs(first.slope) <= 1.0:
                     flat += 1
                     assert used == 0 and cert is first
@@ -206,10 +206,10 @@ class TestBracketMinimizer:
         o = isotropic(2, 4.0)
         line = restrict(o, np.zeros(2), np.array([1.0, 0.0]))
         before = o.query_count
-        assert bracket_minimizer(line, 0.0) == (0.0, 0.0, 0.0)
+        assert bracket_minimizer(line, 0.0) == ((0.0, 0.0, 0.0), ())
         assert o.query_count == before + 1
         # strong convexity sends the second query straight to the minimizer
-        assert bracket_minimizer(line, 10.0) == (0.0, 0.0, 0.0)
+        assert bracket_minimizer(line, 10.0)[0] == (0.0, 0.0, 0.0)
         assert o.query_count == before + 3
 
     def test_concave_target_raises_class_violation(self):
@@ -226,9 +226,9 @@ class TestBracketMinimizer:
         assert info.value.query_point == 6.0
         # at 0 the slope is 0, so the search accepts it, and the threshold
         # search's first value falls below the sandwich
-        cert = bracket_minimizer(line, 0.0)
+        cert, probes = bracket_minimizer(line, 0.0)
         with pytest.raises(ClassViolationError, match="escapes the curvature sandwich"):
-            build_line_envelope(line, cert)
+            build_line_envelope(line, cert, probes)
 
     def test_steep_target_raises_class_violation(self):
         # W(lam) = 250 lam^4 + lam^2/2 against a declared kappa of 1: W' is
@@ -297,7 +297,9 @@ class TestLineEnvelope:
         o = quadratic_oracle(diag, kappa=kappa)
         x_t, u = np.asarray(x_t, float), np.asarray(u, float)
         line = restrict(o, x_t, u)
-        return o, line, bracket_minimizer(line, 0.0)
+        cert, probes = bracket_minimizer(line, 0.0)
+        assert probes == ()  # each line used here starts at a certificate
+        return o, line, cert
 
     def test_envelope_dominates_relabeled_density(self):
         kappa = 4.0
@@ -343,25 +345,33 @@ class TestLineEnvelope:
         # and strong convexity sends the second query to 0 - 12.6, past the
         # minimizer; the regula falsi step on the linear W' lands on it, so
         # the certificate sits at the minimizer (slope g ~ -2e-14) after 3
-        # queries, and its value is the float nearest 125/652.  The
-        # shifted value at d = 2^i/sqrt(1000) from p is c d^2/2 = 0.00978 4^i
-        # with c = 19.56 on both sides.  Each side searches from lo = 2, where
-        # 1000 d^2/2 first reaches 3 (index 1 gives 2.0), to top =
-        # ceil(log2(1000)/2 + log2(sqrt(6))) = 7; it probes i = 6 (W =
-        # 40.06), the pivot i = 2 (W = 0.156), then bisects to i = 4 (2.50)
-        # and i = 5 (10.01), the edge: 4 queries a side.  Every probe is
-        # positive; each piece has offset c d^2/2 and drift W/d + d/2 = (c +
-        # 1) d/2, each offset counted down from the plateau's log h = g^2/2.
-        # The mean p - g lies right of p, nearer than the probe at i = 2, so
-        # the tangent row (p - g, 0, 0) runs left from the mean to the left
-        # probe at i = 2, and the plateau keeps [p - g, right probe at i = 2].
+        # queries, and its value is the float nearest 125/652.  The bracket's
+        # other two probes come with it: lam = 0 at d = 0.644 right of p and
+        # lam = -12.6 at d = 11.956 left of it.  The shifted value at
+        # distance d from p is c d^2/2 with c = 19.56 on both sides, so the
+        # two probes hold 4.058 and 1397.97, both above the level 3: neither
+        # clears any grid index.  At d = 2^i/sqrt(1000) that value is 0.00978
+        # 4^i.  Each side searches from lo = 2, where 1000 d^2/2 first
+        # reaches 3 (index 1 gives 2.0), to top = ceil(log2(1000)/2 +
+        # log2(sqrt(6))) = 7; it probes i = 6 (W = 40.06), the pivot i = 2
+        # (W = 0.156), then bisects to i = 4 (2.50) and i = 5 (10.01), the
+        # edge: 4 queries a side.  Every probe is positive, so each one, the
+        # bracket's two included, gives a row in outward order: lam = 0
+        # between i = 4 (d = 0.506) and i = 5 (d = 1.012) on the right, lam =
+        # -12.6 past i = 6 (d = 2.024) on the left.  Each row has offset c
+        # d^2/2 and drift W/d + d/2 = (c + 1) d/2, each offset counted down
+        # from the plateau's log h = g^2/2.  The mean p - g lies right of p,
+        # nearer than the probe at i = 2, so the tangent row (p - g, 0, 0)
+        # runs left from the mean to the left probe at i = 2, and the plateau
+        # keeps [p - g, right probe at i = 2].
         o = quadratic_oracle(np.array([1.0, 30.0]), kappa=1e3)
         line = restrict(o, np.array([1.0, 0.5]), np.array([0.6, 0.8]))
         before = o.query_count
-        cert = bracket_minimizer(line, 0.0)
+        cert, probes = bracket_minimizer(line, 0.0)
         assert o.query_count - before == 3
+        assert [probe.lam for probe in probes] == [0.0, -12.600000000000001]
         before = o.query_count
-        env, shifted = build_line_envelope(line, cert)
+        env, shifted = build_line_envelope(line, cert, probes)
         assert o.query_count - before == 8
         assert shifted.shift == cert.value == 125 / 652 == 0.19171779141104295
         assert -1e-13 < cert.slope < 0.0
@@ -370,13 +380,18 @@ class TestLineEnvelope:
         mean = cert.lam - cert.slope
         assert env.rows_minus[0] == (mean, 0.0, 0.0)
         curvature = 0.6**2 + 30.0 * 0.8**2
-        for side, rows in ((-1.0, env.rows_minus[1:]), (1.0, env.rows_plus)):
-            d = np.array([2.0**i for i in (2, 4, 5, 6)]) / math.sqrt(1e3)
+        grid = [2.0**i / math.sqrt(1e3) for i in (2, 4, 5, 6)]
+        for side, rows, d in (
+            (-1.0, env.rows_minus[1:], np.array(grid + [-12.6 - cert.lam])),
+            (1.0, env.rows_plus, np.array(grid[:2] + [-cert.lam] + grid[2:])),
+        ):
+            d = np.abs(d)
             assert np.allclose([x for x, _, _ in rows], cert.lam + side * d, rtol=1e-14, atol=0)
             assert np.allclose([o - floor for _, o, _ in rows], 0.5 * curvature * d**2, rtol=1e-12, atol=0)
             assert np.allclose([s for _, _, s in rows], 0.5 * (curvature + 1.0) * d, rtol=1e-12, atol=0)
+        assert env.rows_plus[2][0] == 0.0 and env.rows_minus[-1][0] == -12.600000000000001
         assert (env.x_minus, env.x_plus) == (mean, env.rows_plus[0][0])
-        # each probe's row starts from the quadratic's own value at its probe
+        # each row starts from the quadratic's own value at its probe
         for x, offset, s in env.rows_minus[1:] + env.rows_plus:
             w = offset - floor
             point = line.point(x)
@@ -384,6 +399,12 @@ class TestLineEnvelope:
             assert w == pytest.approx(value, rel=1e-12)
             d = abs(x - cert.lam)
             assert s == pytest.approx(w / d + 0.5 * d, rel=1e-15)
+        # without the bracket's probes the same searches give the grid rows alone
+        before = o.query_count
+        bare, _ = build_line_envelope(line, cert)
+        assert o.query_count - before == 8
+        assert bare.rows_minus == env.rows_minus[:-1]
+        assert bare.rows_plus == env.rows_plus[:2] + env.rows_plus[3:]
 
     def test_first_dyadic_offset_is_never_needed_at_zero(self):
         # the shifted value stays below the level 3 at every grid index
@@ -393,7 +414,7 @@ class TestLineEnvelope:
             o = quadratic_oracle(np.asarray(diag, float), kappa=kappa)
             line = restrict(o, np.array([0.5, 0.4]), np.array([0.6, 0.8]))
             for start in (0.0, 0.62, 3.0, -5.0):
-                cert = bracket_minimizer(line, start)
+                cert, _ = bracket_minimizer(line, start)
                 for side in (-1, 1):
                     lo, _ = search_range(kappa, level=3.0, rise=side * cert.slope)
                     assert lo >= 1
@@ -419,11 +440,11 @@ class TestLineEnvelope:
             breakpoints=[env.x_minus, env.x_plus],
         )
         assert env.mass_total == pytest.approx(quad.value, rel=1e-8)
-        lines = [(line, cert)]
+        lines = [(line, cert, ())]
         for name in ("isotropic", "hard:2", "skewed"):
             lines += never_worse_lines(name, 1e6)
-        for line, cert in lines:
-            env, shifted = build_line_envelope(line, cert)
+        for line, cert, probes in lines:
+            env, shifted = build_line_envelope(line, cert, probes)
             edges = edge_envelope(shifted, cert)
             assert env.mass_total <= cap * (edges.x_plus - edges.x_minus)
 
@@ -457,7 +478,7 @@ def edge_envelope(shifted, cert):
 
 
 def never_worse_lines(name, kappa):
-    """200 random lines at ``kappa`` and their certificates.
+    """200 random lines at ``kappa``, each with its certificate and bracket probes.
 
     The isotropic 10-d quadratic, or ``name`` times two Gaussians with the
     member's coordinate scaled toward its narrow bands.
@@ -473,16 +494,17 @@ def never_worse_lines(name, kappa):
         u = rng.standard_normal(oracle.dimension)
         u /= np.linalg.norm(u)
         line = restrict(oracle, x, u)
-        yield line, bracket_minimizer(line, 0.0)
+        yield line, *bracket_minimizer(line, 0.0)
 
 
 class TestNeverWorse:
     @pytest.mark.parametrize("name", ["isotropic", "hard:2", "skewed"])
     def test_below_the_edge_envelope_with_no_more_mass(self, name):
-        # 200 random lines at kappa 1e6: the envelope from every probe is
-        # pointwise at most the one from the two edges, so rho never falls
-        for line, cert in never_worse_lines(name, 1e6):
-            env, shifted = build_line_envelope(line, cert)
+        # 200 random lines at kappa 1e6: the envelope from every probe, the
+        # bracket's included, is pointwise at most the one from the two
+        # edges, so rho never falls
+        for line, cert, probes in never_worse_lines(name, 1e6):
+            env, shifted = build_line_envelope(line, cert, probes)
             old = edge_envelope(shifted, cert)
             grid = np.concatenate([domination_grid(env), domination_grid(old)])
             assert float(np.max(env.log_value(grid) - old.log_value(grid))) <= 1e-12
@@ -494,7 +516,7 @@ class TestNeverWorse:
         # the range the sandwich leaves open lies inside the one the line
         # search used before, [1, ceil(log2(kappa)/2 + log2(|g| + sqrt(7)))],
         # and both find the same first index at which W reaches 3
-        for line, cert in never_worse_lines(name, kappa):
+        for line, cert, _ in never_worse_lines(name, kappa):
             _, shifted = build_line_envelope(line, cert)
             left, right = threshold_searches(shifted.level, cert.lam, kappa, level=3.0, slope=cert.slope)
             wide_top = math.ceil(math.log2(kappa) / 2 + math.log2(abs(cert.slope) + math.sqrt(7.0)))
@@ -513,22 +535,64 @@ class TestSearchRange:
         # on the isotropic quadratic W(p + t) = g t + t^2/2 is the lower
         # bound itself, so the edge is top: the search probes top - 1, below
         # the level, and takes the lower bound at top without a query, so the
-        # two probes a side cost one query
+        # two probes a side cost one query on every line whose certificate
+        # is its start point.  On a line whose start has |g0| > 1 the far
+        # probe lands on the minimizer, the certificate, and the start lies
+        # |g0| from it with W = g0^2/2; where that is below the level 3 and
+        # top - 1 lies no farther out, that side's one query is skipped.
+        # The searches re-run without the probes find the two probes a side
         oracle = isotropic(10, kappa)
         rng = np.random.default_rng(59)
+        root = math.sqrt(kappa)
+        started = cleared = 0
         for _ in range(100):
             x, u = rng.standard_normal(10), rng.standard_normal(10)
             u /= np.linalg.norm(u)
             line = restrict(oracle, x, u)
-            cert = bracket_minimizer(line, 0.0)
+            cert, probes = bracket_minimizer(line, 0.0)
             before = oracle.query_count
-            _, shifted = build_line_envelope(line, cert)
-            assert oracle.query_count - before == 2
+            _, shifted = build_line_envelope(line, cert, probes)
+            used = oracle.query_count - before
+            if not probes:
+                started += 1
+                assert used == 2
             left, right = threshold_searches(shifted.level, cert.lam, kappa, level=3.0, slope=cert.slope)
-            for side, (edge, _, probes) in ((-1, left), (1, right)):
+            skipped = 0
+            for side, (edge, _, searched) in ((-1, left), (1, right)):
                 _, top = search_range(kappa, level=3.0, rise=side * cert.slope)
-                assert sorted(probes) == [top - 1, top]
-                assert probes[top][0] == edge
+                assert sorted(searched) == [top - 1, top]
+                assert searched[top][0] == edge
+                for probe in probes:
+                    t, w = side * (probe.lam - cert.lam), probe.value - cert.value
+                    if t >= 2.0 ** (top - 1) / root and w < 3.0:
+                        skipped += 1
+            cleared += skipped > 0
+            assert used == 2 - skipped
+        assert started >= 50 and cleared >= 1  # 65 of 100 here, and 1 to 3
+
+    def test_a_bracket_probe_below_the_level_clears_its_side(self):
+        # the line through (2.2, 0) along -e1 on the isotropic quadratic at
+        # kappa 1e6: W'(0) = -2.2, so the far probe at lam = 2.2 is the
+        # minimizer and the certificate, and the start lam = 0 lies 2.2 left
+        # of it with W = 2.42 < 3.  Each side's top is index 12 (d = 4.096);
+        # top - 1 (d = 2.048) lies inside 2.2, so the left search skips it
+        # and ends at top at no query, and the start's row (0, 2.42, 2.42/2.2
+        # + 2.2/2 = 2.2) replaces that probe's (0.152, 2.097152, 2.048).  The
+        # right search spends its one query at top - 1 as before
+        oracle = isotropic(2, 1e6)
+        line = restrict(oracle, np.array([2.2, 0.0]), np.array([-1.0, 0.0]))
+        cert, probes = bracket_minimizer(line, 0.0)
+        assert cert == (2.2, 0.0, 0.0) and probes == ((0.0, 2.4200000000000004, -2.2),)
+        before = oracle.query_count
+        env, _ = build_line_envelope(line, cert, probes)
+        assert oracle.query_count - before == 1
+        assert env.rows_minus == ((0.0, 2.4200000000000004, 2.2), (-1.896, 8.388608, 4.096))
+        assert env.rows_plus == ((2.2, 0.0, 0.0), (4.248, 2.097152, 2.048), (6.296, 8.388608, 4.096))
+        before = oracle.query_count
+        bare, _ = build_line_envelope(line, cert)
+        assert oracle.query_count - before == 2
+        assert bare.rows_minus == ((0.15200000000000014, 2.097152, 2.048), (-1.896, 8.388608, 4.096))
+        assert bare.rows_plus == env.rows_plus
 
     def test_bounds_of_the_range(self):
         # below lo even the upper bound rise t + kappa t^2/2 stays under the
@@ -568,12 +632,12 @@ class TestCertifiedEdge:
             x, u = rng.standard_normal(3) * 3.0, rng.standard_normal(3)
             u /= np.linalg.norm(u)
             line = restrict(oracle, x, u)
-            cert = bracket_minimizer(line, 0.0)
+            cert, probes = bracket_minimizer(line, 0.0)
             for side in (-1, 1):
                 lo, top = search_range(1.0, level=3.0, rise=side * cert.slope)
                 assert lo == top
             before = oracle.query_count
-            env, shifted = build_line_envelope(line, cert)
+            env, shifted = build_line_envelope(line, cert, probes)
             assert oracle.query_count == before
             grid = domination_grid(env)
             points = line.base[:, None] + grid[None, :] * line.direction[:, None]
@@ -585,8 +649,8 @@ class TestCertifiedEdge:
     def test_no_more_mass_than_the_queried_edge_envelope(self, name, kappa):
         # the edge envelope of TestNeverWorse, but from the values queried at
         # the two edges rather than the lower bound at an unqueried top
-        for line, cert in never_worse_lines(name, kappa):
-            env, shifted = build_line_envelope(line, cert)
+        for line, cert, probes in never_worse_lines(name, kappa):
+            env, shifted = build_line_envelope(line, cert, probes)
             (x_minus, w_minus, _), (x_plus, w_plus, _) = threshold_searches(
                 shifted.level, cert.lam, kappa, level=3.0, slope=cert.slope, exact_edges=True
             )
@@ -595,6 +659,111 @@ class TestCertifiedEdge:
             queried = Envelope(math.exp(0.5), ((x_minus, offset, w_minus / (cert.lam - x_minus)),),
                                ((x_plus, offset, w_plus / (x_plus - cert.lam)),))
             assert env.mass_total <= queried.mass_total
+
+
+def bracket_lines(name, kappa, count):
+    """``count`` random lines whose start has ``|W'| > 1``, so the bracket leaves probes.
+
+    ``name`` is a builtin times two Gaussians, or ``"mixed"``: ``hard:1``,
+    ``hard:2``, ``hard:3``, ``skewed`` and ``gaussian``, each twice.  Each
+    non-Gaussian coordinate is scaled by ``10^U / sqrt(kappa)``, U uniform on
+    [0, 1.5], into its narrow bands.  Only lines with ``|W(p)| <= 1e3`` are kept:
+    further out the rounding of ``W`` itself passes the sampler's 1e-9 log
+    tolerance, with or without the bracket's rows.  Yields the members, the
+    line, its certificate and its probes.
+    """
+    names = ["hard:1", "hard:2", "hard:3", "skewed", "gaussian"] * 2 if name == "mixed" else [
+        name, "gaussian", "gaussian"]
+    members = [builtin_potential(n, kappa) for n in names]
+    oracle = product_oracle(members, kappa)
+    narrow = np.array([n != "gaussian" for n in names])
+    rng = np.random.default_rng(79)
+    while count:
+        x = rng.standard_normal(oracle.dimension)
+        x[narrow] *= 10.0 ** rng.uniform(0.0, 1.5, int(narrow.sum())) / math.sqrt(kappa)
+        u = rng.standard_normal(oracle.dimension)
+        u /= np.linalg.norm(u)
+        line = restrict(oracle, x, u)
+        cert, probes = bracket_minimizer(line, 0.0)
+        if probes and abs(cert.value) <= 1e3:
+            count -= 1
+            yield members, line, cert, probes
+
+
+def restriction(members, line, lams):
+    """``W`` at each ``lam`` on the line, member by member rather than through the oracle."""
+    points = line.base[:, None] + np.asarray(lams)[None, :] * line.direction[:, None]
+    return sum(m.evaluate(points[i])[0] for i, m in enumerate(members))
+
+
+BRACKET_CASES = [(name, kappa) for name in ("hard:2", "skewed", "mixed") for kappa in (1e6, 1e12)]
+
+
+class TestBracketRows:
+    """The line envelope from the grid's probes and the certificate search's."""
+
+    @pytest.mark.parametrize("name, kappa", BRACKET_CASES)
+    def test_dominates_the_restriction(self, name, kappa):
+        rows = 0
+        for members, line, cert, probes in bracket_lines(name, kappa, 100):
+            env, _ = build_line_envelope(line, cert, probes)
+            starts = {x for x, _, _ in env.rows_minus + env.rows_plus}
+            rows += sum(probe.lam in starts for probe in probes)
+            grid = domination_grid(env)
+            w = restriction(members, line, grid) - cert.value
+            # the sampler's own log tolerance, wherever exp(-W) is a positive
+            # float, plus what the steepest row falls over four ulps of lam:
+            # adjacent doubles lam can round to one point of the line, where
+            # W stays put while a row with drift 1.5e6 falls by 1.3e-9
+            steepest = max(s for _, _, s in env.rows_minus + env.rows_plus)
+            positive = w < 700.0
+            slack = 1e-9 + 4.0 * steepest * np.spacing(np.abs(grid[positive]))
+            assert np.all(-w[positive] - env.log_value(grid[positive]) <= slack)
+        assert rows >= 100  # about one bracket row a line
+
+    @pytest.mark.parametrize("name, kappa", BRACKET_CASES)
+    def test_mass_against_quadrature(self, name, kappa):
+        # the closed-form mass is the envelope's integral, piece by piece
+        # between the row starts and out along each tail to where its
+        # exponent passes 60
+        for _, line, cert, probes in bracket_lines(name, kappa, 20):
+            env, _ = build_line_envelope(line, cert, probes)
+            starts = sorted(x for x, _, _ in env.rows_minus + env.rows_plus)
+            reach = [min(60.0 / rows[-1][2], 11.0) for rows in (env.rows_minus, env.rows_plus)]
+            bounds = [starts[0] - reach[0], *starts, starts[-1] + reach[1]]
+            tol = 1e-12 * env.mass_total
+            quad = sum(adaptive_quadrature(env.value, a, b, tol=tol).value for a, b in zip(bounds, bounds[1:]))
+            assert env.mass_total == pytest.approx(quad, rel=1e-9)
+
+    @pytest.mark.parametrize("name, kappa", BRACKET_CASES)
+    def test_no_more_queries_and_the_same_edges(self, name, kappa):
+        # each probe fits the certificate's sandwich, the probes never add a
+        # query, and every side keeps the edge and edge value it finds
+        # without them
+        fewer = 0
+        for _, line, cert, probes in bracket_lines(name, kappa, 100):
+            for probe in probes:
+                cert.check(probe.lam, probe.value, kappa)
+            oracle = line._oracle
+            before = oracle.query_count
+            _, view = build_line_envelope(line, cert)
+            bare = oracle.query_count - before
+            before = oracle.query_count
+            build_line_envelope(line, cert, probes)
+            used = oracle.query_count - before
+            assert used <= bare
+            fewer += used < bare
+            clear = [0.0, 0.0]
+            for probe in probes:
+                if probe.value - cert.value < 3.0:
+                    side = probe.lam > cert.lam
+                    clear[side] = max(clear[side], abs(probe.lam - cert.lam))
+            searches = [
+                threshold_searches(view.level, cert.lam, kappa, level=3.0, slope=cert.slope, clear=c)
+                for c in ((0.0, 0.0), tuple(clear))
+            ]
+            assert [(edge, w) for edge, w, _ in searches[1]] == [(edge, w) for edge, w, _ in searches[0]]
+        assert fewer > 0
 
 
 class TestOneView:
@@ -615,9 +784,9 @@ class TestOneView:
         for _ in range(30):
             x, u = rng.standard_normal(3), rng.standard_normal(3)
             line = restrict(oracle, x, u / np.linalg.norm(u))
-            cert = bracket_minimizer(line, 0.0)
+            cert, probes = bracket_minimizer(line, 0.0)
             queries, before = oracle.query_count, gradients
-            env, view = build_line_envelope(line, cert)
+            env, view = build_line_envelope(line, cert, probes)
             assert oracle.query_count > queries and gradients == before
             assert view.last is None
             outcome = sample_exact(view, env, rng)
@@ -816,6 +985,27 @@ class TestRunChain:
         with pytest.raises(UsageError):
             run_chain(isotropic(2, 1.0), np.zeros(2), -1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("start, message", [
+        (np.array([0.5]), r"shape \(10,\), got \(1,\)"),
+        (0.5, r"shape \(10,\), got \(\)"),
+        (np.full(3, 0.5), r"shape \(10,\), got \(3,\)"),
+        (np.zeros((1, 10)), r"shape \(10,\), got \(1, 10\)"),
+        (np.full(10, math.inf), "must be finite, got inf"),
+        (np.array([0.0] * 9 + [math.nan]), "must be finite, got nan"),
+        ("origin", "vector of floats"),
+    ])
+    def test_malformed_start_is_a_usage_error(self, start, message):
+        # a start that is not a finite point of the oracle's dimension is
+        # refused before any query, by the chain and by a single step alike,
+        # instead of broadcasting, a bare ValueError or a class violation
+        # (after a RuntimeWarning, which the test settings make an error)
+        oracle = isotropic(10, 1e6)
+        with pytest.raises(UsageError, match=message):
+            run_chain(oracle, start, 3, np.random.default_rng(0))
+        with pytest.raises(UsageError, match=message):
+            step(oracle, start, np.random.default_rng(0))
+        assert oracle.query_count == 0
+
 
 # The first 20 steps of two chains at seed 2024, positions and per-step
 # queries.  A refactor of the line step that keeps its query sequence must
@@ -848,30 +1038,36 @@ class TestRunChain:
 # unchanged, and only the queries fell, from 195 to 189 (anisotropic, steps 3,
 # 13 and 16 each 2 fewer; over 5,000 steps 10.27 -> 10.05 per step) and from
 # 107 to 67 (10-d, 2 fewer on every step; 5.56 -> 3.56 per step).
+# Re-recorded again when the certificate search's other probes came to feed
+# the line envelope, each one below the level clearing the grid out to it
+# and each one above 0 adding its row: the envelopes, and so the trials and
+# the paths, changed.  The queries went from 189 to 176 (anisotropic; over
+# 5,000 steps 10.05 -> 9.23 per step) and stayed at 67 (10-d, which keeps
+# its path through step 9; 3.56 -> 3.50 per step).
 ANISOTROPIC_POSITIONS = [
     [0.5878986735554335, -0.15765943136239413],
-    [0.8829612478172899, -0.0352777413117773],
-    [0.007134415662062188, -0.06413696647681777],
-    [0.24882942346753606, 0.08107167774364324],
-    [0.23065313045948296, 0.1552545829735495],
-    [-0.6994678773712838, -0.03885617648666306],
-    [-1.2667477684338246, 0.15160110988306866],
-    [-1.478384790684574, -0.1681665422865847],
-    [-1.4523063250766002, 0.08776480736191686],
-    [-1.454396167868519, -0.07201688533544837],
-    [-1.4327828484555625, -0.3147910989387822],
-    [-1.5851913668085216, -0.14596229188534293],
-    [0.6701883809906526, -0.03274744718490251],
-    [0.6972676256013097, 0.03682118828787814],
-    [0.42255576837285075, -0.30983927891167584],
-    [-0.196084537870782, -0.23546656094865434],
-    [-0.26828399858867763, -0.013528859997392256],
-    [-0.25429762463984845, 0.18710799978414477],
-    [-0.20851516811734877, -0.017414211336119256],
-    [-0.16370494065845118, -0.004359671468095128],
+    [1.3963688269007477, 0.1776658601267047],
+    [0.37029247897859663, 0.14385578800509666],
+    [-0.5763022074355589, -0.19761105756164307],
+    [-0.030900494398532485, 0.28201072582248643],
+    [-0.09149362061948033, 0.30235412698039577],
+    [-0.41838341206909047, -0.19155180695503304],
+    [-0.3943417592734365, 0.044390473555943166],
+    [-0.4676132314236478, -0.02504977358681615],
+    [-0.5801837210805167, 0.014507631506662712],
+    [-0.47042506838904663, -0.2642438993674583],
+    [0.0010505506712688573, -0.004007370462085991],
+    [0.6569363704456124, -0.1515798260166888],
+    [0.5224501324714041, -0.32128878054964827],
+    [-0.2585454863692539, -0.2273977645518695],
+    [-0.3249470341017653, -0.023282571767523602],
+    [-0.3109207272033556, 0.17792713281531478],
+    [-0.2465522263033757, -0.10962380111263617],
+    [-0.2734203515496502, -0.01753745579600538],
+    [-1.6823830156935449, -0.1052791462978856],
 ]
 ANISOTROPIC_QUERIES = [
-    12, 11, 3, 8, 11, 11, 9, 11, 11, 11, 12, 11, 4, 9, 11, 4, 11, 9, 11, 9,
+    12, 7, 5, 10, 11, 9, 10, 10, 8, 9, 9, 9, 9, 10, 4, 10, 9, 10, 12, 3,
 ]
 
 ISOTROPIC_10D_POSITIONS = [
@@ -921,59 +1117,59 @@ ISOTROPIC_10D_POSITIONS = [
         0.008834193293696321, 0.1358396923019048,
     ],
     [
-        -0.6827683385793277, 0.16067625123300538, -0.5516596313211527, -0.35452824402413763,
-        0.46883196125605475, 0.5256044381988615, -0.22050349495564203, 0.4534340962228293,
-        -0.09776719034512735, 0.15097442276014467,
+        -0.6542761022962319, 0.18785356994827213, -0.4895905650210093, -0.350662957211618,
+        0.1956407671125865, 0.40076604632421353, -0.1675509045953723, 0.3139433181867979,
+        -0.2201106959534626, 0.16834414083971339,
     ],
     [
-        -0.6457870803112019, 0.15096600670330496, -0.30869078415508033, -0.2867581823253654,
-        0.48136197389213997, 0.728492034652426, -0.19309963334458907, 0.4320476532503279,
-        -0.18572578350705582, 0.1167304206267964,
+        -0.6178912453509361, 0.17829992373225068, -0.25054010648319003, -0.2839858316739783,
+        0.2079687066862287, 0.6003816494336525, -0.14058898844753168, 0.29290177702339526,
+        -0.30665077001212815, 0.1346523959611953,
     ],
     [
-        -0.6287396391563926, 0.1627441624398024, -0.3156053543151982, -0.24356629031070404,
-        0.4353294827376538, 0.6723062414123013, -0.07814925084867927, 0.3607530393613432,
-        -0.1368915045525535, 0.03707041082282453,
+        -0.6132284219951228, 0.18152148989915032, -0.2524313826545063, -0.2721719669984043,
+        0.19537788012567753, 0.585013687367918, -0.10914771093296541, 0.2734012439072294,
+        -0.2932935972607727, 0.11286375619613084,
     ],
     [
-        -0.632674662311269, 0.16260128998740545, -0.31670585772695736, -0.2542421457667082,
-        0.4290651467847514, 0.6681082020523965, -0.0791006062021259, 0.3582653207792643,
-        -0.13754785069205613, 0.043815006275759766,
+        -0.565986199244706, 0.18323675610099457, -0.23921920441065225, -0.14400216426705456,
+        0.27058484659643894, 0.6354135713711092, -0.09772614115982918, 0.30326774043578986,
+        -0.28541378326645495, 0.031890997407111196,
     ],
     [
-        -0.08882402323260175, 0.1681766914366895, -0.9273648106887485, -0.04983257142637926,
-        0.37618577915547874, 0.11988355194086098, -0.796861122781327, 0.023455456580775247,
-        -0.018548151730922308, -0.19474119230321385,
+        -0.03058155412808894, 0.18872557163202647, -0.8403946310897039, 0.0572329318128674,
+        0.2185266949180577, 0.0957028435609859, -0.8043398454460523, -0.026342530550404974,
+        -0.16826214821605628, -0.2029604262428102,
     ],
     [
-        -0.004810856252115886, 0.23736976799808848, -1.0531591998079612, 0.18061525671663706,
-        0.13985519158568288, 0.09741598886119614, -0.9189631772767387, 0.16570635165614073,
-        -0.17518387592302528, -0.3183420465757169,
+        0.0038391439036090866, 0.21707438979712765, -0.8919333462408667, 0.15164878815612193,
+        0.12170063678025189, 0.08649774831141746, -0.8543657889724131, 0.03193851372049151,
+        -0.23243674318930646, -0.25360043702066765,
     ],
     [
-        0.008702314227933442, 0.23956746219611863, -1.0866484877716256, 0.22025349133134162,
-        0.14958422874759447, 0.05452667598153501, -0.8705291596647552, 0.17103497475220733,
-        -0.15718102960659308, -0.24837483014691475,
+        0.01764234801937558, 0.2193192531801681, -0.9261414159264092, 0.1921377795429464,
+        0.13163848859630128, 0.04268790065671856, -0.8048922303999176, 0.03738150523455448,
+        -0.21404750117261123, -0.1821315118557983,
     ],
     [
-        -0.8846328448818357, 0.8033787578815301, -0.41052728554608675, 0.959856146977589,
-        -0.12328980942161061, 0.24223029982129585, -1.2504221241691074, 0.5095848945442653,
-        0.5725663089395621, -0.40541329565197604,
+        -0.8780129030548837, 0.784594830264637, -0.24826425083261383, 0.9336612665376324,
+        -0.1419442341654874, 0.2308790119360315, -1.1857718196948928, 0.3768106772764298,
+        0.5175950733541317, -0.3395778239324612,
     ],
     [
-        -0.5169020409160451, 0.05532312175474141, -0.6723021812830208, 0.8793593166532262,
-        -0.14130622200584417, -0.1374672326960924, -1.8118877264701867, 1.2091576299471467,
-        1.0521337478070691, 0.544204402391654,
+        -0.5077113788019318, 0.03130971164963314, -0.5118691538136595, 0.8526017016462022,
+        -0.16008659528825153, -0.15147289747690312, -1.7511624970748407, 1.0812739625159042,
+        1.0005150563404972, 0.6166784299652908,
     ],
     [
-        -0.27724323777420534, -0.229883614884207, -1.0209341384421164, 0.5353209049210161,
-        -0.15194047275885256, -0.16787794813986814, -1.8418058967212803, 1.2388264014425971,
-        1.3200600616876557, 0.6765329327142184,
+        -0.24594991947737294, -0.28020036272732096, -0.8926538722415971, 0.47683417073089507,
+        -0.17170159527756257, -0.18468825676815095, -1.783839885940093, 1.1136789516972099,
+        1.2931510120968346, 0.7612110269465423,
     ],
     [
-        -1.4324676982496312, -0.4148842605665583, 0.24749971106502588, 0.3319061697145527,
-        0.18620484255549655, -0.817331106224783, -2.914563203826668, 1.954187672220338,
-        -0.06170374260374856, 0.6158838835391077,
+        -1.4002035287461796, -0.46504553377575386, 0.37471398483252183, 0.2735903853682724,
+        0.16615954254694149, -0.8335956140985442, -2.855695647275246, 1.8284390325100004,
+        -0.08745155721162368, 0.7006129472622852,
     ],
 ]
 ISOTROPIC_10D_QUERIES = [
@@ -1079,8 +1275,8 @@ class TestProductTargets:
             u = rng.standard_normal(3)
             u /= np.linalg.norm(u)
             line = restrict(oracle, x, u)
-            cert = bracket_minimizer(line, 0.0)
-            env, _ = build_line_envelope(line, cert)
+            cert, probes = bracket_minimizer(line, 0.0)
+            env, _ = build_line_envelope(line, cert, probes)
             grid = domination_grid(env)
             points = line.base[:, None] + grid[None, :] * line.direction[:, None]
             w = sum(m.evaluate(points[i])[0] for i, m in enumerate(members)) - cert.value
@@ -1088,8 +1284,9 @@ class TestProductTargets:
 
     @pytest.mark.parametrize("name, ceiling", [("hard:2", 25.0), ("skewed", 16.0)])
     def test_queries_per_step(self, name, ceiling):
-        # 18.20 and 8.02 queries per step at this seed, of which the hard:2
-        # bracket takes 8.27; that cost depends on the chain's path (1.92
+        # 15.43 and 7.72 queries per step at this seed, of which the hard:2
+        # bracket takes 6.00 (18.20, 8.02 and 8.27 before the bracket's probes
+        # fed the line envelope); that cost depends on the chain's path (1.92
         # to 9.56 per step over seeds 31-35), so the ceiling leaves room.
         # The bisection from a radius of order kappa spent 48.0 and 50.3
         oracle = self.oracle(name, 1e6)

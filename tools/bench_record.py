@@ -17,6 +17,16 @@ A run whose result line says ``"correct": false``, or a run that exits with
 a nonzero status (``run.py`` exits 2 when the checkout has no ``src/``),
 stops the invocation with exit status 1 and a message naming its workload
 and seed, and the file is left as it was.
+
+Once the file holds both a ``parent`` and a ``change`` label, it also holds
+their ``comparison``: per workload and end-to-end metric of
+``BENCHMARK.json``, the pairs of runs matched by seed that the change won
+and lost (a tie counts for neither, and ``better`` says which way wins),
+the difference of the medians, the parent's interquartile range, whether
+the gain rule holds (at least nine in ten pairs won and the medians apart
+by more than that range, in the better direction), and whether the change's
+median is worse than the parent's by no more than the metric's ``bound``, a
+fraction of the parent's median.
 Standard library only.
 """
 from __future__ import annotations
@@ -32,6 +42,7 @@ from pathlib import Path
 
 WORKLOADS = ("sample1d", "build1d", "hitandrun10d")
 SECONDS = 20
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def run_command(workload: str, seed) -> list[str]:
@@ -101,6 +112,49 @@ def merge(doc: dict, label: str, runs: dict) -> dict:
     return {**doc, "command": " ".join(run_command("W", "S")), "labels": labels}
 
 
+def compare(doc: dict, metrics: list[dict]) -> dict:
+    """The ``comparison`` of the module docstring of ``doc``'s parent and change runs.
+
+    ``metrics`` are ``BENCHMARK.json``'s ``end_to_end`` entries, each with a
+    ``name``, ``better`` (``"higher"`` or ``"lower"``) and ``bound``.  A
+    run of a seed pairs with the parent's run of the same seed, in the order
+    each label recorded them; a metric missing from either run of a pair is
+    left out of that pair.
+    """
+    labels = doc["labels"]
+    parent, change = labels["parent"], labels["change"]
+    out = {}
+    for workload, change_runs in change["runs"].items():
+        parent_runs = parent["runs"].get(workload, [])
+        by_seed: dict = {}
+        for run in parent_runs:
+            by_seed.setdefault(run["seed"], []).append(run["metrics"])
+        matched = []
+        for run in change_runs:
+            queue = by_seed.get(run["seed"])
+            if queue:
+                matched.append((queue.pop(0), run["metrics"]))
+        rows = {}
+        for metric in metrics:
+            name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
+            pairs = [(p[name], c[name]) for p, c in matched if name in p and name in c]
+            if not pairs:
+                continue
+            won = sum(sign * (c - p) > 0.0 for p, c in pairs)
+            lost = sum(sign * (c - p) < 0.0 for p, c in pairs)
+            before = summarize([run["metrics"][name] for run in parent_runs if name in run["metrics"]])
+            after = summarize([run["metrics"][name] for run in change_runs if name in run["metrics"]])
+            delta, iqr = after["median"] - before["median"], before["q3"] - before["q1"]
+            rows[name] = {
+                "pairs": len(pairs), "won": won, "lost": lost,
+                "median_delta": delta, "parent_iqr": iqr,
+                "gain": won >= 0.9 * len(pairs) and sign * delta > iqr,
+                "within_bound": sign * delta >= -metric["bound"] * abs(before["median"]),
+            }
+        out[workload] = rows
+    return out
+
+
 def host() -> dict:
     return {"machine": platform.machine(), "cpus": os.cpu_count(),
             "python": platform.python_version()}
@@ -132,6 +186,8 @@ def main(argv=None) -> int:
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc = merge(doc, args.label, runs)
+    if {"parent", "change"} <= set(doc["labels"]):
+        doc["comparison"] = compare(doc, json.loads(BENCHMARK.read_text())["end_to_end"])
     doc["host"] = host()
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0

@@ -26,7 +26,10 @@ changed.  The areas:
 * ``line_envelope`` - fixed random lines of quadratic targets: certificate
   and envelope queries, ``piece_masses``, ``mass_total``, ``x_minus``,
   ``x_plus`` and scalar and array ``log_value`` on a grid, and the returned
-  view's ``shift``, ``point(0.0)`` and ``point(1.0)``.  No draws.
+  view's ``shift``, ``point(0.0)`` and ``point(1.0)``.  No draws.  Each
+  envelope is built from the certificate alone, whether
+  ``bracket_minimizer`` returns the certificate or a ``(certificate,
+  probes)`` pair, so checkouts on both sides of that change compare.
 * ``chain`` - positions and per-step queries of a Hit-and-Run chain on each
   quadratic target of the line area, and the value and gradient of its
   ``last`` answer.
@@ -151,6 +154,8 @@ def line_envelope(lc, digest) -> None:
             line = lc.restrict(oracle, x, u / np.linalg.norm(u))
             before = oracle.query_count
             cert = lc.bracket_minimizer(line, 0.0)
+            if not isinstance(cert[0], float):  # a (certificate, probes) pair
+                cert = cert[0]
             env, view = lc.build_line_envelope(line, cert)
             feed(digest, (oracle.query_count - before, tuple(cert), env.piece_masses,
                           env.mass_total, env.x_minus, env.x_plus, log_values(env, grid(env)),

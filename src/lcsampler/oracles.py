@@ -17,12 +17,15 @@ from operator import le, neg
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import erf, erfcx
 
 from .errors import ClassViolationError, UsageError
+from .numerics import erfcx
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
+# the density helpers' error functions, elementwise on float arrays
+_erf_array = np.vectorize(math.erf, otypes=[float])
+_erfcx_array = np.vectorize(erfcx, otypes=[float])
 
 # fl(V(x) + C) - C rounds V to multiples of ulp(C); below 2^24 the error is
 # at most 2^-30, inside the 1e-9 slack of the class checks.
@@ -286,15 +289,17 @@ class PiecewiseQuadraticPotential:
         """``int_lo^hi exp(-V) dx`` elementwise, without cancellation.
 
         A segment that holds its summit is a difference of two error
-        functions of opposite sign.  One on a single side of its summit is
-        mirrored so that V rises from its near edge: with ``n`` the slope
-        there and ``w`` the width, both scaled by ``sqrt(c)``, its mass is
-        ``exp(-V(near)) / sqrt(c)`` times ``int_0^w exp(-u (n + u/2)) du``.
+        functions (``math.erf``) of opposite sign.  One on a single side of
+        its summit is mirrored so that V rises from its near edge: with
+        ``n`` the slope there and ``w`` the width, both scaled by
+        ``sqrt(c)``, its mass is ``exp(-V(near)) / sqrt(c)`` times
+        ``int_0^w exp(-u (n + u/2)) du``.
         Where V rises by at least 1 across the segment that integral is a
-        difference of scaled complementary error functions, the second at
-        most 1/e of the first, and deep tails underflow to zero; where it
-        rises less it is a Gauss-Legendre sum, exact to rounding for so
-        nearly flat an integrand however narrow the segment.
+        difference of scaled complementary error functions
+        (:func:`lcsampler.numerics.erfcx`), the second at most 1/e of the
+        first, and deep tails underflow to zero; where it rises less it is
+        a Gauss-Legendre sum, exact to rounding for so nearly flat an
+        integrand however narrow the segment.
         """
         r = np.sqrt(c)
         z1 = (lo - mu) * r
@@ -302,7 +307,8 @@ class PiecewiseQuadraticPotential:
         out = np.empty(z1.shape)
         mid = (z1 < 0) & (z2 > 0)
         half_pref = np.sqrt(0.5 * math.pi / c[mid])
-        out[mid] = np.exp(-vmin[mid]) * half_pref * (erf(z2[mid] / _SQRT2) - erf(z1[mid] / _SQRT2))
+        erf_gap = _erf_array(z2[mid] / _SQRT2) - _erf_array(z1[mid] / _SQRT2)
+        out[mid] = np.exp(-vmin[mid]) * half_pref * erf_gap
 
         side = ~mid
         r, rising = r[side], z1[side] >= 0
@@ -317,7 +323,7 @@ class PiecewiseQuadraticPotential:
         scaled = np.empty(n.shape)
         ns, ws = n[steep], w[steep]
         scaled[steep] = _SQRT_HALF_PI * (
-            erfcx(ns / _SQRT2) - erfcx((ns + ws) / _SQRT2) * np.exp(-rise[steep])
+            _erfcx_array(ns / _SQRT2) - _erfcx_array((ns + ws) / _SQRT2) * np.exp(-rise[steep])
         )
         nodes, weights = _gauss_legendre()
         nf, wf = n[~steep, None], 0.5 * w[~steep, None]

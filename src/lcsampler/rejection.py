@@ -6,7 +6,8 @@ acceptance, an exact sample after a geometric number of trials with mean
 ``Z_q / Z_p``.  With a trial cap it returns an explicit FAILURE outcome
 once the cap is spent; :func:`capped_trials` turns a total variation budget
 into that cap.  A trial whose proposal the envelope fails to dominate
-raises ClassViolationError: that proves the target is outside the class.
+raises ClassViolationError: that proves the target is outside the class,
+unless the gap is within the rounding of the trial's value (:func:`_rounding`).
 """
 from __future__ import annotations
 
@@ -19,6 +20,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ClassViolationError, UsageError
+
+# Ulps of the unshifted magnitudes that a shifted value and the envelope built
+# from other shifted values may together be off by
+_SHIFT_ROUNDING = 8 * 2.0**-52
 
 
 class _FailureToken:
@@ -73,7 +78,7 @@ def sample_exact(oracle, env, rng: np.random.Generator, cap: int | None = None) 
         # log target minus log envelope; log space avoids underflow for
         # deep-tail proposals
         gap = -v - env.log_value(x)
-        if gap > 1e-9:
+        if gap > 1e-9 and gap > _rounding(oracle, v):
             raise ClassViolationError(
                 f"envelope falls below the target at {x!r} by a log gap of {gap:.3g}; "
                 "target violates the curvature sandwich",
@@ -82,6 +87,23 @@ def sample_exact(oracle, env, rng: np.random.Generator, cap: int | None = None) 
         if math.log(rng.random()) <= gap:
             return _outcome((x, trials, trials))
     return _outcome((FAILURE, cap, cap))
+
+
+def _rounding(view, value: float) -> float:
+    """What rounding alone may put between a view's trial ``value`` and its envelope, in log space.
+
+    A Hit-and-Run line's view answers ``W(x) - W(p)`` and holds ``W(p)`` as
+    its ``shift``; both values, and the ones its envelope was built from,
+    are rounded at their own magnitude, where one ulp of 2e11 is already
+    3e-5.  So the allowance is a few ulps of ``|W(x)| + |W(p)|``.  The 1D
+    view holds no ``shift``: the hidden offset it cancels is below 2^24, so
+    its noise is at most 2^-30, which the 1e-9 bound covers, and it gets
+    none.  Read only once a gap passes 1e-9, so the trials pay nothing.
+    """
+    shift = getattr(view, "shift", None)
+    if shift is None:
+        return 0.0
+    return _SHIFT_ROUNDING * (abs(value + shift) + abs(shift))
 
 
 def capped_trials(epsilon: float, rho_floor: float) -> int:

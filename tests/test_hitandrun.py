@@ -1044,6 +1044,11 @@ class TestRunChain:
 # the paths, changed.  The queries went from 189 to 176 (anisotropic; over
 # 5,000 steps 10.05 -> 9.23 per step) and stayed at 67 (10-d, which keeps
 # its path through step 9; 3.56 -> 3.50 per step).
+# Re-recorded again when erfcx and erfcinv came to be computed from math
+# rather than SciPy: the inverted step sizes moved in their last bits and
+# every query count stayed.  The anisotropic chain moved at step 20 only,
+# by 2 ulps; the 10-d chain from step 3 on, each position by at most 3.3e-16,
+# 3 ulps of its largest coordinate.
 ANISOTROPIC_POSITIONS = [
     [0.5878986735554335, -0.15765943136239413],
     [1.3963688269007477, 0.1776658601267047],
@@ -1064,7 +1069,7 @@ ANISOTROPIC_POSITIONS = [
     [-0.3109207272033556, 0.17792713281531478],
     [-0.2465522263033757, -0.10962380111263617],
     [-0.2734203515496502, -0.01753745579600538],
-    [-1.6823830156935449, -0.1052791462978856],
+    [-1.6823830156935444, -0.10527914629788557],
 ]
 ANISOTROPIC_QUERIES = [
     12, 7, 5, 10, 11, 9, 10, 10, 8, 9, 9, 9, 9, 10, 4, 10, 9, 10, 12, 3,
@@ -1082,94 +1087,94 @@ ISOTROPIC_10D_POSITIONS = [
         -0.6233665996237416, -0.24632178544569913,
     ],
     [
-        0.00340693700658061, -0.35182648920823134, -0.1267410880500664, 0.0016948843736207114,
-        0.24016422354106307, -0.2129730523963375, -0.3076711964198402, 0.02499615788737177,
-        -0.6240917582143671, -0.2516657248407707,
+        0.003406937006580591, -0.35182648920823134, -0.1267410880500664, 0.0016948843736207231,
+        0.24016422354106304, -0.2129730523963375, -0.3076711964198402, 0.02499615788737178,
+        -0.6240917582143671, -0.25166572484077065,
     ],
     [
         0.1613855176690171, 0.21412288026625825, 0.7283659211070355, -0.2568105062535626,
-        0.7150612643052757, -0.5301533530055083, -1.060880245004428, 0.07178134437571568,
-        -0.16494680308105614, -0.4123191383930527,
+        0.7150612643052756, -0.5301533530055083, -1.060880245004428, 0.07178134437571569,
+        -0.16494680308105614, -0.41231913839305256,
     ],
     [
         -0.5135902912667468, -0.4255597357974097, 0.36947381139570995, 0.1811528373160906,
-        0.7421941230112897, -0.834926456539715, -0.9537826108478393, 0.3801437881999473,
-        0.22195516327466291, -0.09284035789845374,
+        0.7421941230112896, -0.834926456539715, -0.9537826108478393, 0.3801437881999473,
+        0.22195516327466291, -0.09284035789845363,
     ],
     [
-        -0.776046275775934, -0.13482709665380688, 0.5063609543062803, 0.22696375154410114,
-        0.47096606663799573, -0.9846339813381648, -0.30683750690046196, 0.4126189354759592,
-        0.3983833889588757, 0.1245060016336165,
+        -0.776046275775934, -0.13482709665380693, 0.5063609543062803, 0.22696375154410114,
+        0.4709660666379957, -0.9846339813381648, -0.3068375069004621, 0.4126189354759591,
+        0.3983833889588757, 0.12450600163361658,
     ],
     [
-        -0.7564136292566037, -0.0489315524361537, 0.24596770528083406, 0.16451943277535622,
-        0.3921672228722944, -1.0323898860909713, -0.7113753474732956, 0.591322129461009,
-        0.5559202208177095, -0.16699377208692565,
+        -0.7564136292566037, -0.048931552436153755, 0.24596770528083406, 0.16451943277535622,
+        0.39216722287229433, -1.0323898860909713, -0.7113753474732957, 0.591322129461009,
+        0.5559202208177095, -0.16699377208692556,
     ],
     [
-        -0.7388295338920757, 0.27653123216375725, -0.7544893818092397, -0.35923568352491697,
-        0.7110193193008794, 0.6624827477980701, -0.3629614910422669, 0.5469158544047463,
-        -0.08109517820424816, 0.128165289606142,
+        -0.7388295338920757, 0.2765312321637572, -0.7544893818092397, -0.35923568352491697,
+        0.7110193193008792, 0.6624827477980701, -0.362961491042267, 0.5469158544047463,
+        -0.08109517820424816, 0.1281652896061421,
     ],
     [
-        -0.7075944361775591, 0.13699587879120617, -0.6057421779660673, -0.35789617859758843,
-        0.7068712355831107, 0.6343796873541913, -0.26664259626385245, 0.5749763870829655,
-        0.008834193293696321, 0.1358396923019048,
+        -0.707594436177559, 0.136995878791206, -0.6057421779660672, -0.35789617859758843,
+        0.7068712355831106, 0.6343796873541913, -0.2666425962638525, 0.5749763870829656,
+        0.008834193293696405, 0.13583969230190487,
     ],
     [
-        -0.6542761022962319, 0.18785356994827213, -0.4895905650210093, -0.350662957211618,
-        0.1956407671125865, 0.40076604632421353, -0.1675509045953723, 0.3139433181867979,
-        -0.2201106959534626, 0.16834414083971339,
+        -0.6542761022962318, 0.18785356994827196, -0.48959056502100917, -0.350662957211618,
+        0.19564076711258638, 0.40076604632421353, -0.16755090459537236, 0.313943318186798,
+        -0.2201106959534625, 0.16834414083971344,
     ],
     [
-        -0.6178912453509361, 0.17829992373225068, -0.25054010648319003, -0.2839858316739783,
-        0.2079687066862287, 0.6003816494336525, -0.14058898844753168, 0.29290177702339526,
-        -0.30665077001212815, 0.1346523959611953,
+        -0.617891245350936, 0.1782999237322505, -0.2505401064831899, -0.2839858316739783,
+        0.20796870668622858, 0.6003816494336525, -0.14058898844753173, 0.29290177702339537,
+        -0.30665077001212804, 0.13465239596119535,
     ],
     [
-        -0.6132284219951228, 0.18152148989915032, -0.2524313826545063, -0.2721719669984043,
-        0.19537788012567753, 0.585013687367918, -0.10914771093296541, 0.2734012439072294,
-        -0.2932935972607727, 0.11286375619613084,
+        -0.6132284219951227, 0.18152148989915015, -0.2524313826545062, -0.2721719669984043,
+        0.1953778801256774, 0.585013687367918, -0.10914771093296541, 0.2734012439072295,
+        -0.2932935972607726, 0.11286375619613086,
     ],
     [
-        -0.565986199244706, 0.18323675610099457, -0.23921920441065225, -0.14400216426705456,
-        0.27058484659643894, 0.6354135713711092, -0.09772614115982918, 0.30326774043578986,
-        -0.28541378326645495, 0.031890997407111196,
+        -0.5659861992447058, 0.1832367561009944, -0.23921920441065214, -0.1440021642670545,
+        0.27058484659643883, 0.6354135713711092, -0.09772614115982917, 0.3032677404357899,
+        -0.28541378326645483, 0.03189099740711118,
     ],
     [
-        -0.03058155412808894, 0.18872557163202647, -0.8403946310897039, 0.0572329318128674,
-        0.2185266949180577, 0.0957028435609859, -0.8043398454460523, -0.026342530550404974,
-        -0.16826214821605628, -0.2029604262428102,
+        -0.030581554128088828, 0.1887255716320263, -0.8403946310897038, 0.057232931812867455,
+        0.2185266949180576, 0.0957028435609859, -0.8043398454460523, -0.02634253055040492,
+        -0.16826214821605617, -0.20296042624281022,
     ],
     [
-        0.0038391439036090866, 0.21707438979712765, -0.8919333462408667, 0.15164878815612193,
-        0.12170063678025189, 0.08649774831141746, -0.8543657889724131, 0.03193851372049151,
-        -0.23243674318930646, -0.25360043702066765,
+        0.003839143903609149, 0.21707438979712745, -0.8919333462408665, 0.15164878815612184,
+        0.12170063678025193, 0.08649774831141747, -0.854365788972413, 0.03193851372049148,
+        -0.23243674318930624, -0.2536004370206676,
     ],
     [
-        0.01764234801937558, 0.2193192531801681, -0.9261414159264092, 0.1921377795429464,
-        0.13163848859630128, 0.04268790065671856, -0.8048922303999176, 0.03738150523455448,
-        -0.21404750117261123, -0.1821315118557983,
+        0.017642348019375635, 0.2193192531801679, -0.9261414159264089, 0.19213777954294628,
+        0.1316384885963013, 0.04268790065671861, -0.8048922303999175, 0.037381505234554455,
+        -0.21404750117261104, -0.1821315118557983,
     ],
     [
-        -0.8780129030548837, 0.784594830264637, -0.24826425083261383, 0.9336612665376324,
-        -0.1419442341654874, 0.2308790119360315, -1.1857718196948928, 0.3768106772764298,
-        0.5175950733541317, -0.3395778239324612,
+        -0.8780129030548837, 0.7845948302646368, -0.2482642508326135, 0.9336612665376323,
+        -0.14194423416548738, 0.23087901193603155, -1.1857718196948928, 0.3768106772764298,
+        0.5175950733541318, -0.3395778239324612,
     ],
     [
-        -0.5077113788019318, 0.03130971164963314, -0.5118691538136595, 0.8526017016462022,
-        -0.16008659528825153, -0.15147289747690312, -1.7511624970748407, 1.0812739625159042,
+        -0.5077113788019318, 0.03130971164963292, -0.5118691538136593, 0.8526017016462021,
+        -0.1600865952882515, -0.15147289747690307, -1.7511624970748407, 1.0812739625159042,
         1.0005150563404972, 0.6166784299652908,
     ],
     [
-        -0.24594991947737294, -0.28020036272732096, -0.8926538722415971, 0.47683417073089507,
-        -0.17170159527756257, -0.18468825676815095, -1.783839885940093, 1.1136789516972099,
-        1.2931510120968346, 0.7612110269465423,
+        -0.24594991947737282, -0.2802003627273213, -0.892653872241597, 0.47683417073089485,
+        -0.17170159527756254, -0.18468825676815093, -1.783839885940093, 1.1136789516972099,
+        1.2931510120968346, 0.7612110269465424,
     ],
     [
-        -1.4002035287461796, -0.46504553377575386, 0.37471398483252183, 0.2735903853682724,
-        0.16615954254694149, -0.8335956140985442, -2.855695647275246, 1.8284390325100004,
-        -0.08745155721162368, 0.7006129472622852,
+        -1.4002035287461794, -0.46504553377575414, 0.3747139848325217, 0.2735903853682722,
+        0.16615954254694146, -0.8335956140985441, -2.855695647275246, 1.8284390325100002,
+        -0.08745155721162345, 0.7006129472622853,
     ],
 ]
 ISOTROPIC_10D_QUERIES = [

@@ -1,7 +1,9 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from scipy import special
 
 from helpers import (
     adaptive_quadrature,
@@ -12,6 +14,11 @@ from helpers import (
 )
 from lcsampler.errors import UsageError
 from lcsampler.numerics import (
+    _DRIFT_INVERSION_LIMIT,
+    _ERFCINV_TAIL,
+    _ERFCX_SERIES,
+    erfcinv,
+    erfcx,
     gaussian_piece_integral,
     gaussian_tail_integral,
     sample_gaussian_piece,
@@ -22,6 +29,75 @@ from lcsampler.numerics import (
 # kappa = 1e12 grid step to far past the mean
 PIECE_DRIFTS = (0.0, 0.5, 4.99, 5.01, 40.0)
 PIECE_LENGTHS = (2e-6, 1e-3, 1.0, 30.0)
+
+
+def _around(value: float, steps: int = 50) -> list[float]:
+    """``value`` and the ``steps`` doubles on either side of it."""
+    points, below, above = [value], value, value
+    for _ in range(steps):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        points += [below, above]
+    return points
+
+
+def _ulps_off(ours: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Distance of ``ours`` from ``reference`` in units of the reference's last place."""
+    return np.abs(ours - reference) / np.spacing(np.abs(reference))
+
+
+class TestSpecialFunctions:
+    """erfcx and erfcinv against scipy.special, a reference the package does not import.
+
+    The bounds are the ones the docstrings state: 12 ulps for erfcx (SciPy's
+    own erfcx is up to 8 ulps off near 0) and 8 for erfcinv.
+    """
+
+    def test_erfcx_from_zero_to_1e300(self):
+        rng = np.random.default_rng(7)
+        xs = np.concatenate([
+            rng.uniform(0.0, 30.0, 100_000),
+            10.0 ** rng.uniform(-10.0, 300.0, 100_000),
+            np.linspace(25.0, 27.0, 20_001),
+            _around(_ERFCX_SERIES),
+            [0.0, 5e-324, 1e300],
+        ])
+        ours = np.array([erfcx(x) for x in xs.tolist()])
+        assert float(_ulps_off(ours, special.erfcx(xs)).max()) <= 12.0
+
+    def test_erfcinv_from_1e_300_to_2(self):
+        rng = np.random.default_rng(7)
+        ys = np.concatenate([
+            10.0 ** rng.uniform(-300.0, 0.0, 100_000),
+            rng.uniform(0.0, 2.0, 100_000),
+            1.0 + rng.uniform(-1e-3, 1e-3, 20_000),
+            1.0 + 2.0**-52 * np.arange(-100, 101),
+            *(_around(y) for y in (_ERFCINV_TAIL, 0.5, 1.5, 2.0 - _ERFCINV_TAIL)),
+            [2.0**-52, 2.0 - 2.0**-52],
+        ])
+        ys = ys[(ys > 0.0) & (ys < 2.0)]
+        ours = np.array([erfcinv(y) for y in ys.tolist()])
+        reference = special.erfcinv(ys)
+        assert float(_ulps_off(ours, reference).max()) <= 8.0
+        # near y = 1 the root is near 0, and its error is absolute
+        near = np.abs(ys - 1.0) < 1e-3
+        assert float(np.abs(ours - reference)[near].max()) <= 1e-18
+
+    def test_erfcinv_ends(self):
+        assert erfcinv(0.0) == math.inf
+        assert erfcinv(2.0) == -math.inf
+        assert erfcinv(1.0) == 0.0
+        # a subnormal y takes its root past where exp(x^2) is a float
+        assert erfcinv(5e-324) == pytest.approx(27.2132932595262, rel=1e-12)
+
+    # the inverting draws: tails up to the drift limit, pieces longer than 1
+    @pytest.mark.parametrize("draw", [
+        *(partial(sample_gaussian_tail, a) for a in (0.0, 0.7, 3.0, _DRIFT_INVERSION_LIMIT)),
+        *(partial(sample_gaussian_piece, a, 30.0) for a in (0.0, 0.5, 4.99)),
+    ])
+    def test_scalar_and_array_inversions_agree_bitwise(self, draw):
+        scalar_rng, array_rng = np.random.default_rng(23), np.random.default_rng(23)
+        scalar = [draw(scalar_rng) for _ in range(2000)]
+        assert draw(array_rng, size=2000).tolist() == scalar
 
 
 class TestGaussianTailIntegral:

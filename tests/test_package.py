@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import lcsampler
@@ -69,3 +72,56 @@ def test_every_import_is_read():
         if path.name != "__init__.py" and (names := _unread_imports(path.read_text(encoding="utf-8")))
     }
     assert unread == {}
+
+
+# Runs every path that needs a special function in a fresh interpreter, then
+# prints the SciPy modules it loaded.  Tail and piece inversions are counted
+# by the function that called erfcinv.
+_SCIPY_FREE_RUN = """
+import sys
+from collections import Counter
+
+import numpy as np
+
+import lcsampler
+import lcsampler.cli
+from lcsampler import (
+    Envelope, PiecewiseQuadraticPotential, PotentialOracle, acceptance_probability,
+    prepare_envelope, quadratic_oracle, run_chain, sample_exact,
+)
+from lcsampler import numerics
+
+inversions = Counter()
+erfcinv = numerics.erfcinv
+
+
+def counted(y):
+    inversions[sys._getframe(1).f_code.co_name] += 1
+    return erfcinv(y)
+
+
+numerics.erfcinv = counted
+potential = PiecewiseQuadraticPotential.gaussian(1.0)
+normalized, env = prepare_envelope(PotentialOracle(potential, beta=4.0))
+# a piece of drift 0.5 and length 2 right of the plateau, which draws invert
+pieced = Envelope(1.0, ((-1.0, 0.0, 1.0),), ((1.0, 0.0, 0.5), (3.0, 2.0, 3.0)))
+rng = np.random.default_rng(3)
+for _ in range(10_000):
+    sample_exact(normalized, env, rng)
+    pieced.sample(rng)
+    if inversions["sample_gaussian_tail"] and inversions["sample_gaussian_piece"]:
+        break
+else:
+    raise SystemExit(f"no tail or no piece inversion: {dict(inversions)}")
+run_chain(quadratic_oracle(np.array([1.0, 4.0, 9.0])), np.zeros(3), 20, rng)
+acceptance_probability(potential, env)
+potential.density_cdf(np.linspace(-3.0, 3.0, 7))
+print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
+"""
+
+
+def test_sampling_loads_no_scipy():
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -26,6 +26,7 @@ from lcsampler import (
     sample_exact,
 )
 from lcsampler import hardfamily
+from lcsampler.hitandrun import Certificate, CertifiedLine, quadratic_oracle, restrict
 
 # Z_p / Z_q for the kappa=1 envelope: sqrt(2 pi) over the closed-form mass
 # 2 + 2 e^(-1/2) sqrt(pi/2) e^(1/8) erfc(1/(2 sqrt 2)) (test_envelope)
@@ -110,6 +111,55 @@ class TestSampleExact:
         x = info.value.query_point
         assert x > 1.2
         assert -(pot.evaluate(x)[0] - pot.evaluate(0.0)[0]) - env.log_value(x) > 1e-9
+
+
+class _FixedTrial:
+    """An envelope stand-in whose every draw is ``x``, with log value ``log_value``."""
+
+    def __init__(self, x, log_value):
+        self.x, self._log_value = x, log_value
+
+    def sample(self, rng):
+        return self.x
+
+    def log_value(self, x):
+        return self._log_value
+
+
+class TestRoundingOfShiftedValues:
+    # The line through (b, 0) along the second axis of |x|^2 / 2 has W(p) =
+    # b^2/2 = 1.00000179e11 at lam = 0 and W(lam) = W(p) + lam^2/2.  At lam =
+    # 1 + 2^-20 the oracle rounds b^2 + lam^2 to a multiple of 2^-15, so it
+    # answers W(p) + 1/2, short of W(lam) by 2^-20 + 2^-41: a tight envelope,
+    # exactly exp(-lam^2/2) there, then lies 9.5e-7 below the target's reading.
+    B, LAM = 447_214.0, 1.0 + 2.0**-20
+
+    def _view(self):
+        line = restrict(quadratic_oracle(np.ones(2)), np.array([self.B, 0.0]), np.array([0.0, 1.0]))
+        return CertifiedLine(line, Certificate(0.0, *line.query(0.0)))
+
+    def test_an_in_class_trial_within_rounding_is_accepted(self):
+        view = self._view()
+        assert view.shift == 0.5 * self.B**2
+        env = _FixedTrial(self.LAM, -0.5 * self.LAM * self.LAM)
+        assert -view.value(self.LAM) - env.log_value(self.LAM) == 2.0**-20 + 2.0**-41
+        outcome = sample_exact(view, env, np.random.default_rng(0))
+        assert outcome == (self.LAM, 1, 1)
+
+    def test_a_gap_beyond_rounding_still_raises(self):
+        env = _FixedTrial(self.LAM, -0.5 * self.LAM * self.LAM - 1e-2)
+        with pytest.raises(ClassViolationError, match="log gap") as info:
+            sample_exact(self._view(), env, np.random.default_rng(0))
+        assert info.value.query_point == self.LAM
+
+    def test_the_1d_view_keeps_the_absolute_bound(self):
+        # a hidden offset near 2^24 would widen an allowance of ulps of it to 3e-8
+        _, _, normalized, _ = gaussian_setup(offset=2.0**24 - 1.0)
+        x = 0.5
+        env = _FixedTrial(x, -0.125 - 1e-8)
+        assert -normalized.value(x) - env.log_value(x) == pytest.approx(1e-8, abs=1e-9)
+        with pytest.raises(ClassViolationError, match="log gap"):
+            sample_exact(normalized, env, np.random.default_rng(0))
 
 
 class TestSampleCapped:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-argument check that raises one."""
+
+import operator
 
 
 class UsageError(ValueError):
@@ -18,3 +20,12 @@ class ClassViolationError(RuntimeError):
         super().__init__(message)
         self.query_point = query_point
 
+
+def integer_argument(value, name: str, least: int) -> int:
+    """``value`` as an int, UsageError naming ``name`` unless it is an integer of at least ``least``.
+
+    NumPy integers pass; a bool, a float and a string do not.
+    """
+    if isinstance(value, bool) or not hasattr(value, "__index__") or operator.index(value) < least:
+        raise UsageError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return operator.index(value)

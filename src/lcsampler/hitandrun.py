@@ -5,8 +5,14 @@ potential to the line through the current point.  Along a unit direction the
 restriction W keeps the curvature sandwich ``1 <= W'' <= kappa``, and one
 query at a point p gives both ``W(p)`` and ``g = W'(p)``.  Strong convexity
 then bounds the minimum from below, ``W(p) - W* <= g^2/2``, and places the
-minimizer between ``p - g`` and ``p - g/kappa``, within ``|g|`` of p.  A point with
-``|g| <= 1`` is therefore a certificate: ``W - W(p) >= -1/2`` everywhere.
+minimizer between ``p - g`` and ``p - g/kappa``, within ``|g|`` of p.  Every
+queried point is therefore a certificate, ``W - W(p) >= -g^2/2`` everywhere,
+and the line step asks for one with ``|g| <= B``: ``W - W(p) >= -B^2/2``.
+``B = 2`` (a floor of 2) above ``kappa = 8/3``, where the level-3 sandwich
+of a zero-slope certificate leaves the threshold searches' edges open and a
+steep start's bracket costs ``O(log kappa |g|)`` queries; ``B = 1`` (a floor
+of 1/2) up to it, where a certificate near the minimizer leaves the searches
+nothing to query and the bracket's far probe is the envelope's only query.
 
 The line step has three parts:
 
@@ -15,7 +21,7 @@ The line step has three parts:
   step's accepted rejection trial, whose one query returned the value and
   the gradient there, so the search starts from that answer, a
   :class:`Probe`, and queries nothing for it; only a chain's first step
-  queries its start.  There ``|W'|`` is usually already at most 1;
+  queries its start.  There ``|W'|`` is usually already at most B;
   otherwise ``W'(p - g)`` has the sign opposite to g, and safeguarded
   regula falsi on W' between the two, with bisection as the fallback,
   finds one.  It returns the certificate and its other probes, every one
@@ -64,13 +70,14 @@ The line step has three parts:
     along the side).  On a line of curvature 1 that bound is W itself.
 
   This envelope is nowhere above the one the two edges alone give with the
-  values the searches hold there (plateau ``e^(1/2)`` between them, tails
-  ``exp(-min(w_edge) - (w_edge/d_edge) t - t^2/2)``), so against those edges
+  values the searches hold there (plateau ``e^f`` between them, ``f =
+  max(1/2, g^2/2)``, tails ``exp(-min(w_edge) - (w_edge/d_edge) t -
+  t^2/2)``), so against those edges
   the acceptance rate on a line never falls; the argument never uses where
   a probe sits, and the certificate search's probes move neither edge nor
   its value.  Between the edges the
   plateau, the tangent row (at most ``e^(g^2/2)``) and every probe's row
-  (at most ``e^(-w_k) < 1``) lie below ``e^(1/2)``.  At the edge ``s_edge >
+  (at most ``e^(-w_k) < 1``) lie below ``e^f``.  At the edge ``s_edge >
   w_edge/d_edge``.  Past an outer probe x_2 its row lies below the inner
   probe's, because ``w_2`` is at least the inner bound at x_2 and ``s_2 >=
   s_1 + d_2 - d_1``: ``W(p + d) - d^2/2`` is convex and 0 at p, so its chord
@@ -106,7 +113,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .envelope import Envelope, threshold_searches
-from .errors import ClassViolationError, UsageError
+from .errors import ClassViolationError, UsageError, integer_argument
 from .rejection import sample_exact
 
 # Relative slack of the sandwich checks, for float noise in class members
@@ -116,6 +123,9 @@ _FLOAT = np.dtype(float)
 # The line envelope's threshold: each side's search finds the first grid
 # offset from the certificate where the shifted restriction reaches it
 _LEVEL = 3.0
+# Above this kappa the level-3 sandwich of a zero-slope certificate leaves
+# its edges open, ``search_range(kappa, level=3, rise=0)`` has lo < top
+_OPEN_KAPPA = 8.0 / 3.0
 
 
 class MultivariateOracle:
@@ -125,17 +135,17 @@ class MultivariateOracle:
     computing the gradient when ``gradient`` is false, and increments the
     counter by exactly one.  The potential must satisfy ``V(0) = 0`` and
     ``grad V(0) = 0`` with directional curvature in ``[1, kappa]`` along
-    every unit direction.
+    every unit direction.  ``dimension`` must be an integer of at least 1,
+    NumPy's included (UsageError for a bool, a float or a string).
     """
 
     def __init__(self, value_fn, grad_fn, dimension: int, kappa: float):
-        if dimension < 1:
-            raise UsageError(f"dimension must be positive, got {dimension}")
+        dimension = integer_argument(dimension, "dimension", 1)
         if not 1.0 <= kappa < math.inf:
             raise UsageError(f"kappa must be finite and at least 1, got {kappa}")
         self._value_fn = value_fn
         self._grad_fn = grad_fn
-        self.dimension = int(dimension)
+        self.dimension = dimension
         self.kappa = float(kappa)
         self._count = 0
         origin = np.zeros(self.dimension)
@@ -197,7 +207,8 @@ class Probe(NamedTuple):
 class Certificate(NamedTuple):
     """A point ``lam`` on a line with ``W(lam)`` and ``W'(lam)``.
 
-    :func:`bracket_minimizer` returns one with ``|slope| <= 1``.
+    :func:`bracket_minimizer` returns one with ``|slope| <= B``, the bound
+    of its docstring: 2 above ``kappa = 8/3``, else 1.
     """
 
     lam: float
@@ -300,44 +311,50 @@ def restrict(oracle: MultivariateOracle, x_t, u) -> LineOracle:
 def bracket_minimizer(
     line: LineOracle, start: float, first: Certificate | None = None
 ) -> tuple[Certificate, tuple[Certificate, ...]]:
-    """A certificate for the line: a queried point p with ``|W'(p)| <= 1``.
+    """A certificate for the line: a queried point p with ``|W'(p)| <= B``.
 
-    Returns the certificate and a tuple of the search's other probes, each a
-    :class:`Certificate` of its point and each checked against the
-    certificate's sandwich (empty when the first probe is the certificate).
+    ``B = 2`` when ``kappa > 8/3``, where ``search_range(kappa, level=3,
+    rise=0)`` leaves ``lo < top``, and ``B = 1`` otherwise; either way ``W -
+    W(p) >= -B^2/2`` on the line, the floor the line envelope's plateau
+    ``e^(g^2/2)`` covers.  Returns the certificate and a tuple of the
+    search's other probes, each a :class:`Certificate` of its point and each
+    checked against the certificate's sandwich (empty when the first probe
+    is the certificate).
 
     Queries ``start`` first, unless ``first`` is given: the line's answer
     at ``start`` from a query already made, taken as the first probe
-    without a query.  If ``|g| > 1`` there, strong convexity gives
+    without a query.  If ``|g| > B`` there, strong convexity gives
     ``W'(start - g)`` the opposite sign, and regula falsi on W' between the
-    two ends takes over; a secant step that fails to halve the bracket is
-    followed by a bisection, and a secant point that rounds onto or past an
-    end of the bracket is replaced by one, so every two probes at least
-    halve it.  A class member has ``|W'| <= 1`` within ``1/kappa`` of its
-    minimizer, so the search ends before the bracket is narrower than
-    ``2/kappa``, after at most ``2 + 2*max(0, ceil(log2(kappa*|g|/2)))``
-    queries, whether or not the replacement fires: it halves the bracket
-    with one probe.  With ``first`` given that bound is ``1 +
-    2*max(0, ceil(log2(kappa*|g|/2)))``, and no query at all when ``|g| <=
-    1``.
+    two ends takes over, until a probe, the far end included, has ``|W'|
+    <= B``; a secant step that fails to halve the bracket is followed by a
+    bisection, and a secant point that rounds onto or past an end of the
+    bracket is replaced by one, so every two probes at least halve it.  A
+    class member has ``|W'| <= B`` within ``B/kappa`` of its minimizer, so
+    the search ends before the bracket is narrower than ``2B/kappa``, after
+    at most ``2 + 2*max(0, ceil(log2(kappa*|g|/(2B))))`` queries, whether or
+    not the replacement fires: it halves the bracket with one probe.  With
+    ``first`` given that bound is ``1 + 2*max(0,
+    ceil(log2(kappa*|g|/(2B))))``, and no query at all when ``|g| <= B``.
+    Neither bound is above the one for ``B = 1``.
 
-    Raises ClassViolationError when the far end's slope has the sign of g,
-    when the bracket falls below ``1/kappa`` (W' is steeper than kappa
-    allows), or when a probed value escapes the sandwich of the
-    certificate found, or when W' rises faster than kappa allows (with the
-    slack of :meth:`Certificate.check`) between two adjacent doubles at
-    least ``1/kappa`` apart; a smaller rise there is a UsageError: double
-    precision cannot resolve the line.  So is a first slope g with ``kappa
-    g^2`` past the float range: the far probe lies ``|g|`` away, where the
-    sandwich lets an in-class W rise by ``kappa g^2/2``, and twice that (a
-    quadratic's ``x' D x``) may overflow, so the search raises before it
-    queries there.
+    Raises ClassViolationError when the far end's slope has the sign of g
+    and a magnitude above 1, when the bracket falls below ``1/kappa`` (W'
+    is steeper than kappa allows), or when a probed value escapes the
+    sandwich of the certificate found, or when W' rises faster than kappa
+    allows (with the slack of :meth:`Certificate.check`) between two
+    adjacent doubles at least ``1/kappa`` apart; a smaller rise there is a
+    UsageError: double precision cannot resolve the line.  So is a first
+    slope g with ``kappa g^2`` past the float range: the far probe lies
+    ``|g|`` away, where the sandwich lets an in-class W rise by ``kappa
+    g^2/2``, and twice that (a quadratic's ``x' D x``) may overflow, so the
+    search raises before it queries there.
     """
     kappa = line.kappa
+    bound = 2.0 if kappa > _OPEN_KAPPA else 1.0
     if first is None:
         start = float(start)
         first = _certificate((start, *line.query(start)))
-    if abs(first.slope) <= 1.0:
+    if abs(first.slope) <= bound:
         return first, ()
     if kappa * first.slope * first.slope == math.inf:
         raise UsageError(
@@ -354,7 +371,7 @@ def bracket_minimizer(
         )
     lo, hi = sorted((first, far))
     bisect = False
-    while abs(probes[-1].slope) > 1.0:
+    while abs(probes[-1].slope) > bound:
         width = hi.lam - lo.lam
         lam = 0.5 * (lo.lam + hi.lam)
         if not bisect:
@@ -397,6 +414,10 @@ def build_line_envelope(
     open.  An edge at the top of its range that the search did not query
     takes the sandwich's lower bound there, which gives a dominating row
     like a queried value, so a line of curvature 1 costs one query a side.
+    Any certificate serves: the plateau is ``e^(g^2/2)``, up to ``e^2``
+    for a certificate with ``|g| <= 2``, and the edge envelope it is
+    compared with in the module docstring has plateau ``e^f``, ``f =
+    max(1/2, g^2/2)``.
     ``probes`` are the certificate search's other points on the line, as
     :func:`bracket_minimizer` returns them, each already checked against the
     certificate.  On each side the farthest one below the level clears the
@@ -554,11 +575,11 @@ def run_chain(
     the first step queries its start point, and not even that one when
     ``x0`` is a :class:`Probe`: a chain run in chunks passes each chunk's
     ``last`` to the next and takes the same steps as one unbroken chain.  A
-    point ``x0`` must be a finite vector of the oracle's dimension
-    (UsageError), checked before any query.
+    point ``x0`` must be a finite vector of the oracle's dimension, and
+    ``steps`` an integer of at least 0 (UsageError for a bool, a float or a
+    string), both checked before any query.
     """
-    if steps < 0:
-        raise UsageError("steps must be nonnegative")
+    steps = integer_argument(steps, "steps", 0)
     try:
         positions = np.empty((steps + 1, oracle.dimension))
         step_queries = np.empty(steps, dtype=int)

@@ -12,14 +12,13 @@ unless the gap is within the rounding of the trial's value (:func:`_rounding`).
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ClassViolationError, UsageError
+from .errors import ClassViolationError, UsageError, integer_argument
 
 # Ulps of the unshifted magnitudes that a shifted value and the envelope built
 # from other shifted values may together be off by
@@ -67,9 +66,7 @@ def sample_exact(oracle, env, rng: np.random.Generator, cap: int | None = None) 
     returned are ints.
     """
     if cap is not None:
-        if isinstance(cap, bool) or not hasattr(cap, "__index__") or operator.index(cap) < 1:
-            raise UsageError(f"trial cap must be None or an integer of at least 1, got {cap!r}")
-        cap = operator.index(cap)
+        cap = integer_argument(cap, "trial cap", 1)
     trials = 0
     while trials != cap:
         trials += 1

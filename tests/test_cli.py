@@ -415,12 +415,24 @@ class TestErrorPaths:
         assert len(out.read_text().splitlines()) == 31
 
     def test_in_class_diagonal_past_double_precision_is_config_error(self, capsys):
-        # curvature 1e32 > 2^104: one ulp at the line minimizer moves W' by
-        # more than 2, so the certificate search ends between two adjacent
-        # doubles whose slopes still exceed 1, with a rise the class allows
-        doc = {"type": "diagonal", "curvatures": [1, 1e32]}
-        assert run_cli(["hitandrun", "--target", json.dumps(doc), "--trials", "300", "--seed", "1"]) == 4
+        # The stiff coordinate stays within about 1/sqrt(c) of 0, so a line's
+        # minimizer lies about 1e-16 from the chain's point, where one ulp is
+        # 1e-32 to 1e-31 and moves W' by c times that.  The certificate search
+        # stops at |W'| <= B = 2, so it stalls between two adjacent doubles,
+        # with a rise the class allows, only where that ulp moves W' by more
+        # than 2B = 4; with B = 1 a rise past 2 did, and [1, 1e32] exited 4
+        # (W' from -1.01 to 1.01).  Where a chain stalls depends on its path:
+        # at seed 1 over 300 steps, of the curvatures k * 1e30 and k * 1e31
+        # (k = 1, ..., 9), the half steps 1.5e31, ..., 6.5e31 and 1e32, ...,
+        # 1.9e32, every one up to 6.5e31 runs and 7e31 is the smallest that
+        # exits 4 (W' from -2.75 to 2.75 across 1e-31 at lam = -4.77e-16);
+        # 1e32 runs
+        args = ["hitandrun", "--trials", "300", "--seed", "1"]
+        doc = {"type": "diagonal", "curvatures": [1, 7e31]}
+        assert run_cli([*args, "--target", json.dumps(doc)]) == 4
         assert "double precision" in capsys.readouterr().err
+        doc = {"type": "diagonal", "curvatures": [1, 1e32]}
+        assert run_cli([*args, "--target", json.dumps(doc)]) == 0
 
     @pytest.mark.parametrize("curvature, code", [(1e30, 0), (1e300, 4)])
     def test_in_class_diagonal_whose_far_probe_overflows_is_config_error(self, curvature, code, capsys):

@@ -121,20 +121,27 @@ def quadratic_line_minimum(diag, line):
     return lam, 0.5 * float(line.point(lam) @ (diag * line.point(lam)))
 
 
+def certificate_bound(kappa):
+    """B of bracket_minimizer's docstring: 2 where the level-3 sandwich of a
+    zero-slope certificate leaves its edges open (lo < top), else 1."""
+    lo, top = search_range(kappa, level=3.0, rise=0.0)
+    return 2.0 if lo < top else 1.0
+
+
 def query_bound(kappa, slope):
     """The worst case of bracket_minimizer's docstring for a first slope."""
-    return 2 + 2 * max(0, math.ceil(math.log2(kappa * abs(slope) / 2.0)))
+    return 2 + 2 * max(0, math.ceil(math.log2(kappa * abs(slope) / (2.0 * certificate_bound(kappa)))))
 
 
 class TestBracketMinimizer:
-    # The contract: a queried point p with |W'(p)| <= 1, so W(p) - W* <=
-    # W'(p)^2/2 <= 1/2 and the minimizer lies within |W'(p)| of p.
+    # The contract: a queried point p with |W'(p)| <= B, so W(p) - W* <=
+    # W'(p)^2/2 <= B^2/2 and the minimizer lies within |W'(p)| of p.
     def test_symmetric_line_contains_origin(self):
         o = isotropic(2, 1.0)
         line = restrict(o, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         for start in (0.0, 0.7, -3.0, 40.0):
             cert, _ = bracket_minimizer(line, start)
-            assert abs(cert.slope) <= 1.0
+            assert abs(cert.slope) <= certificate_bound(1.0) == 1.0
             assert abs(cert.lam) <= abs(cert.slope)
             assert cert.value - 0.5 <= 0.5 * cert.slope**2 + 1e-12
             assert (cert.value, cert.slope) == line.query(cert.lam)
@@ -147,7 +154,7 @@ class TestBracketMinimizer:
         lam_star, w_star = quadratic_line_minimum(diag, line)
         for start in (0.6, 5.0, -20.0, lam_star + 0.2):
             cert, _ = bracket_minimizer(line, start)
-            assert abs(cert.slope) <= 1.0
+            assert abs(cert.slope) <= certificate_bound(4.0) == 2.0
             assert abs(cert.lam - lam_star) <= abs(cert.slope) + 1e-12
             assert cert.value - w_star <= 0.5 * cert.slope**2 + 1e-12
 
@@ -167,14 +174,14 @@ class TestBracketMinimizer:
                 before = oracle.query_count
                 cert, _ = bracket_minimizer(line, start)
                 used = oracle.query_count - before
-                assert abs(cert.slope) <= 1.0
+                assert abs(cert.slope) <= certificate_bound(kappa)
                 assert used <= query_bound(kappa, first)
                 slack.append(query_bound(kappa, first) - used)
         assert min(slack) >= 2  # regula falsi beats the bound's bisection count
 
     def test_known_first_probe_saves_its_query(self):
         # a first probe already queried at the start is taken as it is: no
-        # query when |g| <= 1, and at most one below the docstring's bound
+        # query when |g| <= B, and at most one below the docstring's bound
         # otherwise, with the certificate a fresh search finds
         kappa = 1e6
         rng = np.random.default_rng(29)
@@ -194,13 +201,35 @@ class TestBracketMinimizer:
                 cert, probes = bracket_minimizer(line, 0.0, first)
                 used = oracle.query_count - before
                 assert (cert, probes) == bracket_minimizer(line, 0.0)
-                if abs(first.slope) <= 1.0:
+                if abs(first.slope) <= certificate_bound(kappa):
                     flat += 1
                     assert used == 0 and cert is first
                 else:
                     steep += 1
                     assert used <= query_bound(kappa, first.slope) - 1
         assert flat >= 100 and steep >= 100
+
+    @pytest.mark.parametrize("kappa, bound", [(2.5, 1.0), (8.0 / 3.0, 1.0), (3.0, 2.0), (1e6, 2.0)])
+    def test_a_start_slope_of_one_and_a_half(self, kappa, bound):
+        # W(lam) = (lam + 1.5)^2/2 from lam = 0, where g = 1.5.  Up to kappa =
+        # 8/3 (B = 1) the far probe -1.5 is the minimizer and the
+        # certificate, the start its probe; above it (B = 2) the start is
+        # the certificate, with no query when its answer is already known
+        assert certificate_bound(kappa) == bound
+        o = isotropic(2, kappa)
+        line = restrict(o, np.array([1.5, 0.0]), np.array([1.0, 0.0]))
+        start = Certificate(0.0, 1.125, 1.5)
+        before = o.query_count
+        found = bracket_minimizer(line, 0.0)
+        if bound == 1.0:
+            assert found == ((-1.5, 0.0, 0.0), (start,))
+            assert o.query_count - before == 2
+        else:
+            assert found == (start, ())
+            assert o.query_count - before == 1
+        before = o.query_count
+        assert bracket_minimizer(line, 0.0, start) == found
+        assert o.query_count - before == (1 if bound == 1.0 else 0)
 
     def test_origin_line_degenerate_seed(self):
         o = isotropic(2, 4.0)
@@ -249,20 +278,23 @@ class TestBracketMinimizer:
         (3.0, 2.0, ClassViolationError, "steeper than kappa = 2 allows"),
     ])
     def test_bracket_between_adjacent_doubles(self, curvature, kappa, error, message):
-        # W(lam) = c (lam - m)^2 / 2 about m = 2^53 + 1, which no double
-        # holds: the search ends on [2^53, 2^53 + 2], 2 >= 1/kappa wide with
-        # nothing between, where W' rises by 2c.  Up to 2 kappa that is the
-        # limit of double precision; beyond it, a proof that W'' > kappa
+        # W(lam) = c (lam - m)^2 / 2 about m = 2^54 + 2, which no double
+        # holds: the search ends on [2^54, 2^54 + 4], 4 >= 1/kappa wide with
+        # nothing between, where W' runs from -2c to 2c.  Both ends exceed B
+        # (2 at kappa 4, 1 at kappa 2), so neither is a certificate.  A rise
+        # 4c up to 4 kappa is the limit of double precision; beyond it, a
+        # proof that W'' > kappa
         class Line:
             def query(self, lam):
-                t = (lam - 2.0**53) - 1.0
+                t = (lam - 2.0**54) - 2.0
                 return 0.5 * curvature * t * t, curvature * t
 
         line = Line()
         line.kappa = kappa
+        assert 2.0 * curvature > certificate_bound(kappa)
         with pytest.raises(error, match=message) as info:
             bracket_minimizer(line, 0.0)
-        assert all(f"{2.0**53 + d:.17g}" in str(info.value) for d in (0.0, 2.0))
+        assert all(f"{2.0**54 + d:.17g}" in str(info.value) for d in (0.0, 4.0))
 
     def test_minimizer_outside_seed_interval_raises_class_violation(self):
         # curvature 100 against a declared kappa of 1: from the start 0,
@@ -408,7 +440,7 @@ class TestLineEnvelope:
 
     def test_first_dyadic_offset_is_never_needed_at_zero(self):
         # the shifted value stays below the level 3 at every grid index
-        # below the lo the sandwich derives, and lo >= 1 while |g| <= 1, so
+        # below the lo the sandwich derives, and lo >= 1 while |g| <= B, so
         # index 0, one grid step from the certificate point, is among them
         for kappa, diag in ((4.0, (1.0, 4.0)), (100.0, (1.0, 30.0)), (1e6, (1.0, 1e6))):
             o = quadratic_oracle(np.asarray(diag, float), kappa=kappa)
@@ -424,11 +456,10 @@ class TestLineEnvelope:
 
     def test_mass_is_proportional_to_edge_width(self):
         # the envelope is nowhere above the one from the two level-3 edges
-        # (TestNeverWorse), whose plateau is e^(1/2) times the edges' width E
-        # and whose tails start at e^(-w_edge) <= e^-3 with drift w_edge /
-        # d_edge >= 3 / d_edge, so each holds at most e^-3 d_edge / 3; the
-        # two d_edge add up to E
-        cap = math.exp(0.5) + math.exp(-3.0) / 3.0
+        # (TestNeverWorse), whose plateau is e^f times the edges' width E, f
+        # = max(1/2, g^2/2), and whose tails start at e^(-w_edge) <= e^-3
+        # with drift w_edge / d_edge >= 3 / d_edge, so each holds at most
+        # e^-3 d_edge / 3; the two d_edge add up to E
         kappa = 4.0
         _, line, cert = self._restriction(kappa=kappa)
         env, _ = build_line_envelope(line, cert)
@@ -446,6 +477,7 @@ class TestLineEnvelope:
         for line, cert, probes in lines:
             env, shifted = build_line_envelope(line, cert, probes)
             edges = edge_envelope(shifted, cert)
+            cap = math.exp(edge_floor(cert)) + math.exp(-3.0) / 3.0
             assert env.mass_total <= cap * (edges.x_plus - edges.x_minus)
 
     def test_acceptance_probability_floor(self):
@@ -462,19 +494,30 @@ class TestLineEnvelope:
         assert z_p / env.mass_total >= floor
 
 
+def edge_floor(cert):
+    """The edge envelope's log plateau f = max(1/2, g^2/2): 1/2 for every |g| <= 1."""
+    return max(0.5, 0.5 * cert.slope**2)
+
+
+def two_edge_envelope(cert, x_minus, w_minus, x_plus, w_plus):
+    """Plateau e^f between the edges; each tail's drift is its edge value over
+    its distance from p, and the offset the smaller edge value plus f."""
+    f = edge_floor(cert)
+    offset = min(w_minus, w_plus) + f
+    return Envelope(math.exp(f), ((x_minus, offset, w_minus / (cert.lam - x_minus)),),
+                    ((x_plus, offset, w_plus / (x_plus - cert.lam)),))
+
+
 def edge_envelope(shifted, cert):
     """The line envelope built from the two threshold edges alone.
 
-    Plateau e^(1/2) between the edges; each tail's drift is its edge value
-    over its distance from p, and the offset the smaller edge value plus 1/2.
-    Re-runs the searches (same probes, fresh queries).
+    :func:`two_edge_envelope` of the edges the searches find, re-run (same
+    probes, fresh queries).
     """
     (x_minus, w_minus, _), (x_plus, w_plus, _) = threshold_searches(
         shifted.level, cert.lam, shifted.kappa, level=3.0, slope=cert.slope
     )
-    offset = min(w_minus, w_plus) + 0.5
-    return Envelope(math.exp(0.5), ((x_minus, offset, w_minus / (cert.lam - x_minus)),),
-                    ((x_plus, offset, w_plus / (x_plus - cert.lam)),))
+    return two_edge_envelope(cert, x_minus, w_minus, x_plus, w_plus)
 
 
 def never_worse_lines(name, kappa):
@@ -514,12 +557,15 @@ class TestNeverWorse:
     @pytest.mark.parametrize("name", ["isotropic", "hard:2", "skewed"])
     def test_narrowed_range_finds_the_same_edge(self, name, kappa):
         # the range the sandwich leaves open lies inside the one the line
-        # search used before, [1, ceil(log2(kappa)/2 + log2(|g| + sqrt(7)))],
-        # and both find the same first index at which W reaches 3
+        # search used before, [1, ceil(log2(kappa)/2 + log2(|g| + sqrt(max(7,
+        # g^2 + 6))))], and both find the same first index at which W reaches
+        # 3: the lower bound -|g| t + t^2/2 reaches 3 at t = |g| + sqrt(g^2 +
+        # 6), which the old sqrt(7) covered only while |g| <= 1
         for line, cert, _ in never_worse_lines(name, kappa):
             _, shifted = build_line_envelope(line, cert)
             left, right = threshold_searches(shifted.level, cert.lam, kappa, level=3.0, slope=cert.slope)
-            wide_top = math.ceil(math.log2(kappa) / 2 + math.log2(abs(cert.slope) + math.sqrt(7.0)))
+            reach = math.sqrt(max(7.0, cert.slope**2 + 6.0))
+            wide_top = math.ceil(math.log2(kappa) / 2 + math.log2(abs(cert.slope) + reach))
             for side, (edge, _, _) in ((-1, left), (1, right)):
                 lo, top = search_range(kappa, level=3.0, rise=side * cert.slope)
                 assert 1 <= lo <= top <= wide_top
@@ -655,9 +701,7 @@ class TestCertifiedEdge:
                 shifted.level, cert.lam, kappa, level=3.0, slope=cert.slope, exact_edges=True
             )
             assert (w_minus, w_plus) == (shifted.level(x_minus)[0], shifted.level(x_plus)[0])
-            offset = min(w_minus, w_plus) + 0.5
-            queried = Envelope(math.exp(0.5), ((x_minus, offset, w_minus / (cert.lam - x_minus)),),
-                               ((x_plus, offset, w_plus / (x_plus - cert.lam)),))
+            queried = two_edge_envelope(cert, x_minus, w_minus, x_plus, w_plus)
             assert env.mass_total <= queried.mass_total
 
 
@@ -696,6 +740,66 @@ def restriction(members, line, lams):
     return sum(m.evaluate(points[i])[0] for i, m in enumerate(members))
 
 
+def assert_dominates(env, grid, w):
+    """``env`` is at least ``exp(-w)`` at each ``grid`` point, ``w`` the shifted restriction there.
+
+    Within the sampler's own log tolerance, wherever exp(-W) is a positive
+    float, plus what the steepest row falls over four ulps of lam: adjacent
+    doubles lam can round to one point of the line, where W stays put while
+    a row with drift 1.5e6 falls by 1.3e-9.
+    """
+    steepest = max(s for _, _, s in env.rows_minus + env.rows_plus)
+    positive = w < 700.0
+    slack = 1e-9 + 4.0 * steepest * np.spacing(np.abs(grid[positive]))
+    assert np.all(-w[positive] - env.log_value(grid[positive]) <= slack)
+
+
+def start_certificate_lines(name, kappa, count):
+    """``count`` random lines whose start, with ``1 < |W'| <= 2``, is the certificate.
+
+    The isotropic 10-d quadratic, or ``name`` times two Gaussians with the
+    member's coordinate scaled by ``10^U / sqrt(kappa)`` into its narrow
+    bands, as in :func:`bracket_lines`.  Yields the restriction's members
+    (None for the quadratic), the line and its certificate.
+    """
+    rng = np.random.default_rng(83)
+    if name == "isotropic":
+        members, oracle = None, isotropic(10, kappa)
+    else:
+        members = [builtin_potential(name, kappa)] + [builtin_potential("gaussian", kappa)] * 2
+        oracle = product_oracle(members, kappa)
+    while count:
+        x = rng.standard_normal(oracle.dimension)
+        if members:
+            x[0] *= 10.0 ** rng.uniform(0.0, 1.5) / math.sqrt(kappa)
+        u = rng.standard_normal(oracle.dimension)
+        u /= np.linalg.norm(u)
+        line = restrict(oracle, x, u)
+        start = Certificate(0.0, *line.query(0.0))
+        if 1.0 < abs(start.slope) <= 2.0:
+            assert bracket_minimizer(line, 0.0, start) == (start, ())
+            count -= 1
+            yield members, line, start
+
+
+class TestWideCertificates:
+    """Line envelopes around a start certificate with ``1 < |g| <= 2``, plateau up to ``e^2``."""
+
+    @pytest.mark.parametrize("kappa", [1e6, 1e12])
+    @pytest.mark.parametrize("name", ["isotropic", "hard:2", "skewed"])
+    def test_dominate_the_restriction(self, name, kappa):
+        for members, line, cert in start_certificate_lines(name, kappa, 40):
+            env, _ = build_line_envelope(line, cert)
+            assert env.plateau_height == math.exp(0.5 * cert.slope * cert.slope)
+            grid = domination_grid(env)
+            if members is None:
+                points = line.base[:, None] + grid[None, :] * line.direction[:, None]
+                w = 0.5 * np.sum(points * points, axis=0) - cert.value
+            else:
+                w = restriction(members, line, grid) - cert.value
+            assert_dominates(env, grid, w)
+
+
 BRACKET_CASES = [(name, kappa) for name in ("hard:2", "skewed", "mixed") for kappa in (1e6, 1e12)]
 
 
@@ -710,15 +814,7 @@ class TestBracketRows:
             starts = {x for x, _, _ in env.rows_minus + env.rows_plus}
             rows += sum(probe.lam in starts for probe in probes)
             grid = domination_grid(env)
-            w = restriction(members, line, grid) - cert.value
-            # the sampler's own log tolerance, wherever exp(-W) is a positive
-            # float, plus what the steepest row falls over four ulps of lam:
-            # adjacent doubles lam can round to one point of the line, where
-            # W stays put while a row with drift 1.5e6 falls by 1.3e-9
-            steepest = max(s for _, _, s in env.rows_minus + env.rows_plus)
-            positive = w < 700.0
-            slack = 1e-9 + 4.0 * steepest * np.spacing(np.abs(grid[positive]))
-            assert np.all(-w[positive] - env.log_value(grid[positive]) <= slack)
+            assert_dominates(env, grid, restriction(members, line, grid) - cert.value)
         assert rows >= 100  # about one bracket row a line
 
     @pytest.mark.parametrize("name, kappa", BRACKET_CASES)
@@ -985,6 +1081,19 @@ class TestRunChain:
         with pytest.raises(UsageError):
             run_chain(isotropic(2, 1.0), np.zeros(2), -1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("steps", [True, 2.5, "3"])
+    def test_steps_must_be_an_integer(self, steps):
+        # a bool, a float or a string is a UsageError naming the argument,
+        # before any query, not NumPy's TypeError or a comparison's
+        oracle = isotropic(2, 4.0)
+        with pytest.raises(UsageError, match=f"steps must be an integer of at least 0, got {steps!r}"):
+            run_chain(oracle, np.zeros(2), steps, np.random.default_rng(0))
+        assert oracle.query_count == 0
+
+    def test_numpy_integer_steps(self):
+        res = run_chain(isotropic(2, 4.0), np.zeros(2), np.int32(3), np.random.default_rng(0))
+        assert res.positions.shape == (4, 2) and res.step_queries.shape == (3,)
+
     @pytest.mark.parametrize("start, message", [
         (np.array([0.5]), r"shape \(10,\), got \(1,\)"),
         (0.5, r"shape \(10,\), got \(\)"),
@@ -1049,30 +1158,37 @@ class TestRunChain:
 # every query count stayed.  The anisotropic chain moved at step 20 only,
 # by 2 ulps; the 10-d chain from step 3 on, each position by at most 3.3e-16,
 # 3 ulps of its largest coordinate.
+# Re-recorded again when the certificate search came to accept a probe with
+# |W'| <= 2 above kappa = 8/3 (both chains' kappa): a start with 1 < |g| <= 2
+# became its line's certificate, so the envelopes, the trials and the paths
+# changed.  The anisotropic chain left its path at step 2, and its queries
+# went from 176 to 161 (over 5,000 steps 9.18 -> 9.15 per step); the 10-d
+# chain kept its path through step 7, and its queries went from 67 to 65
+# (3.49 -> 3.34 per step).
 ANISOTROPIC_POSITIONS = [
     [0.5878986735554335, -0.15765943136239413],
-    [1.3963688269007477, 0.1776658601267047],
-    [0.37029247897859663, 0.14385578800509666],
-    [-0.5763022074355589, -0.19761105756164307],
-    [-0.030900494398532485, 0.28201072582248643],
-    [-0.09149362061948033, 0.30235412698039577],
-    [-0.41838341206909047, -0.19155180695503304],
-    [-0.3943417592734365, 0.044390473555943166],
-    [-0.4676132314236478, -0.02504977358681615],
-    [-0.5801837210805167, 0.014507631506662712],
-    [-0.47042506838904663, -0.2642438993674583],
-    [0.0010505506712688573, -0.004007370462085991],
-    [0.6569363704456124, -0.1515798260166888],
-    [0.5224501324714041, -0.32128878054964827],
-    [-0.2585454863692539, -0.2273977645518695],
-    [-0.3249470341017653, -0.023282571767523602],
-    [-0.3109207272033556, 0.17792713281531478],
-    [-0.2465522263033757, -0.10962380111263617],
-    [-0.2734203515496502, -0.01753745579600538],
-    [-1.6823830156935444, -0.10527914629788557],
+    [0.8761691999222716, -0.038094846471171076],
+    [0.009675599035442128, -0.06664653387554567],
+    [0.251370606840916, 0.07856211034491534],
+    [0.23257557259777295, 0.15527028419720662],
+    [-0.20166279621090427, 0.0646473019760023],
+    [-0.17404376248924552, 0.013908718338112386],
+    [0.2504474790998943, -0.1346194669809254],
+    [0.2762947867183431, -0.11012366559562678],
+    [0.22277701338542025, -0.09131745585198611],
+    [0.6450965104760018, 0.1923510605524865],
+    [0.28491420093471825, 0.17427074202592616],
+    [0.2566677175471242, 0.10170338150929918],
+    [-0.05937213329260038, -0.29710911770752185],
+    [-0.8205379336438056, -0.20560203544779662],
+    [-0.8786938072134983, -0.026833652020374382],
+    [-0.44797908237522416, -0.0817293922124328],
+    [-0.4793576603571008, -0.2908877931532525],
+    [-0.4428287542494524, -0.04340627490553439],
+    [-0.45240837305416615, -0.028699708436034664],
 ]
 ANISOTROPIC_QUERIES = [
-    12, 7, 5, 10, 11, 9, 10, 10, 8, 9, 9, 9, 9, 10, 4, 10, 9, 10, 12, 3,
+    12, 8, 3, 8, 11, 6, 9, 9, 10, 8, 9, 3, 10, 10, 3, 10, 3, 11, 9, 9,
 ]
 
 ISOTROPIC_10D_POSITIONS = [
@@ -1112,73 +1228,73 @@ ISOTROPIC_10D_POSITIONS = [
         0.5559202208177095, -0.16699377208692556,
     ],
     [
-        -0.7388295338920757, 0.2765312321637572, -0.7544893818092397, -0.35923568352491697,
-        0.7110193193008792, 0.6624827477980701, -0.362961491042267, 0.5469158544047463,
-        -0.08109517820424816, 0.1281652896061421,
+        -0.7354278433167191, 0.3394928838183668, -0.9480304980083909, -0.46055752044508935,
+        0.7727021155362681, 0.9903604205250234, -0.29555989276977557, 0.5383253409768958,
+        -0.20432752165373524, 0.18526460450282117,
     ],
     [
-        -0.707594436177559, 0.136995878791206, -0.6057421779660672, -0.35789617859758843,
-        0.7068712355831106, 0.6343796873541913, -0.2666425962638525, 0.5749763870829656,
-        0.008834193293696405, 0.13583969230190487,
+        -0.6802389716417145, 0.09294975525869045, -0.6852110754489626, -0.4581907673067435,
+        0.7653729225211071, 0.9407055031404908, -0.12537534036692952, 0.5879051166275024,
+        -0.0454325315123327, 0.19882440282424335,
     ],
     [
-        -0.6542761022962318, 0.18785356994827196, -0.48959056502100917, -0.350662957211618,
-        0.19564076711258638, 0.40076604632421353, -0.16755090459537236, 0.313943318186798,
-        -0.2201106959534625, 0.16834414083971344,
+        -0.6431746965008007, 0.12830351297873924, -0.6044682047163825, -0.4531625886655756,
+        0.409990723482706, 0.7783088257222163, -0.05649168521833174, 0.40644780575243455,
+        -0.2045837230339891, 0.22141989177163768,
     ],
     [
-        -0.617891245350936, 0.1782999237322505, -0.2505401064831899, -0.2839858316739783,
-        0.20796870668622858, 0.6003816494336525, -0.14058898844753173, 0.29290177702339537,
-        -0.30665077001212804, 0.13465239596119535,
+        -0.6198183129994247, 0.12217077964977899, -0.4510155143792022, -0.41036081216916287,
+        0.41790434768347406, 0.9064472594143488, -0.0391841318472218, 0.3929406946591763,
+        -0.26013604143366337, 0.19979228676562352,
     ],
     [
-        -0.6132284219951227, 0.18152148989915015, -0.2524313826545062, -0.2721719669984043,
-        0.1953778801256774, 0.585013687367918, -0.10914771093296541, 0.2734012439072295,
-        -0.2932935972607726, 0.11286375619613086,
+        -0.6022913693667777, 0.13428022586023797, -0.45812457434543524, -0.365954038750574,
+        0.37057707607665064, 0.8486810983739626, 0.07899952142138852, 0.3196407391059616,
+        -0.20992817464568764, 0.11789163734080148,
     ],
     [
-        -0.5659861992447058, 0.1832367561009944, -0.23921920441065214, -0.1440021642670545,
-        0.27058484659643883, 0.6354135713711092, -0.09772614115982917, 0.3032677404357899,
-        -0.28541378326645483, 0.03189099740711118,
+        -0.5763139094231657, 0.13522341304443217, -0.45085948792241015, -0.29547628129990644,
+        0.4119317339490416, 0.8763948868375682, 0.08527999160252955, 0.3360636691049498,
+        -0.20559523812231678, 0.07336649700017364,
     ],
     [
-        -0.030581554128088828, 0.1887255716320263, -0.8403946310897038, 0.057232931812867455,
-        0.2185266949180576, 0.0957028435609859, -0.8043398454460523, -0.02634253055040492,
-        -0.16826214821605617, -0.20296042624281022,
+        -0.011709373491800568, 0.14101157751774587, -1.0848218113526369, -0.08326622845182038,
+        0.3570344355451118, 0.30724942313685255, -0.6598710006985715, -0.011522882087256603,
+        -0.08205438888888503, -0.17429325020617156,
     ],
     [
-        0.003839143903609149, 0.21707438979712745, -0.8919333462408665, 0.15164878815612184,
-        0.12170063678025193, 0.08649774831141747, -0.854365788972413, 0.03193851372049148,
-        -0.23243674318930624, -0.2536004370206676,
+        0.07127123550828049, 0.2093542413883719, -1.209070133289245, 0.14434929670145985,
+        0.12360845261027306, 0.2850579960771945, -0.7804723683930399, 0.12897968826462938,
+        -0.23676499261661355, -0.29637499678340623,
     ],
     [
-        0.017642348019375635, 0.2193192531801679, -0.9261414159264089, 0.19213777954294628,
-        0.1316384885963013, 0.04268790065671861, -0.8048922303999175, 0.037381505234554455,
-        -0.21404750117261104, -0.1821315118557983,
+        0.08102277087980836, 0.21094016770666507, -1.2332370729890811, 0.17295351267585943,
+        0.1306292365303279, 0.254107698201206, -0.7455208345079485, 0.13282499286428276,
+        -0.2237735637804232, -0.24588441895341948,
     ],
     [
-        -0.8780129030548837, 0.7845948302646368, -0.2482642508326135, 0.9336612665376323,
-        -0.14194423416548738, 0.23087901193603155, -1.1857718196948928, 0.3768106772764298,
-        0.5175950733541318, -0.3395778239324612,
+        -0.8251026763475363, 0.7828238076205813, -0.5474355342283903, 0.9231453978646521,
+        -0.1461516640660411, 0.44449876068607286, -1.130852900362227, 0.4762220867232805,
+        0.5164219012251678, -0.40517127600432934,
     ],
     [
-        -0.5077113788019318, 0.03130971164963292, -0.5118691538136593, 0.8526017016462021,
-        -0.1600865952882515, -0.15147289747690307, -1.7511624970748407, 1.0812739625159042,
-        1.0005150563404972, 0.6166784299652908,
+        -0.4546813356315912, 0.029294952610702918, -0.8111257304233017, 0.8420596049678777,
+        -0.1642998954145475, 0.06202313573214219, -1.6964265181481313, 1.1809133113408503,
+        0.9994981400205986, 0.5513943885616299,
     ],
     [
-        -0.24594991947737282, -0.2802003627273213, -0.892653872241597, 0.47683417073089485,
-        -0.17170159527756254, -0.18468825676815093, -1.783839885940093, 1.1136789516972099,
-        1.2931510120968346, 0.7612110269465424,
+        -0.24381907924564838, -0.22164236008449206, -1.117867315422815, 0.5393596213651266,
+        -0.17365637253684266, 0.03526646335991877, -1.7227498278007738, 1.2070171891025492,
+        1.2352313839047904, 0.6678227947885333,
     ],
     [
-        -1.4002035287461794, -0.46504553377575414, 0.3747139848325217, 0.2735903853682722,
-        0.16615954254694146, -0.8335956140985441, -2.855695647275246, 1.8284390325100002,
-        -0.08745155721162345, 0.7006129472622853,
+        -1.4094660133825427, -0.4083120877703402, 0.16201038663430056, 0.33410967162453586,
+        0.1675397011047343, -0.6200460828059166, -2.8051855871559104, 1.9288324731549458,
+        -0.15899873957333766, 0.606626567866372,
     ],
 ]
 ISOTROPIC_10D_QUERIES = [
-    4, 3, 4, 3, 3, 3, 3, 4, 3, 4, 3, 3, 4, 3, 4, 3, 3, 3, 4, 3,
+    4, 3, 4, 3, 3, 3, 3, 3, 3, 3, 3, 3, 4, 3, 4, 3, 3, 3, 4, 3,
 ]
 
 
@@ -1237,6 +1353,16 @@ class TestMultivariateOracle:
     def test_curvatures_outside_class_rejected(self, diagonal, kappa):
         with pytest.raises(ClassViolationError):
             quadratic_oracle(np.array(diagonal), kappa=kappa)
+
+    @pytest.mark.parametrize("dimension", [2.5, True, "3", 0])
+    def test_dimension_must_be_an_integer(self, dimension):
+        # 2.5 built a 2-d oracle and True a 1-d one before this check
+        with pytest.raises(UsageError, match=f"dimension must be an integer of at least 1, got {dimension!r}"):
+            MultivariateOracle(lambda x: 0.0, lambda x: np.zeros(2), dimension, 2.0)
+
+    def test_numpy_integer_dimension(self):
+        oracle = MultivariateOracle(lambda x: 0.0, lambda x: np.zeros(3), np.int64(3), 2.0)
+        assert oracle.dimension == 3 and type(oracle.dimension) is int
 
     def test_kappa_default_from_diagonal(self):
         assert quadratic_oracle(np.array([2.0, 8.0])).kappa == 8.0

@@ -1,0 +1,147 @@
+"""Print a checkout's Hit-and-Run queries per step, as bracket / search / trials = total.
+
+Run from anywhere; ``--root`` is the checkout whose ``src/`` is imported and
+whose ``tests/helpers.py`` builds the product targets, by default the one
+holding this script:
+
+    python3 tools/line_queries.py --root ../parent
+    python3 tools/line_queries.py --target isotropic --kappa 2 --kappa 37.5
+
+Each cell runs one chain of ``--steps`` steps from the origin for each seed
+0, 1, ..., ``--seeds`` - 1 (default 4 x 1,500) and charges every query of a
+step to one phase: the certificate search (``hitandrun.bracket_minimizer``),
+the line envelope's threshold searches (``hitandrun.build_line_envelope``)
+or the rejection trials (the rest of the step).  It prints the mean per
+step of each phase over all the chains, their total, and in brackets the
+smallest and largest per-seed total, the spread a change has to leave.  The
+targets, d = 10 unless named:
+
+* ``isotropic`` - the quadratic ``|x|^2/2`` at the declared kappa;
+* ``hard2`` - ``[hard:2, gaussian, gaussian]``, d = 3;
+* ``mixed`` - ``hard:1``, ``hard:2``, ``hard:3``, ``skewed`` and
+  ``gaussian``, each twice;
+* ``diagonal`` - the quadratic with curvatures ``[1, 30, 1e3, 1e6]``, d = 4.
+
+The products are ``tests/helpers.product_oracle`` of the builtin members.
+A target outside the class at a kappa prints ``-``.  Needs the test
+dependencies (``tests/helpers.py`` imports SciPy); about 15 s at the
+defaults.
+"""
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+import numpy as np
+
+TARGETS = {
+    "isotropic": "isotropic d = 10",
+    "hard2": "`[hard:2, g, g]`",
+    "mixed": "mixed",
+    "diagonal": "`diagonal [1, 30, 1e3, 1e6]`",
+}
+MIXED = ["hard:1", "hard:2", "hard:3", "skewed", "gaussian"] * 2
+
+
+def oracle_for(lc, helpers, target: str, kappa: float):
+    """The target's oracle at ``kappa``."""
+    if target == "isotropic":
+        return lc.quadratic_oracle(np.ones(10), kappa=kappa)
+    if target == "diagonal":
+        return lc.quadratic_oracle(np.array([1.0, 30.0, 1e3, 1e6]), kappa=kappa)
+    names = ["hard:2", "gaussian", "gaussian"] if target == "hard2" else MIXED
+    return helpers.product_oracle([lc.targets.builtin_potential(n, kappa) for n in names], kappa)
+
+
+# the line step's two construction phases, by the hitandrun function that runs each
+PHASES = {"bracket_minimizer": "bracket", "build_line_envelope": "search"}
+
+
+class PhaseCounter:
+    """Charges each phase its queries, through wrappers put in place of its ``hitandrun`` function."""
+
+    def __init__(self, hitandrun):
+        self.counts = dict.fromkeys(PHASES.values(), 0)
+        for name, phase in PHASES.items():
+            setattr(hitandrun, name, self._counted(getattr(hitandrun, name), phase))
+
+    def _counted(self, run, phase: str):
+        def counted(line, *args):
+            before = line._oracle.query_count
+            try:
+                return run(line, *args)
+            finally:
+                self.counts[phase] += line._oracle.query_count - before
+        return counted
+
+
+def cell(lc, helpers, phases: PhaseCounter, target: str, kappa: float, seeds: int, steps: int):
+    """``(bracket, search, trials, total)`` per step and the per-seed totals, or None out of class."""
+    phases.counts = dict.fromkeys(PHASES.values(), 0)
+    total, per_seed = 0, []
+    for seed in range(seeds):
+        try:
+            oracle = oracle_for(lc, helpers, target, kappa)
+        except (lc.ClassViolationError, lc.UsageError):
+            return None
+        result = lc.run_chain(oracle, np.zeros(oracle.dimension), steps, np.random.default_rng(seed))
+        queries = int(result.step_queries.sum())
+        total += queries
+        per_seed.append(queries / steps)
+    bracket, search = phases.counts["bracket"], phases.counts["search"]
+    n = seeds * steps
+    return (bracket / n, search / n, (total - bracket - search) / n, total / n), per_seed
+
+
+def table(root: Path, targets, kappas, seeds: int, steps: int) -> list[str]:
+    """The markdown table's lines, one row per target and one column per kappa."""
+    sys.path[:0] = [str(root / "src"), str(root / "tests")]
+    import helpers
+    import lcsampler as lc
+    import lcsampler.targets  # noqa: F401  (lc.targets)
+    from lcsampler import hitandrun
+
+    here = Path(lc.__file__).resolve()
+    if root.resolve() / "src" not in here.parents:
+        raise SystemExit(f"imported lcsampler from {here}, not from {root / 'src'}")
+    phases = PhaseCounter(hitandrun)
+    lines = ["| target | " + " | ".join(f"κ = {k:g}".replace("e+0", "e").replace("e+", "e")
+                                        for k in kappas) + " |",
+             "|---" * (len(kappas) + 1) + "|"]
+    for target in targets:
+        cells = []
+        for kappa in kappas:
+            found = cell(lc, helpers, phases, target, kappa, seeds, steps)
+            if found is None:
+                cells.append("-")
+                continue
+            (b, s, t, total), per_seed = found
+            cells.append(f"{b:.2f} / {s:.2f} / {t:.2f} = {total:.2f} "
+                         f"[{min(per_seed):.2f}, {max(per_seed):.2f}]")
+        lines.append(f"| {TARGETS[target]} | " + " | ".join(cells) + " |")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="checkout whose src/ and tests/helpers.py to use (default: this one)")
+    parser.add_argument("--target", action="append", choices=list(TARGETS),
+                        help="a row; repeat for more (default: all four)")
+    parser.add_argument("--kappa", action="append", type=float,
+                        help="a column; repeat for more (default: 1e6 and 1e12)")
+    parser.add_argument("--seeds", type=int, default=4, help="chains per cell (default 4)")
+    parser.add_argument("--steps", type=int, default=1500, help="steps per chain (default 1500)")
+    args = parser.parse_args(argv)
+    if args.seeds < 1 or args.steps < 1:
+        parser.error("--seeds and --steps must be at least 1")
+    kappas = args.kappa or [1e6, 1e12]
+    for line in table(args.root, args.target or list(TARGETS), kappas, args.seeds, args.steps):
+        print(line)
+    print(f"{args.seeds} seeds x {args.steps} steps from the origin; [min, max] of the per-seed totals")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

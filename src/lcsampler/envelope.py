@@ -239,8 +239,8 @@ class Envelope:
     x_minus: float = field(init=False, repr=False, compare=False)
     x_plus: float = field(init=False, repr=False, compare=False)
     _log_height: float = field(init=False, repr=False, compare=False)
-    # _starts: the segment boundaries, ascending; _segments: (start, side, offset, drift, length,
-    # erfc) each, no drift on the plateau and no length on a tail; _cuts: the mass share to each end
+    # _starts: the segment boundaries, ascending; _segments: (start, side, offset, drift, length)
+    # each, no drift on the plateau and no length on a tail; _cuts: the mass share to each end
     _starts: tuple = field(init=False, repr=False, compare=False)
     _segments: tuple = field(init=False, repr=False, compare=False)
     _cuts: tuple = field(init=False, repr=False, compare=False)
@@ -258,7 +258,7 @@ class Envelope:
         # rows out; _side fills each side's slots walking its rows outward
         n = len(rows_minus)
         width, plateau = x_plus - x_minus, h * (x_plus - x_minus)
-        segments = [(x_minus, 1.0, 0.0, None, width, None)] * (n + 1 + len(rows_plus))
+        segments = [(x_minus, 1.0, 0.0, None, width)] * (n + 1 + len(rows_plus))
         masses = [plateau] * len(segments)
         try:
             _side(-1.0, rows_minus, h, segments, masses, n - 1)
@@ -305,7 +305,7 @@ class Envelope:
                 return self._log_height
             else:  # NaN too, which ends in NaN in the left tail
                 i = bisect_left(self._starts, x)
-            start, side, offset, drift, _, _ = self._segments[i]
+            start, side, offset, drift, _ = self._segments[i]
             t = side * (x - start)
             return self._log_height + (-offset - drift * t - 0.5 * t * t)
         xs = np.asarray(x, dtype=float)
@@ -313,7 +313,7 @@ class Envelope:
         which = np.where(xs > self.x_plus, np.searchsorted(self._starts, xs, side="right"),
                          np.searchsorted(self._starts, xs, side="left"))
         out = np.empty(xs.shape)
-        for k, (start, side, offset, drift, _, _) in enumerate(self._segments):
+        for k, (start, side, offset, drift, _) in enumerate(self._segments):
             if drift is not None:  # the plateau is written last, over x_minus too
                 applies = which == k
                 t = side * (xs[applies] - start)
@@ -328,16 +328,16 @@ class Envelope:
     def sample(self, rng: np.random.Generator, size=None):
         """Exact draws from the normalized envelope; consumes no queries."""
         if size is None:
-            start, side, _, drift, length, erfc = self._segments[bisect_right(self._cuts, rng.random())]
+            start, side, _, drift, length = self._segments[bisect_right(self._cuts, rng.random())]
             if drift is None:
                 return start + length * rng.random()
             if length is None:
-                return start + side * numerics.sample_gaussian_tail(drift, rng, erfc_a=erfc)
+                return start + side * numerics.sample_gaussian_tail(drift, rng)
             return start + side * numerics.sample_gaussian_piece(drift, length, rng)
         u = rng.random(int(size))
         which = np.searchsorted(self._cuts, u, side="right")
         out = np.empty(u.size)
-        for j, (start, side, _, drift, length, erfc) in enumerate(self._segments):
+        for j, (start, side, _, drift, length) in enumerate(self._segments):
             chosen = which == j
             n = int(np.count_nonzero(chosen))
             if not n:
@@ -345,7 +345,7 @@ class Envelope:
             if drift is None:
                 out[chosen] = start + length * rng.random(n)
             elif length is None:
-                out[chosen] = start + side * numerics.sample_gaussian_tail(drift, rng, n, erfc_a=erfc)
+                out[chosen] = start + side * numerics.sample_gaussian_tail(drift, rng, n)
             else:
                 out[chosen] = start + side * numerics.sample_gaussian_piece(drift, length, rng, n)
         return out
@@ -372,19 +372,13 @@ def _side(side: float, rows, h: float, segments: list, masses: list, slot: int) 
         length = side * (end - start)
         if not (length > 0.0 and drift >= 0.0 and math.isfinite(offset)):
             raise UsageError("a side's rows must run outward with nonnegative drifts and finite offsets")
-        segments[slot] = (start, side, offset, drift, length, None)
+        segments[slot] = (start, side, offset, drift, length)
         masses[slot] = h * math.exp(-offset) * numerics.gaussian_piece_integral(drift, length)
         start, offset, drift = end, next_offset, next_drift
         slot += step
     if not (drift > 0.0 and math.isfinite(offset)):
         raise UsageError(f"tail drifts must be positive and every offset finite, got the tail row {rows[-1]}")
-    # a tail beyond finite rows holds little mass, so its rare draws compute
-    # erfc(drift/sqrt(2)) themselves, and a tail drawn by the exponential
-    # proposal never reads it
-    erfc = None
-    if len(rows) == 1 and drift <= numerics._DRIFT_INVERSION_LIMIT:
-        erfc = numerics.normal_tail_erfc(drift)
-    segments[slot] = (start, side, offset, drift, None, erfc)
+    segments[slot] = (start, side, offset, drift, None)
     masses[slot] = h * math.exp(-offset) * numerics.gaussian_tail_integral(drift)
 
 

@@ -62,8 +62,9 @@ The line step has three parts:
     d_k/2``: strong convexity between p and x_k gives ``0 = W(p) >= w_k -
     W'(x_k) d_k + d_k^2/2``, so ``W'(x_k) >= s_k``, and then ``W(x_k + t) >=
     w_k + s_k t + t^2/2``.  The outermost row is the unbounded tail.  The
-    probes are the threshold searches' and the certificate search's alike,
-    in outward order.
+    probes are the threshold searches' and the certificate search's alike:
+    each side's are merged outward and pass through this one rule, and
+    where both hold a point the threshold search's value stands.
   - Every step of that derivation holds for any ``w_k <= W(x_k)``, so an
     edge the search took at the top unqueried gives its row from the lower
     bound ``w_top = g d + d^2/2`` (``d = 2^top / sqrt(kappa)``, g signed
@@ -244,14 +245,18 @@ class LineOracle:
 
     A unit-direction restriction keeps the sandwich [1, kappa], so ``kappa``
     is the multivariate oracle's.  :meth:`query` answers the value and the
-    slope, which the certificate search reads.
+    slope, which the certificate search reads.  ``base`` and ``direction``
+    must have shape ``(dimension,)`` (UsageError).
     """
 
     def __init__(self, oracle: MultivariateOracle, base, direction):
         self._oracle = oracle
         self.kappa = oracle.kappa
-        self.base = np.asarray(base, dtype=float)
-        self.direction = np.asarray(direction, dtype=float)
+        self.base = base = np.asarray(base, dtype=float)
+        self.direction = direction = np.asarray(direction, dtype=float)
+        if base.shape != (oracle.dimension,) or direction.shape != base.shape:
+            raise UsageError(f"the base and the direction must have shape ({oracle.dimension},), "
+                             f"got {base.shape} and {direction.shape}")
 
     def point(self, lam: float) -> np.ndarray:
         return self.base + lam * self.direction
@@ -297,15 +302,18 @@ def restrict(oracle: MultivariateOracle, x_t, u) -> LineOracle:
     """Restrict the potential to the line through x_t with unit direction u.
 
     The line's ``base`` is x_t itself, so ``point(0)`` is x_t bitwise and an
-    answer already queried there is exactly the line's answer at 0.
+    answer already queried there is exactly the line's answer at 0.  Both
+    must have shape ``(dimension,)`` (:class:`LineOracle`) and u unit length
+    (UsageError).
     """
-    u = np.asarray(u, dtype=float)
+    line = LineOracle(oracle, x_t, u)
+    u = line.direction
     norm = math.sqrt(float(u.dot(u)))
     if norm == 0.0:
         raise UsageError("direction must be nonzero")
     if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails this too
         raise UsageError(f"direction must be a unit vector, |u| = {norm}")
-    return LineOracle(oracle, x_t, u)
+    return line
 
 
 def bracket_minimizer(
@@ -420,30 +428,37 @@ def build_line_envelope(
     max(1/2, g^2/2)``.
     ``probes`` are the certificate search's other points on the line, as
     :func:`bracket_minimizer` returns them, each already checked against the
-    certificate.  On each side the farthest one below the level clears the
-    grid out to it, so that side's search skips those indices at no query,
-    and each one above 0 adds its row among the grid's.  Neither moves an
-    edge or its value, so the searches' worst case stays ``ceil(log2(top -
-    lo + 1)) + 1`` queries a side, and no line costs more queries than
-    without the probes.  The shift, the probes and the rows cost no query.
+    certificate.  One pass shifts each by ``W(p)`` into its side's points
+    and records how far out that side is clear: the farthest one below the
+    level clears the grid out to it, so that side's search skips those
+    indices at no query.  Then each side's points and grid probes go
+    through one row rule (:func:`_rows`), outward, the grid's value kept
+    where both hold an x, and each point above 0 gives its row.  Neither
+    moves an edge or its value, so the searches' worst case stays
+    ``ceil(log2(top - lo + 1)) + 1`` queries a side, and no line costs more
+    queries than without the probes.  The shift, the probes and the rows
+    cost no query.
     Returns the envelope and the line's one view, the
     :class:`CertifiedLine` the rejection trials query; the searches asked
     it for values alone, so its ``last`` is still None.
     """
     view = CertifiedLine(line, certificate)
-    p, slope = certificate.lam, certificate.slope
+    p, shift, slope = certificate
     floor = 0.5 * slope * slope
-    clear, extra_minus, extra_plus = (0.0, 0.0), (), ()
+    # each side's certificate-search points (x, W(x) - W(p)), and how far out it is clear
+    clear, points = (0.0, 0.0), (None, None)
     if probes:
-        clear, extra_minus, extra_plus = _bracket_rows(p, certificate.value, floor, probes)
-    (_, _, probes_minus), (_, _, probes_plus) = threshold_searches(
+        clear, points = [0.0, 0.0], ({}, {})
+        for lam, value, _ in probes:
+            w, side, d = value - shift, lam > p, abs(lam - p)
+            if w < _LEVEL and d > clear[side]:
+                clear[side] = d
+            points[side][lam] = w
+    (_, _, grid_minus), (_, _, grid_plus) = threshold_searches(
         view.level, p, line.kappa, level=_LEVEL, slope=slope, clear=clear
     )
-    rows_minus, rows_plus = _rows(p, probes_minus, floor), _rows(p, probes_plus, floor)
-    if extra_minus:  # the certificate search's rows merged in outward
-        rows_minus = _merged(rows_minus, extra_minus, True)
-    if extra_plus:
-        rows_plus = _merged(rows_plus, extra_plus, False)
+    rows_minus = _rows(p, grid_minus, points[0], floor, True)
+    rows_plus = _rows(p, grid_plus, points[1], floor, False)
     # the tangent row runs away from the mean p - g, from the mean, or from
     # p when the mean side's plateau edge lies between the mean and p
     mean = p - slope
@@ -456,43 +471,22 @@ def build_line_envelope(
     return Envelope(math.exp(floor), rows_minus, rows_plus), view
 
 
-def _bracket_rows(p: float, shift: float, floor: float, probes):
-    """What the certificate search's probes give each side of p: how far it is clear, and rows.
+def _rows(p: float, grid, points, floor: float, descending: bool) -> tuple[tuple[float, float, float], ...]:
+    """The row ``(x_k, w_k + floor, w_k/d_k + d_k/2)`` of each point of one side outward with ``w_k > 0``.
 
-    Returns ``[clear_minus, clear_plus]``, each side's farthest distance
-    from p at which the shifted value lies below the level (0 with none),
-    then the rows of :func:`_rows` of the probes left of p and right of it
-    with ``W > 0``, in no particular order.
+    ``grid`` maps grid indices, which run outward, to ``(x, W(x))``;
+    ``points``, None or empty when there are none, maps the certificate
+    search's x on the same side to ``W(x)``, and ``descending`` says that
+    outward is toward smaller x.  An x that both hold keeps the grid's
+    value: an edge the search took unqueried at its top holds the
+    sandwich's bound there, which the queried value of a probe at the same
+    point may exceed.  ``floor`` is the plateau's ``log h``.
     """
-    clear, rows = [0.0, 0.0], ([], [])
-    for lam, value, _ in probes:
-        w, side, d = value - shift, lam > p, abs(lam - p)
-        if w < _LEVEL and d > clear[side]:
-            clear[side] = d
-        if w > 0.0:
-            rows[side].append((lam, w + floor, w / d + 0.5 * d))
-    return clear, rows[0], rows[1]
-
-
-def _merged(rows, extra, reverse: bool):
-    """``rows`` with the rows ``extra`` merged in by start, ascending or ``reverse``d.
-
-    A start that both hold keeps the row of ``rows``: an edge the search
-    took unqueried at its top holds the sandwich's bound there, which the
-    queried value of a probe at the same point may exceed.
-    """
-    return tuple(sorted({row[0]: row for row in (*extra, *rows)}.values(), reverse=reverse))
-
-
-def _rows(p: float, probes, floor: float) -> tuple[tuple[float, float, float], ...]:
-    """The row ``(x_k, w_k + floor, w_k/d_k + d_k/2)`` of each probe outward with ``w_k > 0``.
-
-    ``probes`` maps grid indices, which run outward, to ``(x, W(x))``, and
-    ``floor`` is the plateau's ``log h``.
-    """
+    if points:  # merged outward and keyed 0, 1, ... like the grid's indices
+        grid = dict(enumerate(sorted({**points, **dict(grid.values())}.items(), reverse=descending)))
     rows = []
-    for i in sorted(probes):
-        x, w = probes[i]
+    for i in sorted(grid):
+        x, w = grid[i]
         if w > 0.0:
             d = abs(x - p)
             rows.append((x, w + floor, w / d + 0.5 * d))
@@ -526,7 +520,8 @@ def step(
     the certificate search queries first, or the :class:`Probe` a previous
     step returned, whose answer it reuses; a point that is not a finite
     vector of the oracle's dimension is a UsageError.  ``direction`` overrides the
-    uniform draw (used by diagnostics).  Returns the accepted trial's
+    uniform draw (used by diagnostics); it must be a unit vector of the same
+    shape (UsageError, from :func:`restrict`).  Returns the accepted trial's
     :class:`Probe`: its ``point`` is the new position.
     """
     if direction is None:
@@ -535,14 +530,12 @@ def step(
             g = rng.standard_normal(oracle.dimension)
         u = g / norm
     else:
-        u = np.asarray(direction, dtype=float)
-    first = None
+        u = direction
     if isinstance(x, Probe):
-        first = _certificate((0.0, x.value, float(u.dot(x.gradient))))
-        x = x.point
+        line = restrict(oracle, x.point, u)
+        first = _certificate((0.0, x.value, float(line.direction.dot(x.gradient))))
     else:
-        x = _start_point(oracle, x)
-    line = restrict(oracle, x, u)
+        line, first = restrict(oracle, _start_point(oracle, x), u), None
     certificate, probes = bracket_minimizer(line, 0.0, first)
     env, view = build_line_envelope(line, certificate, probes)
     sample_exact(view, env, rng)

@@ -142,20 +142,15 @@ def gaussian_tail_integral(a: float) -> float:
     return _SQRT_HALF_PI * erfcx(a * _INV_SQRT2)
 
 
-def normal_tail_erfc(a: float) -> float:
-    """``erfc(a/sqrt(2))``, the mass that tail sampling inverts against."""
-    return math.erfc(a * _INV_SQRT2)
-
-
-def sample_gaussian_tail(a: float, rng: np.random.Generator, size=None, *, erfc_a=None):
+def sample_gaussian_tail(a: float, rng: np.random.Generator, size=None):
     """Exact draws from the density proportional to exp(-a*t - t^2/2) on t >= 0.
 
     This is a standard normal with mean ``-a`` truncated to the nonnegative
-    half-line.  Small drifts invert the CDF through erfcinv; drifts above
-    ``_DRIFT_INVERSION_LIMIT`` use an Exp(a) proposal with acceptance
-    probability exp(-t^2/2), which is nearly tight there.  ``erfc_a`` is
-    :func:`normal_tail_erfc` of ``a`` for callers that keep it; it is
-    computed here when not given.
+    half-line.  Small drifts invert the CDF through erfcinv against the
+    tail's mass ``erfc(a/sqrt(2))``, computed on each call (``math.erfc``,
+    tens of nanoseconds); drifts above ``_DRIFT_INVERSION_LIMIT`` use an
+    Exp(a) proposal with acceptance probability exp(-t^2/2), which is nearly
+    tight there.
 
     With ``size=None`` a float in gives a float out through scalar draws
     (one ``random()`` for inversion, ``exponential()`` then ``random()`` per
@@ -163,12 +158,12 @@ def sample_gaussian_tail(a: float, rng: np.random.Generator, size=None, *, erfc_
     """
     if a < 0:
         raise UsageError(f"drift must be nonnegative, got {a}")
-    inversion = a <= _DRIFT_INVERSION_LIMIT
-    if inversion and erfc_a is None:
-        erfc_a = normal_tail_erfc(a)
+    if a <= _DRIFT_INVERSION_LIMIT:
+        mass = math.erfc(a * _INV_SQRT2)
+        if size is None:
+            return max(_SQRT2 * erfcinv(rng.random() * mass) - a, 0.0)
+        return np.maximum(_SQRT2 * _erfcinv_array(rng.random(int(size)) * mass) - a, 0.0)
     if size is None:
-        if inversion:
-            return max(_SQRT2 * erfcinv(rng.random() * erfc_a) - a, 0.0)
         scale = 1.0 / a
         while True:
             prop = rng.exponential(scale)
@@ -176,9 +171,6 @@ def sample_gaussian_tail(a: float, rng: np.random.Generator, size=None, *, erfc_
             if np.log(rng.random()) <= -0.5 * prop * prop:
                 return prop
     n = int(size)
-    if inversion:
-        t = _SQRT2 * _erfcinv_array(rng.random(n) * erfc_a) - a
-        return np.maximum(t, 0.0)
     t = np.empty(n)
     todo = np.arange(n)
     while todo.size:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
 AREAS = [
-    "potential", "envelope1d", "construction", "line_envelope", "chain", "hardfamily", "cli.sample",
+    "potential", "envelope1d", "construction", "line_envelope", "line_probes", "chain", "hardfamily", "cli.sample",
     "cli.envelope-inspect", "cli.bench-queries", "cli.hardfamily-verify", "cli.hitandrun",
 ]
 

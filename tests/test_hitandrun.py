@@ -87,6 +87,35 @@ class TestRestrict:
         with pytest.raises(UsageError, match=r"\|u\| = nan"):
             step(o, np.zeros(2), np.random.default_rng(0), direction=[math.nan, 0.0])
 
+    @pytest.mark.parametrize("base, direction, shapes", [
+        ([0.5], [0.6, 0.8], r"\(1,\) and \(2,\)"),  # not broadcast to (0.5, 0.5)
+        ([0.5, 0.5], [1.0], r"\(2,\) and \(1,\)"),  # unit length, yet not queried along (1, 1)
+        ([0.5, 0.5], [0.6, 0.8, 0.0], r"\(2,\) and \(3,\)"),
+        ([0.5, 0.5], [[0.6, 0.8]], r"\(2,\) and \(1, 2\)"),
+        ([[0.5, 0.5]], [0.6, 0.8], r"\(1, 2\) and \(2,\)"),
+        (0.5, [0.6, 0.8], r"\(\) and \(2,\)"),
+    ])
+    def test_base_and_direction_need_the_oracle_shape(self, base, direction, shapes):
+        o = isotropic(2, 1.0)
+        with pytest.raises(UsageError, match=r"must have shape \(2,\), got " + shapes):
+            restrict(o, base, direction)
+        with pytest.raises(UsageError, match=r"must have shape \(2,\), got " + shapes):
+            hitandrun.LineOracle(o, base, direction)
+        assert o.query_count == 0
+
+    @pytest.mark.parametrize("direction", [[1.0], [0.6, 0.8, 0.0], [[0.6, 0.8]]])
+    def test_step_direction_needs_the_oracle_shape(self, direction):
+        # from a point, and from a Probe whose gradient the direction would meet first
+        o = isotropic(2, 4.0)
+        rng = np.random.default_rng(0)
+        with pytest.raises(UsageError, match=r"must have shape \(2,\)"):
+            step(o, np.array([0.5, 0.5]), rng, direction=direction)
+        probe = step(o, np.array([0.5, 0.5]), rng, direction=[0.6, 0.8])
+        before = o.query_count
+        with pytest.raises(UsageError, match=r"must have shape \(2,\)"):
+            step(o, probe, rng, direction=direction)
+        assert o.query_count == before
+
     def test_each_line_call_charges_one_query(self):
         o = isotropic(2, 1.0)
         line = restrict(o, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -860,6 +889,29 @@ class TestBracketRows:
             ]
             assert [(edge, w) for edge, w, _ in searches[1]] == [(edge, w) for edge, w, _ in searches[0]]
         assert fewer > 0
+
+    def test_a_shared_start_keeps_the_grid_value(self):
+        # curvature 1 for |x| <= 2.5 and 100 beyond, at kappa = 1e6: from the
+        # minimizer the right search ends unqueried at its top 2^12/1000 =
+        # 4.096 and takes the sandwich's bound 4.096^2/2 = 8.388608 there,
+        # while W(4.096) = 134.4758.  A probe at that point adds no row.
+        def value(x):
+            r = abs(float(x[0]))
+            return 0.5 * r * r if r <= 2.5 else 3.125 + 2.5 * (r - 2.5) + 50.0 * (r - 2.5) ** 2
+
+        def gradient(x):
+            r = abs(float(x[0]))
+            return np.array([math.copysign(r if r <= 2.5 else 2.5 + 100.0 * (r - 2.5), x[0])])
+
+        oracle = MultivariateOracle(value, gradient, dimension=1, kappa=1e6)
+        line = restrict(oracle, [0.0], [1.0])
+        cert, probes = bracket_minimizer(line, 0.0)
+        assert cert == (0.0, 0.0, 0.0) and probes == ()
+        bare, _ = build_line_envelope(line, cert)
+        assert bare.rows_plus[-1][:2] == (4.096, 8.388608)
+        probe = Certificate(4.096, *line.query(4.096))
+        assert probe.value == pytest.approx(134.4758)
+        assert build_line_envelope(line, cert, (probe,))[0] == bare
 
 
 class TestOneView:

@@ -74,6 +74,70 @@ def test_every_import_is_read():
     assert unread == {}
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_reads(source: str) -> list[tuple[int, str]]:
+    """``(line, name)`` of each private name of another ``lcsampler`` module that ``source`` reads.
+
+    A name is private when it starts with ``_`` and is not a dunder.  An
+    import from the package reads each private name it imports; an attribute
+    reads its private name when its chain starts at a name imported from the
+    package, a module or anything a module defines.
+    """
+    tree = ast.parse(source)
+    reads, imported = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.partition(".")[0] == "lcsampler"):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name)
+                if _is_private(alias.name):
+                    reads.append((node.lineno, alias.name))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names
+                            if alias.name.partition(".")[0] == "lcsampler")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in imported:
+                reads.append((node.lineno, f"{ast.unparse(node.value)}.{node.attr}"))
+    return sorted(reads)
+
+
+def test_private_reads_are_found():
+    source = (
+        "from . import numerics\nfrom .oracles import _Hidden, Shown\nimport lcsampler.envelope\n"
+        "import numpy as np\n"
+        "numerics._LIMIT, numerics.__name__, Shown._entry(), lcsampler.envelope._side, np._private\n"
+        "self._own\n"
+    )
+    assert _private_reads(source) == [
+        (2, "_Hidden"), (5, "Shown._entry"), (5, "lcsampler.envelope._side"), (5, "numerics._LIMIT"),
+    ]
+
+
+# The private names a module may read from another, each with its reason
+ALLOWED_PRIVATE_READS = {
+    # the documented private entry that builds an even potential from its right half
+    ("hardfamily.py", "PiecewiseQuadraticPotential._even"),
+    # build_envelope's isinstance guard, which refuses an oracle not normalized
+    ("envelope.py", "_NormalizedOracle"),
+}
+
+
+def test_no_module_reads_another_modules_private_names():
+    reads = [
+        (path.name, line, name)
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _private_reads(path.read_text(encoding="utf-8"))
+        if (path.name, name) not in ALLOWED_PRIVATE_READS
+    ]
+    assert reads == []
+
+
 # Runs every path that needs a special function in a fresh interpreter, then
 # prints the SciPy modules it loaded.  Tail and piece inversions are counted
 # by the function that called erfcinv.

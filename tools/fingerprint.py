@@ -30,6 +30,12 @@ changed.  The areas:
   envelope is built from the certificate alone, whether
   ``bracket_minimizer`` returns the certificate or a ``(certificate,
   probes)`` pair, so checkouts on both sides of that change compare.
+* ``line_probes`` - the same lines, and as many of a product of non-quadratic
+  members, each envelope built from the full ``(certificate, probes)``
+  return of ``bracket_minimizer``, so the rows the certificate search's
+  probes add are hashed line by line: the ``line_envelope`` numbers, the
+  probes, and array and scalar ``sample`` draws.  Needs a checkout whose
+  ``bracket_minimizer`` returns that pair.
 * ``chain`` - positions and per-step queries of a Hit-and-Run chain on each
   quadratic target of the line area, and the value and gradient of its
   ``last`` answer.
@@ -162,6 +168,36 @@ def line_envelope(lc, digest) -> None:
                           view.shift, view.point(0.0), view.point(1.0)))
 
 
+def product_oracle(lc, kappa: float):
+    """``V(x) = sum_i V_i(x_i)`` over ``hard:2`` and ``skewed``, twice each: lines that are not quadratic."""
+    members = [lc.targets.builtin_potential(name, kappa) for name in ("hard:2", "skewed") * 2]
+
+    def value(x):
+        return sum(m.evaluate(float(xi))[0] for m, xi in zip(members, x))
+
+    def gradient(x):
+        return np.array([m.evaluate(float(xi))[1] for m, xi in zip(members, x)])
+
+    return lc.MultivariateOracle(value, gradient, dimension=len(members), kappa=kappa)
+
+
+def line_probes(lc, digest) -> None:
+    rng = np.random.default_rng(11)
+    draws = np.random.default_rng(17)
+    for oracle, scale in (*quadratic_targets(lc), (product_oracle(lc, 1e6), 2.0)):
+        for _ in range(150):
+            x = scale * rng.standard_normal(oracle.dimension)
+            u = rng.standard_normal(oracle.dimension)
+            line = lc.restrict(oracle, x, u / np.linalg.norm(u))
+            before = oracle.query_count
+            cert, probes = lc.bracket_minimizer(line, 0.0)
+            env, view = lc.build_line_envelope(line, cert, probes)
+            feed(digest, (oracle.query_count - before, tuple(cert), [tuple(p) for p in probes],
+                          env.piece_masses, env.mass_total, env.x_minus, env.x_plus,
+                          log_values(env, grid(env)), view.shift, view.point(0.0), view.point(1.0),
+                          env.sample(draws, size=20), [env.sample(draws) for _ in range(5)]))
+
+
 def chain(lc, digest) -> None:
     for (oracle, _), steps in zip(quadratic_targets(lc), (400, 200, 200)):
         result = lc.run_chain(oracle, np.zeros(oracle.dimension), steps, np.random.default_rng(5))
@@ -229,7 +265,7 @@ def fingerprint(root: Path) -> dict:
     hashes = {}
     for area, run in (("potential", potential), ("envelope1d", envelope1d),
                       ("construction", construction), ("line_envelope", line_envelope),
-                      ("chain", chain), ("hardfamily", hardfamily)):
+                      ("line_probes", line_probes), ("chain", chain), ("hardfamily", hardfamily)):
         digest = hashlib.sha256()
         run(lc, digest)
         hashes[area] = digest.hexdigest()

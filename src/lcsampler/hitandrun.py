@@ -7,7 +7,8 @@ query at a point p gives both ``W(p)`` and ``g = W'(p)``.  Strong convexity
 then bounds the minimum from below, ``W(p) - W* <= g^2/2``, and places the
 minimizer between ``p - g`` and ``p - g/kappa``, within ``|g|`` of p.  Every
 queried point is therefore a certificate, ``W - W(p) >= -g^2/2`` everywhere,
-and the line step asks for one with ``|g| <= B``: ``W - W(p) >= -B^2/2``.
+and the line step asks for one with ``|g| <= B``: ``W - W(p) >= -B^2/2``,
+or, where no double lies between the search's ends, the flatter end if ``|g| <= 2B``.
 ``B = 2`` (a floor of 2) above ``kappa = 8/3``, where the level-3 sandwich
 of a zero-slope certificate leaves the threshold searches' edges open and a
 steep start's bracket costs ``O(log kappa |g|)`` queries; ``B = 1`` (a floor
@@ -209,7 +210,8 @@ class Certificate(NamedTuple):
     """A point ``lam`` on a line with ``W(lam)`` and ``W'(lam)``.
 
     :func:`bracket_minimizer` returns one with ``|slope| <= B``, the bound
-    of its docstring: 2 above ``kappa = 8/3``, else 1.
+    of its docstring: 2 above ``kappa = 8/3``, else 1; or, when no double
+    lies between its bracket's ends, its flatter end, ``|slope| <= 2B``.
     """
 
     lam: float
@@ -246,14 +248,14 @@ class LineOracle:
     A unit-direction restriction keeps the sandwich [1, kappa], so ``kappa``
     is the multivariate oracle's.  :meth:`query` answers the value and the
     slope, which the certificate search reads.  ``base`` and ``direction``
-    must have shape ``(dimension,)`` (UsageError).
+    must be arrays of floats of shape ``(dimension,)`` (UsageError).
     """
 
     def __init__(self, oracle: MultivariateOracle, base, direction):
         self._oracle = oracle
         self.kappa = oracle.kappa
-        self.base = base = np.asarray(base, dtype=float)
-        self.direction = direction = np.asarray(direction, dtype=float)
+        self.base = base = _float_array(base, "the base")
+        self.direction = direction = _float_array(direction, "the direction")
         if base.shape != (oracle.dimension,) or direction.shape != base.shape:
             raise UsageError(f"the base and the direction must have shape ({oracle.dimension},), "
                              f"got {base.shape} and {direction.shape}")
@@ -324,10 +326,14 @@ def bracket_minimizer(
     ``B = 2`` when ``kappa > 8/3``, where ``search_range(kappa, level=3,
     rise=0)`` leaves ``lo < top``, and ``B = 1`` otherwise; either way ``W -
     W(p) >= -B^2/2`` on the line, the floor the line envelope's plateau
-    ``e^(g^2/2)`` covers.  Returns the certificate and a tuple of the
-    search's other probes, each a :class:`Certificate` of its point and each
-    checked against the certificate's sandwich (empty when the first probe
-    is the certificate).
+    ``e^(g^2/2)`` covers.  The one exception: any queried point is a
+    certificate with floor ``g^2/2``, so a bracket that closes on two
+    adjacent doubles 1/kappa apart or more, with no double between to query
+    and a rise of W' that kappa allows, returns its flatter end if ``|W'|
+    <= 2B`` there (else a UsageError, below).  Returns the certificate and a
+    tuple of the search's other probes, each a :class:`Certificate` of its
+    point and each checked against the certificate's sandwich (empty when
+    the first probe is the certificate).
 
     Queries ``start`` first, unless ``first`` is given: the line's answer
     at ``start`` from a query already made, taken as the first probe
@@ -350,12 +356,12 @@ def bracket_minimizer(
     is steeper than kappa allows), or when a probed value escapes the
     sandwich of the certificate found, or when W' rises faster than kappa
     allows (with the slack of :meth:`Certificate.check`) between two
-    adjacent doubles at least ``1/kappa`` apart; a smaller rise there is a
-    UsageError: double precision cannot resolve the line.  So is a first
-    slope g with ``kappa g^2`` past the float range: the far probe lies
-    ``|g|`` away, where the sandwich lets an in-class W rise by ``kappa
-    g^2/2``, and twice that (a quadratic's ``x' D x``) may overflow, so the
-    search raises before it queries there.
+    adjacent doubles at least ``1/kappa`` apart.  UsageError (double
+    precision cannot resolve the line) when both ends there are steeper
+    than ``2B``, or when a first slope g has ``kappa g^2`` past the float
+    range: the far probe lies ``|g|`` away, where the sandwich lets an
+    in-class W rise by ``kappa g^2/2``, and twice that (a quadratic's ``x'
+    D x``) may overflow, so the search raises before it queries there.
     """
     kappa = line.kappa
     bound = 2.0 if kappa > _OPEN_KAPPA else 1.0
@@ -391,16 +397,17 @@ def bracket_minimizer(
             # steeper than kappa proves a violation
             steep = kappa * width
             slack = _SLACK * (abs(lo.slope) + abs(hi.slope) + steep)
-            if width >= 1.0 / kappa and hi.slope - lo.slope <= steep + slack:
-                raise UsageError(
-                    f"W' rises from {lo.slope:.6g} to {hi.slope:.6g} between adjacent doubles "
-                    f"{lo.lam:.17g} and {hi.lam:.17g}; kappa = {kappa:g} needs more than double precision"
-                )
-            raise ClassViolationError(
-                f"W' rises from {lo.slope:.6g} to {hi.slope:.6g} across "
-                f"[{lo.lam:.17g}, {hi.lam:.17g}], steeper than kappa = {kappa:g} allows",
-                query_point=lam,
-            )
+            if not (width >= 1.0 / kappa and hi.slope - lo.slope <= steep + slack):
+                raise ClassViolationError(f"W' rises from {lo.slope:.6g} to {hi.slope:.6g} across [{lo.lam:.17g}, "
+                                          f"{hi.lam:.17g}], steeper than kappa = {kappa:g} allows", query_point=lam)
+            # no double lies between: the flatter end is the certificate, unless its
+            # plateau e^(g^2/2) tops e^(2 B^2), which would overflow or starve the trials
+            flatter = lo if abs(lo.slope) <= abs(hi.slope) else hi
+            if abs(flatter.slope) > 2.0 * bound:
+                raise UsageError(f"W' rises from {lo.slope:.6g} to {hi.slope:.6g} between adjacent doubles {lo.lam:.17g} "
+                                 f"and {hi.lam:.17g}; kappa = {kappa:g} needs more than double precision")
+            probes.append(probes.pop(probes.index(flatter)))
+            break
         probe = _certificate((lam, *line.query(lam)))
         probes.append(probe)
         lo, hi = (probe, hi) if probe.slope < 0.0 else (lo, probe)
@@ -450,7 +457,8 @@ def build_line_envelope(
     if probes:
         clear, points = [0.0, 0.0], ({}, {})
         for lam, value, _ in probes:
-            w, side, d = value - shift, lam > p, abs(lam - p)
+            lam, w = float(lam), float(value) - shift  # as floats, and a NumPy bool as an index
+            side, d = int(lam > p), abs(lam - p)
             if w < _LEVEL and d > clear[side]:
                 clear[side] = d
             points[side][lam] = w
@@ -544,16 +552,21 @@ def step(
 
 def _start_point(oracle: MultivariateOracle, x) -> np.ndarray:
     """``x`` as a float array, UsageError unless it is a finite point of the oracle's dimension."""
-    try:
-        point = np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"the start point must be a vector of floats: {exc}") from None
+    point = _float_array(x, "the start point")
     if point.shape != (oracle.dimension,):
         raise UsageError(f"the start point must have shape ({oracle.dimension},), got {point.shape}")
     if not np.isfinite(point).all():
         bad = point[~np.isfinite(point)][0]
         raise UsageError(f"every coordinate of the start point must be finite, got {bad}")
     return point
+
+
+def _float_array(x, what: str) -> np.ndarray:
+    """``x`` through ``np.asarray(x, dtype=float)``, a UsageError naming ``what`` where that fails."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{what} must be a vector of floats: {exc}") from None
 
 
 def run_chain(

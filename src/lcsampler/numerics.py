@@ -31,6 +31,16 @@ points per function; the tests check it against ``scipy.special``:
 
 Both are scalar functions of a float; array draws apply them elementwise, so
 scalar and array draws from one stream agree bitwise.
+
+:func:`gaussian_piece_integral`, ``int_0^L exp(-a t - t^2/2) dt``, serves
+envelopes and density helpers alike.  Where the exponent rises by ``L (a +
+L/2) < 1`` it is the ten-node Gauss-Legendre sum, exact to rounding there;
+from 1 on it is an erfc difference for ``a <= 5`` and a difference of two
+erfcx-scaled half-line integrals above, the second term at most 1/e of the
+first.  Against a 200-bit reference on 12,000 random pieces (a to 1000, L
+from 1e-16 to 100) the sum and the erfcx difference are within 4.3e-16,
+relative; the erfc difference, which rounds ``a/sqrt(2)`` and ``a^2/2``,
+within 3.3e-16 below a = 1 and 5.1e-15 near a = 5.
 """
 from __future__ import annotations
 
@@ -55,6 +65,15 @@ _SPLITTER = 134217729.0
 # erfcinv's first guess uses Acklam's tail form below this y, twice his
 # breakpoint 0.02425 in the normal quantile's argument y/2
 _ERFCINV_TAIL = 0.0485
+
+# the ten-node Gauss-Legendre rule on [-1, 1]: positive nodes and weights, each correctly rounded
+_GAUSS_LEGENDRE = (
+    (0.14887433898163122, 0.29552422471475287),
+    (0.4333953941292472, 0.26926671930999635),
+    (0.6794095682990244, 0.21908636251598204),
+    (0.8650633666889845, 0.1494513491505806),
+    (0.9739065285171717, 0.06667134430868814),
+)
 
 # Above this drift the inverse-CDF route for tail sampling loses precision
 # (erfc underflows), so sampling switches to an exponential-proposal
@@ -184,19 +203,20 @@ def sample_gaussian_tail(a: float, rng: np.random.Generator, size=None):
 def gaussian_piece_integral(a: float, length: float) -> float:
     """``int_0^length exp(-a*t - t^2/2) dt`` for a >= 0 and length >= 0.
 
-    Up to ``_DRIFT_INVERSION_LIMIT`` this is ``sqrt(pi/2) * exp(a^2/2) *
-    (erfc(a/sqrt(2)) - erfc((a + length)/sqrt(2)))`` through ``math``.
-    Beyond it ``exp(a^2/2)`` would overflow and erfc underflow for the large
-    drifts of curvature bands, so it is the difference of two half-line
-    integrals, each scaled by erfcx.  Either way the absolute error is a few
-    ulps of the half-line integral ``gaussian_tail_integral(a)``.
+    The module docstring gives its three branches and their accuracy.
     """
-    b = a + length
+    rise = length * (a + 0.5 * length)
+    if rise < 1.0:
+        half = 0.5 * length
+        total = 0.0
+        for node, weight in _GAUSS_LEGENDRE:
+            near, far = half * (1.0 - node), half * (1.0 + node)
+            total += weight * (math.exp(-near * (a + 0.5 * near)) + math.exp(-far * (a + 0.5 * far)))
+        return half * total
     if a <= _DRIFT_INVERSION_LIMIT:
-        erfc_gap = math.erfc(a * _INV_SQRT2) - math.erfc(b * _INV_SQRT2)
+        erfc_gap = math.erfc(a * _INV_SQRT2) - math.erfc((a + length) * _INV_SQRT2)
         return _SQRT_HALF_PI * math.exp(0.5 * a * a) * erfc_gap
-    decay = math.exp(-length * (a + 0.5 * length))
-    return gaussian_tail_integral(a) - decay * gaussian_tail_integral(b)
+    return gaussian_tail_integral(a) - math.exp(-rise) * gaussian_tail_integral(a + length)
 
 
 def sample_gaussian_piece(a: float, length: float, rng: np.random.Generator, size=None):

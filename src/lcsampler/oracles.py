@@ -12,20 +12,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from operator import le, neg
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ClassViolationError, UsageError
-from .numerics import erfcx
-
-_SQRT2 = math.sqrt(2.0)
-_SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
-# the density helpers' error functions, elementwise on float arrays
-_erf_array = np.vectorize(math.erf, otypes=[float])
-_erfcx_array = np.vectorize(erfcx, otypes=[float])
+from .numerics import gaussian_piece_integral
 
 # fl(V(x) + C) - C rounds V to multiples of ulp(C); below 2^24 the error is
 # at most 2^-30, inside the 1e-9 slack of the class checks.
@@ -42,12 +36,6 @@ class OracleResponse(NamedTuple):
 
 # OracleResponse from a 3-tuple, without the generated __new__'s Python frame
 _response = partial(tuple.__new__, OracleResponse)
-
-
-@cache
-def _gauss_legendre():
-    """Ten nodes and weights on [-1, 1]: exact to rounding for the density helpers' flat segments."""
-    return np.polynomial.legendre.leggauss(10)
 
 
 def _check_finite(values: list[float], what: str) -> None:
@@ -284,59 +272,11 @@ class PiecewiseQuadraticPotential:
             rows.append((edges[j], edges[j + 1], x0 - d0 / c, v0 - d0 * d0 / (2 * c), c, x0, v0))
         return tuple(np.asarray(col, dtype=float) for col in zip(*rows))
 
-    @staticmethod
-    def _segment_mass(lo, hi, mu, vmin, c, x0, v0):
-        """``int_lo^hi exp(-V) dx`` elementwise, without cancellation.
-
-        A segment that holds its summit is a difference of two error
-        functions (``math.erf``) of opposite sign.  One on a single side of
-        its summit is mirrored so that V rises from its near edge: with
-        ``n`` the slope there and ``w`` the width, both scaled by
-        ``sqrt(c)``, its mass is ``exp(-V(near)) / sqrt(c)`` times
-        ``int_0^w exp(-u (n + u/2)) du``.
-        Where V rises by at least 1 across the segment that integral is a
-        difference of scaled complementary error functions
-        (:func:`lcsampler.numerics.erfcx`), the second at most 1/e of the
-        first, and deep tails underflow to zero; where it rises less it is
-        a Gauss-Legendre sum, exact to rounding for so nearly flat an
-        integrand however narrow the segment.
-        """
-        r = np.sqrt(c)
-        z1 = (lo - mu) * r
-        z2 = (hi - mu) * r
-        out = np.empty(z1.shape)
-        mid = (z1 < 0) & (z2 > 0)
-        half_pref = np.sqrt(0.5 * math.pi / c[mid])
-        erf_gap = _erf_array(z2[mid] / _SQRT2) - _erf_array(z1[mid] / _SQRT2)
-        out[mid] = np.exp(-vmin[mid]) * half_pref * erf_gap
-
-        side = ~mid
-        r, rising = r[side], z1[side] >= 0
-        near = np.where(rising, lo[side], hi[side])
-        n = np.where(rising, z1[side], -z2[side])
-        t = near - x0[side]
-        # V(near) = v0 + t (V'(near) - c t / 2), V'(near) = +-n sqrt(c)
-        v_near = v0[side] + t * (np.where(rising, n, -n) * r - 0.5 * c[side] * t)
-        w = (hi[side] - lo[side]) * r
-        rise = w * (n + 0.5 * w)
-        steep = rise >= 1.0
-        scaled = np.empty(n.shape)
-        ns, ws = n[steep], w[steep]
-        scaled[steep] = _SQRT_HALF_PI * (
-            _erfcx_array(ns / _SQRT2) - _erfcx_array((ns + ws) / _SQRT2) * np.exp(-rise[steep])
-        )
-        nodes, weights = _gauss_legendre()
-        nf, wf = n[~steep, None], 0.5 * w[~steep, None]
-        u = wf * (1.0 + nodes)
-        scaled[~steep] = np.sum(wf * weights * np.exp(-u * (nf + 0.5 * u)), axis=1)
-        out[side] = np.exp(-v_near) / r * scaled
-        return out
-
     def density_mass(self) -> float:
         """``int exp(-V)`` in closed form (per-segment Gaussian integrals)."""
         if self._mass_cache is None:
             table = self._segment_table()
-            masses = self._segment_mass(*table)
+            masses = _segment_masses(*table)
             cum = np.concatenate([[0.0], np.cumsum(masses)])
             self._mass_cache = (table, cum, float(np.sum(masses)))
         return self._mass_cache[2]
@@ -348,7 +288,7 @@ class PiecewiseQuadraticPotential:
         arr = np.asarray(x, dtype=float)
         xs = np.atleast_1d(arr)
         j = np.searchsorted(self.breakpoints, xs, side="right")
-        part = self._segment_mass(lo[j], np.minimum(xs, hi[j]), *(col[j] for col in rest))
+        part = _segment_masses(lo[j], np.minimum(xs, hi[j]), *(col[j] for col in rest))
         out = (cum[j] + part) / total
         return float(out[0]) if arr.ndim == 0 else out
 
@@ -357,6 +297,31 @@ class PiecewiseQuadraticPotential:
             f"PiecewiseQuadraticPotential({len(self._bp_list)} breakpoints, "
             f"curvatures in [{self.curvatures.min():g}, {self.curvatures.max():g}])"
         )
+
+
+def _segment_mass(lo, hi, mu, vmin, c, x0, v0) -> float:
+    """``int_lo^hi exp(-V) dx`` over one row of :meth:`PiecewiseQuadraticPotential._segment_table`.
+
+    With ``u = (x - mu) sqrt(c)``, V is ``vmin + u^2/2``.  A segment that
+    holds its summit is ``exp(-vmin) / sqrt(c)`` times two Gaussian pieces of
+    drift 0 rising from it.  One on a single side is mirrored so that V
+    rises from its near edge: ``exp(-V(near)) / sqrt(c)``, V(near) taken
+    from the anchor, times the piece of drift ``|u|`` there and length
+    ``(hi - lo) sqrt(c)``.
+    """
+    r = math.sqrt(c)
+    z1, z2 = (lo - mu) * r, (hi - mu) * r
+    if z1 < 0.0 < z2:
+        return math.exp(-vmin) / r * (gaussian_piece_integral(0.0, -z1) + gaussian_piece_integral(0.0, z2))
+    near, z = (lo, z1) if z1 >= 0.0 else (hi, z2)
+    t = near - x0
+    # V(near) = v0 + t (V'(near) - c t / 2), V'(near) = z sqrt(c)
+    v_near = v0 + t * (z * r - 0.5 * c * t)
+    return math.exp(-v_near) / r * gaussian_piece_integral(abs(z), (hi - lo) * r)
+
+
+# the density helpers' segment masses, elementwise on float arrays
+_segment_masses = np.vectorize(_segment_mass, otypes=[float])
 
 
 def check_class_member(potential: PiecewiseQuadraticPotential, kappa: float) -> None:

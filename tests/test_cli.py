@@ -414,25 +414,31 @@ class TestErrorPaths:
         assert run_cli(args) == 0
         assert len(out.read_text().splitlines()) == 31
 
-    def test_in_class_diagonal_past_double_precision_is_config_error(self, capsys):
+    def test_in_class_diagonal_past_double_precision_runs(self, tmp_path):
         # The stiff coordinate stays within about 1/sqrt(c) of 0, so a line's
         # minimizer lies about 1e-16 from the chain's point, where one ulp is
-        # 1e-32 to 1e-31 and moves W' by c times that.  The certificate search
-        # stops at |W'| <= B = 2, so it stalls between two adjacent doubles,
-        # with a rise the class allows, only where that ulp moves W' by more
-        # than 2B = 4; with B = 1 a rise past 2 did, and [1, 1e32] exited 4
-        # (W' from -1.01 to 1.01).  Where a chain stalls depends on its path:
-        # at seed 1 over 300 steps, of the curvatures k * 1e30 and k * 1e31
-        # (k = 1, ..., 9), the half steps 1.5e31, ..., 6.5e31 and 1e32, ...,
-        # 1.9e32, every one up to 6.5e31 runs and 7e31 is the smallest that
-        # exits 4 (W' from -2.75 to 2.75 across 1e-31 at lam = -4.77e-16);
-        # 1e32 runs
-        args = ["hitandrun", "--trials", "300", "--seed", "1"]
-        doc = {"type": "diagonal", "curvatures": [1, 7e31]}
-        assert run_cli([*args, "--target", json.dumps(doc)]) == 4
-        assert "double precision" in capsys.readouterr().err
-        doc = {"type": "diagonal", "curvatures": [1, 1e32]}
-        assert run_cli([*args, "--target", json.dumps(doc)]) == 0
+        # 1e-32 to 1e-31 and moves W' by c times that.  Where that ulp moves
+        # W' by more than 2B = 4 the certificate search can close on two
+        # adjacent doubles with both slopes above B and a rise the class
+        # allows; it then takes the flatter end as the certificate.  At seed
+        # 1 over 300 steps each of these once stalled there with exit 4
+        # (7e31 on W' from -2.75 to 2.75 across 1e-31 at lam = -4.77e-16)
+        out = tmp_path / "chain.csv"
+        for curvature in (7e31, 1.1e32, 1.3e32, 1.4e32, 2e32):
+            doc = {"type": "diagonal", "curvatures": [1, curvature]}
+            args = ["hitandrun", "--target", json.dumps(doc), "--trials", "300", "--seed", "1"]
+            assert run_cli([*args, "--out", str(out)]) == 0
+            assert len(out.read_text().splitlines()) == 301
+
+    def test_in_class_diagonal_far_past_double_precision_is_config_error(self, capsys):
+        # at 1e40 an ulp near the minimizer moves W' by about 1e4: the search
+        # closes on adjacent doubles whose flatter end is far steeper than
+        # 2B, so the line needs more than double precision, not a plateau
+        # e^(g^2/2) that overflows or never accepts
+        doc = {"type": "diagonal", "curvatures": [1, 1e40]}
+        args = ["hitandrun", "--target", json.dumps(doc), "--trials", "50", "--seed", "1"]
+        assert run_cli(args) == 4
+        assert "kappa = 1e+40 needs more than double precision" in capsys.readouterr().err
 
     @pytest.mark.parametrize("curvature, code", [(1e30, 0), (1e300, 4)])
     def test_in_class_diagonal_whose_far_probe_overflows_is_config_error(self, curvature, code, capsys):

@@ -103,6 +103,17 @@ class TestRestrict:
             hitandrun.LineOracle(o, base, direction)
         assert o.query_count == 0
 
+    def test_base_and_direction_need_floats(self):
+        # a UsageError naming the argument, not NumPy's raw ValueError, and no query
+        o = quadratic_oracle(np.ones(2))
+        with pytest.raises(UsageError, match="the direction must be a vector of floats"):
+            restrict(o, np.zeros(2), "ab")
+        with pytest.raises(UsageError, match="the base must be a vector of floats"):
+            hitandrun.LineOracle(o, ["a", 0.0], [1.0, 0.0])
+        with pytest.raises(UsageError, match="the direction must be a vector of floats"):
+            step(o, np.array([0.5, 0.5]), np.random.default_rng(0), direction=["x", 1])
+        assert o.query_count == 0
+
     @pytest.mark.parametrize("direction", [[1.0], [0.6, 0.8, 0.0], [[0.6, 0.8]]])
     def test_step_direction_needs_the_oracle_shape(self, direction):
         # from a point, and from a Probe whose gradient the direction would meet first
@@ -160,6 +171,21 @@ def certificate_bound(kappa):
 def query_bound(kappa, slope):
     """The worst case of bracket_minimizer's docstring for a first slope."""
     return 2 + 2 * max(0, math.ceil(math.log2(kappa * abs(slope) / (2.0 * certificate_bound(kappa)))))
+
+
+class AdjacentDoubles:
+    """W(lam) = c (lam - m)^2 / 2 about m = 2^54 + 2, which no double holds.
+
+    From 0 the certificate search ends on [2^54, 2^54 + 4], 4 >= 1/kappa
+    wide with nothing between, where W' runs from -2c to 2c.
+    """
+
+    def __init__(self, curvature, kappa):
+        self.curvature, self.kappa = curvature, kappa
+
+    def query(self, lam):
+        t = (lam - 2.0**54) - 2.0
+        return 0.5 * self.curvature * t * t, self.curvature * t
 
 
 class TestBracketMinimizer:
@@ -302,24 +328,30 @@ class TestBracketMinimizer:
         with pytest.raises(ClassViolationError, match="steeper than kappa = 1 allows"):
             bracket_minimizer(line, 1.0)
 
+    def test_adjacent_doubles_return_the_flatter_end(self):
+        # both ends exceed B = 2 at kappa 4, but the rise 8 is the 4 kappa
+        # the class allows there: no double lies between to query, so an
+        # end, a queried point with floor 4^2/2, is the certificate, and
+        # every other probe fits its sandwich
+        line = AdjacentDoubles(2.0, 4.0)
+        assert 2.0 * line.curvature > certificate_bound(line.kappa)
+        cert, probes = bracket_minimizer(line, 0.0)
+        assert cert.lam in (2.0**54, 2.0**54 + 4.0) and abs(cert.slope) == 4.0
+        ends = [probe for probe in probes if probe.lam in (2.0**54, 2.0**54 + 4.0)]
+        assert len(ends) == 1 and ends[0].lam != cert.lam and abs(ends[0].slope) == 4.0
+        for probe in probes:
+            cert.check(probe.lam, probe.value, line.kappa)
+
     @pytest.mark.parametrize("curvature, kappa, error, message", [
-        (2.0, 4.0, UsageError, "double precision"),
         (3.0, 2.0, ClassViolationError, "steeper than kappa = 2 allows"),
+        (5.0, 4.0, ClassViolationError, "steeper than kappa = 4 allows"),
+        (3.0, 4.0, UsageError, "double precision"),
     ])
     def test_bracket_between_adjacent_doubles(self, curvature, kappa, error, message):
-        # W(lam) = c (lam - m)^2 / 2 about m = 2^54 + 2, which no double
-        # holds: the search ends on [2^54, 2^54 + 4], 4 >= 1/kappa wide with
-        # nothing between, where W' runs from -2c to 2c.  Both ends exceed B
-        # (2 at kappa 4, 1 at kappa 2), so neither is a certificate.  A rise
-        # 4c up to 4 kappa is the limit of double precision; beyond it, a
-        # proof that W'' > kappa
-        class Line:
-            def query(self, lam):
-                t = (lam - 2.0**54) - 2.0
-                return 0.5 * curvature * t * t, curvature * t
-
-        line = Line()
-        line.kappa = kappa
+        # a rise 4c beyond 4 kappa is a proof that W'' > kappa; within it,
+        # ends 2c = 6 past 2B = 4 would give the plateau e^18: double
+        # precision cannot resolve the line
+        line = AdjacentDoubles(curvature, kappa)
         assert 2.0 * curvature > certificate_bound(kappa)
         with pytest.raises(error, match=message) as info:
             bracket_minimizer(line, 0.0)
@@ -913,6 +945,14 @@ class TestBracketRows:
         assert probe.value == pytest.approx(134.4758)
         assert build_line_envelope(line, cert, (probe,))[0] == bare
 
+    def test_numpy_floats_build_the_same_envelope(self):
+        # a NumPy float's comparison is a NumPy bool, which indexes no tuple
+        for _, line, cert, probes in bracket_lines("mixed", 1e6, 10):
+            env, _ = build_line_envelope(line, cert, probes)
+            as_numpy = tuple(Certificate(*map(np.float64, probe)) for probe in probes)
+            assert build_line_envelope(line, cert, as_numpy)[0] == env
+            assert build_line_envelope(line, Certificate(*map(np.float64, cert)), as_numpy)[0] == env
+
 
 class TestOneView:
     def test_trials_query_the_view_the_envelope_returns(self):
@@ -1067,6 +1107,14 @@ class TestStep:
 
 
 class TestRunChain:
+    def test_far_start_past_double_precision_is_usage_error(self):
+        # from (1e3, 1e3) on [1, 1e20] a line's minimizer lies where one ulp
+        # moves W' by about 2e7: the search closes on adjacent doubles far
+        # steeper than 2B, which no plateau e^(g^2/2) could cover
+        o = quadratic_oracle(np.array([1.0, 1e20]))
+        with pytest.raises(UsageError, match="kappa = 1e\\+20 needs more than double precision"):
+            run_chain(o, np.array([1e3, 1e3]), 5, np.random.default_rng(1))
+
     def test_zero_steps(self):
         o = isotropic(4, 10.0)
         res = run_chain(o, np.zeros(4), 0, np.random.default_rng(0))

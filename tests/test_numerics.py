@@ -156,14 +156,30 @@ def piece_cdf(a, length):
     return lambda t: (head - gaussian_tail_partial(a, np.clip(t, 0.0, length))) / mass
 
 
+# pieces far narrower than a grid step, where an erfc difference cancels
+NARROW_LENGTHS = (1e-10, 1e-14)
+
+
+def piece_quadrature(a, length):
+    return adaptive_quadrature(
+        lambda t: math.exp(-a * t - 0.5 * t * t), 0.0, length, tol=1e-13 * min(length, 1.0)
+    ).value
+
+
 class TestGaussianPiece:
     @pytest.mark.parametrize("a", PIECE_DRIFTS)
-    @pytest.mark.parametrize("length", PIECE_LENGTHS)
+    @pytest.mark.parametrize("length", PIECE_LENGTHS + NARROW_LENGTHS)
     def test_integral_matches_quadrature(self, a, length):
-        quad = adaptive_quadrature(
-            lambda t: math.exp(-a * t - 0.5 * t * t), 0.0, length, tol=1e-13 * min(length, 1.0)
-        )
-        assert gaussian_piece_integral(a, length) == pytest.approx(quad.value, rel=1e-9)
+        # approx's default absolute 1e-12 would pass any value this small
+        tol = {"rel": 1e-13, "abs": 0.0} if length in NARROW_LENGTHS else {"rel": 1e-9}
+        assert gaussian_piece_integral(a, length) == pytest.approx(piece_quadrature(a, length), **tol)
+
+    @pytest.mark.parametrize("length", [math.nextafter(1.0, 0.0), 1.0])
+    def test_integral_on_both_sides_of_the_flat_switch(self, length):
+        # at a = 0.5 the exponent rises length * (0.5 + length/2), 1 at
+        # length 1: the Gauss-Legendre rule just below, the erfc difference there
+        quad = piece_quadrature(0.5, length)
+        assert gaussian_piece_integral(0.5, length) == pytest.approx(quad, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("a", PIECE_DRIFTS)
     @pytest.mark.parametrize("length", PIECE_LENGTHS)

@@ -189,3 +189,20 @@ def test_sampling_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_density_helpers_load_no_numpy_polynomial():
+    # it took about 4.4 ms to import; the flat-piece Gauss-Legendre rule is
+    # written as literals.  NumPy 1.x imports numpy.polynomial itself, so
+    # only the modules that lcsampler adds to a bare `import numpy` count
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import lcsampler, lcsampler.cli\n"
+        "lcsampler.PiecewiseQuadraticPotential([0.5], [1.0, 4.0]).density_cdf([-1.0, 0.5, 0.7])\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy.polynomial')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -42,6 +42,11 @@ changed.  The areas:
 * ``hardfamily`` - ``hardfamily.identify`` at each kappa of ``KAPPAS`` on
   every window edge ``2^j / sqrt(kappa)`` for j from -1070 to 999, the two
   float neighbours of each, and seeded random points.
+* ``kernels`` - ``numerics.gaussian_piece_integral`` and
+  ``gaussian_tail_integral`` on a grid of drifts and lengths that covers the
+  piece's three branches and both switches between them (an exponent
+  rising by 1, a drift of 5), and ``erfcx`` and ``erfcinv`` on grids across
+  their own switches, so a change to a kernel shows here alone.
 * ``cli.<command>`` - each command's outputs: ``bench-queries`` without its
   wall-clock ``throughput`` column, and ``envelope-inspect`` without its
   geometry-row keys, whose layout is the stored form rather than behaviour.
@@ -214,6 +219,34 @@ def hardfamily(lc, digest) -> None:
         feed(digest, (kappa, [lc.hardfamily.identify(float(y), kappa) for y in ys]))
 
 
+def around(values, steps: int = 2) -> list[float]:
+    """Each value and its ``steps`` nearest doubles on either side."""
+    out = []
+    for value in values:
+        below = above = value
+        out.append(value)
+        for _ in range(steps):
+            below, above = float(np.nextafter(below, -np.inf)), float(np.nextafter(above, np.inf))
+            out += [below, above]
+    return out
+
+
+def kernels(lc, digest) -> None:
+    numerics = lc.numerics
+    drifts = [0.0, 0.5, 1.0, *around([5.0]), 7.5, 40.0, 1e3, 1e8]
+    for a in drifts:
+        # the length at which the exponent a t + t^2/2 rises by 1, and its neighbours
+        switch = 1.0 / (0.5 * a + (0.25 * a * a + 0.5) ** 0.5)
+        lengths = [1e-14, 1e-10, 2e-6, 1e-3, *around([switch]), 3.0, 30.0, 1e3]
+        feed(digest, (a, numerics.gaussian_tail_integral(a),
+                      [numerics.gaussian_piece_integral(a, length) for length in lengths]))
+    xs = [*np.linspace(0.0, 30.0, 301), *around([26.0], 5), *np.logspace(1.0, 300.0, 300)]
+    feed(digest, [numerics.erfcx(float(x)) for x in xs])
+    ys = [*np.logspace(-300.0, 0.0, 301), *np.linspace(0.0, 2.0, 201)[1:-1],
+          *around([0.0485, 0.5, 1.0], 5)]
+    feed(digest, [numerics.erfcinv(float(y)) for y in ys])
+
+
 def cli_outputs(lc) -> dict:
     """Per command, a list of its output texts (or parsed documents) and exit codes."""
     from lcsampler.cli import main
@@ -265,7 +298,8 @@ def fingerprint(root: Path) -> dict:
     hashes = {}
     for area, run in (("potential", potential), ("envelope1d", envelope1d),
                       ("construction", construction), ("line_envelope", line_envelope),
-                      ("line_probes", line_probes), ("chain", chain), ("hardfamily", hardfamily)):
+                      ("line_probes", line_probes), ("chain", chain), ("hardfamily", hardfamily),
+                      ("kernels", kernels)):
         digest = hashlib.sha256()
         run(lc, digest)
         hashes[area] = digest.hexdigest()

@@ -13,7 +13,9 @@ Each subcommand takes only the flags it reads:
   ``--target --kappa --dimension --trials --seed --format --out``.  Its
   summary reports the first step's queries apart, since only that step
   queries its start point; each later step reuses its predecessor's
-  accepted trial.
+  accepted trial.  ``step_paths`` counts the steps that searched first,
+  that tried the certificate's tangent first and accepted its trial, and
+  that tried it and fell back to the search.
 
 Kappa comes from the target's oracle and nowhere else.  ``--kappa`` sets it
 for builtin targets (default 1) and, for a JSON target, replaces the
@@ -232,6 +234,7 @@ def cmd_hitandrun(args) -> int:
         "first_step_queries": int(result.step_queries[0]) if args.trials else 0,
         "mean_queries_per_step": result.mean_queries_per_step,
         "total_queries": int(result.step_queries.sum()),
+        "step_paths": result.path_totals,
     }
     sys.stderr.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return EXIT_OK

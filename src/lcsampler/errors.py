@@ -13,12 +13,15 @@ class ClassViolationError(RuntimeError):
     Raised when an observed oracle response is inconsistent with the declared
     curvature sandwich (for example, no threshold index exists in the search
     range, or a line value escapes the sandwich a gradient certificate
-    implies).
+    implies).  ``query_point`` is where, when the raiser knows it, and
+    ``gap`` by how much: the log gap by which an envelope fell below the
+    target, or the distance of a line value outside its sandwich.
     """
 
-    def __init__(self, message, query_point=None):
+    def __init__(self, message, query_point=None, gap=None):
         super().__init__(message)
         self.query_point = query_point
+        self.gap = gap
 
 
 def integer_argument(value, name: str, least: int) -> int:

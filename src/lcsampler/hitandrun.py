@@ -15,7 +15,7 @@ steep start's bracket costs ``O(log kappa |g|)`` queries; ``B = 1`` (a floor
 of 1/2) up to it, where a certificate near the minimizer leaves the searches
 nothing to query and the bracket's far probe is the envelope's only query.
 
-The line step has three parts:
+The search-first line step has three parts:
 
 * :func:`bracket_minimizer` searches for a certificate from the chain's
   current point, at ``lam = 0`` on its line.  That point is the previous
@@ -97,6 +97,44 @@ The line step has three parts:
   at the same point would give, and the kernel is Smith's (1984)
   Hit-and-Run kernel either way.
 
+That is the *search-first* path.  A step of a chain can instead go
+*tangent first*: the certificate alone bounds the shifted line by its
+tangent Gaussian, ``W(p + t) - W(p) >= g t + t^2/2``, and
+:func:`tangent_envelope` builds from it, at no query, an envelope of mass
+``e^(g^2/2)`` times ``_TANGENT_MASS`` (2.547), which a line of curvature 1
+accepts a trial from with probability 0.984.  The step tries one trial
+against it (``sample_exact`` with a cap of 1).  If that trial is rejected,
+the step falls back to :func:`build_line_envelope`, with the rejected
+trial, already checked against the certificate, among its probes, and
+samples against that envelope until a trial is accepted.
+
+Which path a step takes is chosen from the chain's own measured costs, the
+queries each step spent after its certificate search, kept in a
+:class:`ChainCosts` that travels with the chain's :class:`Probe`:
+
+* ``C_i`` is a search-first step's cost, and the search-first estimate is
+  ``mean(C_i)``.
+* Going tangent first costs one trial, plus the fallback's ``C`` when the
+  tangent's trial is rejected, which happens with probability ``1 - a``,
+  ``a = Z_W / Z_T``.  Before any tangent-first step the estimate is ``1 +
+  mean(C_i - a_i C_i)``, where ``a_i = Z_H / Z_T`` if the step's first
+  trial against its search envelope (of mass ``Z_H``) was accepted and 0
+  otherwise: that trial is accepted with probability ``Z_W / Z_H``, so
+  ``a_i`` is unbiased for ``a``.  The mean is of the per-line products
+  ``a_i C_i``, not the product of two means.  After a tangent-first step,
+  the estimate is the mean cost of the tangent-first steps themselves.
+* A step goes tangent first exactly when that estimate is below the
+  search-first one.  A step with no record, a chain's first step or a bare
+  :func:`step` call, searches first.
+
+The choice changes the cost of a step, never its law.  Given its line, an
+accepted trial has the restricted density whatever sequence of dominating
+envelopes produced it: each envelope is a function of the line and of the
+trials before, and rejection against it accepts ``x`` with density
+proportional to the target alone, as in adaptive rejection sampling
+(Gilks and Wild 1992).  The choice depends only on the chain's past, so
+every step is Smith's kernel.
+
 The envelope dominates any restriction that keeps the curvature sandwich
 around the certificate, so a target outside the class could pass silently.
 Instead every line value the step queries or reuses, in the search, the
@@ -116,6 +154,7 @@ import numpy as np
 
 from .envelope import Envelope, threshold_searches
 from .errors import ClassViolationError, UsageError, integer_argument
+from .numerics import gaussian_tail_integral
 from .rejection import sample_exact
 
 # Relative slack of the sandwich checks, for float noise in class members
@@ -128,6 +167,12 @@ _LEVEL = 3.0
 # Above this kappa the level-3 sandwich of a zero-slope certificate leaves
 # its edges open, ``search_range(kappa, level=3, rise=0)`` has lo < top
 _OPEN_KAPPA = 8.0 / 3.0
+# The tangent envelope's mass over its height e^(g^2/2): the plateau's width 1
+# and two tails exp(-1/8 - t/2 - t^2/2), the unit Gaussian beyond 1/2
+_TANGENT_MASS = 1.0 + 2.0 * math.exp(-0.125) * gaussian_tail_integral(0.5)
+# A chain step's path, indexed as in ChainResult.step_paths
+PATHS = ("search_first", "tangent_accepted", "tangent_fell_back")
+_SEARCHED, _TANGENT, _FELL_BACK = range(len(PATHS))
 
 
 class MultivariateOracle:
@@ -199,11 +244,50 @@ def quadratic_oracle(diagonal, kappa: float | None = None) -> MultivariateOracle
 
 
 class Probe(NamedTuple):
-    """One multivariate query's answer: the queried point array, V there and grad V there."""
+    """One multivariate query's answer: the queried point array, V there and grad V there.
+
+    ``costs`` is the cost record of the chain whose position the probe is
+    (:class:`ChainCosts`), which the next step reads to pick its path; None
+    off a chain.  :func:`run_chain` starts a chain at a point array with a
+    probe whose ``value`` and ``gradient`` are None, not yet queried.
+    """
 
     point: np.ndarray
-    value: float
-    gradient: np.ndarray
+    value: float | None
+    gradient: np.ndarray | None
+    costs: ChainCosts | None = None
+
+
+class ChainCosts(NamedTuple):
+    """One chain's record of the queries its steps spent after the certificate search.
+
+    ``searched`` steps went search first and spent ``search_queries`` there
+    in all, and ``credit`` sums ``a_i C_i`` over them (module docstring);
+    ``tangent`` steps went tangent first and spent ``tangent_queries``.
+    ``path`` is the last step's, an index into :data:`PATHS`.  Immutable, so
+    a probe's record is the chain's past up to it and no later step's.
+    """
+
+    searched: int = 0
+    search_queries: int = 0
+    credit: float = 0.0
+    tangent: int = 0
+    tangent_queries: int = 0
+    path: int | None = None
+
+    def tangent_first(self) -> bool:
+        """Whether the next step tries the tangent first: its estimated cost is below the search's.
+
+        No record means search first.  Before any tangent-first step the
+        estimate is ``1 + mean(C_i - a_i C_i)``, below ``mean(C_i)`` exactly
+        when ``mean(a_i C_i) > 1``; after one, it is the tangent-first steps'
+        own mean, compared in integers.
+        """
+        if not self.searched:
+            return False
+        if self.tangent:
+            return self.tangent_queries * self.searched < self.search_queries * self.tangent
+        return self.credit > self.searched
 
 
 class Certificate(NamedTuple):
@@ -234,12 +318,14 @@ class Certificate(NamedTuple):
                 f"[{low:.6g}, {high:.6g}] that W'({p:g}) = {g:.6g} and "
                 f"kappa = {kappa:g} imply",
                 query_point=lam,
+                gap=low - rise if rise < low else rise - high,
             )
 
 
 # the per-step and per-trial constructors, without NamedTuple's Python-level __new__
 _probe = partial(tuple.__new__, Probe)
 _certificate = partial(tuple.__new__, Certificate)
+_costs = partial(tuple.__new__, ChainCosts)
 
 
 class LineOracle:
@@ -275,10 +361,12 @@ class CertifiedLine:
     (:meth:`Certificate.check`).  The searches query :meth:`level`, the
     value alone, answered as the pair ``(W, None)``; the rejection trials
     query :meth:`value`, the value and the gradient, and only it sets
-    ``last``, a :class:`Probe` of the queried point array.
+    ``last``, a :class:`Probe` of the queried point array, and ``trial``,
+    the ``lam`` it queried.
     """
 
     last: Probe | None = None
+    trial: float | None = None
     point = LineOracle.point
 
     def __init__(self, line: LineOracle, certificate: Certificate):
@@ -296,7 +384,7 @@ class CertifiedLine:
         point = self.base + lam * self.direction
         value, gradient = self._oracle.query(point)
         self.certificate.check(lam, value, self.kappa)
-        self.last = _probe((point, value, gradient))
+        self.last, self.trial = _probe((point, value, gradient, None)), lam
         return value - self.shift
 
 
@@ -501,17 +589,41 @@ def _rows(p: float, grid, points, floor: float, descending: bool) -> tuple[tuple
     return tuple(rows)
 
 
+def tangent_envelope(certificate: Certificate) -> Envelope:
+    """The envelope that the certificate ``(p, W(p), g)`` alone gives the line shifted by ``W(p)``.
+
+    ``W(p + t) - W(p) >= g t + t^2/2`` bounds the shifted target by the
+    tangent Gaussian ``h exp(-(x - m)^2/2)``, ``h = e^(g^2/2)`` at the mean
+    ``m = p - g``.  The envelope is flat at ``h`` within 1/2 of m and that
+    Gaussian beyond, rows ``(m -+ 1/2, 1/8, 1/2)``.  Its mass is ``h``
+    times ``_TANGENT_MASS``, 2.547 against the Gaussian's 2.507, so on a
+    line of curvature 1 a trial is accepted with probability 0.984.  It
+    costs no query.
+    """
+    p, _, slope = certificate
+    mean = p - slope
+    return Envelope(math.exp(0.5 * slope * slope), ((mean - 0.5, 0.125, 0.5),),
+                    ((mean + 0.5, 0.125, 0.5),))
+
+
 @dataclass(frozen=True)
 class ChainResult:
     positions: np.ndarray  # (steps + 1, d)
     step_queries: np.ndarray  # (steps,)
-    # the final position's Probe, which a further chunk can start from; None
-    # when the chain took no step from a point array
+    step_paths: np.ndarray  # (steps,), each step's path as an index into PATHS
+    # the final position's Probe, which a further chunk can start from and
+    # which carries the chain's cost record; None when the chain took no step
+    # from a point array
     last: Probe | None = None
 
     @property
     def mean_queries_per_step(self) -> float:
         return float(self.step_queries.mean()) if self.step_queries.size else 0.0
+
+    @property
+    def path_totals(self) -> dict[str, int]:
+        """The number of steps that took each path of :data:`PATHS`, by its name."""
+        return dict(zip(PATHS, np.bincount(self.step_paths, minlength=len(PATHS)).tolist()))
 
 
 def step(
@@ -523,14 +635,19 @@ def step(
     """One Hit-and-Run transition from ``x`` with an exact step-size draw.
 
     The step size comes from the density proportional to the target
-    restricted to the chosen line, sampled by rejection against the line
-    envelope, so the transition kernel is exact.  ``x`` is a point, which
-    the certificate search queries first, or the :class:`Probe` a previous
-    step returned, whose answer it reuses; a point that is not a finite
-    vector of the oracle's dimension is a UsageError.  ``direction`` overrides the
-    uniform draw (used by diagnostics); it must be a unit vector of the same
-    shape (UsageError, from :func:`restrict`).  Returns the accepted trial's
-    :class:`Probe`: its ``point`` is the new position.
+    restricted to the chosen line, sampled by rejection against envelopes
+    that dominate it, so the transition kernel is exact.  ``x`` is a point,
+    which the certificate search queries first, or the :class:`Probe` a
+    previous step returned, whose answer it reuses; a point that is not a
+    finite vector of the oracle's dimension is a UsageError.  ``direction``
+    overrides the uniform draw (used by diagnostics); it must be a unit
+    vector of the same shape (UsageError, from :func:`restrict`).
+
+    A probe that carries a chain's cost record picks the step's path by it
+    (:meth:`ChainCosts.tangent_first`) and returns the record extended by
+    this step; without one the step searches first, and so does a
+    record's first step.  Returns the accepted trial's :class:`Probe`: its
+    ``point`` is the new position.
     """
     if direction is None:
         g = rng.standard_normal(oracle.dimension)
@@ -539,15 +656,38 @@ def step(
         u = g / norm
     else:
         u = direction
+    costs = gradient = None
     if isinstance(x, Probe):
-        line = restrict(oracle, x.point, u)
-        first = _certificate((0.0, x.value, float(line.direction.dot(x.gradient))))
-    else:
+        x, value, gradient, costs = x
+    if gradient is None:
         line, first = restrict(oracle, _start_point(oracle, x), u), None
+    else:
+        line = restrict(oracle, x, u)
+        first = _certificate((0.0, value, float(line.direction.dot(gradient))))
     certificate, probes = bracket_minimizer(line, 0.0, first)
-    env, view = build_line_envelope(line, certificate, probes)
-    sample_exact(view, env, rng)
-    return view.last
+    before = oracle.query_count
+    if costs is not None and costs.tangent_first():
+        view = CertifiedLine(line, certificate)
+        path = _TANGENT
+        if sample_exact(view, tangent_envelope(certificate), rng, 1).failed:
+            trial = view.last
+            rejected = _certificate((view.trial, trial.value, float(line.direction.dot(trial.gradient))))
+            env, view = build_line_envelope(line, certificate, (*probes, rejected))
+            sample_exact(view, env, rng)
+            path = _FELL_BACK
+        spent = oracle.query_count - before
+        costs = _costs((*costs[:3], costs.tangent + 1, costs.tangent_queries + spent, path))
+    else:
+        env, view = build_line_envelope(line, certificate, probes)
+        accepted = sample_exact(view, env, rng).trials == 1
+        if costs is None:
+            return view.last
+        spent, credit, slope = oracle.query_count - before, costs.credit, certificate.slope
+        if accepted:  # a_i is Z_H / Z_T, else 0: Z_W / Z_T on average
+            credit += spent * env.mass_total / (math.exp(0.5 * slope * slope) * _TANGENT_MASS)
+        costs = _costs((costs.searched + 1, costs.search_queries + spent, credit, *costs[3:5], _SEARCHED))
+    point, value, gradient, _ = view.last
+    return _probe((point, value, gradient, costs))
 
 
 def _start_point(oracle: MultivariateOracle, x) -> np.ndarray:
@@ -575,31 +715,37 @@ def run_chain(
     steps: int,
     rng: np.random.Generator,
 ) -> ChainResult:
-    """Run the chain and record the trajectory and per-step query counts.
+    """Run the chain and record the trajectory, per-step query counts and paths.
 
     Each step hands its accepted trial's :class:`Probe` to the next, so only
     the first step queries its start point, and not even that one when
-    ``x0`` is a :class:`Probe`: a chain run in chunks passes each chunk's
-    ``last`` to the next and takes the same steps as one unbroken chain.  A
-    point ``x0`` must be a finite vector of the oracle's dimension, and
-    ``steps`` an integer of at least 0 (UsageError for a bool, a float or a
-    string), both checked before any query.
+    ``x0`` is a :class:`Probe`.  The probe carries the chain's cost record,
+    which picks each step's path (:func:`step`): a start at a point array,
+    or at a probe without one, begins a fresh record, so the first step
+    searches first, and a chain run in chunks passes each chunk's ``last``
+    to the next and takes the same steps as one unbroken chain.  A point
+    ``x0`` must be a finite vector of the oracle's dimension, and ``steps``
+    an integer of at least 0 (UsageError for a bool, a float or a string),
+    both checked before any query.
     """
     steps = integer_argument(steps, "steps", 0)
     try:
         positions = np.empty((steps + 1, oracle.dimension))
         step_queries = np.empty(steps, dtype=int)
+        step_paths = np.empty(steps, dtype=np.int8)
     except (MemoryError, ValueError) as exc:
         raise UsageError(f"a chain of {steps} steps is too long to record: {exc}") from exc
-    if not isinstance(x0, Probe):
-        x0 = _start_point(oracle, x0)
-    positions[0] = x0.point if isinstance(x0, Probe) else x0
-    state = x0 if isinstance(x0, Probe) else positions[0]
+    if isinstance(x0, Probe):
+        state = x0 if x0.costs is not None else _probe((*x0[:3], ChainCosts()))
+    else:
+        state = _probe((_start_point(oracle, x0), None, None, ChainCosts()))
+    positions[0] = state.point
     before = oracle.query_count
     for t in range(steps):
         state = step(oracle, state, rng)
         positions[t + 1] = state.point
+        step_paths[t] = state.costs.path
         step_queries[t] = (after := oracle.query_count) - before
         before = after
-    last = state if isinstance(state, Probe) else None
-    return ChainResult(positions=positions, step_queries=step_queries, last=last)
+    last = state if state.gradient is not None else None
+    return ChainResult(positions=positions, step_queries=step_queries, step_paths=step_paths, last=last)

@@ -282,14 +282,15 @@ class PiecewiseQuadraticPotential:
         return self._mass_cache[2]
 
     def density_cdf(self, x):
-        """CDF of the normalized density exp(-V)/Z, exact per segment."""
+        """CDF of the normalized density exp(-V)/Z, exact per segment; 0 at -inf and 1 at +inf."""
         self.density_mass()
         (lo, hi, *rest), cum, total = self._mass_cache
         arr = np.asarray(x, dtype=float)
         xs = np.atleast_1d(arr)
         j = np.searchsorted(self.breakpoints, xs, side="right")
         part = _segment_masses(lo[j], np.minimum(xs, hi[j]), *(col[j] for col in rest))
-        out = (cum[j] + part) / total
+        # the masses' two sums round apart, so the last segment's end is set to 1
+        out = np.where(xs == math.inf, 1.0, (cum[j] + part) / total)
         return float(out[0]) if arr.ndim == 0 else out
 
     def __repr__(self):
@@ -307,21 +308,30 @@ def _segment_mass(lo, hi, mu, vmin, c, x0, v0) -> float:
     drift 0 rising from it.  One on a single side is mirrored so that V
     rises from its near edge: ``exp(-V(near)) / sqrt(c)``, V(near) taken
     from the anchor, times the piece of drift ``|u|`` there and length
-    ``(hi - lo) sqrt(c)``.
+    ``(hi - lo) sqrt(c)``.  A near edge where ``V' = z sqrt(c)`` overflows,
+    such as -inf, lies where V is past the float range too: no mass.
     """
     r = math.sqrt(c)
     z1, z2 = (lo - mu) * r, (hi - mu) * r
     if z1 < 0.0 < z2:
         return math.exp(-vmin) / r * (gaussian_piece_integral(0.0, -z1) + gaussian_piece_integral(0.0, z2))
     near, z = (lo, z1) if z1 >= 0.0 else (hi, z2)
+    if math.isinf(z * r):
+        return 0.0
     t = near - x0
     # V(near) = v0 + t (V'(near) - c t / 2), V'(near) = z sqrt(c)
     v_near = v0 + t * (z * r - 0.5 * c * t)
     return math.exp(-v_near) / r * gaussian_piece_integral(abs(z), (hi - lo) * r)
 
 
-# the density helpers' segment masses, elementwise on float arrays
-_segment_masses = np.vectorize(_segment_mass, otypes=[float])
+def _segment_masses(*columns: np.ndarray) -> np.ndarray:
+    """:func:`_segment_mass` of each row of equal-length float arrays.
+
+    The rows are Python floats, whose arithmetic overflows to inf without a
+    warning, as NumPy scalars' does not; a point such as 1e300 squares past
+    the float range on its way to a mass of 0 or a CDF of 1.
+    """
+    return np.array([_segment_mass(*row) for row in zip(*(col.tolist() for col in columns))], dtype=float)
 
 
 def check_class_member(potential: PiecewiseQuadraticPotential, kappa: float) -> None:

@@ -80,6 +80,7 @@ def sample_exact(oracle, env, rng: np.random.Generator, cap: int | None = None) 
                 f"envelope falls below the target at {x!r} by a log gap of {gap:.3g}; "
                 "target violates the curvature sandwich",
                 query_point=x,
+                gap=gap,
             )
         if math.log(rng.random()) <= gap:
             return _outcome((x, trials, trials))

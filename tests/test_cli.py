@@ -10,9 +10,9 @@ import pytest
 
 import lcsampler
 from helpers import adaptive_quadrature
-from lcsampler import UsageError, prepare_envelope
+from lcsampler import UsageError, prepare_envelope, run_chain
 from lcsampler.cli import build_parser, main
-from lcsampler.targets import resolve_target
+from lcsampler.targets import resolve_multivariate_target, resolve_target
 
 
 def run_cli(args):
@@ -284,6 +284,7 @@ class TestHitAndRunCommand:
         assert summary["first_step_queries"] == 0
         assert summary["mean_queries_per_step"] == 0.0
         assert summary["total_queries"] == 0
+        assert summary["step_paths"] == {"search_first": 0, "tangent_accepted": 0, "tangent_fell_back": 0}
 
     def test_summary_reports_the_first_step_apart(self, tmp_path, capsys):
         # only the first step queries its start point; every later step
@@ -300,7 +301,23 @@ class TestHitAndRunCommand:
         later = [row["queries"] for row in rows[1:]]
         assert summary["first_step_queries"] > sum(later) / len(later)
         assert run_cli([*args, "--trials", "1"]) == 0
-        assert json.loads(capsys.readouterr().err)["total_queries"] == summary["first_step_queries"]
+        one_step = json.loads(capsys.readouterr().err)
+        assert one_step["total_queries"] == summary["first_step_queries"]
+        assert one_step["step_paths"] == {"search_first": 1, "tangent_accepted": 0, "tangent_fell_back": 0}
+
+    def test_summary_counts_each_path(self, tmp_path, capsys):
+        # on the isotropic target the chain's first step searches first and
+        # later ones try the tangent first, whose trial a line of curvature 1
+        # accepts with probability 0.984; the totals match a chain run alone
+        out = tmp_path / "chain.csv"
+        assert run_cli(["hitandrun", "--kappa", "1e6", "--dimension", "10", "--seed", "9",
+                        "--trials", "400", "--out", str(out)]) == 0
+        paths = json.loads(capsys.readouterr().err)["step_paths"]
+        oracle = resolve_multivariate_target("gaussian", 1e6, 10)
+        chain = run_chain(oracle, np.zeros(10), 400, np.random.default_rng(9))
+        assert paths == chain.path_totals
+        assert sum(paths.values()) == 400 and paths["search_first"] >= 1
+        assert paths["tangent_accepted"] > 0.95 * 399 and paths["tangent_fell_back"] >= 1
 
     DIAGONAL = {"type": "diagonal", "curvatures": [1, 4]}
 

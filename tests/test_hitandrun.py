@@ -21,7 +21,7 @@ from lcsampler import (
     threshold_searches,
 )
 from lcsampler.envelope import search_range
-from lcsampler.hitandrun import Certificate
+from lcsampler.hitandrun import PATHS, Certificate, ChainCosts, Probe, tangent_envelope
 from lcsampler.targets import builtin_potential, resolve_multivariate_target
 
 from helpers import (
@@ -382,6 +382,9 @@ class TestBracketMinimizer:
                 bracket_minimizer(restrict(oracle, x, direction), 0.0)
             assert info.value.query_point == 0.0
             assert bounds in str(info.value)
+            # the restriction's curvature is c = 2/1.01 and its minimizer 4.95
+            # from 0, so the value rises (c - 1) 4.95^2/2 past the sandwich's top
+            assert info.value.gap == pytest.approx((2.0 / 1.01 - 1.0) * 4.95**2 / 2, rel=1e-12)
 
 
 class TestLineEnvelope:
@@ -1265,30 +1268,38 @@ class TestRunChain:
 # went from 176 to 161 (over 5,000 steps 9.18 -> 9.15 per step); the 10-d
 # chain kept its path through step 7, and its queries went from 67 to 65
 # (3.49 -> 3.34 per step).
+# Re-recorded again when a chain's steps came to pick, by the chain's own
+# measured costs, between searching first and trying the certificate's
+# tangent Gaussian first.  Each chain's first step searches first, as a bare
+# step does, and is unchanged; both chains leave their paths at step 2.  The
+# anisotropic chain's step 2 tried the tangent and fell back, and every later
+# step searched first: 161 -> 186 queries on the new path (over 5,000 steps
+# 9.15 -> 9.10 per step).  The 10-d chain tried the tangent on steps 2-20,
+# accepted on all but step 3: 65 -> 26 queries (3.34 -> 1.09 per step).
 ANISOTROPIC_POSITIONS = [
     [0.5878986735554335, -0.15765943136239413],
-    [0.8761691999222716, -0.038094846471171076],
-    [0.009675599035442128, -0.06664653387554567],
-    [0.251370606840916, 0.07856211034491534],
-    [0.23257557259777295, 0.15527028419720662],
-    [-0.20166279621090427, 0.0646473019760023],
-    [-0.17404376248924552, 0.013908718338112386],
-    [0.2504474790998943, -0.1346194669809254],
-    [0.2762947867183431, -0.11012366559562678],
-    [0.22277701338542025, -0.09131745585198611],
-    [0.6450965104760018, 0.1923510605524865],
-    [0.28491420093471825, 0.17427074202592616],
-    [0.2566677175471242, 0.10170338150929918],
-    [-0.05937213329260038, -0.29710911770752185],
-    [-0.8205379336438056, -0.20560203544779662],
-    [-0.8786938072134983, -0.026833652020374382],
-    [-0.44797908237522416, -0.0817293922124328],
-    [-0.4793576603571008, -0.2908877931532525],
-    [-0.4428287542494524, -0.04340627490553439],
-    [-0.45240837305416615, -0.028699708436034664],
+    [1.7763460261915645, 0.3352671823080847],
+    [1.7988822645912235, 0.29831878464564116],
+    [0.9262349886698155, -0.031030133143735317],
+    [0.9148294713838481, -0.1150812551101399],
+    [0.7895174775642165, -0.07123497227268377],
+    [0.808056816913706, -0.053665019485972666],
+    [0.7545390435807832, -0.034858809742332],
+    [0.7157091962122407, -0.06094049735355782],
+    [0.45278297182928146, -0.1489318927278585],
+    [0.5730176588425363, -0.0008117639306485236],
+    [0.6287272128829212, -0.16969586508467735],
+    [0.9145455093419599, 0.08226890346452279],
+    [0.9008042158059848, -0.17206773231402414],
+    [2.6697522674255763, -0.13704153606228303],
+    [0.48259814804777434, -0.1567373934904491],
+    [0.4870774111794647, -0.14238209514932043],
+    [0.7348955173905524, 0.093999197950807],
+    [0.7543703227009878, 0.04269753874262765],
+    [0.6220688034457179, 0.1551688259634026],
 ]
 ANISOTROPIC_QUERIES = [
-    12, 8, 3, 8, 11, 6, 9, 9, 10, 8, 9, 3, 10, 10, 3, 10, 3, 11, 9, 9,
+    12, 10, 10, 9, 12, 10, 8, 8, 9, 9, 10, 9, 10, 12, 3, 4, 10, 10, 11, 10,
 ]
 
 ISOTROPIC_10D_POSITIONS = [
@@ -1298,103 +1309,103 @@ ISOTROPIC_10D_POSITIONS = [
         -0.3970436242420417, -0.16467988147978618,
     ],
     [
-        0.001251963755995178, -0.3526398053412542, -0.12745631157219905, 0.0030428536493806724,
-        0.23877397178406412, -0.21209535524466663, -0.30748802620945626, 0.026364858012536685,
-        -0.6233665996237416, -0.24632178544569913,
+        0.49918750123996547, -0.3362324137584185, 0.14476356520908445, -0.45867047674897915,
+        0.09239585316960539, -0.645184810439681, -0.5676850951768934, 0.3292923081211876,
+        -1.1200193102932288, -0.42548023297186766,
     ],
     [
-        0.003406937006580591, -0.35182648920823134, -0.1267410880500664, 0.0016948843736207231,
-        0.24016422354106304, -0.2129730523963375, -0.3076711964198402, 0.02499615788737178,
-        -0.6240917582143671, -0.25166572484077065,
+        0.33752540998320535, -0.3972458796479018, 0.09110882482073863, -0.35754832499604416,
+        -0.011898251803055496, -0.579341600093257, -0.5539440061594003, 0.43196964969720886,
+        -1.065619259516971, -0.024587823786761442,
     ],
     [
-        0.1613855176690171, 0.21412288026625825, 0.7283659211070355, -0.2568105062535626,
-        0.7150612643052756, -0.5301533530055083, -1.060880245004428, 0.07178134437571569,
-        -0.16494680308105614, -0.41231913839305256,
+        0.35204054718054745, -0.3452462179834851, 0.16967640976977505, -0.38129990698565414,
+        0.03173548431737121, -0.6084842570302363, -0.6231491644323811, 0.43626829194246747,
+        -1.0234328315260264, -0.03934872573406688,
     ],
     [
-        -0.5135902912667468, -0.4255597357974097, 0.36947381139570995, 0.1811528373160906,
-        0.7421941230112896, -0.834926456539715, -0.9537826108478393, 0.3801437881999473,
-        0.22195516327466291, -0.09284035789845363,
+        0.19750247889317477, -0.49170378652858265, 0.08750680809795229, -0.2810266702267731,
+        0.03794764705865941, -0.6782631232689907, -0.598628787136486, 0.506868950173621,
+        -0.9348502753726857, 0.0337970565929846,
     ],
     [
-        -0.776046275775934, -0.13482709665380693, 0.5063609543062803, 0.22696375154410114,
-        0.4709660666379957, -0.9846339813381648, -0.3068375069004621, 0.4126189354759591,
-        0.3983833889588757, 0.12450600163361658,
+        0.08717275516295954, -0.36948728681319043, 0.1450506308756457, -0.2617689439453285,
+        -0.0760696293372662, -0.7411963037877575, -0.32666975857552377, 0.5205206641315285,
+        -0.8606844016763674, 0.12516385794744916,
     ],
     [
-        -0.7564136292566037, -0.048931552436153755, 0.24596770528083406, 0.16451943277535622,
-        0.39216722287229433, -1.0323898860909713, -0.7113753474732957, 0.591322129461009,
-        0.5559202208177095, -0.16699377208692556,
+        0.11496626054685234, -0.2478868562082193, -0.22358235814049696, -0.35016999105753605,
+        -0.18762341737548027, -0.8088032866034944, -0.8993650719088067, 0.7735068409697882,
+        -0.6376629776356068, -0.2875059531413622,
     ],
     [
-        -0.7354278433167191, 0.3394928838183668, -0.9480304980083909, -0.46055752044508935,
-        0.7727021155362681, 0.9903604205250234, -0.29555989276977557, 0.5383253409768958,
-        -0.20432752165373524, 0.18526460450282117,
+        0.11900068289258292, -0.1732140167090449, -0.45312310757495333, -0.47033820563371165,
+        -0.11446730691616631, -0.4199386970083437, -0.8194264331100722, 0.7633184482965406,
+        -0.7838171645364036, -0.2197858748914713,
     ],
     [
-        -0.6802389716417145, 0.09294975525869045, -0.6852110754489626, -0.4581907673067435,
-        0.7653729225211071, 0.9407055031404908, -0.12537534036692952, 0.5879051166275024,
-        -0.0454325315123327, 0.19882440282424335,
+        0.0723109282050553, 0.03536133268626293, -0.6754681926254056, -0.47234047747007085,
+        -0.10826681370893891, -0.3779306645672078, -0.96340246962133, 0.7213739857204394,
+        -0.9182422376646738, -0.23125745671629577,
     ],
     [
-        -0.6431746965008007, 0.12830351297873924, -0.6044682047163825, -0.4531625886655756,
-        0.409990723482706, 0.7783088257222163, -0.05649168521833174, 0.40644780575243455,
-        -0.2045837230339891, 0.22141989177163768,
+        0.003209159465515657, -0.030551387332043475, -0.826003314640252, -0.4817148962688223,
+        0.5542994563377818, -0.07516209282628039, -1.0918275471364234, 1.0596787572157913,
+        -0.6215244740138253, -0.27338395847205554,
     ],
     [
-        -0.6198183129994247, 0.12217077964977899, -0.4510155143792022, -0.41036081216916287,
-        0.41790434768347406, 0.9064472594143488, -0.0391841318472218, 0.3929406946591763,
-        -0.26013604143366337, 0.19979228676562352,
+        0.13528154898364259, -0.06522990444859622, 0.04171935696353568, -0.23968543579310225,
+        0.5990483044581401, 0.6494170838186397, -0.9939592307380247, 0.9833006468174788,
+        -0.9356539039353946, -0.39568069471678347,
     ],
     [
-        -0.6022913693667777, 0.13428022586023797, -0.45812457434543524, -0.365954038750574,
-        0.37057707607665064, 0.8486810983739626, 0.07899952142138852, 0.3196407391059616,
-        -0.20992817464568764, 0.11789163734080148,
+        0.1770334793574716, -0.03638330314482088, 0.024784460443376528, -0.13390153240644437,
+        0.4863073160503988, 0.51180902252328, -0.7124272211636571, 0.8086886491522366,
+        -0.8160508857317319, -0.5907808949586054,
     ],
     [
-        -0.5763139094231657, 0.13522341304443217, -0.45085948792241015, -0.29547628129990644,
-        0.4119317339490416, 0.8763948868375682, 0.08527999160252955, 0.3360636691049498,
-        -0.20559523812231678, 0.07336649700017364,
+        0.033650920539528256, -0.041589223670061064, -0.015315175303458436, -0.522903429626655,
+        0.25805033181656756, 0.3588428005340464, -0.7470922687513153, 0.718042306836465,
+        -0.8399665236449533, -0.3450244365664078,
     ],
     [
-        -0.011709373491800568, 0.14101157751774587, -1.0848218113526369, -0.08326622845182038,
-        0.3570344355451118, 0.30724942313685255, -0.6598710006985715, -0.011522882087256603,
-        -0.08205438888888503, -0.17429325020617156,
+        -0.22153550843639372, -0.14010172546670302, 0.11408573865916649, 0.1639473032053539,
+        0.26509172939175635, -0.4123828250582837, -0.48893523841044356, 0.65125883762994,
+        -1.5323413700248114, -1.2515129122359099,
     ],
     [
-        0.07127123550828049, 0.2093542413883719, -1.209070133289245, 0.14434929670145985,
-        0.12360845261027306, 0.2850579960771945, -0.7804723683930399, 0.12897968826462938,
-        -0.23676499261661355, -0.29637499678340623,
+        -0.13852971827000093, -0.179009186813126, 0.13951080770704166, 0.26123756485517236,
+        0.3452197946101293, -0.5580572410022748, -0.22206838524355682, 0.3775795379808577,
+        -1.558359614178875, -1.3929114722092324,
     ],
     [
-        0.08102277087980836, 0.21094016770666507, -1.2332370729890811, 0.17295351267585943,
-        0.1306292365303279, 0.254107698201206, -0.7455208345079485, 0.13282499286428276,
-        -0.2237735637804232, -0.24588441895341948,
+        -0.36057412093109775, -0.4476950576205727, 0.027841044569473186, 0.2963667772855651,
+        0.1561975122720602, -0.8882966060490471, -0.27687174162445277, 0.3686666763745684,
+        -1.4225420881641768, -1.5536663669325979,
     ],
     [
-        -0.8251026763475363, 0.7828238076205813, -0.5474355342283903, 0.9231453978646521,
-        -0.1461516640660411, 0.44449876068607286, -1.130852900362227, 0.4762220867232805,
-        0.5164219012251678, -0.40517127600432934,
+        -0.3917877990167156, -0.553151014894182, -0.3820085790166815, 0.25973018244475593,
+        0.46852149341405175, -0.2601396828002517, -0.6871453245734708, 0.6276029535703468,
+        -1.112026303224849, -1.2139960557439287,
     ],
     [
-        -0.4546813356315912, 0.029294952610702918, -0.8111257304233017, 0.8420596049678777,
-        -0.1642998954145475, 0.06202313573214219, -1.6964265181481313, 1.1809133113408503,
-        0.9994981400205986, 0.5513943885616299,
+        -0.7065203636183439, -1.231559834228459, -0.236017940413459, 0.13826753115035856,
+        -0.01665016770732386, -0.664456151281484, -0.3054370962147353, -0.148886229550376,
+        -1.3837512460442525, -1.2975525654522224,
     ],
     [
-        -0.24381907924564838, -0.22164236008449206, -1.117867315422815, 0.5393596213651266,
-        -0.17365637253684266, 0.03526646335991877, -1.7227498278007738, 1.2070171891025492,
-        1.2352313839047904, 0.6678227947885333,
+        -1.4299046774047934, -1.7274504616407915, -1.217958076292473, 0.3879937901833975,
+        0.20042425636687491, -0.864175732748137, -0.9293087986012629, 0.5935543150339146,
+        -0.47620430945012404, -0.4019633911764048,
     ],
     [
-        -1.4094660133825427, -0.4083120877703402, 0.16201038663430056, 0.33410967162453586,
-        0.1675397011047343, -0.6200460828059166, -2.8051855871559104, 1.9288324731549458,
-        -0.15899873957333766, 0.606626567866372,
+        -1.3830719525996904, -1.304523636782564, -1.0090749533289656, 0.10729794037142959,
+        0.20146419728539797, -0.7000196112586002, -0.8425536067539598, -0.008793631256939882,
+        -0.9881546161200795, -0.7814168139016999,
     ],
 ]
 ISOTROPIC_10D_QUERIES = [
-    4, 3, 4, 3, 3, 3, 3, 3, 3, 3, 3, 3, 4, 3, 4, 3, 3, 3, 4, 3,
+    4, 1, 4, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
 ]
 
 
@@ -1412,6 +1423,12 @@ class TestPinnedChains:
         res = run_chain(oracle, np.array(x0), 20, np.random.default_rng(2024))
         assert res.positions[1:].tolist() == positions
         assert res.step_queries.tolist() == queries
+        # the first step searches first, as every step did before the chain
+        # chose a path per step, and as a bare step still does
+        assert res.step_paths[0] == 0
+        bare_oracle = quadratic_oracle(np.array(diagonal), kappa=kappa)
+        bare = step(bare_oracle, np.array(x0), np.random.default_rng(2024))
+        assert bare.point.tolist() == positions[0] and bare_oracle.query_count == queries[0]
 
 
 class TestMultivariateOracle:
@@ -1523,6 +1540,65 @@ class TestProductTargets:
         oracle = self.oracle(name, 1e6)
         res = run_chain(oracle, np.zeros(3), 3000, np.random.default_rng(31))
         assert res.mean_queries_per_step <= ceiling
+
+
+class TestTangentFirst:
+    """Steps from one probe along one line, each forced down the tangent-first path.
+
+    The record claims one tangent-first step that cost 1 query against one
+    search-first step that cost a million, so every step tries the
+    certificate's tangent Gaussian first; a rejected trial falls back to the
+    line envelope with the trial among its probes.  The draws must follow
+    the restricted density whichever way each was accepted.
+    """
+
+    FORCED = ChainCosts(searched=1, search_queries=10**6, tangent=1, tangent_queries=1)
+
+    def draws(self, oracle, x, u, n):
+        value, gradient = oracle.query(x)
+        start = Probe(x, value, gradient, self.FORCED)
+        rng = np.random.default_rng(53)
+        points, paths = np.empty((n, x.size)), []
+        for k in range(n):
+            probe = step(oracle, start, rng, direction=u)
+            points[k] = probe.point
+            paths.append(PATHS[probe.costs.path])
+        # both tangent-first paths ran, and nothing else
+        assert {"tangent_accepted", "tangent_fell_back"} == set(paths)
+        return points
+
+    @pytest.mark.parametrize("kappa", [1e3, 1e6])
+    def test_anisotropic_diagonal_line(self, kappa):
+        # along u the restriction is Gaussian with precision u'Du = 2.15 and
+        # mean -u'Dx / u'Du, so the tangent's trial is accepted about 2/3 of the time
+        diag = np.array([1.0, 30.0])
+        oracle = quadratic_oracle(diag, kappa=kappa)
+        x, u = np.array([0.7, -0.4]), np.array([math.cos(0.2), math.sin(0.2)])
+        precision = float(u @ (diag * u))
+        mean = -float(u @ (diag * x)) / precision
+        n = 4000
+        lams = (self.draws(oracle, x, u, n) - x) @ u
+        assert ks_statistic(lams, lambda t: normal_cdf((t - mean) * math.sqrt(precision))) < ks_critical_value(n)
+
+    @pytest.mark.parametrize("kappa", [1e3, 1e6])
+    def test_product_member_line(self, kappa):
+        # along axis 0 of a product the law is the member's own density, with
+        # kinks and kappa-curvature bands that the tangent rarely covers
+        member = builtin_potential("hard:1", kappa)
+        oracle = product_oracle([member] + [builtin_potential("gaussian", kappa)] * 2, kappa)
+        n = 4000
+        draws = self.draws(oracle, np.array([0.4, 0.3, -0.5]), np.array([1.0, 0.0, 0.0]), n)[:, 0]
+        assert ks_statistic(draws, member.density_cdf) < ks_critical_value(n)
+
+    def test_tangent_envelope_dominates_and_has_the_closed_form_mass(self):
+        # W(p + t) - W(p) >= g t + t^2/2 on every line of the class; the
+        # envelope's height is e^(g^2/2) and its mass that times 2.547
+        for g in (-4.0, -1.5, 0.0, 0.3, 2.0):
+            env = tangent_envelope(Certificate(0.25, 7.0, g))
+            t = np.linspace(-12.0, 12.0, 4001)
+            assert np.all(env.log_value(0.25 + t) >= -(g * t + 0.5 * t * t) - 1e-12)
+            assert env.mass_total == pytest.approx(math.exp(0.5 * g * g) * 2.5469, rel=1e-4)
+            assert env.mass_total == pytest.approx(math.exp(0.5 * g * g) * hitandrun._TANGENT_MASS, rel=1e-15)
 
 
 class TestInClassFuzz:

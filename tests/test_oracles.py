@@ -140,6 +140,20 @@ class TestPiecewiseEvaluation:
         assert cdf[0] == pytest.approx(0.0, abs=1e-8)
         assert cdf[-1] == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("name", ["gaussian", "skewed", "hard:1"])
+    @pytest.mark.parametrize("kappa", [2.0, 1e6, 1e12])
+    def test_density_cdf_at_the_ends(self, name, kappa):
+        # exactly 0 and 1 at the infinities, on both paths, and no warning
+        # (the test settings make one an error) where V squares past the float
+        # range: -inf gave NaN from -inf * (-inf + inf), and 1e300 overflowed
+        pot = builtin_potential(name, kappa)
+        assert pot.density_cdf(-math.inf) == 0.0 and pot.density_cdf(math.inf) == 1.0
+        far = np.array([-math.inf, -1e300, -1e30, 1e30, 1e300, math.inf])
+        cdf = pot.density_cdf(far)
+        assert cdf.tolist() == [pot.density_cdf(float(x)) for x in far]
+        assert cdf[0] == 0.0 and cdf[-1] == 1.0
+        assert cdf[1:3].tolist() == [0.0, 0.0] and cdf[3:5] == pytest.approx(1.0, rel=0.0, abs=1e-15)
+
 
 def _exact_member_breakpoints(kappa, i):
     """Member i's edges y / sqrt(kappa) as Fractions, from its blocks and the 1.25 * 2^i split."""

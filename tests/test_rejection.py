@@ -110,7 +110,10 @@ class TestSampleExact:
                 sample_exact(normalized, env, rng)
         x = info.value.query_point
         assert x > 1.2
-        assert -(pot.evaluate(x)[0] - pot.evaluate(0.0)[0]) - env.log_value(x) > 1e-9
+        gap = -(pot.evaluate(x)[0] - pot.evaluate(0.0)[0]) - env.log_value(x)
+        assert gap > 1e-9
+        # the oracle's hidden offset adds at most 2^-30 of noise to its value
+        assert info.value.gap == pytest.approx(gap, rel=0.0, abs=2.0**-29)
 
 
 class _FixedTrial:
@@ -151,6 +154,8 @@ class TestRoundingOfShiftedValues:
         with pytest.raises(ClassViolationError, match="log gap") as info:
             sample_exact(self._view(), env, np.random.default_rng(0))
         assert info.value.query_point == self.LAM
+        # the view answers W(p) + 1/2 there
+        assert info.value.gap == -0.5 - env.log_value(self.LAM)
 
     def test_the_1d_view_keeps_the_absolute_bound(self):
         # a hidden offset near 2^24 would widen an allowance of ulps of it to 3e-8

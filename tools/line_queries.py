@@ -13,8 +13,9 @@ step to one phase: the certificate search (``hitandrun.bracket_minimizer``),
 the line envelope's threshold searches (``hitandrun.build_line_envelope``)
 or the rejection trials (the rest of the step).  It prints the mean per
 step of each phase over all the chains, their total, and in brackets the
-smallest and largest per-seed total, the spread a change has to leave.  The
-targets, d = 10 unless named:
+smallest and largest per-seed total, the spread a change has to leave, then
+the share of steps that tried the certificate's tangent first (``-`` for a
+checkout whose chains record no paths).  The targets, d = 10 unless named:
 
 * ``isotropic`` - the quadratic ``|x|^2/2`` at the declared kappa;
 * ``hard2`` - ``[hard:2, gaussian, gaussian]``, d = 3;
@@ -23,7 +24,10 @@ targets, d = 10 unless named:
 * ``diagonal`` - the quadratic with curvatures ``[1, 30, 1e3, 1e6]``, d = 4.
 
 The products are ``tests/helpers.product_oracle`` of the builtin members.
-A target outside the class at a kappa prints ``-``.  Needs the test
+A target outside the class at a kappa prints ``-``.  A chain that stops on
+an error prints the exit code the ``hitandrun`` command gives it: ``exit 3``
+for a ClassViolationError (the target left the class), ``exit 4`` for a
+UsageError (such as a kappa past double precision).  Needs the test
 dependencies (``tests/helpers.py`` imports SciPy); about 15 s at the
 defaults.
 """
@@ -76,22 +80,37 @@ class PhaseCounter:
         return counted
 
 
-def cell(lc, helpers, phases: PhaseCounter, target: str, kappa: float, seeds: int, steps: int):
-    """``(bracket, search, trials, total)`` per step and the per-seed totals, or None out of class."""
+# the hitandrun command's exit code for each error a chain can stop on
+EXIT_CODES = {"ClassViolationError": 3, "UsageError": 4}
+
+
+def cell(lc, helpers, phases: PhaseCounter, target: str, kappa: float, seeds: int, steps: int) -> str:
+    """The cell's text: queries per step by phase, the per-seed spread and the tangent-first share.
+
+    ``-`` when the target is outside the class at ``kappa``, and ``exit 3``
+    or ``exit 4`` when a chain stops on a ClassViolationError or a UsageError.
+    """
     phases.counts = dict.fromkeys(PHASES.values(), 0)
-    total, per_seed = 0, []
+    total, per_seed, tangent = 0, [], 0
     for seed in range(seeds):
         try:
             oracle = oracle_for(lc, helpers, target, kappa)
         except (lc.ClassViolationError, lc.UsageError):
-            return None
-        result = lc.run_chain(oracle, np.zeros(oracle.dimension), steps, np.random.default_rng(seed))
+            return "-"
+        try:
+            result = lc.run_chain(oracle, np.zeros(oracle.dimension), steps, np.random.default_rng(seed))
+        except (lc.ClassViolationError, lc.UsageError) as exc:
+            return f"exit {EXIT_CODES[type(exc).__name__]}"
         queries = int(result.step_queries.sum())
         total += queries
         per_seed.append(queries / steps)
+        paths = getattr(result, "step_paths", None)  # None where chains record no paths
+        tangent = None if paths is None else tangent + int(np.count_nonzero(paths))
     bracket, search = phases.counts["bracket"], phases.counts["search"]
     n = seeds * steps
-    return (bracket / n, search / n, (total - bracket - search) / n, total / n), per_seed
+    share = "-" if tangent is None else f"{100.0 * tangent / n:.1f}%"
+    return (f"{bracket / n:.2f} / {search / n:.2f} / {(total - bracket - search) / n:.2f} = {total / n:.2f} "
+            f"[{min(per_seed):.2f}, {max(per_seed):.2f}] tangent {share}")
 
 
 def table(root: Path, targets, kappas, seeds: int, steps: int) -> list[str]:
@@ -110,15 +129,7 @@ def table(root: Path, targets, kappas, seeds: int, steps: int) -> list[str]:
                                         for k in kappas) + " |",
              "|---" * (len(kappas) + 1) + "|"]
     for target in targets:
-        cells = []
-        for kappa in kappas:
-            found = cell(lc, helpers, phases, target, kappa, seeds, steps)
-            if found is None:
-                cells.append("-")
-                continue
-            (b, s, t, total), per_seed = found
-            cells.append(f"{b:.2f} / {s:.2f} / {t:.2f} = {total:.2f} "
-                         f"[{min(per_seed):.2f}, {max(per_seed):.2f}]")
+        cells = [cell(lc, helpers, phases, target, kappa, seeds, steps) for kappa in kappas]
         lines.append(f"| {TARGETS[target]} | " + " | ".join(cells) + " |")
     return lines
 
@@ -139,7 +150,8 @@ def main(argv=None) -> int:
     kappas = args.kappa or [1e6, 1e12]
     for line in table(args.root, args.target or list(TARGETS), kappas, args.seeds, args.steps):
         print(line)
-    print(f"{args.seeds} seeds x {args.steps} steps from the origin; [min, max] of the per-seed totals")
+    print(f"{args.seeds} seeds x {args.steps} steps from the origin; [min, max] of the per-seed totals; "
+          "share of steps that tried the tangent first")
     return 0
 
 

@@ -99,6 +99,7 @@ def cmd_sample(args) -> int:
         raise UsageError(f"--rho-floor must lie in (0, 1), got {args.rho_floor}")
     potential, oracle = resolve_target(args.target, _single_kappa(args))
     normalized, env = prepare_envelope(oracle)
+    envelope_queries = oracle.query_count
     cap = None if args.epsilon is None else capped_trials(args.epsilon, args.rho_floor)
     rng = np.random.default_rng(args.seed)
 
@@ -120,7 +121,7 @@ def cmd_sample(args) -> int:
         "seed": args.seed,
         "samples": args.trials,
         "failures": failures,
-        "envelope_queries": oracle.query_count - total_trials,
+        "envelope_queries": envelope_queries,
         "total_queries": oracle.query_count,
         "mean_trials": (total_trials / args.trials) if args.trials else None,
         "acceptance_rate": acceptance_probability(potential, env),

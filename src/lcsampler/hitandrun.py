@@ -87,15 +87,14 @@ The search-first line step has three parts:
   envelope can lie above the queried edges' one near that edge, and no
   bound on its mass against them is proved; the tests measure it on random
   lines instead.
-* Rejection against that envelope draws the step size exactly.  The
-  trials query the line's one view, the :class:`CertifiedLine` that
-  :func:`build_line_envelope` returns and that the searches asked for
-  values alone.  Each trial asks it for the value and the gradient in one
-  query, and only the trials set its ``last``: the accepted trial's
-  queried point, value and gradient, the next step's :class:`Probe`.  The
-  oracle is deterministic, so that reused answer is the one a fresh query
-  at the same point would give, and the kernel is Smith's (1984)
-  Hit-and-Run kernel either way.
+* Rejection against that envelope draws the step size exactly.  A step
+  has one :class:`LineOracle`: the certificate search queries it, and once
+  certified it serves the searches values alone and each trial the value
+  and the gradient in one query.  Only the trials set its ``last``: the
+  accepted trial's queried point, value and gradient, the next step's
+  :class:`Probe`.  The oracle is deterministic, so that reused answer is
+  the one a fresh query at the same point would give, and the kernel is
+  Smith's (1984) Hit-and-Run kernel either way.
 
 That is the *search-first* path.  A step of a chain can instead go
 *tangent first*: the certificate alone bounds the shifted line by its
@@ -104,9 +103,9 @@ tangent Gaussian, ``W(p + t) - W(p) >= g t + t^2/2``, and
 ``e^(g^2/2)`` times ``_TANGENT_MASS`` (2.547), which a line of curvature 1
 accepts a trial from with probability 0.984.  The step tries one trial
 against it (``sample_exact`` with a cap of 1).  If that trial is rejected,
-the step falls back to :func:`build_line_envelope`, with the rejected
-trial, already checked against the certificate, among its probes, and
-samples against that envelope until a trial is accepted.
+the step falls back to :func:`build_line_envelope` on the same line, with
+the rejected trial, already checked against the certificate, among its
+probes, and samples against that envelope until a trial is accepted.
 
 Which path a step takes is chosen from the chain's own measured costs, the
 queries each step spent after its certificate search, kept in a
@@ -335,7 +334,17 @@ class LineOracle:
     is the multivariate oracle's.  :meth:`query` answers the value and the
     slope, which the certificate search reads.  ``base`` and ``direction``
     must be arrays of floats of shape ``(dimension,)`` (UsageError).
+
+    :meth:`certify` makes it the view around a certificate p: W shifted by
+    ``shift = W(p)``, each value checked (:meth:`Certificate.check`).  The
+    threshold searches query :meth:`level`, the value alone as ``(W,
+    None)``; each rejection trial queries :meth:`value`, the value and the
+    gradient, and sets ``last``, the :class:`Probe` of its point, and
+    ``trial``, ``(lam, W(lam), None)``.
     """
+
+    last: Probe | None = None
+    trial: tuple[float, float, None] | None = None
 
     def __init__(self, oracle: MultivariateOracle, base, direction):
         self._oracle = oracle
@@ -353,27 +362,10 @@ class LineOracle:
         value, grad = self._oracle.query(self.point(float(lam)))
         return value, float(self.direction.dot(grad))
 
-
-class CertifiedLine:
-    """A line's one view around a certificate p: W shifted by ``W(p)``.
-
-    Each value is checked against the sandwich the certificate implies
-    (:meth:`Certificate.check`).  The searches query :meth:`level`, the
-    value alone, answered as the pair ``(W, None)``; the rejection trials
-    query :meth:`value`, the value and the gradient, and only it sets
-    ``last``, a :class:`Probe` of the queried point array, and ``trial``,
-    the ``lam`` it queried.
-    """
-
-    last: Probe | None = None
-    trial: float | None = None
-    point = LineOracle.point
-
-    def __init__(self, line: LineOracle, certificate: Certificate):
-        self._oracle, self.kappa = line._oracle, line.kappa
-        self.base, self.direction = line.base, line.direction
-        self.shift = certificate.value
-        self.certificate = certificate
+    def certify(self, certificate: Certificate) -> LineOracle:
+        """Check and shift every later value around ``certificate``; returns the line."""
+        self.certificate, self.shift = certificate, certificate.value
+        return self
 
     def level(self, lam: float) -> tuple[float, None]:
         value = self._oracle.query(self.base + lam * self.direction, gradient=False)[0]
@@ -384,7 +376,7 @@ class CertifiedLine:
         point = self.base + lam * self.direction
         value, gradient = self._oracle.query(point)
         self.certificate.check(lam, value, self.kappa)
-        self.last, self.trial = _probe((point, value, gradient, None)), lam
+        self.last, self.trial = _probe((point, value, gradient, None)), (lam, value, None)
         return value - self.shift
 
 
@@ -508,7 +500,7 @@ def bracket_minimizer(
 
 def build_line_envelope(
     line: LineOracle, certificate: Certificate, probes=()
-) -> tuple[Envelope, CertifiedLine]:
+) -> tuple[Envelope, LineOracle]:
     """The envelope of the module docstring for the restriction shifted by ``W(p)``.
 
     The shifted restriction is 0 at p with slope ``g``, and the searches'
@@ -521,37 +513,36 @@ def build_line_envelope(
     for a certificate with ``|g| <= 2``, and the edge envelope it is
     compared with in the module docstring has plateau ``e^f``, ``f =
     max(1/2, g^2/2)``.
-    ``probes`` are the certificate search's other points on the line, as
-    :func:`bracket_minimizer` returns them, each already checked against the
-    certificate.  One pass shifts each by ``W(p)`` into its side's points
-    and records how far out that side is clear: the farthest one below the
-    level clears the grid out to it, so that side's search skips those
-    indices at no query.  Then each side's points and grid probes go
-    through one row rule (:func:`_rows`), outward, the grid's value kept
-    where both hold an x, and each point above 0 gives its row.  Neither
-    moves an edge or its value, so the searches' worst case stays
+    ``probes`` are other points on the line, each ``(lam, W(lam), _)`` and
+    already checked against the certificate: the certificate search's, as
+    :func:`bracket_minimizer` returns them, and a rejected trial's
+    :attr:`LineOracle.trial`.  One pass shifts each by ``W(p)`` into its
+    side's points and records how far out that side is clear: the farthest
+    one below the level clears the grid out to it, so that side's search
+    skips those indices at no query.  Then each side's points and grid
+    probes go through one row rule (:func:`_rows`), outward, the grid's
+    value kept where both hold an x, and each point above 0 gives its row.
+    Neither moves an edge or its value, so the searches' worst case stays
     ``ceil(log2(top - lo + 1)) + 1`` queries a side, and no line costs more
     queries than without the probes.  The shift, the probes and the rows
     cost no query.
-    Returns the envelope and the line's one view, the
-    :class:`CertifiedLine` the rejection trials query; the searches asked
-    it for values alone, so its ``last`` is still None.
+    Certifies ``line`` (:meth:`LineOracle.certify`) and returns the envelope
+    and the line, which the rejection trials query; the searches asked it
+    for values alone, so its ``last`` is as it was.
     """
-    view = CertifiedLine(line, certificate)
+    line.certify(certificate)
     p, shift, slope = certificate
     floor = 0.5 * slope * slope
-    # each side's certificate-search points (x, W(x) - W(p)), and how far out it is clear
-    clear, points = (0.0, 0.0), (None, None)
-    if probes:
-        clear, points = [0.0, 0.0], ({}, {})
-        for lam, value, _ in probes:
-            lam, w = float(lam), float(value) - shift  # as floats, and a NumPy bool as an index
-            side, d = int(lam > p), abs(lam - p)
-            if w < _LEVEL and d > clear[side]:
-                clear[side] = d
-            points[side][lam] = w
+    # each side's points (x, W(x) - W(p)) off the grid, and how far out it is clear
+    clear, points = [0.0, 0.0], ({}, {})
+    for lam, value, _ in probes:
+        lam, w = float(lam), float(value) - shift  # as floats, and a NumPy bool as an index
+        side, d = int(lam > p), abs(lam - p)
+        if w < _LEVEL and d > clear[side]:
+            clear[side] = d
+        points[side][lam] = w
     (_, _, grid_minus), (_, _, grid_plus) = threshold_searches(
-        view.level, p, line.kappa, level=_LEVEL, slope=slope, clear=clear
+        line.level, p, line.kappa, level=_LEVEL, slope=slope, clear=clear
     )
     rows_minus = _rows(p, grid_minus, points[0], floor, True)
     rows_plus = _rows(p, grid_plus, points[1], floor, False)
@@ -564,25 +555,22 @@ def build_line_envelope(
     else:
         tangent = (mean, 0.0, 0.0) if rows_plus[0][0] > mean else (p, floor, -slope)
         rows_minus = (tangent, *rows_minus)
-    return Envelope(math.exp(floor), rows_minus, rows_plus), view
+    return Envelope(math.exp(floor), rows_minus, rows_plus), line
 
 
 def _rows(p: float, grid, points, floor: float, descending: bool) -> tuple[tuple[float, float, float], ...]:
     """The row ``(x_k, w_k + floor, w_k/d_k + d_k/2)`` of each point of one side outward with ``w_k > 0``.
 
-    ``grid`` maps grid indices, which run outward, to ``(x, W(x))``;
-    ``points``, None or empty when there are none, maps the certificate
-    search's x on the same side to ``W(x)``, and ``descending`` says that
-    outward is toward smaller x.  An x that both hold keeps the grid's
-    value: an edge the search took unqueried at its top holds the
-    sandwich's bound there, which the queried value of a probe at the same
-    point may exceed.  ``floor`` is the plateau's ``log h``.
+    ``grid`` maps grid indices to ``(x, W(x))``; ``points`` maps the other
+    x on the same side to ``W(x)`` and is updated with the grid's, and
+    ``descending`` says that outward is toward smaller x.  An x that both
+    hold keeps the grid's value: an edge the search took unqueried at its
+    top holds the sandwich's bound there, which the queried value of a
+    probe at the same point may exceed.  ``floor`` is the plateau's ``log h``.
     """
-    if points:  # merged outward and keyed 0, 1, ... like the grid's indices
-        grid = dict(enumerate(sorted({**points, **dict(grid.values())}.items(), reverse=descending)))
+    points.update(grid.values())
     rows = []
-    for i in sorted(grid):
-        x, w = grid[i]
+    for x, w in sorted(points.items(), reverse=descending):
         if w > 0.0:
             d = abs(x - p)
             rows.append((x, w + floor, w / d + 0.5 * d))
@@ -667,26 +655,23 @@ def step(
     certificate, probes = bracket_minimizer(line, 0.0, first)
     before = oracle.query_count
     if costs is not None and costs.tangent_first():
-        view = CertifiedLine(line, certificate)
         path = _TANGENT
-        if sample_exact(view, tangent_envelope(certificate), rng, 1).failed:
-            trial = view.last
-            rejected = _certificate((view.trial, trial.value, float(line.direction.dot(trial.gradient))))
-            env, view = build_line_envelope(line, certificate, (*probes, rejected))
-            sample_exact(view, env, rng)
+        if sample_exact(line.certify(certificate), tangent_envelope(certificate), rng, 1).failed:
+            env, _ = build_line_envelope(line, certificate, (*probes, line.trial))
+            sample_exact(line, env, rng)
             path = _FELL_BACK
         spent = oracle.query_count - before
         costs = _costs((*costs[:3], costs.tangent + 1, costs.tangent_queries + spent, path))
     else:
-        env, view = build_line_envelope(line, certificate, probes)
-        accepted = sample_exact(view, env, rng).trials == 1
+        env, _ = build_line_envelope(line, certificate, probes)
+        accepted = sample_exact(line, env, rng).trials == 1
         if costs is None:
-            return view.last
+            return line.last
         spent, credit, slope = oracle.query_count - before, costs.credit, certificate.slope
         if accepted:  # a_i is Z_H / Z_T, else 0: Z_W / Z_T on average
             credit += spent * env.mass_total / (math.exp(0.5 * slope * slope) * _TANGENT_MASS)
         costs = _costs((costs.searched + 1, costs.search_queries + spent, credit, *costs[3:5], _SEARCHED))
-    point, value, gradient, _ = view.last
+    point, value, gradient, _ = line.last
     return _probe((point, value, gradient, costs))
 
 

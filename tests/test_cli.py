@@ -184,6 +184,18 @@ class TestSampleCommand:
             texts.append(out.read_text() + (tmp_path / (name + ".meta.json")).read_text())
         assert texts[0] == texts[1]
 
+    @pytest.mark.parametrize("target", ["gaussian", "skewed", "hard:2"])
+    def test_envelope_queries_are_the_construction_queries(self, tmp_path, target):
+        # read once the envelope is built, not derived from the trial count
+        out = tmp_path / "samples.txt"
+        assert run_cli(["sample", "--target", target, "--kappa", "1e6", "--trials", "200",
+                        "--seed", "6", "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / "samples.txt.meta.json").read_text())
+        assert run_cli(["envelope-inspect", "--target", target, "--kappa", "1e6",
+                        "--out", str(tmp_path / "env.json")]) == 0
+        doc = json.loads((tmp_path / "env.json").read_text())
+        assert meta["envelope_queries"] == doc["construction_queries"]
+
 
 class TestEnvelopeInspect:
     def test_json_fields(self, tmp_path):

@@ -1452,7 +1452,7 @@ class TestMultivariateOracle:
         assert o.query(np.array([1.0, 1.0]), gradient=False) == (1.5, None)
         line = restrict(o, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         # W(lam) = (1 + 2 lam^2) / 2, so W(0) = 1/2 with slope 0 certifies the line
-        view = hitandrun.CertifiedLine(line, Certificate(0.0, 0.5, 0.0))
+        view = line.certify(Certificate(0.0, 0.5, 0.0))
         assert view.level(1.0) == (pytest.approx(1.0), None)
         assert o.query_count == 2
         assert gradient_calls == []
@@ -1589,6 +1589,50 @@ class TestTangentFirst:
         n = 4000
         draws = self.draws(oracle, np.array([0.4, 0.3, -0.5]), np.array([1.0, 0.0, 0.0]), n)[:, 0]
         assert ks_statistic(draws, member.density_cdf) < ks_critical_value(n)
+
+    def test_a_fallen_back_step_passes_its_rejected_trial_as_a_probe(self, monkeypatch):
+        # the line envelope gets the certificate search's probes and the
+        # rejected trial's (lam, W(lam)), and that point costs its one query
+        member = builtin_potential("hard:1", 1e3)
+        oracle = product_oracle([member] + [builtin_potential("gaussian", 1e3)] * 2, 1e3)
+        x, u = np.array([3.0, 0.3, -0.5]), np.array([1.0, 0.0, 0.0])
+        value, gradient = oracle.query(x)
+        start = Probe(x, value, gradient, self.FORCED)
+        query, queried, calls = oracle.query, [], []
+        bracket, build = hitandrun.bracket_minimizer, hitandrun.build_line_envelope
+
+        def counted(point, gradient=True):
+            queried.append(point.tobytes())
+            return query(point, gradient)
+
+        def bracket_spy(line, *args):
+            certificate, probes = bracket(line, *args)
+            calls.append((line, probes, len(queried)))
+            return certificate, probes
+
+        def build_spy(line, certificate, probes=()):
+            calls.append((probes, len(queried)))
+            return build(line, certificate, probes)
+
+        monkeypatch.setattr(oracle, "query", counted)
+        monkeypatch.setattr(hitandrun, "bracket_minimizer", bracket_spy)
+        monkeypatch.setattr(hitandrun, "build_line_envelope", build_spy)
+        rng = np.random.default_rng(59)
+        fell_back = 0
+        for _ in range(30):
+            queried.clear()
+            calls.clear()
+            if PATHS[step(oracle, start, rng, direction=u).costs.path] != "tangent_fell_back":
+                continue
+            fell_back += 1
+            (line, searched, after_search), (passed, before_build) = calls
+            assert searched and before_build == after_search + 1
+            *rest, (lam, w) = [tuple(probe)[:2] for probe in passed]
+            assert rest == [tuple(probe)[:2] for probe in searched]
+            trial = line.point(lam).tobytes()
+            assert queried[after_search] == trial and queried.count(trial) == 1
+            assert w == query(line.point(lam))[0]
+        assert fell_back >= 10
 
     def test_tangent_envelope_dominates_and_has_the_closed_form_mass(self):
         # W(p + t) - W(p) >= g t + t^2/2 on every line of the class; the

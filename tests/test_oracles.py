@@ -154,6 +154,16 @@ class TestPiecewiseEvaluation:
         assert cdf[0] == 0.0 and cdf[-1] == 1.0
         assert cdf[1:3].tolist() == [0.0, 0.0] and cdf[3:5] == pytest.approx(1.0, rel=0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("kappa", [2.0, 1e3, 1e6])
+    def test_density_cdf_stays_in_the_unit_interval(self, kappa):
+        # the cumulative sum and the total round apart: unclamped, skewed at
+        # kappa 2 and hard:3 at 1e3 read above 1 on most of the right tail
+        xs = np.linspace(-60.0, 60.0, 2001)
+        for name in ["gaussian", "skewed", *(f"hard:{i}" for i in range(1, hardfamily.largest_m(kappa) + 1))]:
+            cdf = builtin_potential(name, kappa).density_cdf(xs)
+            assert cdf.min() >= 0.0 and cdf.max() <= 1.0, name
+            assert np.all(np.diff(cdf) >= 0.0), name
+
 
 def _exact_member_breakpoints(kappa, i):
     """Member i's edges y / sqrt(kappa) as Fractions, from its blocks and the 1.25 * 2^i split."""

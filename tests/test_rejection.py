@@ -26,7 +26,7 @@ from lcsampler import (
     sample_exact,
 )
 from lcsampler import hardfamily
-from lcsampler.hitandrun import Certificate, CertifiedLine, quadratic_oracle, restrict
+from lcsampler.hitandrun import Certificate, quadratic_oracle, restrict
 
 # Z_p / Z_q for the kappa=1 envelope: sqrt(2 pi) over the closed-form mass
 # 2 + 2 e^(-1/2) sqrt(pi/2) e^(1/8) erfc(1/(2 sqrt 2)) (test_envelope)
@@ -139,7 +139,7 @@ class TestRoundingOfShiftedValues:
 
     def _view(self):
         line = restrict(quadratic_oracle(np.ones(2)), np.array([self.B, 0.0]), np.array([0.0, 1.0]))
-        return CertifiedLine(line, Certificate(0.0, *line.query(0.0)))
+        return line.certify(Certificate(0.0, *line.query(0.0)))
 
     def test_an_in_class_trial_within_rounding_is_accepted(self):
         view = self._view()

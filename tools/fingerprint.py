@@ -38,7 +38,10 @@ changed.  The areas:
   ``bracket_minimizer`` returns that pair.
 * ``chain`` - positions and per-step queries of a Hit-and-Run chain on each
   quadratic target of the line area, and the value and gradient of its
-  ``last`` answer.
+  ``last`` answer; then the same and the per-step paths of a 300-step chain
+  on the product ``[hard:2, skewed, gaussian, gaussian]`` at kappa 1e3,
+  started from a probe whose cost record sends every step tangent first,
+  so the tangent trial and its fallback to the line envelope are hashed.
 * ``hardfamily`` - ``hardfamily.identify`` at each kappa of ``KAPPAS`` on
   every window edge ``2^j / sqrt(kappa)`` for j from -1070 to 999, the two
   float neighbours of each, and seeded random points.
@@ -173,9 +176,9 @@ def line_envelope(lc, digest) -> None:
                           view.shift, view.point(0.0), view.point(1.0)))
 
 
-def product_oracle(lc, kappa: float):
-    """``V(x) = sum_i V_i(x_i)`` over ``hard:2`` and ``skewed``, twice each: lines that are not quadratic."""
-    members = [lc.targets.builtin_potential(name, kappa) for name in ("hard:2", "skewed") * 2]
+def product_oracle(lc, kappa: float, names=("hard:2", "skewed") * 2):
+    """``V(x) = sum_i V_i(x_i)`` over the named builtins, by default ``hard:2`` and ``skewed`` twice each."""
+    members = [lc.targets.builtin_potential(name, kappa) for name in names]
 
     def value(x):
         return sum(m.evaluate(float(xi))[0] for m, xi in zip(members, x))
@@ -208,6 +211,14 @@ def chain(lc, digest) -> None:
         result = lc.run_chain(oracle, np.zeros(oracle.dimension), steps, np.random.default_rng(5))
         feed(digest, (result.positions, result.step_queries, result.last.value,
                       result.last.gradient))
+    # a record that claims one tangent-first step of 1 query against one search-first step of
+    # a million sends every step tangent first, and on this product most fall back
+    oracle = product_oracle(lc, 1e3, ("hard:2", "skewed", "gaussian", "gaussian"))
+    forced = lc.hitandrun.ChainCosts(searched=1, search_queries=10**6, tangent=1, tangent_queries=1)
+    start = lc.Probe(np.zeros(oracle.dimension), *oracle.query(np.zeros(oracle.dimension)), forced)
+    result = lc.run_chain(oracle, start, 300, np.random.default_rng(5))
+    feed(digest, (result.positions, result.step_queries, result.step_paths, result.last.value,
+                  result.last.gradient))
 
 
 def hardfamily(lc, digest) -> None:

@@ -289,8 +289,7 @@ class PiecewiseQuadraticPotential:
         xs = np.atleast_1d(arr)
         j = np.searchsorted(self.breakpoints, xs, side="right")
         part = _segment_masses(lo[j], np.minimum(xs, hi[j]), *(col[j] for col in rest))
-        # the cumulative sum and the total round apart, so the quotient is clamped into [0, 1]
-        # and the last segment's end is set to 1
+        # the cumulative sum and the total round apart: clamped into [0, 1], and 1 at the end
         out = np.where(xs == math.inf, 1.0, np.clip((cum[j] + part) / total, 0.0, 1.0))
         return float(out[0]) if arr.ndim == 0 else out
 

@@ -61,6 +61,10 @@ from .errors import ClassViolationError, UsageError
 from .oracles import _NormalizedOracle, normalize_at_zero
 
 _first = itemgetter(0)
+# Envelope.gaussian's tail mass over its height, as _side computes a row's: exp(-offset) for the
+# offset 1/8 times the unit Gaussian's mass beyond 1/2, the row's drift
+_GAUSSIAN_FACTOR = math.exp(-0.125)
+_GAUSSIAN_TAIL = numerics.gaussian_tail_integral(0.5)
 
 
 def find_threshold_index(
@@ -221,6 +225,14 @@ class Envelope:
     envelope across threads.  Equality and hashing see the height, the rows
     and the masses.
 
+    Three constructors build one: this one, which validates its rows;
+    :meth:`from_geometry`, the paper's normal form through it; and
+    :meth:`gaussian`, the fixed-shape unit Gaussian with a flat top that a
+    Hit-and-Run step tries first, whose masses are constants folded at
+    import times its height and which equals this one's envelope from the
+    same rows bit for bit, private fields included.  All three write the
+    fields through one writer, ``_write``.
+
     Inside is one segment table, left to right: the left tail, the left rows
     inward, the plateau, the right rows outward, the right tail, with
     ``piece_masses`` their closed-form masses.  ``x_minus`` and ``x_plus``
@@ -270,20 +282,57 @@ class Envelope:
         total = masses[0] + plateau + masses[-1] + (sum(masses[n - 1:0:-1]) + sum(masses[n + 1:-1]))
         if not total < math.inf:
             raise UsageError(f"the envelope's mass must be finite, got {total}")
-        # frozen: the dataclass supplies eq, hash and repr, and each field is written once, here,
-        # key by key in field order, so that every envelope's dict shares one key table
+        self._write(h, rows_minus, rows_plus, tuple(masses), total,
+                    (*map(_first, reversed(rows_minus)), *map(_first, rows_plus)), tuple(segments),
+                    (*map(total.__rtruediv__, accumulate(masses[:-1])), math.inf))
+
+    @classmethod
+    def gaussian(cls, mean: float, height: float) -> "Envelope":
+        """The unit Gaussian ``height * exp(-(x - mean)^2/2)``, flat at ``height`` within 1/2 of ``mean``.
+
+        Equal, private fields included and bit for bit, to ``Envelope(height,
+        ((mean - 0.5, 0.125, 0.5),), ((mean + 0.5, 0.125, 0.5),))``: the shape
+        is fixed, so its tail masses are ``height`` times the constants
+        ``_GAUSSIAN_FACTOR`` and ``_GAUSSIAN_TAIL``, which ``_side`` would
+        recompute, and no row needs checking.  Inputs that constructor rejects,
+        a height that is not finite and positive or a mean at which ``mean
+        +- 0.5`` round together, go through it and raise its UsageError.
+        """
+        h = float(height)
+        x_minus, x_plus = mean - 0.5, mean + 0.5
+        rows_minus, rows_plus = ((x_minus, 0.125, 0.5),), ((x_plus, 0.125, 0.5),)
+        # _side's and __init__'s arithmetic, term by term
+        width = x_plus - x_minus
+        tail, plateau = h * _GAUSSIAN_FACTOR * _GAUSSIAN_TAIL, h * width
+        inner = tail + plateau
+        total = inner + tail
+        if not (h > 0.0 and width > 0.0 and total < math.inf):
+            return cls(h, rows_minus, rows_plus)
+        self = cls.__new__(cls)
+        self._write(h, rows_minus, rows_plus, (tail, plateau, tail), total, (x_minus, x_plus),
+                    ((x_minus, -1.0, 0.125, 0.5, None), (x_minus, 1.0, 0.0, None, width),
+                     (x_plus, 1.0, 0.125, 0.5, None)),
+                    (tail / total, inner / total, math.inf))
+        return self
+
+    def _write(self, h, rows_minus, rows_plus, masses, total, starts, segments, cuts) -> None:
+        """Write every field once, key by key in field order, so every envelope's dict shares one key table.
+
+        Frozen: the dataclass supplies eq, hash and repr, and this is the one
+        place that sets a field.
+        """
         fields = self.__dict__
         fields["plateau_height"] = h
         fields["rows_minus"] = rows_minus
         fields["rows_plus"] = rows_plus
-        fields["piece_masses"] = tuple(masses)
+        fields["piece_masses"] = masses
         fields["mass_total"] = total
-        fields["x_minus"] = x_minus
-        fields["x_plus"] = x_plus
+        fields["x_minus"] = rows_minus[0][0]
+        fields["x_plus"] = rows_plus[0][0]
         fields["_log_height"] = math.log(h)
-        fields["_starts"] = (*map(_first, reversed(rows_minus)), *map(_first, rows_plus))
-        fields["_segments"] = tuple(segments)
-        fields["_cuts"] = (*map(total.__rtruediv__, accumulate(masses[:-1])), math.inf)
+        fields["_starts"] = starts
+        fields["_segments"] = segments
+        fields["_cuts"] = cuts
 
     @classmethod
     def from_geometry(cls, x_minus, x_plus, drift_minus, drift_plus, tail_offset=0.0) -> "Envelope":

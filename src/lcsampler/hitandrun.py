@@ -101,11 +101,15 @@ That is the *search-first* path.  A step of a chain can instead go
 tangent Gaussian, ``W(p + t) - W(p) >= g t + t^2/2``, and
 :func:`tangent_envelope` builds from it, at no query, an envelope of mass
 ``e^(g^2/2)`` times ``_TANGENT_MASS`` (2.547), which a line of curvature 1
-accepts a trial from with probability 0.984.  The step tries one trial
-against it (``sample_exact`` with a cap of 1).  If that trial is rejected,
-the step falls back to :func:`build_line_envelope` on the same line, with
-the rejected trial, already checked against the certificate, among its
-probes, and samples against that envelope until a trial is accepted.
+accepts a trial from with probability 0.984.  Its shape never changes, so
+its masses are constants folded at import times ``e^(g^2/2)``
+(:meth:`lcsampler.envelope.Envelope.gaussian`): an accepted tangent step
+evaluates no piece or tail integral, and its envelope is the validated
+constructor's bit for bit.  The step tries one trial against it
+(``sample_exact`` with a cap of 1).  If that trial is rejected, the step
+falls back to :func:`build_line_envelope` on the same line, with the
+rejected trial, already checked against the certificate, among its probes,
+and samples against that envelope until a trial is accepted.
 
 Which path a step takes is chosen from the chain's own measured costs, the
 queries each step spent after its certificate search, kept in a
@@ -587,11 +591,20 @@ def tangent_envelope(certificate: Certificate) -> Envelope:
     times ``_TANGENT_MASS``, 2.547 against the Gaussian's 2.507, so on a
     line of curvature 1 a trial is accepted with probability 0.984.  It
     costs no query.
+
+    The shape never changes, so :meth:`Envelope.gaussian` builds it from
+    masses folded into constants at import, ``h`` times each, with no row
+    to check; the result equals the validated ``Envelope(h, rows...)`` bit
+    for bit, private fields included.  A slope whose ``h`` overflows, or a
+    mean so large that ``m -+ 1/2`` round together, raises that
+    constructor's UsageError.
     """
     p, _, slope = certificate
-    mean = p - slope
-    return Envelope(math.exp(0.5 * slope * slope), ((mean - 0.5, 0.125, 0.5),),
-                    ((mean + 0.5, 0.125, 0.5),))
+    try:
+        height = math.exp(0.5 * slope * slope)
+    except OverflowError:
+        height = math.inf
+    return Envelope.gaussian(p - slope, height)
 
 
 @dataclass(frozen=True)

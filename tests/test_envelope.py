@@ -375,6 +375,25 @@ class TestConstruction:
         with pytest.raises(UsageError, match=message):
             Envelope(*geometry, pieces_plus)
 
+    @pytest.mark.parametrize(
+        "mean, height",
+        [(0.0, 0.0), (0.0, -1.0), (0.0, math.inf), (0.0, math.nan), (0.0, 1e308),
+         (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (2.0**54, 1.0), (-(2.0**54), 1.0)],
+    )
+    def test_gaussian_rejects_what_the_validated_constructor_rejects(self, mean, height):
+        # a height that is not finite and positive, a mass beyond a float, and
+        # a mean where mean -+ 1/2 round together raise the same error
+        rows_minus, rows_plus = ((mean - 0.5, 0.125, 0.5),), ((mean + 0.5, 0.125, 0.5),)
+        with pytest.raises(UsageError) as expected:
+            Envelope(height, rows_minus, rows_plus)
+        with pytest.raises(UsageError, match=re.escape(str(expected.value))):
+            Envelope.gaussian(mean, height)
+
+    def test_gaussian_takes_an_int_height_as_float(self):
+        env = Envelope.gaussian(0.0, 2)
+        assert type(env.plateau_height) is float
+        assert vars(env) == vars(Envelope(2, ((-0.5, 0.125, 0.5),), ((0.5, 0.125, 0.5),)))
+
     def test_fields_are_frozen(self):
         env = Envelope.from_geometry(-1.0, 1.0, 0.5, 0.5)
         for name in ("x_minus", "rows_plus", "mass_total", "piece_masses", "_cuts"):

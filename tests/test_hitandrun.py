@@ -1,10 +1,11 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from lcsampler import hitandrun
+from lcsampler import hitandrun, numerics
 from lcsampler import (
     ClassViolationError,
     Envelope,
@@ -1643,6 +1644,61 @@ class TestTangentFirst:
             assert np.all(env.log_value(0.25 + t) >= -(g * t + 0.5 * t * t) - 1e-12)
             assert env.mass_total == pytest.approx(math.exp(0.5 * g * g) * 2.5469, rel=1e-4)
             assert env.mass_total == pytest.approx(math.exp(0.5 * g * g) * hitandrun._TANGENT_MASS, rel=1e-15)
+
+    def test_tangent_envelope_is_the_validated_envelope_bit_for_bit(self):
+        # Envelope.gaussian folds the tail masses into constants: every field,
+        # the private ones and their order included, must be the one the
+        # validated constructor computes from the same rows, on slopes up to
+        # the 2B = 4 a certificate may carry, both zeros, and positions to 1e6
+        rng = np.random.default_rng(67)
+        n = 10_000
+        slopes = [0.0, -0.0, 4.0, -4.0, *rng.uniform(-4.0, 4.0, n - 4).tolist()]
+        positions = [1e6, -1e6, 0.0, -0.0, *(rng.choice([1.0, 1e3, 1e6], n - 4)
+                                            * rng.uniform(-1.0, 1.0, n - 4)).tolist()]
+        for p, g in zip(positions, slopes):
+            got = tangent_envelope(Certificate(p, 7.0, g))
+            mean = p - g
+            want = Envelope(math.exp(0.5 * g * g), ((mean - 0.5, 0.125, 0.5),),
+                            ((mean + 0.5, 0.125, 0.5),))
+            assert got == want and hash(got) == hash(want)
+            # repr tells every pair of distinct floats apart, -0.0 and 0.0 too
+            assert [(k, repr(v)) for k, v in vars(got).items()] == \
+                [(k, repr(v)) for k, v in vars(want).items()]
+
+    @pytest.mark.parametrize("certificate, message", [
+        ((0.0, 0.0, 40.0), "plateau_height must be finite and positive, got inf"),  # h overflows
+        ((2.0**54, 0.0, 1.0), "plateau must be nonempty and finite"),  # m -+ 1/2 round together
+    ])
+    def test_tangent_envelope_raises_the_validated_constructors_error(self, certificate, message):
+        with pytest.raises(UsageError, match=re.escape(message)):
+            tangent_envelope(Certificate(*certificate))
+
+    def test_an_accepted_tangent_step_integrates_no_piece(self, monkeypatch):
+        # the tangent envelope's masses are constants times its height, so on
+        # the isotropic target only a step that falls back to the line
+        # envelope evaluates a piece or tail mass
+        calls = []
+
+        def counted(kernel):
+            def call(*args):
+                calls.append(args)
+                return kernel(*args)
+            return call
+
+        for name in ("gaussian_tail_integral", "gaussian_piece_integral"):
+            monkeypatch.setattr(numerics, name, counted(getattr(numerics, name)))
+        oracle = isotropic(10, 1e6)
+        x = np.random.default_rng(71).standard_normal(10)
+        probe = Probe(x, *oracle.query(x), self.FORCED)
+        rng = np.random.default_rng(73)
+        counted = {path: [] for path in PATHS}
+        for _ in range(600):
+            calls.clear()
+            probe = step(oracle, probe, rng)
+            counted[PATHS[probe.costs.path]].append(len(calls))
+        assert not counted["search_first"]
+        assert len(counted["tangent_accepted"]) > 500 and not any(counted["tangent_accepted"])
+        assert counted["tangent_fell_back"] and all(counted["tangent_fell_back"])
 
 
 class TestInClassFuzz:

@@ -41,7 +41,12 @@ changed.  The areas:
   ``last`` answer; then the same and the per-step paths of a 300-step chain
   on the product ``[hard:2, skewed, gaussian, gaussian]`` at kappa 1e3,
   started from a probe whose cost record sends every step tangent first,
-  so the tangent trial and its fallback to the line envelope are hashed.
+  so the tangent trial and its fallback to the line envelope are hashed;
+  then the benchmark's own chain, the isotropic d = 10, kappa = 1e6 target
+  burnt in for 150 steps and run in 100-step ``run_chain`` chunks, each
+  restarted from the last position as a point array as ``lcbench``'s
+  ``hitandrun10d`` runs it: each chunk's positions, per-step queries and
+  paths.
 * ``hardfamily`` - ``hardfamily.identify`` at each kappa of ``KAPPAS`` on
   every window edge ``2^j / sqrt(kappa)`` for j from -1070 to 999, the two
   float neighbours of each, and seeded random points.
@@ -219,6 +224,14 @@ def chain(lc, digest) -> None:
     result = lc.run_chain(oracle, start, 300, np.random.default_rng(5))
     feed(digest, (result.positions, result.step_queries, result.step_paths, result.last.value,
                   result.last.gradient))
+    # hitandrun10d's chain: a search-first step opens each chunk, then its record picks the path
+    oracle = lc.targets.resolve_multivariate_target("gaussian", 1e6, 10)
+    rng = np.random.default_rng(np.random.SeedSequence(7))
+    position = lc.run_chain(oracle, np.zeros(10), 150, rng).positions[-1]
+    for _ in range(20):
+        result = lc.run_chain(oracle, position, 100, rng)
+        position = result.positions[-1]
+        feed(digest, (result.positions, result.step_queries, result.step_paths))
 
 
 def hardfamily(lc, digest) -> None:

@@ -62,9 +62,9 @@ from .oracles import _NormalizedOracle, normalize_at_zero
 
 _first = itemgetter(0)
 # Envelope.gaussian's tail mass over its height, as _side computes a row's: exp(-offset) for the
-# offset 1/8 times the unit Gaussian's mass beyond 1/2, the row's drift
-_GAUSSIAN_FACTOR = math.exp(-0.125)
-_GAUSSIAN_TAIL = numerics.gaussian_tail_integral(0.5)
+# offset 1/128 times the unit Gaussian's mass beyond 1/8, the row's drift
+_GAUSSIAN_FACTOR = math.exp(-0.0078125)
+_GAUSSIAN_TAIL = numerics.gaussian_tail_integral(0.125)
 
 
 def find_threshold_index(
@@ -288,19 +288,20 @@ class Envelope:
 
     @classmethod
     def gaussian(cls, mean: float, height: float) -> "Envelope":
-        """The unit Gaussian ``height * exp(-(x - mean)^2/2)``, flat at ``height`` within 1/2 of ``mean``.
+        """The unit Gaussian ``height * exp(-(x - mean)^2/2)``, flat at ``height`` within 1/8 of ``mean``.
 
         Equal, private fields included and bit for bit, to ``Envelope(height,
-        ((mean - 0.5, 0.125, 0.5),), ((mean + 0.5, 0.125, 0.5),))``: the shape
-        is fixed, so its tail masses are ``height`` times the constants
-        ``_GAUSSIAN_FACTOR`` and ``_GAUSSIAN_TAIL``, which ``_side`` would
-        recompute, and no row needs checking.  Inputs that constructor rejects,
-        a height that is not finite and positive or a mean at which ``mean
-        +- 0.5`` round together, go through it and raise its UsageError.
+        ((mean - 0.125, 0.0078125, 0.125),), ((mean + 0.125, 0.0078125,
+        0.125),))``, rows ``(mean -+ 1/8, 1/128, 1/8)``, all powers of two:
+        the shape is fixed, so its tail masses are ``height`` times the
+        constants ``_GAUSSIAN_FACTOR`` and ``_GAUSSIAN_TAIL``, which ``_side``
+        would recompute, and no row needs checking.  Inputs that constructor
+        rejects, a height that is not finite and positive or a mean at which
+        ``mean +- 1/8`` round together, go through it and raise its UsageError.
         """
         h = float(height)
-        x_minus, x_plus = mean - 0.5, mean + 0.5
-        rows_minus, rows_plus = ((x_minus, 0.125, 0.5),), ((x_plus, 0.125, 0.5),)
+        x_minus, x_plus = mean - 0.125, mean + 0.125
+        rows_minus, rows_plus = ((x_minus, 0.0078125, 0.125),), ((x_plus, 0.0078125, 0.125),)
         # _side's and __init__'s arithmetic, term by term
         width = x_plus - x_minus
         tail, plateau = h * _GAUSSIAN_FACTOR * _GAUSSIAN_TAIL, h * width
@@ -310,8 +311,8 @@ class Envelope:
             return cls(h, rows_minus, rows_plus)
         self = cls.__new__(cls)
         self._write(h, rows_minus, rows_plus, (tail, plateau, tail), total, (x_minus, x_plus),
-                    ((x_minus, -1.0, 0.125, 0.5, None), (x_minus, 1.0, 0.0, None, width),
-                     (x_plus, 1.0, 0.125, 0.5, None)),
+                    ((x_minus, -1.0, 0.0078125, 0.125, None), (x_minus, 1.0, 0.0, None, width),
+                     (x_plus, 1.0, 0.0078125, 0.125, None)),
                     (tail / total, inner / total, math.inf))
         return self
 

@@ -29,6 +29,8 @@ def integer_argument(value, name: str, least: int) -> int:
 
     NumPy integers pass; a bool, a float and a string do not.
     """
+    if type(value) is int and value >= least:  # the common case, with nothing to convert
+        return value
     if isinstance(value, bool) or not hasattr(value, "__index__") or operator.index(value) < least:
         raise UsageError(f"{name} must be an integer of at least {least}, got {value!r}")
     return operator.index(value)

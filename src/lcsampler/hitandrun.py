@@ -100,9 +100,10 @@ That is the *search-first* path.  A step of a chain can instead go
 *tangent first*: the certificate alone bounds the shifted line by its
 tangent Gaussian, ``W(p + t) - W(p) >= g t + t^2/2``, and
 :func:`tangent_envelope` builds from it, at no query, an envelope of mass
-``e^(g^2/2)`` times ``_TANGENT_MASS`` (2.547), which a line of curvature 1
-accepts a trial from with probability 0.984.  Its shape never changes, so
-its masses are constants folded at import times ``e^(g^2/2)``
+``e^(g^2/2)`` times ``_TANGENT_MASS`` (2.5073, a flat top of half-width 1/8
+against the Gaussian's 2.5066), which a line of curvature 1 accepts a trial
+from with probability 0.99974.  Its shape never changes, so its masses
+are constants folded at import times ``e^(g^2/2)``
 (:meth:`lcsampler.envelope.Envelope.gaussian`): an accepted tangent step
 evaluates no piece or tail integral, and its envelope is the validated
 constructor's bit for bit.  The step tries one trial against it
@@ -119,16 +120,20 @@ queries each step spent after its certificate search, kept in a
   ``mean(C_i)``.
 * Going tangent first costs one trial, plus the fallback's ``C`` when the
   tangent's trial is rejected, which happens with probability ``1 - a``,
-  ``a = Z_W / Z_T``.  Before any tangent-first step the estimate is ``1 +
-  mean(C_i - a_i C_i)``, where ``a_i = Z_H / Z_T`` if the step's first
+  ``a = Z_W / Z_T``.  A search-first step prices that counterfactually as
+  ``1 + C_i - a_i C_i``, where ``a_i = Z_H / Z_T`` if the step's first
   trial against its search envelope (of mass ``Z_H``) was accepted and 0
   otherwise: that trial is accepted with probability ``Z_W / Z_H``, so
-  ``a_i`` is unbiased for ``a``.  The mean is of the per-line products
-  ``a_i C_i``, not the product of two means.  After a tangent-first step,
-  the estimate is the mean cost of the tangent-first steps themselves.
+  ``a_i`` is unbiased for ``a``.  The price is of the per-line product
+  ``a_i C_i``, not the product of two means.  The tangent estimate pools
+  every step of the chain: those prices and each tangent-first step's own
+  cost.
 * A step goes tangent first exactly when that estimate is below the
   search-first one.  A step with no record, a chain's first step or a bare
-  :func:`step` call, searches first.
+  :func:`step` call, searches first; before any tangent-first step the
+  test is ``mean(a_i C_i) > 1``.  A chain whose tangent trials were
+  rejected early searches first, and those steps keep pricing the tangent,
+  so no early rejection locks a chain out of it.
 
 The choice changes the cost of a step, never its law.  Given its line, an
 accepted trial has the restricted density whatever sequence of dominating
@@ -157,7 +162,6 @@ import numpy as np
 
 from .envelope import Envelope, threshold_searches
 from .errors import ClassViolationError, UsageError, integer_argument
-from .numerics import gaussian_tail_integral
 from .rejection import sample_exact
 
 # Relative slack of the sandwich checks, for float noise in class members
@@ -170,9 +174,9 @@ _LEVEL = 3.0
 # Above this kappa the level-3 sandwich of a zero-slope certificate leaves
 # its edges open, ``search_range(kappa, level=3, rise=0)`` has lo < top
 _OPEN_KAPPA = 8.0 / 3.0
-# The tangent envelope's mass over its height e^(g^2/2): the plateau's width 1
-# and two tails exp(-1/8 - t/2 - t^2/2), the unit Gaussian beyond 1/2
-_TANGENT_MASS = 1.0 + 2.0 * math.exp(-0.125) * gaussian_tail_integral(0.5)
+# The tangent envelope's mass over its height e^(g^2/2), 2.5073: the plateau's
+# width 1/4 and two tails exp(-1/128 - t/8 - t^2/2), the unit Gaussian beyond 1/8
+_TANGENT_MASS = Envelope.gaussian(0.0, 1.0).mass_total
 # A chain step's path, indexed as in ChainResult.step_paths
 PATHS = ("search_first", "tangent_accepted", "tangent_fell_back")
 _SEARCHED, _TANGENT, _FELL_BACK = range(len(PATHS))
@@ -266,7 +270,8 @@ class ChainCosts(NamedTuple):
 
     ``searched`` steps went search first and spent ``search_queries`` there
     in all, and ``credit`` sums ``a_i C_i`` over them (module docstring);
-    ``tangent`` steps went tangent first and spent ``tangent_queries``.
+    ``tangent`` steps went tangent first and spent ``tangent_queries``; the
+    tangent estimate pools both kinds (:meth:`tangent_first`).
     ``path`` is the last step's, an index into :data:`PATHS`.  Immutable, so
     a probe's record is the chain's past up to it and no later step's.
     """
@@ -281,16 +286,17 @@ class ChainCosts(NamedTuple):
     def tangent_first(self) -> bool:
         """Whether the next step tries the tangent first: its estimated cost is below the search's.
 
-        No record means search first.  Before any tangent-first step the
-        estimate is ``1 + mean(C_i - a_i C_i)``, below ``mean(C_i)`` exactly
-        when ``mean(a_i C_i) > 1``; after one, it is the tangent-first steps'
-        own mean, compared in integers.
+        No record means search first.  The tangent estimate pools every
+        step, ``(tangent_queries + searched + search_queries - credit) /
+        (tangent + searched)``: each tangent-first step's cost and each
+        search-first step's price ``1 + C_i - a_i C_i``.  It is below
+        ``search_queries / searched`` exactly when ``credit`` exceeds
+        ``tangent_queries + searched - search_queries * tangent / searched``,
+        an integer numerator divided once, so with no tangent-first step the
+        test is ``credit > searched`` without rounding.
         """
-        if not self.searched:
-            return False
-        if self.tangent:
-            return self.tangent_queries * self.searched < self.search_queries * self.tangent
-        return self.credit > self.searched
+        s = self.searched
+        return s > 0 and self.credit > (s * (self.tangent_queries + s) - self.search_queries * self.tangent) / s
 
 
 class Certificate(NamedTuple):
@@ -586,17 +592,17 @@ def tangent_envelope(certificate: Certificate) -> Envelope:
 
     ``W(p + t) - W(p) >= g t + t^2/2`` bounds the shifted target by the
     tangent Gaussian ``h exp(-(x - m)^2/2)``, ``h = e^(g^2/2)`` at the mean
-    ``m = p - g``.  The envelope is flat at ``h`` within 1/2 of m and that
-    Gaussian beyond, rows ``(m -+ 1/2, 1/8, 1/2)``.  Its mass is ``h``
-    times ``_TANGENT_MASS``, 2.547 against the Gaussian's 2.507, so on a
-    line of curvature 1 a trial is accepted with probability 0.984.  It
+    ``m = p - g``.  The envelope is flat at ``h`` within 1/8 of m and that
+    Gaussian beyond, rows ``(m -+ 1/8, 1/128, 1/8)``.  Its mass is ``h``
+    times ``_TANGENT_MASS``, 2.5073 against the Gaussian's 2.5066, so on a
+    line of curvature 1 a trial is accepted with probability 0.99974.  It
     costs no query.
 
     The shape never changes, so :meth:`Envelope.gaussian` builds it from
     masses folded into constants at import, ``h`` times each, with no row
     to check; the result equals the validated ``Envelope(h, rows...)`` bit
     for bit, private fields included.  A slope whose ``h`` overflows, or a
-    mean so large that ``m -+ 1/2`` round together, raises that
+    mean so large that ``m -+ 1/8`` round together, raises that
     constructor's UsageError.
     """
     p, _, slope = certificate
@@ -701,6 +707,8 @@ def _start_point(oracle: MultivariateOracle, x) -> np.ndarray:
 
 def _float_array(x, what: str) -> np.ndarray:
     """``x`` through ``np.asarray(x, dtype=float)``, a UsageError naming ``what`` where that fails."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT:  # a float array passes as it is
+        return x
     try:
         return np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:

@@ -318,9 +318,11 @@ class TestHitAndRunCommand:
         assert one_step["step_paths"] == {"search_first": 1, "tangent_accepted": 0, "tangent_fell_back": 0}
 
     def test_summary_counts_each_path(self, tmp_path, capsys):
-        # on the isotropic target the chain's first step searches first and
-        # later ones try the tangent first, whose trial a line of curvature 1
-        # accepts with probability 0.984; the totals match a chain run alone
+        # the chain's first step searches first and later ones try the
+        # tangent first.  A line of curvature 1 accepts its trial with
+        # probability 0.99974, so on the isotropic target almost every later
+        # step is accepted; the lines of the quadratic [1, 30] reject it
+        # often, so there some steps fall back.  The totals match a chain run alone
         out = tmp_path / "chain.csv"
         assert run_cli(["hitandrun", "--kappa", "1e6", "--dimension", "10", "--seed", "9",
                         "--trials", "400", "--out", str(out)]) == 0
@@ -329,7 +331,13 @@ class TestHitAndRunCommand:
         chain = run_chain(oracle, np.zeros(10), 400, np.random.default_rng(9))
         assert paths == chain.path_totals
         assert sum(paths.values()) == 400 and paths["search_first"] >= 1
-        assert paths["tangent_accepted"] > 0.95 * 399 and paths["tangent_fell_back"] >= 1
+        assert paths["tangent_accepted"] > 0.95 * 399
+        doc = json.dumps({"type": "diagonal", "curvatures": [1, 30], "beta": 1000})
+        assert run_cli(["hitandrun", "--target", doc, "--seed", "9", "--trials", "400", "--out", str(out)]) == 0
+        paths = json.loads(capsys.readouterr().err)["step_paths"]
+        chain = run_chain(resolve_multivariate_target(doc, None), np.zeros(2), 400, np.random.default_rng(9))
+        assert paths == chain.path_totals
+        assert sum(paths.values()) == 400 and paths["search_first"] >= 1 and paths["tangent_fell_back"] >= 1
 
     DIAGONAL = {"type": "diagonal", "curvatures": [1, 4]}
 

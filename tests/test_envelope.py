@@ -378,12 +378,14 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "mean, height",
         [(0.0, 0.0), (0.0, -1.0), (0.0, math.inf), (0.0, math.nan), (0.0, 1e308),
-         (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (2.0**54, 1.0), (-(2.0**54), 1.0)],
+         (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (2.0**54, 1.0), (-(2.0**54), 1.0),
+         (2.0**52, 1.0), (-(2.0**52), 1.0)],
     )
     def test_gaussian_rejects_what_the_validated_constructor_rejects(self, mean, height):
         # a height that is not finite and positive, a mass beyond a float, and
-        # a mean where mean -+ 1/2 round together raise the same error
-        rows_minus, rows_plus = ((mean - 0.5, 0.125, 0.5),), ((mean + 0.5, 0.125, 0.5),)
+        # a mean where mean -+ 1/8 round together raise the same error; at
+        # 2^52, one ulp above and half an ulp below, 1/8 rounds away on both sides
+        rows_minus, rows_plus = ((mean - 0.125, 0.0078125, 0.125),), ((mean + 0.125, 0.0078125, 0.125),)
         with pytest.raises(UsageError) as expected:
             Envelope(height, rows_minus, rows_plus)
         with pytest.raises(UsageError, match=re.escape(str(expected.value))):
@@ -392,7 +394,8 @@ class TestConstruction:
     def test_gaussian_takes_an_int_height_as_float(self):
         env = Envelope.gaussian(0.0, 2)
         assert type(env.plateau_height) is float
-        assert vars(env) == vars(Envelope(2, ((-0.5, 0.125, 0.5),), ((0.5, 0.125, 0.5),)))
+        # the rows (mean -+ 1/8, 1/128, 1/8): the tangent exp(-(t + 1/8)^2/2) beyond the top
+        assert vars(env) == vars(Envelope(2, ((-0.125, 0.0078125, 0.125),), ((0.125, 0.0078125, 0.125),)))
 
     def test_fields_are_frozen(self):
         env = Envelope.from_geometry(-1.0, 1.0, 0.5, 0.5)

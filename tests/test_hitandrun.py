@@ -1148,13 +1148,20 @@ class TestRunChain:
         assert chunked_oracle.query_count == whole_oracle.query_count
         assert run_chain(chunked_oracle, second.last, 0, rng).last is second.last
 
-        # restarting from the point array takes the same steps but queries
-        # the start again
+        # restarting from the point array begins a fresh record, as a probe
+        # without one does, and queries the start again: the same steps, the
+        # same paths and one query more on the first step
         restarted_oracle, rng = oracle(), np.random.default_rng(41)
         first = run_chain(restarted_oracle, x0, 50, rng)
+        state = rng.bit_generator.state
         second = run_chain(restarted_oracle, first.positions[-1], 50, rng)
-        assert second.positions.tolist() == whole.positions[50:].tolist()
-        assert restarted_oracle.query_count == whole_oracle.query_count + 1
+        bare_oracle, rng = oracle(), np.random.default_rng(41)
+        rng.bit_generator.state = state
+        bare = run_chain(bare_oracle, Probe(*first.last[:3]), 50, rng)
+        assert second.positions.tolist() == bare.positions.tolist()
+        assert second.step_paths.tolist() == bare.step_paths.tolist() and second.step_paths[0] == 0
+        assert second.step_queries[0] == bare.step_queries[0] + 1
+        assert second.step_queries[1:].tolist() == bare.step_queries[1:].tolist()
 
     def test_short_chain_moments(self):
         o = isotropic(6, 10.0)
@@ -1277,30 +1284,41 @@ class TestRunChain:
 # step searched first: 161 -> 186 queries on the new path (over 5,000 steps
 # 9.15 -> 9.10 per step).  The 10-d chain tried the tangent on steps 2-20,
 # accepted on all but step 3: 65 -> 26 queries (3.34 -> 1.09 per step).
+# Re-recorded again when the tangent envelope's flat top narrowed from
+# half-width 1/2 to 1/8 and the tangent estimate came to pool every step of
+# the chain.  Each chain's first step searches first and is unchanged.  Both
+# leave their positions at step 2, whose tangent trial now comes from the
+# narrower envelope.  The anisotropic chain's step 2 still tries the tangent
+# and falls back; before, every later step searched first, and now the
+# search-first step 3 keeps pricing the tangent and steps 4-20 all try it
+# (6 accepted, 11 fell back): 186 -> 160 queries (over 5,000 steps 9.10 ->
+# 7.80 per step, 4,999 -> 2 search-first steps).  The 10-d chain's step 3
+# fell back before and is accepted now, as are steps 2-20: 26 -> 23
+# queries (1.09 -> 1.05 per step; 72 -> 0 fallbacks).
 ANISOTROPIC_POSITIONS = [
     [0.5878986735554335, -0.15765943136239413],
-    [1.7763460261915645, 0.3352671823080847],
-    [1.7988822645912235, 0.29831878464564116],
-    [0.9262349886698155, -0.031030133143735317],
-    [0.9148294713838481, -0.1150812551101399],
-    [0.7895174775642165, -0.07123497227268377],
-    [0.808056816913706, -0.053665019485972666],
-    [0.7545390435807832, -0.034858809742332],
-    [0.7157091962122407, -0.06094049735355782],
-    [0.45278297182928146, -0.1489318927278585],
-    [0.5730176588425363, -0.0008117639306485236],
-    [0.6287272128829212, -0.16969586508467735],
-    [0.9145455093419599, 0.08226890346452279],
-    [0.9008042158059848, -0.17206773231402414],
-    [2.6697522674255763, -0.13704153606228303],
-    [0.48259814804777434, -0.1567373934904491],
-    [0.4870774111794647, -0.14238209514932043],
-    [0.7348955173905524, 0.093999197950807],
-    [0.7543703227009878, 0.04269753874262765],
-    [0.6220688034457179, 0.1551688259634026],
+    [0.7948104400329912, -0.07183962945688507],
+    [0.738152236899495, 0.15939949678776358],
+    [1.0696597004718986, 0.2285831459893266],
+    [1.3697293843560074, -0.1508226493554925],
+    [1.1210931267207258, -0.07565800654962236],
+    [1.1481552374838704, 0.18992673436516255],
+    [-1.2262490676978062, 0.0428268058680652],
+    [-0.7942901894479671, 0.3995106887310286],
+    [-1.1331067629771419, 0.21249688469471759],
+    [-1.5070619541377077, -0.014138020558229852],
+    [-1.505635584584362, 0.012262553203266309],
+    [-0.8033849214687614, -0.31312306089142616],
+    [-0.8517200491258285, -0.09719739997051535],
+    [-0.8568920995775804, -0.07947099667555182],
+    [-0.46592304438779, -0.2453079953113134],
+    [-0.4664270725342448, -0.232696249303393],
+    [-0.14070360179404445, -0.48689642483562073],
+    [-1.0959494363929396, 0.10556687513828339],
+    [-1.0347710526947267, 0.14656551644222954],
 ]
 ANISOTROPIC_QUERIES = [
-    12, 10, 10, 9, 12, 10, 8, 8, 9, 9, 10, 9, 10, 12, 3, 4, 10, 10, 11, 10,
+    12, 11, 11, 4, 3, 3, 12, 1, 10, 11, 11, 10, 1, 3, 13, 8, 3, 12, 12, 9,
 ]
 
 ISOTROPIC_10D_POSITIONS = [
@@ -1310,120 +1328,122 @@ ISOTROPIC_10D_POSITIONS = [
         -0.3970436242420417, -0.16467988147978618,
     ],
     [
-        0.49918750123996547, -0.3362324137584185, 0.14476356520908445, -0.45867047674897915,
-        0.09239585316960539, -0.645184810439681, -0.5676850951768934, 0.3292923081211876,
-        -1.1200193102932288, -0.42548023297186766,
+        0.40612408226284635, -0.3392989310929927, 0.09388607095590135, -0.372376934955797,
+        0.11975370806490568, -0.5642410287866525, -0.5190546460061218, 0.2726756136157481,
+        -1.0271956497593704, -0.3919957828567666,
     ],
     [
-        0.33752540998320535, -0.3972458796479018, 0.09110882482073863, -0.35754832499604416,
-        -0.011898251803055496, -0.579341600093257, -0.5539440061594003, 0.43196964969720886,
-        -1.065619259516971, -0.024587823786761442,
+        0.13816693547666975, -0.440429592636368, 0.004952598462466817, -0.20476557319530045,
+        -0.053115209922220685, -0.45510499916763647, -0.49627860136734303, 0.4428647239656974,
+        -0.9370268150145729, 0.2724889166691372,
     ],
     [
-        0.35204054718054745, -0.3452462179834851, 0.16967640976977505, -0.38129990698565414,
-        0.03173548431737121, -0.6084842570302363, -0.6231491644323811, 0.43626829194246747,
-        -1.0234328315260264, -0.03934872573406688,
+        0.21925937248344465, -0.5429622449215209, 0.042158602265448146, -0.17195058348529138,
+        0.06444264290704822, -0.27748390908830906, -0.5499748157392064, 0.5415093721239831,
+        -1.0029108624408982, 0.11603386386927395,
     ],
     [
-        0.19750247889317477, -0.49170378652858265, 0.08750680809795229, -0.2810266702267731,
-        0.03794764705865941, -0.6782631232689907, -0.598628787136486, 0.506868950173621,
-        -0.9348502753726857, 0.0337970565929846,
+        0.1879353153449812, -0.5321968119614592, 0.04144042153565623, -0.22686004036525537,
+        0.012404296408391309, -0.30667987516867085, -0.5143463843045157, 0.5437166372073008,
+        -1.0277042333515836, 0.12474628414688275,
     ],
     [
-        0.08717275516295954, -0.36948728681319043, 0.1450506308756457, -0.2617689439453285,
-        -0.0760696293372662, -0.7411963037877575, -0.32666975857552377, 0.5205206641315285,
-        -0.8606844016763674, 0.12516385794744916,
+        0.3284973209396316, -0.43778247432239104, -0.19834150460857491, -0.059291487239117396,
+        -0.17321786716674245, -0.394077312578951, -0.5435949786123534, 0.7168858375922,
+        -0.9321214507014378, -0.2883045183457012,
     ],
     [
-        0.11496626054685234, -0.2478868562082193, -0.22358235814049696, -0.35016999105753605,
-        -0.18762341737548027, -0.8088032866034944, -0.8993650719088067, 0.7735068409697882,
-        -0.6376629776356068, -0.2875059531413622,
+        -0.25653452622941997, -0.3061519623316221, 0.13982727511349197, -0.026253687845894817,
+        -0.02867292485137926, -0.8322668310517577, -0.6486762204457961, 0.5842832162295688,
+        -1.0124850430226064, -0.9690604220723618,
     ],
     [
-        0.11900068289258292, -0.1732140167090449, -0.45312310757495333, -0.47033820563371165,
-        -0.11446730691616631, -0.4199386970083437, -0.8194264331100722, 0.7633184482965406,
-        -0.7838171645364036, -0.2197858748914713,
+        -0.22245188252472176, -0.4217394680484405, 0.37331871244308157, -0.03372652876648084,
+        -0.1669872119651975, -0.4070953050386155, -0.42609219867402676, 0.44877832135662604,
+        -1.7327673954066412, -1.1171283931372389,
     ],
     [
-        0.0723109282050553, 0.03536133268626293, -0.6754681926254056, -0.47234047747007085,
-        -0.10826681370893891, -0.3779306645672078, -0.96340246962133, 0.7213739857204394,
-        -0.9182422376646738, -0.23125745671629577,
+        -0.2945348479401281, -0.4231667525245085, 0.36380494356310006, -0.048694435534189305,
+        -0.10012165645553968, -0.47837519343311175, -0.4267340914912156, 0.4507660894410958,
+        -1.7193003657064025, -1.1632845553554219,
     ],
     [
-        0.003209159465515657, -0.030551387332043475, -0.826003314640252, -0.4817148962688223,
-        0.5542994563377818, -0.07516209282628039, -1.0918275471364234, 1.0596787572157913,
-        -0.6215244740138253, -0.27338395847205554,
+        -0.3664754667764386, -0.4835655838813003, 0.43651313114346174, -0.11697173264284416,
+        -0.16524795423370955, -0.6271142407625065, -0.43599666159931, 1.105427104626777,
+        -1.420144206537211, -1.290177359022295,
     ],
     [
-        0.13528154898364259, -0.06522990444859622, 0.04171935696353568, -0.23968543579310225,
-        0.5990483044581401, 0.6494170838186397, -0.9939592307380247, 0.9833006468174788,
-        -0.9356539039353946, -0.39568069471678347,
+        -0.3293898858911733, -1.2116105607829144, 0.01958572378253992, 0.23746382068611288,
+        -0.25831282152110047, 1.7015463246144669, 0.21352475660632425, 1.225517176459662,
+        0.5243698765485219, -1.027533433197973,
     ],
     [
-        0.1770334793574716, -0.03638330314482088, 0.024784460443376528, -0.13390153240644437,
-        0.4863073160503988, 0.51180902252328, -0.7124272211636571, 0.8086886491522366,
-        -0.8160508857317319, -0.5907808949586054,
+        -0.2532080342689724, -1.1498341882427112, -0.04649257633815419, 0.22832444025335039,
+        -0.2646272616235557, 1.7052533259555167, 0.19036895690899414, 1.2501958625515002,
+        0.5544918951362304, -1.0891600003162472,
     ],
     [
-        0.033650920539528256, -0.041589223670061064, -0.015315175303458436, -0.522903429626655,
-        0.25805033181656756, 0.3588428005340464, -0.7470922687513153, 0.718042306836465,
-        -0.8399665236449533, -0.3450244365664078,
+        -0.5181306927832257, -1.088588214921559, -0.9793931825445364, -0.18933595672453754,
+        -0.2797916362248482, 1.5884467218415728, -0.9427583087610101, 0.5853039577478939,
+        0.10891515604796209, -1.1901361417387342,
     ],
     [
-        -0.22153550843639372, -0.14010172546670302, 0.11408573865916649, 0.1639473032053539,
-        0.26509172939175635, -0.4123828250582837, -0.48893523841044356, 0.65125883762994,
-        -1.5323413700248114, -1.2515129122359099,
+        -0.511928032100035, -1.085683440410128, -0.988851932007255, -0.19383438743890033,
+        -0.2815282162836277, 1.5907278033558683, -0.9306504923494813, 0.5854280836242244,
+        0.09531997759042923, -1.1855853452129377,
     ],
     [
-        -0.13852971827000093, -0.179009186813126, 0.13951080770704166, 0.26123756485517236,
-        0.3452197946101293, -0.5580572410022748, -0.22206838524355682, 0.3775795379808577,
-        -1.558359614178875, -1.3929114722092324,
+        -0.8495070762757633, -0.9656995064580404, -1.2293812058124698, -0.0036228270430832266,
+        -0.37068644149789004, 1.6489905106570486, -0.7077054129443839, 0.769045205828976,
+        -0.23849960187397526, -0.5740477590151618,
     ],
     [
-        -0.36057412093109775, -0.4476950576205727, 0.027841044569473186, 0.2963667772855651,
-        0.1561975122720602, -0.8882966060490471, -0.27687174162445277, 0.3686666763745684,
-        -1.4225420881641768, -1.5536663669325979,
+        -0.25655656175617025, -1.6186109219022071, -1.7445919543783246, -0.571085835902137,
+        -1.0573477167159842, 1.363604078802962, -0.6179281956594911, 0.28597446956420963,
+        -1.0824687426731185, -0.7141047797496318,
     ],
     [
-        -0.3917877990167156, -0.553151014894182, -0.3820085790166815, 0.25973018244475593,
-        0.46852149341405175, -0.2601396828002517, -0.6871453245734708, 0.6276029535703468,
-        -1.112026303224849, -1.2139960557439287,
+        -0.3215545247392149, -1.332075067991182, -2.068170992208342, -0.606685416927962,
+        -1.1776215237732683, 0.8961655781803157, -0.6597126794671413, 0.642183784034445,
+        -0.36604810090222617, -1.182026811202849,
     ],
     [
-        -0.7065203636183439, -1.231559834228459, -0.236017940413459, 0.13826753115035856,
-        -0.01665016770732386, -0.664456151281484, -0.3054370962147353, -0.148886229550376,
-        -1.3837512460442525, -1.2975525654522224,
+        -0.27912974149832726, -1.3612580771493967, -2.0091075621291434, -0.6593210837717668,
+        -1.2910781679676049, 0.9205809564414116, -0.6800260132830729, 0.5610439949275761,
+        -0.4336657208373569, -1.118190178457648,
     ],
     [
-        -1.4299046774047934, -1.7274504616407915, -1.217958076292473, 0.3879937901833975,
-        0.20042425636687491, -0.864175732748137, -0.9293087986012629, 0.5935543150339146,
-        -0.47620430945012404, -0.4019633911764048,
+        -0.2625482130324023, -1.0118008578254871, -1.4923588573764364, -1.3031776324511204,
+        -1.7324513382218871, 0.046593817312710506, -0.45775427723450135, 0.7542535888146672,
+        -0.6114284369705207, -1.673474380038889,
     ],
     [
-        -1.3830719525996904, -1.304523636782564, -1.0090749533289656, 0.10729794037142959,
-        0.20146419728539797, -0.7000196112586002, -0.8425536067539598, -0.008793631256939882,
-        -0.9881546161200795, -0.7814168139016999,
+        -0.29680944392868613, -1.1097775341085467, -1.588748660736778, -1.2075913373539175,
+        -0.8692513332327108, 0.4729274102331806, -1.030658724804962, 0.7563761238568898,
+        -0.2763833261850507, -1.4964057297811704,
     ],
 ]
 ISOTROPIC_10D_QUERIES = [
-    4, 1, 4, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+    4, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
 ]
 
 
 class TestPinnedChains:
     @pytest.mark.parametrize(
-        "diagonal, kappa, x0, positions, queries",
+        "diagonal, kappa, x0, positions, queries, paths",
         [
-            ([1.0, 30.0], 1e3, [1.0, 0.5], ANISOTROPIC_POSITIONS, ANISOTROPIC_QUERIES),
-            ([1.0] * 10, 1e6, [0.0] * 10, ISOTROPIC_10D_POSITIONS, ISOTROPIC_10D_QUERIES),
+            ([1.0, 30.0], 1e3, [1.0, 0.5], ANISOTROPIC_POSITIONS, ANISOTROPIC_QUERIES, "02021121222211221222"),
+            ([1.0] * 10, 1e6, [0.0] * 10, ISOTROPIC_10D_POSITIONS, ISOTROPIC_10D_QUERIES, "01111111111111111111"),
         ],
         ids=["anisotropic", "isotropic_10d"],
     )
-    def test_first_steps_are_pinned(self, diagonal, kappa, x0, positions, queries):
+    def test_first_steps_are_pinned(self, diagonal, kappa, x0, positions, queries, paths):
         oracle = quadratic_oracle(np.array(diagonal), kappa=kappa)
         res = run_chain(oracle, np.array(x0), 20, np.random.default_rng(2024))
         assert res.positions[1:].tolist() == positions
         assert res.step_queries.tolist() == queries
+        # each step's path as its index into PATHS
+        assert "".join(map(str, res.step_paths.tolist())) == paths
         # the first step searches first, as every step did before the chain
         # chose a path per step, and as a bare step still does
         assert res.step_paths[0] == 0
@@ -1637,12 +1657,16 @@ class TestTangentFirst:
 
     def test_tangent_envelope_dominates_and_has_the_closed_form_mass(self):
         # W(p + t) - W(p) >= g t + t^2/2 on every line of the class; the
-        # envelope's height is e^(g^2/2) and its mass that times 2.547
+        # envelope's height is e^(g^2/2) and its mass that times the flat
+        # top's 1/4 plus the unit Gaussian's mass beyond 1/8 of its mean,
+        # sqrt(2 pi) erfc(1/(8 sqrt 2)), 2.5073 in all
+        closed_form = 0.25 + math.sqrt(2.0 * math.pi) * math.erfc(0.125 / math.sqrt(2.0))
+        assert closed_form == pytest.approx(2.5073, abs=5e-5)
         for g in (-4.0, -1.5, 0.0, 0.3, 2.0):
             env = tangent_envelope(Certificate(0.25, 7.0, g))
             t = np.linspace(-12.0, 12.0, 4001)
             assert np.all(env.log_value(0.25 + t) >= -(g * t + 0.5 * t * t) - 1e-12)
-            assert env.mass_total == pytest.approx(math.exp(0.5 * g * g) * 2.5469, rel=1e-4)
+            assert env.mass_total == pytest.approx(math.exp(0.5 * g * g) * closed_form, rel=1e-13)
             assert env.mass_total == pytest.approx(math.exp(0.5 * g * g) * hitandrun._TANGENT_MASS, rel=1e-15)
 
     def test_tangent_envelope_is_the_validated_envelope_bit_for_bit(self):
@@ -1658,8 +1682,8 @@ class TestTangentFirst:
         for p, g in zip(positions, slopes):
             got = tangent_envelope(Certificate(p, 7.0, g))
             mean = p - g
-            want = Envelope(math.exp(0.5 * g * g), ((mean - 0.5, 0.125, 0.5),),
-                            ((mean + 0.5, 0.125, 0.5),))
+            want = Envelope(math.exp(0.5 * g * g), ((mean - 0.125, 0.0078125, 0.125),),
+                            ((mean + 0.125, 0.0078125, 0.125),))
             assert got == want and hash(got) == hash(want)
             # repr tells every pair of distinct floats apart, -0.0 and 0.0 too
             assert [(k, repr(v)) for k, v in vars(got).items()] == \
@@ -1667,16 +1691,19 @@ class TestTangentFirst:
 
     @pytest.mark.parametrize("certificate, message", [
         ((0.0, 0.0, 40.0), "plateau_height must be finite and positive, got inf"),  # h overflows
-        ((2.0**54, 0.0, 1.0), "plateau must be nonempty and finite"),  # m -+ 1/2 round together
+        ((2.0**54, 0.0, 1.0), "plateau must be nonempty and finite"),  # m -+ 1/8 round together
     ])
     def test_tangent_envelope_raises_the_validated_constructors_error(self, certificate, message):
         with pytest.raises(UsageError, match=re.escape(message)):
             tangent_envelope(Certificate(*certificate))
 
     def test_an_accepted_tangent_step_integrates_no_piece(self, monkeypatch):
-        # the tangent envelope's masses are constants times its height, so on
-        # the isotropic target only a step that falls back to the line
-        # envelope evaluates a piece or tail mass
+        # the tangent envelope's masses are constants times its height, so
+        # only a step that falls back to the line envelope evaluates a piece
+        # or tail mass.  A line of curvature 1 rejects the tangent's trial
+        # with probability 2.6e-4, so the isotropic target runs the accepted
+        # half and test_anisotropic_diagonal_line's line, whose precision 2.15
+        # leaves the tangent's trial often rejected, the fallen-back half
         calls = []
 
         def counted(kernel):
@@ -1685,20 +1712,104 @@ class TestTangentFirst:
                 return kernel(*args)
             return call
 
+        def forced(oracle, x, n, direction=None):
+            probe = Probe(x, *oracle.query(x), self.FORCED)
+            rng = np.random.default_rng(73)
+            integrals = {path: [] for path in PATHS}
+            for _ in range(n):
+                calls.clear()
+                probe = step(oracle, probe, rng, direction)
+                integrals[PATHS[probe.costs.path]].append(len(calls))
+            return integrals
+
         for name in ("gaussian_tail_integral", "gaussian_piece_integral"):
             monkeypatch.setattr(numerics, name, counted(getattr(numerics, name)))
-        oracle = isotropic(10, 1e6)
-        x = np.random.default_rng(71).standard_normal(10)
-        probe = Probe(x, *oracle.query(x), self.FORCED)
-        rng = np.random.default_rng(73)
-        counted = {path: [] for path in PATHS}
-        for _ in range(600):
-            calls.clear()
-            probe = step(oracle, probe, rng)
-            counted[PATHS[probe.costs.path]].append(len(calls))
-        assert not counted["search_first"]
-        assert len(counted["tangent_accepted"]) > 500 and not any(counted["tangent_accepted"])
-        assert counted["tangent_fell_back"] and all(counted["tangent_fell_back"])
+        integrals = forced(isotropic(10, 1e6), np.random.default_rng(71).standard_normal(10), 600)
+        assert not integrals["search_first"]
+        assert len(integrals["tangent_accepted"]) > 500 and not any(integrals["tangent_accepted"])
+        integrals = forced(quadratic_oracle(np.array([1.0, 30.0]), kappa=1e3), np.array([0.7, -0.4]), 200,
+                           np.array([math.cos(0.2), math.sin(0.2)]))
+        assert not integrals["search_first"] and not any(integrals["tangent_accepted"])
+        assert integrals["tangent_fell_back"] and all(integrals["tangent_fell_back"])
+
+
+    def test_tangent_mass_is_the_envelopes_and_accepts_a_curvature_one_line(self):
+        # on a line of curvature 1 the tangent is the restriction itself, so a
+        # trial is accepted with probability sqrt(2 pi) / _TANGENT_MASS
+        for mean in (0.0, -1.5, 3.0, 1e3):
+            assert hitandrun._TANGENT_MASS == Envelope.gaussian(mean, 1.0).mass_total
+        assert math.sqrt(2.0 * math.pi) / hitandrun._TANGENT_MASS > 0.9997
+
+    def test_forced_tangent_steps_on_an_isotropic_line_follow_its_law(self):
+        # along u through x the isotropic quadratic is |x|^2/2 + t x.u + t^2/2,
+        # the law N(-x.u, 1), and the tangent's mean is that minimizer
+        # exactly.  The flat top covers 1/8 on either side of it, so a share
+        # erfc(1/(8 sqrt 2)) = 0.9005 of the draws comes from the tails
+        oracle = isotropic(3, 1e6)
+        x, u = np.array([0.6, -1.1, 0.4]), np.array([2.0, 1.0, -2.0]) / 3.0
+        value, gradient = oracle.query(x)
+        start = Probe(x, value, gradient, self.FORCED)
+        rng = np.random.default_rng(79)
+        n = 4000
+        lams, paths = np.empty(n), set()
+        for k in range(n):
+            probe = step(oracle, start, rng, direction=u)
+            lams[k] = (probe.point - x) @ u
+            paths.add(PATHS[probe.costs.path])
+        assert paths <= {"tangent_accepted", "tangent_fell_back"} and "tangent_accepted" in paths
+        mean = -float(x @ u)
+        assert ks_statistic(lams, lambda t: normal_cdf(t - mean)) < ks_critical_value(n)
+        share, expected = np.mean(np.abs(lams - mean) > 0.125), math.erfc(0.125 / math.sqrt(2.0))
+        assert abs(share - expected) < 5.0 * math.sqrt(expected * (1.0 - expected) / n)
+
+
+class TestTangentFirstRule:
+    """The pooled estimate: every tangent-first step's cost and every search-first step's counterfactual."""
+
+    def test_an_early_rejection_does_not_lock_the_tangent_out(self):
+        # one search-first step of 3 queries whose first trial was accepted
+        # (a_1 C_1 = 3.97), then one tangent-first step that fell back, 4
+        # queries.  Pooled, the tangent costs (4 + 1 + 3 - 3.97) / 2 = 2.02
+        # against the search's 3, so the next step tries the tangent again;
+        # the tangent-first steps alone, 4 against 3, would never
+        costs = ChainCosts(searched=1, search_queries=3, credit=3.97, tangent=1, tangent_queries=4)
+        assert costs.tangent_first()
+
+    def test_counterfactuals_above_the_search_keep_the_search(self):
+        # ten search-first steps of 2 queries, none of whose first trials was
+        # accepted, price the tangent at 1 + 2 - 0 = 3 each.  With one
+        # tangent-first step of 1 query the pooled estimate is (1 + 10 + 20 -
+        # 0) / 11 = 2.82, above the search's 2, though that one step was cheaper
+        costs = ChainCosts(searched=10, search_queries=20, credit=0.0, tangent=1, tangent_queries=1)
+        assert not costs.tangent_first()
+        # a credit that lowers the estimate to the search's, 31 - credit = 22,
+        # is not enough; any more is
+        assert not costs._replace(credit=9.0).tangent_first()
+        assert costs._replace(credit=math.nextafter(9.0, math.inf)).tangent_first()
+
+    def test_before_any_tangent_step_it_is_the_credit_test(self):
+        # with tangent == 0 the pooled estimate is 1 + mean(C_i - a_i C_i),
+        # below mean(C_i) exactly when credit > searched, compared without rounding
+        rng = np.random.default_rng(83)
+        for searched in range(1, 40):
+            for search_queries in (0, searched, 3 * searched, 10**6):
+                for credit in (0.0, searched, math.nextafter(searched, 0.0), math.nextafter(searched, math.inf),
+                               *rng.uniform(0.0, 3.0 * searched, 5).tolist()):
+                    costs = ChainCosts(searched, search_queries, credit)
+                    assert costs.tangent_first() == (credit > searched)
+        assert not ChainCosts().tangent_first()
+
+    def test_chains_on_a_narrow_quadratic_keep_trying_the_tangent(self):
+        # on [1, 30] at kappa = 1e3 a chain whose first tangent trials were
+        # rejected used to search first for the rest of its life; with the
+        # pooled estimate no chain runs 20 straight search-first steps after
+        # its first tangent-first step
+        for seed in range(12):
+            oracle = quadratic_oracle(np.array([1.0, 30.0]), kappa=1e3)
+            paths = run_chain(oracle, np.zeros(2), 1500, np.random.default_rng(seed)).step_paths
+            assert paths.any()
+            searched = "".join("s" if path == 0 else "t" for path in paths[np.flatnonzero(paths)[0]:])
+            assert "s" * 20 not in searched, seed
 
 
 class TestInClassFuzz:

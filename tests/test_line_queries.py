@@ -26,6 +26,7 @@ def test_two_seeds_of_twenty_steps():
     assert lines[0] == "| target | κ = 1e6 | κ = 1e12 |"
     assert [line.split(" | ")[0] for line in lines[2:6]] == [
         "| isotropic d = 10", "| `[hard:2, g, g]`", "| mixed", "| `diagonal [1, 30, 1e3, 1e6]`"]
+    assert lines[6].startswith("2 seeds x 20 steps")  # the pair row runs only when named
     for line in lines[2:6]:
         cells = CELL.findall(line)
         assert len(cells) == 2
@@ -40,6 +41,17 @@ def test_two_seeds_of_twenty_steps():
     # a target outside the class at a kappa has no cell
     lines = run_tool("--seeds", "1", "--steps", "5", "--target", "diagonal", "--kappa", "2")
     assert lines[2] == "| `diagonal [1, 30, 1e3, 1e6]` | - |"
+
+
+def test_the_pair_row():
+    # the quadratic [1, 30]: in the class at kappa = 1e3, outside it at 16
+    lines = run_tool("--target", "pair", "--kappa", "1e3", "--kappa", "16", "--seeds", "2", "--steps", "20")
+    assert lines[0] == "| target | κ = 1000 | κ = 16 |"
+    assert lines[2].startswith("| `diagonal [1, 30]` | ") and lines[2].endswith(" | - |")
+    (cell,) = CELL.findall(lines[2])
+    bracket, search, trials, total, low, high, tangent = map(float, cell)
+    assert abs(bracket + search + trials - total) <= 0.02 and low <= total <= high
+    assert trials >= 1.0 and 0.0 < tangent < 100.0
 
 
 def test_a_chain_that_stops_on_an_error_prints_its_exit_code(monkeypatch):

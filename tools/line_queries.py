@@ -21,7 +21,11 @@ checkout whose chains record no paths).  The targets, d = 10 unless named:
 * ``hard2`` - ``[hard:2, gaussian, gaussian]``, d = 3;
 * ``mixed`` - ``hard:1``, ``hard:2``, ``hard:3``, ``skewed`` and
   ``gaussian``, each twice;
-* ``diagonal`` - the quadratic with curvatures ``[1, 30, 1e3, 1e6]``, d = 4.
+* ``diagonal`` - the quadratic with curvatures ``[1, 30, 1e3, 1e6]``, d = 4;
+* ``pair`` - the quadratic with curvatures ``[1, 30]``, d = 2, whose lines
+  often reject the tangent's trial; not in the default table:
+
+    python3 tools/line_queries.py --target pair --kappa 1e3 --seeds 12
 
 The products are ``tests/helpers.product_oracle`` of the builtin members.
 A target outside the class at a kappa prints ``-``.  A chain that stops on
@@ -44,7 +48,9 @@ TARGETS = {
     "hard2": "`[hard:2, g, g]`",
     "mixed": "mixed",
     "diagonal": "`diagonal [1, 30, 1e3, 1e6]`",
+    "pair": "`diagonal [1, 30]`",
 }
+DEFAULT_TARGETS = ["isotropic", "hard2", "mixed", "diagonal"]
 MIXED = ["hard:1", "hard:2", "hard:3", "skewed", "gaussian"] * 2
 
 
@@ -54,6 +60,8 @@ def oracle_for(lc, helpers, target: str, kappa: float):
         return lc.quadratic_oracle(np.ones(10), kappa=kappa)
     if target == "diagonal":
         return lc.quadratic_oracle(np.array([1.0, 30.0, 1e3, 1e6]), kappa=kappa)
+    if target == "pair":
+        return lc.quadratic_oracle(np.array([1.0, 30.0]), kappa=kappa)
     names = ["hard:2", "gaussian", "gaussian"] if target == "hard2" else MIXED
     return helpers.product_oracle([lc.targets.builtin_potential(n, kappa) for n in names], kappa)
 
@@ -139,7 +147,7 @@ def main(argv=None) -> int:
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout whose src/ and tests/helpers.py to use (default: this one)")
     parser.add_argument("--target", action="append", choices=list(TARGETS),
-                        help="a row; repeat for more (default: all four)")
+                        help="a row; repeat for more (default: all but pair)")
     parser.add_argument("--kappa", action="append", type=float,
                         help="a column; repeat for more (default: 1e6 and 1e12)")
     parser.add_argument("--seeds", type=int, default=4, help="chains per cell (default 4)")
@@ -148,7 +156,7 @@ def main(argv=None) -> int:
     if args.seeds < 1 or args.steps < 1:
         parser.error("--seeds and --steps must be at least 1")
     kappas = args.kappa or [1e6, 1e12]
-    for line in table(args.root, args.target or list(TARGETS), kappas, args.seeds, args.steps):
+    for line in table(args.root, args.target or DEFAULT_TARGETS, kappas, args.seeds, args.steps):
         print(line)
     print(f"{args.seeds} seeds x {args.steps} steps from the origin; [min, max] of the per-seed totals; "
           "share of steps that tried the tangent first")

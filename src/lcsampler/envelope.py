@@ -29,9 +29,11 @@ from its start to the next row's start, at distance ``t`` from its start,
     q(x) = h * exp(-offset - drift*t - t^2/2),
 
 with its offset counted down from ``log h``, and the last row of each side
-is its unbounded tail.  The plateau and every row are segments with
-closed-form masses, so normalization and sampling consume no queries at
-all.
+is its unbounded tail.  The plateau may be empty, ``x_minus == x_plus``:
+the unit Gaussian ``h * exp(-(x - m)^2/2)`` is the two drift-0 tails ``(m,
+0, 0)`` around the one point m (:meth:`Envelope.gaussian`).  The plateau
+and every row are segments with closed-form masses, so normalization and
+sampling consume no queries at all.
 
 The 1D sampler anchors at ``p = 0`` on the normalized potential with level
 1/2 and slope 0, so each side searches the paper's grid ``[0,
@@ -61,10 +63,8 @@ from .errors import ClassViolationError, UsageError
 from .oracles import _NormalizedOracle, normalize_at_zero
 
 _first = itemgetter(0)
-# Envelope.gaussian's tail mass over its height, as _side computes a row's: exp(-offset) for the
-# offset 1/128 times the unit Gaussian's mass beyond 1/8, the row's drift
-_GAUSSIAN_FACTOR = math.exp(-0.0078125)
-_GAUSSIAN_TAIL = numerics.gaussian_tail_integral(0.125)
+# Envelope.gaussian's tail mass over its height, as _side computes it: half the unit Gaussian's
+_HALF_GAUSSIAN = numerics.gaussian_tail_integral(0.0)
 
 
 def find_threshold_index(
@@ -218,20 +218,21 @@ class Envelope:
     Built from ``plateau_height`` and the row tables of the module
     docstring, ``rows_minus`` and ``rows_plus``, whose first starts are
     ``x_minus`` and ``x_plus``: UsageError unless the height is finite and
-    positive, each side has a row, the plateau is finite and nonempty, the
-    rows run outward with finite offsets and nonnegative drifts, each tail's
-    drift is positive and the total mass is finite.  Immutable; sampling
-    only reads fields, so independent random generators may share one
-    envelope across threads.  Equality and hashing see the height, the rows
-    and the masses.
+    positive, each side has a row, the plateau's edges are finite and in
+    order, ``x_minus <= x_plus``, so it may be empty, every row, the tail
+    included, has a nonnegative drift and a finite offset, every other row
+    runs outward over a positive length, and the total mass is finite.
+    Immutable; sampling only reads fields, so independent random generators
+    may share one envelope across threads.  Equality and hashing see the
+    height, the rows and the masses.
 
     Three constructors build one: this one, which validates its rows;
-    :meth:`from_geometry`, the paper's normal form through it; and
-    :meth:`gaussian`, the fixed-shape unit Gaussian with a flat top that a
-    Hit-and-Run step tries first, whose masses are constants folded at
-    import times its height and which equals this one's envelope from the
-    same rows bit for bit, private fields included.  All three write the
-    fields through one writer, ``_write``.
+    :meth:`from_geometry`, the paper's normal form through it, whose
+    plateau the 1D sampler's searches keep nonempty; and :meth:`gaussian`,
+    the unit Gaussian that a Hit-and-Run step tries first, whose masses are
+    a constant folded at import times its height and which equals this
+    one's envelope from the same rows bit for bit, private fields included.
+    All three write the fields through one writer, ``_write``.
 
     Inside is one segment table, left to right: the left tail, the left rows
     inward, the plateau, the right rows outward, the right tail, with
@@ -252,7 +253,8 @@ class Envelope:
     x_plus: float = field(init=False, repr=False, compare=False)
     _log_height: float = field(init=False, repr=False, compare=False)
     # _starts: the segment boundaries, ascending; _segments: (start, side, offset, drift, length)
-    # each, no drift on the plateau and no length on a tail; _cuts: the mass share to each end
+    # each, no drift on the plateau and no length on a tail; _cuts: the mass share to each end,
+    # equal around a segment of no mass, such as an empty plateau, which no draw then picks
     _starts: tuple = field(init=False, repr=False, compare=False)
     _segments: tuple = field(init=False, repr=False, compare=False)
     _cuts: tuple = field(init=False, repr=False, compare=False)
@@ -264,8 +266,8 @@ class Envelope:
         if not (rows_minus and rows_plus):
             raise UsageError("each side of an envelope needs at least one row")
         x_minus, x_plus = rows_minus[0][0], rows_plus[0][0]
-        if not -math.inf < x_minus < x_plus < math.inf:
-            raise UsageError(f"plateau must be nonempty and finite: [{x_minus}, {x_plus}]")
+        if not -math.inf < x_minus <= x_plus < math.inf:
+            raise UsageError(f"plateau edges must be finite and in order: [{x_minus}, {x_plus}]")
         # one table left to right: the left rows from the tail in, the plateau in slot n, the right
         # rows out; _side fills each side's slots walking its rows outward
         n = len(rows_minus)
@@ -288,32 +290,29 @@ class Envelope:
 
     @classmethod
     def gaussian(cls, mean: float, height: float) -> "Envelope":
-        """The unit Gaussian ``height * exp(-(x - mean)^2/2)``, flat at ``height`` within 1/8 of ``mean``.
+        """The unit Gaussian ``height * exp(-(x - mean)^2/2)``: two drift-0 tails around an empty plateau.
 
         Equal, private fields included and bit for bit, to ``Envelope(height,
-        ((mean - 0.125, 0.0078125, 0.125),), ((mean + 0.125, 0.0078125,
-        0.125),))``, rows ``(mean -+ 1/8, 1/128, 1/8)``, all powers of two:
-        the shape is fixed, so its tail masses are ``height`` times the
-        constants ``_GAUSSIAN_FACTOR`` and ``_GAUSSIAN_TAIL``, which ``_side``
-        would recompute, and no row needs checking.  Inputs that constructor
-        rejects, a height that is not finite and positive or a mean at which
-        ``mean +- 1/8`` round together, go through it and raise its UsageError.
+        ((mean, 0.0, 0.0),), ((mean, 0.0, 0.0),))``: each tail's mass is
+        ``height`` times ``_HALF_GAUSSIAN``, half the unit Gaussian's, as
+        ``_side`` would compute it, the plateau's is 0, and no row needs
+        checking.  So a draw picks a side by a fair cut and inverts that
+        side's half-normal.  Any finite mean builds, however large: its
+        plateau is the one point ``mean``.  Inputs that constructor rejects,
+        a mean that is not finite, a height that is not finite and positive
+        or a mass beyond a float, go through it and raise its UsageError.
         """
         h = float(height)
-        x_minus, x_plus = mean - 0.125, mean + 0.125
-        rows_minus, rows_plus = ((x_minus, 0.0078125, 0.125),), ((x_plus, 0.0078125, 0.125),)
+        rows = ((mean, 0.0, 0.0),)
         # _side's and __init__'s arithmetic, term by term
-        width = x_plus - x_minus
-        tail, plateau = h * _GAUSSIAN_FACTOR * _GAUSSIAN_TAIL, h * width
-        inner = tail + plateau
-        total = inner + tail
-        if not (h > 0.0 and width > 0.0 and total < math.inf):
-            return cls(h, rows_minus, rows_plus)
+        tail = h * _HALF_GAUSSIAN
+        total = tail + tail
+        if not (h > 0.0 and total < math.inf and -math.inf < mean < math.inf):
+            return cls(h, rows, rows)
         self = cls.__new__(cls)
-        self._write(h, rows_minus, rows_plus, (tail, plateau, tail), total, (x_minus, x_plus),
-                    ((x_minus, -1.0, 0.0078125, 0.125, None), (x_minus, 1.0, 0.0, None, width),
-                     (x_plus, 1.0, 0.0078125, 0.125, None)),
-                    (tail / total, inner / total, math.inf))
+        self._write(h, rows, rows, (tail, 0.0, tail), total, (mean, mean),
+                    ((mean, -1.0, 0.0, 0.0, None), (mean, 1.0, 0.0, None, 0.0), (mean, 1.0, 0.0, 0.0, None)),
+                    (tail / total, tail / total, math.inf))
         return self
 
     def _write(self, h, rows_minus, rows_plus, masses, total, starts, segments, cuts) -> None:
@@ -357,7 +356,8 @@ class Envelope:
                 i = bisect_left(self._starts, x)
             start, side, offset, drift, _ = self._segments[i]
             t = side * (x - start)
-            return self._log_height + (-offset - drift * t - 0.5 * t * t)
+            # a drift-0 tail skips drift * t, which is NaN at an infinite t
+            return self._log_height + (-offset - (drift * t if drift else 0.0) - 0.5 * t * t)
         xs = np.asarray(x, dtype=float)
         # the scalar path's segment for each point; NaN takes the right tail
         which = np.where(xs > self.x_plus, np.searchsorted(self._starts, xs, side="right"),
@@ -367,7 +367,7 @@ class Envelope:
             if drift is not None:  # the plateau is written last, over x_minus too
                 applies = which == k
                 t = side * (xs[applies] - start)
-                out[applies] = self._log_height + (-offset - drift * t - 0.5 * t * t)
+                out[applies] = self._log_height + (-offset - (drift * t if drift else 0.0) - 0.5 * t * t)
         out[(xs >= self.x_minus) & (xs <= self.x_plus)] = self._log_height
         return out if out.ndim else float(out)
 
@@ -414,7 +414,8 @@ def _side(side: float, rows, h: float, segments: list, masses: list, slot: int) 
     """Write one side's segments and masses, walking its rows outward, the tail last.
 
     The innermost row goes to ``segments[slot]`` and each further row one
-    slot further by ``side``; UsageError on a bad row.
+    slot further by ``side``; UsageError on a bad row.  Every row, the tail
+    included, needs a nonnegative drift and a finite offset.
     """
     step = int(side)
     start, offset, drift = rows[0]
@@ -426,8 +427,8 @@ def _side(side: float, rows, h: float, segments: list, masses: list, slot: int) 
         masses[slot] = h * math.exp(-offset) * numerics.gaussian_piece_integral(drift, length)
         start, offset, drift = end, next_offset, next_drift
         slot += step
-    if not (drift > 0.0 and math.isfinite(offset)):
-        raise UsageError(f"tail drifts must be positive and every offset finite, got the tail row {rows[-1]}")
+    if not (drift >= 0.0 and math.isfinite(offset)):
+        raise UsageError(f"tail drifts must be nonnegative and every offset finite, got the tail row {rows[-1]}")
     segments[slot] = (start, side, offset, drift, None)
     masses[slot] = h * math.exp(-offset) * numerics.gaussian_tail_integral(drift)
 

@@ -99,11 +99,11 @@ The search-first line step has three parts:
 That is the *search-first* path.  A step of a chain can instead go
 *tangent first*: the certificate alone bounds the shifted line by its
 tangent Gaussian, ``W(p + t) - W(p) >= g t + t^2/2``, and
-:func:`tangent_envelope` builds from it, at no query, an envelope of mass
-``e^(g^2/2)`` times ``_TANGENT_MASS`` (2.5073, a flat top of half-width 1/8
-against the Gaussian's 2.5066), which a line of curvature 1 accepts a trial
-from with probability 0.99974.  Its shape never changes, so its masses
-are constants folded at import times ``e^(g^2/2)``
+:func:`tangent_envelope` builds from it, at no query, that Gaussian itself
+as an envelope of mass ``e^(g^2/2)`` times ``_TANGENT_MASS = sqrt(2 pi)``,
+from which a line of curvature 1 accepts every trial but for rounding in
+the log gap.  Its shape never changes, so its masses are a constant
+folded at import times ``e^(g^2/2)``
 (:meth:`lcsampler.envelope.Envelope.gaussian`): an accepted tangent step
 evaluates no piece or tail integral, and its envelope is the validated
 constructor's bit for bit.  The step tries one trial against it
@@ -174,8 +174,7 @@ _LEVEL = 3.0
 # Above this kappa the level-3 sandwich of a zero-slope certificate leaves
 # its edges open, ``search_range(kappa, level=3, rise=0)`` has lo < top
 _OPEN_KAPPA = 8.0 / 3.0
-# The tangent envelope's mass over its height e^(g^2/2), 2.5073: the plateau's
-# width 1/4 and two tails exp(-1/128 - t/8 - t^2/2), the unit Gaussian beyond 1/8
+# The tangent envelope's mass over its height e^(g^2/2): the unit Gaussian's, sqrt(2 pi) to an ulp
 _TANGENT_MASS = Envelope.gaussian(0.0, 1.0).mass_total
 # A chain step's path, indexed as in ChainResult.step_paths
 PATHS = ("search_first", "tangent_accepted", "tangent_fell_back")
@@ -592,18 +591,16 @@ def tangent_envelope(certificate: Certificate) -> Envelope:
 
     ``W(p + t) - W(p) >= g t + t^2/2`` bounds the shifted target by the
     tangent Gaussian ``h exp(-(x - m)^2/2)``, ``h = e^(g^2/2)`` at the mean
-    ``m = p - g``.  The envelope is flat at ``h`` within 1/8 of m and that
-    Gaussian beyond, rows ``(m -+ 1/8, 1/128, 1/8)``.  Its mass is ``h``
-    times ``_TANGENT_MASS``, 2.5073 against the Gaussian's 2.5066, so on a
-    line of curvature 1 a trial is accepted with probability 0.99974.  It
-    costs no query.
+    ``m = p - g``.  The envelope is that Gaussian, the rows ``(m, 0, 0)``
+    on both sides of an empty plateau at m.  Its mass is ``h`` times
+    ``_TANGENT_MASS``, ``sqrt(2 pi)``, so on a line of curvature 1 every
+    trial is accepted but for rounding in the log gap.  It costs no query.
 
-    The shape never changes, so :meth:`Envelope.gaussian` builds it from
-    masses folded into constants at import, ``h`` times each, with no row
-    to check; the result equals the validated ``Envelope(h, rows...)`` bit
-    for bit, private fields included.  A slope whose ``h`` overflows, or a
-    mean so large that ``m -+ 1/8`` round together, raises that
-    constructor's UsageError.
+    The shape never changes, so :meth:`Envelope.gaussian` builds it from a
+    mass folded into a constant at import, times ``h``, with no row to
+    check; the result equals the validated ``Envelope(h, rows...)`` bit for
+    bit, private fields included.  A slope whose ``h`` overflows raises
+    that constructor's UsageError; any finite mean builds.
     """
     p, _, slope = certificate
     try:

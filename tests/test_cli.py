@@ -319,9 +319,9 @@ class TestHitAndRunCommand:
 
     def test_summary_counts_each_path(self, tmp_path, capsys):
         # the chain's first step searches first and later ones try the
-        # tangent first.  A line of curvature 1 accepts its trial with
-        # probability 0.99974, so on the isotropic target almost every later
-        # step is accepted; the lines of the quadratic [1, 30] reject it
+        # tangent first.  On a line of curvature 1 the tangent Gaussian is the
+        # line's own law, so on the isotropic target every later step that
+        # tries it is accepted; the lines of the quadratic [1, 30] reject it
         # often, so there some steps fall back.  The totals match a chain run alone
         out = tmp_path / "chain.csv"
         assert run_cli(["hitandrun", "--kappa", "1e6", "--dimension", "10", "--seed", "9",

@@ -11,6 +11,7 @@ from helpers import (
     envelope_cdf,
     ks_critical_value,
     ks_statistic,
+    normal_cdf,
     random_class_potential,
     value_only_envelope,
     value_only_search,
@@ -256,7 +257,8 @@ class TestEnvelopeValue:
 
     def test_drift_zero_row_at_infinity(self):
         # a row with drift 0 evaluated at +inf would give 0 * inf; only the
-        # tail, whose drift is positive, applies there
+        # tail, here of positive drift, applies there (a drift-0 tail skips
+        # the drift term: TestGaussianEnvelope)
         env = Envelope(0.5, ((-1.0, 0.0, 0.5),), ((1.0, 0.0, 0.0), (2.0, 1.0, 0.5)))
         assert env.log_value(np.array([-math.inf, math.inf])).tolist() == [-math.inf] * 2
         xs = [-3.0, -1.0, 0.0, 1.0, 1.5, 2.0, 2.5, math.inf]
@@ -332,9 +334,9 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "geometry, message",
         [
-            ((1.0, 1.0, 0.5, 0.5), "plateau must be nonempty"),
-            ((-1.0, 1.0, 0.0, 0.5), "drifts"),
-            ((-math.inf, 1.0, 0.5, 0.5), "plateau must be nonempty and finite"),
+            ((1.0, -1.0, 0.5, 0.5), "plateau edges must be finite and in order"),
+            ((-1.0, 1.0, -0.5, 0.5), "drifts"),
+            ((-math.inf, 1.0, 0.5, 0.5), "plateau edges must be finite and in order"),
             ((-1.0, 1.0, math.nan, 0.5), "drifts"),
             ((-1.0, 1.0, 0.5, 0.5, math.nan), "plateau_height"),
             ((-1.0, 1.0, 0.5, 0.5, 0.0), "plateau_height"),
@@ -353,8 +355,9 @@ class TestConstruction:
         "pieces_plus",  # the right side's rows
         [
             (),  # no row
-            ((1.0, 0.0, 2.0), (3.0, 1.0, 0.0)),  # a tail of drift 0
+            ((1.0, 0.0, 2.0), (3.0, 1.0, -0.5)),  # a tail of negative drift
             ((1.0, 0.0, 2.0), (0.5, 1.0, 0.5)),  # runs inward
+            ((1.0, 0.0, 2.0), (1.0, 1.0, 0.5)),  # an inner row of length 0
             ((1.0, 0.0, -2.0), (3.0, 1.0, 0.5)),  # negative drift
             ((1.0, 0.0, 2.0), (3.0, math.nan, 0.5)),  # NaN offset
         ],
@@ -362,6 +365,18 @@ class TestConstruction:
     def test_bad_pieces_are_usage_error(self, pieces_plus):
         with pytest.raises(UsageError, match="row"):
             Envelope(1.0, ((-1.0, 0.0, 0.5),), pieces_plus)
+
+    def test_an_empty_plateau_and_drift_0_tails_build(self):
+        # what the rule of a nonempty plateau and positive tail drifts used
+        # to reject: equal edges, here with an inner row on the left, and a
+        # drift-0 tail, whose t^2/2 keeps its mass e^(-offset) sqrt(pi/2)
+        env = Envelope(1.0, ((1.0, 0.0, 0.5), (0.0, 1.0, 0.0)), ((1.0, 0.0, 0.5),))
+        assert env.x_minus == env.x_plus == 1.0
+        # the empty plateau has no mass, so its two cuts are equal and no draw picks it
+        assert env.piece_masses[2] == 0.0 and env._cuts[1] == env._cuts[2]
+        assert env.piece_masses[0] == pytest.approx(math.exp(-1.0) * math.sqrt(math.pi / 2.0), rel=1e-15)
+        assert env.log_value(1.0) == 0.0 and env.log_value(-1.0) == -1.5
+        assert env.log_value(np.array([1.0, -1.0, -math.inf])).tolist() == [0.0, -1.5, -math.inf]
 
     @pytest.mark.parametrize(
         "geometry, pieces_plus, message",  # the height and left rows, the right rows
@@ -378,24 +393,22 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "mean, height",
         [(0.0, 0.0), (0.0, -1.0), (0.0, math.inf), (0.0, math.nan), (0.0, 1e308),
-         (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (2.0**54, 1.0), (-(2.0**54), 1.0),
-         (2.0**52, 1.0), (-(2.0**52), 1.0)],
+         (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0)],
     )
     def test_gaussian_rejects_what_the_validated_constructor_rejects(self, mean, height):
         # a height that is not finite and positive, a mass beyond a float, and
-        # a mean where mean -+ 1/8 round together raise the same error; at
-        # 2^52, one ulp above and half an ulp below, 1/8 rounds away on both sides
-        rows_minus, rows_plus = ((mean - 0.125, 0.0078125, 0.125),), ((mean + 0.125, 0.0078125, 0.125),)
+        # a mean that is not finite raise the same error
+        rows = ((mean, 0.0, 0.0),)
         with pytest.raises(UsageError) as expected:
-            Envelope(height, rows_minus, rows_plus)
+            Envelope(height, rows, rows)
         with pytest.raises(UsageError, match=re.escape(str(expected.value))):
             Envelope.gaussian(mean, height)
 
     def test_gaussian_takes_an_int_height_as_float(self):
         env = Envelope.gaussian(0.0, 2)
         assert type(env.plateau_height) is float
-        # the rows (mean -+ 1/8, 1/128, 1/8): the tangent exp(-(t + 1/8)^2/2) beyond the top
-        assert vars(env) == vars(Envelope(2, ((-0.125, 0.0078125, 0.125),), ((0.125, 0.0078125, 0.125),)))
+        # the rows (mean, 0, 0) on both sides: the unit Gaussian exp(-t^2/2) from the mean out
+        assert vars(env) == vars(Envelope(2, ((0.0, 0.0, 0.0),), ((0.0, 0.0, 0.0),)))
 
     def test_fields_are_frozen(self):
         env = Envelope.from_geometry(-1.0, 1.0, 0.5, 0.5)
@@ -465,6 +478,51 @@ class TestConstruction:
         assert env._cuts == (*[total / env.mass_total for total in running], math.inf)
 
 
+class TestGaussianEnvelope:
+    """``Envelope.gaussian``: the unit Gaussian as two drift-0 tails around an empty plateau."""
+
+    CASES = [(0.0, 1.0), (-1.5, 0.25), (3.0, math.e), (1e3, 7.0)]
+
+    @pytest.mark.parametrize("mean, height", CASES)
+    def test_log_value_is_the_log_of_the_gaussian(self, mean, height):
+        env = Envelope.gaussian(mean, height)
+        assert env.x_minus == env.x_plus == mean
+        xs = mean + np.concatenate([np.linspace(-9.0, 9.0, 1801), [1e-300, -1e-300, 0.0, 40.0, -40.0]])
+        expected = [math.log(height) - 0.5 * (x - mean) ** 2 for x in xs.tolist()]
+        assert [env.log_value(x) for x in xs.tolist()] == expected
+        assert env.log_value(xs).tolist() == expected
+        assert env.log_value(math.inf) == env.log_value(-math.inf) == -math.inf
+
+    @pytest.mark.parametrize("mean, height", CASES)
+    def test_mass_and_side_cuts(self, mean, height):
+        # each tail is half the unit Gaussian's mass, sqrt(pi/2), times the
+        # height, and the empty plateau none: a draw picks its side by 1/2
+        env = Envelope.gaussian(mean, height)
+        tail = height * math.sqrt(math.pi / 2.0)
+        assert env.piece_masses == (pytest.approx(tail, rel=1e-15), 0.0, pytest.approx(tail, rel=1e-15))
+        assert env.mass_total == pytest.approx(height * math.sqrt(2.0 * math.pi), rel=1e-15)
+        assert env._cuts == (0.5, 0.5, math.inf)
+
+    @pytest.mark.parametrize("mean, height", CASES)
+    def test_draws_are_normal_about_the_mean(self, mean, height):
+        rng = np.random.default_rng(89)
+        n = 100_000
+        draws = Envelope.gaussian(mean, height).sample(rng, size=n)
+        assert ks_statistic(draws, lambda x: normal_cdf(x - mean)) < ks_critical_value(n)
+
+    @pytest.mark.parametrize("mean", [2.0**54, -(2.0**54), 2.0**52 + 1.0, 1e300, -1e300, 5e-324])
+    def test_a_huge_or_tiny_finite_mean_builds(self, mean):
+        # no plateau edge m -+ w can round into the other: the plateau is m
+        # alone, however coarse the floats around it.  Draws stay finite, and
+        # at the mean the envelope is its height
+        env = Envelope.gaussian(mean, 3.0)
+        assert vars(env) == vars(Envelope(3.0, ((mean, 0.0, 0.0),), ((mean, 0.0, 0.0),)))
+        assert env.log_value(mean) == math.log(3.0)
+        rng = np.random.default_rng(97)
+        draws = [env.sample(rng) for _ in range(200)] + env.sample(rng, size=200).tolist()
+        assert all(math.isfinite(x) for x in draws)
+
+
 class TestSerialization:
     def test_json_dict_fields(self):
         env = Envelope.from_geometry(-1.0, 2.0, 0.5, 0.25)
@@ -513,12 +571,15 @@ CONSTRUCTION_QUERIES_WITH_SLOPES = {
 class TestEdgeValueTails:
     @pytest.mark.parametrize("kappa", sorted(CONSTRUCTION_QUERIES))
     def test_domination_sweep(self, kappa):
-        # the tail touches the target at the edge with the smaller value
+        # the tail touches the target at the edge with the smaller value.  The
+        # constructor takes an empty plateau, but the 1D searches' edges are
+        # distinct, so the paper's plateau is never empty
         rng = np.random.default_rng(61)
         for name in _members(kappa):
             pot = builtin_potential(name, kappa)
             offset = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 5.0))
             _, env = prepare_envelope(make_oracle(pot, kappa, offset=offset))
+            assert env.x_minus < env.x_plus, (name, kappa)
             grid = domination_grid(env)
             v0 = pot.evaluate(0.0)[0]
             gap = env.value(grid) - np.exp(-(pot.evaluate(grid)[0] - v0))

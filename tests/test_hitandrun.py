@@ -1295,30 +1295,44 @@ class TestRunChain:
 # 7.80 per step, 4,999 -> 2 search-first steps).  The 10-d chain's step 3
 # fell back before and is accepted now, as are steps 2-20: 26 -> 23
 # queries (1.09 -> 1.05 per step; 72 -> 0 fallbacks).
+# Re-recorded again when the tangent envelope lost its flat top and became
+# the unit Gaussian itself, two drift-0 tails around an empty plateau.  Each
+# chain's first step searches first and is unchanged, and every draw still
+# takes three random() calls, so the streams stay aligned.  The anisotropic
+# chain keeps its positions through step 4: the tangent trials of steps 2
+# and 4 are rejected as before and their fallbacks accept the same points,
+# but step 4 spends 5 queries instead of 4: its rejected trial, now at lam =
+# -1.99 rather than -2.09, leaves the threshold search one more query to
+# spend.  Its positions part at step 5 and its paths at step 6: 160 -> 120
+# queries (over 5,000 steps 7.80 -> 7.76 per step, 3,491 -> 3,470
+# fallbacks).  The 10-d chain's positions part at step 2, its first tangent
+# trial, drawn from the new envelope; every later step is still accepted
+# tangent first: 23 -> 23 queries (1.046 -> 1.048 per step over 5,000
+# steps, no fallback before or after).
 ANISOTROPIC_POSITIONS = [
     [0.5878986735554335, -0.15765943136239413],
     [0.7948104400329912, -0.07183962945688507],
     [0.738152236899495, 0.15939949678776358],
     [1.0696597004718986, 0.2285831459893266],
-    [1.3697293843560074, -0.1508226493554925],
-    [1.1210931267207258, -0.07565800654962236],
-    [1.1481552374838704, 0.18992673436516255],
-    [-1.2262490676978062, 0.0428268058680652],
-    [-0.7942901894479671, 0.3995106887310286],
-    [-1.1331067629771419, 0.21249688469471759],
-    [-1.5070619541377077, -0.014138020558229852],
-    [-1.505635584584362, 0.012262553203266309],
-    [-0.8033849214687614, -0.31312306089142616],
-    [-0.8517200491258285, -0.09719739997051535],
-    [-0.8568920995775804, -0.07947099667555182],
-    [-0.46592304438779, -0.2453079953113134],
-    [-0.4664270725342448, -0.232696249303393],
-    [-0.14070360179404445, -0.48689642483562073],
-    [-1.0959494363929396, 0.10556687513828339],
-    [-1.0347710526947267, 0.14656551644222954],
+    [1.2985679462577617, -0.06084667554144518],
+    [1.6400957637995148, -0.1640931475481553],
+    [-1.2839186835966938, 0.030972934563331056],
+    [-0.866612730134761, 0.05682601939041843],
+    [-0.6909840189633194, 0.20184892272015464],
+    [-0.422488217420035, -0.09557425521817736],
+    [-0.4911563152581313, -0.2049037249360473],
+    [-0.5607130495059683, 0.005958249190329223],
+    [-0.5122004391751296, -0.15856688778373215],
+    [0.19848226483678966, -0.144494958514442],
+    [0.31532437681185144, -0.14344276673761316],
+    [0.3233963686984085, -0.11757336627330776],
+    [0.006356090328043296, 0.18014624415954517],
+    [-0.290052242420897, 0.04469846841904751],
+    [0.7863062716143326, -0.2379231854232563],
+    [1.5220119618896608, 0.04850144145685409],
 ]
 ANISOTROPIC_QUERIES = [
-    12, 11, 11, 4, 3, 3, 12, 1, 10, 11, 11, 10, 1, 3, 13, 8, 3, 12, 12, 9,
+    12, 11, 11, 5, 3, 7, 1, 1, 1, 11, 3, 11, 11, 1, 1, 3, 3, 11, 4, 9,
 ]
 
 ISOTROPIC_10D_POSITIONS = [
@@ -1328,99 +1342,99 @@ ISOTROPIC_10D_POSITIONS = [
         -0.3970436242420417, -0.16467988147978618,
     ],
     [
-        0.40612408226284635, -0.3392989310929927, 0.09388607095590135, -0.372376934955797,
-        0.11975370806490568, -0.5642410287866525, -0.5190546460061218, 0.2726756136157481,
-        -1.0271956497593704, -0.3919957828567666,
+        0.3787017232014569, -0.3402025207132853, 0.07889434884973645, -0.34694940914876143,
+        0.12781505943512306, -0.5403898800896356, -0.5047250452549888, 0.2559927607541004,
+        -0.999843938673215, -0.3821291497143152,
     ],
     [
-        0.13816693547666975, -0.440429592636368, 0.004952598462466817, -0.20476557319530045,
-        -0.053115209922220685, -0.45510499916763647, -0.49627860136734303, 0.4428647239656974,
-        -0.9370268150145729, 0.2724889166691372,
+        0.1731490175976488, -0.41778089975287047, 0.01067255999648102, -0.21837299566985033,
+        -0.004794479938020263, -0.45667050019585265, -0.48725330525997407, 0.3865465919032752,
+        -0.9306744906281295, 0.12760395297794414,
     ],
     [
-        0.21925937248344465, -0.5429622449215209, 0.042158602265448146, -0.17195058348529138,
-        0.06444264290704822, -0.27748390908830906, -0.5499748157392064, 0.5415093721239831,
-        -1.0029108624408982, 0.11603386386927395,
+        0.21378399848266455, -0.46915945636659107, 0.029316286947437743, -0.2019295820936027,
+        0.05411312327289007, -0.3676655341773061, -0.5141601873951858, 0.43597689071136453,
+        -0.9636886298822319, 0.04920517357814104,
     ],
     [
-        0.1879353153449812, -0.5321968119614592, 0.04144042153565623, -0.22686004036525537,
-        0.012404296408391309, -0.30667987516867085, -0.5143463843045157, 0.5437166372073008,
-        -1.0277042333515836, 0.12474628414688275,
+        0.23751036061242561, -0.4773137181138808, 0.029860271910635103, -0.16033849277449952,
+        0.09352949415369233, -0.3455510915657107, -0.5411468916588819, 0.43430500094141306,
+        -0.9449089266642196, 0.04260596334111873,
     ],
     [
-        0.3284973209396316, -0.43778247432239104, -0.19834150460857491, -0.059291487239117396,
-        -0.17321786716674245, -0.394077312578951, -0.5435949786123534, 0.7168858375922,
-        -0.9321214507014378, -0.2883045183457012,
+        0.34091551381195, -0.40785733118700673, -0.14653651968697234, -0.03706583574227512,
+        -0.04302439308284833, -0.40984546020696044, -0.562663768587876, 0.5616978025700287,
+        -0.8745929672314998, -0.2612569570137805,
     ],
     [
-        -0.25653452622941997, -0.3061519623316221, 0.13982727511349197, -0.026253687845894817,
-        -0.02867292485137926, -0.8322668310517577, -0.6486762204457961, 0.5842832162295688,
-        -1.0124850430226064, -0.9690604220723618,
+        -0.1894909323609561, -0.2885173800188966, 0.16005687608619779, -0.007112830875398223,
+        0.0880241464740171, -0.807120491246798, -0.6579333993097171, 0.4414765095062322,
+        -0.9474528766723652, -0.8784495446551601,
     ],
     [
-        -0.22245188252472176, -0.4217394680484405, 0.37331871244308157, -0.03372652876648084,
-        -0.1669872119651975, -0.4070953050386155, -0.42609219867402676, 0.44877832135662604,
-        -1.7327673954066412, -1.1171283931372389,
+        -0.15587881308870036, -0.4025091543131156, 0.3903248713911145, -0.01448250625919795,
+        -0.048380656973956854, -0.38781862700934866, -0.43842223835890815, 0.3078423135234837,
+        -1.6577914451178584, -1.0244733785735223,
     ],
     [
-        -0.2945348479401281, -0.4231667525245085, 0.36380494356310006, -0.048694435534189305,
-        -0.10012165645553968, -0.47837519343311175, -0.4267340914912156, 0.4507660894410958,
-        -1.7193003657064025, -1.1632845553554219,
+        -0.1886543899902587, -0.40315812972410464, 0.3859990329388185, -0.02128829978466148,
+        -0.017977396730118375, -0.4202290508888993, -0.43871410214768386, 0.3087461365743189,
+        -1.6516680889957558, -1.0454602349763462,
     ],
     [
-        -0.3664754667764386, -0.4835655838813003, 0.43651313114346174, -0.11697173264284416,
-        -0.16524795423370955, -0.6271142407625065, -0.43599666159931, 1.105427104626777,
-        -1.420144206537211, -1.290177359022295,
+        -0.267244281748539, -0.46913945842878724, 0.4654274377025161, -0.09587627909474213,
+        -0.0891231385348936, -0.5827156380065915, -0.44883278605635224, 1.0239156632484538,
+        -1.3248617513768872, -1.184081390401421,
     ],
     [
-        -0.3293898858911733, -1.2116105607829144, 0.01958572378253992, 0.23746382068611288,
-        -0.25831282152110047, 1.7015463246144669, 0.21352475660632425, 1.225517176459662,
-        0.5243698765485219, -1.027533433197973,
+        -0.23168433905096672, -1.1672338941064255, 0.06565172000053704, 0.2439783939479464,
+        -0.1783594742993323, 1.6501477630842052, 0.17396841756224846, 1.1390654322688285,
+        0.5396583051668138, -0.9322421922755242,
     ],
     [
-        -0.2532080342689724, -1.1498341882427112, -0.04649257633815419, 0.22832444025335039,
-        -0.2646272616235557, 1.7052533259555167, 0.19036895690899414, 1.2501958625515002,
-        0.5544918951362304, -1.0891600003162472,
+        -0.21780576023803802, -1.1559796618080576, 0.05361377557517265, 0.24231340932317694,
+        -0.17950981985743245, 1.6508230933521872, 0.16974996416117447, 1.1435613204972173,
+        0.5451458432099583, -0.943469133476202,
     ],
     [
-        -0.5181306927832257, -1.088588214921559, -0.9793931825445364, -0.18933595672453754,
-        -0.2797916362248482, 1.5884467218415728, -0.9427583087610101, 0.5853039577478939,
-        0.10891515604796209, -1.1901361417387342,
+        -0.4734858139462699, -1.0968704340961417, -0.8467398538085402, -0.16077567837508241,
+        -0.1941451407252457, 1.5380916305893575, -0.9238448297668859, 0.5018661220428788,
+        0.11511435696357541, -1.0409224257198417,
     ],
     [
-        -0.511928032100035, -1.085683440410128, -0.988851932007255, -0.19383438743890033,
-        -0.2815282162836277, 1.5907278033558683, -0.9306504923494813, 0.5854280836242244,
-        0.09531997759042923, -1.1855853452129377,
+        -0.43329933534000736, -1.0780506622720936, -0.9080222376661082, -0.18992060486677367,
+        -0.20539628615213137, 1.552870551790352, -0.8453993802988736, 0.5026703223898613,
+        0.027032423074693307, -1.0114382258633206,
     ],
     [
-        -0.8495070762757633, -0.9656995064580404, -1.2293812058124698, -0.0036228270430832266,
-        -0.37068644149789004, 1.6489905106570486, -0.7077054129443839, 0.769045205828976,
-        -0.23849960187397526, -0.5740477590151618,
+        -0.6974856530112529, -0.9841523168700271, -1.0962582796689408, -0.041062751909188705,
+        -0.2751707097007632, 1.5984664214541215, -0.6709245703628163, 0.6463674274489442,
+        -0.2342117713941931, -0.5328544221511102,
     ],
     [
-        -0.25655656175617025, -1.6186109219022071, -1.7445919543783246, -0.571085835902137,
-        -1.0573477167159842, 1.363604078802962, -0.6179281956594911, 0.28597446956420963,
-        -1.0824687426731185, -0.7141047797496318,
+        -0.13213101186247111, -1.6066772830207783, -1.5874911578585074, -0.582116074037839,
+        -0.9298748196317831, 1.3263618531659578, -0.5853255781727864, 0.18577876774988855,
+        -1.038902650402409, -0.6663931994331516,
     ],
     [
-        -0.3215545247392149, -1.332075067991182, -2.068170992208342, -0.606685416927962,
-        -1.1776215237732683, 0.8961655781803157, -0.6597126794671413, 0.642183784034445,
-        -0.36604810090222617, -1.182026811202849,
+        -0.1959108189313375, -1.3255115257873502, -1.905005856122382, -0.6170484673830255,
+        -1.047894521442326, 0.8676838266861189, -0.6263269602687037, 0.5353122040357491,
+        -0.33590876851382667, -1.1255456946758606,
     ],
     [
-        -0.27912974149832726, -1.3612580771493967, -2.0091075621291434, -0.6593210837717668,
-        -1.2910781679676049, 0.9205809564414116, -0.6800260132830729, 0.5610439949275761,
-        -0.4336657208373569, -1.118190178457648,
+        -0.18965445817383775, -1.3298151289960343, -1.8962958027544559, -0.6248106218439359,
+        -1.0646259138547438, 0.8712843498417685, -0.6293225570598148, 0.5233465614641031,
+        -0.34588030381845425, -1.1161317395890358,
     ],
     [
-        -0.2625482130324023, -1.0118008578254871, -1.4923588573764364, -1.3031776324511204,
-        -1.7324513382218871, 0.046593817312710506, -0.45775427723450135, 0.7542535888146672,
-        -0.6114284369705207, -1.673474380038889,
+        -0.1736872610975504, -0.993304999538257, -1.3986921937350252, -1.244812838331277,
+        -1.4896465871972788, 0.029677683647738484, -0.4152857979474465, 0.7093979058238422,
+        -0.5170570639794492, -1.6508431383733422,
     ],
     [
-        -0.29680944392868613, -1.1097775341085467, -1.588748660736778, -1.2075913373539175,
-        -0.8692513332327108, 0.4729274102331806, -1.030658724804962, 0.7563761238568898,
-        -0.2763833261850507, -1.4964057297811704,
+        -0.20658716776606317, -1.0873887035114667, -1.491252077060627, -1.1530245369416736,
+        -0.6607446809472034, 0.43907148094579623, -0.9654266528426636, 0.7114361047724196,
+        -0.1953245229638521, -1.480810074323961,
     ],
 ]
 ISOTROPIC_10D_QUERIES = [
@@ -1432,7 +1446,7 @@ class TestPinnedChains:
     @pytest.mark.parametrize(
         "diagonal, kappa, x0, positions, queries, paths",
         [
-            ([1.0, 30.0], 1e3, [1.0, 0.5], ANISOTROPIC_POSITIONS, ANISOTROPIC_QUERIES, "02021121222211221222"),
+            ([1.0, 30.0], 1e3, [1.0, 0.5], ANISOTROPIC_POSITIONS, ANISOTROPIC_QUERIES, "02021211121221111222"),
             ([1.0] * 10, 1e6, [0.0] * 10, ISOTROPIC_10D_POSITIONS, ISOTROPIC_10D_QUERIES, "01111111111111111111"),
         ],
         ids=["anisotropic", "isotropic_10d"],
@@ -1657,22 +1671,21 @@ class TestTangentFirst:
 
     def test_tangent_envelope_dominates_and_has_the_closed_form_mass(self):
         # W(p + t) - W(p) >= g t + t^2/2 on every line of the class; the
-        # envelope's height is e^(g^2/2) and its mass that times the flat
-        # top's 1/4 plus the unit Gaussian's mass beyond 1/8 of its mean,
-        # sqrt(2 pi) erfc(1/(8 sqrt 2)), 2.5073 in all
-        closed_form = 0.25 + math.sqrt(2.0 * math.pi) * math.erfc(0.125 / math.sqrt(2.0))
-        assert closed_form == pytest.approx(2.5073, abs=5e-5)
+        # envelope is that bound, the unit Gaussian of height e^(g^2/2) about
+        # m = p - g, so its mass is sqrt(2 pi) e^(g^2/2)
+        closed_form = math.sqrt(2.0 * math.pi)
         for g in (-4.0, -1.5, 0.0, 0.3, 2.0):
             env = tangent_envelope(Certificate(0.25, 7.0, g))
             t = np.linspace(-12.0, 12.0, 4001)
             assert np.all(env.log_value(0.25 + t) >= -(g * t + 0.5 * t * t) - 1e-12)
+            assert np.all(env.log_value(0.25 + t) <= -(g * t + 0.5 * t * t) + 1e-12)
             assert env.mass_total == pytest.approx(math.exp(0.5 * g * g) * closed_form, rel=1e-13)
             assert env.mass_total == pytest.approx(math.exp(0.5 * g * g) * hitandrun._TANGENT_MASS, rel=1e-15)
 
     def test_tangent_envelope_is_the_validated_envelope_bit_for_bit(self):
-        # Envelope.gaussian folds the tail masses into constants: every field,
+        # Envelope.gaussian folds the tail mass into a constant: every field,
         # the private ones and their order included, must be the one the
-        # validated constructor computes from the same rows, on slopes up to
+        # validated constructor computes from the rows (m, 0, 0), on slopes up to
         # the 2B = 4 a certificate may carry, both zeros, and positions to 1e6
         rng = np.random.default_rng(67)
         n = 10_000
@@ -1682,8 +1695,7 @@ class TestTangentFirst:
         for p, g in zip(positions, slopes):
             got = tangent_envelope(Certificate(p, 7.0, g))
             mean = p - g
-            want = Envelope(math.exp(0.5 * g * g), ((mean - 0.125, 0.0078125, 0.125),),
-                            ((mean + 0.125, 0.0078125, 0.125),))
+            want = Envelope(math.exp(0.5 * g * g), ((mean, 0.0, 0.0),), ((mean, 0.0, 0.0),))
             assert got == want and hash(got) == hash(want)
             # repr tells every pair of distinct floats apart, -0.0 and 0.0 too
             assert [(k, repr(v)) for k, v in vars(got).items()] == \
@@ -1691,17 +1703,53 @@ class TestTangentFirst:
 
     @pytest.mark.parametrize("certificate, message", [
         ((0.0, 0.0, 40.0), "plateau_height must be finite and positive, got inf"),  # h overflows
-        ((2.0**54, 0.0, 1.0), "plateau must be nonempty and finite"),  # m -+ 1/8 round together
+        ((math.inf, 0.0, 1.0), "plateau edges must be finite and in order"),  # m is not finite
+        ((math.nan, 0.0, 1.0), "plateau edges must be finite and in order"),
     ])
     def test_tangent_envelope_raises_the_validated_constructors_error(self, certificate, message):
         with pytest.raises(UsageError, match=re.escape(message)):
             tangent_envelope(Certificate(*certificate))
 
+    def test_a_tangent_first_step_replays_from_the_raw_stream(self):
+        # one isotropic tangent-first step by hand, from a generator of the
+        # same seed: the direction is the normalized standard_normal(d); the
+        # carried probe's slope along it, g = u.grad V(x) with |g| <= B = 2,
+        # certifies the line at lam = 0, and the tangent is N(m, 1) about m =
+        # -g.  A draw takes the left side when random() < 1/2 and inverts that
+        # side's half-normal, lam = m -+ sqrt(2) erfcinv(random()); the trial
+        # is accepted when log(random()) is at most the log gap between the
+        # target and the envelope, which on a line of curvature 1 is 0 up to
+        # rounding.  The step's point is x + lam u, and it draws nothing more
+        oracle = isotropic(10, 1e6)
+        sides = []
+        for seed in range(40):
+            x = 0.3 * np.random.default_rng(1000 + seed).standard_normal(10)
+            value, gradient = oracle.query(x)
+            rng = np.random.default_rng(seed)
+            probe = step(oracle, Probe(x, value, gradient, self.FORCED), rng)
+            assert PATHS[probe.costs.path] == "tangent_accepted"
+            replay = np.random.default_rng(seed)
+            z = replay.standard_normal(10)
+            u = z / math.sqrt(float(z @ z))
+            g = float(u @ gradient)
+            assert abs(g) <= 2.0
+            m = -g
+            sides.append(replay.random() < 0.5)
+            t = math.sqrt(2.0) * numerics.erfcinv(replay.random())
+            lam = m - t if sides[-1] else m + t
+            y = x + lam * u
+            gap = -(0.5 * float(y @ y) - value) - (0.5 * g * g - 0.5 * (lam - m) ** 2)
+            assert abs(gap) < 1e-12
+            assert math.log(replay.random()) <= gap
+            assert probe.point.tolist() == y.tolist()
+            assert rng.random() == replay.random()
+        assert 10 < sum(sides) < 30
+
     def test_an_accepted_tangent_step_integrates_no_piece(self, monkeypatch):
         # the tangent envelope's masses are constants times its height, so
         # only a step that falls back to the line envelope evaluates a piece
-        # or tail mass.  A line of curvature 1 rejects the tangent's trial
-        # with probability 2.6e-4, so the isotropic target runs the accepted
+        # or tail mass.  A line of curvature 1 is the tangent itself and
+        # accepts its trial, so the isotropic target runs the accepted
         # half and test_anisotropic_diagonal_line's line, whose precision 2.15
         # leaves the tangent's trial often rejected, the fallen-back half
         calls = []
@@ -1735,16 +1783,17 @@ class TestTangentFirst:
 
     def test_tangent_mass_is_the_envelopes_and_accepts_a_curvature_one_line(self):
         # on a line of curvature 1 the tangent is the restriction itself, so a
-        # trial is accepted with probability sqrt(2 pi) / _TANGENT_MASS
-        for mean in (0.0, -1.5, 3.0, 1e3):
+        # trial is accepted with probability sqrt(2 pi) / _TANGENT_MASS: the
+        # unit Gaussian's mass, to an ulp, so 1
+        for mean in (0.0, -1.5, 3.0, 1e3, 2.0**54, -1e300):
             assert hitandrun._TANGENT_MASS == Envelope.gaussian(mean, 1.0).mass_total
-        assert math.sqrt(2.0 * math.pi) / hitandrun._TANGENT_MASS > 0.9997
+        root = math.sqrt(2.0 * math.pi)
+        assert abs(hitandrun._TANGENT_MASS - root) <= math.ulp(root)
 
     def test_forced_tangent_steps_on_an_isotropic_line_follow_its_law(self):
         # along u through x the isotropic quadratic is |x|^2/2 + t x.u + t^2/2,
-        # the law N(-x.u, 1), and the tangent's mean is that minimizer
-        # exactly.  The flat top covers 1/8 on either side of it, so a share
-        # erfc(1/(8 sqrt 2)) = 0.9005 of the draws comes from the tails
+        # the law N(-x.u, 1), and the tangent is that law exactly, so every
+        # trial is accepted.  Each side of the mean takes half the draws
         oracle = isotropic(3, 1e6)
         x, u = np.array([0.6, -1.1, 0.4]), np.array([2.0, 1.0, -2.0]) / 3.0
         value, gradient = oracle.query(x)
@@ -1756,10 +1805,10 @@ class TestTangentFirst:
             probe = step(oracle, start, rng, direction=u)
             lams[k] = (probe.point - x) @ u
             paths.add(PATHS[probe.costs.path])
-        assert paths <= {"tangent_accepted", "tangent_fell_back"} and "tangent_accepted" in paths
+        assert paths == {"tangent_accepted"}
         mean = -float(x @ u)
         assert ks_statistic(lams, lambda t: normal_cdf(t - mean)) < ks_critical_value(n)
-        share, expected = np.mean(np.abs(lams - mean) > 0.125), math.erfc(0.125 / math.sqrt(2.0))
+        share, expected = np.mean(lams > mean), 0.5
         assert abs(share - expected) < 5.0 * math.sqrt(expected * (1.0 - expected) / n)
 
 

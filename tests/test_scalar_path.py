@@ -6,12 +6,15 @@
 every value must be bitwise equal to the array path, so ``==`` is the
 comparison throughout.
 """
+import math
+
 import numpy as np
 import pytest
 
 from helpers import domination_grid, product_oracle
 from lcsampler import (
     FAILURE,
+    Envelope,
     PotentialOracle,
     bracket_minimizer,
     build_line_envelope,
@@ -116,6 +119,24 @@ def test_line_envelope_scalar_path_equals_array_path():
         scalar_rng, array_rng = np.random.default_rng(5), np.random.default_rng(5)
         for _ in range(300):
             assert env.sample(scalar_rng) == env.sample(array_rng, size=1)[0]
+
+
+@pytest.mark.parametrize("mean, height", [(0.0, 1.0), (-0.0, 2.0), (-1.5, 0.25), (3.0, math.e), (1e6, 7.0)])
+def test_gaussian_envelope_scalar_path_equals_array_path(mean, height):
+    # the empty plateau at the mean and its two drift-0 tails; NaN gives
+    # NaN on both paths, so it is compared apart
+    env = Envelope.gaussian(mean, height)
+    grid = np.concatenate([
+        np.linspace(mean - 9.0, mean + 9.0, 1801),
+        [mean, np.nextafter(mean, -np.inf), np.nextafter(mean, np.inf), -np.inf, np.inf, 0.0, -0.0],
+    ])
+    log_values = env.log_value(grid)
+    for k, x in enumerate(grid.tolist()):
+        assert env.log_value(x) == log_values[k], x
+    assert math.isnan(env.log_value(math.nan)) and np.isnan(env.log_value(np.array([math.nan]))).all()
+    scalar_rng, array_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(300):
+        assert env.sample(scalar_rng) == env.sample(array_rng, size=1)[0]
 
 
 def test_scalar_path_returns_plain_floats():
